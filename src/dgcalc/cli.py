@@ -95,9 +95,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_resolve(args) -> int:
     op = load_operator(args.operator)
-    res = resolve_module(
-        op.rows(), max_steps=args.steps, threads=args.threads
-    )
+    res = resolve_module(op.rows(), max_steps=args.steps)
     summary = {
         "operator": op.name,
         "nvars": res.nvars,
@@ -290,7 +288,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("operator")
     p.add_argument("--steps", type=int, default=None,
                    help="maximum number of syzygy steps")
-    p.add_argument("--threads", type=int, default=1)
     _add_output(p)
     p.set_defaults(func=_cmd_resolve)
 

@@ -11,7 +11,7 @@ elements whose genuine block dies yield syzygy generators.
 Everything here is deterministic: pair selection, reducer choice and output
 ordering are all fixed by the term order and insertion order, and reduced
 Groebner bases are mathematically unique, so results do not depend on
-generator permutations or thread count.
+generator permutations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -30,7 +29,6 @@ from .poly import (
     Poly,
     mono_div,
     mono_divides,
-    mono_key,
     mono_lcm,
     mono_mul,
     poly_vector_str,
@@ -51,10 +49,12 @@ class BudgetExceeded(RuntimeError):
 
 def _budget() -> int:
     raw = os.environ.get(BUDGET_ENV, "")
-    try:
-        return int(raw) if raw else DEFAULT_BUDGET
-    except ValueError:
+    if not raw:
         return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV}={raw!r} is not an integer") from None
 
 
 # -- free module elements ----------------------------------------------------
@@ -151,20 +151,6 @@ class FreeElem:
         return f"FreeElem{self}"
 
 
-@dataclass(frozen=True)
-class ModuleOrder:
-    """Term order on free modules.  Only one is implemented: degrevlex on
-    monomials, then lower position first, monomial compared first."""
-
-    base: str = "degrevlex"
-    position_rule: str = "top_lower_first"
-
-    def key(self, position: int, monomial: Monomial) -> tuple:
-        return (mono_key(monomial), -position)
-
-
-DEFAULT_ORDER = ModuleOrder()
-
 Term = tuple[int, Monomial]  # (position, monomial)
 
 _MKEY_CACHE: dict[Monomial, tuple] = {}
@@ -234,42 +220,22 @@ def _int_to_elem_scaled(
     return FreeElem(Poly(nvars, col) for col in cols)
 
 
-# -- the Buchberger run ------------------------------------------------------
+# -- division and the Buchberger run ----------------------------------------
 
 
-class _Run:
-    """One Buchberger computation over integer term dicts.
+class _Reducer:
+    """Basis storage and division over integer term dicts.
 
     `split` partitions positions into a genuine block [0, split) and a
     tracking block [split, width); genuine terms always outrank tracking
-    terms.  A plain run uses split == width.  Pair pruning uses the
-    Gebauer-Moeller chain criteria; the equal-lcm collapse is optional and
-    stays off during tracking runs so no syzygy generator is lost.
+    terms.  A plain basis uses split == width.
     """
 
-    def __init__(
-        self,
-        width: int,
-        nvars: int,
-        split: int,
-        budget: int,
-        prune: bool = True,
-        collapse_equal_lcm: bool = True,
-        threads: int = 1,
-    ):
-        self.width = width
-        self.nvars = nvars
+    def __init__(self, split: int):
         self.split = split
-        self.budget = budget
-        self.prune = prune
-        self.collapse = collapse_equal_lcm
-        self.threads = max(1, threads)
         self.basis: list[dict[Term, int]] = []
         self.lts: list[tuple[Term, int]] = []
         self.by_pos: dict[int, list[int]] = {}
-        self.pairs: list[tuple[int, tuple, int, int, int]] = []  # heap
-        self.alive: dict[tuple[int, int], Monomial] = {}
-        self.harvest: list[dict[Term, int]] = []
 
     # term order with the block flag in front
     def _key(self, t: Term) -> tuple:
@@ -278,6 +244,14 @@ class _Run:
     def _lt(self, h: dict[Term, int]) -> Term:
         return max(h, key=self._key)
 
+    def add(self, h: dict[Term, int]) -> Term:
+        """Append h to the basis; returns its leading term."""
+        lt = self._lt(h)
+        self.by_pos.setdefault(lt[0], []).append(len(self.basis))
+        self.basis.append(h)
+        self.lts.append((lt, h[lt]))
+        return lt
+
     def _find_reducer(self, t: Term) -> int:
         pos, m = t
         for idx in self.by_pos.get(pos, ()):  # insertion order: deterministic
@@ -285,9 +259,12 @@ class _Run:
                 return idx
         return -1
 
-    def reduce_full(self, h: dict[Term, int]) -> tuple[dict[Term, int], Fraction]:
-        """Pseudo-reduce every reducible term.  Returns (remainder, scale)
-        with remainder == scale * input  -  combination of basis elements."""
+    def reduce_full(
+        self, h: dict[Term, int], keep: Term | None = None
+    ) -> tuple[dict[Term, int], Fraction]:
+        """Pseudo-reduce every reducible term except `keep`.  Returns
+        (remainder, scale) with remainder == scale * input  -  combination
+        of basis elements."""
         scale = Fraction(1)
         if not h:
             return h, scale
@@ -295,7 +272,7 @@ class _Run:
         # order runs from the largest term downward
         heap = [(self._negkey(t), t) for t in h]
         heapq.heapify(heap)
-        done: set[Term] = set()
+        done: set[Term] = set() if keep is None else {keep}
         steps = 0
         while heap:
             _, t = heapq.heappop(heap)
@@ -353,34 +330,72 @@ class _Run:
             h = {t: -v for t, v in h.items()}
         return h
 
-    def add_input(self, h: dict[Term, int]) -> None:
-        self._process(h)
+    def interreduced_basis(self) -> list[dict[Term, int]]:
+        """The content-normalized reduced Groebner basis of the stored
+        basis, which must be a Groebner basis, sorted by (leading position,
+        leading monomial).
 
-    def _real_part_dead(self, h: dict[Term, int]) -> bool:
-        return all(pos >= self.split for pos, _ in h)
+        One pass suffices: the elements whose leads no other lead divides
+        keep the lead module, and reducing each one's tail against them
+        yields the unique reduced element with that lead."""
+        leads = [lt for lt, _ in self.lts]
+        survivors = _Reducer(self.split)
+        for a, (pa, ma) in enumerate(leads):
+            # of two equal leads the earlier one survives
+            if not any(
+                b != a and pb == pa and mono_divides(mb, ma) and (mb != ma or b < a)
+                for b, (pb, mb) in enumerate(leads)
+            ):
+                survivors.add(self.basis[a])
+        out = []
+        for h, (lt, _) in zip(survivors.basis, survivors.lts):
+            # a tail term is below the lead, so only other survivors reduce it
+            r, _ = survivors.reduce_full(dict(h), keep=lt)
+            out.append((lt[0], _mkey(lt[1]), self._content_normalize(r)))
+        out.sort(key=lambda x: x[:2])
+        return [r for _, _, r in out]
 
-    def _process(self, h: dict[Term, int]) -> None:
-        h, _ = self.reduce_full(h)
+
+class _Run:
+    """The S-pair queue of one Buchberger computation over a `_Reducer`.
+
+    Positions [split, width) are tracking columns (see `_Reducer`); a plain
+    run uses split == width.  Pair pruning uses the Gebauer-Moeller chain
+    criteria; a plain run also collapses pairs of equal lcm, which a
+    tracking run must not do or a syzygy generator could be lost.
+    """
+
+    def __init__(self, width: int, split: int, budget: int, prune: bool = True):
+        self.width = width
+        self.budget = budget
+        self.prune = prune
+        self.red = _Reducer(split)
+        self.pairs: list[tuple[int, tuple, int, int, int]] = []  # heap
+        self.alive: dict[tuple[int, int], Monomial] = {}
+        self.harvest: list[dict[Term, int]] = []
+
+    def process(self, h: dict[Term, int]) -> None:
+        """Reduce h; a nonzero remainder joins the basis, or, once its
+        genuine part has died, is harvested as a relation."""
+        red = self.red
+        h, _ = red.reduce_full(h)
         if not h:
             return
-        if self._real_part_dead(h):
-            if self.split < self.width:
-                self.harvest.append(self._content_normalize(h))
+        if all(pos >= red.split for pos, _ in h):
+            self.harvest.append(red._content_normalize(h))
             return
-        h = self._content_normalize(h)
-        self._add_basis(h)
+        self._add_basis(red._content_normalize(h))
 
     def _add_basis(self, h: dict[Term, int]) -> None:
-        t = len(self.basis)
-        lt = self._lt(h)
-        self.basis.append(h)
-        self.lts.append((lt, h[lt]))
+        red = self.red
+        lts = red.lts
+        t = len(lts)
+        lt = red.add(h)
         pos = lt[0]
-        peers = self.by_pos.setdefault(pos, [])
-        # new pairs against same-position elements, then prune
+        # new pairs against earlier same-position elements, then prune
         cand: dict[int, Monomial] = {}
-        for i in peers:
-            cand[i] = mono_lcm(self.lts[i][0][1], lt[1])
+        for i in red.by_pos[pos][:-1]:
+            cand[i] = mono_lcm(lts[i][0][1], lt[1])
         if self.prune and cand:
             # chain criterion among the new pairs: drop (i,t) when another
             # new pair's lcm strictly divides its lcm
@@ -393,7 +408,7 @@ class _Run:
                         break
             for i in drop:
                 del cand[i]
-            if self.collapse:
+            if red.split == self.width:
                 seen: dict[Monomial, int] = {}
                 for i in sorted(cand):
                     L = cand[i]
@@ -403,21 +418,21 @@ class _Run:
                         seen[L] = i
             # chain criterion against existing pairs
             for (i, j), L in list(self.alive.items()):
-                if self.lts[i][0][0] != pos:
+                if lts[i][0][0] != pos:
                     continue
                 if mono_divides(lt[1], L):
-                    lit = cand.get(i) or mono_lcm(self.lts[i][0][1], lt[1])
-                    ljt = cand.get(j) or mono_lcm(self.lts[j][0][1], lt[1])
+                    lit = cand.get(i) or mono_lcm(lts[i][0][1], lt[1])
+                    ljt = cand.get(j) or mono_lcm(lts[j][0][1], lt[1])
                     if lit != L and ljt != L:
                         del self.alive[(i, j)]
         for i, L in sorted(cand.items()):
             self.alive[(i, t)] = L
             heapq.heappush(self.pairs, (sum(L), _mkey(L), pos, i, t))
-        peers.append(t)
 
     def _spair(self, i: int, j: int) -> dict[Term, int]:
-        (pi, mi), ci = self.lts[i]
-        (pj, mj), cj = self.lts[j]
+        red = self.red
+        (pi, mi), ci = red.lts[i]
+        (pj, mj), cj = red.lts[j]
         L = mono_lcm(mi, mj)
         gam = math.gcd(ci, cj)
         a = cj // gam
@@ -425,10 +440,10 @@ class _Run:
         si = mono_div(L, mi)
         sj = mono_div(L, mj)
         h: dict[Term, int] = {}
-        for (p, m), c in self.basis[i].items():
+        for (p, m), c in red.basis[i].items():
             k = (p, mono_mul(m, si))
             h[k] = h.get(k, 0) + a * c
-        for (p, m), c in self.basis[j].items():
+        for (p, m), c in red.basis[j].items():
             k = (p, mono_mul(m, sj))
             v = h.get(k, 0) - b * c
             if v:
@@ -438,9 +453,6 @@ class _Run:
         return h
 
     def run(self) -> None:
-        if self.threads > 1 and self.split == self.width:
-            self._run_batched()
-            return
         while self.pairs:
             deg, _, _, i, j = heapq.heappop(self.pairs)
             if (i, j) not in self.alive:
@@ -451,70 +463,24 @@ class _Run:
                     f"S-pair of degree {deg} exceeds budget {self.budget}; "
                     f"raise {BUDGET_ENV} to go further"
                 )
-            self._process(self._spair(i, j))
+            self.process(self._spair(i, j))
 
-    def _run_batched(self) -> None:
-        """Reduce all minimal-degree pairs concurrently, then fold results in
-        deterministically.  The reduced basis at the end is the unique one,
-        so the outcome matches the sequential run byte for byte."""
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            while self.pairs:
-                batch: list[tuple[int, int]] = []
-                deg0 = self.pairs[0][0]
-                if deg0 > self.budget:
-                    raise BudgetExceeded(
-                        f"S-pair of degree {deg0} exceeds budget {self.budget}; "
-                        f"raise {BUDGET_ENV} to go further"
-                    )
-                while self.pairs and self.pairs[0][0] == deg0:
-                    _, _, _, i, j = heapq.heappop(self.pairs)
-                    if (i, j) in self.alive:
-                        del self.alive[(i, j)]
-                        batch.append((i, j))
-                spolys = list(pool.map(lambda ij: self._spair(*ij), batch))
-                for h in spolys:  # folding must stay ordered
-                    self._process(h)
 
-    def interreduced_basis(self) -> list[dict[Term, int]]:
-        """Mutually reduce the basis; the result is the reduced GB up to
-        scaling, sorted by (leading position, leading monomial)."""
-        elems = list(self.basis)
-        changed = True
-        while changed:
-            changed = False
-            # drop elements whose lead is divisible by another lead
-            keep: list[dict[Term, int]] = []
-            lts = [self._lt(h) for h in elems]
-            for a, h in enumerate(elems):
-                (pa, ma) = lts[a]
-                dominated = False
-                for b, (pb, mb) in enumerate(lts):
-                    if a == b or pa != pb:
-                        continue
-                    if mono_divides(mb, ma) and (mb != ma or b < a):
-                        dominated = True
-                        break
-                if not dominated:
-                    keep.append(h)
-            if len(keep) != len(elems):
-                changed = True
-            elems = keep
-            # tail-reduce each against the others
-            out: list[dict[Term, int]] = []
-            for a, h in enumerate(elems):
-                others = elems[:a] + elems[a + 1 :]
-                sub = _Run(self.width, self.nvars, self.split, self.budget)
-                for o in others:
-                    sub._add_basis(dict(o))
-                r, _ = sub.reduce_full(dict(h))
-                r = self._content_normalize(r)
-                if r != h:
-                    changed = True
-                if r:
-                    out.append(r)
-            elems = out
-        elems.sort(key=lambda h: (self._lt(h)[0], _mkey(self._lt(h)[1])))
-        return elems
+def _tracking_run(elems: Sequence[FreeElem], prune: bool = True) -> _Run:
+    """Buchberger run on the rows augmented with unit tracking columns, so
+    every basis element and harvested relation records how it is built
+    from the rows."""
+    k = len(elems)
+    width, nvars = elems[0].width, elems[0].nvars
+    run = _Run(width + k, width, _budget(), prune=prune)
+    for i, e in enumerate(elems):
+        ints, den = _terms_to_int_den(_elem_to_terms(e))
+        # tracking column scaled identically, so relations hold for the
+        # rows exactly as given, not for rescaled ones
+        ints[(width + i, (0,) * nvars)] = den
+        run.process(ints)
+    run.run()
+    return run
 
 
 # -- public Groebner interface ------------------------------------------------
@@ -528,16 +494,14 @@ class GroebnerBasis:
     of bases is equality of modules.
     """
 
-    def __init__(self, order: ModuleOrder, width: int, nvars: int,
-                 generators: tuple[FreeElem, ...]):
-        self.order = order
+    def __init__(self, width: int, nvars: int, generators: tuple[FreeElem, ...]):
         self.width = width
         self.nvars = nvars
         self.generators = generators
-        self._run = _Run(width, nvars, width, _budget())
+        self._reducer = _Reducer(width)
         for g in generators:
             ints, _ = _terms_to_int(_elem_to_terms(g))
-            self._run._add_basis(ints)
+            self._reducer.add(ints)
 
     def normal_form(self, elem: FreeElem) -> FreeElem:
         if elem.width != self.width:
@@ -546,7 +510,7 @@ class GroebnerBasis:
         ints, mult = _terms_to_int(terms)
         if not ints:
             return elem
-        h, scale = self._run.reduce_full(dict(ints))
+        h, scale = self._reducer.reduce_full(dict(ints))
         if not h:
             return FreeElem(Poly.zero(self.nvars) for _ in range(self.width))
         return _int_to_elem_scaled(h, self.width, self.nvars, 1 / (scale * mult))
@@ -588,24 +552,24 @@ def _as_elems(rows: Sequence) -> list[FreeElem]:
     return out
 
 
-def reduced_groebner(rows: Sequence, *, threads: int = 1) -> GroebnerBasis:
+def reduced_groebner(rows: Sequence) -> GroebnerBasis:
     elems = _as_elems(rows)
     width, nvars = elems[0].width, elems[0].nvars
     key = (tuple(elems), _budget())
     hit = _GB_CACHE.get(key)
     if hit is not None:
         return hit
-    run = _Run(width, nvars, width, _budget(), threads=threads)
+    run = _Run(width, width, _budget())
     for e in elems:
         ints, _ = _terms_to_int(_elem_to_terms(e))
-        if ints:
-            run.add_input(ints)
+        run.process(ints)
     run.run()
+    red = run.red
     gens = []
-    for h in run.interreduced_basis():
-        lt = run._lt(h)
+    for h in red.interreduced_basis():
+        lt = red._lt(h)
         gens.append(_int_to_elem_scaled(h, width, nvars, Fraction(1, h[lt])))
-    gb = GroebnerBasis(DEFAULT_ORDER, width, nvars, tuple(gens))
+    gb = GroebnerBasis(width, nvars, tuple(gens))
     _GB_CACHE[key] = gb
     return gb
 
@@ -614,17 +578,17 @@ def normal_form(elem: FreeElem, gb: GroebnerBasis) -> FreeElem:
     return gb.normal_form(elem)
 
 
-def module_contains(gens: Sequence, elem: FreeElem, *, threads: int = 1) -> bool:
-    return reduced_groebner(gens, threads=threads).contains(elem)
+def module_contains(gens: Sequence, elem: FreeElem) -> bool:
+    return reduced_groebner(gens).contains(elem)
 
 
-def module_equal(gens_a: Sequence, gens_b: Sequence, *, threads: int = 1) -> bool:
+def module_equal(gens_a: Sequence, gens_b: Sequence) -> bool:
     a = _as_elems(gens_a)
     b = _as_elems(gens_b)
     if a[0].width != b[0].width or a[0].nvars != b[0].nvars:
         return False
-    gba = reduced_groebner(a, threads=threads)
-    gbb = reduced_groebner(b, threads=threads)
+    gba = reduced_groebner(a)
+    gbb = reduced_groebner(b)
     # reduced bases are unique, so one comparison settles it
     return gba == gbb
 
@@ -643,15 +607,7 @@ def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
     hit = _SYZ_CACHE.get(key)
     if hit is not None:
         return list(hit)
-    run = _Run(width + k, nvars, width, _budget(), prune=prune,
-               collapse_equal_lcm=False)
-    for i, e in enumerate(elems):
-        ints, den = _terms_to_int_den(_elem_to_terms(e))
-        # tracking column scaled identically, so relations hold for the
-        # rows exactly as given, not for rescaled ones
-        ints[(width + i, (0,) * nvars)] = den
-        run.add_input(ints)
-    run.run()
+    run = _tracking_run(elems, prune)
     out: list[FreeElem] = []
     zero = Poly.zero(nvars)
     for h in run.harvest:
@@ -713,15 +669,11 @@ def _monomials_of_degree(nvars: int, deg: int) -> list[Monomial]:
     return out
 
 
-def _elem_to_fraction_terms(e: FreeElem) -> dict[Term, Fraction]:
-    return _elem_to_terms(e)
-
-
 def _shift_terms(terms: dict[Term, Fraction], m: Monomial) -> dict[Term, Fraction]:
     return {(pos, mono_mul(mm, m)): c for (pos, mm), c in terms.items()}
 
 
-def minimize_generators(gens: Sequence, *, threads: int = 1) -> list[FreeElem]:
+def minimize_generators(gens: Sequence) -> list[FreeElem]:
     """Drop redundant generators greedily.
 
     Input is normalized, deduplicated and sorted by (degree, text); each
@@ -748,7 +700,7 @@ def minimize_generators(gens: Sequence, *, threads: int = 1) -> list[FreeElem]:
     if all(e.is_homogeneous() for e in uniq):
         kept = _minimize_homogeneous(uniq)
     else:
-        kept = _minimize_general(uniq, threads)
+        kept = _minimize_general(uniq)
     _MIN_CACHE[key] = tuple(kept)
     return kept
 
@@ -764,10 +716,10 @@ def _minimize_homogeneous(elems: list[FreeElem]) -> list[FreeElem]:
         fixed = _Echelon()
         for g in kept:  # all strictly lower degree by construction
             delta = d - g.degree()
-            base = _elem_to_fraction_terms(g)
+            base = _elem_to_terms(g)
             for m in _monomials_of_degree(nvars, delta):
                 fixed.insert(_shift_terms(base, m))
-        reduced = [fixed.reduce(_elem_to_fraction_terms(e)) for e in block]
+        reduced = [fixed.reduce(_elem_to_terms(e)) for e in block]
         alive = [i for i, v in enumerate(reduced) if v]
         # leave-one-out dependence within the degree block
         for i in list(alive):
@@ -781,12 +733,12 @@ def _minimize_homogeneous(elems: list[FreeElem]) -> list[FreeElem]:
     return kept
 
 
-def _minimize_general(elems: list[FreeElem], threads: int) -> list[FreeElem]:
+def _minimize_general(elems: list[FreeElem]) -> list[FreeElem]:
     alive = list(elems)
     i = 0
     while i < len(alive):
         others = alive[:i] + alive[i + 1 :]
-        if others and reduced_groebner(others, threads=threads).contains(alive[i]):
+        if others and reduced_groebner(others).contains(alive[i]):
             alive.pop(i)
         else:
             i += 1
@@ -806,11 +758,11 @@ def divide_with_cofactors(
     width, nvars = elems[0].width, elems[0].nvars
     if elem.width != width:
         raise ValueError("element width does not match generator width")
-    run = _tracking_gb(tuple(elems))
+    red = _tracking_gb(tuple(elems))
     ints, mult = _terms_to_int(_elem_to_terms(elem))
     if not ints:
         return tuple(Poly.zero(nvars) for _ in range(k)), elem
-    h, scale = run.reduce_full(dict(ints))
+    h, scale = red.reduce_full(dict(ints))
     factor = 1 / (scale * mult)
     rem_cols: list[dict[Monomial, Fraction]] = [dict() for _ in range(width)]
     q_cols: list[dict[Monomial, Fraction]] = [dict() for _ in range(k)]
@@ -831,26 +783,19 @@ def divide_with_cofactors(
     return quot, remainder
 
 
-_TRACK_CACHE: dict[tuple, _Run] = {}
+_TRACK_CACHE: dict[tuple, _Reducer] = {}
 
 
-def _tracking_gb(elems: tuple[FreeElem, ...]) -> _Run:
+def _tracking_gb(elems: tuple[FreeElem, ...]) -> _Reducer:
     """Groebner basis of the rows with tracking columns recording how each
     basis element is built from the inputs; used for cofactor extraction."""
     key = (elems, _budget())
     hit = _TRACK_CACHE.get(key)
     if hit is not None:
         return hit
-    k = len(elems)
-    width, nvars = elems[0].width, elems[0].nvars
-    run = _Run(width + k, nvars, width, _budget(), collapse_equal_lcm=False)
-    for i, e in enumerate(elems):
-        ints, den = _terms_to_int_den(_elem_to_terms(e))
-        ints[(width + i, (0,) * nvars)] = den
-        run.add_input(ints)
-    run.run()
-    _TRACK_CACHE[key] = run
-    return run
+    red = _tracking_run(elems).red
+    _TRACK_CACHE[key] = red
+    return red
 
 
 # -- rank ------------------------------------------------------------------------
@@ -950,8 +895,7 @@ def euler_characteristic(res: Resolution) -> int:
     return res.euler_characteristic
 
 
-def resolve_module(rows: Sequence, *, max_steps: int | None = None,
-                   threads: int = 1) -> Resolution:
+def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolution:
     """Iterate minimized syzygies until they vanish.  The generic rank of
     the presented module equals the Euler characteristic once complete."""
     elems = _as_elems(rows)
@@ -966,7 +910,7 @@ def resolve_module(rows: Sequence, *, max_steps: int | None = None,
         if not raw:
             complete = True
             break
-        syz = minimize_generators(raw, threads=threads)
+        syz = minimize_generators(raw)
         if not syz:
             complete = True
             break

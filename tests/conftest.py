@@ -1,0 +1,26 @@
+"""Shared test set-up: a fixed hypothesis profile and an engine cache reset."""
+
+import pytest
+from hypothesis import settings
+
+from dgcalc import engine
+
+# Derandomized with no example database, so every run draws the same
+# examples; few examples, so the property tests stay within seconds.
+settings.register_profile(
+    "dgcalc", derandomize=True, database=None, deadline=None, max_examples=60
+)
+settings.load_profile("dgcalc")
+
+
+@pytest.fixture
+def clear_engine_caches():
+    """A function that empties the engine's module caches, so the next
+    call recomputes instead of returning a stored result."""
+
+    def clear():
+        for cache in (engine._GB_CACHE, engine._SYZ_CACHE, engine._MIN_CACHE,
+                      engine._TRACK_CACHE):
+            cache.clear()
+
+    return clear

@@ -182,6 +182,15 @@ def test_budget_exhaustion_exits_4(capsys, ops_dir, monkeypatch):
     assert err
 
 
+def test_malformed_budget_is_rejected(capsys, ops_dir, monkeypatch):
+    monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "abc")
+    code, out, err = run(capsys, "cc", str(ops_dir / "grad3.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "DGCALC_BUDGET_DEGREE" in err
+    assert "Traceback" not in err
+
+
 def test_failed_factorization_exits_5(capsys, ops_dir):
     code, _, err = run(capsys, "factor", str(ops_dir / "div3.json"),
                        str(ops_dir / "curl3.json"))
@@ -223,13 +232,15 @@ def test_report_with_no_matching_checks_fails(capsys):
 # -- determinism -----------------------------------------------------------------------
 
 
-def test_outputs_are_byte_identical_across_runs_and_threads(capsys, ops_dir, tmp_path):
+def test_outputs_are_byte_identical_across_cold_runs(capsys, ops_dir, tmp_path,
+                                                    clear_engine_caches):
     save_operator(zoo.killing(zoo.minkowski(3)), tmp_path / "k.json")
     runs = []
-    for threads, sub in (("1", "a"), ("4", "b")):
+    for sub in ("a", "b"):
+        clear_engine_caches()
         out_dir = tmp_path / sub
         code, _, _ = run(capsys, "resolve", str(tmp_path / "k.json"),
-                         "--threads", threads, "-o", str(out_dir))
+                         "-o", str(out_dir))
         assert code == 0
         blob = b"".join(
             p.read_bytes() for p in sorted(out_dir.iterdir())

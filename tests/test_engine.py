@@ -135,7 +135,7 @@ def test_reduced_basis_scalar_ideal():
     assert not gb.contains(fe("1"))
 
 
-def test_reduced_basis_is_unique_under_permutation_and_threads():
+def test_reduced_basis_is_unique_under_permutation():
     rows = zoo.cauchy(zoo.euclidean(3)).rows()
     base = reduced_groebner(rows)
     rng = Random(11)
@@ -143,7 +143,6 @@ def test_reduced_basis_is_unique_under_permutation_and_threads():
         shuffled = list(rows)
         rng.shuffle(shuffled)
         assert reduced_groebner(shuffled) == base
-    assert reduced_groebner(rows, threads=3) == base
 
 
 def test_normal_form_detects_membership():
@@ -318,6 +317,8 @@ def test_resolution_of_free_module_stops_immediately():
     assert res.euler_characteristic == 0
 
 
-def test_resolution_threads_agree():
+def test_resolution_cold_rerun_agrees(clear_engine_caches):
     rows = zoo.conformal_killing(zoo.euclidean(3)).rows()
-    assert resolve_module(rows).steps == resolve_module(rows, threads=2).steps
+    first = resolve_module(rows).steps
+    clear_engine_caches()
+    assert resolve_module(rows).steps == first
