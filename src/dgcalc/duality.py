@@ -116,16 +116,8 @@ def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp,
     depend on representative choices."""
     rows1 = d1.rows()
     gb1 = reduced_groebner(rows1)
-    residues = [r.normalized() for r in d1p.rows() if not gb1.contains(r)]
-    residues.sort(key=lambda e: (e.degree(), str(e)))
-    alive = list(residues)
-    i = 0
-    while i < len(alive):
-        others = alive[:i] + alive[i + 1 :] + rows1
-        if reduced_groebner(others).contains(alive[i]):
-            alive.pop(i)
-        else:
-            i += 1
+    residues = [r for r in d1p.rows() if not gb1.contains(r)]
+    alive = minimize_generators(residues, base=rows1) if residues else []
     out = []
     for r in alive:
         ann = _annihilator_witness(r, rows1, witness_degree)

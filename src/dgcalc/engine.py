@@ -52,9 +52,13 @@ def _budget() -> int:
     if not raw:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ValueError(f"{BUDGET_ENV}={raw!r} is not an integer") from None
+        value = None
+    # 0 stays valid: two constant leads at one position give a degree-0 S-pair
+    if value is None or value < 0:
+        raise ValueError(f"{BUDGET_ENV}={raw!r} is not a nonnegative integer")
+    return value
 
 
 # -- free module elements ----------------------------------------------------
@@ -673,14 +677,17 @@ def _shift_terms(terms: dict[Term, Fraction], m: Monomial) -> dict[Term, Fractio
     return {(pos, mono_mul(mm, m)): c for (pos, mm), c in terms.items()}
 
 
-def minimize_generators(gens: Sequence) -> list[FreeElem]:
+def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem]:
     """Drop redundant generators greedily.
 
     Input is normalized, deduplicated and sorted by (degree, text); each
-    element contained in the module of all the others is removed.  For
-    homogeneous inputs the containment test is plain linear algebra degree
-    by degree, which also makes the surviving count the graded minimal
-    number of generators, independent of the representative choice.
+    element contained in the module of the other kept generators plus the
+    rows of `base` is removed.  The survivors therefore generate the
+    quotient of the module of `gens` by the module of `base`; `base` rows
+    are never returned.  When every generator and base row is homogeneous
+    the containment test is plain linear algebra degree by degree, which
+    also makes the surviving count the graded minimal number of
+    generators, independent of the representative choice.
     """
     elems = [e.normalized() for e in _as_elems(gens)]
     elems = [e for e in elems if not e.is_zero()]
@@ -693,56 +700,49 @@ def minimize_generators(gens: Sequence) -> list[FreeElem]:
             seen.add(e)
             uniq.append(e)
     uniq.sort(key=lambda e: (e.degree(), str(e)))
-    key = (tuple(uniq), _budget())
+    base_rows = tuple(e for e in _as_elems(base) if not e.is_zero()) if base else ()
+    if base_rows and base_rows[0].width != uniq[0].width:
+        raise ValueError("base width does not match generator width")
+    key = (tuple(uniq), base_rows, _budget())
     hit = _MIN_CACHE.get(key)
     if hit is not None:
         return list(hit)
-    if all(e.is_homogeneous() for e in uniq):
-        kept = _minimize_homogeneous(uniq)
+    if all(e.is_homogeneous() for e in uniq + list(base_rows)):
+        kept = _minimize_homogeneous(uniq, base_rows)
     else:
-        kept = _minimize_general(uniq)
+        kept = list(uniq)
+        i = 0
+        while i < len(kept):
+            others = kept[:i] + kept[i + 1 :] + list(base_rows)
+            if others and reduced_groebner(others).contains(kept[i]):
+                kept.pop(i)
+            else:
+                i += 1
     _MIN_CACHE[key] = tuple(kept)
     return kept
 
 
-def _minimize_homogeneous(elems: list[FreeElem]) -> list[FreeElem]:
+def _minimize_homogeneous(
+    elems: list[FreeElem], base: tuple[FreeElem, ...]
+) -> list[FreeElem]:
     nvars = elems[0].nvars
     by_deg: dict[int, list[FreeElem]] = {}
     for e in elems:
         by_deg.setdefault(e.degree(), []).append(e)
     kept: list[FreeElem] = []
     for d in sorted(by_deg):
-        block = by_deg[d]
-        fixed = _Echelon()
-        for g in kept:  # all strictly lower degree by construction
-            delta = d - g.degree()
-            base = _elem_to_terms(g)
-            for m in _monomials_of_degree(nvars, delta):
-                fixed.insert(_shift_terms(base, m))
-        reduced = [fixed.reduce(_elem_to_terms(e)) for e in block]
-        alive = [i for i, v in enumerate(reduced) if v]
-        # leave-one-out dependence within the degree block
-        for i in list(alive):
-            ech = _Echelon()
-            for j in alive:
-                if j != i:
-                    ech.insert(dict(reduced[j]))
-            if not ech.reduce(dict(reduced[i])):
-                alive.remove(i)
-        kept.extend(block[i] for i in alive)
+        ech = _Echelon()
+        # kept generators are all of strictly lower degree by construction
+        for g in kept + [b for b in base if b.degree() <= d]:
+            terms = _elem_to_terms(g)
+            for m in _monomials_of_degree(nvars, d - g.degree()):
+                ech.insert(_shift_terms(terms, m))
+        # within one degree the coefficients are scalars, so leave-one-out
+        # in block order drops an element exactly when it lies in the seed
+        # plus the later elements of its block: one reverse pass decides it
+        alive = [e for e in reversed(by_deg[d]) if ech.insert(_elem_to_terms(e))]
+        kept.extend(reversed(alive))
     return kept
-
-
-def _minimize_general(elems: list[FreeElem]) -> list[FreeElem]:
-    alive = list(elems)
-    i = 0
-    while i < len(alive):
-        others = alive[:i] + alive[i + 1 :]
-        if others and reduced_groebner(others).contains(alive[i]):
-            alive.pop(i)
-        else:
-            i += 1
-    return alive
 
 
 # -- division with cofactors ----------------------------------------------------
@@ -773,13 +773,9 @@ def divide_with_cofactors(
             q_cols[pos - width][m] = -c * factor
     remainder = FreeElem(Poly(nvars, col) for col in rem_cols)
     quot = tuple(Poly(nvars, col) for col in q_cols)
-    recon = [Poly.zero(nvars) for _ in range(width)]
-    for q, g in zip(quot, elems):
-        for j, ge in enumerate(g.entries):
-            recon[j] = recon[j] + q * ge
-    for j in range(width):
-        if recon[j] + remainder.entries[j] != elem.entries[j]:
-            raise RuntimeError("internal error: division identity failed")
+    recon = FreeElem(quot).dot(elems)
+    if any(r + t != e for r, t, e in zip(recon.entries, remainder.entries, elem.entries)):
+        raise RuntimeError("internal error: division identity failed")
     return quot, remainder
 
 

@@ -316,14 +316,21 @@ _TOKEN = re.compile(
 )
 
 
+# Each parenthesis costs four parser frames, so this stays far below
+# Python's default recursion limit of 1000 wherever the parser is called.
+_MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^, parentheses, integers, rationals
-    written p/q with no spaces, and symbols d1..dn."""
+    written p/q with no spaces, and symbols d1..dn.  Parentheses nest at
+    most _MAX_NESTING deep."""
 
     def __init__(self, text: str, nvars: int):
         self.text = text
         self.nvars = nvars
         self.pos = 0
+        self.depth = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._tokenize()
         self.i = 0
@@ -421,7 +428,11 @@ class _Parser:
                 )
             return Poly.var(self.nvars, idx)
         if kind == "op" and text == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
+            self.depth += 1
             p = self.expr()
+            self.depth -= 1
             closing = self._next()
             if closing[0] != "op" or closing[1] != ")":
                 raise ParseError("expected ')'", closing[2])

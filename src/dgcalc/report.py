@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from random import Random
 from typing import Callable
 
@@ -23,6 +22,7 @@ from .duality import ext_module, minimal_parametrization, param_test
 from .engine import (
     FreeElem,
     Resolution,
+    _monomials_of_degree,
     fraction_rank,
     module_equal,
     reduced_groebner,
@@ -36,7 +36,7 @@ from .operators import (
     factor_through,
     image_module_equal,
 )
-from .poly import Poly, parse
+from .poly import Poly, mono_mul, parse
 
 
 @dataclass(frozen=True)
@@ -306,21 +306,6 @@ def _ext_torsion_rank() -> bool:
     )
 
 
-def _monomials_upto(nvars: int, cap: int) -> list[tuple[int, ...]]:
-    mons = []
-    for deg in range(cap + 1):
-        for combo in combinations_with_replacement(range(nvars), deg):
-            m = [0] * nvars
-            for i in combo:
-                m[i] += 1
-            mons.append(tuple(m))
-    return mons
-
-
-def _shift_mono(m: tuple[int, ...], s: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(m, s))
-
-
 def _sparse_nullspace(cols: int, entries: dict[tuple[int, int], Fraction]
                       ) -> list[dict[int, Fraction]]:
     """Nullspace basis of a sparse matrix given as {(row, col): value}.
@@ -383,7 +368,7 @@ def _truncated_kernel(rows: list[FreeElem], cap: int) -> list[FreeElem]:
     k = len(rows)
     nvars = rows[0].nvars
     width = rows[0].width
-    mons = _monomials_upto(nvars, cap)
+    mons = [m for d in range(cap + 1) for m in _monomials_of_degree(nvars, d)]
     col_index = {(i, m): t for t, (i, m) in enumerate(
         (i, m) for i in range(k) for m in mons
     )}
@@ -400,7 +385,7 @@ def _truncated_kernel(rows: list[FreeElem], cap: int) -> list[FreeElem]:
         for j, p in enumerate(relem.entries):
             for pm, pc in p.terms.items():
                 for m in mons:
-                    r = out_row(j, _shift_mono(pm, m))
+                    r = out_row(j, mono_mul(pm, m))
                     c = col_index[(i, m)]
                     entries[(r, c)] = entries.get((r, c), Fraction(0)) + pc
     entries = {rc: v for rc, v in entries.items() if v}

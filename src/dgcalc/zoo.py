@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
+from .engine import Term, _Echelon
 from .operators import Bundle, LinDiffOp, adjoint, compose, scale
 from .poly import Poly
 
@@ -626,78 +627,40 @@ def _weyl_component_rows(metric: Metric) -> list[dict[int, Poly]]:
 @lru_cache(maxsize=None)
 def weyl_component_selection(metric: Metric) -> list[int]:
     """Indices of curvature-basis components that stay independent on the
-    trace-free subspace, chosen greedily in basis order."""
+    trace-free subspace, chosen greedily in basis order.
+
+    A component restricted to the kernel of the trace map depends on the
+    earlier picks exactly when its unit vector lies in the span of the
+    trace rows and the picked unit vectors."""
     n = metric.n
     rb = RiemannBasis(n)
     f1 = rb.size
-    # trace map rows over the curvature basis
-    trows: list[dict[int, Fraction]] = []
+    ech = _Echelon()
     inv = metric.inverse
+    rank = 0
     for l in range(1, n + 1):
         for j in range(l, n + 1):
-            acc: dict[int, Fraction] = {}
+            acc: dict[Term, Fraction] = {}
             for k in range(1, n + 1):
                 for i in range(1, n + 1):
                     c = inv[k - 1][i - 1]
                     if not c:
                         continue
                     for idx2, c2 in rb.resolve(k, l, i, j).items():
-                        v = acc.get(idx2, Fraction(0)) + c * c2
+                        key = (idx2, ())
+                        v = acc.get(key, Fraction(0)) + c * c2
                         if v:
-                            acc[idx2] = v
+                            acc[key] = v
                         else:
-                            acc.pop(idx2, None)
-            trows.append(acc)
-    null = _nullspace(trows, f1)
-    # greedy row selection from the nullspace basis matrix
+                            acc.pop(key, None)
+            rank += ech.insert(acc)
     picked: list[int] = []
-    ech: list[list[Fraction]] = []
-    piv: list[int] = []
     for r in range(f1):
-        vec = [col[r] for col in null]
-        # reduce against current echelon
-        for row, pc in zip(ech, piv):
-            if vec[pc]:
-                f = vec[pc] / row[pc]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        pc = next((c for c, a in enumerate(vec) if a), None)
-        if pc is not None:
-            ech.append(vec)
-            piv.append(pc)
-            picked.append(r)
-        if len(picked) == len(null):
+        if len(picked) == f1 - rank:
             break
+        if ech.insert({(r, ()): Fraction(1)}):
+            picked.append(r)
     return picked
-
-
-def _nullspace(rows: list[dict[int, Fraction]], width: int
-               ) -> list[list[Fraction]]:
-    """Basis of {v : rows . v = 0} as dense columns, deterministic."""
-    mat = [[row.get(c, Fraction(0)) for c in range(width)] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -mat[rr][fc]
-        basis.append(v)
-    return basis
 
 
 @lru_cache(maxsize=None)

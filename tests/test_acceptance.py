@@ -5,9 +5,15 @@ and fails loudly with the expected/computed pair of any check that does
 not come back exact.  Wall-clock limits are generous caps, not targets.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from dgcalc.report import CRITERION_LIMITS, run_report
+from dgcalc.report import CRITERION_LIMITS, rows_to_json, run_report
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 CRITERIA = {
     "c01": "conformal Killing resolutions have the recorded shape",
@@ -44,3 +50,10 @@ def test_criterion(cid, capsys):
     assert elapsed < limit, (
         f"{cid} took {elapsed:.1f}s, over the {limit}s cap"
     )
+
+
+def test_report_json_bytes_match_the_recorded_digest():
+    """The full report renders to exactly the bytes the benchmark records."""
+    recorded = json.loads(DIGESTS.read_text())["report-cold"]["report"]
+    text = rows_to_json(run_report())
+    assert hashlib.sha256(text.encode()).hexdigest() == recorded

@@ -183,11 +183,24 @@ def test_budget_exhaustion_exits_4(capsys, ops_dir, monkeypatch):
 
 
 def test_malformed_budget_is_rejected(capsys, ops_dir, monkeypatch):
-    monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "abc")
-    code, out, err = run(capsys, "cc", str(ops_dir / "grad3.json"))
-    assert code == 1
+    for value in ("abc", "-3"):
+        monkeypatch.setenv("DGCALC_BUDGET_DEGREE", value)
+        code, out, err = run(capsys, "cc", str(ops_dir / "grad3.json"))
+        assert code == 1, value
+        assert out == ""
+        assert err.startswith("error: ") and "DGCALC_BUDGET_DEGREE" in err
+        assert "Traceback" not in err
+
+
+def test_deeply_nested_entry_exits_2(capsys, ops_dir, tmp_path):
+    doc = json.loads((ops_dir / "grad3.json").read_text())
+    doc["matrix"][0][0] = "(" * 5000 + "d1" + ")" * 5000
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cc", str(deep))
+    assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "DGCALC_BUDGET_DEGREE" in err
+    assert err.startswith("error: ") and "nested" in err
     assert "Traceback" not in err
 
 

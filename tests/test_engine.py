@@ -242,6 +242,24 @@ def test_minimize_drops_redundant_generators():
     assert module_equal(kept, rows)
 
 
+def test_minimize_sees_lower_degree_generators_in_every_term():
+    # (d1, -d1) = (d1 + d2) * (1, 0) - (d2, d1): only the tail term d2 of
+    # (d2, d1) meets the shifts of (1, 0), so a test that reduces leading
+    # terms alone keeps all three generators
+    rows = [fe("1", "0"), fe("d2", "d1"), fe("-d1", "d1")]
+    kept = minimize_generators(rows)
+    assert [str(x) for x in kept] == ["(1, 0)", "(d2, d1)"]
+    assert module_equal(kept, rows)
+
+
+def test_minimize_modulo_a_base_module_off_the_graded_path():
+    # (0, d2) comes first in (degree, text) order and is dropped, being
+    # (d1 + 1, d2) minus the base row
+    gens = [fe("d1 + 1", "d2"), fe("0", "d2")]
+    kept = minimize_generators(gens, base=[fe("d1 + 1", "0")])
+    assert [str(x) for x in kept] == ["(d1 + 1, d2)"]
+
+
 def test_minimize_is_deterministic_under_permutation():
     rows = syzygies(zoo.killing(zoo.minkowski(4)).rows())
     base = minimize_generators(rows)

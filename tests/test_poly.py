@@ -149,6 +149,13 @@ def test_parse_errors_carry_position(bad, pos):
     assert exc.value.position == pos
 
 
+def test_parse_limits_parenthesis_nesting():
+    assert parse("(" * 100 + "d1" + ")" * 100, 3) == parse("d1", 3)
+    with pytest.raises(ParseError) as exc:
+        parse("(" * 5000 + "d1" + ")" * 5000, 3)
+    assert exc.value.position == 100
+
+
 def test_parse_round_trip_random(seed=20260816):
     rng = Random(seed)
     for _ in range(200):

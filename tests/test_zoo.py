@@ -127,6 +127,15 @@ def test_trace_flip_has_no_inverse_in_the_plane():
         zoo.c_map_inverse(zoo.euclidean(2))
 
 
+def test_weyl_component_selection_is_pinned():
+    first_ten = list(range(10))
+    assert zoo.weyl_component_selection(zoo.euclidean(4)) == first_ten
+    assert zoo.weyl_component_selection(zoo.minkowski(4)) == first_ten
+    assert zoo.weyl_component_selection(zoo.euclidean(5)) == (
+        list(range(25)) + list(range(30, 40))
+    )
+
+
 def test_weyl_shapes_and_wave_composite():
     w = zoo.weyl_lin(zoo.minkowski(4))
     assert len(w.matrix) == 10
