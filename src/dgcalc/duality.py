@@ -19,6 +19,9 @@ from math import comb
 
 from .engine import (
     FreeElem,
+    _annihilates,
+    _int_rows,
+    _int_terms,
     fraction_rank,
     minimize_generators,
     module_equal,
@@ -216,9 +219,9 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
         ]
     if im and len(mats) >= i + 1:
         # sanity: the dual complex composes to zero
-        nxt = _transpose_rows(mats[i])
+        nxt = _int_rows(_transpose_rows(mats[i]))
         for r in im:
-            if not r.dot(nxt).is_zero():
+            if not _annihilates(_int_terms(r), nxt):
                 raise RuntimeError("internal error: dual complex not a complex")
     if im:
         gb_im = reduced_groebner(im)

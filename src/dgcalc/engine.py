@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Iterable, Sequence
 
 from .poly import (
@@ -185,34 +186,66 @@ def _terms_to_int(terms: dict[Term, Fraction]) -> tuple[dict[Term, int], Fractio
     integer term dict and the factor by which the input was multiplied."""
     if not terms:
         return {}, Fraction(1)
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = {t: int(c * den) for t, c in terms.items()}
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, v)
+    ints, den = _terms_to_int_den(terms)
+    g = math.gcd(*ints.values())
     if g > 1:
         ints = {t: v // g for t, v in ints.items()}
     return ints, Fraction(den, g if g > 1 else 1)
 
 
+def _common_den(terms_list: Iterable[dict[Term, Fraction]]) -> int:
+    den = 1
+    for terms in terms_list:
+        for c in terms.values():
+            d = c.denominator
+            if d != 1:
+                den = den * d // math.gcd(den, d)
+    return den
+
+
+def _times_den(terms: dict[Term, Fraction], den: int) -> dict[Term, int]:
+    return {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
+
+
 def _terms_to_int_den(terms: dict[Term, Fraction]) -> tuple[dict[Term, int], int]:
     """Clear denominators only; content is kept.  Needed when the element is
     augmented with tracking columns that must stay aligned with the input."""
-    if not terms:
-        return {}, 1
-    den = 1
-    for c in terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return {t: int(c * den) for t, c in terms.items()}, den
+    den = _common_den((terms,))
+    return _times_den(terms, den), den
+
+
+def _int_terms(e: FreeElem) -> dict[Term, int]:
+    """The element's terms with denominators cleared: a nonzero multiple."""
+    return _terms_to_int_den(_elem_to_terms(e))[0]
+
+
+def _int_rows(elems: Sequence[FreeElem]) -> list[dict[Term, int]]:
+    """The rows' terms times one common denominator, so the relations among
+    these integer rows are exactly the relations among the given rows."""
+    terms = [_elem_to_terms(e) for e in elems]
+    den = _common_den(terms)
+    return [_times_den(t, den) for t in terms]
+
+
+def _annihilates(coeffs: dict[Term, int], rows: Sequence[dict[Term, int]]) -> bool:
+    """True when sum over (i, m) of coeffs[(i, m)] * d^m * rows[i] is zero.
+
+    `coeffs` is a relation in integer term space, keyed (row, monomial);
+    the products are summed exactly in a dict of ints."""
+    acc: dict[Term, int] = {}
+    get = acc.get
+    for (i, m), c in coeffs.items():
+        for (pos, mm), v in rows[i].items():
+            k = (pos, tuple(map(add, m, mm)))
+            acc[k] = get(k, 0) + c * v
+    return not any(acc.values())
 
 
 def _int_to_elem(ints: dict[Term, int], width: int, nvars: int) -> FreeElem:
     cols: list[dict[Monomial, Fraction]] = [dict() for _ in range(width)]
     for (pos, m), c in ints.items():
         cols[pos][m] = Fraction(c)
-    return FreeElem(Poly(nvars, col) for col in cols)
+    return FreeElem(Poly._make(nvars, col) for col in cols)
 
 
 def _int_to_elem_scaled(
@@ -221,7 +254,7 @@ def _int_to_elem_scaled(
     cols: list[dict[Monomial, Fraction]] = [dict() for _ in range(width)]
     for (pos, m), c in ints.items():
         cols[pos][m] = c * scale
-    return FreeElem(Poly(nvars, col) for col in cols)
+    return FreeElem(Poly._make(nvars, col) for col in cols)
 
 
 # -- division and the Buchberger run ----------------------------------------
@@ -541,6 +574,14 @@ class GroebnerBasis:
 _GB_CACHE: dict[tuple, GroebnerBasis] = {}
 _SYZ_CACHE: dict[tuple, tuple[FreeElem, ...]] = {}
 _MIN_CACHE: dict[tuple, tuple[FreeElem, ...]] = {}
+_TRACK_CACHE: dict[tuple, _Reducer] = {}
+
+
+def clear_caches() -> None:
+    """Empty the module caches of Groebner bases, syzygies, minimal
+    generating sets and tracking bases, so the next call recomputes."""
+    for cache in (_GB_CACHE, _SYZ_CACHE, _MIN_CACHE, _TRACK_CACHE):
+        cache.clear()
 
 
 def _as_elems(rows: Sequence) -> list[FreeElem]:
@@ -602,7 +643,7 @@ def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
 
     Output width equals len(rows).  The list generates the full syzygy
     module; it is not minimized here.  Each returned relation is verified
-    against the input before being handed back.
+    against the input, in integer term space, before being handed back.
     """
     elems = _as_elems(rows)
     k = len(elems)
@@ -612,15 +653,13 @@ def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
     if hit is not None:
         return list(hit)
     run = _tracking_run(elems, prune)
+    int_rows = _int_rows(elems)
     out: list[FreeElem] = []
-    zero = Poly.zero(nvars)
     for h in run.harvest:
         shifted = {(pos - width, m): c for (pos, m), c in h.items()}
-        s = _int_to_elem(shifted, k, nvars)
-        check = s.dot(elems)
-        if not check.is_zero():
+        if not _annihilates(shifted, int_rows):
             raise RuntimeError("internal error: harvested relation fails to annihilate")
-        out.append(s)
+        out.append(_int_to_elem(shifted, k, nvars))
     _SYZ_CACHE[key] = tuple(out)
     return out
 
@@ -771,15 +810,13 @@ def divide_with_cofactors(
             rem_cols[pos][m] = c * factor
         else:
             q_cols[pos - width][m] = -c * factor
-    remainder = FreeElem(Poly(nvars, col) for col in rem_cols)
-    quot = tuple(Poly(nvars, col) for col in q_cols)
-    recon = FreeElem(quot).dot(elems)
-    if any(r + t != e for r, t, e in zip(recon.entries, remainder.entries, elem.entries)):
+    remainder = FreeElem(Poly._make(nvars, col) for col in rem_cols)
+    quot = tuple(Poly._make(nvars, col) for col in q_cols)
+    # quot . gens + remainder - elem == 0, as one relation on the stacked rows
+    identity = FreeElem(quot + (Poly.const(nvars, 1), Poly.const(nvars, -1)))
+    if not _annihilates(_int_terms(identity), _int_rows(elems + [remainder, elem])):
         raise RuntimeError("internal error: division identity failed")
     return quot, remainder
-
-
-_TRACK_CACHE: dict[tuple, _Reducer] = {}
 
 
 def _tracking_gb(elems: tuple[FreeElem, ...]) -> _Reducer:
@@ -797,62 +834,112 @@ def _tracking_gb(elems: tuple[FreeElem, ...]) -> _Reducer:
 # -- rank ------------------------------------------------------------------------
 
 
-def _poly_div_exact(num: Poly, den: Poly) -> Poly:
-    """Exact division in Q[d1..dn]; raises if the division is not exact.
-    Only called where fraction-free elimination guarantees exactness."""
-    if num.is_zero():
-        return num
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    nvars = num.nvars
-    dm, dc = den.leading_term()
-    q: dict[Monomial, Fraction] = {}
-    rem = num
-    while not rem.is_zero():
-        m, c = rem.leading_term()
-        if not mono_divides(dm, m):
+ZPoly = dict[Monomial, int]  # a polynomial over Z, zero terms left out
+
+
+def _zpoly_div_exact(num: ZPoly, den: ZPoly) -> ZPoly:
+    """num / den in Z[d1..dn]; raises ArithmeticError unless den divides num.
+
+    Each step cancels the leading term of what is left, so the terms are
+    taken from a heap, largest first."""
+    dm = max(den, key=_mkey)
+    dc = den[dm]
+    rest = [(m, c) for m, c in den.items() if m != dm]
+    rem = dict(num)
+    heap = [(-sum(m), m[::-1], m) for m in rem]
+    heapq.heapify(heap)
+    q: ZPoly = {}
+    while heap:
+        m = heapq.heappop(heap)[2]
+        c = rem.pop(m, 0)
+        if not c:
+            continue
+        if c % dc or not mono_divides(dm, m):
             raise ArithmeticError("inexact polynomial division")
         qm = mono_div(m, dm)
-        qc = c / dc
+        qc = c // dc
         q[qm] = qc
-        rem = rem - Poly(nvars, {qm: qc}) * den
-    return Poly(nvars, q)
+        # every other term of den times qm lies below m
+        for mm, v in rest:
+            k = tuple(map(add, mm, qm))
+            s = rem.get(k, 0) - qc * v
+            if s:
+                if k not in rem:
+                    heapq.heappush(heap, (-sum(k), k[::-1], k))
+                rem[k] = s
+            else:
+                rem.pop(k, None)
+    return q
 
 
-def fraction_rank(rows: Sequence) -> int:
-    """Rank over the fraction field Q(d1..dn), by fraction-free elimination."""
-    if not rows:
-        return 0
-    elems = _as_elems(rows)
-    nvars = elems[0].nvars
-    m = [list(e.entries) for e in elems]
-    nrows, ncols = len(m), elems[0].width
+def _bareiss_entry(piv: ZPoly, a: ZPoly, c: ZPoly, b: ZPoly, prev: ZPoly) -> ZPoly:
+    """(piv * a - c * b) / prev over Z[d1..dn], an exact division."""
+    num: ZPoly = {}
+    get = num.get
+    for x, y, sign in ((piv, a, 1), (c, b, -1)):
+        for m1, c1 in x.items():
+            c1 *= sign
+            for m2, c2 in y.items():
+                m = tuple(map(add, m1, m2))
+                num[m] = get(m, 0) + c1 * c2
+    num = {m: v for m, v in num.items() if v}
+    return _zpoly_div_exact(num, prev) if num else num
+
+
+def _bareiss(m: list[list[ZPoly]], nvars: int) -> tuple[int, ZPoly]:
+    """Bareiss fraction-free elimination in place on a matrix over
+    Z[d1..dn]; returns the rank and the last pivot.
+
+    Every entry after step k is a (k+1)-minor of the input, so each division
+    by the previous pivot is exact; for a square matrix of full rank the
+    last pivot is the determinant up to sign."""
+    nrows, ncols = len(m), len(m[0])
     rank = 0
-    prev = Poly.const(nvars, 1)
+    prev = {(0,) * nvars: 1}
     for col in range(ncols):
         piv_row = -1
         for r in range(rank, nrows):
-            if not m[r][col].is_zero():
+            if m[r][col]:
                 piv_row = r
                 break
         if piv_row < 0:
             continue
         m[rank], m[piv_row] = m[piv_row], m[rank]
-        piv = m[rank][col]
+        prow = m[rank]
+        piv = prow[col]
+        # columns before col are zero in every row from rank down
         for r in range(rank + 1, nrows):
-            if all(m[r][j].is_zero() for j in range(col, ncols)):
-                continue
             mr = m[r]
-            for j in range(ncols):
-                if j == col:
-                    continue
-                mr[j] = _poly_div_exact(piv * mr[j] - mr[col] * m[rank][j], prev)
-            mr[col] = Poly.zero(nvars)
+            if not any(mr[j] for j in range(col, ncols)):
+                continue
+            c = mr[col]
+            for j in range(col + 1, ncols):
+                mr[j] = _bareiss_entry(piv, mr[j], c, prow[j], prev)
+            mr[col] = {}
         prev = piv
         rank += 1
         if rank == nrows:
             break
-    return rank
+    return rank, prev
+
+
+def fraction_rank(rows: Sequence) -> int:
+    """Rank over the fraction field Q(d1..dn), by Bareiss elimination on
+    integer polynomials.
+
+    Each row is cleared of its denominators first, which rescales it and
+    leaves the rank alone; every Bareiss division is then exact in
+    Z[d1..dn], and a nonzero remainder raises ArithmeticError."""
+    if not rows:
+        return 0
+    elems = _as_elems(rows)
+    m: list[list[ZPoly]] = []
+    for e in elems:
+        row: list[ZPoly] = [{} for _ in range(e.width)]
+        for (pos, mono), c in _int_terms(e).items():
+            row[pos][mono] = c
+        m.append(row)
+    return _bareiss(m, elems[0].nvars)[0]
 
 
 # -- resolutions -------------------------------------------------------------------
@@ -910,8 +997,9 @@ def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolutio
         if not syz:
             complete = True
             break
+        int_rows = _int_rows(current)
         for s in syz:
-            if not s.dot(current).is_zero():
+            if not _annihilates(_int_terms(s), int_rows):
                 raise RuntimeError("internal error: resolution step does not compose to zero")
         steps.append(tuple(syz))
         current = syz

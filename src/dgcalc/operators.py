@@ -247,19 +247,20 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
             f"factor: {a.name} has source dim {a.source.dim}, "
             f"{b.name} has {b.source.dim}"
         )
-    brows = b.rows()
+    arows, brows = a.rows(), b.rows()
     qrows = []
-    for i, row in enumerate(a.rows()):
+    for i, row in enumerate(arows):
         q, rem = divide_with_cofactors(row, brows)
         if not rem.is_zero():
             raise NotFactorable(i, rem)
         qrows.append(list(q))
-    out = LinDiffOp(
+    # row by row through Poly arithmetic, independent of the integer check
+    # inside divide_with_cofactors
+    if any(FreeElem(q).dot(brows) != row for q, row in zip(qrows, arows)):
+        raise RuntimeError("internal error: factorization identity failed")
+    return LinDiffOp(
         f"factor({a.name},{b.name})", a.nvars, b.target, a.target, qrows
     )
-    if compose(out, b).matrix != a.matrix:
-        raise RuntimeError("internal error: factorization identity failed")
-    return out
 
 
 def order_profile(a: LinDiffOp) -> tuple[int, ...]:

@@ -11,8 +11,10 @@ so strings are stable and comparable across runs.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator
 
 Monomial = tuple[int, ...]
@@ -25,7 +27,7 @@ def mono_key(m: Monomial) -> tuple:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -81,6 +83,17 @@ class Poly:
                     self.terms[m] = Fraction(c)
         self._hash: int | None = None
 
+    @classmethod
+    def _make(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Poly":
+        """Trusted constructor for results built here: the caller guarantees
+        that every monomial has arity nvars and every coefficient is a
+        nonzero Fraction, so nothing is checked or re-wrapped."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._hash = None
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -100,7 +113,7 @@ class Poly:
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
         m = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return Poly(nvars, {m: Fraction(1)})
+        return Poly._make(nvars, {m: Fraction(1)})
 
     @staticmethod
     def term(nvars: int, m: Monomial, c) -> "Poly":
@@ -148,17 +161,20 @@ class Poly:
         self._check(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
-            if s:
-                terms[m] = s
+            if m in terms:
+                s = terms[m] + c
+                if s:
+                    terms[m] = s
+                else:
+                    del terms[m]
             else:
-                terms.pop(m, None)
-        return Poly(self.nvars, terms)
+                terms[m] = c
+        return Poly._make(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._make(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -173,18 +189,24 @@ class Poly:
             c = Fraction(other)
             if not c:
                 return Poly(self.nvars)
-            return Poly(self.nvars, {m: c * v for m, v in self.terms.items()})
+            return Poly._make(self.nvars, {m: c * v for m, v in self.terms.items()})
         self._check(other)
-        terms: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                s = terms.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    terms.pop(m, None)
-        return Poly(self.nvars, terms)
+        # integer numerators over one common denominator per factor, so the
+        # inner loop multiplies ints and each output Fraction is built once
+        a, da = _numerators(self.terms)
+        b, db = _numerators(other.terms)
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        for m1, c1 in a:
+            for m2, c2 in b:
+                m = tuple(map(add, m1, m2))
+                acc[m] = get(m, 0) + c1 * c2
+        den = da * db
+        if den == 1:
+            terms = {m: Fraction(c) for m, c in acc.items() if c}
+        else:
+            terms = {m: Fraction(c, den) for m, c in acc.items() if c}
+        return Poly._make(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -196,8 +218,9 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -219,7 +242,7 @@ class Poly:
 
     def negate_vars(self) -> "Poly":
         """Substitute di -> -di; each term picks up (-1)^degree."""
-        return Poly(
+        return Poly._make(
             self.nvars,
             {m: (c if sum(m) % 2 == 0 else -c) for m, c in self.terms.items()},
         )
@@ -233,13 +256,12 @@ class Poly:
         if not 1 <= i <= self.nvars:
             raise ValueError(f"variable index {i} out of range 1..{self.nvars}")
         j = i - 1
+        # m -> m - e_j is one-to-one, so no two terms land on one monomial
         terms: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            if m[j] == 0:
-                continue
-            mm = tuple(e - 1 if k == j else e for k, e in enumerate(m))
-            terms[mm] = terms.get(mm, Fraction(0)) + c * m[j]
-        return Poly(self.nvars, terms)
+            if m[j]:
+                terms[m[:j] + (m[j] - 1,) + m[j + 1 :]] = c * m[j]
+        return Poly._make(self.nvars, terms)
 
     def evaluate(self, point: Iterable) -> Fraction:
         vals = [Fraction(v) for v in point]
@@ -261,6 +283,18 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {serialize(self)!r})"
+
+
+def _numerators(
+    terms: dict[Monomial, Fraction],
+) -> tuple[list[tuple[Monomial, int]], int]:
+    """The terms as integer numerators over their least common denominator."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
 
 
 def apply_as_derivative(op: Poly, section: Poly) -> Poly:

@@ -17,10 +17,4 @@ settings.load_profile("dgcalc")
 def clear_engine_caches():
     """A function that empties the engine's module caches, so the next
     call recomputes instead of returning a stored result."""
-
-    def clear():
-        for cache in (engine._GB_CACHE, engine._SYZ_CACHE, engine._MIN_CACHE,
-                      engine._TRACK_CACHE):
-            cache.clear()
-
-    return clear
+    return engine.clear_caches

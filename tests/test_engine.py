@@ -335,6 +335,20 @@ def test_resolution_of_free_module_stops_immediately():
     assert res.euler_characteristic == 0
 
 
+def test_clear_caches_empties_every_module_cache():
+    from dgcalc import clear_caches, engine
+
+    rows = zoo.grad(3).rows()
+    resolve_module(rows)
+    reduced_groebner(rows)
+    divide_with_cofactors(rows[0], rows)
+    caches = (engine._GB_CACHE, engine._SYZ_CACHE, engine._MIN_CACHE,
+              engine._TRACK_CACHE)
+    assert all(caches)
+    clear_caches()
+    assert not any(caches)
+
+
 def test_resolution_cold_rerun_agrees(clear_engine_caches):
     rows = zoo.conformal_killing(zoo.euclidean(3)).rows()
     first = resolve_module(rows).steps

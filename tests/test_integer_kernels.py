@@ -1,0 +1,199 @@
+"""The integer kernels behind the inline checks and the rank: the
+annihilation helper against FreeElem.dot, and Bareiss rank against a
+Fraction-based elimination written here."""
+
+from fractions import Fraction
+from itertools import permutations, product
+
+import pytest
+from hypothesis import given, strategies as st
+
+from dgcalc.engine import (
+    FreeElem,
+    _annihilates,
+    _bareiss,
+    _int_rows,
+    _int_terms,
+    _zpoly_div_exact,
+    fraction_rank,
+    syzygies,
+)
+from dgcalc.poly import Poly, parse
+
+COEFFS = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3)]
+
+
+def _monomials(nvars, cap):
+    return [m for m in product(range(cap + 1), repeat=nvars) if sum(m) <= cap]
+
+
+def _poly(draw, nvars, cap, size=3, coeffs=COEFFS):
+    terms = draw(st.dictionaries(st.sampled_from(_monomials(nvars, cap)),
+                                 st.sampled_from(coeffs), max_size=size))
+    return Poly(nvars, terms)
+
+
+# -- annihilation ------------------------------------------------------------------
+
+
+@st.composite
+def relations(draw):
+    """Rows and a coefficient vector that is a relation among them about
+    half the time: the last row is a combination of the others, and the
+    relation records that combination, or it is redrawn at random."""
+    nvars = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    rows = [FreeElem(_poly(draw, nvars, 2) for _ in range(width)) for _ in range(k)]
+    mult = [_poly(draw, nvars, 1) for _ in range(k)]
+    last = [sum((p * r.entries[j] for p, r in zip(mult, rows)), Poly.zero(nvars))
+            for j in range(width)]
+    rows.append(FreeElem(last))
+    scale = draw(st.sampled_from(COEFFS))
+    coeffs = [p * scale for p in mult] + [Poly.const(nvars, -scale)]
+    if draw(st.booleans()):
+        coeffs = [_poly(draw, nvars, 1) for _ in range(k + 1)]
+    return FreeElem(coeffs), rows
+
+
+@given(relations())
+def test_annihilation_helper_agrees_with_dot(problem):
+    rel, rows = problem
+    assert _annihilates(_int_terms(rel), _int_rows(rows)) == rel.dot(rows).is_zero()
+
+
+def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
+    rows = [FreeElem.from_strs(3, t) for t in (
+        ("d1", "1/2*d2^2"),
+        ("d2 - 3", "d1*d3"),
+        ("d1*d2", "2/3*d3 - d1"),
+    )]
+    relations = syzygies(rows)
+    assert relations
+    base = _int_rows(rows)
+    for rel in relations:
+        coeffs = _int_terms(rel)
+        assert _annihilates(coeffs, base)
+        for key in coeffs:
+            changed = dict(coeffs)
+            changed[key] += 1
+            assert not _annihilates(changed, base)
+        # a new term on a nonzero row breaks the relation as well
+        changed = dict(coeffs)
+        changed[(0, (5, 0, 0))] = changed.get((0, (5, 0, 0)), 0) + 1
+        assert not _annihilates(changed, base)
+
+
+# -- rank ------------------------------------------------------------------------------
+
+
+def _reference_div(num: Poly, den: Poly) -> Poly:
+    """Exact division over Q by repeatedly cancelling leading terms."""
+    quot = Poly.zero(num.nvars)
+    while not num.is_zero():
+        m, c = num.leading_term()
+        dm, dc = den.leading_term()
+        step = Poly.term(num.nvars, tuple(a - b for a, b in zip(m, dm)), c / dc)
+        assert min(step.leading_term()[0]) >= 0
+        quot = quot + step
+        num = num - step * den
+    return quot
+
+
+def _reference_rank(rows):
+    """Fraction-free elimination on Poly entries over Q, rows as given."""
+    m = [list(r.entries) for r in rows]
+    rank, prev = 0, Poly.const(rows[0].nvars, 1)
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            c = m[r][col]
+            m[r] = [_reference_div(p * m[r][j] - c * m[rank][j], prev)
+                    for j in range(len(m[r]))]
+        prev = p
+        rank += 1
+    return rank
+
+
+@st.composite
+def matrices(draw):
+    """Random rational matrices padded with zero rows and with rows that
+    are polynomial combinations of others, in shuffled order."""
+    nvars = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 4))
+    base = [FreeElem(_poly(draw, nvars, 2) for _ in range(width))
+            for _ in range(draw(st.integers(1, 3)))]
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        p, q = _poly(draw, nvars, 1), _poly(draw, nvars, 1)
+        rows.append(FreeElem(p * x + q * y for x, y in zip(a.entries, b.entries)))
+    rows += [FreeElem(Poly.zero(nvars) for _ in range(width))] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+@given(matrices())
+def test_fraction_rank_matches_a_fraction_reference(rows):
+    assert fraction_rank(rows) == _reference_rank(rows)
+
+
+def _determinant(m):
+    n = len(m)
+    total = Poly.zero(m[0][0].nvars)
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = Poly.const(total.nvars, sign)
+        for i in range(n):
+            term = term * m[i][perm[i]]
+        total = total + term
+    return total
+
+
+@st.composite
+def integer_square_matrices(draw):
+    nvars = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 4))
+    return [[_poly(draw, nvars, 1, coeffs=[-2, -1, 1, 2]) for _ in range(n)]
+            for _ in range(n)]
+
+
+@given(integer_square_matrices())
+def test_bareiss_last_pivot_is_the_determinant(m):
+    nvars = m[0][0].nvars
+    det = _determinant(m)
+    ints = [[{mono: int(c) for mono, c in p.terms.items()} for p in row] for row in m]
+    rank, pivot = _bareiss(ints, nvars)
+    assert (rank == len(m)) == (not det.is_zero())
+    if rank == len(m):
+        got = Poly(nvars, pivot)
+        assert got == det or got == -det
+
+
+def test_exact_division_rejects_a_remainder():
+    q = {(1, 0): 2, (0, 1): -3, (0, 0): 1}
+    d = {(1, 1): 1, (2, 0): -4}
+    num = {m: v for m, v in (Poly(2, q) * Poly(2, d)).terms.items()}
+    num = {m: int(v) for m, v in num.items()}
+    assert _zpoly_div_exact(num, d) == q
+    num[(0, 0)] = num.get((0, 0), 0) + 1
+    with pytest.raises(ArithmeticError):
+        _zpoly_div_exact(num, d)
+    # integer content that the leading coefficient does not divide
+    with pytest.raises(ArithmeticError):
+        _zpoly_div_exact({(1, 0): 3}, {(1, 0): 2})
+
+
+def test_fraction_rank_clears_each_row_of_its_denominators():
+    rows = [FreeElem.from_strs(2, t) for t in (
+        ("1/2*d1", "1/3*d2"), ("3*d1", "2*d2"), ("1/5*d1^2", "0"))]
+    assert fraction_rank(rows[:2]) == 1
+    assert fraction_rank(rows) == 2
+    assert fraction_rank([FreeElem([parse("2/7*d1*d2 - 1/3", 2)])]) == 1

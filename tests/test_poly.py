@@ -1,6 +1,7 @@
 """Polynomial layer: arithmetic, ordering, parsing and printing."""
 
 from fractions import Fraction
+from math import comb, factorial, prod
 from random import Random
 
 import pytest
@@ -165,6 +166,18 @@ def test_parse_round_trip_random(seed=20260816):
             terms[m] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         p = Poly(3, terms)
         assert parse(serialize(p), 3) == p
+
+
+def test_parse_expands_a_large_power():
+    p = parse("(d1+d2+d3+1)^20", 3)
+    # one term per exponent vector of d1, d2, d3 and the constant summing to 20
+    assert len(p.terms) == comb(23, 3) == 1771
+
+    def multinomial(*ks):
+        return factorial(sum(ks)) // prod(factorial(k) for k in ks)
+
+    assert p.terms[(5, 5, 5)] == multinomial(5, 5, 5, 5) == 11732745024
+    assert p.terms[(2, 3, 4)] == multinomial(2, 3, 4, 11)
 
 
 def test_vector_printing():
