@@ -3,7 +3,7 @@
 One operator per JSON file.  Subcommands either print a JSON document to
 stdout or, with -o, write it to a file and print the path.  Output is
 deterministic: rerunning a command on the same inputs produces identical
-bytes regardless of thread count.
+bytes, with the engine caches cold or warm.
 
 Exit codes: 0 success, 2 unreadable input, 3 shape mismatch, 4 degree
 budget exceeded, 5 factorization failed, 1 anything else.

@@ -26,6 +26,7 @@ from .engine import (
     minimize_generators,
     module_equal,
     reduced_groebner,
+    resolve_module,
     syzygies,
 )
 from .operators import Bundle, LinDiffOp, adjoint, cc
@@ -120,7 +121,7 @@ def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp,
     rows1 = d1.rows()
     gb1 = reduced_groebner(rows1)
     residues = [r for r in d1p.rows() if not gb1.contains(r)]
-    alive = minimize_generators(residues, base=rows1) if residues else []
+    alive = minimize_generators(residues, base=rows1)
     out = []
     for r in alive:
         ann = _annihilator_witness(r, rows1, witness_degree)
@@ -181,20 +182,14 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
     """Ext^i of the module presented by the adjoint of `a`.
 
     Resolve that module, dualize the resolution, and present ker/im at
-    position i.  mats[k] holds the (k+1)-st matrix of the resolution, so
+    position i.  mats[k] holds step k of `resolve_module`, so
     the cocycles at position i are the relations among the columns of
     mats[i] and the coboundaries are the columns of mats[i-1].
     """
     if i < 0:
         raise ValueError("Ext index must be nonnegative")
     ad = adjoint(a)
-    mats: list[list[FreeElem]] = [ad.rows()]
-    while len(mats) < i + 1:
-        raw = syzygies(mats[-1])
-        step = minimize_generators(raw) if raw else []
-        if not step:
-            break
-        mats.append(step)
+    mats = resolve_module(ad.rows(), max_steps=i).steps
     if i >= 1 and len(mats) < i:
         # the resolution stopped below position i: nothing there
         return _trivial_ext(i)
@@ -206,8 +201,7 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
         width_i = len(mats[i - 1])
         im = _transpose_rows(mats[i - 1])
     if len(mats) >= i + 1:
-        raw_ker = syzygies(_transpose_rows(mats[i]))
-        ker = minimize_generators(raw_ker) if raw_ker else []
+        ker = minimize_generators(syzygies(_transpose_rows(mats[i])))
     else:
         # next differential is zero: every vector is a cocycle
         ker = [
@@ -219,7 +213,7 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
         ]
     if im and len(mats) >= i + 1:
         # sanity: the dual complex composes to zero
-        nxt = _int_rows(_transpose_rows(mats[i]))
+        nxt, _ = _int_rows(_transpose_rows(mats[i]))
         for r in im:
             if not _annihilates(_int_terms(r), nxt):
                 raise RuntimeError("internal error: dual complex not a complex")
@@ -238,7 +232,7 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
         for s in syzygies(stacked)
         if any(not p.is_zero() for p in s.entries[:k])
     ]
-    rels = minimize_generators(raw_rels) if raw_rels else []
+    rels = minimize_generators(raw_rels)
     rank = k - fraction_rank(rels)
     if is_zero and rank != 0:
         raise RuntimeError("internal error: vanishing Ext with positive rank")
@@ -291,8 +285,7 @@ def minimal_parametrization(d1: LinDiffOp, *, report: ParamReport | None = None
         cand = LinDiffOp(
             f"minparam({d1.name})", n, sub_bundle, dpar.target, sub_matrix
         )
-        raw_conds = syzygies(cand.rows())
-        conds = minimize_generators(raw_conds) if raw_conds else []
+        conds = minimize_generators(syzygies(cand.rows()))
         if conds and module_equal(conds, rows1):
             return cand
     raise SearchBudgetError(

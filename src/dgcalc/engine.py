@@ -116,13 +116,10 @@ class FreeElem:
         """Scale to primitive integer coefficients with positive leading
         coefficient in the module order.  Canonical up to nothing: equal
         elements up to a rational factor normalize identically."""
-        terms = _elem_to_terms(self)
-        if not terms:
+        ints = _int_terms(self)
+        if not ints:
             return self
-        ints, _ = _terms_to_int(terms)
-        lead = max(ints, key=_term_key_plain)
-        if ints[lead] < 0:
-            ints = {t: -c for t, c in ints.items()}
+        ints = _content_normalize(ints, _term_key_plain)
         return _int_to_elem(ints, self.width, self.nvars)
 
     def dot(self, rows: Sequence["FreeElem"]) -> "FreeElem":
@@ -173,58 +170,31 @@ def _term_key_plain(t: Term) -> tuple:
     return (_mkey(t[1]), -t[0])
 
 
-def _elem_to_terms(e: FreeElem) -> dict[Term, Fraction]:
-    out: dict[Term, Fraction] = {}
-    for pos, p in enumerate(e.entries):
-        for m, c in p.terms.items():
-            out[(pos, m)] = c
-    return out
-
-
-def _terms_to_int(terms: dict[Term, Fraction]) -> tuple[dict[Term, int], Fraction]:
-    """Clear denominators and divide out integer content.  Returns the
-    integer term dict and the factor by which the input was multiplied."""
-    if not terms:
-        return {}, Fraction(1)
-    ints, den = _terms_to_int_den(terms)
-    g = math.gcd(*ints.values())
-    if g > 1:
-        ints = {t: v // g for t, v in ints.items()}
-    return ints, Fraction(den, g if g > 1 else 1)
-
-
-def _common_den(terms_list: Iterable[dict[Term, Fraction]]) -> int:
+def _int_rows(elems: Sequence[FreeElem]) -> tuple[list[dict[Term, int]], int]:
+    """The rows' terms times one common denominator, returned with it, so
+    the relations among these integer rows are exactly the relations among
+    the given rows."""
     den = 1
-    for terms in terms_list:
-        for c in terms.values():
-            d = c.denominator
-            if d != 1:
-                den = den * d // math.gcd(den, d)
-    return den
-
-
-def _times_den(terms: dict[Term, Fraction], den: int) -> dict[Term, int]:
-    return {t: c.numerator * (den // c.denominator) for t, c in terms.items()}
-
-
-def _terms_to_int_den(terms: dict[Term, Fraction]) -> tuple[dict[Term, int], int]:
-    """Clear denominators only; content is kept.  Needed when the element is
-    augmented with tracking columns that must stay aligned with the input."""
-    den = _common_den((terms,))
-    return _times_den(terms, den), den
+    for e in elems:
+        for p in e.entries:
+            for c in p.terms.values():
+                d = c.denominator
+                if d != 1:
+                    den = den * d // math.gcd(den, d)
+    rows = [
+        {
+            (pos, m): c.numerator * (den // c.denominator)
+            for pos, p in enumerate(e.entries)
+            for m, c in p.terms.items()
+        }
+        for e in elems
+    ]
+    return rows, den
 
 
 def _int_terms(e: FreeElem) -> dict[Term, int]:
     """The element's terms with denominators cleared: a nonzero multiple."""
-    return _terms_to_int_den(_elem_to_terms(e))[0]
-
-
-def _int_rows(elems: Sequence[FreeElem]) -> list[dict[Term, int]]:
-    """The rows' terms times one common denominator, so the relations among
-    these integer rows are exactly the relations among the given rows."""
-    terms = [_elem_to_terms(e) for e in elems]
-    den = _common_den(terms)
-    return [_times_den(t, den) for t in terms]
+    return _int_rows((e,))[0][0]
 
 
 def _annihilates(coeffs: dict[Term, int], rows: Sequence[dict[Term, int]]) -> bool:
@@ -241,20 +211,28 @@ def _annihilates(coeffs: dict[Term, int], rows: Sequence[dict[Term, int]]) -> bo
     return not any(acc.values())
 
 
-def _int_to_elem(ints: dict[Term, int], width: int, nvars: int) -> FreeElem:
-    cols: list[dict[Monomial, Fraction]] = [dict() for _ in range(width)]
-    for (pos, m), c in ints.items():
-        cols[pos][m] = Fraction(c)
-    return FreeElem(Poly._make(nvars, col) for col in cols)
-
-
-def _int_to_elem_scaled(
-    ints: dict[Term, int], width: int, nvars: int, scale: Fraction
+def _int_to_elem(
+    ints: dict[Term, int], width: int, nvars: int, scale: Fraction = Fraction(1)
 ) -> FreeElem:
+    """The element with the given integer terms times `scale`."""
+    num, den = scale.numerator, scale.denominator
     cols: list[dict[Monomial, Fraction]] = [dict() for _ in range(width)]
     for (pos, m), c in ints.items():
-        cols[pos][m] = c * scale
+        cols[pos][m] = Fraction(c * num, den)
     return FreeElem(Poly._make(nvars, col) for col in cols)
+
+
+def _content_normalize(h: dict[Term, int], key) -> dict[Term, int]:
+    """h divided by its integer content, with the sign that makes the
+    leading coefficient under `key` positive."""
+    g = 0
+    for v in h.values():
+        g = math.gcd(g, v)
+    if g > 1:
+        h = {t: v // g for t, v in h.items()}
+    if h[max(h, key=key)] < 0:
+        h = {t: -v for t, v in h.items()}
+    return h
 
 
 # -- division and the Buchberger run ----------------------------------------
@@ -356,17 +334,6 @@ class _Reducer:
         deg, rev = _mkey(t[1])
         return (t[0] >= self.split, -deg, tuple(-x for x in rev), t[0])
 
-    def _content_normalize(self, h: dict[Term, int]) -> dict[Term, int]:
-        g = 0
-        for v in h.values():
-            g = math.gcd(g, v)
-        if g > 1:
-            h = {t: v // g for t, v in h.items()}
-        lead = self._lt(h)
-        if h[lead] < 0:
-            h = {t: -v for t, v in h.items()}
-        return h
-
     def interreduced_basis(self) -> list[dict[Term, int]]:
         """The content-normalized reduced Groebner basis of the stored
         basis, which must be a Groebner basis, sorted by (leading position,
@@ -388,7 +355,7 @@ class _Reducer:
         for h, (lt, _) in zip(survivors.basis, survivors.lts):
             # a tail term is below the lead, so only other survivors reduce it
             r, _ = survivors.reduce_full(dict(h), keep=lt)
-            out.append((lt[0], _mkey(lt[1]), self._content_normalize(r)))
+            out.append((lt[0], _mkey(lt[1]), _content_normalize(r, self._key)))
         out.sort(key=lambda x: x[:2])
         return [r for _, _, r in out]
 
@@ -418,10 +385,11 @@ class _Run:
         h, _ = red.reduce_full(h)
         if not h:
             return
+        h = _content_normalize(h, red._key)
         if all(pos >= red.split for pos, _ in h):
-            self.harvest.append(red._content_normalize(h))
-            return
-        self._add_basis(red._content_normalize(h))
+            self.harvest.append(h)
+        else:
+            self._add_basis(h)
 
     def _add_basis(self, h: dict[Term, int]) -> None:
         red = self.red
@@ -510,8 +478,8 @@ def _tracking_run(elems: Sequence[FreeElem], prune: bool = True) -> _Run:
     k = len(elems)
     width, nvars = elems[0].width, elems[0].nvars
     run = _Run(width + k, width, _budget(), prune=prune)
-    for i, e in enumerate(elems):
-        ints, den = _terms_to_int_den(_elem_to_terms(e))
+    rows, den = _int_rows(elems)
+    for i, ints in enumerate(rows):
         # tracking column scaled identically, so relations hold for the
         # rows exactly as given, not for rescaled ones
         ints[(width + i, (0,) * nvars)] = den
@@ -537,20 +505,16 @@ class GroebnerBasis:
         self.generators = generators
         self._reducer = _Reducer(width)
         for g in generators:
-            ints, _ = _terms_to_int(_elem_to_terms(g))
-            self._reducer.add(ints)
+            self._reducer.add(_int_terms(g))
 
     def normal_form(self, elem: FreeElem) -> FreeElem:
         if elem.width != self.width:
             raise ValueError("element width does not match basis width")
-        terms = _elem_to_terms(elem)
-        ints, mult = _terms_to_int(terms)
+        (ints,), den = _int_rows((elem,))
         if not ints:
             return elem
-        h, scale = self._reducer.reduce_full(dict(ints))
-        if not h:
-            return FreeElem(Poly.zero(self.nvars) for _ in range(self.width))
-        return _int_to_elem_scaled(h, self.width, self.nvars, 1 / (scale * mult))
+        h, scale = self._reducer.reduce_full(ints)
+        return _int_to_elem(h, self.width, self.nvars, 1 / (scale * den))
 
     def contains(self, elem: FreeElem) -> bool:
         return self.normal_form(elem).is_zero()
@@ -579,8 +543,9 @@ _TRACK_CACHE: dict[tuple, _Reducer] = {}
 
 def clear_caches() -> None:
     """Empty the module caches of Groebner bases, syzygies, minimal
-    generating sets and tracking bases, so the next call recomputes."""
-    for cache in (_GB_CACHE, _SYZ_CACHE, _MIN_CACHE, _TRACK_CACHE):
+    generating sets, tracking bases and monomial sort keys, so the next
+    call recomputes."""
+    for cache in (_GB_CACHE, _SYZ_CACHE, _MIN_CACHE, _TRACK_CACHE, _MKEY_CACHE):
         cache.clear()
 
 
@@ -605,15 +570,13 @@ def reduced_groebner(rows: Sequence) -> GroebnerBasis:
     if hit is not None:
         return hit
     run = _Run(width, width, _budget())
-    for e in elems:
-        ints, _ = _terms_to_int(_elem_to_terms(e))
+    for ints in _int_rows(elems)[0]:
         run.process(ints)
     run.run()
     red = run.red
     gens = []
     for h in red.interreduced_basis():
-        lt = red._lt(h)
-        gens.append(_int_to_elem_scaled(h, width, nvars, Fraction(1, h[lt])))
+        gens.append(_int_to_elem(h, width, nvars, Fraction(1, h[red._lt(h)])))
     gb = GroebnerBasis(width, nvars, tuple(gens))
     _GB_CACHE[key] = gb
     return gb
@@ -653,7 +616,7 @@ def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
     if hit is not None:
         return list(hit)
     run = _tracking_run(elems, prune)
-    int_rows = _int_rows(elems)
+    int_rows, _ = _int_rows(elems)
     out: list[FreeElem] = []
     for h in run.harvest:
         shifted = {(pos - width, m): c for (pos, m), c in h.items()}
@@ -668,36 +631,36 @@ def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
 
 
 class _Echelon:
-    """Sparse echelon form over Q for dict-vectors keyed by (pos, monomial)."""
+    """Sparse echelon form for integer dict-vectors keyed by (pos, monomial).
+
+    Rows are stored primitive under their leading term and eliminated
+    fraction-free, so the span over Q is tracked in integers."""
 
     def __init__(self):
-        self.rows: dict[Term, dict[Term, Fraction]] = {}
+        self.rows: dict[Term, dict[Term, int]] = {}
 
-    def reduce(self, v: dict[Term, Fraction]) -> dict[Term, Fraction]:
+    def insert(self, v: dict[Term, int]) -> bool:
+        """Insert if independent; returns True when the vector was new."""
         v = dict(v)
         while v:
             t = max(v, key=_term_key_plain)
             row = self.rows.get(t)
             if row is None:
-                return v
-            c = v[t]
+                self.rows[t] = _content_normalize(v, _term_key_plain)
+                return True
+            # stored leads are positive, so a > 0: v <- a*v - b*row kills t
+            g = math.gcd(row[t], v[t])
+            a, b = row[t] // g, v[t] // g
+            if a != 1:
+                for k in v:
+                    v[k] *= a
             for k, rc in row.items():
-                s = v.get(k, Fraction(0)) - c * rc
+                s = v.get(k, 0) - b * rc
                 if s:
                     v[k] = s
                 else:
                     v.pop(k, None)
-        return v
-
-    def insert(self, v: dict[Term, Fraction]) -> bool:
-        """Insert if independent; returns True when the vector was new."""
-        v = self.reduce(v)
-        if not v:
-            return False
-        t = max(v, key=_term_key_plain)
-        c = v[t]
-        self.rows[t] = {k: val / c for k, val in v.items()}
-        return True
+        return False
 
 
 def _monomials_of_degree(nvars: int, deg: int) -> list[Monomial]:
@@ -712,7 +675,7 @@ def _monomials_of_degree(nvars: int, deg: int) -> list[Monomial]:
     return out
 
 
-def _shift_terms(terms: dict[Term, Fraction], m: Monomial) -> dict[Term, Fraction]:
+def _shift_terms(terms: dict[Term, int], m: Monomial) -> dict[Term, int]:
     return {(pos, mono_mul(mm, m)): c for (pos, mm), c in terms.items()}
 
 
@@ -728,6 +691,8 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
     also makes the surviving count the graded minimal number of
     generators, independent of the representative choice.
     """
+    if not gens:
+        return []
     elems = [e.normalized() for e in _as_elems(gens)]
     elems = [e for e in elems if not e.is_zero()]
     if not elems:
@@ -773,13 +738,13 @@ def _minimize_homogeneous(
         ech = _Echelon()
         # kept generators are all of strictly lower degree by construction
         for g in kept + [b for b in base if b.degree() <= d]:
-            terms = _elem_to_terms(g)
+            terms = _int_terms(g)
             for m in _monomials_of_degree(nvars, d - g.degree()):
                 ech.insert(_shift_terms(terms, m))
         # within one degree the coefficients are scalars, so leave-one-out
         # in block order drops an element exactly when it lies in the seed
         # plus the later elements of its block: one reverse pass decides it
-        alive = [e for e in reversed(by_deg[d]) if ech.insert(_elem_to_terms(e))]
+        alive = [e for e in reversed(by_deg[d]) if ech.insert(_int_terms(e))]
         kept.extend(reversed(alive))
     return kept
 
@@ -798,23 +763,17 @@ def divide_with_cofactors(
     if elem.width != width:
         raise ValueError("element width does not match generator width")
     red = _tracking_gb(tuple(elems))
-    ints, mult = _terms_to_int(_elem_to_terms(elem))
+    (ints,), den = _int_rows((elem,))
     if not ints:
         return tuple(Poly.zero(nvars) for _ in range(k)), elem
-    h, scale = red.reduce_full(dict(ints))
-    factor = 1 / (scale * mult)
-    rem_cols: list[dict[Monomial, Fraction]] = [dict() for _ in range(width)]
-    q_cols: list[dict[Monomial, Fraction]] = [dict() for _ in range(k)]
-    for (pos, m), c in h.items():
-        if pos < width:
-            rem_cols[pos][m] = c * factor
-        else:
-            q_cols[pos - width][m] = -c * factor
-    remainder = FreeElem(Poly._make(nvars, col) for col in rem_cols)
-    quot = tuple(Poly._make(nvars, col) for col in q_cols)
+    # h == scale * den * elem - sum_i q_i * gens_i, with -q_i in column width + i
+    h, scale = red.reduce_full(ints)
+    both = _int_to_elem(h, width + k, nvars, 1 / (scale * den))
+    remainder = FreeElem(both.entries[:width])
+    quot = tuple(-q for q in both.entries[width:])
     # quot . gens + remainder - elem == 0, as one relation on the stacked rows
     identity = FreeElem(quot + (Poly.const(nvars, 1), Poly.const(nvars, -1)))
-    if not _annihilates(_int_terms(identity), _int_rows(elems + [remainder, elem])):
+    if not _annihilates(_int_terms(identity), _int_rows(elems + [remainder, elem])[0]):
         raise RuntimeError("internal error: division identity failed")
     return quot, remainder
 
@@ -989,15 +948,11 @@ def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolutio
     complete = False
     current = elems
     while len(steps) < max_steps + 1:
-        raw = syzygies(current)
-        if not raw:
-            complete = True
-            break
-        syz = minimize_generators(raw)
+        syz = minimize_generators(syzygies(current))
         if not syz:
             complete = True
             break
-        int_rows = _int_rows(current)
+        int_rows, _ = _int_rows(current)
         for s in syz:
             if not _annihilates(_int_terms(s), int_rows):
                 raise RuntimeError("internal error: resolution step does not compose to zero")

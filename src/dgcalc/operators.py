@@ -222,8 +222,7 @@ def is_self_adjoint(a: LinDiffOp) -> bool:
 def cc(a: LinDiffOp, *, name: str | None = None) -> LinDiffOp:
     """Compatibility conditions: a minimal generating set for the relations
     among the rows of `a`, packaged as an operator on a's target."""
-    raw = syzygies(a.rows())
-    gens = minimize_generators(raw) if raw else []
+    gens = minimize_generators(syzygies(a.rows()))
     k = len(gens)
     if k == 0:
         # no relations: the zero operator on a one-dimensional dummy target

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .engine import Term, _Echelon
 from .operators import Bundle, LinDiffOp, adjoint, compose, scale
@@ -653,12 +653,16 @@ def weyl_component_selection(metric: Metric) -> list[int]:
                             acc[key] = v
                         else:
                             acc.pop(key, None)
-            rank += ech.insert(acc)
+            # cleared of denominators: a multiple, so the same span
+            den = lcm(*(v.denominator for v in acc.values()))
+            rank += ech.insert(
+                {k: v.numerator * (den // v.denominator) for k, v in acc.items()}
+            )
     picked: list[int] = []
     for r in range(f1):
         if len(picked) == f1 - rank:
             break
-        if ech.insert({(r, ()): Fraction(1)}):
+        if ech.insert({(r, ()): 1}):
             picked.append(r)
     return picked
 

@@ -1,5 +1,7 @@
 """Double-duality parametrizability test, torsion witnesses, Ext modules."""
 
+import hashlib
+
 import pytest
 
 from dgcalc import zoo
@@ -131,3 +133,36 @@ def test_report_and_direct_ext_agree():
     ]:
         assert param_test(op, with_ext2=False).ext1_zero is expect
         assert ext_module(op, 1).is_zero is expect
+
+
+def _digest(elems):
+    return hashlib.sha256("\n".join(map(str, elems)).encode()).hexdigest()
+
+
+# sha256 of the newline-joined generator and relation texts
+EXT_PINS = {
+    ("einstein_lin", 1): (
+        20, "f5c00d076dc46fe9abedc90cbd6af936657981ce1682b6b3d8cf36507b63479e",
+        26, "b45a9ca63ab1ce22b470dcfd97c6a1983022b8eacd4945b4301af58ba96e023e"),
+    ("einstein_lin", 2): (
+        4, "8a6f794cb018079afa1203292123f6bb42b79d400d2fd13a85094ea4b9574534",
+        10, "3765ea3adfd74bd1d203ebb227e18cb5c9289690105ec6826480c490cd829ae4"),
+    ("ricci_lin", 1): (
+        20, "f5c00d076dc46fe9abedc90cbd6af936657981ce1682b6b3d8cf36507b63479e",
+        26, "2240d924911c64174f28b3a04520d85e461c1dac30770ac96a7901c0799adb02"),
+}
+
+
+@pytest.mark.parametrize("builder, index", sorted(EXT_PINS))
+def test_ext_presentation_of_curvature_operators_is_pinned(builder, index):
+    rep = ext_module(getattr(zoo, builder)(zoo.minkowski(4)), index)
+    ngens, gens, nrels, rels = EXT_PINS[builder, index]
+    assert not rep.is_zero and rep.rank == 0
+    assert (len(rep.generators), _digest(rep.generators)) == (ngens, gens)
+    assert (len(rep.relations), _digest(rep.relations)) == (nrels, rels)
+
+
+def test_ext_presentation_of_plane_rigid_motions_is_pinned():
+    rep = ext_module(zoo.killing(zoo.euclidean(2)), 1)
+    assert [str(g) for g in rep.generators] == ["(1, 0)", "(0, 1)"]
+    assert [str(r) for r in rep.relations] == ["(0, d2)", "(d1, 0)", "(d2, d1)"]

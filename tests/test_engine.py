@@ -270,9 +270,11 @@ def test_minimize_is_deterministic_under_permutation():
         assert minimize_generators(shuffled) == base
 
 
-def test_minimize_rejects_empty_input():
-    with pytest.raises(ValueError):
-        minimize_generators([])
+def test_minimize_of_empty_input_is_empty():
+    # an empty relation list is a normal input: a module with no syzygies
+    assert minimize_generators([]) == []
+    assert minimize_generators([], base=[fe("d1", "0")]) == []
+    assert minimize_generators([fe("0", "0")]) == []
 
 
 # -- rank ------------------------------------------------------------------------------
@@ -343,7 +345,7 @@ def test_clear_caches_empties_every_module_cache():
     reduced_groebner(rows)
     divide_with_cofactors(rows[0], rows)
     caches = (engine._GB_CACHE, engine._SYZ_CACHE, engine._MIN_CACHE,
-              engine._TRACK_CACHE)
+              engine._TRACK_CACHE, engine._MKEY_CACHE)
     assert all(caches)
     clear_caches()
     assert not any(caches)

@@ -1,15 +1,17 @@
-"""The integer kernels behind the inline checks and the rank: the
-annihilation helper against FreeElem.dot, and Bareiss rank against a
-Fraction-based elimination written here."""
+"""The integer kernels behind the inline checks, the rank and the graded
+minimizer: the annihilation helper against FreeElem.dot, and Bareiss rank
+and the echelon kernel against Fraction-based eliminations written here."""
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dgcalc.engine import (
     FreeElem,
+    _Echelon,
     _annihilates,
     _bareiss,
     _int_rows,
@@ -59,7 +61,7 @@ def relations(draw):
 @given(relations())
 def test_annihilation_helper_agrees_with_dot(problem):
     rel, rows = problem
-    assert _annihilates(_int_terms(rel), _int_rows(rows)) == rel.dot(rows).is_zero()
+    assert _annihilates(_int_terms(rel), _int_rows(rows)[0]) == rel.dot(rows).is_zero()
 
 
 def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
@@ -70,7 +72,7 @@ def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
     )]
     relations = syzygies(rows)
     assert relations
-    base = _int_rows(rows)
+    base = _int_rows(rows)[0]
     for rel in relations:
         coeffs = _int_terms(rel)
         assert _annihilates(coeffs, base)
@@ -197,3 +199,82 @@ def test_fraction_rank_clears_each_row_of_its_denominators():
     assert fraction_rank(rows[:2]) == 1
     assert fraction_rank(rows) == 2
     assert fraction_rank([FreeElem([parse("2/7*d1*d2 - 1/3", 2)])]) == 1
+
+
+# -- echelon ---------------------------------------------------------------------------
+
+
+KEYS = [(pos, m) for pos in range(3) for m in ((0, 0), (1, 0), (0, 1))]
+
+
+@st.composite
+def vector_sequences(draw):
+    """Rational vectors over a few (pos, monomial) keys: mostly combinations
+    of one to three hidden vectors, so the span stays proper and dependent
+    vectors are common, plus zero vectors and fresh random ones."""
+    keys = draw(st.lists(st.sampled_from(KEYS), min_size=3, max_size=6, unique=True))
+    scalars = st.sampled_from([Fraction(0)] + COEFFS)
+
+    def dense():
+        cs = draw(st.lists(scalars, min_size=len(keys), max_size=len(keys)))
+        return {k: c for k, c in zip(keys, cs) if c}
+
+    hidden = [dense() for _ in range(draw(st.integers(1, 3)))]
+    out = []
+    for _ in range(draw(st.integers(3, 8))):
+        kind = draw(st.sampled_from(("combination", "zero", "fresh")))
+        if kind == "zero":
+            v = {}
+        elif kind == "fresh":
+            v = dense()
+        else:
+            v = {}
+            for w in hidden:
+                c = draw(scalars)
+                for k, x in w.items():
+                    v[k] = v.get(k, 0) + c * x
+            v = {k: x for k, x in v.items() if x}
+        out.append(v)
+    return out
+
+
+def _reduce(pivots, v):
+    """v minus its part in the span of the pivot rows, over Fractions; each
+    pivot row is zero at the earlier pivots, so one pass clears them all."""
+    v = dict(v)
+    for k, row in pivots.items():
+        c = v.get(k, 0)
+        for kk, x in row.items():
+            v[kk] = v.get(kk, 0) - c * x
+    return {k: x for k, x in v.items() if x}
+
+
+def _rank_rises(vectors):
+    """For each vector in turn, whether it raises the rank over Q: Gaussian
+    elimination on Fractions, pivoting on the smallest key.  Also returns
+    the pivot rows, which span the vectors."""
+    pivots = {}
+    out = []
+    for v in vectors:
+        v = _reduce(pivots, v)
+        if v:
+            k = min(v)
+            pivots[k] = {kk: x / v[k] for kk, x in v.items()}
+        out.append(bool(v))
+    return out, pivots
+
+
+@given(vector_sequences())
+def test_echelon_insert_answers_whether_the_rank_rises(vectors):
+    ech = _Echelon()
+    got = []
+    for v in vectors:
+        den = lcm(*(x.denominator for x in v.values()))
+        got.append(ech.insert({k: int(x * den) for k, x in v.items()}))
+    expected, pivots = _rank_rises(vectors)
+    assert got == expected
+    # as many stored rows as the rank, each primitive and in the span
+    assert len(ech.rows) == len(pivots)
+    for row in ech.rows.values():
+        assert gcd(*row.values()) == 1
+        assert not _reduce(pivots, row)
