@@ -1,5 +1,6 @@
 """Module engine: Groebner bases, syzygies, minimization, resolutions."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from random import Random
@@ -356,3 +357,27 @@ def test_resolution_cold_rerun_agrees(clear_engine_caches):
     first = resolve_module(rows).steps
     clear_engine_caches()
     assert resolve_module(rows).steps == first
+
+
+# sha256 of the steps' text, one row per line and steps separated by a blank
+# line: pins the representatives and their (degree, text) order, not just dims
+PINNED_RESOLUTIONS = {
+    ("conformal_killing", 5): (
+        (14, 35, 35, 14, 5),
+        "3fd7cac5b9e39cf7fb3e7488633d395ea92a3761ba88b13840eb0fb5d7bf9238",
+    ),
+    ("killing", 4): (
+        (10, 20, 20, 6),
+        "cf6e13b1204aedbb3b792703e53aa1693945167394eb3394d7eea26fb23ce764",
+    ),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(PINNED_RESOLUTIONS))
+def test_cold_resolution_bytes_are_pinned(name, n, clear_engine_caches):
+    dims, digest = PINNED_RESOLUTIONS[name, n]
+    clear_engine_caches()
+    res = resolve_module(zoo.build(name, n=n).rows())
+    text = "\n\n".join("\n".join(map(str, step)) for step in res.steps)
+    assert res.dims == dims
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
