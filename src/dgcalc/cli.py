@@ -5,8 +5,9 @@ stdout or, with -o, write it to a file and print the path.  Output is
 deterministic: rerunning a command on the same inputs produces identical
 bytes, with the engine caches cold or warm.
 
-Exit codes: 0 success, 2 unreadable input, 3 shape mismatch, 4 degree
-budget exceeded, 5 factorization failed, 1 anything else.
+Exit codes: 0 success, 2 unreadable input, 3 shape mismatch, 4 budget
+exceeded (Groebner degree, torsion witness degree or minimal
+parametrization search size), 5 factorization failed, 1 anything else.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from pathlib import Path
 
 from . import zoo
 from .duality import (
-    SearchBudgetError,
-    TorsionWitnessError,
+    SearchExhaustedError,
     ext_module,
     minimal_parametrization,
     param_test,
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     except (OpFormatError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (TorsionWitnessError, SearchBudgetError) as exc:
+    except SearchExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (KeyError, ValueError, OSError, ZeroDivisionError) as exc:

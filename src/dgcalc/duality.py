@@ -18,10 +18,10 @@ from itertools import combinations
 from math import comb
 
 from .engine import (
+    BudgetExceeded,
     FreeElem,
     _annihilates,
     _int_rows,
-    _int_terms,
     fraction_rank,
     minimize_generators,
     module_equal,
@@ -33,13 +33,18 @@ from .operators import Bundle, LinDiffOp, adjoint, cc
 from .poly import Poly, serialize
 
 
-class TorsionWitnessError(RuntimeError):
+class TorsionWitnessError(BudgetExceeded):
     """No scalar annihilator was found within the degree budget.  A torsion
     residue must have one; failing to exhibit it is an error, never a pass."""
 
 
-class SearchBudgetError(RuntimeError):
+class SearchBudgetError(BudgetExceeded):
     """The subset search for a minimal parametrization is too large."""
+
+
+class SearchExhaustedError(RuntimeError):
+    """Every column subset of the parametrization was tried and none keeps
+    the compatibility conditions: a limit of the method, not a budget."""
 
 
 @dataclass(frozen=True)
@@ -136,10 +141,10 @@ def _annihilator_witness(residue: FreeElem, rows1: list[FreeElem],
     stacked = [residue] + rows1
     candidates: list[Poly] = []
     for s in syzygies(stacked):
-        p = s.entries[0]
+        p = _head(s, 1)
         if p.is_zero():
             continue
-        q = FreeElem([p]).normalized().entries[0]
+        q = p.normalized().entries[0]
         if q.degree() <= max_degree:
             candidates.append(q)
     if not candidates:
@@ -170,8 +175,18 @@ class ExtReport:
 
 
 def _transpose_rows(rows: list[FreeElem]) -> list[FreeElem]:
-    width = rows[0].width
-    return [FreeElem(r.entries[j] for r in rows) for j in range(width)]
+    ints, den = _int_rows(rows)
+    cols: list[dict] = [{} for _ in range(rows[0].width)]
+    for i, r in enumerate(ints):
+        for (pos, m), v in r.items():
+            cols[pos][(i, m)] = v
+    return [FreeElem._make(len(rows), rows[0].nvars, c, 1, den) for c in cols]
+
+
+def _head(s: FreeElem, k: int) -> FreeElem:
+    """The first k coordinates of s."""
+    terms = {t: v for t, v in s.terms.items() if t[0] < k}
+    return FreeElem._make(k, s.nvars, terms, 1, s.den)
 
 
 def _trivial_ext(i: int) -> ExtReport:
@@ -215,7 +230,7 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
         # sanity: the dual complex composes to zero
         nxt, _ = _int_rows(_transpose_rows(mats[i]))
         for r in im:
-            if not _annihilates(_int_terms(r), nxt):
+            if not _annihilates(r.terms, nxt):
                 raise RuntimeError("internal error: dual complex not a complex")
     if im:
         gb_im = reduced_groebner(im)
@@ -227,11 +242,8 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
         return _trivial_ext(i)
     k = len(gens)
     stacked = list(gens) + im
-    raw_rels = [
-        FreeElem(s.entries[:k])
-        for s in syzygies(stacked)
-        if any(not p.is_zero() for p in s.entries[:k])
-    ]
+    heads = (_head(s, k) for s in syzygies(stacked))
+    raw_rels = [h for h in heads if not h.is_zero()]
     rels = minimize_generators(raw_rels)
     rank = k - fraction_rank(rels)
     if is_zero and rank != 0:
@@ -288,6 +300,6 @@ def minimal_parametrization(d1: LinDiffOp, *, report: ParamReport | None = None
         conds = minimize_generators(syzygies(cand.rows()))
         if conds and module_equal(conds, rows1):
             return cand
-    raise SearchBudgetError(
+    raise SearchExhaustedError(
         f"no {rk}-column subset of {dpar.name} keeps the compatibility conditions"
     )

@@ -1,9 +1,12 @@
 """Submodules of free modules over Q[d1..dn]: Groebner bases, syzygies,
 membership, minimal generating sets, ranks and free resolutions.
 
-Free-module elements are tuples of Poly sharing one nvars.  The term order
-is fixed: degrevlex on monomials, position-over-term with lower position
-winning ties (so all comparisons look at the monomial first).  Syzygies are
+Free-module elements (`FreeElem`) are sparse integer term dicts keyed
+(position, monomial) over one positive denominator: the form the Buchberger
+run works in, so results pass between computations without conversion, and
+their Poly entries are a view built on demand.  The term order is fixed:
+degrevlex on monomials, position-over-term with lower position winning ties
+(so all comparisons look at the monomial first).  Syzygies are
 computed by running Buchberger on rows augmented with unit tracking columns
 under a block order that makes every genuine term beat every tracking term;
 elements whose genuine block dies yield syzygy generators.
@@ -28,11 +31,11 @@ from typing import Iterable, Sequence
 from .poly import (
     Monomial,
     Poly,
+    format_terms,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
-    poly_vector_str,
 )
 
 BUDGET_ENV = "DGCALC_BUDGET_DEGREE"
@@ -40,11 +43,13 @@ DEFAULT_BUDGET = 12
 
 
 class BudgetExceeded(RuntimeError):
-    """A Groebner run needed an S-pair above the degree budget.
+    """A computation needed more than its budget allows.
 
-    Raise instead of silently truncating: a partial basis is not a basis.
-    The budget is controlled by the DGCALC_BUDGET_DEGREE environment
-    variable (default 12).
+    Raised here when a Groebner run needs an S-pair above the degree budget,
+    instead of silently truncating: a partial basis is not a basis.  That
+    budget is controlled by the DGCALC_BUDGET_DEGREE environment variable
+    (default 12).  `duality` raises subclasses for its own caps; the CLI
+    exits 4 on all of them.
     """
 
 
@@ -65,94 +70,6 @@ def _budget() -> int:
 # -- free module elements ----------------------------------------------------
 
 
-class FreeElem:
-    """An element of the free module D^(1 x width), D = Q[d1..dn]."""
-
-    __slots__ = ("entries", "_hash")
-
-    def __init__(self, entries: Iterable[Poly]):
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("free module elements need positive width")
-        nv = entries[0].nvars
-        for p in entries:
-            if p.nvars != nv:
-                raise ValueError("mixed nvars inside one element")
-        self.entries = entries
-        self._hash: int | None = None
-
-    @staticmethod
-    def from_strs(nvars: int, texts: Sequence[str]) -> "FreeElem":
-        from .poly import parse
-
-        return FreeElem(parse(t, nvars) for t in texts)
-
-    @property
-    def width(self) -> int:
-        return len(self.entries)
-
-    @property
-    def nvars(self) -> int:
-        return self.entries[0].nvars
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.entries)
-
-    def degree(self) -> int:
-        return max(p.degree() for p in self.entries)
-
-    def is_homogeneous(self) -> bool:
-        """All nonzero entries homogeneous of one common total degree."""
-        degs = set()
-        for p in self.entries:
-            if p.is_zero():
-                continue
-            if not p.is_homogeneous():
-                return False
-            degs.add(p.degree())
-        return len(degs) <= 1
-
-    def normalized(self) -> "FreeElem":
-        """Scale to primitive integer coefficients with positive leading
-        coefficient in the module order.  Canonical up to nothing: equal
-        elements up to a rational factor normalize identically."""
-        ints = _int_terms(self)
-        if not ints:
-            return self
-        ints = _content_normalize(ints, _term_key_plain)
-        return _int_to_elem(ints, self.width, self.nvars)
-
-    def dot(self, rows: Sequence["FreeElem"]) -> "FreeElem":
-        """Row-vector times matrix: sum_i entries[i] * rows[i]."""
-        if len(rows) != self.width:
-            raise ValueError("dot width mismatch")
-        width = rows[0].width
-        out = [Poly.zero(self.nvars) for _ in range(width)]
-        for c, row in zip(self.entries, rows):
-            if c.is_zero():
-                continue
-            for j, q in enumerate(row.entries):
-                if not q.is_zero():
-                    out[j] = out[j] + c * q
-        return FreeElem(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FreeElem):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.entries)
-        return self._hash
-
-    def __str__(self) -> str:
-        return poly_vector_str(self.entries)
-
-    def __repr__(self) -> str:
-        return f"FreeElem{self}"
-
-
 Term = tuple[int, Monomial]  # (position, monomial)
 
 _MKEY_CACHE: dict[Monomial, tuple] = {}
@@ -170,31 +87,190 @@ def _term_key_plain(t: Term) -> tuple:
     return (_mkey(t[1]), -t[0])
 
 
+class FreeElem:
+    """An element of the free module D^(1 x width), D = Q[d1..dn].
+
+    Stored sparsely in the engine's own form: the element is `terms / den`,
+    where `terms` maps (position, monomial) to a nonzero int.  The form is
+    canonical: den > 0 and gcd(content(terms), den) == 1, and zero is
+    ({}, 1), so equality and hashing compare the exact rational entries
+    without building any Fraction.  Do not mutate `terms`.
+
+    `FreeElem(entries)` builds an element from Polys, clearing their
+    denominators once.  `entries`, the tuple of width Polys, is a view: the
+    Polys handed to that constructor, or else built on first use and cached.
+    """
+
+    __slots__ = ("width", "nvars", "terms", "den", "_entries", "_str", "_hash")
+
+    def __init__(self, entries: Iterable[Poly]):
+        entries = tuple(entries)
+        if not entries:
+            raise ValueError("free module elements need positive width")
+        nv = entries[0].nvars
+        den = 1
+        for p in entries:
+            if p.nvars != nv:
+                raise ValueError("mixed nvars inside one element")
+            for c in p.terms.values():
+                if c.denominator != 1:
+                    den = math.lcm(den, c.denominator)
+        # the lcm of reduced denominators leaves no common factor with the
+        # numerators it produces, so this is already canonical
+        self.terms: dict[Term, int] = {
+            (pos, m): c.numerator * (den // c.denominator)
+            for pos, p in enumerate(entries)
+            for m, c in p.terms.items()
+        }
+        self.width = len(entries)
+        self.nvars = nv
+        self.den = den
+        self._entries: tuple[Poly, ...] | None = entries
+        self._str: str | None = None
+        self._hash: int | None = None
+
+    @classmethod
+    def _make(
+        cls, width: int, nvars: int, terms: dict[Term, int], num: int = 1, den: int = 1
+    ) -> "FreeElem":
+        """Trusted constructor: the element terms * num / den, brought to
+        canonical form.  The caller guarantees 0 <= pos < width, monomials
+        of arity nvars, nonzero int values, num != 0 and den > 0, and hands
+        `terms` over: it is kept when no rescaling is needed."""
+        if terms:
+            # terms * num/den == (terms/g) * a/b with content(terms/g) == 1
+            g = math.gcd(*terms.values())
+            a, b = g * num, den
+            c = math.gcd(a, b)
+            a, b = a // c, b // c
+            if a != g:
+                terms = {t: v // g * a for t, v in terms.items()}
+        else:
+            b = 1
+        e = object.__new__(cls)
+        e.width = width
+        e.nvars = nvars
+        e.terms = terms
+        e.den = b
+        e._entries = None
+        e._str = None
+        e._hash = None
+        return e
+
+    @staticmethod
+    def from_strs(nvars: int, texts: Sequence[str]) -> "FreeElem":
+        from .poly import parse
+
+        return FreeElem(parse(t, nvars) for t in texts)
+
+    @property
+    def entries(self) -> tuple[Poly, ...]:
+        if self._entries is None:
+            cols: list[dict[Monomial, Fraction]] = [{} for _ in range(self.width)]
+            den = self.den
+            for (pos, m), v in self.terms.items():
+                cols[pos][m] = Fraction(v, den)
+            self._entries = tuple(Poly._make(self.nvars, col) for col in cols)
+        return self._entries
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """Largest total degree of a term; -1 for zero."""
+        return max((sum(m) for _, m in self.terms), default=-1)
+
+    def is_homogeneous(self) -> bool:
+        """All nonzero entries homogeneous of one common total degree."""
+        return len({sum(m) for _, m in self.terms}) <= 1
+
+    def normalized(self) -> "FreeElem":
+        """Scale to primitive integer coefficients with positive leading
+        coefficient in the module order.  Canonical up to nothing: equal
+        elements up to a rational factor normalize identically."""
+        terms = self.terms
+        if not terms:
+            return self
+        g = math.gcd(*terms.values())
+        if terms[max(terms, key=_term_key_plain)] < 0:
+            g = -g
+        if g == 1 and self.den == 1:
+            return self
+        return FreeElem._make(self.width, self.nvars, {t: v // g for t, v in terms.items()})
+
+    def dot(self, rows: Sequence["FreeElem"]) -> "FreeElem":
+        """Row-vector times matrix: sum_i entries[i] * rows[i]."""
+        if len(rows) != self.width:
+            raise ValueError("dot width mismatch")
+        nvars = self.nvars
+        if any(r.nvars != nvars for r in rows):
+            raise ValueError("mixed nvars in dot")
+        # every row over one common denominator, so the sum stays in ints
+        den = math.lcm(*(r.den for r in rows))
+        acc: dict[Term, int] = {}
+        get = acc.get
+        for (i, m), c in self.terms.items():
+            row = rows[i]
+            c *= den // row.den
+            for (pos, mm), v in row.terms.items():
+                k = (pos, tuple(map(add, m, mm)))
+                acc[k] = get(k, 0) + c * v
+        acc = {k: v for k, v in acc.items() if v}
+        return FreeElem._make(rows[0].width, nvars, acc, 1, self.den * den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FreeElem):
+            return NotImplemented
+        return (
+            self.width == other.width
+            and self.nvars == other.nvars
+            and self.den == other.den
+            and self.terms == other.terms
+        )
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(
+                (self.width, self.nvars, self.den, frozenset(self.terms.items()))
+            )
+        return self._hash
+
+    def __str__(self) -> str:
+        """The entries' canonical text, as `poly_vector_str(entries)`."""
+        if self._str is None:
+            cols: list[list[tuple[tuple, Monomial, int]]] = [[] for _ in range(self.width)]
+            for (pos, m), v in self.terms.items():
+                cols[pos].append((_mkey(m), m, v))
+            den = self.den
+            parts = []
+            for col in cols:
+                if not col:
+                    parts.append("0")
+                    continue
+                col.sort(reverse=True)
+                items = []
+                for _, m, v in col:
+                    g = math.gcd(v, den)
+                    items.append((m, v // g, den // g))
+                parts.append(format_terms(items))
+            self._str = "(" + ", ".join(parts) + ")"
+        return self._str
+
+    def __repr__(self) -> str:
+        return f"FreeElem{self}"
+
+
 def _int_rows(elems: Sequence[FreeElem]) -> tuple[list[dict[Term, int]], int]:
     """The rows' terms times one common denominator, returned with it, so
     the relations among these integer rows are exactly the relations among
-    the given rows."""
-    den = 1
-    for e in elems:
-        for p in e.entries:
-            for c in p.terms.values():
-                d = c.denominator
-                if d != 1:
-                    den = den * d // math.gcd(den, d)
+    the given rows.  A row already over that denominator is the element's
+    own dict: callers that mutate a row copy it first."""
+    den = math.lcm(*(e.den for e in elems))
     rows = [
-        {
-            (pos, m): c.numerator * (den // c.denominator)
-            for pos, p in enumerate(e.entries)
-            for m, c in p.terms.items()
-        }
+        e.terms if e.den == den else {t: v * (den // e.den) for t, v in e.terms.items()}
         for e in elems
     ]
     return rows, den
-
-
-def _int_terms(e: FreeElem) -> dict[Term, int]:
-    """The element's terms with denominators cleared: a nonzero multiple."""
-    return _int_rows((e,))[0][0]
 
 
 def _annihilates(coeffs: dict[Term, int], rows: Sequence[dict[Term, int]]) -> bool:
@@ -211,23 +287,10 @@ def _annihilates(coeffs: dict[Term, int], rows: Sequence[dict[Term, int]]) -> bo
     return not any(acc.values())
 
 
-def _int_to_elem(
-    ints: dict[Term, int], width: int, nvars: int, scale: Fraction = Fraction(1)
-) -> FreeElem:
-    """The element with the given integer terms times `scale`."""
-    num, den = scale.numerator, scale.denominator
-    cols: list[dict[Monomial, Fraction]] = [dict() for _ in range(width)]
-    for (pos, m), c in ints.items():
-        cols[pos][m] = Fraction(c * num, den)
-    return FreeElem(Poly._make(nvars, col) for col in cols)
-
-
 def _content_normalize(h: dict[Term, int], key) -> dict[Term, int]:
     """h divided by its integer content, with the sign that makes the
     leading coefficient under `key` positive."""
-    g = 0
-    for v in h.values():
-        g = math.gcd(g, v)
+    g = math.gcd(*h.values())
     if g > 1:
         h = {t: v // g for t, v in h.items()}
     if h[max(h, key=key)] < 0:
@@ -279,7 +342,7 @@ class _Reducer:
     ) -> tuple[dict[Term, int], Fraction]:
         """Pseudo-reduce every reducible term except `keep`.  Returns
         (remainder, scale) with remainder == scale * input  -  combination
-        of basis elements."""
+        of basis elements, and scale > 0."""
         scale = Fraction(1)
         if not h:
             return h, scale
@@ -482,6 +545,7 @@ def _tracking_run(elems: Sequence[FreeElem], prune: bool = True) -> _Run:
     for i, ints in enumerate(rows):
         # tracking column scaled identically, so relations hold for the
         # rows exactly as given, not for rescaled ones
+        ints = dict(ints)
         ints[(width + i, (0,) * nvars)] = den
         run.process(ints)
     run.run()
@@ -496,7 +560,9 @@ class GroebnerBasis:
 
     Generators are monic, mutually reduced, and sorted by leading position
     then leading monomial; this basis is unique for the module, so equality
-    of bases is equality of modules.
+    of bases is equality of modules.  The reducer divides by the
+    generators' own integer terms, which differ from them by a positive
+    scalar.
     """
 
     def __init__(self, width: int, nvars: int, generators: tuple[FreeElem, ...]):
@@ -505,16 +571,20 @@ class GroebnerBasis:
         self.generators = generators
         self._reducer = _Reducer(width)
         for g in generators:
-            self._reducer.add(_int_terms(g))
+            self._reducer.add(g.terms)
 
     def normal_form(self, elem: FreeElem) -> FreeElem:
         if elem.width != self.width:
             raise ValueError("element width does not match basis width")
-        (ints,), den = _int_rows((elem,))
-        if not ints:
+        if elem.is_zero():
             return elem
-        h, scale = self._reducer.reduce_full(ints)
-        return _int_to_elem(h, self.width, self.nvars, 1 / (scale * den))
+        h, scale = self._reducer.reduce_full(dict(elem.terms))
+        # h == scale * elem.terms - (a module element): the normal form is
+        # h / (scale * elem.den)
+        scale *= elem.den
+        return FreeElem._make(
+            self.width, self.nvars, h, scale.denominator, scale.numerator
+        )
 
     def contains(self, elem: FreeElem) -> bool:
         return self.normal_form(elem).is_zero()
@@ -544,7 +614,8 @@ _TRACK_CACHE: dict[tuple, _Reducer] = {}
 def clear_caches() -> None:
     """Empty the module caches of Groebner bases, syzygies, minimal
     generating sets, tracking bases and monomial sort keys, so the next
-    call recomputes."""
+    call recomputes.  The zoo constructors' and the report's
+    `functools.lru_cache`s are not cleared here."""
     for cache in (_GB_CACHE, _SYZ_CACHE, _MIN_CACHE, _TRACK_CACHE, _MKEY_CACHE):
         cache.clear()
 
@@ -571,13 +642,15 @@ def reduced_groebner(rows: Sequence) -> GroebnerBasis:
         return hit
     run = _Run(width, width, _budget())
     for ints in _int_rows(elems)[0]:
-        run.process(ints)
+        run.process(dict(ints))
     run.run()
     red = run.red
-    gens = []
-    for h in red.interreduced_basis():
-        gens.append(_int_to_elem(h, width, nvars, Fraction(1, h[red._lt(h)])))
-    gb = GroebnerBasis(width, nvars, tuple(gens))
+    # each h is primitive with a positive lead, so h / lead is canonical
+    gens = tuple(
+        FreeElem._make(width, nvars, h, 1, h[red._lt(h)])
+        for h in red.interreduced_basis()
+    )
+    gb = GroebnerBasis(width, nvars, gens)
     _GB_CACHE[key] = gb
     return gb
 
@@ -622,7 +695,7 @@ def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
         shifted = {(pos - width, m): c for (pos, m), c in h.items()}
         if not _annihilates(shifted, int_rows):
             raise RuntimeError("internal error: harvested relation fails to annihilate")
-        out.append(_int_to_elem(shifted, k, nvars))
+        out.append(FreeElem._make(k, nvars, shifted))
     _SYZ_CACHE[key] = tuple(out)
     return out
 
@@ -738,13 +811,12 @@ def _minimize_homogeneous(
         ech = _Echelon()
         # kept generators are all of strictly lower degree by construction
         for g in kept + [b for b in base if b.degree() <= d]:
-            terms = _int_terms(g)
             for m in _monomials_of_degree(nvars, d - g.degree()):
-                ech.insert(_shift_terms(terms, m))
+                ech.insert(_shift_terms(g.terms, m))
         # within one degree the coefficients are scalars, so leave-one-out
         # in block order drops an element exactly when it lies in the seed
         # plus the later elements of its block: one reverse pass decides it
-        alive = [e for e in reversed(by_deg[d]) if ech.insert(_int_terms(e))]
+        alive = [e for e in reversed(by_deg[d]) if ech.insert(e.terms)]
         kept.extend(reversed(alive))
     return kept
 
@@ -763,17 +835,25 @@ def divide_with_cofactors(
     if elem.width != width:
         raise ValueError("element width does not match generator width")
     red = _tracking_gb(tuple(elems))
-    (ints,), den = _int_rows((elem,))
-    if not ints:
+    if elem.is_zero():
         return tuple(Poly.zero(nvars) for _ in range(k)), elem
-    # h == scale * den * elem - sum_i q_i * gens_i, with -q_i in column width + i
-    h, scale = red.reduce_full(ints)
-    both = _int_to_elem(h, width + k, nvars, 1 / (scale * den))
-    remainder = FreeElem(both.entries[:width])
-    quot = tuple(-q for q in both.entries[width:])
+    # h == scale * elem.terms - sum_i q_i * gens_i, with -q_i in column
+    # width + i; dividing by scale * elem.den gives the remainder and -q_i
+    h, scale = red.reduce_full(dict(elem.terms))
+    scale *= elem.den
+    num, den = scale.denominator, scale.numerator
+    rem_terms: dict[Term, int] = {}
+    quot_terms: list[dict[Monomial, Fraction]] = [{} for _ in range(k)]
+    for (pos, m), v in h.items():
+        if pos < width:
+            rem_terms[(pos, m)] = v
+        else:
+            quot_terms[pos - width][m] = Fraction(-v * num, den)
+    remainder = FreeElem._make(width, nvars, rem_terms, num, den)
+    quot = tuple(Poly._make(nvars, q) for q in quot_terms)
     # quot . gens + remainder - elem == 0, as one relation on the stacked rows
     identity = FreeElem(quot + (Poly.const(nvars, 1), Poly.const(nvars, -1)))
-    if not _annihilates(_int_terms(identity), _int_rows(elems + [remainder, elem])[0]):
+    if not _annihilates(identity.terms, _int_rows(elems + [remainder, elem])[0]):
         raise RuntimeError("internal error: division identity failed")
     return quot, remainder
 
@@ -895,7 +975,7 @@ def fraction_rank(rows: Sequence) -> int:
     m: list[list[ZPoly]] = []
     for e in elems:
         row: list[ZPoly] = [{} for _ in range(e.width)]
-        for (pos, mono), c in _int_terms(e).items():
+        for (pos, mono), c in e.terms.items():
             row[pos][mono] = c
         m.append(row)
     return _bareiss(m, elems[0].nvars)[0]
@@ -954,7 +1034,7 @@ def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolutio
             break
         int_rows, _ = _int_rows(current)
         for s in syz:
-            if not _annihilates(_int_terms(s), int_rows):
+            if not _annihilates(s.terms, int_rows):
                 raise RuntimeError("internal error: resolution step does not compose to zero")
         steps.append(tuple(syz))
         current = syz

@@ -42,6 +42,12 @@ class OpFormatError(ValueError):
     """Malformed operator file or dict."""
 
 
+# Documents name at most this many variables, far above every zoo operator;
+# each monomial is an exponent tuple of length nvars, so an unbounded count
+# would make every term cost memory and time in proportion to it.
+MAX_NVARS = 64
+
+
 class Bundle:
     """A named list of components with positive rational weights.
 
@@ -253,8 +259,8 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
         if not rem.is_zero():
             raise NotFactorable(i, rem)
         qrows.append(list(q))
-    # row by row through Poly arithmetic, independent of the integer check
-    # inside divide_with_cofactors
+    # row by row through FreeElem.dot, a product computed apart from the
+    # annihilation check inside divide_with_cofactors
     if any(FreeElem(q).dot(brows) != row for q, row in zip(qrows, arows)):
         raise RuntimeError("internal error: factorization identity failed")
     return LinDiffOp(
@@ -324,8 +330,11 @@ def operator_from_dict(d: dict) -> LinDiffOp:
         if key not in d:
             raise OpFormatError(f"missing field {key!r}")
     nvars = d["nvars"]
-    if not isinstance(nvars, int) or nvars < 1:
-        raise OpFormatError(f"bad nvars: {nvars!r}")
+    # bool is an int subclass, but true/false is no variable count
+    if isinstance(nvars, bool) or not isinstance(nvars, int) or not 1 <= nvars <= MAX_NVARS:
+        raise OpFormatError(
+            f"bad nvars: {nvars!r} (expected an integer from 1 to {MAX_NVARS})"
+        )
     source = bundle_from_dict(d["source"])
     target = bundle_from_dict(d["target"])
     mat = d["matrix"]

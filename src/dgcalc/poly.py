@@ -318,30 +318,36 @@ def apply_as_derivative(op: Poly, section: Poly) -> Poly:
 # -- canonical text form -----------------------------------------------------
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c)  # Fraction prints p/q or p, already normalized
-
-
 def serialize(p: Poly) -> str:
     """Canonical form: terms in decreasing degrevlex order, ' + '/' - '
     separators, '*' between coefficient and symbols, no redundant '1*'."""
     if p.is_zero():
         return "0"
+    return format_terms((m, c.numerator, c.denominator) for m, c in p.items_sorted())
+
+
+def format_terms(items: Iterable[tuple[Monomial, int, int]]) -> str:
+    """The canonical text of a nonzero polynomial given as (monomial,
+    numerator, denominator) triples in decreasing degrevlex order, each
+    coefficient nonzero and in lowest terms with a positive denominator;
+    `serialize` is this on a Poly's terms."""
     chunks: list[str] = []
-    for idx, (m, c) in enumerate(p.items_sorted()):
-        neg = c < 0
-        a = -c if neg else c
+    for m, num, den in items:
+        neg = num < 0
+        a = -num if neg else num
+        # Fraction prints p/q, or p when q is 1
+        coeff = str(a) if den == 1 else f"{a}/{den}"
         ms = mono_str(m)
         if not ms:
-            body = _coeff_str(a)
-        elif a == 1:
+            body = coeff
+        elif a == 1 and den == 1:
             body = ms
         else:
-            body = f"{_coeff_str(a)}*{ms}"
-        if idx == 0:
-            chunks.append(f"-{body}" if neg else body)
-        else:
+            body = f"{coeff}*{ms}"
+        if chunks:
             chunks.append(f"- {body}" if neg else f"+ {body}")
+        else:
+            chunks.append(f"-{body}" if neg else body)
     return " ".join(chunks)
 
 

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from dgcalc import cli, zoo
-from dgcalc.operators import compose, operator_from_dict, save_operator
+from dgcalc import cli, duality, zoo
+from dgcalc.operators import MAX_NVARS, compose, operator_from_dict, save_operator
 
 
 @pytest.fixture
@@ -180,6 +180,50 @@ def test_budget_exhaustion_exits_4(capsys, ops_dir, monkeypatch):
     code, _, err = run(capsys, "resolve", str(ops_dir / "killing_e2.json"))
     assert code == 4
     assert err
+
+
+@pytest.mark.parametrize("nvars", [True, MAX_NVARS + 1, 1_000_000])
+def test_boolean_or_huge_nvars_exits_2(capsys, ops_dir, tmp_path, nvars):
+    doc = json.loads((ops_dir / "grad3.json").read_text())
+    doc["nvars"] = nvars
+    path = tmp_path / "nvars.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "adjoint", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad nvars")
+
+
+def test_torsion_witness_budget_exits_4(capsys, tmp_path):
+    # D/(d1^7) is all torsion, and its least annihilator has degree 7 > 6
+    doc = {"nvars": 1, "source": {"components": [{"label": "u", "weight": 1}]},
+           "target": {"components": [{"label": "f", "weight": 1}]},
+           "matrix": [["d1^7"]]}
+    path = tmp_path / "d1_7.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "paramtest", str(path))
+    assert code == 4
+    assert out == ""
+    assert err == "error: no annihilator of degree <= 6 for (1)\n"
+
+
+def test_minparam_search_cap_exits_4(capsys, ops_dir, monkeypatch):
+    # div3 needs 2 of its 3 potentials: 3 subsets to search
+    monkeypatch.setattr(duality, "SEARCH_CAP", 2)
+    code, out, err = run(capsys, "minparam", str(ops_dir / "div3.json"))
+    assert code == 4
+    assert out == ""
+    assert err == "error: searching 3 column subsets exceeds the cap 2\n"
+
+
+def test_minparam_exhausted_search_exits_1(capsys, ops_dir, monkeypatch):
+    # an empty search space: no subset can keep the conditions
+    monkeypatch.setattr(duality, "combinations", lambda *args: iter(()))
+    code, out, err = run(capsys, "minparam", str(ops_dir / "div3.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no 2-column subset of ")
+    assert err.endswith(" keeps the compatibility conditions\n")
 
 
 def test_malformed_budget_is_rejected(capsys, ops_dir, monkeypatch):

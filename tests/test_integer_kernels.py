@@ -15,7 +15,6 @@ from dgcalc.engine import (
     _annihilates,
     _bareiss,
     _int_rows,
-    _int_terms,
     _zpoly_div_exact,
     fraction_rank,
     syzygies,
@@ -61,7 +60,7 @@ def relations(draw):
 @given(relations())
 def test_annihilation_helper_agrees_with_dot(problem):
     rel, rows = problem
-    assert _annihilates(_int_terms(rel), _int_rows(rows)[0]) == rel.dot(rows).is_zero()
+    assert _annihilates(rel.terms, _int_rows(rows)[0]) == rel.dot(rows).is_zero()
 
 
 def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
@@ -74,7 +73,7 @@ def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
     assert relations
     base = _int_rows(rows)[0]
     for rel in relations:
-        coeffs = _int_terms(rel)
+        coeffs = dict(rel.terms)
         assert _annihilates(coeffs, base)
         for key in coeffs:
             changed = dict(coeffs)
