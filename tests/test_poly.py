@@ -150,6 +150,36 @@ def test_parse_errors_carry_position(bad, pos):
     assert exc.value.position == pos
 
 
+@pytest.mark.parametrize("bad, message, pos", [
+    ("1/0", "zero denominator", 0),
+    ("2*d1 + 3/0*d2", "zero denominator", 7),
+    ("d1^1/2", "exponent must be a nonnegative integer", 3),
+    ("d1^-1", "exponent must be a nonnegative integer", 3),
+    ("d1 ^ d2", "exponent must be a nonnegative integer", 5),
+    ("d1^", "unexpected end of input", 3),
+    ("d1^2^3", "trailing input '^'", 4),
+    ("d1)", "trailing input ')'", 2),
+    ("(d1", "unexpected end of input", 3),
+    ("(d1 d2)", "expected ')'", 4),
+    ("d1 d2", "trailing input 'd2'", 3),
+    ("x1", "unexpected character 'x'", 0),
+    ("d1 $", "unexpected character '$'", 3),
+    ("", "unexpected end of input", 0),
+    ("  ", "unexpected end of input", 2),
+    ("-", "unexpected end of input", 1),
+    ("2*", "unexpected end of input", 2),
+    ("d1 + * d2", "unexpected token '*'", 5),
+    ("((d1+d2)*(d1 - d4))", "variable d4 out of range for nvars=3", 15),
+    pytest.param("(" * 101 + "d1" + ")" * 101, "parentheses nested deeper than 100",
+                 100, id="101-nested-parentheses"),
+])
+def test_parse_error_messages_and_positions(bad, message, pos):
+    with pytest.raises(ParseError) as exc:
+        parse(bad, 3)
+    assert str(exc.value) == f"{message} (at position {pos})"
+    assert exc.value.position == pos
+
+
 def test_parse_limits_parenthesis_nesting():
     assert parse("(" * 100 + "d1" + ")" * 100, 3) == parse("d1", 3)
     with pytest.raises(ParseError) as exc:

@@ -75,3 +75,67 @@ def test_arithmetic_results_hold_nonzero_fractions_of_full_arity(polys, c):
     for res in results:
         assert res.nvars == n
         assert _well_formed(res)
+
+
+# -- parse against Poly arithmetic on random expression trees -----------------
+
+SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def expressions(draw, depth=0):
+    """(text, Poly) for a random expression over d1..d3: sums and
+    differences of products of factors, each factor carrying unary signs and
+    ^0..^4 on an integer, a rational p/q, a symbol or a parenthesized group."""
+    n = 3
+
+    def factor():
+        kinds = ["int", "frac", "var"] + (["group"] if depth < 2 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "int":
+            k = draw(st.integers(0, 12))
+            text, value = str(k), Poly.const(n, k)
+        elif kind == "frac":
+            p, q = draw(st.integers(0, 12)), draw(st.integers(1, 6))
+            text, value = f"{p}/{q}", Poly.const(n, Fraction(p, q))
+        elif kind == "var":
+            i = draw(st.integers(1, n))
+            text, value = f"d{i}", Poly.var(n, i)
+        else:
+            inner, inner_value = draw(expressions(depth + 1))
+            text = "(" + draw(SPACE) + inner + draw(SPACE) + ")"
+            value = inner_value
+        if draw(st.booleans()):
+            k = draw(st.integers(0, 4))
+            text += draw(SPACE) + "^" + draw(SPACE) + str(k)
+            value = value ** k
+        signs = draw(st.lists(st.sampled_from("+-"), max_size=2))
+        for s in reversed(signs):
+            text = s + draw(SPACE) + text
+            if s == "-":
+                value = -value
+        return text, value
+
+    def term():
+        text, value = factor()
+        for _ in range(draw(st.integers(0, 2))):
+            t, v = factor()
+            text += draw(SPACE) + "*" + draw(SPACE) + t
+            value = value * v
+        return text, value
+
+    text, value = term()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from("+-"))
+        t, v = term()
+        text += draw(SPACE) + op + draw(SPACE) + t
+        value = value + v if op == "+" else value - v
+    return draw(SPACE) + text + draw(SPACE), value
+
+
+@given(expressions())
+def test_parse_agrees_with_poly_arithmetic(expr):
+    text, value = expr
+    p = parse(text, 3)
+    assert p == value
+    assert _well_formed(p)
