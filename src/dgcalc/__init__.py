@@ -6,6 +6,8 @@ minimal parametrizations and Ext invariants, all with exact rational
 arithmetic, plus a zoo of classical operators to exercise them on.
 """
 
+from importlib import import_module as _import_module
+
 from .poly import Poly, ParseError, parse, serialize
 from .engine import (
     FreeElem,
@@ -43,20 +45,44 @@ from .operators import (
     save_operator,
     load_operator,
 )
-from .duality import (
-    ParamReport,
-    TorsionGenerator,
-    TorsionWitnessError,
-    ExtReport,
-    SearchBudgetError,
-    SearchExhaustedError,
-    param_test,
-    ext_module,
-    minimal_parametrization,
-)
-from . import zoo
 
 __version__ = "0.1.0"
+
+# The upper layers load on first use (PEP 562 module __getattr__), so
+# `import dgcalc` and the CLI commands that run only the core skip them.
+_LAZY_MODULES = ("duality", "zoo", "report", "cli")
+_LAZY_NAMES = dict.fromkeys(
+    (
+        "ParamReport",
+        "TorsionGenerator",
+        "TorsionWitnessError",
+        "ExtReport",
+        "SearchBudgetError",
+        "SearchExhaustedError",
+        "param_test",
+        "ext_module",
+        "minimal_parametrization",
+    ),
+    "duality",
+)
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        # the import binds the submodule here, so this runs once per module
+        return _import_module(f"{__name__}.{name}")
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # read from the defining module on every lookup and never stored here,
+    # so a name rebound there, by a monkeypatch or by instrumentation, is
+    # what callers get
+    return getattr(_import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_LAZY_MODULES))
+
 
 __all__ = [
     "Poly",

@@ -18,13 +18,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import zoo
-from .duality import (
-    SearchExhaustedError,
-    ext_module,
-    minimal_parametrization,
-    param_test,
-)
 from .engine import BudgetExceeded, fraction_rank, resolve_module
 from .operators import (
     NotFactorable,
@@ -38,12 +31,18 @@ from .operators import (
     operator_json,
 )
 from .poly import ParseError, serialize
-from .report import format_rows, rows_to_json, run_report
+
+# zoo, duality and report are imported by the handlers that run them, so
+# the other commands start without loading them.
 
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
 EXIT_BUDGET = 4
 EXIT_FACTOR = 5
+
+# sorted(zoo.METRICS), spelled out so building the parser does not import
+# zoo; a test keeps the two equal
+_METRIC_CHOICES = ("euclidean", "minkowski")
 
 
 def _target_path(out: str, stem: str) -> Path:
@@ -137,6 +136,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_paramtest(args) -> int:
+    from .duality import param_test
+
     op = load_operator(args.operator)
     rep = param_test(op)
     payload = {
@@ -167,12 +168,21 @@ def _cmd_paramtest(args) -> int:
 
 
 def _cmd_minparam(args) -> int:
+    from .duality import SearchExhaustedError, minimal_parametrization
+
     op = load_operator(args.operator)
-    _emit_operator(minimal_parametrization(op), args.output)
+    try:
+        par = minimal_parametrization(op)
+    except SearchExhaustedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    _emit_operator(par, args.output)
     return 0
 
 
 def _cmd_ext(args) -> int:
+    from .duality import ext_module
+
     op = load_operator(args.operator)
     rep = ext_module(op, args.index)
     payload = {
@@ -199,6 +209,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
+    from . import zoo
+
     if args.name is None:
         width = max(len(k) for k in zoo.ZOO)
         for key in sorted(zoo.ZOO):
@@ -230,6 +242,8 @@ def _cmd_zoo(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .report import format_rows, rows_to_json, run_report
+
     rows = run_report(only=args.only)
     if args.output is not None:
         path = Path(args.output)
@@ -331,7 +345,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--metric", choices=sorted(zoo.METRICS),
+    p.add_argument("--metric", choices=_METRIC_CHOICES,
                    default="euclidean")
     p.add_argument("--lam", default="1",
                    help="first elastic modulus (rational, e.g. 3/2)")
@@ -372,9 +386,6 @@ def main(argv=None) -> int:
     except (OpFormatError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SearchExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (KeyError, ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

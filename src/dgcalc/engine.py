@@ -22,11 +22,11 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .poly import (
     Monomial,
@@ -394,8 +394,8 @@ class _Reducer:
         return h, scale
 
     def _negkey(self, t: Term) -> tuple:
-        deg, rev = _mkey(t[1])
-        return (t[0] >= self.split, -deg, tuple(-x for x in rev), t[0])
+        m = t[1]
+        return (t[0] >= self.split, -sum(m), m[::-1], t[0])
 
     def interreduced_basis(self) -> list[dict[Term, int]]:
         """The content-normalized reduced Groebner basis of the stored
@@ -613,11 +613,17 @@ _TRACK_CACHE: dict[tuple, _Reducer] = {}
 
 def clear_caches() -> None:
     """Empty the module caches of Groebner bases, syzygies, minimal
-    generating sets, tracking bases and monomial sort keys, so the next
-    call recomputes.  The zoo constructors' and the report's
-    `functools.lru_cache`s are not cleared here."""
+    generating sets, tracking bases and monomial sort keys, and the
+    `functools.lru_cache`s of the zoo constructors and the report, so the
+    next call recomputes.  The zoo and the report are cleared only when
+    they are already imported; this never imports them."""
     for cache in (_GB_CACHE, _SYZ_CACHE, _MIN_CACHE, _TRACK_CACHE, _MKEY_CACHE):
         cache.clear()
+    for name in ("dgcalc.zoo", "dgcalc.report"):
+        module = sys.modules.get(name)
+        if module is not None:
+            for fn in module._LRU_CACHES:
+                fn.cache_clear()
 
 
 def _as_elems(rows: Sequence) -> list[FreeElem]:
@@ -984,8 +990,7 @@ def fraction_rank(rows: Sequence) -> int:
 # -- resolutions -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """A chain of matrices over D with each step the minimized relations of
     the previous one.  steps[0] is the presentation as handed in; the module
     being resolved lives in D^(1 x source_width)."""

@@ -13,7 +13,6 @@ equality compares structure (nvars, component labels and weights, matrix).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence

@@ -356,7 +356,7 @@ _TOKEN = re.compile(
 )
 
 
-# Each parenthesis costs four parser frames, so this stays far below
+# Each parenthesis costs two parser frames, so this stays far below
 # Python's default recursion limit of 1000 wherever the parser is called.
 _MAX_NESTING = 100
 
@@ -412,72 +412,102 @@ class _Parser:
         return p
 
     def expr(self) -> Poly:
-        p = self.term()
+        """The terms summed into one dict.  A coefficient that cancels to
+        zero leaves the dict, so the terms keep the order that adding the
+        terms one by one with `Poly.__add__` gives them."""
+        acc: dict[Monomial, int | Fraction] = {}
+        get = acc.get
+        sign = 1
         while True:
+            coeff, exps, group = self.term()
+            if coeff:
+                if sign < 0:
+                    coeff = -coeff
+                if group is None:
+                    items = ((tuple(exps), coeff),)
+                else:
+                    items = (
+                        (tuple(map(add, m, exps)), coeff * c)
+                        for m, c in group.terms.items()
+                    )
+                for m, c in items:
+                    s = get(m, 0) + c
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
             tok = self._peek()
             if tok and tok[0] == "op" and tok[1] in "+-":
-                self._next()
-                q = self.term()
-                p = p + q if tok[1] == "+" else p - q
+                self.i += 1
+                sign = -1 if tok[1] == "-" else 1
             else:
-                return p
+                return Poly._make(
+                    self.nvars,
+                    {m: c if type(c) is Fraction else Fraction(c) for m, c in acc.items()},
+                )
 
-    def term(self) -> Poly:
-        p = self.factor()
+    def term(self) -> tuple[int | Fraction, list[int], Poly | None]:
+        """A product of factors as (coefficient, exponents, group): each
+        factor is unary signs, an atom and an optional ^k.  Numbers and
+        symbols fold into the coefficient and the exponent list; only
+        parenthesized factors multiply as Polys, into `group` (None when
+        the term has none).  The term is coefficient * d^exponents * group."""
+        coeff: int | Fraction = 1
+        exps = [0] * self.nvars
+        group = None
         while True:
             tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self._next()
-                p = p * self.factor()
+            while tok and tok[0] == "op" and tok[1] in "+-":
+                self.i += 1
+                if tok[1] == "-":
+                    coeff = -coeff
+                tok = self._peek()
+            kind, text, at = self._next()
+            if kind == "num":
+                if "/" in text:
+                    num, den = text.split("/")
+                    if int(den) == 0:
+                        raise ParseError("zero denominator", at)
+                    value = Fraction(int(num), int(den))
+                else:
+                    value = int(text)
+            elif kind == "var":
+                idx = int(text[1:])
+                if not 1 <= idx <= self.nvars:
+                    raise ParseError(
+                        f"variable {text} out of range for nvars={self.nvars}", at
+                    )
+            elif text == "(":
+                if self.depth == _MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
+                self.depth += 1
+                value = self.expr()
+                self.depth -= 1
+                closing = self._next()
+                if closing[0] != "op" or closing[1] != ")":
+                    raise ParseError("expected ')'", closing[2])
             else:
-                return p
-
-    def factor(self) -> Poly:
-        sign = 1
-        tok = self._peek()
-        while tok and tok[0] == "op" and tok[1] in "+-":
-            self._next()
-            if tok[1] == "-":
-                sign = -sign
+                raise ParseError(f"unexpected token {text!r}", at)
+            k = 1
             tok = self._peek()
-        p = self.atom()
-        tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self._next()
-            etok = self._next()
-            if etok[0] != "num" or "/" in etok[1]:
-                raise ParseError("exponent must be a nonnegative integer", etok[2])
-            p = p ** int(etok[1])
-        return p if sign == 1 else -p
-
-    def atom(self) -> Poly:
-        tok = self._next()
-        kind, text, at = tok
-        if kind == "num":
-            if "/" in text:
-                num, den = text.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator", at)
-                return Poly.const(self.nvars, Fraction(int(num), int(den)))
-            return Poly.const(self.nvars, int(text))
-        if kind == "var":
-            idx = int(text[1:])
-            if not 1 <= idx <= self.nvars:
-                raise ParseError(
-                    f"variable {text} out of range for nvars={self.nvars}", at
-                )
-            return Poly.var(self.nvars, idx)
-        if kind == "op" and text == "(":
-            if self.depth == _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
-            self.depth += 1
-            p = self.expr()
-            self.depth -= 1
-            closing = self._next()
-            if closing[0] != "op" or closing[1] != ")":
-                raise ParseError("expected ')'", closing[2])
-            return p
-        raise ParseError(f"unexpected token {text!r}", at)
+            if tok and tok[0] == "op" and tok[1] == "^":
+                self.i += 1
+                etok = self._next()
+                if etok[0] != "num" or "/" in etok[1]:
+                    raise ParseError("exponent must be a nonnegative integer", etok[2])
+                k = int(etok[1])
+            if kind == "num":
+                coeff *= value if k == 1 else value**k
+            elif kind == "var":
+                exps[idx - 1] += k
+            else:
+                if k != 1:
+                    value = value**k
+                group = value if group is None else group * value
+            tok = self._peek()
+            if not (tok and tok[0] == "op" and tok[1] == "*"):
+                return coeff, exps, group
+            self.i += 1
 
 
 def parse(text: str, nvars: int) -> Poly:

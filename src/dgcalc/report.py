@@ -900,3 +900,7 @@ def rows_to_json(rows: list[ReportRow]) -> str:
         "failed": sum(1 for r in rows if not r.passed),
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+# every lru_cache above, for engine.clear_caches()
+_LRU_CACHES = tuple(v for v in globals().values() if hasattr(v, "cache_clear"))

@@ -1066,3 +1066,7 @@ def build(name: str, *, n: int | None = None, metric: str = "euclidean",
     if name == "cosserat_parametrization":
         return cosserat_parametrization()
     raise KeyError(f"unhandled zoo operator {name!r}")
+
+
+# every lru_cache above, for engine.clear_caches()
+_LRU_CACHES = tuple(v for v in globals().values() if hasattr(v, "cache_clear"))

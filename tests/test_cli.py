@@ -19,6 +19,16 @@ def ops_dir(tmp_path):
     return d
 
 
+def test_metric_choices_are_the_zoo_metrics(capsys):
+    assert cli._METRIC_CHOICES == tuple(sorted(zoo.METRICS))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["zoo", "killing", "--n", "3", "--metric", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus' (choose from 'euclidean', 'minkowski')" in (
+        capsys.readouterr().err
+    )
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()

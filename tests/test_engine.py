@@ -339,17 +339,23 @@ def test_resolution_of_free_module_stops_immediately():
 
 
 def test_clear_caches_empties_every_module_cache():
-    from dgcalc import clear_caches, engine
+    from dgcalc import clear_caches, engine, report
 
     rows = zoo.grad(3).rows()
     resolve_module(rows)
     reduced_groebner(rows)
     divide_with_cofactors(rows[0], rows)
+    zoo.killing(zoo.euclidean(3))
+    report._div3_report()
     caches = (engine._GB_CACHE, engine._SYZ_CACHE, engine._MIN_CACHE,
               engine._TRACK_CACHE, engine._MKEY_CACHE)
+    lru = zoo._LRU_CACHES + report._LRU_CACHES
+    assert len(zoo._LRU_CACHES) == 14 and len(report._LRU_CACHES) == 5
     assert all(caches)
+    assert zoo.killing.cache_info().currsize and report._div3_report.cache_info().currsize
     clear_caches()
     assert not any(caches)
+    assert not any(fn.cache_info().currsize for fn in lru)
 
 
 def test_resolution_cold_rerun_agrees(clear_engine_caches):
