@@ -19,6 +19,15 @@ def ops_dir(tmp_path):
     return d
 
 
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# -- zoo -----------------------------------------------------------------------
+
+
 def test_metric_choices_are_the_zoo_metrics(capsys):
     assert cli._METRIC_CHOICES == tuple(sorted(zoo.METRICS))
     with pytest.raises(SystemExit) as exc:
@@ -27,15 +36,6 @@ def test_metric_choices_are_the_zoo_metrics(capsys):
     assert "invalid choice: 'bogus' (choose from 'euclidean', 'minkowski')" in (
         capsys.readouterr().err
     )
-
-
-def run(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-# -- zoo -----------------------------------------------------------------------
 
 
 def test_zoo_listing_names_every_operator(capsys):

@@ -26,7 +26,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
-# runs `python -m dgcalc.cli ARGV` in this process, then lists sys.modules
+# what `python -m dgcalc.cli ARGV` runs, inside the child that lists sys.modules
 RUN_CLI = """
 import runpy, sys
 try:
@@ -61,7 +61,7 @@ def curl_doc(tmp_path_factory):
     ["rank", "{doc}"],
     ["resolve", "{doc}"],
     ["zoo", "--help"],
-], ids=lambda argv: argv[0] if argv[0] != "zoo" else "zoo-help")
+], ids=["help", "adjoint", "compose", "cc", "rank", "resolve", "zoo-help"])
 def test_core_commands_load_no_upper_layer(argv, curl_doc):
     names = _loaded(RUN_CLI, *(a.format(doc=curl_doc) for a in argv))
     assert not names & (UPPER | {"dataclasses", "inspect"})
