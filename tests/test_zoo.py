@@ -1,5 +1,6 @@
 """The operator zoo: metrics, bundles, curvature chain, elasticity, forms."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -312,3 +313,80 @@ def test_registry_covers_every_entry():
         )
         assert op.nvars >= 1
         assert not all(p.is_zero() for row in op.matrix for p in row)
+
+
+# -- byte pin of every metric builder --------------------------------------------------
+
+
+_METRIC_BUILDERS = {
+    "killing": zoo.killing,
+    "conformal_killing": zoo.conformal_killing,
+    "cauchy": zoo.cauchy,
+    "weyl_killing": zoo.weyl_killing,
+    "riemann": zoo.riemann_lin,
+    "ricci": zoo.ricci_lin,
+    "scalar": zoo.scalar_lin,
+    "einstein": zoo.einstein_lin,
+    "c_map": zoo.c_map,
+    "c_map_inverse": zoo.c_map_inverse,
+    "weyl": zoo.weyl_lin,
+    "dalembertian": zoo.dalembertian,
+    "box_weyl": zoo.box_weyl,
+}
+
+
+def _pin_metrics() -> list:
+    # a rational, non-diagonal, indefinite metric next to the standard ones
+    rows = [[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, Fraction(1, 5), 0], [0, 0, 0, -1]]
+    custom = zoo.Metric(
+        "custom", "c", 4, tuple(tuple(Fraction(x) for x in r) for r in rows)
+    )
+    return (
+        [zoo.euclidean(n) for n in range(2, 7)]
+        + [zoo.minkowski(n) for n in range(2, 6)]
+        + [custom]
+    )
+
+
+def _bundle_text(b) -> str:
+    return " ".join(f"{lbl}:{w}" for lbl, w in b.components)
+
+
+def _operator_text(op) -> str:
+    lines = [_bundle_text(op.source), _bundle_text(op.target)]
+    lines += ["\t".join(row) for row in op.entry_strs()]
+    return "\n".join(lines)
+
+
+# sha256 per builder of its operators on the metrics of _pin_metrics, in
+# order, blank-line separated; a metric the builder rejects contributes the
+# ValueError's message instead
+_ZOO_DIGESTS = {
+    "killing": "5f182d91a0c1da19c3fba0acfce3f7e147176bdc46d84aa61072fc3f55bf9066",
+    "conformal_killing": "3cbadd199b69993690fadeae3e0f99aa43b25fddb0e73d004d32707a1fae5cf9",
+    "cauchy": "10ac4ba619970106315f4e476d103820e2b6cdb9f1ae9dda62c6d95f61e57443",
+    "weyl_killing": "edda1649a0e25792bfdf903ed2ac4eabb8d0a9aa7e6258838db1d9067a65c7d9",
+    "riemann": "3de36c111be5dd119a68ec417501b8d4949ccec7f6ee284f8748e68942beb203",
+    "ricci": "b83aaddfcd1888dc4e5ba4074b256c93b58c47b014204046926f8020a7d17a2f",
+    "scalar": "86b52e41cd0e4b049b28fdaff5a06337c38123949bdbe92b91e79a66527851a8",
+    "einstein": "8f8875d5304346d85fccddc6a841379b3e5cf6eaa8961c265b5022fbb60490aa",
+    "c_map": "1a60f0bb2dc41a2d14f97da9867a02634a4d210f8119e900e6eac1398a1a3307",
+    "c_map_inverse": "773dafb132e58b7c0789fc1ccda2f23a2a3d44f488c0a6fc2163228f589f19bf",
+    "weyl": "69151a2f92a2c4240f78b6e8a06a08785649446f641b9fcc6931e3b48e89e046",
+    "dalembertian": "55083f1f5b3fecc6081bad10310517ee22361ccdd0edc6c94124634551298d45",
+    "box_weyl": "b5064989f4040d1e3d1960e703b8ae5210e33f76a1d35a0aebf8f75d236ae904",
+}
+
+
+def test_metric_zoo_bytes_are_pinned():
+    assert set(_METRIC_BUILDERS) == {k for k, e in zoo.ZOO.items() if e.needs_metric}
+    digests = {}
+    for name, fn in _METRIC_BUILDERS.items():
+        parts = []
+        for g in _pin_metrics():
+            try:
+                parts.append(_operator_text(fn(g)))
+            except ValueError as exc:
+                parts.append(f"ValueError: {exc}")
+        digests[name] = hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
+    assert digests == _ZOO_DIGESTS
