@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .engine import FreeElem, minimize_generators, module_equal, syzygies
-from .poly import ParseError, Poly, parse, serialize
+from .poly import ParseError, Poly, numerators, parse, serialize, sum_of_products
 
 
 class ShapeMismatch(ValueError):
@@ -187,22 +187,23 @@ def compose(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
             f"{b.name} produces {b.target.dim}"
         )
     n = a.nvars
-    rows = []
-    for i in range(a.target.dim):
-        row = []
-        for j in range(b.source.dim):
-            s = Poly.zero(n)
-            for k in range(a.source.dim):
-                if not a.matrix[i][k].is_zero() and not b.matrix[k][j].is_zero():
-                    s = s + a.matrix[i][k] * b.matrix[k][j]
-            row.append(s)
-        rows.append(row)
+    # every nonzero entry split into integer numerators once; each output
+    # entry is then one sum of products over the k where both are nonzero
+    arows = [[(k, numerators(p)) for k, p in enumerate(row) if p.terms] for row in a.matrix]
+    bnums = [[numerators(p) if p.terms else None for p in row] for row in b.matrix]
+    rows = [
+        [
+            sum_of_products(n, [(x, bnums[k][j]) for k, x in arow if bnums[k][j] is not None])
+            for j in range(b.source.dim)
+        ]
+        for arow in arows
+    ]
     return LinDiffOp(f"compose({a.name},{b.name})", n, b.source, a.target, rows)
 
 
 def scale(a: LinDiffOp, c, name: str | None = None) -> LinDiffOp:
     c = Fraction(c)
-    rows = [[p * c for p in row] for row in a.matrix]
+    rows = a.matrix if c == 1 else [[p * c for p in row] for row in a.matrix]
     return LinDiffOp(name or f"scale({a.name},{c})", a.nvars, a.source, a.target, rows)
 
 
@@ -211,12 +212,10 @@ def adjoint(a: LinDiffOp) -> LinDiffOp:
     flip the sign of every d, and move the weights across.  Involutive."""
     sw = a.source.weights
     tw = a.target.weights
-    rows = []
-    for i in range(a.source.dim):
-        row = []
-        for j in range(a.target.dim):
-            row.append(a.matrix[j][i].negate_vars() * (tw[j] / sw[i]))
-        rows.append(row)
+    rows = [
+        [a.matrix[j][i].negate_vars(tw[j] / sw[i]) for j in range(a.target.dim)]
+        for i in range(a.source.dim)
+    ]
     return LinDiffOp(f"adjoint({a.name})", a.nvars, a.target, a.source, rows)
 
 

@@ -191,22 +191,7 @@ class Poly:
                 return Poly(self.nvars)
             return Poly._make(self.nvars, {m: c * v for m, v in self.terms.items()})
         self._check(other)
-        # integer numerators over one common denominator per factor, so the
-        # inner loop multiplies ints and each output Fraction is built once
-        a, da = _numerators(self.terms)
-        b, db = _numerators(other.terms)
-        acc: dict[Monomial, int] = {}
-        get = acc.get
-        for m1, c1 in a:
-            for m2, c2 in b:
-                m = tuple(map(add, m1, m2))
-                acc[m] = get(m, 0) + c1 * c2
-        den = da * db
-        if den == 1:
-            terms = {m: Fraction(c) for m, c in acc.items() if c}
-        else:
-            terms = {m: Fraction(c, den) for m, c in acc.items() if c}
-        return Poly._make(self.nvars, terms)
+        return sum_of_products(self.nvars, ((numerators(self), numerators(other)),))
 
     __rmul__ = __mul__
 
@@ -240,12 +225,17 @@ class Poly:
 
     # -- operator-specific transforms ---------------------------------------
 
-    def negate_vars(self) -> "Poly":
-        """Substitute di -> -di; each term picks up (-1)^degree."""
-        return Poly._make(
-            self.nvars,
-            {m: (c if sum(m) % 2 == 0 else -c) for m, c in self.terms.items()},
-        )
+    def negate_vars(self, factor: Fraction | int = 1) -> "Poly":
+        """Substitute di -> -di, so each term picks up (-1)^degree, and
+        multiply by `factor` in the same pass (no multiply when it is 1)."""
+        if not factor:
+            return Poly(self.nvars)
+        if factor == 1:
+            terms = {m: (-c if sum(m) & 1 else c) for m, c in self.terms.items()}
+        else:
+            f = Fraction(factor)
+            terms = {m: (-c if sum(m) & 1 else c) * f for m, c in self.terms.items()}
+        return Poly._make(self.nvars, terms)
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to d_i (1-indexed).
@@ -285,16 +275,50 @@ class Poly:
         return f"Poly({self.nvars}, {serialize(self)!r})"
 
 
-def _numerators(
-    terms: dict[Monomial, Fraction],
-) -> tuple[list[tuple[Monomial, int]], int]:
-    """The terms as integer numerators over their least common denominator."""
+Numerators = tuple[list[tuple[Monomial, int]], int]
+
+
+def numerators(p: Poly) -> Numerators:
+    """The terms of p as integer numerators over their least common
+    denominator: (list of (monomial, int), denominator)."""
     den = 1
-    for c in terms.values():
+    for c in p.terms.values():
         d = c.denominator
         if d != 1:
             den = den * d // math.gcd(den, d)
-    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
+    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
+
+
+def sum_of_products(nvars: int, pairs: Iterable[tuple[Numerators, Numerators]]) -> Poly:
+    """The sum of a * b over pairs of factors given by their `numerators`.
+    Every product is brought to the least common denominator of all the
+    products, so the inner loop multiplies and adds ints only and each
+    output Fraction is built once."""
+    pairs = list(pairs)
+    den = 1
+    for (_, da), (_, db) in pairs:
+        d = da * db
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    acc: dict[Monomial, int] = {}
+    get = acc.get
+    for (a, da), (b, db) in pairs:
+        f = den // (da * db)
+        if f != 1:
+            a = [(m, c * f) for m, c in a]
+        for m1, c1 in a:
+            for m2, c2 in b:
+                m = tuple(map(add, m1, m2))
+                acc[m] = get(m, 0) + c1 * c2
+    return from_numerators(nvars, acc, den)
+
+
+def from_numerators(nvars: int, nums: dict[Monomial, int], den: int = 1) -> Poly:
+    """The polynomial sum of c/den * m over `nums` (monomial -> int, zeros
+    allowed); monomials must have arity nvars and den must be positive."""
+    if den == 1:
+        return Poly._make(nvars, {m: Fraction(c) for m, c in nums.items() if c})
+    return Poly._make(nvars, {m: Fraction(c, den) for m, c in nums.items() if c})
 
 
 def apply_as_derivative(op: Poly, section: Poly) -> Poly:
@@ -351,8 +375,11 @@ def format_terms(items: Iterable[tuple[Monomial, int, int]]) -> str:
     return " ".join(chunks)
 
 
+# One alternative per token kind, then whitespace to skip and a catch-all
+# for any other character, so one finditer pass covers the whole text.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>d\d+)|(?P<op>[-+*^()]))"
+    r"(?P<num>\d+(?:/\d+)?)|(?P<var>d\d+)|(?P<op>[-+*^()])|(?P<ws>\s+)|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
@@ -369,45 +396,38 @@ class _Parser:
     def __init__(self, text: str, nvars: int):
         self.text = text
         self.nvars = nvars
-        self.pos = 0
         self.depth = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._tokenize()
         self.i = 0
 
     def _tokenize(self) -> None:
-        pos = 0
-        text = self.text
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {stripped[0]!r}", at)
-            if m.lastgroup == "num":
-                self.tokens.append(("num", m.group("num"), m.start("num")))
-            elif m.lastgroup == "var":
-                self.tokens.append(("var", m.group("var"), m.start("var")))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
+        """(kind, text, position) per token, ending with an ("end", "",
+        len(text)) sentinel, so reading never runs past the list."""
+        tokens = self.tokens
+        for m in _TOKEN.finditer(self.text):
+            kind = m.lastgroup
+            if kind == "ws":
+                continue
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group()!r}", m.start())
+            tokens.append((kind, m.group(), m.start()))
+        tokens.append(("end", "", len(self.text)))
 
-    def _peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def _peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
 
     def _next(self) -> tuple[str, str, int]:
-        tok = self._peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+        tok = self.tokens[self.i]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
         self.i += 1
         return tok
 
     def parse(self) -> Poly:
         p = self.expr()
         tok = self._peek()
-        if tok is not None:
+        if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return p
 
@@ -437,7 +457,7 @@ class _Parser:
                     else:
                         del acc[m]
             tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
+            if tok[0] == "op" and tok[1] in "+-":
                 self.i += 1
                 sign = -1 if tok[1] == "-" else 1
             else:
@@ -457,7 +477,7 @@ class _Parser:
         group = None
         while True:
             tok = self._peek()
-            while tok and tok[0] == "op" and tok[1] in "+-":
+            while tok[0] == "op" and tok[1] in "+-":
                 self.i += 1
                 if tok[1] == "-":
                     coeff = -coeff
@@ -490,7 +510,7 @@ class _Parser:
                 raise ParseError(f"unexpected token {text!r}", at)
             k = 1
             tok = self._peek()
-            if tok and tok[0] == "op" and tok[1] == "^":
+            if tok[0] == "op" and tok[1] == "^":
                 self.i += 1
                 etok = self._next()
                 if etok[0] != "num" or "/" in etok[1]:
@@ -505,7 +525,7 @@ class _Parser:
                     value = value**k
                 group = value if group is None else group * value
             tok = self._peek()
-            if not (tok and tok[0] == "op" and tok[1] == "*"):
+            if not (tok[0] == "op" and tok[1] == "*"):
                 return coeff, exps, group
             self.i += 1
 

@@ -10,6 +10,7 @@ this as `dgcalc report`; the acceptance tests drive the same rows.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -306,34 +307,31 @@ def _ext_torsion_rank() -> bool:
     )
 
 
-def _sparse_nullspace(cols: int, entries: dict[tuple[int, int], Fraction]
-                      ) -> list[dict[int, Fraction]]:
-    """Nullspace basis of a sparse matrix given as {(row, col): value}.
-    Rows are kept as dicts; the basis vectors come back as dicts too."""
-    rows: dict[int, dict[int, Fraction]] = {}
+def _sparse_nullspace(cols: int, entries: dict[tuple[int, int], int]
+                      ) -> list[dict[int, int]]:
+    """Nullspace basis of a sparse integer matrix given as {(row, col):
+    value}, one vector per non-pivot column, as integer dicts.
+
+    Elimination is fraction-free: a row is reduced against a pivot row by
+    cross-multiplying with the two entries' cofactors, and every row kept is
+    divided by its content, so no rational number is ever formed."""
+    rows: dict[int, dict[int, int]] = {}
     for (r, c), v in entries.items():
-        rows.setdefault(r, {})[c] = v
-    work = [dict(rv) for rv in rows.values() if rv]
-    pivot_of_col: dict[int, dict[int, Fraction]] = {}
+        if v:
+            rows.setdefault(r, {})[c] = v
+    pivot_of_col: dict[int, dict[int, int]] = {}
     pivot_col_order: list[int] = []
-    for row in sorted(work, key=len):
-        # reduce against the pivots found so far
-        changed = True
-        while changed:
-            changed = False
-            for c in sorted(row):
-                if c in pivot_of_col and row.get(c):
-                    piv = pivot_of_col[c]
-                    f = row[c] / piv[c]
-                    for cc_, vv in piv.items():
-                        nv = row.get(cc_, Fraction(0)) - f * vv
-                        if nv:
-                            row[cc_] = nv
-                        else:
-                            row.pop(cc_, None)
-                    changed = True
-                    break
+    for row in sorted(rows.values(), key=len):
+        # reduce against the pivots found so far, smallest pivot column
+        # first; a pivot row has no column below its own, so the smallest
+        # pivot column left in the row only grows
+        while True:
+            c = min((x for x in row if x in pivot_of_col), default=None)
+            if c is None:
+                break
+            _eliminate(row, pivot_of_col[c], c)
         if row:
+            _divide_content(row)
             c = min(row)
             pivot_of_col[c] = row
             pivot_col_order.append(c)
@@ -343,60 +341,77 @@ def _sparse_nullspace(cols: int, entries: dict[tuple[int, int], Fraction]
     for c in reversed(pivot_col_order):
         row = pivot_of_col[c]
         for c2 in [x for x in row if x != c and x in pivot_of_col]:
-            piv = pivot_of_col[c2]
-            f = row[c2] / piv[c2]
-            for cc_, vv in piv.items():
-                nv = row.get(cc_, Fraction(0)) - f * vv
-                if nv:
-                    row[cc_] = nv
-                else:
-                    row.pop(cc_, None)
+            _eliminate(row, pivot_of_col[c2], c2)
+        _divide_content(row)
+    # x[fc] = L, x[pc] = -prow[fc] * L / prow[pc], L the lcm of the pivots
     basis = []
-    free_cols = [c for c in range(cols) if c not in pivot_of_col]
-    for fc in free_cols:
-        vec = {fc: Fraction(1)}
-        for pc, prow in pivot_of_col.items():
-            if fc in prow:
-                vec[pc] = -prow[fc] / prow[pc]
+    for fc in range(cols):
+        if fc in pivot_of_col:
+            continue
+        prows = [(pc, prow) for pc, prow in pivot_of_col.items() if fc in prow]
+        scale = math.lcm(*(prow[pc] for pc, prow in prows))
+        vec = {fc: scale}
+        for pc, prow in prows:
+            vec[pc] = -prow[fc] * (scale // prow[pc])
         basis.append(vec)
     return basis
 
 
+def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> None:
+    """row := a * row - b * piv with a/b = piv[c]/row[c] in lowest terms,
+    which clears column c."""
+    g = math.gcd(row[c], piv[c])
+    a, b = piv[c] // g, row[c] // g
+    if a != 1:
+        for x in row:
+            row[x] *= a
+    for x, v in piv.items():
+        nv = row.get(x, 0) - b * v
+        if nv:
+            row[x] = nv
+        else:
+            del row[x]
+
+
+def _divide_content(row: dict[int, int]) -> None:
+    g = math.gcd(*row.values())
+    if g != 1:
+        for x in row:
+            row[x] //= g
+
+
 def _truncated_kernel(rows: list[FreeElem], cap: int) -> list[FreeElem]:
     """All relations among `rows` whose cofactors have degree at most cap,
-    found by plain linear algebra over the coefficient field."""
+    found by plain linear algebra over the coefficient field.
+
+    The unknowns are the cofactor coefficients, one column per (row i,
+    monomial m).  Column group i is scaled by the lcm s_i of the
+    denominators in rows[i], which makes the matrix integer; a nullspace
+    vector y of the scaled matrix is the relation x_t = s_i * y_t."""
     k = len(rows)
     nvars = rows[0].nvars
-    width = rows[0].width
     mons = [m for d in range(cap + 1) for m in _monomials_of_degree(nvars, d)]
-    col_index = {(i, m): t for t, (i, m) in enumerate(
-        (i, m) for i in range(k) for m in mons
-    )}
-    entries: dict[tuple[int, int], Fraction] = {}
+    nm = len(mons)
+    entries: dict[tuple[int, int], int] = {}
     out_index: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def out_row(slot: int, mono: tuple[int, ...]) -> int:
-        key = (slot, mono)
-        if key not in out_index:
-            out_index[key] = len(out_index)
-        return out_index[key]
-
+    scales = []
     for i, relem in enumerate(rows):
+        s = math.lcm(*(c.denominator for p in relem.entries for c in p.terms.values()))
+        scales.append(s)
         for j, p in enumerate(relem.entries):
             for pm, pc in p.terms.items():
-                for m in mons:
-                    r = out_row(j, mono_mul(pm, m))
-                    c = col_index[(i, m)]
-                    entries[(r, c)] = entries.get((r, c), Fraction(0)) + pc
-    entries = {rc: v for rc, v in entries.items() if v}
-    basis = _sparse_nullspace(len(col_index), entries)
+                v = pc.numerator * (s // pc.denominator)
+                for t, m in enumerate(mons, i * nm):
+                    key = (j, mono_mul(pm, m))
+                    r = out_index.setdefault(key, len(out_index))
+                    entries[(r, t)] = entries.get((r, t), 0) + v
     out = []
-    for vec in basis:
-        comps = [Poly.zero(nvars) for _ in range(k)]
+    for vec in _sparse_nullspace(k * nm, entries):
+        comps: list[dict[tuple[int, ...], int]] = [{} for _ in range(k)]
         for t, v in vec.items():
-            i, m = t // len(mons), mons[t % len(mons)]
-            comps[i] = comps[i] + Poly(nvars, {m: v})
-        out.append(FreeElem(comps))
+            i = t // nm
+            comps[i][mons[t % nm]] = scales[i] * v
+        out.append(FreeElem(Poly(nvars, c) for c in comps))
     return out
 
 

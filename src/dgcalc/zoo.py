@@ -21,7 +21,7 @@ from math import comb, lcm
 
 from .engine import Term, _Echelon
 from .operators import Bundle, LinDiffOp, adjoint, compose, scale
-from .poly import Poly
+from .poly import Monomial, Poly, from_numerators
 
 
 # -- metrics -----------------------------------------------------------------
@@ -115,8 +115,13 @@ def scalar_bundle(name: str = "scalar") -> Bundle:
     return Bundle(name, (("1", Fraction(1)),))
 
 
-def _sym_index(n: int) -> dict[tuple[int, int], int]:
-    return {pq: k for k, pq in enumerate(sym_pairs(n))}
+def _sym_col(n: int) -> tuple[tuple[int, ...], ...]:
+    """_sym_col(n)[u][v]: the component index of the unordered pair (u, v),
+    for 1-indexed u and v (row and column 0 are unused)."""
+    col = [[-1] * (n + 1) for _ in range(n + 1)]
+    for k, (i, j) in enumerate(sym_pairs(n)):
+        col[i][j] = col[j][i] = k
+    return tuple(map(tuple, col))
 
 
 def _rows_to_matrix(rows: list[dict[int, Poly]], width: int, nvars: int
@@ -240,13 +245,13 @@ def conformal_killing(metric: Metric) -> LinDiffOp:
     n = metric.n
     kill = killing(metric)
     trace = _trace_row(metric)
-    idx = _sym_index(n)
+    col = _sym_col(n)
     rows: list[dict[int, Poly]] = []
     labels = []
     weights = []
     src_bundle = sym_bundle(n)
     for i, j in sym_pairs(n)[:-1]:
-        k = idx[(i, j)]
+        k = col[i][j]
         row = {c: p for c, p in enumerate(kill.matrix[k]) if not p.is_zero()}
         wij = metric[i, j]
         if wij:
@@ -300,178 +305,209 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
 
 
 # -- linearized curvature ---------------------------------------------------------
+#
+# The second-order curvature operators are built as integer rows
+# {column: {monomial: int}} over one denominator per operator.  The metric
+# and its inverse enter as integer matrices over their common denominator
+# D (see _scaled), and each entry becomes a Poly once, in _int_matrix.
+
+IntRow = dict[int, dict[Monomial, int]]
 
 
-@lru_cache(maxsize=None)
-def riemann_lin(metric: Metric) -> LinDiffOp:
-    """Linearized curvature of a metric perturbation Omega, one row per
-    independent curvature component:
+def _scaled(metric: Metric) -> tuple[int, tuple[tuple[int, ...], ...],
+                                     tuple[tuple[int, ...], ...]]:
+    """(D, D*w, D*w^-1): D is the least common denominator of the entries
+    of the metric w and of its inverse, so both scaled matrices are
+    integer."""
+    mats = (metric.matrix, metric.inverse)
+    d = lcm(*(c.denominator for mat in mats for row in mat for c in row))
+    w, inv = (
+        tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in mat)
+        for mat in mats
+    )
+    return d, w, inv
 
-        K_{kl,ij} = di dk O_jl + dj dl O_ik - di dl O_jk - dj dk O_il.
 
-    The matrix itself does not involve the metric; the metric fixes n and
-    the naming.  Second order, n^2(n^2-1)/12 rows."""
-    n = metric.n
-    rb = RiemannBasis(n)
-    idx = _sym_index(n)
-    rows: list[dict[int, Poly]] = []
-    for (k, l), (i, j) in rb.pairs:
-        row: dict[int, Poly] = {}
+def _dd(n: int) -> tuple[tuple[Monomial, ...], ...]:
+    """_dd(n)[a][b]: the exponent tuple of d_a d_b, 1-indexed like _sym_col."""
+    out = [[()] * (n + 1) for _ in range(n + 1)]
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            e = [0] * n
+            e[a - 1] += 1
+            e[b - 1] += 1
+            out[a][b] = tuple(e)
+    return tuple(map(tuple, out))
+
+
+def _nonzero(mat: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
+    """(r, s, mat[r][s]) for the nonzero entries, 1-indexed."""
+    return [
+        (r + 1, s + 1, c) for r, row in enumerate(mat) for s, c in enumerate(row) if c
+    ]
+
+
+def _acc(row: IntRow, col: int, m: Monomial, c: int) -> None:
+    e = row.get(col)
+    if e is None:
+        row[col] = {m: c}
+    else:
+        e[m] = e.get(m, 0) + c
+
+
+def _acc_row(row: IntRow, src: IntRow, f: int) -> None:
+    """row += f * src."""
+    for col, nums in src.items():
+        for m, c in nums.items():
+            _acc(row, col, m, f * c)
+
+
+def _int_matrix(rows: list[IntRow], den: int, width: int, nvars: int
+                ) -> list[list[Poly]]:
+    """The matrix whose entry (r, col) is rows[r][col] / den; zero where a
+    row has no such column or its numerators cancel."""
+    zero = Poly.zero(nvars)
+    out = []
+    for row in rows:
+        line = [zero] * width
+        for col, nums in row.items():
+            line[col] = from_numerators(nvars, nums, den)
+        out.append(line)
+    return out
+
+
+def _riemann_rows(n: int) -> list[IntRow]:
+    """K_{kl,ij} = di dk O_jl + dj dl O_ik - di dl O_jk - dj dk O_il, one
+    row per component (kl, ij) of the curvature basis, in basis order."""
+    col = _sym_col(n)
+    dd = _dd(n)
+    rows = []
+    for (k, l), (i, j) in RiemannBasis(n).pairs:
+        row: IntRow = {}
         for sign, (da, db), (oa, ob) in (
             (1, (i, k), (j, l)),
             (1, (j, l), (i, k)),
             (-1, (i, l), (j, k)),
             (-1, (j, k), (i, l)),
         ):
-            c = idx[(min(oa, ob), max(oa, ob))]
-            p = Poly.var(n, da) * Poly.var(n, db) * sign
-            v = row.get(c, Poly.zero(n)) + p
-            if v.is_zero():
-                row.pop(c, None)
-            else:
-                row[c] = v
+            _acc(row, col[oa][ob], dd[da][db], sign)
         rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def riemann_lin(metric: Metric) -> LinDiffOp:
+    """Linearized curvature of a metric perturbation Omega, one row per
+    independent curvature component (the rows K of _riemann_rows).
+
+    The matrix itself does not involve the metric; the metric fixes n and
+    the naming.  Second order, n^2(n^2-1)/12 rows."""
+    n = metric.n
     return LinDiffOp(
         f"riemann_{metric.tag}{n}",
         n,
         sym_bundle(n),
         riemann_bundle(n, f"riem({n})"),
-        _rows_to_matrix(rows, len(idx), n),
+        _int_matrix(_riemann_rows(n), 1, n * (n + 1) // 2, n),
     )
 
 
-def _add_to(row: dict[int, Poly], col: int, p: Poly) -> None:
-    v = row.get(col)
-    v = p if v is None else v + p
-    if v.is_zero():
-        row.pop(col, None)
-    else:
-        row[col] = v
+@lru_cache(maxsize=None)
+def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], IntRow], int,
+                                             IntRow, int]:
+    """(ric, 2D, scal, D^2), built once per metric: ric[(i, j)] for i <= j
+    is the Ricci row over the denominator 2D,
 
+        2 R_ij = w^{rs} dr ds O_ij + di dj O^tr - w^{rs}(dr di O_sj + dr dj O_si),
 
-def _ricci_row(metric: Metric, i: int, j: int) -> dict[int, Poly]:
-    """2 R_ij = w^{rs} dr ds O_ij + di dj O^tr - w^{rs}(dr di O_sj + dr dj O_si),
-    halved."""
+    and scal is the scalar curvature row over D^2,
+
+        R = w^{rs} dr ds O^tr - w^{ru} w^{sv} dr ds O_uv."""
     n = metric.n
-    idx = _sym_index(n)
-    inv = metric.inverse
-    row: dict[int, Poly] = {}
-    # wave operator on O_ij
-    lap = Poly.zero(n)
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            c = inv[r - 1][s - 1]
-            if c:
-                lap = lap + c * Poly.var(n, r) * Poly.var(n, s)
-    _add_to(row, idx[(min(i, j), max(i, j))], lap)
-    # di dj of the trace
-    dij = Poly.var(n, i) * Poly.var(n, j)
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            c = inv[u - 1][v - 1]
-            if c:
-                _add_to(row, idx[(min(u, v), max(u, v))], c * dij)
-    # cross terms
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            c = inv[r - 1][s - 1]
-            if not c:
-                continue
-            _add_to(row, idx[(min(s, j), max(s, j))],
-                    -c * Poly.var(n, r) * Poly.var(n, i))
-            _add_to(row, idx[(min(s, i), max(s, i))],
-                    -c * Poly.var(n, r) * Poly.var(n, j))
-    return {c: p * Fraction(1, 2) for c, p in row.items()}
-
-
-def _scalar_row(metric: Metric) -> dict[int, Poly]:
-    """R = w^{rs} dr ds O^tr - w^{ru} w^{sv} dr ds O_uv."""
-    n = metric.n
-    idx = _sym_index(n)
-    inv = metric.inverse
-    row: dict[int, Poly] = {}
-    lap = Poly.zero(n)
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            if inv[r - 1][s - 1]:
-                lap = lap + inv[r - 1][s - 1] * Poly.var(n, r) * Poly.var(n, s)
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            c = inv[u - 1][v - 1]
-            if c:
-                _add_to(row, idx[(min(u, v), max(u, v))], c * lap)
-    for r in range(1, n + 1):
-        for u in range(1, n + 1):
-            cru = inv[r - 1][u - 1]
-            if not cru:
-                continue
-            for s in range(1, n + 1):
-                for v in range(1, n + 1):
-                    csv = inv[s - 1][v - 1]
-                    if not csv:
-                        continue
-                    _add_to(
-                        row,
-                        idx[(min(u, v), max(u, v))],
-                        -cru * csv * Poly.var(n, r) * Poly.var(n, s),
-                    )
-    return row
+    d, _, inv = _scaled(metric)
+    col = _sym_col(n)
+    dd = _dd(n)
+    nz = _nonzero(inv)
+    ric: dict[tuple[int, int], IntRow] = {}
+    for i, j in sym_pairs(n):
+        row: IntRow = {}
+        for r, s, c in nz:
+            # wave operator on O_ij, di dj of the trace, cross terms
+            _acc(row, col[i][j], dd[r][s], c)
+            _acc(row, col[r][s], dd[i][j], c)
+            _acc(row, col[s][j], dd[r][i], -c)
+            _acc(row, col[s][i], dd[r][j], -c)
+        ric[(i, j)] = row
+    scal: IntRow = {}
+    for u, v, c in nz:
+        for r, s, c2 in nz:
+            _acc(scal, col[u][v], dd[r][s], c * c2)
+    for r, u, cru in nz:
+        for s, v, csv in nz:
+            _acc(scal, col[u][v], dd[r][s], -cru * csv)
+    return ric, 2 * d, scal, d * d
 
 
 @lru_cache(maxsize=None)
 def ricci_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
-    rows = [_ricci_row(metric, i, j) for i, j in sym_pairs(n)]
+    ric, den, _, _ = _curvature_rows(metric)
     return LinDiffOp(
         f"ricci_{metric.tag}{n}",
         n,
         sym_bundle(n),
         sym_bundle(n, f"ric({n})"),
-        _rows_to_matrix(rows, n * (n + 1) // 2, n),
+        _int_matrix([ric[p] for p in sym_pairs(n)], den, n * (n + 1) // 2, n),
     )
 
 
-def _index_shift(mat: tuple[tuple[Fraction, ...], ...], n: int
-                 ) -> list[list[Fraction]]:
-    """Component matrix of A_uv -> m^{ku} m^{lv} A_uv on symmetric pairs.
-    With `mat` the inverse metric this raises both indices; with the metric
-    itself it lowers them."""
-    pairs = sym_pairs(n)
-    idx = _sym_index(n)
-    out = [[Fraction(0)] * len(pairs) for _ in pairs]
-    for (k, l), r in idx.items():
-        for u in range(1, n + 1):
-            for v in range(1, n + 1):
-                c = mat[k - 1][u - 1] * mat[l - 1][v - 1]
-                if c:
-                    out[r][idx[(min(u, v), max(u, v))]] += c
+def _index_shift(mat: tuple[tuple[int, ...], ...], n: int) -> list[dict[int, int]]:
+    """Component matrix of A_uv -> m^{ku} m^{lv} A_uv on symmetric pairs,
+    one sparse row per pair (k, l), for an integer matrix `mat`.  With D
+    times the inverse metric this is D^2 times raising both indices; with D
+    times the metric, D^2 times lowering them."""
+    col = _sym_col(n)
+    out: list[dict[int, int]] = []
+    for k, l in sym_pairs(n):
+        srow: dict[int, int] = {}
+        for u, a in enumerate(mat[k - 1], 1):
+            if a:
+                for v, b in enumerate(mat[l - 1], 1):
+                    if b:
+                        c = col[u][v]
+                        srow[c] = srow.get(c, 0) + a * b
+        out.append(srow)
     return out
 
 
-def _apply_shift(shift: list[list[Fraction]], rows: list[dict[int, Poly]],
-                 nvars: int) -> list[dict[int, Poly]]:
-    out: list[dict[int, Poly]] = []
+def _apply_shift(shift: list[dict[int, int]], rows: list[IntRow]) -> list[IntRow]:
+    """The rows of shift * rows: row r is the sum of c * rows[m] over the
+    entries m: c of shift[r]."""
+    out: list[IntRow] = []
     for srow in shift:
-        acc: dict[int, Poly] = {}
-        for m, c in enumerate(srow):
-            if not c:
-                continue
-            for col, p in rows[m].items():
-                _add_to(acc, col, c * p)
+        acc: IntRow = {}
+        for m, c in srow.items():
+            if c:
+                _acc_row(acc, rows[m], c)
         out.append(acc)
     return out
+
+
+def _constant_rows(rows: list[dict[int, int]], n: int) -> list[IntRow]:
+    one = (0,) * n
+    return [{c: {one: v} for c, v in row.items()} for row in rows]
 
 
 @lru_cache(maxsize=None)
 def scalar_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
-    rows = [_scalar_row(metric)]
+    _, _, scal, den = _curvature_rows(metric)
     return LinDiffOp(
         f"scalar_{metric.tag}{n}",
         n,
         sym_bundle(n),
         scalar_bundle(f"scal({n})"),
-        _rows_to_matrix(rows, n * (n + 1) // 2, n),
+        _int_matrix([scal], den, n * (n + 1) // 2, n),
     )
 
 
@@ -483,22 +519,24 @@ def einstein_lin(metric: Metric) -> LinDiffOp:
     signs.  Written out directly from the Ricci and scalar rows so the
     compose identities stay genuine checks elsewhere."""
     n = metric.n
-    scal = _scalar_row(metric)
-    lower: list[dict[int, Poly]] = []
+    d, w, inv = _scaled(metric)
+    ric, _, scal, _ = _curvature_rows(metric)
+    # R_ij - (w_ij / 2) Scal over 2 D^3: ric is over 2D and scal over D^2
+    lower: list[IntRow] = []
     for i, j in sym_pairs(n):
-        row = dict(_ricci_row(metric, i, j))
-        wij = metric[i, j]
-        if wij:
-            for c, p in scal.items():
-                _add_to(row, c, -Fraction(wij, 2) * p)
+        row: IntRow = {}
+        _acc_row(row, ric[(i, j)], d * d)
+        if w[i - 1][j - 1]:
+            _acc_row(row, scal, -w[i - 1][j - 1])
         lower.append(row)
-    rows = _apply_shift(_index_shift(metric.inverse, n), lower, n)
+    # raising both indices multiplies the denominator by D^2
+    rows = _apply_shift(_index_shift(inv, n), lower)
     return LinDiffOp(
         f"einstein_{metric.tag}{n}",
         n,
         sym_bundle(n),
         sym_bundle(n, f"ein({n})"),
-        _rows_to_matrix(rows, n * (n + 1) // 2, n),
+        _int_matrix(rows, 2 * d**5, n * (n + 1) // 2, n),
     )
 
 
@@ -507,14 +545,12 @@ def c_map(metric: Metric) -> LinDiffOp:
     """Zeroth order: X -> X - (1/2) w tr X with the output indices raised;
     sends the Ricci operator to the Einstein operator."""
     n = metric.n
-    rows = _apply_shift(
-        _index_shift(metric.inverse, n),
-        _trace_adjust_rows(metric, Fraction(-1, 2)),
-        n,
-    )
+    d, _, inv = _scaled(metric)
+    adjust, den = _trace_adjust(metric, Fraction(-1, 2))
+    rows = _apply_shift(_index_shift(inv, n), _constant_rows(adjust, n))
     return LinDiffOp(
         f"cmap_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
-        _rows_to_matrix(rows, n * (n + 1) // 2, n),
+        _int_matrix(rows, den * d * d, n * (n + 1) // 2, n),
     )
 
 
@@ -525,103 +561,71 @@ def c_map_inverse(metric: Metric) -> LinDiffOp:
     n = metric.n
     if n == 2:
         raise ValueError("the trace adjustment is not invertible for n = 2")
-    lowered = _index_shift(metric.matrix, n)
-    adjust = _trace_adjust_rows(metric, Fraction(-1, n - 2))
-    rows = []
-    for arow in adjust:
-        acc: dict[int, Poly] = {}
-        for m, p in arow.items():
-            for col, c in enumerate(lowered[m]):
-                if c:
-                    _add_to(acc, col, p * c)
-        rows.append(acc)
+    d, w, _ = _scaled(metric)
+    adjust, den = _trace_adjust(metric, Fraction(-1, n - 2))
+    rows = _apply_shift(adjust, _constant_rows(_index_shift(w, n), n))
     return LinDiffOp(
         f"cmapinv_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
-        _rows_to_matrix(rows, n * (n + 1) // 2, n),
+        _int_matrix(rows, den * d * d, n * (n + 1) // 2, n),
     )
 
 
-def _trace_adjust_rows(metric: Metric, coeff: Fraction) -> list[dict[int, Poly]]:
+def _trace_adjust(metric: Metric, coeff: Fraction) -> tuple[list[dict[int, int]], int]:
+    """X_ij -> X_ij + coeff w_ij w^{uv} X_uv as sparse integer rows over
+    their denominator (the denominator of coeff times D^2)."""
     n = metric.n
-    idx = _sym_index(n)
-    inv = metric.inverse
-    rows: list[dict[int, Poly]] = []
+    d, w, inv = _scaled(metric)
+    col = _sym_col(n)
+    p, q = coeff.numerator, coeff.denominator
+    nz = _nonzero(inv)
+    rows: list[dict[int, int]] = []
     for i, j in sym_pairs(n):
-        row: dict[int, Poly] = {idx[(i, j)]: Poly.const(n, 1)}
-        wij = metric[i, j]
+        row = {col[i][j]: q * d * d}
+        wij = w[i - 1][j - 1]
         if wij:
-            for u in range(1, n + 1):
-                for v in range(1, n + 1):
-                    c = inv[u - 1][v - 1]
-                    if c:
-                        _add_to(row, idx[(min(u, v), max(u, v))],
-                                Poly.const(n, coeff * wij * c))
+            for u, v, c in nz:
+                row[col[u][v]] = row.get(col[u][v], 0) + p * wij * c
         rows.append(row)
-    return rows
+    return rows, q * d * d
 
 
 # -- Weyl ------------------------------------------------------------------------
 
 
-def _riem_comp_row(metric: Metric, k: int, l: int, i: int, j: int
-                   ) -> dict[int, Poly]:
-    """G_{kl,ij} = 1/2 (di dl O_jk + dj dk O_il - di dk O_jl - dj dl O_ik);
-    contracting with w^{ki} returns minus the Ricci rows."""
-    n = metric.n
-    idx = _sym_index(n)
-    row: dict[int, Poly] = {}
-    half = Fraction(1, 2)
-    for sign, (da, db), (oa, ob) in (
-        (1, (i, l), (j, k)),
-        (1, (j, k), (i, l)),
-        (-1, (i, k), (j, l)),
-        (-1, (j, l), (i, k)),
-    ):
-        _add_to(row, idx[(min(oa, ob), max(oa, ob))],
-                sign * half * Poly.var(n, da) * Poly.var(n, db))
-    return row
-
-
 @lru_cache(maxsize=None)
-def _weyl_component_rows(metric: Metric) -> list[dict[int, Poly]]:
+def _weyl_component_rows(metric: Metric) -> tuple[list[IntRow], int]:
     """Every curvature-basis component of the linearized Weyl tensor:
 
         C = G + 1/(n-2) (w ^ Ric) - Scal/(2(n-1)(n-2)) (w ^ w)
 
-    with (h^k)_{kl,ij} = h_ki k_lj + h_lj k_ki - h_kj k_li - h_li k_kj."""
+    with G_{kl,ij} = -K_{kl,ij} / 2 (contracting G with w^{ki} returns
+    minus the Ricci rows) and (h^k)_{kl,ij} = h_ki k_lj + h_lj k_ki - h_kj k_li
+    - h_li k_kj.  The rows come over the denominator 2 (n-1)(n-2) D^4."""
     n = metric.n
-    rb = RiemannBasis(n)
-    ric = {
-        (i, j): _ricci_row(metric, i, j)
-        for i in range(1, n + 1)
-        for j in range(i, n + 1)
-    }
-
-    def ric_row(a: int, b: int) -> dict[int, Poly]:
-        return ric[(min(a, b), max(a, b))]
-
-    scal = _scalar_row(metric)
-    c1 = Fraction(1, n - 2)
-    c2 = Fraction(1, (n - 1) * (n - 2))
+    d, w, _ = _scaled(metric)
+    ric, _, scal, _ = _curvature_rows(metric)
+    # the multipliers that bring G (over 2), w ^ Ric (over (n-2) 2 D^2) and
+    # Scal w ^ w (over (n-1)(n-2) D^4) to the common denominator
+    fg = (n - 1) * (n - 2) * d**4
+    fr = (n - 1) * d * d
     rows = []
-    for (k, l), (i, j) in rb.pairs:
-        row = dict(_riem_comp_row(metric, k, l, i, j))
-        for sgn, (ma, mb), (ra, rb2) in (
+    for ((k, l), (i, j)), riem in zip(RiemannBasis(n).pairs, _riemann_rows(n)):
+        row: IntRow = {}
+        _acc_row(row, riem, -fg)
+        for sgn, (ma, mb), (ra, rb) in (
             (1, (k, i), (l, j)),
             (1, (l, j), (k, i)),
             (-1, (k, j), (l, i)),
             (-1, (l, i), (k, j)),
         ):
-            w = metric[ma, mb]
-            if w:
-                for c, p in ric_row(ra, rb2).items():
-                    _add_to(row, c, sgn * c1 * w * p)
-        wfac = metric[k, i] * metric[l, j] - metric[k, j] * metric[l, i]
+            wm = w[ma - 1][mb - 1]
+            if wm:
+                _acc_row(row, ric[(min(ra, rb), max(ra, rb))], sgn * fr * wm)
+        wfac = w[k - 1][i - 1] * w[l - 1][j - 1] - w[k - 1][j - 1] * w[l - 1][i - 1]
         if wfac:
-            for c, p in scal.items():
-                _add_to(row, c, -c2 * wfac * p)
+            _acc_row(row, scal, -2 * wfac)
         rows.append(row)
-    return rows
+    return rows, 2 * (n - 1) * (n - 2) * d**4
 
 
 @lru_cache(maxsize=None)
@@ -675,7 +679,7 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
     if n < 4:
         raise ValueError("the Weyl tensor vanishes identically for n < 4")
     rb = RiemannBasis(n)
-    all_rows = _weyl_component_rows(metric)
+    all_rows, den = _weyl_component_rows(metric)
     picked = weyl_component_selection(metric)
     expected = n * (n + 1) * (n + 2) * (n - 3) // 12
     if len(picked) != expected:
@@ -691,7 +695,7 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
         n,
         sym_bundle(n),
         tgt,
-        _rows_to_matrix(rows, n * (n + 1) // 2, n),
+        _int_matrix(rows, den, n * (n + 1) // 2, n),
     )
 
 

@@ -1,6 +1,7 @@
-"""The integer kernels behind the inline checks, the rank and the graded
-minimizer: the annihilation helper against FreeElem.dot, and Bareiss rank
-and the echelon kernel against Fraction-based eliminations written here."""
+"""The integer kernels behind the inline checks, the rank, the graded
+minimizer and the report's nullspace oracle: the annihilation helper
+against FreeElem.dot, and Bareiss rank, the echelon kernel and the oracle
+against Fraction-based eliminations written here."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -20,6 +21,7 @@ from dgcalc.engine import (
     syzygies,
 )
 from dgcalc.poly import Poly, parse
+from dgcalc.report import _sparse_nullspace
 
 COEFFS = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3)]
 
@@ -277,3 +279,43 @@ def test_echelon_insert_answers_whether_the_rank_rises(vectors):
     for row in ech.rows.values():
         assert gcd(*row.values()) == 1
         assert not _reduce(pivots, row)
+
+
+# -- the report's nullspace oracle -------------------------------------------------------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rational matrices as rows {col: value}: random rows plus
+    rational combinations of them, in shuffled order, so the rank is often
+    below both the row and the column count."""
+    cols = draw(st.integers(1, 8))
+    cells = st.dictionaries(st.integers(0, cols - 1), st.sampled_from(COEFFS), max_size=4)
+    rows = draw(st.lists(cells, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        v = {}
+        for _ in range(2):
+            row, c = draw(st.sampled_from(rows)), draw(st.sampled_from(COEFFS))
+            for k, x in row.items():
+                v[k] = v.get(k, 0) + c * x
+        rows.append({k: x for k, x in v.items() if x})
+    return cols, draw(st.permutations(rows))
+
+
+@given(sparse_matrices())
+def test_sparse_nullspace_is_a_full_integer_kernel_basis(problem):
+    cols, rows = problem
+    # each row cleared of its denominators: the same nullspace
+    entries = {}
+    for r, row in enumerate(rows):
+        den = lcm(*(x.denominator for x in row.values()))
+        entries.update({(r, c): int(x * den) for c, x in row.items()})
+    basis = _sparse_nullspace(cols, entries)
+    rank = len(_rank_rises(rows)[1])
+    assert len(basis) == cols - rank
+    for v in basis:
+        assert all(type(x) is int and x for x in v.values())
+        for row in rows:
+            assert sum(x * v.get(c, 0) for c, x in row.items()) == 0
+    # the vectors are independent, so they span the whole kernel
+    assert all(_rank_rises([{c: Fraction(x) for c, x in v.items()} for v in basis])[0])
