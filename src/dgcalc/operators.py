@@ -190,11 +190,11 @@ def compose(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     # every nonzero entry split into integer numerators once; each output
     # entry is then one sum of products over the k where both are nonzero
     arows = [[(k, numerators(p)) for k, p in enumerate(row) if p.terms] for row in a.matrix]
-    bnums = [[numerators(p) if p.terms else None for p in row] for row in b.matrix]
+    bcols = [[numerators(p) if p.terms else None for p in col] for col in zip(*b.matrix)]
     rows = [
         [
-            sum_of_products(n, [(x, bnums[k][j]) for k, x in arow if bnums[k][j] is not None])
-            for j in range(b.source.dim)
+            sum_of_products(n, [(x, bcol[k]) for k, x in arow if bcol[k] is not None])
+            for bcol in bcols
         ]
         for arow in arows
     ]
@@ -212,9 +212,13 @@ def adjoint(a: LinDiffOp) -> LinDiffOp:
     flip the sign of every d, and move the weights across.  Involutive."""
     sw = a.source.weights
     tw = a.target.weights
+    zero = Poly.zero(a.nvars)
     rows = [
-        [a.matrix[j][i].negate_vars(tw[j] / sw[i]) for j in range(a.target.dim)]
-        for i in range(a.source.dim)
+        [
+            p.negate_vars(1 if tw[j] == sw[i] else tw[j] / sw[i]) if p.terms else zero
+            for j, p in enumerate(col)
+        ]
+        for i, col in enumerate(zip(*a.matrix))
     ]
     return LinDiffOp(f"adjoint({a.name})", a.nvars, a.target, a.source, rows)
 
