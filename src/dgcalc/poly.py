@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Monomial = tuple[int, ...]
 
@@ -289,12 +289,11 @@ def numerators(p: Poly) -> Numerators:
     return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
 
 
-def sum_of_products(nvars: int, pairs: Iterable[tuple[Numerators, Numerators]]) -> Poly:
+def sum_of_products(nvars: int, pairs: Sequence[tuple[Numerators, Numerators]]) -> Poly:
     """The sum of a * b over pairs of factors given by their `numerators`.
     Every product is brought to the least common denominator of all the
     products, so the inner loop multiplies and adds ints only and each
     output Fraction is built once."""
-    pairs = list(pairs)
     den = 1
     for (_, da), (_, db) in pairs:
         d = da * db
