@@ -210,16 +210,21 @@ def scale(a: LinDiffOp, c, name: str | None = None) -> LinDiffOp:
 def adjoint(a: LinDiffOp) -> LinDiffOp:
     """Formal adjoint for the weighted L2 pairing: transpose the matrix,
     flip the sign of every d, and move the weights across.  Involutive."""
-    sw = a.source.weights
-    tw = a.target.weights
+    # the weights as (numerator, denominator), so that the ratio of two
+    # weights is compared with 1 in ints and built only where it is not 1
+    sw = [(w.numerator, w.denominator) for w in a.source.weights]
+    tw = [(w.numerator, w.denominator) for w in a.target.weights]
     zero = Poly.zero(a.nvars)
-    rows = [
-        [
-            p.negate_vars(1 if tw[j] == sw[i] else tw[j] / sw[i]) if p.terms else zero
-            for j, p in enumerate(col)
-        ]
-        for i, col in enumerate(zip(*a.matrix))
-    ]
+    rows = []
+    for (sn, sd), col in zip(sw, zip(*a.matrix)):
+        row = []
+        for (tn, td), p in zip(tw, col):
+            if p.terms:
+                num, den = tn * sd, td * sn
+                row.append(p.negate_vars(1 if num == den else Fraction(num, den)))
+            else:
+                row.append(zero)
+        rows.append(row)
     return LinDiffOp(f"adjoint({a.name})", a.nvars, a.target, a.source, rows)
 
 
