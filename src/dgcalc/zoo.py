@@ -311,7 +311,7 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
 # and its inverse enter as integer matrices over their common denominator
 # D (see _scaled), and each entry becomes a Poly once, in _int_matrix.
 
-IntRow = dict[int, dict[Monomial, int]]
+_IntRow = dict[int, dict[Monomial, int]]
 
 
 def _scaled(metric: Metric) -> tuple[int, tuple[tuple[int, ...], ...],
@@ -347,7 +347,7 @@ def _nonzero(mat: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
     ]
 
 
-def _acc(row: IntRow, col: int, m: Monomial, c: int) -> None:
+def _acc(row: _IntRow, col: int, m: Monomial, c: int) -> None:
     e = row.get(col)
     if e is None:
         row[col] = {m: c}
@@ -355,14 +355,14 @@ def _acc(row: IntRow, col: int, m: Monomial, c: int) -> None:
         e[m] = e.get(m, 0) + c
 
 
-def _acc_row(row: IntRow, src: IntRow, f: int) -> None:
+def _acc_row(row: _IntRow, src: _IntRow, f: int) -> None:
     """row += f * src."""
     for col, nums in src.items():
         for m, c in nums.items():
             _acc(row, col, m, f * c)
 
 
-def _int_matrix(rows: list[IntRow], den: int, width: int, nvars: int
+def _int_matrix(rows: list[_IntRow], den: int, width: int, nvars: int
                 ) -> list[list[Poly]]:
     """The matrix whose entry (r, col) is rows[r][col] / den; zero where a
     row has no such column or its numerators cancel."""
@@ -376,14 +376,14 @@ def _int_matrix(rows: list[IntRow], den: int, width: int, nvars: int
     return out
 
 
-def _riemann_rows(n: int) -> list[IntRow]:
+def _riemann_rows(n: int) -> list[_IntRow]:
     """K_{kl,ij} = di dk O_jl + dj dl O_ik - di dl O_jk - dj dk O_il, one
     row per component (kl, ij) of the curvature basis, in basis order."""
     col = _sym_col(n)
     dd = _dd(n)
     rows = []
     for (k, l), (i, j) in RiemannBasis(n).pairs:
-        row: IntRow = {}
+        row: _IntRow = {}
         for sign, (da, db), (oa, ob) in (
             (1, (i, k), (j, l)),
             (1, (j, l), (i, k)),
@@ -413,8 +413,8 @@ def riemann_lin(metric: Metric) -> LinDiffOp:
 
 
 @lru_cache(maxsize=None)
-def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], IntRow], int,
-                                             IntRow, int]:
+def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], _IntRow], int,
+                                             _IntRow, int]:
     """(ric, 2D, scal, D^2), built once per metric: ric[(i, j)] for i <= j
     is the Ricci row over the denominator 2D,
 
@@ -428,9 +428,9 @@ def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], IntRow], int,
     col = _sym_col(n)
     dd = _dd(n)
     nz = _nonzero(inv)
-    ric: dict[tuple[int, int], IntRow] = {}
+    ric: dict[tuple[int, int], _IntRow] = {}
     for i, j in sym_pairs(n):
-        row: IntRow = {}
+        row: _IntRow = {}
         for r, s, c in nz:
             # wave operator on O_ij, di dj of the trace, cross terms
             _acc(row, col[i][j], dd[r][s], c)
@@ -438,7 +438,7 @@ def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], IntRow], int,
             _acc(row, col[s][j], dd[r][i], -c)
             _acc(row, col[s][i], dd[r][j], -c)
         ric[(i, j)] = row
-    scal: IntRow = {}
+    scal: _IntRow = {}
     for u, v, c in nz:
         for r, s, c2 in nz:
             _acc(scal, col[u][v], dd[r][s], c * c2)
@@ -480,12 +480,12 @@ def _index_shift(mat: tuple[tuple[int, ...], ...], n: int) -> list[dict[int, int
     return out
 
 
-def _apply_shift(shift: list[dict[int, int]], rows: list[IntRow]) -> list[IntRow]:
+def _apply_shift(shift: list[dict[int, int]], rows: list[_IntRow]) -> list[_IntRow]:
     """The rows of shift * rows: row r is the sum of c * rows[m] over the
     entries m: c of shift[r]."""
-    out: list[IntRow] = []
+    out: list[_IntRow] = []
     for srow in shift:
-        acc: IntRow = {}
+        acc: _IntRow = {}
         for m, c in srow.items():
             if c:
                 _acc_row(acc, rows[m], c)
@@ -493,7 +493,7 @@ def _apply_shift(shift: list[dict[int, int]], rows: list[IntRow]) -> list[IntRow
     return out
 
 
-def _constant_rows(rows: list[dict[int, int]], n: int) -> list[IntRow]:
+def _constant_rows(rows: list[dict[int, int]], n: int) -> list[_IntRow]:
     one = (0,) * n
     return [{c: {one: v} for c, v in row.items()} for row in rows]
 
@@ -522,9 +522,9 @@ def einstein_lin(metric: Metric) -> LinDiffOp:
     d, w, inv = _scaled(metric)
     ric, _, scal, _ = _curvature_rows(metric)
     # R_ij - (w_ij / 2) Scal over 2 D^3: ric is over 2D and scal over D^2
-    lower: list[IntRow] = []
+    lower: list[_IntRow] = []
     for i, j in sym_pairs(n):
-        row: IntRow = {}
+        row: _IntRow = {}
         _acc_row(row, ric[(i, j)], d * d)
         if w[i - 1][j - 1]:
             _acc_row(row, scal, -w[i - 1][j - 1])
@@ -593,7 +593,7 @@ def _trace_adjust(metric: Metric, coeff: Fraction) -> tuple[list[dict[int, int]]
 
 
 @lru_cache(maxsize=None)
-def _weyl_component_rows(metric: Metric) -> tuple[list[IntRow], int]:
+def _weyl_component_rows(metric: Metric) -> tuple[list[_IntRow], int]:
     """Every curvature-basis component of the linearized Weyl tensor:
 
         C = G + 1/(n-2) (w ^ Ric) - Scal/(2(n-1)(n-2)) (w ^ w)
@@ -610,7 +610,7 @@ def _weyl_component_rows(metric: Metric) -> tuple[list[IntRow], int]:
     fr = (n - 1) * d * d
     rows = []
     for ((k, l), (i, j)), riem in zip(RiemannBasis(n).pairs, _riemann_rows(n)):
-        row: IntRow = {}
+        row: _IntRow = {}
         _acc_row(row, riem, -fg)
         for sgn, (ma, mb), (ra, rb) in (
             (1, (k, i), (l, j)),
