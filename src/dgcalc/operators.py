@@ -203,7 +203,7 @@ def compose(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
 
 def scale(a: LinDiffOp, c, name: str | None = None) -> LinDiffOp:
     c = Fraction(c)
-    rows = a.matrix if c == 1 else [[p * c for p in row] for row in a.matrix]
+    rows = [[p * c for p in row] for row in a.matrix]
     return LinDiffOp(name or f"scale({a.name},{c})", a.nvars, a.source, a.target, rows)
 
 

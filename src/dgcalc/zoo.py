@@ -412,10 +412,9 @@ def riemann_lin(metric: Metric) -> LinDiffOp:
     )
 
 
-@lru_cache(maxsize=None)
 def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], _IntRow], int,
                                              _IntRow, int]:
-    """(ric, 2D, scal, D^2), built once per metric: ric[(i, j)] for i <= j
+    """(ric, 2D, scal, D^2): ric[(i, j)] for i <= j
     is the Ricci row over the denominator 2D,
 
         2 R_ij = w^{rs} dr ds O_ij + di dj O^tr - w^{rs}(dr di O_sj + dr dj O_si),

@@ -350,7 +350,7 @@ def test_clear_caches_empties_every_module_cache():
     caches = (engine._GB_CACHE, engine._SYZ_CACHE, engine._MIN_CACHE,
               engine._TRACK_CACHE, engine._MKEY_CACHE)
     lru = zoo._LRU_CACHES + report._LRU_CACHES
-    assert len(zoo._LRU_CACHES) == 15 and len(report._LRU_CACHES) == 5
+    assert len(zoo._LRU_CACHES) == 14 and len(report._LRU_CACHES) == 5
     assert all(caches)
     assert zoo.killing.cache_info().currsize and report._div3_report.cache_info().currsize
     clear_caches()
