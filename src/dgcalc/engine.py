@@ -1,15 +1,20 @@
 """Submodules of free modules over Q[d1..dn]: Groebner bases, syzygies,
-membership, minimal generating sets, ranks and free resolutions.
+membership, division with cofactors, minimal generating sets, ranks and
+free resolutions.
 
 Free-module elements (`FreeElem`) are sparse integer term dicts keyed
 (position, monomial) over one positive denominator: the form the Buchberger
 run works in, so results pass between computations without conversion, and
 their Poly entries are a view built on demand.  The term order is fixed:
 degrevlex on monomials, position-over-term with lower position winning ties
-(so all comparisons look at the monomial first).  Syzygies are
-computed by running Buchberger on rows augmented with unit tracking columns
-under a block order that makes every genuine term beat every tracking term;
-elements whose genuine block dies yield syzygy generators.
+(so all comparisons look at the monomial first).
+
+There is one Buchberger run per row set, cached: it works on the rows
+augmented with unit tracking columns, under a block order that makes every
+genuine term beat every tracking term.  The genuine parts of its basis give
+the reduced Groebner basis, the elements whose genuine block dies give the
+syzygy generators, and the tracking columns of a remainder give the
+cofactors of a division.
 
 Everything here is deterministic: pair selection, reducer choice and output
 ordering are all fixed by the term order and insertion order, and reduced
@@ -426,14 +431,11 @@ class _Reducer:
 class _Run:
     """The S-pair queue of one Buchberger computation over a `_Reducer`.
 
-    Positions [split, width) are tracking columns (see `_Reducer`); a plain
-    run uses split == width.  Pair pruning uses the Gebauer-Moeller chain
-    criteria; a plain run also collapses pairs of equal lcm, which a
-    tracking run must not do or a syzygy generator could be lost.
+    Positions from `split` on are tracking columns (see `_Reducer`).  Pair
+    pruning uses the Gebauer-Moeller chain criteria.
     """
 
-    def __init__(self, width: int, split: int, budget: int, prune: bool = True):
-        self.width = width
+    def __init__(self, split: int, budget: int, prune: bool = True):
         self.budget = budget
         self.prune = prune
         self.red = _Reducer(split)
@@ -476,14 +478,6 @@ class _Run:
                         break
             for i in drop:
                 del cand[i]
-            if red.split == self.width:
-                seen: dict[Monomial, int] = {}
-                for i in sorted(cand):
-                    L = cand[i]
-                    if L in seen:
-                        del cand[i]
-                    else:
-                        seen[L] = i
             # chain criterion against existing pairs
             for (i, j), L in list(self.alive.items()):
                 if lts[i][0][0] != pos:
@@ -534,13 +528,25 @@ class _Run:
             self.process(self._spair(i, j))
 
 
-def _tracking_run(elems: Sequence[FreeElem], prune: bool = True) -> _Run:
-    """Buchberger run on the rows augmented with unit tracking columns, so
-    every basis element and harvested relation records how it is built
-    from the rows."""
+_RUN_CACHE: dict[tuple, tuple[_Reducer, tuple[FreeElem, ...]]] = {}
+
+
+def _tracked(
+    elems: tuple[FreeElem, ...], prune: bool = True
+) -> tuple[_Reducer, tuple[FreeElem, ...]]:
+    """The Buchberger run on the rows augmented with unit tracking columns,
+    cached per row set: its reducer, whose basis elements record how they
+    are built from the rows, and the harvested relations, each verified to
+    annihilate the rows.  The Groebner basis, the syzygies and division
+    with cofactors are all read off this one run."""
+    budget = _budget()
+    key = (elems, budget, prune)
+    hit = _RUN_CACHE.get(key)
+    if hit is not None:
+        return hit
     k = len(elems)
     width, nvars = elems[0].width, elems[0].nvars
-    run = _Run(width + k, width, _budget(), prune=prune)
+    run = _Run(width, budget, prune)
     rows, den = _int_rows(elems)
     for i, ints in enumerate(rows):
         # tracking column scaled identically, so relations hold for the
@@ -549,7 +555,15 @@ def _tracking_run(elems: Sequence[FreeElem], prune: bool = True) -> _Run:
         ints[(width + i, (0,) * nvars)] = den
         run.process(ints)
     run.run()
-    return run
+    relations: list[FreeElem] = []
+    for h in run.harvest:
+        shifted = {(pos - width, m): c for (pos, m), c in h.items()}
+        if not _annihilates(shifted, rows):
+            raise RuntimeError("internal error: harvested relation fails to annihilate")
+        relations.append(FreeElem._make(k, nvars, shifted))
+    entry = (run.red, tuple(relations))
+    _RUN_CACHE[key] = entry
+    return entry
 
 
 # -- public Groebner interface ------------------------------------------------
@@ -576,6 +590,8 @@ class GroebnerBasis:
     def normal_form(self, elem: FreeElem) -> FreeElem:
         if elem.width != self.width:
             raise ValueError("element width does not match basis width")
+        if elem.nvars != self.nvars:
+            raise ValueError("element nvars does not match basis nvars")
         if elem.is_zero():
             return elem
         h, scale = self._reducer.reduce_full(dict(elem.terms))
@@ -606,18 +622,16 @@ class GroebnerBasis:
 
 
 _GB_CACHE: dict[tuple, GroebnerBasis] = {}
-_SYZ_CACHE: dict[tuple, tuple[FreeElem, ...]] = {}
 _MIN_CACHE: dict[tuple, tuple[FreeElem, ...]] = {}
-_TRACK_CACHE: dict[tuple, _Reducer] = {}
 
 
 def clear_caches() -> None:
-    """Empty the module caches of Groebner bases, syzygies, minimal
-    generating sets, tracking bases and monomial sort keys, and the
+    """Empty the module caches of Buchberger runs, reduced Groebner bases,
+    minimal generating sets and monomial sort keys, and the
     `functools.lru_cache`s of the zoo constructors and the report, so the
     next call recomputes.  The zoo and the report are cleared only when
     they are already imported; this never imports them."""
-    for cache in (_GB_CACHE, _SYZ_CACHE, _MIN_CACHE, _TRACK_CACHE, _MKEY_CACHE):
+    for cache in (_RUN_CACHE, _GB_CACHE, _MIN_CACHE, _MKEY_CACHE):
         cache.clear()
     for name in ("dgcalc.zoo", "dgcalc.report"):
         module = sys.modules.get(name)
@@ -632,25 +646,27 @@ def _as_elems(rows: Sequence) -> list[FreeElem]:
         out.append(r if isinstance(r, FreeElem) else FreeElem(r))
     if not out:
         raise ValueError("empty generator list: width is undetermined")
-    w = out[0].width
+    w, nv = out[0].width, out[0].nvars
     for e in out:
         if e.width != w:
             raise ValueError("generators of mixed width")
+        if e.nvars != nv:
+            raise ValueError("generators of mixed nvars")
     return out
 
 
 def reduced_groebner(rows: Sequence) -> GroebnerBasis:
-    elems = _as_elems(rows)
+    elems = tuple(_as_elems(rows))
     width, nvars = elems[0].width, elems[0].nvars
-    key = (tuple(elems), _budget())
+    key = (elems, _budget())
     hit = _GB_CACHE.get(key)
     if hit is not None:
         return hit
-    run = _Run(width, width, _budget())
-    for ints in _int_rows(elems)[0]:
-        run.process(dict(ints))
-    run.run()
-    red = run.red
+    # every tracking basis element has a genuine lead and its tracking terms
+    # are never reduced, so the genuine parts form a Groebner basis of the rows
+    red = _Reducer(width)
+    for h in _tracked(elems)[0].basis:
+        red.add({t: v for t, v in h.items() if t[0] < width})
     # each h is primitive with a positive lead, so h / lead is canonical
     gens = tuple(
         FreeElem._make(width, nvars, h, 1, h[red._lt(h)])
@@ -687,23 +703,7 @@ def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
     module; it is not minimized here.  Each returned relation is verified
     against the input, in integer term space, before being handed back.
     """
-    elems = _as_elems(rows)
-    k = len(elems)
-    width, nvars = elems[0].width, elems[0].nvars
-    key = (tuple(elems), _budget(), prune)
-    hit = _SYZ_CACHE.get(key)
-    if hit is not None:
-        return list(hit)
-    run = _tracking_run(elems, prune)
-    int_rows, _ = _int_rows(elems)
-    out: list[FreeElem] = []
-    for h in run.harvest:
-        shifted = {(pos - width, m): c for (pos, m), c in h.items()}
-        if not _annihilates(shifted, int_rows):
-            raise RuntimeError("internal error: harvested relation fails to annihilate")
-        out.append(FreeElem._make(k, nvars, shifted))
-    _SYZ_CACHE[key] = tuple(out)
-    return out
+    return list(_tracked(tuple(_as_elems(rows)), prune)[1])
 
 
 # -- minimal generating sets ---------------------------------------------------
@@ -786,6 +786,8 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
     base_rows = tuple(e for e in _as_elems(base) if not e.is_zero()) if base else ()
     if base_rows and base_rows[0].width != uniq[0].width:
         raise ValueError("base width does not match generator width")
+    if base_rows and base_rows[0].nvars != uniq[0].nvars:
+        raise ValueError("base nvars does not match generator nvars")
     key = (tuple(uniq), base_rows, _budget())
     hit = _MIN_CACHE.get(key)
     if hit is not None:
@@ -840,7 +842,9 @@ def divide_with_cofactors(
     width, nvars = elems[0].width, elems[0].nvars
     if elem.width != width:
         raise ValueError("element width does not match generator width")
-    red = _tracking_gb(tuple(elems))
+    if elem.nvars != nvars:
+        raise ValueError("element nvars does not match generator nvars")
+    red = _tracked(tuple(elems))[0]
     if elem.is_zero():
         return tuple(Poly.zero(nvars) for _ in range(k)), elem
     # h == scale * elem.terms - sum_i q_i * gens_i, with -q_i in column
@@ -862,18 +866,6 @@ def divide_with_cofactors(
     if not _annihilates(identity.terms, _int_rows(elems + [remainder, elem])[0]):
         raise RuntimeError("internal error: division identity failed")
     return quot, remainder
-
-
-def _tracking_gb(elems: tuple[FreeElem, ...]) -> _Reducer:
-    """Groebner basis of the rows with tracking columns recording how each
-    basis element is built from the inputs; used for cofactor extraction."""
-    key = (elems, _budget())
-    hit = _TRACK_CACHE.get(key)
-    if hit is not None:
-        return hit
-    red = _tracking_run(elems).red
-    _TRACK_CACHE[key] = red
-    return red
 
 
 # -- rank ------------------------------------------------------------------------

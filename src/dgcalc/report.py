@@ -86,7 +86,6 @@ def _metric(tag: str) -> zoo.Metric:
     return zoo.euclidean(n) if kind == "e" else zoo.minkowski(n)
 
 
-@lru_cache(maxsize=None)
 def _resolution(name: str, tag: str) -> Resolution:
     op = getattr(zoo, name)(_metric(tag))
     return resolve_module(op.rows())

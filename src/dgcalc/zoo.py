@@ -591,7 +591,6 @@ def _trace_adjust(metric: Metric, coeff: Fraction) -> tuple[list[dict[int, int]]
 # -- Weyl ------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _weyl_component_rows(metric: Metric) -> tuple[list[_IntRow], int]:
     """Every curvature-basis component of the linearized Weyl tensor:
 
@@ -627,7 +626,6 @@ def _weyl_component_rows(metric: Metric) -> tuple[list[_IntRow], int]:
     return rows, 2 * (n - 1) * (n - 2) * d**4
 
 
-@lru_cache(maxsize=None)
 def weyl_component_selection(metric: Metric) -> list[int]:
     """Indices of curvature-basis components that stay independent on the
     trace-free subspace, chosen greedily in basis order.

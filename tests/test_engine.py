@@ -176,6 +176,21 @@ def test_divide_with_cofactors_identity_and_remainder():
     assert rem == normal_form(elem, reduced_groebner(gens))
 
 
+def test_mixed_nvars_is_rejected_at_every_entry_point():
+    two = FreeElem([parse("d1", 2)])
+    three = FreeElem([parse("d1*d3 + d2", 3)])
+    for fn in (syzygies, reduced_groebner, fraction_rank):
+        with pytest.raises(ValueError, match="nvars"):
+            fn([two, three])
+    with pytest.raises(ValueError, match="nvars"):
+        reduced_groebner([two]).normal_form(three)
+    with pytest.raises(ValueError, match="nvars"):
+        divide_with_cofactors(three, [two])
+    with pytest.raises(ValueError, match="nvars"):
+        minimize_generators([three], base=[two])
+    assert not module_equal([two], [three])
+
+
 def test_budget_stops_runaway_pairs(monkeypatch):
     monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "1")
     with pytest.raises(BudgetExceeded):
@@ -347,15 +362,66 @@ def test_clear_caches_empties_every_module_cache():
     divide_with_cofactors(rows[0], rows)
     zoo.killing(zoo.euclidean(3))
     report._div3_report()
-    caches = (engine._GB_CACHE, engine._SYZ_CACHE, engine._MIN_CACHE,
-              engine._TRACK_CACHE, engine._MKEY_CACHE)
+    caches = (engine._RUN_CACHE, engine._GB_CACHE, engine._MIN_CACHE, engine._MKEY_CACHE)
     lru = zoo._LRU_CACHES + report._LRU_CACHES
-    assert len(zoo._LRU_CACHES) == 14 and len(report._LRU_CACHES) == 5
+    assert len(zoo._LRU_CACHES) == 12 and len(report._LRU_CACHES) == 4
     assert all(caches)
     assert zoo.killing.cache_info().currsize and report._div3_report.cache_info().currsize
     clear_caches()
     assert not any(caches)
     assert not any(fn.cache_info().currsize for fn in lru)
+
+
+def test_one_buchberger_run_serves_syzygies_division_and_basis(
+    monkeypatch, clear_engine_caches
+):
+    from dgcalc import engine
+    from dgcalc.operators import cc, compose, factor_through
+
+    runs = []
+    run = engine._Run.run
+
+    def counted(self):
+        runs.append(self.red.split)
+        return run(self)
+
+    monkeypatch.setattr(engine._Run, "run", counted)
+    b = zoo.curl()
+    clear_engine_caches()
+    cc(b)
+    factor_through(compose(b, b), b)
+    reduced_groebner(b.rows())
+    assert runs == [3]
+    assert [key[0] for key in engine._RUN_CACHE] == [tuple(b.rows())]
+
+
+@pytest.mark.parametrize("rows", [
+    zoo.curl().rows(),
+    zoo.killing(zoo.minkowski(2)).rows(),
+    [fe("d1^2 + d2", "1"), fe("d1*d2", "d2 - 3"), fe("d2^2", "d1")],
+])
+def test_basis_syzygies_and_cofactors_do_not_depend_on_cache_order(
+    rows, clear_engine_caches
+):
+    elem = FreeElem(p + q * q + Poly.const(p.nvars, 7)
+                    for p, q in zip(rows[0].entries, rows[-1].entries))
+
+    def basis():
+        return "\n".join(map(str, reduced_groebner(rows)))
+
+    def relations():
+        return "\n".join(map(str, syzygies(rows)))
+
+    def cofactors():
+        quot, rem = divide_with_cofactors(elem, rows)
+        return " ".join(map(str, quot)) + " | " + str(rem)
+
+    steps = (basis, relations, cofactors)
+    clear_engine_caches()
+    forward = [f() for f in steps]
+    clear_engine_caches()
+    backward = [f() for f in reversed(steps)][::-1]
+    assert forward == backward
 
 
 def test_resolution_cold_rerun_agrees(clear_engine_caches):

@@ -3,7 +3,7 @@
 from hypothesis import assume, given, strategies as st
 
 from dgcalc.engine import FreeElem, reduced_groebner
-from dgcalc.poly import Poly, mono_divides, mono_key
+from dgcalc.poly import Poly, mono_div, mono_divides, mono_key, mono_lcm
 
 NVARS = 2
 # every monomial in two variables of degree <= 2, the constant included
@@ -53,3 +53,21 @@ def test_reduced_groebner_laws(module):
 
     for r in rows:
         assert gb.normal_form(r).is_zero()
+
+    # Buchberger's criterion: every S-polynomial of two generators with
+    # leads at one position reduces to zero
+    for a, (pa, ma, _) in enumerate(leads):
+        for b in range(a + 1, len(gens)):
+            pb, mb, _ = leads[b]
+            if pa != pb:
+                continue
+            lcm = mono_lcm(ma, mb)
+            sa = Poly(NVARS, {mono_div(lcm, ma): 1})
+            sb = Poly(NVARS, {mono_div(lcm, mb): 1})
+            spoly = FreeElem(
+                sa * x - sb * y for x, y in zip(gens[a].entries, gens[b].entries)
+            )
+            assert gb.normal_form(spoly).is_zero(), (str(gens[a]), str(gens[b]))
+
+    for g in gens:
+        assert reduced_groebner(rows + [g]) == gb
