@@ -13,9 +13,9 @@ and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .engine import (
     BudgetExceeded,
@@ -47,8 +47,7 @@ class SearchExhaustedError(RuntimeError):
     the compatibility conditions: a limit of the method, not a budget."""
 
 
-@dataclass(frozen=True)
-class TorsionGenerator:
+class TorsionGenerator(NamedTuple):
     """A row generating torsion in the system module: no choice of
     potentials produces it, and a scalar operator kills it modulo the
     system rows."""
@@ -64,8 +63,7 @@ class TorsionGenerator:
         )
 
 
-@dataclass(frozen=True)
-class ParamReport:
+class ParamReport(NamedTuple):
     """Outcome of the double-duality test for one operator."""
 
     operator: LinDiffOp
@@ -158,8 +156,7 @@ def _annihilator_witness(residue: FreeElem, rows1: list[FreeElem],
 # -- Ext modules --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtReport:
+class ExtReport(NamedTuple):
     """Presentation of one Ext module of the adjoint system.
 
     generators are cocycle classes in D^(1 x k); relations present the

@@ -1017,6 +1017,8 @@ def euler_characteristic(res: Resolution) -> int:
 def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolution:
     """Iterate minimized syzygies until they vanish.  The generic rank of
     the presented module equals the Euler characteristic once complete."""
+    if max_steps is not None and max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
     elems = _as_elems(rows)
     nvars = elems[0].nvars
     if max_steps is None:

@@ -58,7 +58,8 @@ class Bundle:
     __slots__ = ("name", "labels", "weights")
 
     def __init__(self, name: str, components: Iterable[tuple[str, Fraction]]):
-        comps = [(str(lbl), Fraction(w)) for lbl, w in components]
+        comps = [(str(lbl), w if isinstance(w, Fraction) else Fraction(w))
+                 for lbl, w in components]
         if not comps:
             raise ValueError("bundle needs at least one component")
         labels = [lbl for lbl, _ in comps]
@@ -307,12 +308,27 @@ def bundle_to_dict(b: Bundle) -> dict:
     }
 
 
+def _document_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise OpFormatError(f"{what} {value!r} is not a string")
+    return value
+
+
+def _document_weight(w) -> Fraction:
+    # a JSON float is no exact weight, and true/false (an int subclass) no
+    # weight at all
+    if isinstance(w, str) or (isinstance(w, int) and not isinstance(w, bool)):
+        return Fraction(w)
+    raise OpFormatError(f"weight {w!r} is not a string or an integer")
+
+
 def bundle_from_dict(d: dict) -> Bundle:
     try:
         comps = [
-            (c["label"], Fraction(c["weight"])) for c in d["components"]
+            (_document_str(c["label"], "label"), _document_weight(c["weight"]))
+            for c in d["components"]
         ]
-        return Bundle(d.get("name", "bundle"), comps)
+        return Bundle(_document_str(d.get("name", "bundle"), "bundle name"), comps)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise OpFormatError(f"bad bundle: {exc}") from exc
 
@@ -347,19 +363,26 @@ def operator_from_dict(d: dict) -> LinDiffOp:
     mat = d["matrix"]
     if not isinstance(mat, list) or not all(isinstance(r, list) for r in mat):
         raise OpFormatError("matrix must be a list of rows")
+    name = _document_str(d.get("name", "operator"), "name")
+    # documents repeat few distinct texts, so each is parsed once and equal
+    # cells share one Poly; that is safe because no operation mutates a Poly
+    parsed: dict[str, Poly] = {}
     rows = []
     for i, row in enumerate(mat):
         prow = []
         for j, cell in enumerate(row):
             if not isinstance(cell, str):
                 raise OpFormatError(f"matrix[{i}][{j}] is not a string")
-            try:
-                prow.append(parse(cell, nvars))
-            except ParseError as exc:
-                raise OpFormatError(f"matrix[{i}][{j}]: {exc}") from exc
+            p = parsed.get(cell)
+            if p is None:
+                try:
+                    p = parsed[cell] = parse(cell, nvars)
+                except ParseError as exc:
+                    raise OpFormatError(f"matrix[{i}][{j}]: {exc}") from exc
+            prow.append(p)
         rows.append(prow)
     try:
-        return LinDiffOp(d.get("name", "operator"), nvars, source, target, rows)
+        return LinDiffOp(name, nvars, source, target, rows)
     except ShapeMismatch as exc:
         raise OpFormatError(str(exc)) from exc
 

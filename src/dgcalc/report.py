@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import zoo
 from .duality import ext_module, minimal_parametrization, param_test
@@ -40,8 +39,7 @@ from .operators import (
 from .poly import Poly, mono_mul, parse
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One recomputed claim: its identifier, a short description, the
     recorded value, the value computed in this run, and the verdict."""
 
@@ -53,8 +51,7 @@ class ReportRow:
     seconds: float
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     id: str
     claim: str
     expected: object

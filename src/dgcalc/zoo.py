@@ -13,11 +13,11 @@ i <= j in lexicographic order; curvature components are pairs of pairs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
+from typing import NamedTuple
 
 from .engine import Term, _Echelon
 from .operators import Bundle, LinDiffOp, adjoint, compose, scale
@@ -27,14 +27,35 @@ from .poly import Monomial, Poly, from_numerators
 # -- metrics -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Metric:
-    """A constant symmetric nondegenerate metric on R^n."""
+    """A constant symmetric nondegenerate metric on R^n.
 
-    name: str
-    tag: str
-    n: int
-    matrix: tuple[tuple[Fraction, ...], ...]
+    A value: equal and hashing alike over (name, tag, n, matrix), so it can
+    key a cache; metric[i, j] reads the 1-indexed entry."""
+
+    __slots__ = ("name", "tag", "n", "matrix")
+
+    def __init__(self, name: str, tag: str, n: int,
+                 matrix: tuple[tuple[Fraction, ...], ...]):
+        self.name = name
+        self.tag = tag
+        self.n = n
+        self.matrix = matrix
+
+    def _key(self) -> tuple:
+        return (self.name, self.tag, self.n, self.matrix)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Metric):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Metric(name={self.name!r}, tag={self.tag!r}, n={self.n!r}, "
+                f"matrix={self.matrix!r})")
 
     @property
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -882,8 +903,7 @@ def cosserat_parametrization() -> LinDiffOp:
     return LinDiffOp("cosserat_parametrization", 2, src, tgt, rows)
 
 
-@dataclass(frozen=True)
-class Cosserat2D:
+class Cosserat2D(NamedTuple):
     """The planar Cosserat triple: jet operator, its balance equations,
     and potentials for the latter."""
 
@@ -903,8 +923,7 @@ def cosserat2d() -> Cosserat2D:
 # -- dimension bookkeeping -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DimTable:
+class DimTable(NamedTuple):
     """Closed-form dimension counts used across the examples."""
 
     n: int
@@ -965,8 +984,7 @@ def diagram1_table() -> dict:
 # -- registry for the command line ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZooEntry:
+class ZooEntry(NamedTuple):
     key: str
     needs_metric: bool = False
     needs_n: bool = False

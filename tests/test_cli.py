@@ -178,6 +178,25 @@ def test_malformed_document_exits_2(capsys, tmp_path):
     assert err
 
 
+def test_document_field_of_the_wrong_json_type_exits_2(capsys, ops_dir, tmp_path):
+    doc = json.loads((ops_dir / "grad3.json").read_text())
+    doc["source"]["components"][0]["weight"] = True
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "adjoint", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad bundle: weight True is not a string or an integer\n"
+
+
+def test_negative_resolve_depth_exits_1(capsys, ops_dir):
+    code, out, err = run(capsys, "resolve", str(ops_dir / "curl3.json"),
+                         "--steps", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: max_steps must be nonnegative\n"
+
+
 def test_shape_mismatch_exits_3(capsys, ops_dir):
     code, _, err = run(capsys, "compose", str(ops_dir / "killing_e2.json"),
                        str(ops_dir / "div3.json"))

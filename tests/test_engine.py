@@ -346,6 +346,11 @@ def test_resolution_respects_step_budget():
     assert not res.complete
 
 
+def test_resolution_rejects_a_negative_step_budget():
+    with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+        resolve_module(zoo.grad(3).rows(), max_steps=-1)
+
+
 def test_resolution_of_free_module_stops_immediately():
     res = resolve_module([fe("d1", "0"), fe("0", "d2")])
     assert res.dims == (2,)

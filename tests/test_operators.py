@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgcalc import zoo
+from dgcalc import duality, operators, zoo
 from dgcalc.engine import module_equal, syzygies
 from dgcalc.operators import (
     Bundle,
@@ -253,6 +253,12 @@ def test_save_and_load(tmp_path):
         load_operator(bad)
 
 
+def _with_first_source_component(d, **fields):
+    comps = d["source"]["components"]
+    return {**d, "source": {**d["source"],
+                            "components": [{**comps[0], **fields}] + comps[1:]}}
+
+
 @pytest.mark.parametrize("mangle", [
     lambda d: [],
     lambda d: {k: v for k, v in d.items() if k != "matrix"},
@@ -263,8 +269,78 @@ def test_save_and_load(tmp_path):
     lambda d: {**d, "matrix": [[5] + d["matrix"][0][1:]] + d["matrix"][1:]},
     lambda d: {**d, "matrix": [["x1"] + d["matrix"][0][1:]] + d["matrix"][1:]},
     lambda d: {**d, "source": {"components": [{"label": "u"}]}},
+    # fields of the wrong JSON type: none is coerced to a weight, label or name
+    lambda d: _with_first_source_component(d, weight=True),
+    lambda d: _with_first_source_component(d, weight=0.1),
+    lambda d: _with_first_source_component(d, label=["a"]),
+    lambda d: {**d, "source": {**d["source"], "name": ["v"]}},
+    lambda d: {**d, "name": {"x": 1}},
 ])
 def test_malformed_documents_are_rejected(mangle):
     doc = json.loads(operator_json(zoo.curl()))
     with pytest.raises(OpFormatError):
         operator_from_dict(mangle(doc))
+
+
+def _count_parses(monkeypatch) -> list[str]:
+    calls = []
+
+    def counting_parse(text, nvars):
+        calls.append(text)
+        return parse(text, nvars)
+
+    monkeypatch.setattr(operators, "parse", counting_parse)
+    return calls
+
+
+def test_each_distinct_cell_is_parsed_once_per_document(tmp_path, monkeypatch):
+    op = zoo.riemann_lin(zoo.euclidean(6))
+    path = tmp_path / "riemann_e6.json"
+    save_operator(op, path)
+    calls = _count_parses(monkeypatch)
+    assert load_operator(path) == op
+    assert sum(len(row) for row in op.matrix) == 2205
+    assert len(calls) == 55 == len(set(calls))
+
+
+def test_repeated_bad_cell_is_reported_at_its_first_position(monkeypatch):
+    doc = json.loads(operator_json(zoo.curl()))
+    doc["matrix"][0][0] = doc["matrix"][2][1] = "x1"
+    calls = _count_parses(monkeypatch)
+    with pytest.raises(OpFormatError, match=r"^matrix\[0\]\[0\]: "):
+        operator_from_dict(doc)
+    assert calls == ["x1"]
+
+
+def test_shared_entries_are_never_mutated(tmp_path):
+    # killing e3 has 18 cells but only 7 distinct texts, so loading it
+    # shares one Poly between equal cells
+    path = tmp_path / "killing_e3.json"
+    save_operator(zoo.killing(zoo.euclidean(3)), path)
+    op = load_operator(path)
+    cells = json.loads(path.read_text())["matrix"]
+    assert len({id(p) for row in op.matrix for p in row}) == 7
+
+    def entry_arithmetic():
+        for row in op.matrix:
+            for p in row:
+                p + p, p * p, p - 1
+
+    runs = {
+        "adjoint": lambda: adjoint(op),
+        "compose": lambda: compose(adjoint(op), op),
+        "scale": lambda: scale(op, Fraction(-3, 2)),
+        "cc": lambda: cc(op),
+        "rows": op.rows,
+        "columns": op.columns,
+        "factor_through": lambda: factor_through(compose(adjoint(op), op), op),
+        "param_test": lambda: duality.param_test(op),
+        "entry arithmetic": entry_arithmetic,
+    }
+    # checked after each run, so that two runs undoing each other's
+    # change to an entry (a sign flip, say) still fail
+    for name, run in runs.items():
+        run()
+        for i, row in enumerate(op.matrix):
+            for j, p in enumerate(row):
+                assert p.terms == parse(cells[i][j], op.nvars).terms, (name, i, j)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dgcalc
-from dgcalc import zoo
+from dgcalc import duality, zoo
 from dgcalc.operators import save_operator
 
 SRC = str(Path(dgcalc.__file__).resolve().parents[1])
@@ -60,17 +60,31 @@ def curl_doc(tmp_path_factory):
     ["cc", "{doc}"],
     ["rank", "{doc}"],
     ["resolve", "{doc}"],
+    ["factor", "{doc}", "{doc}"],
     ["zoo", "--help"],
-], ids=["help", "adjoint", "compose", "cc", "rank", "resolve", "zoo-help"])
+], ids=["help", "adjoint", "compose", "cc", "rank", "resolve", "factor", "zoo-help"])
 def test_core_commands_load_no_upper_layer(argv, curl_doc):
     names = _loaded(RUN_CLI, *(a.format(doc=curl_doc) for a in argv))
     assert not names & (UPPER | {"dataclasses", "inspect"})
 
 
+@pytest.mark.parametrize("argv", [
+    ["zoo"],
+    ["paramtest", "{doc}"],
+    ["minparam", "{doc}"],
+    ["ext", "{doc}", "1"],
+    ["report", "--only", "c10"],
+], ids=["zoo-list", "paramtest", "minparam", "ext", "report-c10"])
+def test_upper_commands_load_no_dataclasses(argv, curl_doc):
+    names = _loaded(RUN_CLI, *(a.format(doc=curl_doc) for a in argv))
+    assert names & UPPER
+    assert not names & {"dataclasses", "inspect"}
+
+
 def test_zoo_builds_without_duality_or_report():
     names = _loaded(RUN_CLI, "zoo", "killing", "--n", "3")
     assert "dgcalc.zoo" in names
-    assert not names & {"dgcalc.duality", "dgcalc.report"}
+    assert not names & {"dgcalc.duality", "dgcalc.report", "dataclasses", "inspect"}
 
 
 def test_clear_caches_imports_no_upper_layer():
@@ -121,3 +135,30 @@ def test_lazy_package_public_surface():
     proc = _python("-c", PUBLIC_SURFACE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# -- the records of the upper layers -------------------------------------------------
+
+
+def test_record_texts_are_pinned():
+    assert repr(zoo.euclidean(2)) == (
+        "Metric(name='euclidean', tag='e', n=2, matrix=((Fraction(1, 1), "
+        "Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1))))"
+    )
+    assert repr(zoo.ZOO["curl"]) == (
+        "ZooEntry(key='curl', needs_metric=False, needs_n=False, needs_lame=False, "
+        "needs_r=False, fixed_n=3, summary='curl in three variables')"
+    )
+    rep = duality.param_test(zoo.einstein_lin(zoo.minkowski(4)), with_ext2=False)
+    assert str(rep.torsion[0]) == (
+        "(0, d2*d3, -d2^2, 0, -d1*d3, d1*d2, 0, 0, 0, 0)  "
+        "[order 2, annihilated by d1^2 + d2^2 + d3^2 - d4^2]"
+    )
+
+
+def test_equal_metrics_are_equal_and_hash_alike():
+    a, b = zoo.minkowski(3), zoo.minkowski(3)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != zoo.euclidean(3)
+    assert a[3, 3] == -1
