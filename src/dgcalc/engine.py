@@ -16,6 +16,21 @@ the reduced Groebner basis, the elements whose genuine block dies give the
 syzygy generators, and the tracking columns of a remainder give the
 cofactors of a division.
 
+Inside the run, the Groebner reducer and the graded minimizer, a term is
+one int (`_Packing`).  From high bits to low it holds the block flag, the
+total degree, cap - e_n, ..., cap - e_1 and ncols - 1 - pos, so integer
+order is the term order, a monomial multiple is one addition, and a
+divisibility test is one subtraction and a guard-bit mask.  The field
+width comes from the computation's degree bound: for a run, the highest
+degree in its basis plus the larger of the degree budget and the rows'
+degree, checked again each time the basis grows; for a normal form or a
+division, the basis degree plus the input's.  When a term would not fit,
+the fields widen and the basis is re-encoded, and encoding a term wider
+than its fields raises OverflowError rather than wrapping.  Only values
+that leave the engine are decoded, and the inline checks (each harvested
+relation annihilates its rows, each division identity holds) run on the
+decoded (position, monomial) terms, apart from the packing.
+
 Everything here is deterministic: pair selection, reducer choice and output
 ordering are all fixed by the term order and insertion order, and reduced
 Groebner bases are mathematically unique, so results do not depend on
@@ -30,7 +45,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .poly import (
@@ -40,7 +55,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 BUDGET_ENV = "DGCALC_BUDGET_DEGREE"
@@ -292,13 +306,95 @@ def _annihilates(coeffs: dict[Term, int], rows: Sequence[dict[Term, int]]) -> bo
     return not any(acc.values())
 
 
-def _content_normalize(h: dict[Term, int], key) -> dict[Term, int]:
-    """h divided by its integer content, with the sign that makes the
-    leading coefficient under `key` positive."""
+# -- packed terms ----------------------------------------------------------------
+
+
+class _Packing:
+    """The layout of packed terms for one computation.
+
+    A term (pos, m) of a module with `ncols` positions, of which
+    [0, split) are genuine and the rest tracking columns, is one int whose
+    fields are, from high bits to low: the block flag (1 for genuine), the
+    total degree, cap - e_n, ..., cap - e_1, and ncols - 1 - pos.  The
+    degree and exponent fields are `bits` wide and cap = 2**(bits-1) - 1,
+    so the top bit of each field is a guard bit that no stored term sets.
+    Integer order is then the engine's term order: block, degrevlex
+    monomial, lower position.
+
+    Multiplying a term by a monomial adds to the degree field and takes
+    from the exponent fields, with no carry, so it is one addition of a
+    shift such as `enc(p, L) - enc(p, m)`; at one position, lead | t
+    exactly when `(lead - t) & guard` is 0, since a field of `lead` below
+    that of `t` borrows into its own guard bit.  Both hold only while
+    every degree stays at most `cap`: `_Reducer.fit` widens the fields
+    before a computation can exceed it, and `term` refuses (OverflowError)
+    to encode a term above it.
+    """
+
+    __slots__ = (
+        "nvars", "ncols", "split", "cap", "shifts", "degshift", "fmask",
+        "flag", "guard", "pmask", "emask", "_one", "_weights",
+    )
+
+    def __init__(self, nvars: int, ncols: int, split: int, degree: int):
+        bits = degree.bit_length() + 1
+        low = (ncols - 1).bit_length()
+        self.nvars, self.ncols, self.split = nvars, ncols, split
+        self.cap = (1 << (bits - 1)) - 1
+        self.shifts = tuple(range(low, low + nvars * bits, bits))
+        self.degshift = low + nvars * bits
+        self.fmask = (1 << bits) - 1
+        self.flag = 1 << (self.degshift + bits)
+        self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
+        self.pmask = (1 << low) - 1
+        self.emask = (1 << self.degshift) - 1 - self.pmask
+        # (0, 1) without its flag, and what one unit of each exponent adds
+        self._one = sum(self.cap << s for s in self.shifts) + ncols - 1
+        self._weights = tuple((1 << self.degshift) - (1 << s) for s in self.shifts)
+
+    def term(self, pos: int, m: Monomial) -> int:
+        deg = sum(m)
+        if deg > self.cap:
+            raise OverflowError(
+                f"degree {deg} exceeds the packed field capacity {self.cap}"
+            )
+        t = self._one - pos + sum(map(mul, m, self._weights))
+        return t + self.flag if pos < self.split else t
+
+    def encode(self, terms: dict[Term, int]) -> dict[int, int]:
+        term = self.term
+        return {term(pos, m): v for (pos, m), v in terms.items()}
+
+    def decode_term(self, t: int, monos: dict[int, Monomial]) -> Term:
+        """t as (position, monomial).  `monos`, the caller's table from
+        exponent fields to tuples, makes equal monomials share one tuple."""
+        key = t & self.emask
+        m = monos.get(key)
+        if m is None:
+            cap, fmask = self.cap, self.fmask
+            m = monos[key] = tuple(cap - ((t >> s) & fmask) for s in self.shifts)
+        return self.ncols - 1 - (t & self.pmask), m
+
+    def decode(
+        self, h: dict[int, int], monos: dict[int, Monomial] | None = None, offset: int = 0
+    ) -> dict[Term, int]:
+        """h as (position - offset, monomial) terms."""
+        if monos is None:
+            monos = {}
+        out = {}
+        for t, v in h.items():
+            pos, m = self.decode_term(t, monos)
+            out[(pos - offset, m)] = v
+        return out
+
+
+def _content_normalize(h: dict) -> dict:
+    """h divided by its integer content, with the sign that makes its
+    largest key's coefficient positive."""
     g = math.gcd(*h.values())
     if g > 1:
         h = {t: v // g for t, v in h.items()}
-    if h[max(h, key=key)] < 0:
+    if h[max(h)] < 0:
         h = {t: -v for t, v in h.items()}
     return h
 
@@ -307,66 +403,82 @@ def _content_normalize(h: dict[Term, int], key) -> dict[Term, int]:
 
 
 class _Reducer:
-    """Basis storage and division over integer term dicts.
+    """Basis storage and division over packed term dicts {term: int}.
 
-    `split` partitions positions into a genuine block [0, split) and a
-    tracking block [split, width); genuine terms always outrank tracking
-    terms.  A plain basis uses split == width.
+    Every basis element has a genuine lead (see `_Packing` for the
+    blocks), so tracking terms are never reducible.  `top` is the highest
+    degree of a basis term: reducing an input of degree d creates no term
+    above top + d, and callers `fit` that bound before reducing.
     """
 
-    def __init__(self, split: int):
-        self.split = split
-        self.basis: list[dict[Term, int]] = []
-        self.lts: list[tuple[Term, int]] = []
-        self.by_pos: dict[int, list[int]] = {}
+    def __init__(self, pack: _Packing):
+        self.pack = pack
+        self.basis: list[dict[int, int]] = []
+        self.lts: list[int] = []
+        self.by_pos: dict[int, list[int]] = {}  # position field -> indices
+        self.top = 0
 
-    # term order with the block flag in front
-    def _key(self, t: Term) -> tuple:
-        return (t[0] < self.split, _mkey(t[1]), -t[0])
-
-    def _lt(self, h: dict[Term, int]) -> Term:
-        return max(h, key=self._key)
-
-    def add(self, h: dict[Term, int]) -> Term:
-        """Append h to the basis; returns its leading term."""
-        lt = self._lt(h)
-        self.by_pos.setdefault(lt[0], []).append(len(self.basis))
+    def add(self, h: dict[int, int]) -> None:
+        """Append h, a nonzero element with a genuine lead, to the basis."""
+        lt = max(h)
+        self.by_pos.setdefault(lt & self.pack.pmask, []).append(len(self.basis))
         self.basis.append(h)
-        self.lts.append((lt, h[lt]))
-        return lt
+        self.lts.append(lt)
+        dmask = self.pack.fmask << self.pack.degshift
+        self.top = max(self.top, max(t & dmask for t in h) >> self.pack.degshift)
 
-    def _find_reducer(self, t: Term) -> int:
-        pos, m = t
-        for idx in self.by_pos.get(pos, ()):  # insertion order: deterministic
-            if mono_divides(self.lts[idx][0][1], m):
-                return idx
-        return -1
+    def fit(self, degree: int) -> None:
+        """Widen the fields, re-encoding the basis, unless terms of this
+        degree already fit.  Positions keep their field, so `by_pos`
+        stays valid."""
+        old = self.pack
+        if degree <= old.cap:
+            return
+        new = _Packing(old.nvars, old.ncols, old.split, degree)
+        decode, term, monos = old.decode_term, new.term, {}
+        self.basis = [
+            {term(*decode(t, monos)): v for t, v in h.items()} for h in self.basis
+        ]
+        self.lts = [term(*decode(t, monos)) for t in self.lts]
+        self.pack = new
+
+    def encode_input(self, terms: dict[Term, int], degree: int) -> dict[int, int]:
+        """Packed terms of an input of this degree, after fitting the
+        fields to everything its reduction can create."""
+        self.fit(self.top + degree)
+        return self.pack.encode(terms)
 
     def reduce_full(
-        self, h: dict[Term, int], keep: Term | None = None
-    ) -> tuple[dict[Term, int], Fraction]:
-        """Pseudo-reduce every reducible term except `keep`.  Returns
-        (remainder, scale) with remainder == scale * input  -  combination
-        of basis elements, and scale > 0."""
-        scale = Fraction(1)
+        self, h: dict[int, int], keep: int | None = None
+    ) -> tuple[dict[int, int], int, int]:
+        """Pseudo-reduce every reducible term except `keep`, in place.
+        Returns (remainder, num, den) with remainder == num/den * input
+        -  combination of basis elements, and num, den > 0."""
+        num = den = 1
         if not h:
-            return h, scale
-        # heapq is a min-heap; _negkey inverts the term order so the pop
-        # order runs from the largest term downward
-        heap = [(self._negkey(t), t) for t in h]
+            return h, num, den
+        pack = self.pack
+        flag, guard, pmask = pack.flag, pack.guard, pack.pmask
+        basis, lts, by_pos = self.basis, self.lts, self.by_pos
+        # a max-heap of negated terms; tracking terms never enter it
+        heap = [-t for t in h if t >= flag]
         heapq.heapify(heap)
-        done: set[Term] = set() if keep is None else {keep}
+        done: set[int] = set() if keep is None else {keep}
         steps = 0
         while heap:
-            _, t = heapq.heappop(heap)
+            t = -heapq.heappop(heap)
             if t in done or t not in h:
                 continue
-            idx = self._find_reducer(t)
-            if idx < 0:
+            # insertion order: deterministic
+            for idx in by_pos.get(t & pmask, ()):
+                lt = lts[idx]
+                if not (lt - t) & guard:
+                    break
+            else:
                 done.add(t)
                 continue
-            g = self.basis[idx]
-            (gpos, gm), lc = self.lts[idx]
+            g = basis[idx]
+            lc = g[lt]
             c = h[t]
             gam = math.gcd(lc, c)
             a = lc // gam
@@ -374,98 +486,115 @@ class _Reducer:
             if a < 0:
                 a, b = -a, -b
             if a != 1:
-                scale = scale * a
+                num *= a
                 for k in h:
                     h[k] *= a
-            shift = mono_div(t[1], gm)
-            for (p2, m2), gc in g.items():
-                k2 = (p2, mono_mul(m2, shift))
-                v = h.get(k2, 0) - b * gc
-                if v:
-                    if k2 not in h:
-                        heapq.heappush(heap, (self._negkey(k2), k2))
-                    h[k2] = v
+            shift = t - lt
+            get = h.get
+            for k, gc in g.items():
+                k += shift
+                v = get(k)
+                if v is None:
+                    h[k] = -b * gc
+                    if k >= flag:
+                        heapq.heappush(heap, -k)
                 else:
-                    h.pop(k2, None)
+                    v -= b * gc
+                    if v:
+                        h[k] = v
+                    else:
+                        del h[k]
             steps += 1
             if steps % 16 == 0 and h:
-                g0 = 0
-                for v in h.values():
-                    g0 = math.gcd(g0, v)
+                g0 = math.gcd(*h.values())
                 if g0 > 1:
                     for k in h:
                         h[k] //= g0
-                    scale = scale / g0
-        return h, scale
+                    den *= g0
+        g0 = math.gcd(num, den)
+        return h, num // g0, den // g0
 
-    def _negkey(self, t: Term) -> tuple:
-        m = t[1]
-        return (t[0] >= self.split, -sum(m), m[::-1], t[0])
-
-    def interreduced_basis(self) -> list[dict[Term, int]]:
-        """The content-normalized reduced Groebner basis of the stored
-        basis, which must be a Groebner basis, sorted by (leading position,
-        leading monomial).
+    def interreduced(self) -> "_Reducer":
+        """A reducer holding the reduced Groebner basis of the stored basis,
+        which must be a Groebner basis: each element primitive with a
+        positive lead, sorted by (leading position, leading monomial).
 
         One pass suffices: the elements whose leads no other lead divides
         keep the lead module, and reducing each one's tail against them
         yields the unique reduced element with that lead."""
-        leads = [lt for lt, _ in self.lts]
-        survivors = _Reducer(self.split)
-        for a, (pa, ma) in enumerate(leads):
+        pack = self.pack
+        guard, pmask = pack.guard, pack.pmask
+        leads = self.lts
+        survivors = _Reducer(pack)
+        for a, la in enumerate(leads):
             # of two equal leads the earlier one survives
             if not any(
-                b != a and pb == pa and mono_divides(mb, ma) and (mb != ma or b < a)
-                for b, (pb, mb) in enumerate(leads)
+                b != a and lb & pmask == la & pmask and not (lb - la) & guard
+                and (lb != la or b < a)
+                for b, lb in enumerate(leads)
             ):
                 survivors.add(self.basis[a])
+        survivors.fit(2 * survivors.top)
         out = []
-        for h, (lt, _) in zip(survivors.basis, survivors.lts):
+        for h, lt in zip(survivors.basis, survivors.lts):
             # a tail term is below the lead, so only other survivors reduce it
-            r, _ = survivors.reduce_full(dict(h), keep=lt)
-            out.append((lt[0], _mkey(lt[1]), _content_normalize(r, self._key)))
+            r, _, _ = survivors.reduce_full(dict(h), keep=lt)
+            out.append((-(lt & pmask), lt, _content_normalize(r)))
         out.sort(key=lambda x: x[:2])
-        return [r for _, _, r in out]
+        reduced = _Reducer(survivors.pack)
+        for _, _, r in out:
+            reduced.add(r)
+        return reduced
 
 
 class _Run:
     """The S-pair queue of one Buchberger computation over a `_Reducer`.
 
-    Positions from `split` on are tracking columns (see `_Reducer`).  Pair
-    pruning uses the Gebauer-Moeller chain criteria.
+    `reach` bounds the degree of every genuine term the run reduces: the
+    larger of the degree budget and the rows' degree.  Pair pruning uses
+    the Gebauer-Moeller chain criteria.
     """
 
-    def __init__(self, split: int, budget: int, prune: bool = True):
+    def __init__(self, pack: _Packing, reach: int, budget: int, prune: bool = True):
+        self.reach = reach
         self.budget = budget
         self.prune = prune
-        self.red = _Reducer(split)
+        self.red = _Reducer(pack)
+        self.leads: list[Term] = []  # each element's lead, decoded
+        self.monos: dict[int, Monomial] = {}  # the decoding table of the run
         self.pairs: list[tuple[int, tuple, int, int, int]] = []  # heap
         self.alive: dict[tuple[int, int], Monomial] = {}
         self.harvest: list[dict[Term, int]] = []
 
-    def process(self, h: dict[Term, int]) -> None:
+    def process(self, h: dict[int, int]) -> None:
         """Reduce h; a nonzero remainder joins the basis, or, once its
         genuine part has died, is harvested as a relation."""
         red = self.red
-        h, _ = red.reduce_full(h)
+        h, _, _ = red.reduce_full(h)
         if not h:
             return
-        h = _content_normalize(h, red._key)
-        if all(pos >= red.split for pos, _ in h):
-            self.harvest.append(h)
+        h = _content_normalize(h)
+        pack = red.pack
+        if max(h) < pack.flag:
+            # decoded now: a later widening re-encodes only the basis
+            self.harvest.append(pack.decode(h, self.monos, pack.split))
         else:
             self._add_basis(h)
 
-    def _add_basis(self, h: dict[Term, int]) -> None:
+    def _add_basis(self, h: dict[int, int]) -> None:
         red = self.red
-        lts = red.lts
-        t = len(lts)
-        lt = red.add(h)
-        pos = lt[0]
+        t = len(red.lts)
+        red.add(h)
+        # every term made from here on is a basis term times a shift of
+        # degree at most reach
+        red.fit(red.top + self.reach)
+        pos, lm = red.pack.decode_term(red.lts[t], self.monos)
+        leads = self.leads
+        leads.append((pos, lm))
         # new pairs against earlier same-position elements, then prune
         cand: dict[int, Monomial] = {}
-        for i in red.by_pos[pos][:-1]:
-            cand[i] = mono_lcm(lts[i][0][1], lt[1])
+        for i in red.by_pos[red.lts[t] & red.pack.pmask][:-1]:
+            cand[i] = mono_lcm(leads[i][1], lm)
         if self.prune and cand:
             # chain criterion among the new pairs: drop (i,t) when another
             # new pair's lcm strictly divides its lcm
@@ -480,38 +609,38 @@ class _Run:
                 del cand[i]
             # chain criterion against existing pairs
             for (i, j), L in list(self.alive.items()):
-                if lts[i][0][0] != pos:
+                if leads[i][0] != pos:
                     continue
-                if mono_divides(lt[1], L):
-                    lit = cand.get(i) or mono_lcm(lts[i][0][1], lt[1])
-                    ljt = cand.get(j) or mono_lcm(lts[j][0][1], lt[1])
+                if mono_divides(lm, L):
+                    lit = cand.get(i) or mono_lcm(leads[i][1], lm)
+                    ljt = cand.get(j) or mono_lcm(leads[j][1], lm)
                     if lit != L and ljt != L:
                         del self.alive[(i, j)]
         for i, L in sorted(cand.items()):
             self.alive[(i, t)] = L
             heapq.heappush(self.pairs, (sum(L), _mkey(L), pos, i, t))
 
-    def _spair(self, i: int, j: int) -> dict[Term, int]:
+    def _spair(self, i: int, j: int) -> dict[int, int]:
         red = self.red
-        (pi, mi), ci = red.lts[i]
-        (pj, mj), cj = red.lts[j]
-        L = mono_lcm(mi, mj)
+        gi, gj = red.basis[i], red.basis[j]
+        lti, ltj = red.lts[i], red.lts[j]
+        (pos, mi), (_, mj) = self.leads[i], self.leads[j]
+        L = red.pack.term(pos, mono_lcm(mi, mj))
+        ci, cj = gi[lti], gj[ltj]
         gam = math.gcd(ci, cj)
         a = cj // gam
         b = ci // gam
-        si = mono_div(L, mi)
-        sj = mono_div(L, mj)
-        h: dict[Term, int] = {}
-        for (p, m), c in red.basis[i].items():
-            k = (p, mono_mul(m, si))
-            h[k] = h.get(k, 0) + a * c
-        for (p, m), c in red.basis[j].items():
-            k = (p, mono_mul(m, sj))
-            v = h.get(k, 0) - b * c
+        si = L - lti
+        sj = L - ltj
+        h = {k + si: a * c for k, c in gi.items()}
+        get = h.get
+        for k, c in gj.items():
+            k += sj
+            v = get(k, 0) - b * c
             if v:
                 h[k] = v
             else:
-                h.pop(k, None)
+                del h[k]
         return h
 
     def run(self) -> None:
@@ -546,21 +675,25 @@ def _tracked(
         return hit
     k = len(elems)
     width, nvars = elems[0].width, elems[0].nvars
-    run = _Run(width, budget, prune)
     rows, den = _int_rows(elems)
+    rowdeg = max(e.degree() for e in elems)
+    reach = max(budget, rowdeg)
+    run = _Run(_Packing(nvars, width + k, width, rowdeg + reach), reach, budget, prune)
+    one = (0,) * nvars
     for i, ints in enumerate(rows):
         # tracking column scaled identically, so relations hold for the
-        # rows exactly as given, not for rescaled ones
-        ints = dict(ints)
-        ints[(width + i, (0,) * nvars)] = den
-        run.process(ints)
+        # rows exactly as given, not for rescaled ones; the fields may have
+        # widened since the previous row
+        pack = run.red.pack
+        h = pack.encode(ints)
+        h[pack.term(width + i, one)] = den
+        run.process(h)
     run.run()
     relations: list[FreeElem] = []
-    for h in run.harvest:
-        shifted = {(pos - width, m): c for (pos, m), c in h.items()}
-        if not _annihilates(shifted, rows):
+    for rel in run.harvest:
+        if not _annihilates(rel, rows):
             raise RuntimeError("internal error: harvested relation fails to annihilate")
-        relations.append(FreeElem._make(k, nvars, shifted))
+        relations.append(FreeElem._make(k, nvars, rel))
     entry = (run.red, tuple(relations))
     _RUN_CACHE[key] = entry
     return entry
@@ -579,13 +712,20 @@ class GroebnerBasis:
     scalar.
     """
 
-    def __init__(self, width: int, nvars: int, generators: tuple[FreeElem, ...]):
-        self.width = width
-        self.nvars = nvars
-        self.generators = generators
-        self._reducer = _Reducer(width)
-        for g in generators:
-            self._reducer.add(g.terms)
+    def __init__(self, reducer: _Reducer):
+        """`reducer` holds the basis as `_Reducer.interreduced` returns it,
+        in a module of width `reducer.pack.split`."""
+        pack = reducer.pack
+        self.width = width = pack.split
+        self.nvars = nvars = pack.nvars
+        monos: dict[int, Monomial] = {}
+        # each element is primitive with a positive lead, so element / lead
+        # is canonical
+        self.generators = tuple(
+            FreeElem._make(width, nvars, pack.decode(h, monos), 1, h[lt])
+            for h, lt in zip(reducer.basis, reducer.lts)
+        )
+        self._reducer = reducer
 
     def normal_form(self, elem: FreeElem) -> FreeElem:
         if elem.width != self.width:
@@ -594,12 +734,12 @@ class GroebnerBasis:
             raise ValueError("element nvars does not match basis nvars")
         if elem.is_zero():
             return elem
-        h, scale = self._reducer.reduce_full(dict(elem.terms))
-        # h == scale * elem.terms - (a module element): the normal form is
-        # h / (scale * elem.den)
-        scale *= elem.den
+        red = self._reducer
+        h, num, den = red.reduce_full(red.encode_input(elem.terms, elem.degree()))
+        # h == num/den * elem.terms - (a module element): the normal form is
+        # h * den / (num * elem.den)
         return FreeElem._make(
-            self.width, self.nvars, h, scale.denominator, scale.numerator
+            self.width, self.nvars, red.pack.decode(h), den, num * elem.den
         )
 
     def contains(self, elem: FreeElem) -> bool:
@@ -657,22 +797,18 @@ def _as_elems(rows: Sequence) -> list[FreeElem]:
 
 def reduced_groebner(rows: Sequence) -> GroebnerBasis:
     elems = tuple(_as_elems(rows))
-    width, nvars = elems[0].width, elems[0].nvars
     key = (elems, _budget())
     hit = _GB_CACHE.get(key)
     if hit is not None:
         return hit
     # every tracking basis element has a genuine lead and its tracking terms
     # are never reduced, so the genuine parts form a Groebner basis of the rows
-    red = _Reducer(width)
-    for h in _tracked(elems)[0].basis:
-        red.add({t: v for t, v in h.items() if t[0] < width})
-    # each h is primitive with a positive lead, so h / lead is canonical
-    gens = tuple(
-        FreeElem._make(width, nvars, h, 1, h[red._lt(h)])
-        for h in red.interreduced_basis()
-    )
-    gb = GroebnerBasis(width, nvars, gens)
+    run = _tracked(elems)[0]
+    flag = run.pack.flag
+    red = _Reducer(run.pack)
+    for h in run.basis:
+        red.add({t: v for t, v in h.items() if t >= flag})
+    gb = GroebnerBasis(red.interreduced())
     _GB_CACHE[key] = gb
     return gb
 
@@ -710,22 +846,25 @@ def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
 
 
 class _Echelon:
-    """Sparse echelon form for integer dict-vectors keyed by (pos, monomial).
+    """Sparse echelon form for integer dict-vectors over totally ordered
+    keys (packed terms, or any other).
 
-    Rows are stored primitive under their leading term and eliminated
-    fraction-free, so the span over Q is tracked in integers."""
+    Rows are stored primitive under their largest key and eliminated
+    fraction-free, so the span over Q is tracked in integers.  Which key
+    leads changes the stored rows but not the span, so not whether an
+    insert is independent."""
 
     def __init__(self):
-        self.rows: dict[Term, dict[Term, int]] = {}
+        self.rows: dict = {}
 
-    def insert(self, v: dict[Term, int]) -> bool:
+    def insert(self, v: dict) -> bool:
         """Insert if independent; returns True when the vector was new."""
         v = dict(v)
         while v:
-            t = max(v, key=_term_key_plain)
+            t = max(v)
             row = self.rows.get(t)
             if row is None:
-                self.rows[t] = _content_normalize(v, _term_key_plain)
+                self.rows[t] = _content_normalize(v)
                 return True
             # stored leads are positive, so a > 0: v <- a*v - b*row kills t
             g = math.gcd(row[t], v[t])
@@ -752,10 +891,6 @@ def _monomials_of_degree(nvars: int, deg: int) -> list[Monomial]:
             m[i] += 1
         out.append(tuple(m))
     return out
-
-
-def _shift_terms(terms: dict[Term, int], m: Monomial) -> dict[Term, int]:
-    return {(pos, mono_mul(mm, m)): c for (pos, mm), c in terms.items()}
 
 
 def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem]:
@@ -810,21 +945,28 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
 def _minimize_homogeneous(
     elems: list[FreeElem], base: tuple[FreeElem, ...]
 ) -> list[FreeElem]:
-    nvars = elems[0].nvars
+    width, nvars = elems[0].width, elems[0].nvars
     by_deg: dict[int, list[FreeElem]] = {}
     for e in elems:
         by_deg.setdefault(e.degree(), []).append(e)
+    # no shifted vector rises above the top degree of the generators
+    top = max(by_deg)
+    pack = _Packing(nvars, width, width, top)
+    packed = {g: pack.encode(g.terms) for g in elems + [b for b in base if b.degree() <= top]}
+    one = pack.term(0, (0,) * nvars)
     kept: list[FreeElem] = []
     for d in sorted(by_deg):
         ech = _Echelon()
         # kept generators are all of strictly lower degree by construction
         for g in kept + [b for b in base if b.degree() <= d]:
+            terms = packed[g]
             for m in _monomials_of_degree(nvars, d - g.degree()):
-                ech.insert(_shift_terms(g.terms, m))
+                shift = pack.term(0, m) - one
+                ech.insert({t + shift: c for t, c in terms.items()})
         # within one degree the coefficients are scalars, so leave-one-out
         # in block order drops an element exactly when it lies in the seed
         # plus the later elements of its block: one reverse pass decides it
-        alive = [e for e in reversed(by_deg[d]) if ech.insert(e.terms)]
+        alive = [e for e in reversed(by_deg[d]) if ech.insert(packed[e])]
         kept.extend(reversed(alive))
     return kept
 
@@ -847,19 +989,19 @@ def divide_with_cofactors(
     red = _tracked(tuple(elems))[0]
     if elem.is_zero():
         return tuple(Poly.zero(nvars) for _ in range(k)), elem
-    # h == scale * elem.terms - sum_i q_i * gens_i, with -q_i in column
-    # width + i; dividing by scale * elem.den gives the remainder and -q_i
-    h, scale = red.reduce_full(dict(elem.terms))
-    scale *= elem.den
-    num, den = scale.denominator, scale.numerator
+    # h == num/den * elem.terms - sum_i q_i * gens_i, with -q_i in column
+    # width + i; multiplying by den / (num * elem.den) gives the remainder
+    # and -q_i
+    h, num, den = red.reduce_full(red.encode_input(elem.terms, elem.degree()))
+    num *= elem.den
     rem_terms: dict[Term, int] = {}
     quot_terms: list[dict[Monomial, Fraction]] = [{} for _ in range(k)]
-    for (pos, m), v in h.items():
+    for (pos, m), v in red.pack.decode(h).items():
         if pos < width:
             rem_terms[(pos, m)] = v
         else:
-            quot_terms[pos - width][m] = Fraction(-v * num, den)
-    remainder = FreeElem._make(width, nvars, rem_terms, num, den)
+            quot_terms[pos - width][m] = Fraction(-v * den, num)
+    remainder = FreeElem._make(width, nvars, rem_terms, den, num)
     quot = tuple(Poly._make(nvars, q) for q in quot_terms)
     # quot . gens + remainder - elem == 0, as one relation on the stacked rows
     identity = FreeElem(quot + (Poly.const(nvars, 1), Poly.const(nvars, -1)))
@@ -1031,10 +1173,7 @@ def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolutio
         if not syz:
             complete = True
             break
-        int_rows, _ = _int_rows(current)
-        for s in syz:
-            if not _annihilates(s.terms, int_rows):
-                raise RuntimeError("internal error: resolution step does not compose to zero")
+        # no re-check: each is a normalized relation that `_tracked` verified
         steps.append(tuple(syz))
         current = syz
     return Resolution(nvars, elems[0].width, tuple(steps), complete)

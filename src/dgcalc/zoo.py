@@ -721,11 +721,15 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
 
 
 def grad(n: int) -> LinDiffOp:
+    if n < 1:
+        raise ValueError("need n >= 1")
     rows = [[Poly.var(n, i)] for i in range(1, n + 1)]
     return LinDiffOp(f"grad{n}", n, scalar_bundle(), vector_bundle(n), rows)
 
 
 def div(n: int) -> LinDiffOp:
+    if n < 1:
+        raise ValueError("need n >= 1")
     rows = [[Poly.var(n, i) for i in range(1, n + 1)]]
     return LinDiffOp(f"div{n}", n, vector_bundle(n), scalar_bundle("scalar"), rows)
 

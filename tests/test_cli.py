@@ -284,6 +284,14 @@ def test_failed_factorization_exits_5(capsys, ops_dir):
     assert "row 0" in err
 
 
+@pytest.mark.parametrize("name", ["grad", "div"])
+def test_zoo_operator_of_no_variables_exits_1(capsys, name):
+    code, out, err = run(capsys, "zoo", name, "--n", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: need n >= 1\n"
+
+
 def test_unknown_zoo_name_exits_1(capsys):
     code, _, err = run(capsys, "zoo", "nonsense")
     assert code == 1

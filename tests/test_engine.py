@@ -387,7 +387,7 @@ def test_one_buchberger_run_serves_syzygies_division_and_basis(
     run = engine._Run.run
 
     def counted(self):
-        runs.append(self.red.split)
+        runs.append(self.red.pack.split)
         return run(self)
 
     monkeypatch.setattr(engine._Run, "run", counted)
@@ -458,3 +458,52 @@ def test_cold_resolution_bytes_are_pinned(name, n, clear_engine_caches):
     text = "\n\n".join("\n".join(map(str, step)) for step in res.steps)
     assert res.dims == dims
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# over the runs of one cold resolution: S-pairs reduced, relations harvested
+# and tracking-basis elements; then the relations the resolution keeps.  The
+# engine's work, which a change of term representation must leave alone.
+PINNED_WORK = {
+    5: (189, 151, 141, 89),
+    6: (565, 495, 424, 334),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_WORK))
+def test_cold_resolution_work_is_pinned(n, monkeypatch, clear_engine_caches):
+    from dgcalc import engine
+
+    work = [0, 0, 0]
+    spair, run = engine._Run._spair, engine._Run.run
+
+    def counted_spair(self, i, j):
+        work[0] += 1
+        return spair(self, i, j)
+
+    def counted_run(self):
+        run(self)
+        work[1] += len(self.harvest)
+        work[2] += len(self.red.basis)
+
+    monkeypatch.setattr(engine._Run, "_spair", counted_spair)
+    monkeypatch.setattr(engine._Run, "run", counted_run)
+    clear_engine_caches()
+    res = resolve_module(zoo.conformal_killing(zoo.euclidean(n)).rows())
+    assert (*work, sum(map(len, res.steps[1:]))) == PINNED_WORK[n]
+
+
+@pytest.mark.parametrize("rows", [
+    zoo.killing(zoo.euclidean(3)).rows(),
+    zoo.conformal_killing(zoo.euclidean(3)).rows(),
+    zoo.conformal_killing(zoo.minkowski(4)).rows(),
+], ids=["killing-e3", "conformal_killing-e3", "conformal_killing-m4"])
+def test_resolution_steps_are_multiples_of_verified_relations(rows):
+    """Each step keeps normalized relations from `syzygies`, which verified
+    them against the previous step, so the resolution need not check again."""
+    res = resolve_module(rows)
+    assert res.complete
+    for prev, step in zip(res.steps, res.steps[1:]):
+        relations = syzygies(prev)
+        assert all(r.dot(prev).is_zero() for r in relations)
+        verified = {r.normalized() for r in relations}
+        assert all(s in verified for s in step)
