@@ -208,6 +208,13 @@ def _cmd_factor(args) -> int:
     return 0
 
 
+def _rational(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} {text!r} is not a rational number") from None
+
+
 def _cmd_zoo(args) -> int:
     from . import zoo
 
@@ -233,8 +240,8 @@ def _cmd_zoo(args) -> int:
         args.name,
         n=args.n,
         metric=args.metric,
-        lam=Fraction(args.lam),
-        mu=Fraction(args.mu),
+        lam=_rational("--lam", args.lam),
+        mu=_rational("--mu", args.mu),
         r=args.r,
     )
     _emit_operator(op, args.output)
@@ -387,7 +394,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (KeyError, ValueError, OSError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

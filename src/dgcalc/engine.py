@@ -31,6 +31,10 @@ that leave the engine are decoded, and the inline checks (each harvested
 relation annihilates its rows, each division identity holds) run on the
 decoded (position, monomial) terms, apart from the packing.
 
+Every cache of the package is a memo made by `_memo`, an unbounded
+`functools.lru_cache` registered in one list that `clear_caches()` empties;
+`zoo` and `report` register theirs when they are loaded.
+
 Everything here is deterministic: pair selection, reducer choice and output
 ordering are all fixed by the term order and insertion order, and reduced
 Groebner bases are mathematically unique, so results do not depend on
@@ -42,8 +46,8 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -54,6 +58,7 @@ from .poly import (
     format_terms,
     mono_div,
     mono_divides,
+    mono_key,
     mono_lcm,
 )
 
@@ -86,20 +91,34 @@ def _budget() -> int:
     return value
 
 
+# -- caches ------------------------------------------------------------------
+
+_MEMOS: list = []
+
+
+def _memo(fn):
+    """`fn` as an unbounded `functools.lru_cache`, registered in `_MEMOS`.
+    Callers pass the arguments positionally, so one input has one key."""
+    cached = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+def clear_caches() -> None:
+    """Empty every memo: the engine's Buchberger runs, reduced Groebner
+    bases, minimal generating sets and monomial sort keys, and the zoo
+    constructors and report fixtures when those modules are loaded, so the
+    next call recomputes.  It imports nothing."""
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
 # -- free module elements ----------------------------------------------------
 
 
 Term = tuple[int, Monomial]  # (position, monomial)
 
-_MKEY_CACHE: dict[Monomial, tuple] = {}
-
-
-def _mkey(m: Monomial) -> tuple:
-    k = _MKEY_CACHE.get(m)
-    if k is None:
-        k = (sum(m), tuple(-e for e in reversed(m)))
-        _MKEY_CACHE[m] = k
-    return k
+_mkey = _memo(mono_key)
 
 
 def _term_key_plain(t: Term) -> tuple:
@@ -657,22 +676,15 @@ class _Run:
             self.process(self._spair(i, j))
 
 
-_RUN_CACHE: dict[tuple, tuple[_Reducer, tuple[FreeElem, ...]]] = {}
-
-
+@_memo
 def _tracked(
-    elems: tuple[FreeElem, ...], prune: bool = True
+    elems: tuple[FreeElem, ...], budget: int, prune: bool
 ) -> tuple[_Reducer, tuple[FreeElem, ...]]:
     """The Buchberger run on the rows augmented with unit tracking columns,
     cached per row set: its reducer, whose basis elements record how they
     are built from the rows, and the harvested relations, each verified to
     annihilate the rows.  The Groebner basis, the syzygies and division
     with cofactors are all read off this one run."""
-    budget = _budget()
-    key = (elems, budget, prune)
-    hit = _RUN_CACHE.get(key)
-    if hit is not None:
-        return hit
     k = len(elems)
     width, nvars = elems[0].width, elems[0].nvars
     rows, den = _int_rows(elems)
@@ -694,9 +706,7 @@ def _tracked(
         if not _annihilates(rel, rows):
             raise RuntimeError("internal error: harvested relation fails to annihilate")
         relations.append(FreeElem._make(k, nvars, rel))
-    entry = (run.red, tuple(relations))
-    _RUN_CACHE[key] = entry
-    return entry
+    return run.red, tuple(relations)
 
 
 # -- public Groebner interface ------------------------------------------------
@@ -761,25 +771,6 @@ class GroebnerBasis:
         return iter(self.generators)
 
 
-_GB_CACHE: dict[tuple, GroebnerBasis] = {}
-_MIN_CACHE: dict[tuple, tuple[FreeElem, ...]] = {}
-
-
-def clear_caches() -> None:
-    """Empty the module caches of Buchberger runs, reduced Groebner bases,
-    minimal generating sets and monomial sort keys, and the
-    `functools.lru_cache`s of the zoo constructors and the report, so the
-    next call recomputes.  The zoo and the report are cleared only when
-    they are already imported; this never imports them."""
-    for cache in (_RUN_CACHE, _GB_CACHE, _MIN_CACHE, _MKEY_CACHE):
-        cache.clear()
-    for name in ("dgcalc.zoo", "dgcalc.report"):
-        module = sys.modules.get(name)
-        if module is not None:
-            for fn in module._LRU_CACHES:
-                fn.cache_clear()
-
-
 def _as_elems(rows: Sequence) -> list[FreeElem]:
     out = []
     for r in rows:
@@ -796,21 +787,19 @@ def _as_elems(rows: Sequence) -> list[FreeElem]:
 
 
 def reduced_groebner(rows: Sequence) -> GroebnerBasis:
-    elems = tuple(_as_elems(rows))
-    key = (elems, _budget())
-    hit = _GB_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _reduced_groebner(tuple(_as_elems(rows)), _budget())
+
+
+@_memo
+def _reduced_groebner(elems: tuple[FreeElem, ...], budget: int) -> GroebnerBasis:
     # every tracking basis element has a genuine lead and its tracking terms
     # are never reduced, so the genuine parts form a Groebner basis of the rows
-    run = _tracked(elems)[0]
+    run = _tracked(elems, budget, True)[0]
     flag = run.pack.flag
     red = _Reducer(run.pack)
     for h in run.basis:
         red.add({t: v for t, v in h.items() if t >= flag})
-    gb = GroebnerBasis(red.interreduced())
-    _GB_CACHE[key] = gb
-    return gb
+    return GroebnerBasis(red.interreduced())
 
 
 def normal_form(elem: FreeElem, gb: GroebnerBasis) -> FreeElem:
@@ -839,7 +828,7 @@ def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
     module; it is not minimized here.  Each returned relation is verified
     against the input, in integer term space, before being handed back.
     """
-    return list(_tracked(tuple(_as_elems(rows)), prune)[1])
+    return list(_tracked(tuple(_as_elems(rows)), _budget(), prune)[1])
 
 
 # -- minimal generating sets ---------------------------------------------------
@@ -923,23 +912,23 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
         raise ValueError("base width does not match generator width")
     if base_rows and base_rows[0].nvars != uniq[0].nvars:
         raise ValueError("base nvars does not match generator nvars")
-    key = (tuple(uniq), base_rows, _budget())
-    hit = _MIN_CACHE.get(key)
-    if hit is not None:
-        return list(hit)
-    if all(e.is_homogeneous() for e in uniq + list(base_rows)):
-        kept = _minimize_homogeneous(uniq, base_rows)
-    else:
-        kept = list(uniq)
-        i = 0
-        while i < len(kept):
-            others = kept[:i] + kept[i + 1 :] + list(base_rows)
-            if others and reduced_groebner(others).contains(kept[i]):
-                kept.pop(i)
-            else:
-                i += 1
-    _MIN_CACHE[key] = tuple(kept)
-    return kept
+    return list(_minimal(tuple(uniq), base_rows, _budget()))
+
+
+@_memo
+def _minimal(uniq: tuple, base_rows: tuple, budget: int) -> tuple[FreeElem, ...]:
+    # `budget` only keys the memo: `reduced_groebner` reads it again
+    if all(e.is_homogeneous() for e in uniq + base_rows):
+        return tuple(_minimize_homogeneous(list(uniq), base_rows))
+    kept = list(uniq)
+    i = 0
+    while i < len(kept):
+        others = kept[:i] + kept[i + 1 :] + list(base_rows)
+        if others and reduced_groebner(others).contains(kept[i]):
+            kept.pop(i)
+        else:
+            i += 1
+    return tuple(kept)
 
 
 def _minimize_homogeneous(
@@ -986,7 +975,7 @@ def divide_with_cofactors(
         raise ValueError("element width does not match generator width")
     if elem.nvars != nvars:
         raise ValueError("element nvars does not match generator nvars")
-    red = _tracked(tuple(elems))[0]
+    red = _tracked(tuple(elems), _budget(), True)[0]
     if elem.is_zero():
         return tuple(Poly.zero(nvars) for _ in range(k)), elem
     # h == num/den * elem.terms - sum_i q_i * gens_i, with -q_i in column

@@ -13,7 +13,6 @@ import json
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -22,6 +21,7 @@ from .duality import ext_module, minimal_parametrization, param_test
 from .engine import (
     FreeElem,
     Resolution,
+    _memo,
     _monomials_of_degree,
     fraction_rank,
     module_equal,
@@ -88,22 +88,22 @@ def _resolution(name: str, tag: str) -> Resolution:
     return resolve_module(op.rows())
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _einstein_report():
     return param_test(zoo.einstein_lin(zoo.minkowski(4)))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _div3_report():
     return param_test(zoo.div(3))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _cauchy3_report():
     return param_test(zoo.cauchy(zoo.euclidean(3)))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _cosserat_report():
     return param_test(zoo.cosserat_equilibrium())
 
@@ -911,7 +911,3 @@ def rows_to_json(rows: list[ReportRow]) -> str:
         "failed": sum(1 for r in rows if not r.passed),
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-# every lru_cache above, for engine.clear_caches()
-_LRU_CACHES = tuple(v for v in globals().values() if hasattr(v, "cache_clear"))

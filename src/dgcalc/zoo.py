@@ -14,12 +14,11 @@ i <= j in lexicographic order; curvature components are pairs of pairs
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb, lcm
 from typing import NamedTuple
 
-from .engine import Term, _Echelon
+from .engine import Term, _Echelon, _memo
 from .operators import Bundle, LinDiffOp, adjoint, compose, scale
 from .poly import Monomial, Poly, from_numerators
 
@@ -69,7 +68,7 @@ class Metric:
         return self.inverse[i - 1][j - 1]
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _invert(matrix: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
     n = len(matrix)
     aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
@@ -232,7 +231,7 @@ def riemann_bundle(n: int, name: str) -> Bundle:
 # -- first order: Killing-type operators ----------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_memo
 def killing(metric: Metric) -> LinDiffOp:
     """Lie derivative of the metric: Omega_ij = w_rj di xi^r + w_ir dj xi^r."""
     n = metric.n
@@ -259,7 +258,7 @@ def _trace_row(metric: Metric) -> dict[int, Poly]:
     return {u: 2 * Poly.var(n, u + 1) for u in range(n)}
 
 
-@lru_cache(maxsize=None)
+@_memo
 def conformal_killing(metric: Metric) -> LinDiffOp:
     """Trace-free part of the Killing operator; the redundant (n,n)
     component is dropped, leaving n(n+1)/2 - 1 rows."""
@@ -295,7 +294,7 @@ def conformal_killing(metric: Metric) -> LinDiffOp:
     )
 
 
-@lru_cache(maxsize=None)
+@_memo
 def cauchy(metric: Metric) -> LinDiffOp:
     """Symmetrized gradient (small strain): -1/2 times the Killing adjoint."""
     return scale(
@@ -304,7 +303,6 @@ def cauchy(metric: Metric) -> LinDiffOp:
     )
 
 
-@lru_cache(maxsize=None)
 def weyl_killing(metric: Metric) -> LinDiffOp:
     """Conformal Killing rows together with the gradient of the trace;
     the gauge system whose solutions are conformal fields with constant
@@ -416,7 +414,7 @@ def _riemann_rows(n: int) -> list[_IntRow]:
     return rows
 
 
-@lru_cache(maxsize=None)
+@_memo
 def riemann_lin(metric: Metric) -> LinDiffOp:
     """Linearized curvature of a metric perturbation Omega, one row per
     independent curvature component (the rows K of _riemann_rows).
@@ -468,7 +466,7 @@ def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], _IntRow], int
     return ric, 2 * d, scal, d * d
 
 
-@lru_cache(maxsize=None)
+@_memo
 def ricci_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
     ric, den, _, _ = _curvature_rows(metric)
@@ -518,7 +516,6 @@ def _constant_rows(rows: list[dict[int, int]], n: int) -> list[_IntRow]:
     return [{c: {one: v} for c, v in row.items()} for row in rows]
 
 
-@lru_cache(maxsize=None)
 def scalar_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
     _, _, scal, den = _curvature_rows(metric)
@@ -531,7 +528,7 @@ def scalar_lin(metric: Metric) -> LinDiffOp:
     )
 
 
-@lru_cache(maxsize=None)
+@_memo
 def einstein_lin(metric: Metric) -> LinDiffOp:
     """Trace-reversed Ricci with both output indices raised by the metric:
     the raising is what makes the operator equal its formal adjoint for an
@@ -560,7 +557,7 @@ def einstein_lin(metric: Metric) -> LinDiffOp:
     )
 
 
-@lru_cache(maxsize=None)
+@_memo
 def c_map(metric: Metric) -> LinDiffOp:
     """Zeroth order: X -> X - (1/2) w tr X with the output indices raised;
     sends the Ricci operator to the Einstein operator."""
@@ -574,7 +571,6 @@ def c_map(metric: Metric) -> LinDiffOp:
     )
 
 
-@lru_cache(maxsize=None)
 def c_map_inverse(metric: Metric) -> LinDiffOp:
     """Inverse of c_map: lower the indices, then X -> X - 1/(n-2) w tr X.
     Needs n != 2."""
@@ -689,7 +685,7 @@ def weyl_component_selection(metric: Metric) -> list[int]:
     return picked
 
 
-@lru_cache(maxsize=None)
+@_memo
 def weyl_lin(metric: Metric) -> LinDiffOp:
     """Linearized Weyl tensor on an independent set of trace-free
     components; defined for n >= 4 (it vanishes identically below)."""
@@ -1089,7 +1085,3 @@ def build(name: str, *, n: int | None = None, metric: str = "euclidean",
     if name == "cosserat_parametrization":
         return cosserat_parametrization()
     raise KeyError(f"unhandled zoo operator {name!r}")
-
-
-# every lru_cache above, for engine.clear_caches()
-_LRU_CACHES = tuple(v for v in globals().values() if hasattr(v, "cache_clear"))

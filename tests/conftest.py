@@ -15,6 +15,7 @@ settings.load_profile("dgcalc")
 
 @pytest.fixture
 def clear_engine_caches():
-    """A function that empties the engine's module caches, so the next
-    call recomputes instead of returning a stored result."""
+    """A function that empties every registered memo (the engine's, and the
+    zoo's and report's when loaded), so the next call recomputes instead of
+    returning a stored result."""
     return engine.clear_caches

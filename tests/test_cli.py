@@ -293,9 +293,20 @@ def test_zoo_operator_of_no_variables_exits_1(capsys, name):
 
 
 def test_unknown_zoo_name_exits_1(capsys):
-    code, _, err = run(capsys, "zoo", "nonsense")
+    code, out, err = run(capsys, "zoo", "cmapinv")
     assert code == 1
-    assert err
+    assert out == ""
+    assert err == "error: unknown zoo operator 'cmapinv'\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lam", "1/0"), ("--lam", "x"), ("--mu", "1/0"), ("--mu", ""),
+])
+def test_non_rational_modulus_exits_1(capsys, flag, value):
+    code, out, err = run(capsys, "zoo", "lame", "--n", "2", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} {value!r} is not a rational number\n"
 
 
 # -- report ---------------------------------------------------------------------------

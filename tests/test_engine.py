@@ -367,14 +367,34 @@ def test_clear_caches_empties_every_module_cache():
     divide_with_cofactors(rows[0], rows)
     zoo.killing(zoo.euclidean(3))
     report._div3_report()
-    caches = (engine._RUN_CACHE, engine._GB_CACHE, engine._MIN_CACHE, engine._MKEY_CACHE)
-    lru = zoo._LRU_CACHES + report._LRU_CACHES
-    assert len(zoo._LRU_CACHES) == 12 and len(report._LRU_CACHES) == 4
-    assert all(caches)
-    assert zoo.killing.cache_info().currsize and report._div3_report.cache_info().currsize
+    used = (engine._tracked, engine._reduced_groebner, engine._minimal, engine._mkey,
+            zoo.killing, report._div3_report)
+    # 4 in the engine, 9 in the zoo, 4 in the report
+    assert len(engine._MEMOS) == 17
+    assert all(memo in engine._MEMOS for memo in used)
+    assert all(memo.cache_info().currsize for memo in used)
     clear_caches()
-    assert not any(caches)
-    assert not any(fn.cache_info().currsize for fn in lru)
+    assert not any(memo.cache_info().currsize for memo in engine._MEMOS)
+
+
+def test_every_cache_is_a_registered_memo():
+    import importlib
+    import pkgutil
+
+    import dgcalc
+    from dgcalc import engine
+
+    modules = [dgcalc] + [
+        importlib.import_module(f"dgcalc.{info.name}")
+        for info in pkgutil.iter_modules(dgcalc.__path__)
+    ]
+    caches = [
+        (module.__name__, name)
+        for module in modules
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_clear") and value not in engine._MEMOS
+    ]
+    assert caches == []
 
 
 def test_one_buchberger_run_serves_syzygies_division_and_basis(
@@ -397,7 +417,9 @@ def test_one_buchberger_run_serves_syzygies_division_and_basis(
     factor_through(compose(b, b), b)
     reduced_groebner(b.rows())
     assert runs == [3]
-    assert [key[0] for key in engine._RUN_CACHE] == [tuple(b.rows())]
+    info = engine._tracked.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    assert info.hits >= 2
 
 
 @pytest.mark.parametrize("rows", [
