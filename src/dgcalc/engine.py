@@ -1091,16 +1091,50 @@ def _bareiss(m: list[list[ZPoly]], nvars: int) -> tuple[int, ZPoly]:
     return rank, prev
 
 
-def fraction_rank(rows: Sequence) -> int:
-    """Rank over the fraction field Q(d1..dn), by Bareiss elimination on
-    integer polynomials.
+def _rank_point(nvars: int) -> tuple[int, ...]:
+    """The integer point at which `fraction_rank` first evaluates: the
+    first nvars primes (2, 3, 5, ...), defined for every nvars."""
+    primes: list[int] = []
+    k = 2
+    while len(primes) < nvars:
+        # every prime below k is in the list already
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return tuple(primes)
 
-    Each row is cleared of its denominators first, which rescales it and
-    leaves the rank alone; every Bareiss division is then exact in
-    Z[d1..dn], and a nonzero remainder raises ArithmeticError."""
+
+def fraction_rank(rows: Sequence) -> int:
+    """Rank over the fraction field Q(d1..dn).
+
+    The rank is first certified at one integer point (`_rank_point`):
+    each row's integer terms are evaluated there and `_Echelon` counts
+    the independent rows.  Only when that count stays below full rank
+    does Bareiss elimination on integer polynomials decide.  Each row is
+    cleared of its denominators, which rescales it and leaves the rank
+    alone; every Bareiss division is then exact in Z[d1..dn], and a
+    nonzero remainder raises ArithmeticError."""
     if not rows:
         return 0
     elems = _as_elems(rows)
+    # A full-size minor that is nonzero at a point is a nonzero polynomial,
+    # so full rank at the point proves full rank over Q(d1..dn).  A lower
+    # rank at the point proves nothing: a minor may vanish there without
+    # vanishing identically, and Bareiss decides that case.
+    full = min(len(elems), elems[0].width)
+    point = _rank_point(elems[0].nvars)
+    values: dict[Monomial, int] = {}
+    ech = _Echelon()
+    for e in elems:
+        v: dict[int, int] = {}
+        for (pos, mono), c in e.terms.items():
+            x = values.get(mono)
+            if x is None:
+                x = values[mono] = math.prod(map(pow, point, mono))
+            v[pos] = v.get(pos, 0) + c * x
+        # each independent row adds one stored echelon row
+        if ech.insert({pos: c for pos, c in v.items() if c}) and len(ech.rows) == full:
+            return full
     m: list[list[ZPoly]] = []
     for e in elems:
         row: list[ZPoly] = [{} for _ in range(e.width)]

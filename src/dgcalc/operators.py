@@ -100,7 +100,7 @@ class LinDiffOp:
     """Matrix of polynomials in d1..dn mapping source sections to target
     sections.  Rows are indexed by target components, columns by source."""
 
-    __slots__ = ("name", "nvars", "source", "target", "matrix", "_hash")
+    __slots__ = ("name", "nvars", "source", "target", "matrix", "_hash", "_rows")
 
     def __init__(
         self,
@@ -129,11 +129,16 @@ class LinDiffOp:
         self.target = target
         self.matrix = mat
         self._hash: int | None = None
+        self._rows: tuple[FreeElem, ...] | None = None
 
     # -- structure -----------------------------------------------------------
 
     def rows(self) -> list[FreeElem]:
-        return [FreeElem(row) for row in self.matrix]
+        """The rows as module elements, built on first use and cached; each
+        call returns a fresh list."""
+        if self._rows is None:
+            self._rows = tuple(FreeElem(row) for row in self.matrix)
+        return list(self._rows)
 
     def columns(self) -> list[FreeElem]:
         return [FreeElem(row[j] for row in self.matrix) for j in range(self.source.dim)]

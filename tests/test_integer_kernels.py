@@ -1,7 +1,8 @@
 """The integer kernels behind the inline checks, the rank, the graded
 minimizer and the report's nullspace oracle: the annihilation helper
-against FreeElem.dot, and Bareiss rank, the echelon kernel and the oracle
-against Fraction-based eliminations written here."""
+against FreeElem.dot, and the rank (its point certificate and its Bareiss
+fallback), the echelon kernel and the oracle against Fraction-based
+eliminations written here."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -10,18 +11,20 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, strategies as st
 
+from dgcalc import duality, engine, zoo
 from dgcalc.engine import (
     FreeElem,
     _Echelon,
     _annihilates,
     _bareiss,
     _int_rows,
+    _rank_point,
     _zpoly_div_exact,
     fraction_rank,
     syzygies,
 )
 from dgcalc.poly import Poly, parse
-from dgcalc.report import _sparse_nullspace
+from dgcalc.report import _sparse_nullspace, run_report
 
 COEFFS = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3)]
 
@@ -200,6 +203,74 @@ def test_fraction_rank_clears_each_row_of_its_denominators():
     assert fraction_rank(rows[:2]) == 1
     assert fraction_rank(rows) == 2
     assert fraction_rank([FreeElem([parse("2/7*d1*d2 - 1/3", 2)])]) == 1
+
+
+def test_rank_point_is_distinct_primes_for_any_nvars():
+    assert _rank_point(0) == ()
+    assert _rank_point(5) == (2, 3, 5, 7, 11)
+    point = _rank_point(64)
+    assert len(set(point)) == 64
+    assert all(all(p % q for q in range(2, p)) for p in point)
+
+
+def test_fraction_rank_falls_back_when_the_point_drops_rank():
+    x1, x2 = _rank_point(2)
+    # d1 - x1 vanishes at the point but is not zero
+    assert fraction_rank([FreeElem.from_strs(1, [f"d1 - {x1}"])]) == 1
+    # determinant x2*d1 - x1*d2: zero at the point, not identically
+    rows = [FreeElem.from_strs(2, ("d1", "d2")), FreeElem.from_strs(2, (str(x1), str(x2)))]
+    assert fraction_rank(rows) == 2
+
+
+@st.composite
+def matrices_vanishing_on_one_row(draw):
+    """A `matrices()` draw with one row multiplied by d1 - x1, which
+    vanishes at the rank point, so the point rank is often below full."""
+    rows = list(draw(matrices()))
+    i = draw(st.integers(0, len(rows) - 1))
+    nvars = rows[i].nvars
+    factor = Poly.var(nvars, 1) - Poly.const(nvars, _rank_point(nvars)[0])
+    rows[i] = FreeElem(p * factor for p in rows[i].entries)
+    return rows
+
+
+@given(matrices_vanishing_on_one_row())
+def test_fraction_rank_with_a_row_vanishing_at_the_point(rows):
+    assert fraction_rank(rows) == _reference_rank(rows)
+
+
+def _count_bareiss(monkeypatch) -> list[tuple[int, int]]:
+    """Record the shape of each matrix that `fraction_rank` hands to Bareiss."""
+    shapes = []
+
+    def counted(m, nvars):
+        shapes.append((len(m), len(m[0])))
+        return _bareiss(m, nvars)
+
+    monkeypatch.setattr(engine, "_bareiss", counted)
+    return shapes
+
+
+def test_cold_report_runs_bareiss_once(monkeypatch, clear_engine_caches):
+    shapes = _count_bareiss(monkeypatch)
+    clear_engine_caches()
+    assert all(r.passed for r in run_report())
+    # curl's 3x3 matrix has rank 2; every other rank is certified at the point
+    assert shapes == [(3, 3)]
+
+
+def test_ext_torsion_rank_is_certified_without_bareiss(monkeypatch, clear_engine_caches):
+    shapes = _count_bareiss(monkeypatch)
+    ranks = []
+
+    def counted_rank(rows):
+        ranks.append(fraction_rank(rows))
+        return ranks[-1]
+
+    monkeypatch.setattr(duality, "fraction_rank", counted_rank)
+    clear_engine_caches()
+    assert duality.ext_module(zoo.einstein_lin(zoo.minkowski(4)), 1).rank == 0
+    assert ranks and shapes == []
 
 
 # -- echelon ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dgcalc import duality, operators, zoo
-from dgcalc.engine import module_equal, syzygies
+from dgcalc.engine import FreeElem, module_equal, syzygies
 from dgcalc.operators import (
     Bundle,
     LinDiffOp,
@@ -344,3 +344,11 @@ def test_shared_entries_are_never_mutated(tmp_path):
         for i, row in enumerate(op.matrix):
             for j, p in enumerate(row):
                 assert p.terms == parse(cells[i][j], op.nvars).terms, (name, i, j)
+    # the rows the runs shared were built once and never changed, and a
+    # caller's edit to a returned list does not reach the next call
+    fresh = [FreeElem(parse(c, op.nvars) for c in row) for row in cells]
+    assert op._rows is not None and list(op._rows) == fresh
+    got = op.rows()
+    got.reverse()
+    got.pop()
+    assert op.rows() == fresh
