@@ -892,38 +892,36 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
     are never returned.  When every generator and base row is homogeneous
     the containment test is plain linear algebra degree by degree, which
     also makes the surviving count the graded minimal number of
-    generators, independent of the representative choice.
+    generators, independent of the representative choice.  Results are
+    memoized on the generators and base rows as given.
     """
     if not gens:
         return []
-    elems = [e.normalized() for e in _as_elems(gens)]
-    elems = [e for e in elems if not e.is_zero()]
-    if not elems:
+    elems = _as_elems(gens)
+    if all(e.is_zero() for e in elems):
         return []
-    seen: set[FreeElem] = set()
-    uniq: list[FreeElem] = []
-    for e in elems:
-        if e not in seen:
-            seen.add(e)
-            uniq.append(e)
-    uniq.sort(key=lambda e: (e.degree(), str(e)))
-    base_rows = tuple(e for e in _as_elems(base) if not e.is_zero()) if base else ()
-    if base_rows and base_rows[0].width != uniq[0].width:
+    base_elems = _as_elems(base) if base else []
+    first = next((b for b in base_elems if not b.is_zero()), None)
+    if first is not None and first.width != elems[0].width:
         raise ValueError("base width does not match generator width")
-    if base_rows and base_rows[0].nvars != uniq[0].nvars:
+    if first is not None and first.nvars != elems[0].nvars:
         raise ValueError("base nvars does not match generator nvars")
-    return list(_minimal(tuple(uniq), base_rows, _budget()))
+    return list(_minimal(tuple(elems), tuple(base_elems), _budget()))
 
 
 @_memo
-def _minimal(uniq: tuple, base_rows: tuple, budget: int) -> tuple[FreeElem, ...]:
-    # `budget` only keys the memo: `reduced_groebner` reads it again
+def _minimal(gens: tuple, base: tuple, budget: int) -> tuple[FreeElem, ...]:
+    # keyed on the elements as given; `budget` only keys the memo:
+    # `reduced_groebner` reads it again
+    uniq = list(dict.fromkeys(e.normalized() for e in gens if not e.is_zero()))
+    uniq.sort(key=lambda e: (e.degree(), str(e)))
+    base_rows = [b for b in base if not b.is_zero()]
     if all(e.is_homogeneous() for e in uniq + base_rows):
-        return tuple(_minimize_homogeneous(list(uniq), base_rows))
-    kept = list(uniq)
+        return tuple(_minimize_homogeneous(uniq, base_rows))
+    kept = uniq
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1 :] + list(base_rows)
+        others = kept[:i] + kept[i + 1 :] + base_rows
         if others and reduced_groebner(others).contains(kept[i]):
             kept.pop(i)
         else:
@@ -931,9 +929,7 @@ def _minimal(uniq: tuple, base_rows: tuple, budget: int) -> tuple[FreeElem, ...]
     return tuple(kept)
 
 
-def _minimize_homogeneous(
-    elems: list[FreeElem], base: tuple[FreeElem, ...]
-) -> list[FreeElem]:
+def _minimize_homogeneous(elems: list[FreeElem], base: list[FreeElem]) -> list[FreeElem]:
     width, nvars = elems[0].width, elems[0].nvars
     by_deg: dict[int, list[FreeElem]] = {}
     for e in elems:

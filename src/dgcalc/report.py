@@ -13,6 +13,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -303,48 +304,56 @@ def _ext_torsion_rank() -> bool:
     )
 
 
-def _sparse_nullspace(cols: int, entries: dict[tuple[int, int], int]
-                      ) -> list[dict[int, int]]:
-    """Nullspace basis of a sparse integer matrix given as {(row, col):
-    value}, one vector per non-pivot column, as integer dicts.
+def _sparse_nullspace(cols: int, rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Nullspace basis of a sparse integer matrix given as rows {col:
+    value}, one vector per non-pivot column, as integer dicts.  The rows
+    are reduced in place.
 
     Elimination is fraction-free: a row is reduced against a pivot row by
     cross-multiplying with the two entries' cofactors, and every row kept is
     divided by its content, so no rational number is ever formed."""
-    rows: dict[int, dict[int, int]] = {}
-    for (r, c), v in entries.items():
-        if v:
-            rows.setdefault(r, {})[c] = v
     pivot_of_col: dict[int, dict[int, int]] = {}
-    pivot_col_order: list[int] = []
-    for row in sorted(rows.values(), key=len):
+    for row in sorted(rows, key=len):
         # reduce against the pivots found so far, smallest pivot column
         # first; a pivot row has no column below its own, so the smallest
-        # pivot column left in the row only grows
-        while True:
-            c = min((x for x in row if x in pivot_of_col), default=None)
-            if c is None:
-                break
-            _eliminate(row, pivot_of_col[c], c)
+        # pivot column left in the row only grows and a heap of the row's
+        # pivot columns yields them in order.  A column that has cancelled
+        # since it was pushed is skipped.
+        heap = [x for x in row if x in pivot_of_col]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            if c not in row:
+                continue
+            piv = pivot_of_col[c]
+            fresh = [x for x in piv if x not in row and x in pivot_of_col]
+            _eliminate(row, piv, c)
+            for x in fresh:
+                heappush(heap, x)
         if row:
             _divide_content(row)
-            c = min(row)
-            pivot_of_col[c] = row
-            pivot_col_order.append(c)
+            pivot_of_col[min(row)] = row
     # Back-substitute so each pivot row is zero on the other pivot columns.
     # A pivot row can only mention pivots discovered after it, so cleaning
     # in reverse discovery order needs a single pass.
-    for c in reversed(pivot_col_order):
-        row = pivot_of_col[c]
-        for c2 in [x for x in row if x != c and x in pivot_of_col]:
+    for c, row in reversed(pivot_of_col.items()):
+        others = [x for x in row if x != c and x in pivot_of_col]
+        for c2 in others:
             _eliminate(row, pivot_of_col[c2], c2)
-        _divide_content(row)
+        if others:
+            _divide_content(row)
+    # the pivot rows that mention each free column, in discovery order
+    rows_with: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for pc, prow in pivot_of_col.items():
+        for fc in prow:
+            if fc != pc:
+                rows_with.setdefault(fc, []).append((pc, prow))
     # x[fc] = L, x[pc] = -prow[fc] * L / prow[pc], L the lcm of the pivots
     basis = []
     for fc in range(cols):
         if fc in pivot_of_col:
             continue
-        prows = [(pc, prow) for pc, prow in pivot_of_col.items() if fc in prow]
+        prows = rows_with.get(fc, ())
         scale = math.lcm(*(prow[pc] for pc, prow in prows))
         vec = {fc: scale}
         for pc, prow in prows:
@@ -381,33 +390,35 @@ def _truncated_kernel(rows: list[FreeElem], cap: int) -> list[FreeElem]:
     found by plain linear algebra over the coefficient field.
 
     The unknowns are the cofactor coefficients, one column per (row i,
-    monomial m).  Column group i is scaled by the lcm s_i of the
-    denominators in rows[i], which makes the matrix integer; a nullspace
-    vector y of the scaled matrix is the relation x_t = s_i * y_t."""
+    monomial m), and there is one equation per output (position,
+    monomial).  Row i enters as its integer terms, which are rows[i] times
+    its denominator den_i, so a nullspace vector y of that integer matrix
+    is the relation x_t = den_i * y_t."""
     k = len(rows)
     nvars = rows[0].nvars
     mons = [m for d in range(cap + 1) for m in _monomials_of_degree(nvars, d)]
     nm = len(mons)
-    entries: dict[tuple[int, int], int] = {}
-    out_index: dict[tuple[int, tuple[int, ...]], int] = {}
-    scales = []
+    products: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    eqs: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
     for i, relem in enumerate(rows):
-        s = math.lcm(*(c.denominator for p in relem.entries for c in p.terms.values()))
-        scales.append(s)
-        for j, p in enumerate(relem.entries):
-            for pm, pc in p.terms.items():
-                v = pc.numerator * (s // pc.denominator)
-                for t, m in enumerate(mons, i * nm):
-                    key = (j, mono_mul(pm, m))
-                    r = out_index.setdefault(key, len(out_index))
-                    entries[(r, t)] = entries.get((r, t), 0) + v
+        # position by position, as the element's entries list them: the
+        # order of the equations decides the pivots
+        for (j, pm), v in sorted(relem.terms.items(), key=lambda tv: tv[0][0]):
+            prods = products.get(pm)
+            if prods is None:
+                prods = products[pm] = [mono_mul(pm, m) for m in mons]
+            for t, mm in enumerate(prods, i * nm):
+                eq = eqs.get((j, mm))
+                if eq is None:
+                    eq = eqs[(j, mm)] = {}
+                eq[t] = v
     out = []
-    for vec in _sparse_nullspace(k * nm, entries):
-        comps: list[dict[tuple[int, ...], int]] = [{} for _ in range(k)]
-        for t, v in vec.items():
-            i = t // nm
-            comps[i][mons[t % nm]] = scales[i] * v
-        out.append(FreeElem(Poly(nvars, c) for c in comps))
+    for vec in _sparse_nullspace(k * nm, list(eqs.values())):
+        terms = {}
+        for t, y in vec.items():
+            i, r = divmod(t, nm)
+            terms[(i, mons[r])] = rows[i].den * y
+        out.append(FreeElem._make(k, nvars, terms))
     return out
 
 

@@ -2,16 +2,18 @@
 minimizer and the report's nullspace oracle: the annihilation helper
 against FreeElem.dot, and the rank (its point certificate and its Bareiss
 fallback), the echelon kernel and the oracle against Fraction-based
-eliminations written here."""
+eliminations written here; and the oracle's kernels, elimination count and
+independence from the engine on the report's own steps."""
 
+import hashlib
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from dgcalc import duality, engine, zoo
+from dgcalc import duality, engine, report, zoo
 from dgcalc.engine import (
     FreeElem,
     _Echelon,
@@ -374,14 +376,18 @@ def sparse_matrices(draw):
 
 
 @given(sparse_matrices())
+# the first pivot row mentions the second row's pivot column, which only
+# back-substitution clears
+@example((4, [{0: Fraction(1), 1: Fraction(1)},
+              {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}]))
 def test_sparse_nullspace_is_a_full_integer_kernel_basis(problem):
     cols, rows = problem
     # each row cleared of its denominators: the same nullspace
-    entries = {}
-    for r, row in enumerate(rows):
+    ints = []
+    for row in rows:
         den = lcm(*(x.denominator for x in row.values()))
-        entries.update({(r, c): int(x * den) for c, x in row.items()})
-    basis = _sparse_nullspace(cols, entries)
+        ints.append({c: int(x * den) for c, x in row.items()})
+    basis = _sparse_nullspace(cols, ints)
     rank = len(_rank_rises(rows)[1])
     assert len(basis) == cols - rank
     for v in basis:
@@ -390,3 +396,52 @@ def test_sparse_nullspace_is_a_full_integer_kernel_basis(problem):
             assert sum(x * v.get(c, 0) for c, x in row.items()) == 0
     # the vectors are independent, so they span the whole kernel
     assert all(_rank_rises([{c: Fraction(x) for c, x in v.items()} for v in basis])[0])
+
+
+# sha256 of the oracle's kernels, one line per step that the finite-degree
+# check hands it, as the Fraction-based construction first computed them
+KERNEL_DIGEST = "87d20c2a8fc9d75192560448c815fa0912a4a96bf73dc75799f7aa74a9d8448c"
+
+
+def test_finite_degree_kernels_are_pinned(monkeypatch):
+    texts = []
+    kernel = report._truncated_kernel
+
+    def recorded(rows, cap):
+        out = kernel(rows, cap)
+        texts.append(str(out))
+        return out
+
+    monkeypatch.setattr(report, "_truncated_kernel", recorded)
+    assert report._finite_degree_exactness()
+    assert len(texts) == 23
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == KERNEL_DIGEST
+
+
+def test_cold_report_makes_a_fixed_number_of_eliminations(monkeypatch, clear_engine_caches):
+    calls = []
+    eliminate = report._eliminate
+
+    def counted(row, piv, c):
+        calls.append(c)
+        eliminate(row, piv, c)
+
+    monkeypatch.setattr(report, "_eliminate", counted)
+    clear_engine_caches()
+    assert all(r.passed for r in run_report())
+    # every elimination is the finite-degree oracle's, forward and back
+    assert len(calls) == 3824
+
+
+def test_oracle_runs_no_engine_elimination(monkeypatch):
+    steps = engine.resolve_module(zoo.killing(zoo.euclidean(2)).rows()).steps
+    expected = [str(report._truncated_kernel(list(step), 4)) for step in steps]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the oracle called the engine")
+
+    # in the engine and under any name the report could import them by
+    for name in ("_Echelon", "_tracked", "_reduced_groebner", "reduced_groebner"):
+        monkeypatch.setattr(engine, name, refused)
+        monkeypatch.setattr(report, name, refused, raising=False)
+    assert [str(report._truncated_kernel(list(step), 4)) for step in steps] == expected
