@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .engine import (
     BudgetExceeded,
     FreeElem,
-    _annihilates,
+    _RowCode,
     _int_rows,
     fraction_rank,
     minimize_generators,
@@ -226,8 +226,9 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
     if im and len(mats) >= i + 1:
         # sanity: the dual complex composes to zero
         nxt, _ = _int_rows(_transpose_rows(mats[i]))
+        code = _RowCode(nxt, max(r.degree() for r in im))
         for r in im:
-            if not _annihilates(r.terms, nxt):
+            if not code.annihilates(r.terms):
                 raise RuntimeError("internal error: dual complex not a complex")
     if im:
         gb_im = reduced_groebner(im)

@@ -27,9 +27,15 @@ degree, checked again each time the basis grows; for a normal form or a
 division, the basis degree plus the input's.  When a term would not fit,
 the fields widen and the basis is re-encoded, and encoding a term wider
 than its fields raises OverflowError rather than wrapping.  Only values
-that leave the engine are decoded, and the inline checks (each harvested
-relation annihilates its rows, each division identity holds) run on the
-decoded (position, monomial) terms, apart from the packing.
+that leave the engine are decoded.
+
+The inline checks (each harvested relation annihilates its rows, each
+division identity holds) multiply every relation out exactly on the
+decoded (position, monomial) terms, apart from the packing: `_RowCode`
+gives each row term the Kronecker key pos + W * sum_j m_j * B^j, with W
+above every position and the base B the rows' degree plus the largest
+relation degree plus one, so a product term's key is one addition and no
+field carries.  A run encodes its rows once for its whole harvest.
 
 Every cache of the package is a memo made by `_memo`, an unbounded
 `functools.lru_cache` registered in one list that `clear_caches()` empties;
@@ -286,6 +292,10 @@ class FreeElem:
                     parts.append("0")
                     continue
                 col.sort(reverse=True)
+                if den == 1:
+                    # integer coefficients, as every harvested relation has
+                    parts.append(format_terms([(m, v, 1) for _, m, v in col]))
+                    continue
                 items = []
                 for _, m, v in col:
                     g = math.gcd(v, den)
@@ -311,18 +321,55 @@ def _int_rows(elems: Sequence[FreeElem]) -> tuple[list[dict[Term, int]], int]:
     return rows, den
 
 
+class _RowCode:
+    """Integer rows encoded once for exact checks of relations among them.
+
+    A row term (pos, m) gets the Kronecker key pos + W * sum_j m_j * B^j,
+    where W exceeds every position and B = (row degree) + `reldeg` + 1.  A
+    relation term (i, m) of degree at most `reldeg` shifts row i's keys by
+    W * sum_j m_j * B^j, and no exponent of a product reaches B, so no field
+    carries into the next: distinct product terms keep distinct keys and
+    the sum is exact.  Built from the (position, monomial) terms alone, apart
+    from the packing that made the relations."""
+
+    __slots__ = ("rows", "scale", "reldeg", "shifts")
+
+    def __init__(self, rows: Sequence[dict[Term, int]], reldeg: int):
+        monos = {m for row in rows for _, m in row}
+        width = 1 + max((pos for row in rows for pos, _ in row), default=0)
+        base = max(map(sum, monos), default=0) + reldeg + 1
+        nvars = len(next(iter(monos))) if monos else 0
+        self.scale = scale = [width * base**j for j in range(nvars)]
+        self.reldeg = reldeg
+        self.shifts: dict[Monomial, int] = {}  # relation monomial -> key shift
+        key = {m: sum(map(mul, m, scale)) for m in monos}
+        self.rows = [[(pos + key[m], v) for (pos, m), v in row.items()] for row in rows]
+
+    def annihilates(self, coeffs: dict[Term, int]) -> bool:
+        """True when sum over (i, m) of coeffs[(i, m)] * d^m * rows[i] is
+        zero; raises ValueError for a relation term above `reldeg`."""
+        rows, shifts = self.rows, self.shifts
+        acc: dict[int, int] = {}
+        get = acc.get
+        for (i, m), c in coeffs.items():
+            s = shifts.get(m)
+            if s is None:
+                if sum(m) > self.reldeg:
+                    raise ValueError("relation degree exceeds the encoded bound")
+                s = shifts[m] = sum(map(mul, m, self.scale))
+            for k, v in rows[i]:
+                k += s
+                acc[k] = get(k, 0) + c * v
+        return not any(acc.values())
+
+
 def _annihilates(coeffs: dict[Term, int], rows: Sequence[dict[Term, int]]) -> bool:
     """True when sum over (i, m) of coeffs[(i, m)] * d^m * rows[i] is zero.
 
     `coeffs` is a relation in integer term space, keyed (row, monomial);
-    the products are summed exactly in a dict of ints."""
-    acc: dict[Term, int] = {}
-    get = acc.get
-    for (i, m), c in coeffs.items():
-        for (pos, mm), v in rows[i].items():
-            k = (pos, tuple(map(add, m, mm)))
-            acc[k] = get(k, 0) + c * v
-    return not any(acc.values())
+    the rows are encoded for this one relation (`_RowCode`)."""
+    reldeg = max((sum(m) for _, m in coeffs), default=0)
+    return _RowCode(rows, reldeg).annihilates(coeffs)
 
 
 # -- packed terms ----------------------------------------------------------------
@@ -701,12 +748,14 @@ def _tracked(
         h[pack.term(width + i, one)] = den
         run.process(h)
     run.run()
-    relations: list[FreeElem] = []
-    for rel in run.harvest:
-        if not _annihilates(rel, rows):
-            raise RuntimeError("internal error: harvested relation fails to annihilate")
-        relations.append(FreeElem._make(k, nvars, rel))
-    return run.red, tuple(relations)
+    harvest = run.harvest
+    if harvest:
+        # one encoding serves every relation of the run
+        code = _RowCode(rows, max(sum(m) for rel in harvest for _, m in rel))
+        for rel in harvest:
+            if not code.annihilates(rel):
+                raise RuntimeError("internal error: harvested relation fails to annihilate")
+    return run.red, tuple(FreeElem._make(k, nvars, rel) for rel in harvest)
 
 
 # -- public Groebner interface ------------------------------------------------

@@ -1,11 +1,14 @@
 """The integer kernels behind the inline checks, the rank, the graded
-minimizer and the report's nullspace oracle: the annihilation helper
-against FreeElem.dot, and the rank (its point certificate and its Bareiss
-fallback), the echelon kernel and the oracle against Fraction-based
-eliminations written here; and the oracle's kernels, elimination count and
-independence from the engine on the report's own steps."""
+minimizer and the report's nullspace oracle: the annihilation check
+against FreeElem.dot, its Kronecker base and its call counts in a cold
+report, and the rank (its point certificate and its Bareiss fallback), the
+echelon kernel and the oracle against Fraction-based eliminations written
+here; and the oracle's kernels, elimination count and independence from
+the engine on the report's own steps."""
 
 import hashlib
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
@@ -17,6 +20,7 @@ from dgcalc import duality, engine, report, zoo
 from dgcalc.engine import (
     FreeElem,
     _Echelon,
+    _RowCode,
     _annihilates,
     _bareiss,
     _int_rows,
@@ -48,19 +52,22 @@ def _poly(draw, nvars, cap, size=3, coeffs=COEFFS):
 def relations(draw):
     """Rows and a coefficient vector that is a relation among them about
     half the time: the last row is a combination of the others, and the
-    relation records that combination, or it is redrawn at random."""
+    relation records that combination, or it is redrawn at random.  The
+    rows have degree at most 2 and the multipliers at most 1 or 3, so some
+    relations have the higher degree."""
     nvars = draw(st.integers(1, 3))
     width = draw(st.integers(1, 3))
     k = draw(st.integers(1, 3))
+    cap = draw(st.sampled_from((1, 3)))
     rows = [FreeElem(_poly(draw, nvars, 2) for _ in range(width)) for _ in range(k)]
-    mult = [_poly(draw, nvars, 1) for _ in range(k)]
+    mult = [_poly(draw, nvars, cap) for _ in range(k)]
     last = [sum((p * r.entries[j] for p, r in zip(mult, rows)), Poly.zero(nvars))
             for j in range(width)]
     rows.append(FreeElem(last))
     scale = draw(st.sampled_from(COEFFS))
     coeffs = [p * scale for p in mult] + [Poly.const(nvars, -scale)]
     if draw(st.booleans()):
-        coeffs = [_poly(draw, nvars, 1) for _ in range(k + 1)]
+        coeffs = [_poly(draw, nvars, cap) for _ in range(k + 1)]
     return FreeElem(coeffs), rows
 
 
@@ -68,6 +75,47 @@ def relations(draw):
 def test_annihilation_helper_agrees_with_dot(problem):
     rel, rows = problem
     assert _annihilates(rel.terms, _int_rows(rows)[0]) == rel.dot(rows).is_zero()
+
+
+@given(relations(), st.integers(0, 2))
+def test_one_encoding_checks_any_relation_up_to_its_degree(problem, slack):
+    rel, rows = problem
+    code = _RowCode(_int_rows(rows)[0], rel.degree() + slack)
+    assert code.annihilates(rel.terms) == rel.dot(rows).is_zero()
+    # a second check reuses the relation's cached key shifts
+    assert code.annihilates(rel.terms) == rel.dot(rows).is_zero()
+
+
+def _rows(*texts):
+    """Integer rows of width 1 in d1, d2."""
+    return _int_rows([FreeElem.from_strs(2, [t]) for t in texts])[0]
+
+
+def test_annihilation_base_counts_row_and_relation_degree():
+    # d1 * (d1) - (d2) = d1^2 - d2, which a base of 2, the row degree plus
+    # one, would alias to zero: d1^2 and d2 would share a key
+    assert not _annihilates({(0, (1, 0)): 1, (1, (0, 0)): -1}, _rows("d1", "d2"))
+    # (d1^2) - (d1*d2): a base of 1, the relation degree plus one, would key
+    # both by total degree alone
+    assert not _annihilates({(0, (0, 0)): 1, (1, (0, 0)): -1}, _rows("d1^2", "d1*d2"))
+    assert _annihilates({(0, (0, 1)): 1, (1, (1, 0)): -1}, _rows("d1", "d2"))
+
+
+def test_an_encoding_refuses_a_relation_above_its_degree():
+    code = _RowCode(_rows("d1", "d2"), 1)
+    assert code.annihilates({(0, (0, 1)): 1, (1, (1, 0)): -1})
+    with pytest.raises(ValueError):
+        code.annihilates({(0, (1, 1)): 1, (1, (2, 0)): -1})
+
+
+def test_annihilation_check_runs_apart_from_the_packing(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the check used the engine's packing")
+
+    for name in ("_Packing", "_Reducer", "_Run"):
+        monkeypatch.setattr(engine, name, refused)
+    assert _annihilates({(0, (0, 1)): 1, (1, (1, 0)): -1}, _rows("d1", "d2"))
+    assert not _annihilates({(0, (0, 1)): 1}, _rows("d1", "d2"))
 
 
 def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
@@ -90,6 +138,53 @@ def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
         changed = dict(coeffs)
         changed[(0, (5, 0, 0))] = changed.get((0, (5, 0, 0)), 0) + 1
         assert not _annihilates(changed, base)
+
+
+def _count_checks(monkeypatch):
+    """Record the calling frame of each row encoding and each relation
+    check, looking through `_annihilates` to the site that called it."""
+    encodings, checks = [], []
+    encode, check = _RowCode.__init__, _RowCode.annihilates
+
+    def site():
+        frame = sys._getframe(2)
+        while frame.f_code.co_name == "_annihilates":
+            frame = frame.f_back
+        return frame
+
+    def counted_encode(self, rows, reldeg):
+        encodings.append(site())
+        encode(self, rows, reldeg)
+
+    def counted_check(self, coeffs):
+        checks.append(site())
+        return check(self, coeffs)
+
+    monkeypatch.setattr(_RowCode, "__init__", counted_encode)
+    monkeypatch.setattr(_RowCode, "annihilates", counted_check)
+    return encodings, checks
+
+
+def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
+    encodings, checks = _count_checks(monkeypatch)
+    clear_engine_caches()
+    assert all(r.passed for r in run_report())
+    sites = Counter(f.f_code.co_name for f in checks)
+    assert sites == {"_tracked": 658, "divide_with_cofactors": 10, "ext_module": 30}
+    # each Buchberger run with a harvest encodes its rows once, and only
+    # such runs encode
+    runs = [f for f in encodings if f.f_code.co_name == "_tracked"]
+    assert len(runs) == len({id(f) for f in runs}) == 83
+    assert {id(f) for f in runs} == {id(f) for f in checks if f.f_code.co_name == "_tracked"}
+    assert sum(len(f.f_locals["harvest"]) for f in runs) == 658
+    assert engine._tracked.cache_info().misses == 119
+
+
+def test_cold_resolution_check_count(monkeypatch, clear_engine_caches):
+    _, checks = _count_checks(monkeypatch)
+    clear_engine_caches()
+    engine.resolve_module(zoo.conformal_killing(zoo.euclidean(5)).rows())
+    assert len(checks) == 151
 
 
 # -- rank ------------------------------------------------------------------------------
