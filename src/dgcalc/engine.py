@@ -20,7 +20,10 @@ Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
 total degree, cap - e_n, ..., cap - e_1 and ncols - 1 - pos, so integer
 order is the term order, a monomial multiple is one addition, and a
-divisibility test is one subtraction and a guard-bit mask.  The field
+divisibility test is one subtraction and a guard-bit mask.  The S-pair
+lcms and both Gebauer-Moeller chain criteria work on these packed terms
+too, and each packing keys a monomial once, in a table that makes
+encoding a term one lookup and one subtraction.  The field
 width comes from the computation's degree bound: for a run, the highest
 degree in its basis plus the larger of the degree budget and the rows'
 degree, checked again each time the basis grows; for a normal form or a
@@ -65,7 +68,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_key,
-    mono_lcm,
 )
 
 BUDGET_ENV = "DGCALC_BUDGET_DEGREE"
@@ -145,7 +147,7 @@ class FreeElem:
     Polys handed to that constructor, or else built on first use and cached.
     """
 
-    __slots__ = ("width", "nvars", "terms", "den", "_entries", "_str", "_hash")
+    __slots__ = ("width", "nvars", "terms", "den", "_entries", "_deg", "_str", "_hash")
 
     def __init__(self, entries: Iterable[Poly]):
         entries = tuple(entries)
@@ -170,6 +172,7 @@ class FreeElem:
         self.nvars = nv
         self.den = den
         self._entries: tuple[Poly, ...] | None = entries
+        self._deg: int | None = None
         self._str: str | None = None
         self._hash: int | None = None
 
@@ -197,6 +200,7 @@ class FreeElem:
         e.terms = terms
         e.den = b
         e._entries = None
+        e._deg = None
         e._str = None
         e._hash = None
         return e
@@ -222,7 +226,9 @@ class FreeElem:
 
     def degree(self) -> int:
         """Largest total degree of a term; -1 for zero."""
-        return max((sum(m) for _, m in self.terms), default=-1)
+        if self._deg is None:
+            self._deg = max((sum(m) for _, m in self.terms), default=-1)
+        return self._deg
 
     def is_homogeneous(self) -> bool:
         """All nonzero entries homogeneous of one common total degree."""
@@ -279,29 +285,35 @@ class FreeElem:
             )
         return self._hash
 
+    def cell_texts(self) -> list[str]:
+        """Each entry's canonical text, as `serialize` gives it, built from
+        the terms: a zero entry is the shared string "0", so only the
+        nonzero positions cost work."""
+        cells = ["0"] * self.width
+        cols: dict[int, list[tuple[tuple, Monomial, int]]] = {}
+        for (pos, m), v in self.terms.items():
+            col = cols.get(pos)
+            if col is None:
+                col = cols[pos] = []
+            col.append((_mkey(m), m, v))
+        den = self.den
+        for pos, col in cols.items():
+            col.sort(reverse=True)
+            if den == 1:
+                # integer coefficients, as every harvested relation has
+                cells[pos] = format_terms([(m, v, 1) for _, m, v in col])
+                continue
+            items = []
+            for _, m, v in col:
+                g = math.gcd(v, den)
+                items.append((m, v // g, den // g))
+            cells[pos] = format_terms(items)
+        return cells
+
     def __str__(self) -> str:
         """The entries' canonical text, as `poly_vector_str(entries)`."""
         if self._str is None:
-            cols: list[list[tuple[tuple, Monomial, int]]] = [[] for _ in range(self.width)]
-            for (pos, m), v in self.terms.items():
-                cols[pos].append((_mkey(m), m, v))
-            den = self.den
-            parts = []
-            for col in cols:
-                if not col:
-                    parts.append("0")
-                    continue
-                col.sort(reverse=True)
-                if den == 1:
-                    # integer coefficients, as every harvested relation has
-                    parts.append(format_terms([(m, v, 1) for _, m, v in col]))
-                    continue
-                items = []
-                for _, m, v in col:
-                    g = math.gcd(v, den)
-                    items.append((m, v // g, den // g))
-                parts.append(format_terms(items))
-            self._str = "(" + ", ".join(parts) + ")"
+            self._str = "(" + ", ".join(self.cell_texts()) + ")"
         return self._str
 
     def __repr__(self) -> str:
@@ -391,19 +403,26 @@ class _Packing:
     from the exponent fields, with no carry, so it is one addition of a
     shift such as `enc(p, L) - enc(p, m)`; at one position, lead | t
     exactly when `(lead - t) & guard` is 0, since a field of `lead` below
-    that of `t` borrows into its own guard bit.  Both hold only while
-    every degree stays at most `cap`: `_Reducer.fit` widens the fields
-    before a computation can exceed it, and `term` refuses (OverflowError)
-    to encode a term above it.
+    that of `t` borrows into its own guard bit, and `lcm` takes the
+    smaller of each pair of exponent fields through the same guard bits.
+    All three hold only while every degree stays at most `cap`:
+    `_Reducer.fit` widens the fields before a computation can exceed it,
+    and `term` refuses (OverflowError) to encode a term above it.
+
+    Each packing keys a monomial once: `table` maps it to its packed value
+    at position 0 without the flag, filled the first time `packed` or
+    `encode` meets it, so encoding a term is one lookup and one
+    subtraction, plus the flag at a genuine position.
     """
 
     __slots__ = (
-        "nvars", "ncols", "split", "cap", "shifts", "degshift", "fmask",
-        "flag", "guard", "pmask", "emask", "_one", "_weights",
+        "nvars", "ncols", "split", "bits", "cap", "shifts", "degshift", "fmask",
+        "flag", "guard", "pmask", "emask", "dmask", "degsum", "table", "_one",
+        "_weights",
     )
 
     def __init__(self, nvars: int, ncols: int, split: int, degree: int):
-        bits = degree.bit_length() + 1
+        self.bits = bits = degree.bit_length() + 1
         low = (ncols - 1).bit_length()
         self.nvars, self.ncols, self.split = nvars, ncols, split
         self.cap = (1 << (bits - 1)) - 1
@@ -414,22 +433,61 @@ class _Packing:
         self.guard = sum(1 << (s + bits - 1) for s in self.shifts)
         self.pmask = (1 << low) - 1
         self.emask = (1 << self.degshift) - 1 - self.pmask
+        self.dmask = self.fmask << self.degshift
+        # times an int whose fields are the exponents e_j, this puts
+        # sum_j e_j in the degree field (see `lcm`)
+        self.degsum = sum(1 << (self.degshift - s) for s in self.shifts)
+        self.table: dict[Monomial, int] = {}
         # (0, 1) without its flag, and what one unit of each exponent adds
         self._one = sum(self.cap << s for s in self.shifts) + ncols - 1
         self._weights = tuple((1 << self.degshift) - (1 << s) for s in self.shifts)
 
-    def term(self, pos: int, m: Monomial) -> int:
+    def _monomial(self, m: Monomial) -> int:
+        """The term (0, m) without its flag."""
         deg = sum(m)
         if deg > self.cap:
             raise OverflowError(
                 f"degree {deg} exceeds the packed field capacity {self.cap}"
             )
-        t = self._one - pos + sum(map(mul, m, self._weights))
+        return self._one + sum(map(mul, m, self._weights))
+
+    def term(self, pos: int, m: Monomial) -> int:
+        t = self._monomial(m) - pos
         return t + self.flag if pos < self.split else t
 
+    def packed(self, m: Monomial) -> int:
+        """The term (0, m) without its flag, from `table`."""
+        t = self.table.get(m)
+        if t is None:
+            t = self.table[m] = self._monomial(m)
+        return t
+
     def encode(self, terms: dict[Term, int]) -> dict[int, int]:
-        term = self.term
-        return {term(pos, m): v for (pos, m), v in terms.items()}
+        """The terms packed, each monomial looked up in `table`."""
+        get, packed = self.table.get, self.packed
+        split, flag = self.split, self.flag
+        out = {}
+        for (pos, m), v in terms.items():
+            t = get(m)
+            if t is None:
+                t = packed(m)
+            out[t - pos + flag if pos < split else t - pos] = v
+        return out
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of the terms a and b at one position; its degree must be
+        at most `cap`.  Each exponent field is the smaller of the two:
+        `(a | guard) - b` keeps a field's guard bit where a's field is at
+        least b's, and `g - (g >> (bits - 1))` widens each kept guard bit
+        into a mask of its field's value bits.  The flag, degree and
+        position come from a, so `a - low` holds the exponents the lcm adds
+        to a.  Each partial sum of them is at most the lcm's degree, so
+        multiplying by `degsum` adds them into the degree field with no
+        carry between fields."""
+        g = ((a | self.guard) - b) & self.guard
+        m = g - (g >> (self.bits - 1))
+        low = (b & m) | (a & ~m)
+        return low + (((a - low) * self.degsum) & self.dmask)
 
     def decode_term(self, t: int, monos: dict[int, Monomial]) -> Term:
         """t as (position, monomial).  `monos`, the caller's table from
@@ -618,7 +676,11 @@ class _Run:
 
     `reach` bounds the degree of every genuine term the run reduces: the
     larger of the degree budget and the rows' degree.  Pair pruning uses
-    the Gebauer-Moeller chain criteria.
+    the Gebauer-Moeller chain criteria, on packed terms: a pair's lcm is
+    `_Packing.lcm` of the two leads, and a divisibility between lcms or
+    leads is one guard-mask test.  The alive pairs are kept per position
+    with their lcms, and the heap orders them by (lcm, position, i, j):
+    the lcm without its position field orders as (degree, degrevlex).
     """
 
     def __init__(self, pack: _Packing, reach: int, budget: int, prune: bool = True):
@@ -626,10 +688,10 @@ class _Run:
         self.budget = budget
         self.prune = prune
         self.red = _Reducer(pack)
-        self.leads: list[Term] = []  # each element's lead, decoded
         self.monos: dict[int, Monomial] = {}  # the decoding table of the run
-        self.pairs: list[tuple[int, tuple, int, int, int]] = []  # heap
-        self.alive: dict[tuple[int, int], Monomial] = {}
+        self.pairs: list[tuple[int, int, int, int]] = []  # heap
+        # position -> {(i, j): packed lcm of the leads}
+        self.alive: dict[int, dict[tuple[int, int], int]] = {}
         self.harvest: list[dict[Term, int]] = []
 
     def process(self, h: dict[int, int]) -> None:
@@ -653,45 +715,56 @@ class _Run:
         red.add(h)
         # every term made from here on is a basis term times a shift of
         # degree at most reach
+        old = red.pack
         red.fit(red.top + self.reach)
-        pos, lm = red.pack.decode_term(red.lts[t], self.monos)
-        leads = self.leads
-        leads.append((pos, lm))
-        # new pairs against earlier same-position elements, then prune
-        cand: dict[int, Monomial] = {}
-        for i in red.by_pos[red.lts[t] & red.pack.pmask][:-1]:
-            cand[i] = mono_lcm(leads[i][1], lm)
-        if self.prune and cand:
+        if red.pack is not old:
+            self._refit(old)
+        pack = red.pack
+        guard, lts = pack.guard, red.lts
+        lt = lts[t]
+        p = lt & pack.pmask
+        pos = pack.ncols - 1 - p
+        # new pairs against earlier same-position elements, then prune; a
+        # genuine lead has degree at most reach, so every lcm fits the fields
+        lcms = {i: pack.lcm(lt, lts[i]) for i in red.by_pos[p][:-1]}
+        cand = lcms
+        alive = self.alive.setdefault(pos, {})
+        if self.prune and lcms:
             # chain criterion among the new pairs: drop (i,t) when another
             # new pair's lcm strictly divides its lcm
-            drop: set[int] = set()
-            items = sorted(cand.items())
-            for i, li in items:
-                for j, lj in items:
-                    if i != j and lj != li and mono_divides(lj, li):
-                        drop.add(i)
+            cand = {}
+            for i, li in lcms.items():
+                for lj in lcms.values():
+                    if lj != li and not (lj - li) & guard:
                         break
-            for i in drop:
-                del cand[i]
-            # chain criterion against existing pairs
-            for (i, j), L in list(self.alive.items()):
-                if leads[i][0] != pos:
-                    continue
-                if mono_divides(lm, L):
-                    lit = cand.get(i) or mono_lcm(leads[i][1], lm)
-                    ljt = cand.get(j) or mono_lcm(leads[j][1], lm)
-                    if lit != L and ljt != L:
-                        del self.alive[(i, j)]
-        for i, L in sorted(cand.items()):
-            self.alive[(i, t)] = L
-            heapq.heappush(self.pairs, (sum(L), _mkey(L), pos, i, t))
+                else:
+                    cand[i] = li
+            # chain criterion against existing pairs at this position
+            for (i, j), L in list(alive.items()):
+                if not (lt - L) & guard and lcms[i] != L and lcms[j] != L:
+                    del alive[(i, j)]
+        # by_pos lists indices in increasing order, and so does cand
+        for i, L in cand.items():
+            alive[(i, t)] = L
+            heapq.heappush(self.pairs, (L - p, pos, i, t))
 
-    def _spair(self, i: int, j: int) -> dict[int, int]:
+    def _refit(self, old: _Packing) -> None:
+        """Re-encode the alive pairs' lcms after the fields widened; the
+        heap keeps only alive pairs, in the same order."""
+        new, monos = self.red.pack, {}
+        self.monos = {}
+        self.pairs = []
+        for pos, alive in self.alive.items():
+            p = new.ncols - 1 - pos
+            for (i, j), L in alive.items():
+                alive[(i, j)] = L = new.term(*old.decode_term(L, monos))
+                self.pairs.append((L - p, pos, i, j))
+        heapq.heapify(self.pairs)
+
+    def _spair(self, i: int, j: int, L: int) -> dict[int, int]:
         red = self.red
         gi, gj = red.basis[i], red.basis[j]
         lti, ltj = red.lts[i], red.lts[j]
-        (pos, mi), (_, mj) = self.leads[i], self.leads[j]
-        L = red.pack.term(pos, mono_lcm(mi, mj))
         ci, cj = gi[lti], gj[ltj]
         gam = math.gcd(ci, cj)
         a = cj // gam
@@ -711,16 +784,18 @@ class _Run:
 
     def run(self) -> None:
         while self.pairs:
-            deg, _, _, i, j = heapq.heappop(self.pairs)
-            if (i, j) not in self.alive:
+            _, pos, i, j = heapq.heappop(self.pairs)
+            L = self.alive[pos].pop((i, j), None)
+            if L is None:
                 continue
-            del self.alive[(i, j)]
+            pack = self.red.pack
+            deg = (L >> pack.degshift) & pack.fmask
             if deg > self.budget:
                 raise BudgetExceeded(
                     f"S-pair of degree {deg} exceeds budget {self.budget}; "
                     f"raise {BUDGET_ENV} to go further"
                 )
-            self.process(self._spair(i, j))
+            self.process(self._spair(i, j, L))
 
 
 @_memo
@@ -987,7 +1062,7 @@ def _minimize_homogeneous(elems: list[FreeElem], base: list[FreeElem]) -> list[F
     top = max(by_deg)
     pack = _Packing(nvars, width, width, top)
     packed = {g: pack.encode(g.terms) for g in elems + [b for b in base if b.degree() <= top]}
-    one = pack.term(0, (0,) * nvars)
+    one = pack.packed((0,) * nvars)
     kept: list[FreeElem] = []
     for d in sorted(by_deg):
         ech = _Echelon()
@@ -995,7 +1070,7 @@ def _minimize_homogeneous(elems: list[FreeElem], base: list[FreeElem]) -> list[F
         for g in kept + [b for b in base if b.degree() <= d]:
             terms = packed[g]
             for m in _monomials_of_degree(nvars, d - g.degree()):
-                shift = pack.term(0, m) - one
+                shift = pack.packed(m) - one
                 ech.insert({t + shift: c for t, c in terms.items()})
         # within one degree the coefficients are scalars, so leave-one-out
         # in block order drops an element exactly when it lies in the seed

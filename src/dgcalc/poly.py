@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Sequence
@@ -485,13 +486,14 @@ class _Parser:
             if kind == "num":
                 if "/" in text:
                     num, den = text.split("/")
-                    if int(den) == 0:
+                    d = _digits(den, at)
+                    if d == 0:
                         raise ParseError("zero denominator", at)
-                    value = Fraction(int(num), int(den))
+                    value = Fraction(_digits(num, at), d)
                 else:
-                    value = int(text)
+                    value = _digits(text, at)
             elif kind == "var":
-                idx = int(text[1:])
+                idx = _digits(text[1:], at)
                 if not 1 <= idx <= self.nvars:
                     raise ParseError(
                         f"variable {text} out of range for nvars={self.nvars}", at
@@ -514,7 +516,7 @@ class _Parser:
                 etok = self._next()
                 if etok[0] != "num" or "/" in etok[1]:
                     raise ParseError("exponent must be a nonnegative integer", etok[2])
-                k = int(etok[1])
+                k = _digits(etok[1], etok[2])
             if kind == "num":
                 coeff *= value if k == 1 else value**k
             elif kind == "var":
@@ -527,6 +529,20 @@ class _Parser:
             if not (tok[0] == "op" and tok[1] == "*"):
                 return coeff, exps, group
             self.i += 1
+
+
+def _digits(text: str, at: int) -> int:
+    """The int a digit string spells; a ParseError at `at`, the position of
+    its token, when it is longer than Python converts
+    (`sys.get_int_max_str_digits`)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(
+            f"number of {len(text)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+            at,
+        ) from None
 
 
 def parse(text: str, nvars: int) -> Poly:

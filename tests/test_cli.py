@@ -277,6 +277,28 @@ def test_deeply_nested_entry_exits_2(capsys, ops_dir, tmp_path):
     assert "Traceback" not in err
 
 
+LONG = "7" * 100001
+
+
+@pytest.mark.parametrize("cell, at", [
+    (LONG + "*d1", 0),
+    ("d2 + 1/" + LONG + "*d1", 5),
+    ("d1^" + LONG, 3),
+    ("d" + LONG, 0),
+], ids=["coefficient", "denominator", "exponent", "variable"])
+def test_number_too_long_to_convert_exits_2(capsys, ops_dir, tmp_path, cell, at):
+    doc = json.loads((ops_dir / "grad3.json").read_text())
+    doc["matrix"][0][0] = cell
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "rank", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: matrix[0][0]: number of 100001 digits exceeds the limit of ")
+    assert err.endswith(f" digits (at position {at})\n")
+    assert "Traceback" not in err
+
+
 def test_failed_factorization_exits_5(capsys, ops_dir):
     code, _, err = run(capsys, "factor", str(ops_dir / "div3.json"),
                        str(ops_dir / "curl3.json"))

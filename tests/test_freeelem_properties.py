@@ -11,6 +11,7 @@ from math import gcd
 
 from hypothesis import given, strategies as st
 
+from dgcalc.duality import _transpose_rows
 from dgcalc.engine import FreeElem, _int_rows
 from dgcalc.poly import Poly, mono_key, poly_vector_str
 
@@ -147,6 +148,23 @@ def test_dot_matches_poly_arithmetic(case):
     out = e.dot(rows)
     _canonical(out, nvars, len(expected))
     assert list(out.entries) == expected
+
+
+@given(products())
+def test_the_cached_degree_is_the_degree_of_the_terms(case):
+    """Every way an element is made leaves `degree()` and `is_homogeneous()`
+    equal to a fresh computation from its terms, before and after the
+    degree is cached; zero has degree -1."""
+    _, e, _, rows, nvars = case
+    zeros = [FreeElem([Poly.zero(nvars)] * 2), FreeElem._make(2, nvars, {}),
+             e.dot([FreeElem._make(1, nvars, {})] * e.width)]
+    made = [e, e.normalized(), e.dot(rows), *_transpose_rows(rows), *zeros]
+    for x in made:
+        degrees = {sum(m) for _, m in x.terms}
+        for _ in range(2):
+            assert x.degree() == max(degrees, default=-1)
+            assert x.is_homogeneous() == (len(degrees) <= 1)
+    assert [z.degree() for z in zeros] == [-1, -1, -1]
 
 
 def _reference_normalized(ref):
