@@ -114,7 +114,7 @@ def _cmd_resolve(args) -> int:
     for k, step in enumerate(res.steps):
         step_doc = {
             "index": k,
-            "rows": [[serialize(p) for p in e.entries] for e in step],
+            "rows": [e.cell_texts() for e in step],
         }
         (outdir / f"step{k:02d}.json").write_text(
             json.dumps(step_doc, indent=2) + "\n"
@@ -148,7 +148,7 @@ def _cmd_paramtest(args) -> int:
         "potentials": rep.potentials,
         "torsion": [
             {
-                "row": [serialize(p) for p in t.row.entries],
+                "row": t.row.cell_texts(),
                 "order": t.order,
                 "annihilator": serialize(t.annihilator),
             }
@@ -190,12 +190,8 @@ def _cmd_ext(args) -> int:
         "index": rep.index,
         "is_zero": rep.is_zero,
         "rank": rep.rank,
-        "generators": [
-            [serialize(p) for p in g.entries] for g in rep.generators
-        ],
-        "relations": [
-            [serialize(p) for p in r.entries] for r in rep.relations
-        ],
+        "generators": [g.cell_texts() for g in rep.generators],
+        "relations": [r.cell_texts() for r in rep.relations],
     }
     _emit_json(payload, args.output, f"{op.name}_ext{rep.index}")
     return 0

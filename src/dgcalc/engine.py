@@ -55,7 +55,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add, mul
@@ -64,6 +63,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .poly import (
     Monomial,
     Poly,
+    canonical,
     format_terms,
     mono_div,
     mono_divides,
@@ -136,15 +136,16 @@ def _term_key_plain(t: Term) -> tuple:
 class FreeElem:
     """An element of the free module D^(1 x width), D = Q[d1..dn].
 
-    Stored sparsely in the engine's own form: the element is `terms / den`,
-    where `terms` maps (position, monomial) to a nonzero int.  The form is
-    canonical: den > 0 and gcd(content(terms), den) == 1, and zero is
-    ({}, 1), so equality and hashing compare the exact rational entries
-    without building any Fraction.  Do not mutate `terms`.
+    Stored sparsely in the form `Poly` uses: the element is `terms / den`,
+    where `terms` maps (position, monomial) to a nonzero int, in the
+    canonical form of `poly.canonical` (den > 0, gcd(content(terms), den)
+    == 1, zero is ({}, 1)), so equality and hashing compare the exact
+    rational entries without building any Fraction.  Do not mutate `terms`.
 
-    `FreeElem(entries)` builds an element from Polys, clearing their
-    denominators once.  `entries`, the tuple of width Polys, is a view: the
-    Polys handed to that constructor, or else built on first use and cached.
+    `FreeElem(entries)` builds an element from Polys, bringing their
+    numerators to the least common denominator in ints.  `entries`, the
+    tuple of width Polys, is a view: the Polys handed to that constructor,
+    or else built on first use and cached.
     """
 
     __slots__ = ("width", "nvars", "terms", "den", "_entries", "_deg", "_str", "_hash")
@@ -154,19 +155,14 @@ class FreeElem:
         if not entries:
             raise ValueError("free module elements need positive width")
         nv = entries[0].nvars
-        den = 1
-        for p in entries:
-            if p.nvars != nv:
-                raise ValueError("mixed nvars inside one element")
-            for c in p.terms.values():
-                if c.denominator != 1:
-                    den = math.lcm(den, c.denominator)
-        # the lcm of reduced denominators leaves no common factor with the
-        # numerators it produces, so this is already canonical
+        if any(p.nvars != nv for p in entries):
+            raise ValueError("mixed nvars inside one element")
+        # each entry is canonical, so over the lcm of their denominators the
+        # numerators keep no common factor with it: this is canonical too
+        den = math.lcm(*(p.den for p in entries))
         self.terms: dict[Term, int] = {
-            (pos, m): c.numerator * (den // c.denominator)
-            for pos, p in enumerate(entries)
-            for m, c in p.terms.items()
+            (pos, m): c * (den // p.den) for pos, p in enumerate(entries)
+            for m, c in p.nums.items()
         }
         self.width = len(entries)
         self.nvars = nv
@@ -184,21 +180,10 @@ class FreeElem:
         canonical form.  The caller guarantees 0 <= pos < width, monomials
         of arity nvars, nonzero int values, num != 0 and den > 0, and hands
         `terms` over: it is kept when no rescaling is needed."""
-        if terms:
-            # terms * num/den == (terms/g) * a/b with content(terms/g) == 1
-            g = math.gcd(*terms.values())
-            a, b = g * num, den
-            c = math.gcd(a, b)
-            a, b = a // c, b // c
-            if a != g:
-                terms = {t: v // g * a for t, v in terms.items()}
-        else:
-            b = 1
         e = object.__new__(cls)
         e.width = width
         e.nvars = nvars
-        e.terms = terms
-        e.den = b
+        e.terms, e.den = canonical(terms, num, den)
         e._entries = None
         e._deg = None
         e._str = None
@@ -214,11 +199,10 @@ class FreeElem:
     @property
     def entries(self) -> tuple[Poly, ...]:
         if self._entries is None:
-            cols: list[dict[Monomial, Fraction]] = [{} for _ in range(self.width)]
-            den = self.den
+            cols: list[dict[Monomial, int]] = [{} for _ in range(self.width)]
             for (pos, m), v in self.terms.items():
-                cols[pos][m] = Fraction(v, den)
-            self._entries = tuple(Poly._make(self.nvars, col) for col in cols)
+                cols[pos][m] = v
+            self._entries = tuple(Poly._make(self.nvars, col, 1, self.den) for col in cols)
         return self._entries
 
     def is_zero(self) -> bool:
@@ -296,22 +280,14 @@ class FreeElem:
             if col is None:
                 col = cols[pos] = []
             col.append((_mkey(m), m, v))
-        den = self.den
         for pos, col in cols.items():
             col.sort(reverse=True)
-            if den == 1:
-                # integer coefficients, as every harvested relation has
-                cells[pos] = format_terms([(m, v, 1) for _, m, v in col])
-                continue
-            items = []
-            for _, m, v in col:
-                g = math.gcd(v, den)
-                items.append((m, v // g, den // g))
-            cells[pos] = format_terms(items)
+            cells[pos] = format_terms([(m, v) for _, m, v in col], self.den)
         return cells
 
     def __str__(self) -> str:
-        """The entries' canonical text, as `poly_vector_str(entries)`."""
+        """The entries' canonical text, in parentheses and separated by
+        commas."""
         if self._str is None:
             self._str = "(" + ", ".join(self.cell_texts()) + ")"
         return self._str
@@ -1104,14 +1080,14 @@ def divide_with_cofactors(
     h, num, den = red.reduce_full(red.encode_input(elem.terms, elem.degree()))
     num *= elem.den
     rem_terms: dict[Term, int] = {}
-    quot_terms: list[dict[Monomial, Fraction]] = [{} for _ in range(k)]
+    quot_terms: list[dict[Monomial, int]] = [{} for _ in range(k)]
     for (pos, m), v in red.pack.decode(h).items():
         if pos < width:
             rem_terms[(pos, m)] = v
         else:
-            quot_terms[pos - width][m] = Fraction(-v * den, num)
+            quot_terms[pos - width][m] = -v
     remainder = FreeElem._make(width, nvars, rem_terms, den, num)
-    quot = tuple(Poly._make(nvars, q) for q in quot_terms)
+    quot = tuple(Poly._make(nvars, q, den, num) for q in quot_terms)
     # quot . gens + remainder - elem == 0, as one relation on the stacked rows
     identity = FreeElem(quot + (Poly.const(nvars, 1), Poly.const(nvars, -1)))
     if not _annihilates(identity.terms, _int_rows(elems + [remainder, elem])[0]):

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .engine import FreeElem, minimize_generators, module_equal, syzygies
-from .poly import ParseError, Poly, numerators, parse, serialize, sum_of_products
+from .poly import ParseError, Poly, parse, serialize, sum_of_products
 
 
 class ShapeMismatch(ValueError):
@@ -193,13 +193,13 @@ def compose(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
             f"{b.name} produces {b.target.dim}"
         )
     n = a.nvars
-    # every nonzero entry split into integer numerators once; each output
-    # entry is then one sum of products over the k where both are nonzero
-    arows = [[(k, numerators(p)) for k, p in enumerate(row) if p.terms] for row in a.matrix]
-    bcols = [[numerators(p) if p.terms else None for p in col] for col in zip(*b.matrix)]
+    # each output entry is one sum of products over the k where both
+    # factors are nonzero
+    arows = [[(k, p) for k, p in enumerate(row) if p.nums] for row in a.matrix]
+    bcols = list(zip(*b.matrix))
     rows = [
         [
-            sum_of_products(n, [(x, bcol[k]) for k, x in arow if bcol[k] is not None])
+            sum_of_products(n, [(x, bcol[k]) for k, x in arow if bcol[k].nums])
             for bcol in bcols
         ]
         for arow in arows
@@ -216,21 +216,17 @@ def scale(a: LinDiffOp, c, name: str | None = None) -> LinDiffOp:
 def adjoint(a: LinDiffOp) -> LinDiffOp:
     """Formal adjoint for the weighted L2 pairing: transpose the matrix,
     flip the sign of every d, and move the weights across.  Involutive."""
-    # the weights as (numerator, denominator), so that the ratio of two
-    # weights is compared with 1 in ints and built only where it is not 1
+    # the weight ratio t/s handed over as two positive ints
     sw = [(w.numerator, w.denominator) for w in a.source.weights]
     tw = [(w.numerator, w.denominator) for w in a.target.weights]
     zero = Poly.zero(a.nvars)
-    rows = []
-    for (sn, sd), col in zip(sw, zip(*a.matrix)):
-        row = []
-        for (tn, td), p in zip(tw, col):
-            if p.terms:
-                num, den = tn * sd, td * sn
-                row.append(p.negate_vars(1 if num == den else Fraction(num, den)))
-            else:
-                row.append(zero)
-        rows.append(row)
+    rows = [
+        [
+            p.negate_vars(tn * sd, td * sn) if p.nums else zero
+            for (tn, td), p in zip(tw, col)
+        ]
+        for (sn, sd), col in zip(sw, zip(*a.matrix))
+    ]
     return LinDiffOp(f"adjoint({a.name})", a.nvars, a.target, a.source, rows)
 
 

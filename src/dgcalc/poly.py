@@ -1,8 +1,13 @@
 """Exact multivariate polynomials in the symbols d1..dn over the rationals.
 
 These polynomials play the role of constant-coefficient differential
-operators: di stands for the i-th partial derivative.  Everything is kept
-exact with fractions.Fraction coefficients; monomials are exponent tuples.
+operators: di stands for the i-th partial derivative.  Monomials are
+exponent tuples.  A polynomial is stored exactly as integer numerators
+over one positive denominator, in the canonical form that `canonical`
+gives; the engine's module elements keep the same form, so a value has one
+representation throughout.  `Fraction`s appear only at the edges: the
+`Poly.terms` view, the scalars and points the API takes, and the values
+it returns.
 
 The monomial order used throughout is degree reverse lexicographic with
 d1 > d2 > ... > dn.  Canonical text form writes terms in decreasing order,
@@ -62,38 +67,83 @@ class ParseError(ValueError):
         self.position = position
 
 
+def canonical(terms: dict, num: int = 1, den: int = 1) -> tuple[dict, int]:
+    """The value terms * num / den in canonical form, as (terms', den'):
+    den' > 0 and gcd(content(terms'), den') == 1, and zero is ({}, 1).
+    The caller guarantees nonzero int values, num != 0 and den > 0, and
+    hands `terms` over: it is returned as is when no rescaling is needed.
+    Keys are monomials for `Poly` and (position, monomial) for the
+    engine's module elements."""
+    if not terms or (num == 1 and den == 1):
+        return terms, 1
+    # terms * num/den == (terms/g) * a/b with content(terms/g) == 1
+    g = math.gcd(*terms.values())
+    a = g * num
+    c = math.gcd(a, den)
+    a, den = a // c, den // c
+    if a != g:
+        terms = {t: v // g * a for t, v in terms.items()}
+    return terms, den
+
+
+def _cleared(values: dict[Monomial, int | Fraction]) -> tuple[dict[Monomial, int], int]:
+    """Nonzero ints and Fractions as integer numerators over their least
+    common denominator.  The lcm of reduced denominators leaves no common
+    factor with the numerators it produces, so this is canonical."""
+    den = math.lcm(*(c.denominator for c in values.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in values.items()}, den
+
+
 class Poly:
     """Immutable polynomial over Q in nvars symbols d1..dn.
 
-    Internally a dict from exponent tuple to nonzero Fraction.  Do not
-    mutate `terms` after construction; arithmetic always builds new dicts.
+    Stored as `nums / den`: `nums` maps each exponent tuple to a nonzero
+    int and `den` is a positive int, in the canonical form of `canonical`,
+    so equality and hashing compare the exact rational polynomial without
+    building any Fraction.  Do not mutate `nums`.  `terms`, the same
+    polynomial as a {monomial: Fraction} dict, is a view built on first
+    read and cached; nothing in the package reads it.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "nums", "den", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: dict[Monomial, Fraction] | None = None):
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
-        self.nvars = nvars
-        self.terms: dict[Monomial, Fraction] = {}
+        values: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
                 if len(m) != nvars:
                     raise ValueError(f"monomial {m} has wrong arity for nvars={nvars}")
+                c = Fraction(c)
                 if c:
-                    self.terms[m] = Fraction(c)
+                    values[m] = c
+        self.nvars = nvars
+        self.nums, self.den = _cleared(values)
+        self._terms: dict[Monomial, Fraction] | None = None
         self._hash: int | None = None
 
     @classmethod
-    def _make(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Poly":
-        """Trusted constructor for results built here: the caller guarantees
-        that every monomial has arity nvars and every coefficient is a
-        nonzero Fraction, so nothing is checked or re-wrapped."""
+    def _make(cls, nvars: int, nums: dict[Monomial, int], num: int = 1, den: int = 1
+              ) -> "Poly":
+        """Trusted constructor: the polynomial nums * num / den, brought to
+        canonical form.  The caller guarantees monomials of arity nvars,
+        nonzero int values, num != 0 and den > 0, and hands `nums` over."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p.nums, p.den = canonical(nums, num, den)
+        p._terms = None
         p._hash = None
         return p
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The polynomial as {monomial: nonzero Fraction}, in the order of
+        `nums`; do not mutate it."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {m: Fraction(c, den) for m, c in self.nums.items()}
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -103,9 +153,6 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly(nvars)
         return Poly(nvars, {(0,) * nvars: c})
 
     @staticmethod
@@ -114,41 +161,35 @@ class Poly:
         if not 1 <= i <= nvars:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
         m = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return Poly._make(nvars, {m: Fraction(1)})
+        return Poly._make(nvars, {m: 1})
 
     @staticmethod
     def term(nvars: int, m: Monomial, c) -> "Poly":
-        return Poly(nvars, {tuple(m): Fraction(c)})
+        return Poly(nvars, {tuple(m): c})
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        return max((sum(m) for m in self.nums), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        return len({sum(m) for m in self.nums}) <= 1
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=mono_key)
-        return m, self.terms[m]
+        m = max(self.nums, key=mono_key)
+        return m, Fraction(self.nums[m], self.den)
 
     def leading_coefficient(self) -> Fraction:
         return self.leading_term()[1]
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def items_sorted(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
+        return Fraction(self.nums.get((0,) * self.nvars, 0), self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -160,22 +201,28 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in terms:
-                s = terms[m] + c
+        # both over the least common denominator, so the sum stays in ints
+        den = math.lcm(self.den, other.den)
+        f = den // self.den
+        nums = dict(self.nums) if f == 1 else {m: c * f for m, c in self.nums.items()}
+        f = den // other.den
+        for m, c in other.nums.items():
+            if f != 1:
+                c *= f
+            if m in nums:
+                s = nums[m] + c
                 if s:
-                    terms[m] = s
+                    nums[m] = s
                 else:
-                    del terms[m]
+                    del nums[m]
             else:
-                terms[m] = c
-        return Poly._make(self.nvars, terms)
+                nums[m] = c
+        return Poly._make(self.nvars, nums, 1, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._make(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._make(self.nvars, {m: -c for m, c in self.nums.items()}, 1, self.den)
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -187,12 +234,13 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other or not self.nums:
                 return Poly(self.nvars)
-            return Poly._make(self.nvars, {m: c * v for m, v in self.terms.items()})
+            return Poly._make(
+                self.nvars, self.nums, other.numerator, self.den * other.denominator
+            )
         self._check(other)
-        return sum_of_products(self.nvars, ((numerators(self), numerators(other)),))
+        return sum_of_products(self.nvars, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -214,29 +262,29 @@ class Poly:
             other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (
+            self.nvars == other.nvars
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+            self._hash = hash((self.nvars, self.den, frozenset(self.nums.items())))
         return self._hash
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- operator-specific transforms ---------------------------------------
 
-    def negate_vars(self, factor: Fraction | int = 1) -> "Poly":
+    def negate_vars(self, num: int = 1, den: int = 1) -> "Poly":
         """Substitute di -> -di, so each term picks up (-1)^degree, and
-        multiply by `factor` in the same pass (no multiply when it is 1)."""
-        if not factor:
+        multiply by num / den (den > 0) in the same pass."""
+        if not num:
             return Poly(self.nvars)
-        if factor == 1:
-            terms = {m: (-c if sum(m) & 1 else c) for m, c in self.terms.items()}
-        else:
-            f = Fraction(factor)
-            terms = {m: (-c if sum(m) & 1 else c) * f for m, c in self.terms.items()}
-        return Poly._make(self.nvars, terms)
+        nums = {m: (-c if sum(m) & 1 else c) for m, c in self.nums.items()}
+        return Poly._make(self.nvars, nums, num, self.den * den)
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to d_i (1-indexed).
@@ -248,24 +296,23 @@ class Poly:
             raise ValueError(f"variable index {i} out of range 1..{self.nvars}")
         j = i - 1
         # m -> m - e_j is one-to-one, so no two terms land on one monomial
-        terms: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
+        nums: dict[Monomial, int] = {}
+        for m, c in self.nums.items():
             if m[j]:
-                terms[m[:j] + (m[j] - 1,) + m[j + 1 :]] = c * m[j]
-        return Poly._make(self.nvars, terms)
+                nums[m[:j] + (m[j] - 1,) + m[j + 1 :]] = c * m[j]
+        return Poly._make(self.nvars, nums, 1, self.den)
 
     def evaluate(self, point: Iterable) -> Fraction:
         vals = [Fraction(v) for v in point]
         if len(vals) != self.nvars:
             raise ValueError("point arity does not match nvars")
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
+        total = 0
+        for m, c in self.nums.items():
             for e, x in zip(m, vals):
                 if e:
-                    v *= x**e
-            total += v
-        return total
+                    c *= x**e
+            total += c
+        return Fraction(total) / self.den
 
     # -- text form -----------------------------------------------------------
 
@@ -276,49 +323,22 @@ class Poly:
         return f"Poly({self.nvars}, {serialize(self)!r})"
 
 
-Numerators = tuple[list[tuple[Monomial, int]], int]
-
-
-def numerators(p: Poly) -> Numerators:
-    """The terms of p as integer numerators over their least common
-    denominator: (list of (monomial, int), denominator)."""
-    den = 1
-    for c in p.terms.values():
-        d = c.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    return [(m, c.numerator * (den // c.denominator)) for m, c in p.terms.items()], den
-
-
-def sum_of_products(nvars: int, pairs: Sequence[tuple[Numerators, Numerators]]) -> Poly:
-    """The sum of a * b over pairs of factors given by their `numerators`.
-    Every product is brought to the least common denominator of all the
-    products, so the inner loop multiplies and adds ints only and each
-    output Fraction is built once."""
-    den = 1
-    for (_, da), (_, db) in pairs:
-        d = da * db
-        if d != 1:
-            den = den * d // math.gcd(den, d)
+def sum_of_products(nvars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
+    """The sum of a * b over the pairs of factors.  Every product is
+    brought to the least common denominator of all the products, so the
+    inner loop multiplies and adds ints only."""
+    den = math.lcm(*(a.den * b.den for a, b in pairs))
     acc: dict[Monomial, int] = {}
     get = acc.get
-    for (a, da), (b, db) in pairs:
-        f = den // (da * db)
-        if f != 1:
-            a = [(m, c * f) for m, c in a]
-        for m1, c1 in a:
-            for m2, c2 in b:
+    for a, b in pairs:
+        f = den // (a.den * b.den)
+        left = a.nums.items() if f == 1 else [(m, c * f) for m, c in a.nums.items()]
+        right = b.nums.items()
+        for m1, c1 in left:
+            for m2, c2 in right:
                 m = tuple(map(add, m1, m2))
                 acc[m] = get(m, 0) + c1 * c2
-    return from_numerators(nvars, acc, den)
-
-
-def from_numerators(nvars: int, nums: dict[Monomial, int], den: int = 1) -> Poly:
-    """The polynomial sum of c/den * m over `nums` (monomial -> int, zeros
-    allowed); monomials must have arity nvars and den must be positive."""
-    if den == 1:
-        return Poly._make(nvars, {m: Fraction(c) for m, c in nums.items() if c})
-    return Poly._make(nvars, {m: Fraction(c, den) for m, c in nums.items() if c})
+    return Poly._make(nvars, {m: c for m, c in acc.items() if c}, 1, den)
 
 
 def apply_as_derivative(op: Poly, section: Poly) -> Poly:
@@ -327,7 +347,7 @@ def apply_as_derivative(op: Poly, section: Poly) -> Poly:
     if op.nvars != section.nvars:
         raise ValueError("operator and section have different nvars")
     out = Poly.zero(op.nvars)
-    for m, c in op.terms.items():
+    for m, c in op.nums.items():
         g = section
         for i, e in enumerate(m):
             for _ in range(e):
@@ -336,7 +356,7 @@ def apply_as_derivative(op: Poly, section: Poly) -> Poly:
                     break
         if not g.is_zero():
             out = out + c * g
-    return out
+    return out * Fraction(1, op.den)
 
 
 # -- canonical text form -----------------------------------------------------
@@ -345,26 +365,29 @@ def apply_as_derivative(op: Poly, section: Poly) -> Poly:
 def serialize(p: Poly) -> str:
     """Canonical form: terms in decreasing degrevlex order, ' + '/' - '
     separators, '*' between coefficient and symbols, no redundant '1*'."""
-    if p.is_zero():
+    if not p.nums:
         return "0"
-    return format_terms((m, c.numerator, c.denominator) for m, c in p.items_sorted())
+    items = sorted(p.nums.items(), key=lambda t: mono_key(t[0]), reverse=True)
+    return format_terms(items, p.den)
 
 
-def format_terms(items: Iterable[tuple[Monomial, int, int]]) -> str:
-    """The canonical text of a nonzero polynomial given as (monomial,
-    numerator, denominator) triples in decreasing degrevlex order, each
-    coefficient nonzero and in lowest terms with a positive denominator;
-    `serialize` is this on a Poly's terms."""
+def format_terms(items: Iterable[tuple[Monomial, int]], den: int) -> str:
+    """The canonical text of the nonzero polynomial sum of c/den * m over
+    (monomial, int) items in decreasing degrevlex order, each c nonzero and
+    den > 0; each coefficient is brought to lowest terms here.  `serialize`
+    is this on a Poly, `FreeElem.cell_texts` on each entry of an element."""
     chunks: list[str] = []
-    for m, num, den in items:
+    for m, v in items:
+        g = math.gcd(v, den)
+        num, den_m = v // g, den // g
         neg = num < 0
         a = -num if neg else num
         # Fraction prints p/q, or p when q is 1
-        coeff = str(a) if den == 1 else f"{a}/{den}"
+        coeff = str(a) if den_m == 1 else f"{a}/{den_m}"
         ms = mono_str(m)
         if not ms:
             body = coeff
-        elif a == 1 and den == 1:
+        elif a == 1 and den_m == 1:
             body = ms
         else:
             body = f"{coeff}*{ms}"
@@ -432,9 +455,10 @@ class _Parser:
         return p
 
     def expr(self) -> Poly:
-        """The terms summed into one dict.  A coefficient that cancels to
-        zero leaves the dict, so the terms keep the order that adding the
-        terms one by one with `Poly.__add__` gives them."""
+        """The terms summed into one dict of ints and Fractions, then
+        cleared to integer numerators over one denominator.  A coefficient
+        that cancels to zero leaves the dict, so the terms keep the order
+        that adding the terms one by one with `Poly.__add__` gives them."""
         acc: dict[Monomial, int | Fraction] = {}
         get = acc.get
         sign = 1
@@ -446,9 +470,9 @@ class _Parser:
                 if group is None:
                     items = ((tuple(exps), coeff),)
                 else:
+                    f = coeff if group.den == 1 else Fraction(coeff, group.den)
                     items = (
-                        (tuple(map(add, m, exps)), coeff * c)
-                        for m, c in group.terms.items()
+                        (tuple(map(add, m, exps)), f * c) for m, c in group.nums.items()
                     )
                 for m, c in items:
                     s = get(m, 0) + c
@@ -461,10 +485,8 @@ class _Parser:
                 self.i += 1
                 sign = -1 if tok[1] == "-" else 1
             else:
-                return Poly._make(
-                    self.nvars,
-                    {m: c if type(c) is Fraction else Fraction(c) for m, c in acc.items()},
-                )
+                nums, den = _cleared(acc)
+                return Poly._make(self.nvars, nums, 1, den)
 
     def term(self) -> tuple[int | Fraction, list[int], Poly | None]:
         """A product of factors as (coefficient, exponents, group): each
@@ -547,10 +569,6 @@ def _digits(text: str, at: int) -> int:
 
 def parse(text: str, nvars: int) -> Poly:
     return _Parser(text, nvars).parse()
-
-
-def poly_vector_str(entries: Iterable[Poly]) -> str:
-    return "(" + ", ".join(serialize(p) for p in entries) + ")"
 
 
 def variables(nvars: int) -> Iterator[Poly]:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .engine import Term, _Echelon, _memo
 from .operators import Bundle, LinDiffOp, adjoint, compose, scale
-from .poly import Monomial, Poly, from_numerators
+from .poly import Monomial, Poly
 
 
 # -- metrics -----------------------------------------------------------------
@@ -390,7 +390,7 @@ def _int_matrix(rows: list[_IntRow], den: int, width: int, nvars: int
     for row in rows:
         line = [zero] * width
         for col, nums in row.items():
-            line[col] = from_numerators(nvars, nums, den)
+            line[col] = Poly._make(nvars, {m: c for m, c in nums.items() if c}, den=den)
         out.append(line)
     return out
 

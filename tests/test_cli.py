@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, exit codes, file output, determinism."""
 
+import gc
+import hashlib
 import json
 
 import pytest
 
 from dgcalc import cli, duality, zoo
 from dgcalc.operators import MAX_NVARS, compose, operator_from_dict, save_operator
+from dgcalc.poly import Poly
+from dgcalc.report import run_report
 
 
 @pytest.fixture
@@ -377,3 +381,52 @@ def test_outputs_are_byte_identical_across_cold_runs(capsys, ops_dir, tmp_path,
     first = run(capsys, "paramtest", str(ops_dir / "div3.json"))
     second = run(capsys, "paramtest", str(ops_dir / "div3.json"))
     assert first == second
+
+
+# sha256 of the bytes each writer gives: the resolve step files of
+# conformal_killing e3 (step 0 has 1/3 coefficients), and the paramtest
+# (two torsion rows) and ext 1 (2 generators, 3 relations) of killing e2
+PINNED_CLI_BYTES = {
+    "resolve": "5fadb5b5e73ac2151975f4f7abd46137124adbb6f638ab478a27612c24750c92",
+    "paramtest": "5d100aa4a78cfc50f6da107a31e0ec8e0beb24396afedee72cd194597bf69e2a",
+    "ext": "3abc886afa83357747b4bc5db3a8e7bdf6e8c5c7a7536ce5e3040bd4e78557d7",
+}
+
+
+def test_module_element_writers_keep_their_bytes(capsys, ops_dir, tmp_path):
+    save_operator(zoo.conformal_killing(zoo.euclidean(3)), tmp_path / "ck.json")
+    out_dir = tmp_path / "res"
+    code, _, _ = run(capsys, "resolve", str(tmp_path / "ck.json"), "-o", str(out_dir))
+    assert code == 0
+    blob = b"".join(p.read_bytes() for p in sorted(out_dir.glob("step*.json")))
+    assert "/3*d1" in (out_dir / "step00.json").read_text()
+    got = {"resolve": hashlib.sha256(blob).hexdigest()}
+    for argv in (("paramtest",), ("ext", "1")):
+        code, out, _ = run(capsys, argv[0], str(ops_dir / "killing_e2.json"), *argv[1:])
+        assert code == 0
+        got[argv[0]] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == PINNED_CLI_BYTES
+
+
+# -- the Fraction view of a Poly stays unbuilt ---------------------------------------
+
+
+def _viewed_polys() -> list:
+    """Every live Poly whose `terms` view has been built."""
+    gc.collect()
+    return [o for o in gc.get_objects() if type(o) is Poly and o._terms is not None]
+
+
+def test_no_poly_builds_its_fraction_view(capsys, tmp_path, clear_engine_caches):
+    # c_map of Minkowski 4-space has 1/2 coefficients
+    save_operator(zoo.c_map(zoo.minkowski(4)), tmp_path / "c.json")
+    doc = str(tmp_path / "c.json")
+    before = _viewed_polys()
+    seen = {id(p) for p in before}
+    clear_engine_caches()
+    rows = run_report()
+    assert [p for p in _viewed_polys() if id(p) not in seen] == []
+    assert run(capsys, "adjoint", doc)[0] == 0
+    assert run(capsys, "compose", doc, doc)[0] == 0
+    assert [p for p in _viewed_polys() if id(p) not in seen] == []
+    assert all(r.passed for r in rows)

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from dgcalc.engine import FreeElem
 from dgcalc.poly import (
     ParseError,
     Poly,
@@ -16,7 +17,6 @@ from dgcalc.poly import (
     mono_lcm,
     mono_mul,
     parse,
-    poly_vector_str,
     serialize,
     variables,
 )
@@ -210,6 +210,12 @@ def test_parse_expands_a_large_power():
     assert p.terms[(2, 3, 4)] == multinomial(2, 3, 4, 11)
 
 
+def _vector_str(entries):
+    return "(" + ", ".join(serialize(p) for p in entries) + ")"
+
+
 def test_vector_printing():
     d1, d2 = variables(2)
-    assert poly_vector_str([d1, Poly.zero(2), d2 - 1]) == "(d1, 0, d2 - 1)"
+    entries = [d1, Poly.zero(2), d2 - 1]
+    assert _vector_str(entries) == "(d1, 0, d2 - 1)"
+    assert str(FreeElem(entries)) == _vector_str(entries)

@@ -1,10 +1,13 @@
-"""Ring laws, the text round trip and the term invariant of the Poly layer."""
+"""Ring laws, the text round trip, the term invariant and the canonical
+form of the Poly layer."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from hypothesis import given, strategies as st
 
+from dgcalc.engine import FreeElem
 from dgcalc.poly import Poly, parse, serialize
 
 # few monomials and coefficients, so sums and products cancel often
@@ -139,3 +142,106 @@ def test_parse_agrees_with_poly_arithmetic(expr):
     p = parse(text, 3)
     assert p == value
     assert _well_formed(p)
+
+
+# -- the canonical form against a Fraction reference ------------------------------
+
+
+def _canonical(p: Poly) -> bool:
+    """nums / den with den > 0, nonzero int numerators of full arity and
+    gcd(content(nums), den) == 1; zero is ({}, 1)."""
+    if not p.nums:
+        return p.den == 1
+    return (
+        type(p.den) is int and p.den > 0
+        and all(type(c) is int and c and len(m) == p.nvars for m, c in p.nums.items())
+        and gcd(p.den, *p.nums.values()) == 1
+    )
+
+
+def _nonzero(ref):
+    return {m: c for m, c in ref.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return _nonzero(out)
+
+
+def _ref_scale(a, c):
+    return _nonzero({m: v * c for m, v in a.items()})
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def _ref_negate_vars(a, f):
+    return _nonzero({m: (-c if sum(m) % 2 else c) * f for m, c in a.items()})
+
+
+def _ref_partial(a, j):
+    return {m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j] for m, c in a.items() if m[j]}
+
+
+@st.composite
+def reference_pairs(draw):
+    """Two polynomials as (Fraction dict, Poly) and one nonzero rational."""
+    nvars = draw(st.integers(1, 3))
+    mons = _monomials(nvars)
+
+    def one():
+        ref = _nonzero(draw(st.dictionaries(st.sampled_from(mons), st.sampled_from(COEFFS),
+                                            max_size=4)))
+        return ref, Poly(nvars, ref)
+
+    return nvars, one(), one(), draw(st.sampled_from(COEFFS))
+
+
+@given(reference_pairs())
+def test_every_result_is_canonical_and_its_terms_match_the_reference(case):
+    n, (a, p), (b, q), c = case
+    elem = FreeElem([p, q])
+    results = [
+        (p, a), (p + q, _ref_add(a, b)), (p - q, _ref_add(a, _ref_scale(b, -1))),
+        (-p, _ref_scale(a, -1)), (p * q, _ref_mul(a, b)), (p * c, _ref_scale(a, c)),
+        (c * q, _ref_scale(b, c)), (p * 0, {}), (p ** 2, _ref_mul(a, a)),
+        (q ** 0, {(0,) * n: Fraction(1)}), (p.negate_vars(), _ref_negate_vars(a, 1)),
+        (p.negate_vars(c.numerator, c.denominator), _ref_negate_vars(a, c)),
+        (parse(serialize(q), n), b),
+    ]
+    results += [(p.partial(i + 1), _ref_partial(a, i)) for i in range(n)]
+    results += zip(elem.entries, (a, b))
+    rescaled = FreeElem._make(2, n, dict(elem.terms), c.numerator,
+                              elem.den * c.denominator)
+    results += zip(rescaled.entries, (_ref_scale(a, c), _ref_scale(b, c)))
+    for res, ref in results:
+        assert res.nvars == n
+        assert _canonical(res)
+        assert res.terms == ref
+        again = Poly(n, ref)
+        assert res == again
+        assert hash(res) == hash(again)
+
+
+def test_equal_values_from_different_paths_hash_alike():
+    m = (1, 0)
+    built = [
+        Poly(2, {m: Fraction(2, 4)}),
+        parse("1/2*d1", 2),
+        Poly.var(2, 1) * Fraction(1, 2),
+        (Poly.var(2, 1) * 3) * Fraction(1, 6),
+        parse("d1^2", 2).partial(1) * Fraction(1, 4),
+        FreeElem._make(2, 2, {(0, m): 3, (1, (0, 0)): 6}, 1, 6).entries[0],
+    ]
+    for p in built:
+        assert (p.nums, p.den) == ({m: 1}, 2)
+        assert p == built[0]
+        assert hash(p) == hash(built[0])
