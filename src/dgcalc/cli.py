@@ -13,10 +13,9 @@ parametrization search size), 5 factorization failed, 1 anything else.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
 from .engine import BudgetExceeded, fraction_rank, resolve_module
 from .operators import (
@@ -27,10 +26,14 @@ from .operators import (
     cc,
     compose,
     factor_through,
+    json_text,
     load_operator,
     operator_json,
 )
 from .poly import ParseError, serialize
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # zoo, duality and report are imported by the handlers that run them, so
 # the other commands start without loading them.
@@ -67,7 +70,7 @@ def _emit_operator(op, out: str | None) -> None:
 
 
 def _emit_json(payload: dict, out: str | None, stem: str) -> None:
-    _emit_text(json.dumps(payload, indent=2) + "\n", out, stem)
+    _emit_text(json_text(payload), out, stem)
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -104,7 +107,7 @@ def _cmd_resolve(args) -> int:
         "euler_characteristic": res.euler_characteristic,
         "complete": res.complete,
     }
-    doc = json.dumps(summary, indent=2) + "\n"
+    doc = json_text(summary)
     if args.output is None:
         sys.stdout.write(doc)
         return 0
@@ -116,9 +119,7 @@ def _cmd_resolve(args) -> int:
             "index": k,
             "rows": [e.cell_texts() for e in step],
         }
-        (outdir / f"step{k:02d}.json").write_text(
-            json.dumps(step_doc, indent=2) + "\n"
-        )
+        (outdir / f"step{k:02d}.json").write_text(json_text(step_doc))
     print(f"wrote {outdir}/summary.json and {len(res.steps)} step files")
     return 0
 
@@ -205,6 +206,8 @@ def _cmd_factor(args) -> int:
 
 
 def _rational(flag: str, text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -264,117 +267,80 @@ def _cmd_report(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+_OPERATOR = (("operator",), {})
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "-o", "--output", default=None,
-        help="write to this file (or into this directory) instead of stdout",
-    )
+# One row per subcommand: its name, handler, help and arguments, each as
+# (flags, keyword arguments); every subcommand also takes -o/--output.
+_COMMANDS = (
+    ("cc", _cmd_cc, "compatibility conditions of an operator", (_OPERATOR,)),
+    ("adjoint", _cmd_adjoint, "formal adjoint", (_OPERATOR,)),
+    ("compose", _cmd_compose, "composition OUTER after INNER",
+     ((("outer",), {}), (("inner",), {}))),
+    ("resolve", _cmd_resolve,
+     "free resolution of the row module; -o writes step files",
+     (_OPERATOR,
+      (("--steps",), dict(type=int, default=None,
+                          help="maximum number of syzygy steps")))),
+    ("rank", _cmd_rank, "generic rank of the operator matrix", (_OPERATOR,)),
+    ("paramtest", _cmd_paramtest,
+     "double-duality parametrizability test with torsion report", (_OPERATOR,)),
+    ("minparam", _cmd_minparam, "parametrization with rank-many potentials",
+     (_OPERATOR,)),
+    ("ext", _cmd_ext, "Ext module of the adjoint system",
+     (_OPERATOR, (("index",), dict(type=int)))),
+    ("factor", _cmd_factor, "find Q with LEFT = compose(Q, THROUGH)",
+     ((("left",), {}), (("through",), {}))),
+    ("zoo", _cmd_zoo, "list the operator zoo, or build one entry", (
+        (("name",), dict(nargs="?", default=None)),
+        (("--n",), dict(type=int, default=None)),
+        (("--metric",), dict(choices=_METRIC_CHOICES, default="euclidean")),
+        (("--lam",), dict(default="1",
+                          help="first elastic modulus (rational, e.g. 3/2)")),
+        (("--mu",), dict(default="1", help="second elastic modulus (rational)")),
+        (("--r",), dict(type=int, default=0,
+                        help="form degree for exterior_derivative")),
+    )),
+    ("report", _cmd_report, "recompute every recorded claim and compare", (
+        (("--only",), dict(default=None,
+                           help="run only checks whose id contains this substring")),
+        (("--json",), dict(action="store_true",
+                           help="print the stable JSON document instead of text")),
+    )),
+)
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`.  When argv[0] names a subcommand, only that
+    subcommand's parser is built, and the usage line still lists them all;
+    any other argv, such as --help or an unknown command, builds every one."""
     parser = argparse.ArgumentParser(
         prog="dgcalc",
         description="exact calculus for linear constant-coefficient "
                     "differential operators",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cc", help="compatibility conditions of an operator")
-    p.add_argument("operator")
-    _add_output(p)
-    p.set_defaults(func=_cmd_cc)
-
-    p = sub.add_parser("adjoint", help="formal adjoint")
-    p.add_argument("operator")
-    _add_output(p)
-    p.set_defaults(func=_cmd_adjoint)
-
-    p = sub.add_parser(
-        "compose", help="composition OUTER after INNER"
-    )
-    p.add_argument("outer")
-    p.add_argument("inner")
-    _add_output(p)
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser(
-        "resolve",
-        help="free resolution of the row module; -o writes step files",
-    )
-    p.add_argument("operator")
-    p.add_argument("--steps", type=int, default=None,
-                   help="maximum number of syzygy steps")
-    _add_output(p)
-    p.set_defaults(func=_cmd_resolve)
-
-    p = sub.add_parser("rank", help="generic rank of the operator matrix")
-    p.add_argument("operator")
-    _add_output(p)
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser(
-        "paramtest",
-        help="double-duality parametrizability test with torsion report",
-    )
-    p.add_argument("operator")
-    _add_output(p)
-    p.set_defaults(func=_cmd_paramtest)
-
-    p = sub.add_parser(
-        "minparam", help="parametrization with rank-many potentials"
-    )
-    p.add_argument("operator")
-    _add_output(p)
-    p.set_defaults(func=_cmd_minparam)
-
-    p = sub.add_parser("ext", help="Ext module of the adjoint system")
-    p.add_argument("operator")
-    p.add_argument("index", type=int)
-    _add_output(p)
-    p.set_defaults(func=_cmd_ext)
-
-    p = sub.add_parser(
-        "factor",
-        help="find Q with LEFT = compose(Q, THROUGH)",
-    )
-    p.add_argument("left")
-    p.add_argument("through")
-    _add_output(p)
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser(
-        "zoo", help="list the operator zoo, or build one entry"
-    )
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--metric", choices=_METRIC_CHOICES,
-                   default="euclidean")
-    p.add_argument("--lam", default="1",
-                   help="first elastic modulus (rational, e.g. 3/2)")
-    p.add_argument("--mu", default="1",
-                   help="second elastic modulus (rational)")
-    p.add_argument("--r", type=int, default=0,
-                   help="form degree for exterior_derivative")
-    _add_output(p)
-    p.set_defaults(func=_cmd_zoo)
-
-    p = sub.add_parser(
-        "report",
-        help="recompute every recorded claim and compare",
-    )
-    p.add_argument("--only", default=None,
-                   help="run only checks whose id contains this substring")
-    p.add_argument("--json", action="store_true",
-                   help="print the stable JSON document instead of text")
-    _add_output(p)
-    p.set_defaults(func=_cmd_report)
-
+    commands = [c for c in _COMMANDS if argv and c[0] == argv[0]]
+    if commands:
+        # the text argparse gives the subcommand choices when it has them all
+        metavar = "{" + ",".join(c[0] for c in _COMMANDS) + "}"
+    else:
+        commands, metavar = _COMMANDS, None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, func, help_text, arguments in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.add_argument(
+            "-o", "--output", default=None,
+            help="write to this file (or into this directory) instead of stdout",
+        )
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except NotFactorable as exc:

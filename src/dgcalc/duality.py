@@ -137,20 +137,22 @@ def _annihilator_witness(residue: FreeElem, rows1: list[FreeElem],
     """A nonzero scalar p with p * residue in the row module: read off the
     first coordinate of the relations among [residue; rows]."""
     stacked = [residue] + rows1
-    candidates: list[Poly] = []
+    # each syzygy's first coordinate, by degree read off its terms; only
+    # those of least degree are normalized and put into text to compare
+    heads: list[tuple[int, FreeElem]] = []
     for s in syzygies(stacked):
-        p = _head(s, 1)
-        if p.is_zero():
-            continue
-        q = p.normalized().entries[0]
-        if q.degree() <= max_degree:
-            candidates.append(q)
-    if not candidates:
+        deg = max((sum(m) for pos, m in s.terms if pos == 0), default=-1)
+        if 0 <= deg <= max_degree:
+            heads.append((deg, s))
+    if not heads:
         raise TorsionWitnessError(
             f"no annihilator of degree <= {max_degree} for {residue}"
         )
-    candidates.sort(key=lambda p: (p.degree(), serialize(p)))
-    return candidates[0]
+    low = min(deg for deg, _ in heads)
+    return min(
+        (_head(s, 1).normalized().entries[0] for deg, s in heads if deg == low),
+        key=serialize,
+    )
 
 
 # -- Ext modules --------------------------------------------------------------

@@ -274,15 +274,15 @@ class FreeElem:
         the terms: a zero entry is the shared string "0", so only the
         nonzero positions cost work."""
         cells = ["0"] * self.width
-        cols: dict[int, list[tuple[tuple, Monomial, int]]] = {}
+        cols: dict[int, list[tuple[Monomial, int]]] = {}
         for (pos, m), v in self.terms.items():
             col = cols.get(pos)
             if col is None:
                 col = cols[pos] = []
-            col.append((_mkey(m), m, v))
+            col.append((m, v))
+        texts: dict = {}
         for pos, col in cols.items():
-            col.sort(reverse=True)
-            cells[pos] = format_terms([(m, v) for _, m, v in col], self.den)
+            cells[pos] = format_terms(col, self.den, texts)
         return cells
 
     def __str__(self) -> str:
@@ -1089,7 +1089,8 @@ def divide_with_cofactors(
     remainder = FreeElem._make(width, nvars, rem_terms, den, num)
     quot = tuple(Poly._make(nvars, q, den, num) for q in quot_terms)
     # quot . gens + remainder - elem == 0, as one relation on the stacked rows
-    identity = FreeElem(quot + (Poly.const(nvars, 1), Poly.const(nvars, -1)))
+    one = (0,) * nvars
+    identity = FreeElem(quot + (Poly._make(nvars, {one: 1}), Poly._make(nvars, {one: -1})))
     if not _annihilates(identity.terms, _int_rows(elems + [remainder, elem])[0]):
         raise RuntimeError("internal error: division identity failed")
     return quot, remainder

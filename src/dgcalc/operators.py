@@ -4,7 +4,9 @@ An operator is a matrix over Q[d1..dn] acting on column vectors of unknown
 functions; row i gives the i-th component of the output.  Bundles carry a
 positive rational weight per component, used as the symmetrization factor in
 the pairing that defines the formal adjoint (off-diagonal components of a
-symmetric tensor typically get weight 2).
+symmetric tensor typically get weight 2).  An integer weight is held as an
+int and any other as a Fraction, so documents with integer weights load
+without `fractions`.
 
 Names on operators and bundles are labels for files and reports only;
 equality compares structure (nvars, component labels and weights, matrix).
@@ -13,12 +15,15 @@ equality compares structure (nvars, component labels and weights, matrix).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .engine import FreeElem, minimize_generators, module_equal, syzygies
-from .poly import ParseError, Poly, parse, serialize, sum_of_products
+from .poly import ParseError, Poly, format_terms, parse, sum_of_products
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ShapeMismatch(ValueError):
@@ -47,6 +52,23 @@ class OpFormatError(ValueError):
 MAX_NVARS = 64
 
 
+def _weights(ws: list) -> list[int | Fraction]:
+    """Each weight as an int when it is an integer, else as a Fraction; the
+    int has the same ==, hash and str as the Fraction it stands for."""
+    if all(type(w) is int for w in ws):
+        return ws
+    from fractions import Fraction
+
+    out = []
+    for w in ws:
+        if type(w) is not int:
+            w = w if isinstance(w, Fraction) else Fraction(w)
+            if w.denominator == 1:
+                w = w.numerator
+        out.append(w)
+    return out
+
+
 class Bundle:
     """A named list of components with positive rational weights.
 
@@ -57,31 +79,31 @@ class Bundle:
 
     __slots__ = ("name", "labels", "weights")
 
-    def __init__(self, name: str, components: Iterable[tuple[str, Fraction]]):
-        comps = [(str(lbl), w if isinstance(w, Fraction) else Fraction(w))
-                 for lbl, w in components]
+    def __init__(self, name: str, components: Iterable[tuple[str, int | Fraction]]):
+        comps = [(str(lbl), w) for lbl, w in components]
+        labels = [lbl for lbl, _ in comps]
+        weights = _weights([w for _, w in comps])
         if not comps:
             raise ValueError("bundle needs at least one component")
-        labels = [lbl for lbl, _ in comps]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate component labels in bundle {name!r}")
-        for lbl, w in comps:
+        for lbl, w in zip(labels, weights):
             if w <= 0:
                 raise ValueError(f"component {lbl!r} has non-positive weight {w}")
         self.name = name
         self.labels = tuple(labels)
-        self.weights = tuple(w for _, w in comps)
+        self.weights = tuple(weights)
 
     @staticmethod
     def simple(name: str, dim: int) -> "Bundle":
-        return Bundle(name, ((str(i + 1), Fraction(1)) for i in range(dim)))
+        return Bundle(name, ((str(i + 1), 1) for i in range(dim)))
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
     @property
-    def components(self) -> tuple[tuple[str, Fraction], ...]:
+    def components(self) -> tuple[tuple[str, int | Fraction], ...]:
         return tuple(zip(self.labels, self.weights))
 
     def __eq__(self, other) -> bool:
@@ -177,7 +199,13 @@ class LinDiffOp:
         )
 
     def entry_strs(self) -> list[list[str]]:
-        return [[serialize(p) for p in row] for row in self.matrix]
+        """Each entry's canonical text, as `serialize` gives it; the
+        monomials' keys and texts are made once for the whole matrix."""
+        texts: dict = {}
+        return [
+            [format_terms(p.nums.items(), p.den, texts) if p.nums else "0" for p in row]
+            for row in self.matrix
+        ]
 
 
 # -- algebra -------------------------------------------------------------------
@@ -208,6 +236,8 @@ def compose(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
 
 
 def scale(a: LinDiffOp, c, name: str | None = None) -> LinDiffOp:
+    from fractions import Fraction
+
     c = Fraction(c)
     rows = [[p * c for p in row] for row in a.matrix]
     return LinDiffOp(name or f"scale({a.name},{c})", a.nvars, a.source, a.target, rows)
@@ -284,6 +314,8 @@ def order_profile(a: LinDiffOp) -> tuple[int, ...]:
 
 def symbol_at(a: LinDiffOp, covector: Sequence) -> list[list[Fraction]]:
     """Evaluate every entry at a rational covector (d_i -> xi_i)."""
+    from fractions import Fraction
+
     xi = [Fraction(v) for v in covector]
     if len(xi) != a.nvars:
         raise ShapeMismatch(f"covector has {len(xi)} entries, expected {a.nvars}")
@@ -315,11 +347,17 @@ def _document_str(value, what: str) -> str:
     return value
 
 
-def _document_weight(w) -> Fraction:
+def _document_weight(w) -> int | Fraction:
     # a JSON float is no exact weight, and true/false (an int subclass) no
     # weight at all
-    if isinstance(w, str) or (isinstance(w, int) and not isinstance(w, bool)):
+    if isinstance(w, str):
+        if w.isascii() and w.isdigit():
+            return int(w)
+        from fractions import Fraction
+
         return Fraction(w)
+    if isinstance(w, int) and not isinstance(w, bool):
+        return w
     raise OpFormatError(f"weight {w!r} is not a string or an integer")
 
 
@@ -389,7 +427,67 @@ def operator_from_dict(d: dict) -> LinDiffOp:
 
 
 def operator_json(a: LinDiffOp, provenance: str | None = None) -> str:
-    return json.dumps(operator_to_dict(a, provenance), indent=2) + "\n"
+    return json_text(operator_to_dict(a, provenance))
+
+
+def json_text(doc) -> str:
+    """`json.dumps(doc, indent=2) + "\\n"` for a document of dicts with str
+    keys, lists, strs, ints, bools and None; anything else raises
+    TypeError.  json's indent-2 encoder runs in pure Python; here strings
+    go through json's C encoder, and a list of strings, such as a matrix
+    row, is one join."""
+    out: list[str] = []
+    _json_into(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_into(value, nl: str, out: list[str]) -> None:
+    """Append the indent-2 text of `value` to `out`; `nl` is a newline and
+    the indent of the line `value` starts on."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:
+            texts = list(map(_json_str, value))
+        except TypeError:
+            texts = None
+        if texts is not None:
+            out.append("[" + inner + ("," + inner).join(texts) + nl + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _json_into(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a string")
+            out.append(sep + _json_str(key) + ": ")
+            _json_into(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def save_operator(a: LinDiffOp, path, provenance: str | None = None) -> None:

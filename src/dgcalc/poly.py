@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Monomial = tuple[int, ...]
 
@@ -86,6 +88,16 @@ def canonical(terms: dict, num: int = 1, den: int = 1) -> tuple[dict, int]:
     return terms, den
 
 
+def _is_scalar(x) -> bool:
+    """True for an int or a Fraction.  No Fraction exists before
+    `fractions` is loaded, so the class is looked up in `sys.modules`
+    rather than imported."""
+    if isinstance(x, int):
+        return True
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
 def _cleared(values: dict[Monomial, int | Fraction]) -> tuple[dict[Monomial, int], int]:
     """Nonzero ints and Fractions as integer numerators over their least
     common denominator.  The lcm of reduced denominators leaves no common
@@ -110,12 +122,18 @@ class Poly:
     def __init__(self, nvars: int, terms: dict[Monomial, Fraction] | None = None):
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
-        values: dict[Monomial, Fraction] = {}
+        values: dict[Monomial, int | Fraction] = {}
         if terms:
+            Fraction = None  # imported at the first value that is no int
             for m, c in terms.items():
                 if len(m) != nvars:
                     raise ValueError(f"monomial {m} has wrong arity for nvars={nvars}")
-                c = Fraction(c)
+                if isinstance(c, int):
+                    c = int(c)
+                else:
+                    if Fraction is None:
+                        from fractions import Fraction
+                    c = Fraction(c)
                 if c:
                     values[m] = c
         self.nvars = nvars
@@ -141,6 +159,8 @@ class Poly:
         """The polynomial as {monomial: nonzero Fraction}, in the order of
         `nums`; do not mutate it."""
         if self._terms is None:
+            from fractions import Fraction
+
             den = self.den
             self._terms = {m: Fraction(c, den) for m, c in self.nums.items()}
         return self._terms
@@ -182,6 +202,8 @@ class Poly:
     def leading_term(self) -> tuple[Monomial, Fraction]:
         if not self.nums:
             raise ValueError("zero polynomial has no leading term")
+        from fractions import Fraction
+
         m = max(self.nums, key=mono_key)
         return m, Fraction(self.nums[m], self.den)
 
@@ -189,6 +211,8 @@ class Poly:
         return self.leading_term()[1]
 
     def constant_term(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.nums.get((0,) * self.nvars, 0), self.den)
 
     # -- arithmetic --------------------------------------------------------
@@ -198,7 +222,7 @@ class Poly:
             raise ValueError("mixed nvars in polynomial arithmetic")
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly) and _is_scalar(other):
             other = Poly.const(self.nvars, other)
         self._check(other)
         # both over the least common denominator, so the sum stays in ints
@@ -225,7 +249,7 @@ class Poly:
         return Poly._make(self.nvars, {m: -c for m, c in self.nums.items()}, 1, self.den)
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly) and _is_scalar(other):
             other = Poly.const(self.nvars, other)
         return self + (-other)
 
@@ -233,7 +257,7 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly) and _is_scalar(other):
             if not other or not self.nums:
                 return Poly(self.nvars)
             return Poly._make(
@@ -247,7 +271,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(self.nvars, 1)
+        out = Poly._make(self.nvars, {(0,) * self.nvars: 1})
         base = self
         while k:
             if k & 1:
@@ -258,10 +282,10 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.nvars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            other = Poly.const(self.nvars, other)
         return (
             self.nvars == other.nvars
             and self.den == other.den
@@ -303,6 +327,8 @@ class Poly:
         return Poly._make(self.nvars, nums, 1, self.den)
 
     def evaluate(self, point: Iterable) -> Fraction:
+        from fractions import Fraction
+
         vals = [Fraction(v) for v in point]
         if len(vals) != self.nvars:
             raise ValueError("point arity does not match nvars")
@@ -356,6 +382,8 @@ def apply_as_derivative(op: Poly, section: Poly) -> Poly:
                     break
         if not g.is_zero():
             out = out + c * g
+    from fractions import Fraction
+
     return out * Fraction(1, op.den)
 
 
@@ -365,26 +393,38 @@ def apply_as_derivative(op: Poly, section: Poly) -> Poly:
 def serialize(p: Poly) -> str:
     """Canonical form: terms in decreasing degrevlex order, ' + '/' - '
     separators, '*' between coefficient and symbols, no redundant '1*'."""
-    if not p.nums:
-        return "0"
-    items = sorted(p.nums.items(), key=lambda t: mono_key(t[0]), reverse=True)
-    return format_terms(items, p.den)
+    return format_terms(p.nums.items(), p.den, {}) if p.nums else "0"
 
 
-def format_terms(items: Iterable[tuple[Monomial, int]], den: int) -> str:
+def format_terms(items: Iterable[tuple[Monomial, int]], den: int,
+                 texts: dict[Monomial, tuple[tuple, str]]) -> str:
     """The canonical text of the nonzero polynomial sum of c/den * m over
-    (monomial, int) items in decreasing degrevlex order, each c nonzero and
-    den > 0; each coefficient is brought to lowest terms here.  `serialize`
-    is this on a Poly, `FreeElem.cell_texts` on each entry of an element."""
-    chunks: list[str] = []
+    (monomial, int) items in any order, each c nonzero and den > 0; each
+    coefficient is brought to lowest terms here.  `texts` maps a monomial
+    to its (sort key, text) and is filled on first sight, so a caller that
+    formats many entries passes them one dict and pays for each monomial's
+    key and text once.  `serialize` is this on one Poly with a fresh dict,
+    `LinDiffOp.entry_strs` on a whole matrix and `FreeElem.cell_texts` on
+    the entries of an element."""
+    rows = []
     for m, v in items:
-        g = math.gcd(v, den)
-        num, den_m = v // g, den // g
+        kt = texts.get(m)
+        if kt is None:
+            # ascending (-degree, reversed exponents) is descending degrevlex
+            kt = texts[m] = ((-sum(m), m[::-1]), mono_str(m))
+        rows.append(kt + (v,))
+    rows.sort()
+    chunks: list[str] = []
+    for _, ms, v in rows:
+        if den == 1:
+            num, den_m = v, 1
+        else:
+            g = math.gcd(v, den)
+            num, den_m = v // g, den // g
         neg = num < 0
         a = -num if neg else num
         # Fraction prints p/q, or p when q is 1
         coeff = str(a) if den_m == 1 else f"{a}/{den_m}"
-        ms = mono_str(m)
         if not ms:
             body = coeff
         elif a == 1 and den_m == 1:
@@ -398,12 +438,24 @@ def format_terms(items: Iterable[tuple[Monomial, int]], den: int) -> str:
     return " ".join(chunks)
 
 
-# One alternative per token kind, then whitespace to skip and a catch-all
-# for any other character, so one finditer pass covers the whole text.
+# One token after optional whitespace: a number, a symbol, an operator, the
+# end of the text, or any other character.
 _TOKEN = re.compile(
-    r"(?P<num>\d+(?:/\d+)?)|(?P<var>d\d+)|(?P<op>[-+*^()])|(?P<ws>\s+)|(?P<bad>.)",
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>d\d+)|(?P<op>[-+*^()])|(?P<end>\Z)|(?P<bad>.))",
     re.DOTALL,
 )
+
+# The longest prefix that splits into tokens; the character after it is the
+# first one no token takes.  Only a failed parse reads it, so it is left to
+# `re` to compile then.
+_LEXABLE = r"(?:\d+(?:/\d+)?|d\d+|[-+*^()]|\s+)*"
+
+# A whole term written without inner whitespace: an optional sign, then a
+# product of numbers and symbols, each with an optional ^k, then the '+' or
+# '-' after it, or a ')' or the end of the text, which it leaves unread.
+# Canonical text is a sequence of such terms.
+_FACTOR = r"(?:\d+(?:/\d+)?|d\d+)(?:\^\d+)?"
+_TERM = re.compile(rf"\s*(-?)({_FACTOR}(?:\*{_FACTOR})*)\s*(?:([-+])|(?=\)|\Z))")
 
 
 # Each parenthesis costs two parser frames, so this stays far below
@@ -414,106 +466,165 @@ _MAX_NESTING = 100
 class _Parser:
     """Recursive descent over +, -, *, ^, parentheses, integers, rationals
     written p/q with no spaces, and symbols d1..dn.  Parentheses nest at
-    most _MAX_NESTING deep."""
+    most _MAX_NESTING deep.
+
+    A term that `_TERM` takes whole is read from that one match.  Anything
+    else is read token by token from `pos`, and only that path raises, so
+    every error names the token where the grammar fails."""
 
     def __init__(self, text: str, nvars: int):
         self.text = text
         self.nvars = nvars
         self.depth = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._tokenize()
-        self.i = 0
+        self.pos = 0
+        self.tok: tuple[str, str, int, int] | None = None
 
-    def _tokenize(self) -> None:
-        """(kind, text, position) per token, ending with an ("end", "",
-        len(text)) sentinel, so reading never runs past the list."""
-        tokens = self.tokens
-        for m in _TOKEN.finditer(self.text):
+    def _peek(self) -> tuple[str, str, int, int]:
+        """The next token as (kind, text, position, end), read from `pos`
+        and kept until `pos` moves."""
+        tok = self.tok
+        if tok is None:
+            m = _TOKEN.match(self.text, self.pos)
             kind = m.lastgroup
-            if kind == "ws":
-                continue
             if kind == "bad":
-                raise ParseError(f"unexpected character {m.group()!r}", m.start())
-            tokens.append((kind, m.group(), m.start()))
-        tokens.append(("end", "", len(self.text)))
+                raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+            tok = self.tok = (kind, m.group(kind), m.start(kind), m.end())
+        return tok
 
-    def _peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def _next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
+    def _next(self) -> tuple[str, str, int, int]:
+        tok = self._peek()
         if tok[0] == "end":
             raise ParseError("unexpected end of input", tok[2])
-        self.i += 1
+        self._skip()
         return tok
+
+    def _skip(self) -> None:
+        """Step past the token `_peek` returned."""
+        self.pos = self.tok[3]
+        self.tok = None
 
     def parse(self) -> Poly:
         p = self.expr()
-        tok = self._peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        if self.pos < len(self.text):
+            tok = self._peek()
+            if tok[0] != "end":
+                raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return p
 
     def expr(self) -> Poly:
-        """The terms summed into one dict of ints and Fractions, then
-        cleared to integer numerators over one denominator.  A coefficient
-        that cancels to zero leaves the dict, so the terms keep the order
-        that adding the terms one by one with `Poly.__add__` gives them."""
-        acc: dict[Monomial, int | Fraction] = {}
+        """The terms summed as integer numerators over one running common
+        denominator.  A coefficient that cancels to zero leaves the dict, so
+        the terms keep the order that adding the terms one by one with
+        `Poly.__add__` gives them."""
+        text = self.text
+        match = _TERM.match
+        acc: dict[Monomial, int] = {}
         get = acc.get
+        den = 1
         sign = 1
         while True:
-            coeff, exps, group = self.term()
-            if coeff:
-                if sign < 0:
-                    coeff = -coeff
-                if group is None:
-                    items = ((tuple(exps), coeff),)
-                else:
-                    f = coeff if group.den == 1 else Fraction(coeff, group.den)
-                    items = (
-                        (tuple(map(add, m, exps)), f * c) for m, c in group.nums.items()
-                    )
-                for m, c in items:
-                    s = get(m, 0) + c
-                    if s:
-                        acc[m] = s
-                    else:
-                        del acc[m]
-            tok = self._peek()
-            if tok[0] == "op" and tok[1] in "+-":
-                self.i += 1
-                sign = -1 if tok[1] == "-" else 1
+            m = match(text, self.pos)
+            term = None if m is None else self._read(m[2])
+            if term is not None:
+                self.pos = m.end()
+                self.tok = None
+                num, d, mono = term
+                if m[1]:
+                    num = -num
+                sep = m[3]
+                items = ((mono, num),)
             else:
-                nums, den = _cleared(acc)
-                return Poly._make(self.nvars, nums, 1, den)
+                num, d, exps, group = self.term()
+                tok = self._peek()
+                sep = tok[1] if tok[0] == "op" and tok[1] in "+-" else None
+                if sep is not None:
+                    self._skip()
+                if group is None:
+                    items = ((tuple(exps), num),)
+                else:
+                    d *= group.den
+                    items = [(tuple(map(add, g, exps)), num * c)
+                             for g, c in group.nums.items()]
+            if num:
+                if den % d:
+                    lcm = math.lcm(den, d)
+                    f = lcm // den
+                    for g, c in acc.items():
+                        acc[g] = c * f
+                    den = lcm
+                f = sign * (den // d)
+                for g, c in items:
+                    s = get(g, 0) + c * f
+                    if s:
+                        acc[g] = s
+                    else:
+                        del acc[g]
+            if sep is None:
+                return Poly._make(self.nvars, acc, 1, den)
+            sign = -1 if sep == "-" else 1
 
-    def term(self) -> tuple[int | Fraction, list[int], Poly | None]:
-        """A product of factors as (coefficient, exponents, group): each
-        factor is unary signs, an atom and an optional ^k.  Numbers and
-        symbols fold into the coefficient and the exponent list; only
-        parenthesized factors multiply as Polys, into `group` (None when
-        the term has none).  The term is coefficient * d^exponents * group."""
-        coeff: int | Fraction = 1
+    def _read(self, product: str) -> tuple[int, int, Monomial] | None:
+        """The term a `_TERM` match took, as (numerator, denominator,
+        monomial), or None when a symbol is out of range, a denominator
+        zero or a number too long to convert, which the token path then
+        reports."""
+        nvars = self.nvars
+        num = den = 1
+        exps = [0] * nvars
+        try:
+            for factor in product.split("*"):
+                if factor[0] == "d":
+                    if "^" in factor:
+                        var, k = factor.split("^")
+                        idx, k = int(var[1:]), int(k)
+                    else:
+                        idx, k = int(factor[1:]), 1
+                    if not 0 < idx <= nvars:
+                        return None
+                    exps[idx - 1] += k
+                    continue
+                base, _, k = factor.partition("^")
+                a, _, b = base.partition("/")
+                b = int(b) if b else 1
+                if not b:
+                    return None
+                a = int(a)
+                if k:
+                    k = int(k)
+                    a, b = a**k, b**k
+                num *= a
+                den *= b
+        except ValueError:
+            return None
+        if den != 1:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        return num, den, tuple(exps)
+
+    def term(self) -> tuple[int, int, list[int], Poly | None]:
+        """A product of factors as (numerator, denominator, exponents,
+        group): each factor is unary signs, an atom and an optional ^k.
+        Numbers and symbols fold into the coefficient and the exponent
+        list; only parenthesized factors multiply as Polys, into `group`
+        (None when the term has none).  The term is numerator / denominator
+        * d^exponents * group."""
+        num, den = 1, 1
         exps = [0] * self.nvars
         group = None
         while True:
             tok = self._peek()
             while tok[0] == "op" and tok[1] in "+-":
-                self.i += 1
+                self._skip()
                 if tok[1] == "-":
-                    coeff = -coeff
+                    num = -num
                 tok = self._peek()
-            kind, text, at = self._next()
+            kind, text, at, _ = self._next()
             if kind == "num":
-                if "/" in text:
-                    num, den = text.split("/")
-                    d = _digits(den, at)
-                    if d == 0:
-                        raise ParseError("zero denominator", at)
-                    value = Fraction(_digits(num, at), d)
-                else:
-                    value = _digits(text, at)
+                a, _, b = text.partition("/")
+                b = _digits(b, at) if b else 1
+                if b == 0:
+                    raise ParseError("zero denominator", at)
+                a = _digits(a, at)
             elif kind == "var":
                 idx = _digits(text[1:], at)
                 if not 1 <= idx <= self.nvars:
@@ -534,13 +645,16 @@ class _Parser:
             k = 1
             tok = self._peek()
             if tok[0] == "op" and tok[1] == "^":
-                self.i += 1
+                self._skip()
                 etok = self._next()
                 if etok[0] != "num" or "/" in etok[1]:
                     raise ParseError("exponent must be a nonnegative integer", etok[2])
                 k = _digits(etok[1], etok[2])
             if kind == "num":
-                coeff *= value if k == 1 else value**k
+                if k != 1:
+                    a, b = a**k, b**k
+                num *= a
+                den *= b
             elif kind == "var":
                 exps[idx - 1] += k
             else:
@@ -549,8 +663,11 @@ class _Parser:
                 group = value if group is None else group * value
             tok = self._peek()
             if not (tok[0] == "op" and tok[1] == "*"):
-                return coeff, exps, group
-            self.i += 1
+                if den != 1:
+                    g = math.gcd(num, den)
+                    num, den = num // g, den // g
+                return num, den, exps, group
+            self._skip()
 
 
 def _digits(text: str, at: int) -> int:
@@ -568,7 +685,15 @@ def _digits(text: str, at: int) -> int:
 
 
 def parse(text: str, nvars: int) -> Poly:
-    return _Parser(text, nvars).parse()
+    try:
+        return _Parser(text, nvars).parse()
+    except ParseError:
+        # a character no token takes is reported first, wherever the
+        # grammar fails
+        at = re.match(_LEXABLE, text).end()
+        if at < len(text):
+            raise ParseError(f"unexpected character {text[at]!r}", at) from None
+        raise
 
 
 def variables(nvars: int) -> Iterator[Poly]:

@@ -9,7 +9,6 @@ this as `dgcalc report`; the acceptance tests drive the same rows.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from fractions import Fraction
@@ -36,6 +35,7 @@ from .operators import (
     compose,
     factor_through,
     image_module_equal,
+    json_text,
 )
 from .poly import Poly, mono_mul, parse
 
@@ -921,4 +921,4 @@ def rows_to_json(rows: list[ReportRow]) -> str:
         "passed": sum(1 for r in rows if r.passed),
         "failed": sum(1 for r in rows if not r.passed),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)

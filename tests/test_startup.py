@@ -4,6 +4,7 @@ Each check runs a new interpreter, because this test process has long since
 imported every layer.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -53,6 +54,24 @@ def curl_doc(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def rational_doc(tmp_path_factory):
+    """A square operator with p/q coefficients and a weight "2", the kind
+    of document that once needed `fractions` to load."""
+    doc = {
+        "name": "rational",
+        "nvars": 3,
+        "source": {"name": "s", "components": [{"label": "a", "weight": "2"},
+                                               {"label": "b", "weight": "1"}]},
+        "target": {"name": "t", "components": [{"label": "x", "weight": "2"},
+                                               {"label": "y", "weight": 1}]},
+        "matrix": [["3/2*d1 - d2", "-1/3*d3^2"], ["d2*d3 + 5/7", "-d1"]],
+    }
+    path = tmp_path_factory.mktemp("startup") / "rational.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["adjoint", "{doc}"],
@@ -63,9 +82,11 @@ def curl_doc(tmp_path_factory):
     ["factor", "{doc}", "{doc}"],
     ["zoo", "--help"],
 ], ids=["help", "adjoint", "compose", "cc", "rank", "resolve", "factor", "zoo-help"])
-def test_core_commands_load_no_upper_layer(argv, curl_doc):
-    names = _loaded(RUN_CLI, *(a.format(doc=curl_doc) for a in argv))
+def test_core_commands_load_no_upper_layer(argv, rational_doc):
+    names = _loaded(RUN_CLI, *(a.format(doc=rational_doc) for a in argv))
     assert not names & (UPPER | {"dataclasses", "inspect"})
+    # no Fraction is made on the way, so neither module is imported
+    assert not names & {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize("argv", [
