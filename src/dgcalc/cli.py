@@ -115,9 +115,11 @@ def _cmd_resolve(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "summary.json").write_text(doc)
     for k, step in enumerate(res.steps):
+        # one monomial-text lookup per step
+        texts: dict = {}
         step_doc = {
             "index": k,
-            "rows": [e.cell_texts() for e in step],
+            "rows": [e.cell_texts(texts) for e in step],
         }
         (outdir / f"step{k:02d}.json").write_text(json_text(step_doc))
     print(f"wrote {outdir}/summary.json and {len(res.steps)} step files")

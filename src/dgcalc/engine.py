@@ -269,10 +269,11 @@ class FreeElem:
             )
         return self._hash
 
-    def cell_texts(self) -> list[str]:
+    def cell_texts(self, texts: dict | None = None) -> list[str]:
         """Each entry's canonical text, as `serialize` gives it, built from
         the terms: a zero entry is the shared string "0", so only the
-        nonzero positions cost work."""
+        nonzero positions cost work.  `texts` is the monomial lookup of
+        `format_terms`; callers that write many elements share one."""
         cells = ["0"] * self.width
         cols: dict[int, list[tuple[Monomial, int]]] = {}
         for (pos, m), v in self.terms.items():
@@ -280,7 +281,8 @@ class FreeElem:
             if col is None:
                 col = cols[pos] = []
             col.append((m, v))
-        texts: dict = {}
+        if texts is None:
+            texts = {}
         for pos, col in cols.items():
             cells[pos] = format_terms(col, self.den, texts)
         return cells
@@ -288,8 +290,13 @@ class FreeElem:
     def __str__(self) -> str:
         """The entries' canonical text, in parentheses and separated by
         commas."""
+        return self._text()
+
+    def _text(self, texts: dict | None = None) -> str:
+        """`str(self)`, made on first use with the monomial lookup `texts`
+        of `cell_texts`."""
         if self._str is None:
-            self._str = "(" + ", ".join(self.cell_texts()) + ")"
+            self._str = "(" + ", ".join(self.cell_texts(texts)) + ")"
         return self._str
 
     def __repr__(self) -> str:
@@ -992,8 +999,14 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
     are never returned.  When every generator and base row is homogeneous
     the containment test is plain linear algebra degree by degree, which
     also makes the surviving count the graded minimal number of
-    generators, independent of the representative choice.  Results are
-    memoized on the generators and base rows as given.
+    generators, independent of the representative choice.  Otherwise,
+    with no base, an element is contained in the module of the others
+    exactly when some relation among the kept list has 1 at its position,
+    that is when 1 lies in the ideal of that position's coordinates of
+    `syzygies(kept)`: one relation run decides every element until one is
+    dropped, and the shorter list gets a new run.  With a base, each
+    element gets a Groebner membership test against the others and the
+    base.  Results are memoized on the generators and base rows as given.
     """
     if not gens:
         return []
@@ -1012,21 +1025,51 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
 @_memo
 def _minimal(gens: tuple, base: tuple, budget: int) -> tuple[FreeElem, ...]:
     # keyed on the elements as given; `budget` only keys the memo:
-    # `reduced_groebner` reads it again
+    # `reduced_groebner` and `syzygies` read it again
     uniq = list(dict.fromkeys(e.normalized() for e in gens if not e.is_zero()))
-    uniq.sort(key=lambda e: (e.degree(), str(e)))
+    # one monomial-text lookup serves every sort key
+    texts: dict = {}
+    uniq.sort(key=lambda e: (e.degree(), e._text(texts)))
     base_rows = [b for b in base if not b.is_zero()]
     if all(e.is_homogeneous() for e in uniq + base_rows):
         return tuple(_minimize_homogeneous(uniq, base_rows))
     kept = uniq
+    if base_rows:
+        i = 0
+        while i < len(kept):
+            others = kept[:i] + kept[i + 1 :] + base_rows
+            if others and reduced_groebner(others).contains(kept[i]):
+                kept.pop(i)
+            else:
+                i += 1
+        return tuple(kept)
+    # kept[i] lies in the module of the others exactly when some relation
+    # among the kept list has 1 at position i, that is when 1 lies in the
+    # ideal of the i-th coordinates of any generating set of the relations:
+    # one relation run decides every position until one is dropped
+    relations = syzygies(kept)
     i = 0
     while i < len(kept):
-        others = kept[:i] + kept[i + 1 :] + base_rows
-        if others and reduced_groebner(others).contains(kept[i]):
+        if _unit_coordinate(relations, i):
             kept.pop(i)
+            relations = syzygies(kept)
         else:
             i += 1
     return tuple(kept)
+
+
+def _unit_coordinate(relations: list[FreeElem], i: int) -> bool:
+    """Whether 1 lies in the ideal of the i-th coordinates of `relations`."""
+    ideal = []
+    for rel in relations:
+        coord = {(0, m): v for (pos, m), v in rel.terms.items() if pos == i}
+        if coord:
+            ideal.append(FreeElem._make(1, rel.nvars, coord, 1, rel.den))
+    # a nonzero constant settles it; else the reduced basis holds the
+    # constant 1 exactly when the ideal is the whole ring
+    if any(c.degree() == 0 for c in ideal):
+        return True
+    return bool(ideal) and any(g.degree() == 0 for g in reduced_groebner(ideal))
 
 
 def _minimize_homogeneous(elems: list[FreeElem], base: list[FreeElem]) -> list[FreeElem]:

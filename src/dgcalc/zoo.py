@@ -189,11 +189,12 @@ class RiemannBasis:
     def labels(self) -> list[str]:
         return [f"{p[0]}{p[1]},{q[0]}{q[1]}" for p, q in self.pairs]
 
-    def resolve(self, k: int, l: int, i: int, j: int) -> dict[int, Fraction]:
-        """Express R_{kl,ij} over the kept components."""
+    def resolve(self, k: int, l: int, i: int, j: int) -> dict[int, int]:
+        """Express R_{kl,ij} over the kept components, with integer
+        coefficients."""
         if k == l or i == j:
             return {}
-        s = Fraction(1)
+        s = 1
         if k > l:
             k, l = l, k
             s = -s
@@ -209,13 +210,13 @@ class RiemannBasis:
         # dropped component: p=(a,d), q=(b,c) with a<b<c<d; use the cyclic
         # identity R_{ad,bc} = R_{ac,bd} - R_{ab,cd}
         (a, d), (b, c) = p, q
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for coeff, (k2, l2, i2, j2) in (
             (s, (a, c, b, d)),
             (-s, (a, b, c, d)),
         ):
             for idx2, c2 in self.resolve(k2, l2, i2, j2).items():
-                v = out.get(idx2, Fraction(0)) + coeff * c2
+                v = out.get(idx2, 0) + coeff * c2
                 if v:
                     out[idx2] = v
                 else:
@@ -608,8 +609,8 @@ def _trace_adjust(metric: Metric, coeff: Fraction) -> tuple[list[dict[int, int]]
 # -- Weyl ------------------------------------------------------------------------
 
 
-def _weyl_component_rows(metric: Metric) -> tuple[list[_IntRow], int]:
-    """Every curvature-basis component of the linearized Weyl tensor:
+def _weyl_component_rows(metric: Metric, picked: list[int]) -> tuple[list[_IntRow], int]:
+    """The picked curvature-basis components of the linearized Weyl tensor:
 
         C = G + 1/(n-2) (w ^ Ric) - Scal/(2(n-1)(n-2)) (w ^ w)
 
@@ -623,10 +624,12 @@ def _weyl_component_rows(metric: Metric) -> tuple[list[_IntRow], int]:
     # Scal w ^ w (over (n-1)(n-2) D^4) to the common denominator
     fg = (n - 1) * (n - 2) * d**4
     fr = (n - 1) * d * d
+    pairs, riemann = RiemannBasis(n).pairs, _riemann_rows(n)
     rows = []
-    for ((k, l), (i, j)), riem in zip(RiemannBasis(n).pairs, _riemann_rows(n)):
+    for r in picked:
+        (k, l), (i, j) = pairs[r]
         row: _IntRow = {}
-        _acc_row(row, riem, -fg)
+        _acc_row(row, riemann[r], -fg)
         for sgn, (ma, mb), (ra, rb) in (
             (1, (k, i), (l, j)),
             (1, (l, j), (k, i)),
@@ -654,11 +657,13 @@ def weyl_component_selection(metric: Metric) -> list[int]:
     rb = RiemannBasis(n)
     f1 = rb.size
     ech = _Echelon()
-    inv = metric.inverse
+    # D * w^-1 in integers: each trace row is D times the one over w^-1, a
+    # multiple, so the same span
+    _, _, inv = _scaled(metric)
     rank = 0
     for l in range(1, n + 1):
         for j in range(l, n + 1):
-            acc: dict[Term, Fraction] = {}
+            acc: dict[Term, int] = {}
             for k in range(1, n + 1):
                 for i in range(1, n + 1):
                     c = inv[k - 1][i - 1]
@@ -666,16 +671,12 @@ def weyl_component_selection(metric: Metric) -> list[int]:
                         continue
                     for idx2, c2 in rb.resolve(k, l, i, j).items():
                         key = (idx2, ())
-                        v = acc.get(key, Fraction(0)) + c * c2
+                        v = acc.get(key, 0) + c * c2
                         if v:
                             acc[key] = v
                         else:
                             acc.pop(key, None)
-            # cleared of denominators: a multiple, so the same span
-            den = lcm(*(v.denominator for v in acc.values()))
-            rank += ech.insert(
-                {k: v.numerator * (den // v.denominator) for k, v in acc.items()}
-            )
+            rank += ech.insert(acc)
     picked: list[int] = []
     for r in range(f1):
         if len(picked) == f1 - rank:
@@ -693,7 +694,6 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
     if n < 4:
         raise ValueError("the Weyl tensor vanishes identically for n < 4")
     rb = RiemannBasis(n)
-    all_rows, den = _weyl_component_rows(metric)
     picked = weyl_component_selection(metric)
     expected = n * (n + 1) * (n + 2) * (n - 3) // 12
     if len(picked) != expected:
@@ -703,7 +703,7 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
         )
     labels = rb.labels()
     tgt = Bundle(f"weyl({n})", ((labels[r], Fraction(1)) for r in picked))
-    rows = [all_rows[r] for r in picked]
+    rows, den = _weyl_component_rows(metric, picked)
     return LinDiffOp(
         f"weyl_{metric.tag}{n}",
         n,

@@ -215,6 +215,20 @@ def test_budget_exhaustion_exits_4(capsys, ops_dir, monkeypatch):
     assert err
 
 
+def test_weyl_killing_resolves_within_budget_3(capsys, tmp_path, monkeypatch):
+    """Minimizing its non-homogeneous steps needs one relation run per list
+    and width-1 runs on coordinate ideals, none with an S-pair above degree
+    3; one Groebner run per left-out generator needed more."""
+    path = tmp_path / "weyl_killing_e3.json"
+    save_operator(zoo.weyl_killing(zoo.euclidean(3)), path)
+    monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "3")
+    code, out, err = run(capsys, "resolve", str(path))
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert summary["dims"] == [8, 9, 4]
+    assert summary["complete"] is True
+
+
 @pytest.mark.parametrize("nvars", [True, MAX_NVARS + 1, 1_000_000])
 def test_boolean_or_huge_nvars_exits_2(capsys, ops_dir, tmp_path, nvars):
     doc = json.loads((ops_dir / "grad3.json").read_text())

@@ -514,6 +514,36 @@ def test_cold_resolution_work_is_pinned(n, monkeypatch, clear_engine_caches):
     assert (*work, sum(map(len, res.steps[1:]))) == PINNED_WORK[n]
 
 
+# S-pairs and `reduce_full` calls of a cold resolution of the Weyl gauge
+# system, whose steps are not homogeneous, so each is minimized from the
+# relations among its generators
+PINNED_NONHOMOGENEOUS_WORK = {3: (22, 67), 4: (238, 606)}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_NONHOMOGENEOUS_WORK))
+def test_cold_nonhomogeneous_resolution_work_is_pinned(n, monkeypatch, clear_engine_caches):
+    from dgcalc import engine
+
+    work = [0, 0]
+    spair, reduce_full = engine._Run._spair, engine._Reducer.reduce_full
+
+    def counted_spair(self, *args):
+        work[0] += 1
+        return spair(self, *args)
+
+    def counted_reduce_full(self, *args, **kwargs):
+        work[1] += 1
+        return reduce_full(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine._Run, "_spair", counted_spair)
+    monkeypatch.setattr(engine._Reducer, "reduce_full", counted_reduce_full)
+    rows = zoo.weyl_killing(zoo.euclidean(n)).rows()
+    clear_engine_caches()
+    res = resolve_module(rows)
+    assert res.complete
+    assert tuple(work) == PINNED_NONHOMOGENEOUS_WORK[n]
+
+
 @pytest.mark.parametrize("rows", [
     zoo.killing(zoo.euclidean(3)).rows(),
     zoo.conformal_killing(zoo.euclidean(3)).rows(),

@@ -170,14 +170,14 @@ def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
     clear_engine_caches()
     assert all(r.passed for r in run_report())
     sites = Counter(f.f_code.co_name for f in checks)
-    assert sites == {"_tracked": 658, "divide_with_cofactors": 10, "ext_module": 30}
+    assert sites == {"_tracked": 654, "divide_with_cofactors": 10, "ext_module": 30}
     # each Buchberger run with a harvest encodes its rows once, and only
     # such runs encode
     runs = [f for f in encodings if f.f_code.co_name == "_tracked"]
-    assert len(runs) == len({id(f) for f in runs}) == 83
+    assert len(runs) == len({id(f) for f in runs}) == 80
     assert {id(f) for f in runs} == {id(f) for f in checks if f.f_code.co_name == "_tracked"}
-    assert sum(len(f.f_locals["harvest"]) for f in runs) == 658
-    assert engine._tracked.cache_info().misses == 119
+    assert sum(len(f.f_locals["harvest"]) for f in runs) == 654
+    assert engine._tracked.cache_info().misses == 111
 
 
 def test_cold_resolution_check_count(monkeypatch, clear_engine_caches):

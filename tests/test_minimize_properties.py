@@ -1,8 +1,11 @@
 """Minimization modulo a base module agrees with Groebner leave-one-out,
 on homogeneous rows (the graded path) and on rows that mix degrees (the
-Groebner path), and is memoized on the generators as given."""
+relation path with no base, the Groebner path with one), and is memoized
+on the generators as given."""
 
-from hypothesis import assume, given, strategies as st
+from itertools import combinations_with_replacement
+
+from hypothesis import assume, example, given, strategies as st
 
 from dgcalc import engine
 from dgcalc.engine import FreeElem, minimize_generators, reduced_groebner
@@ -78,6 +81,67 @@ def test_graded_minimization_matches_groebner_leave_one_out(problem):
 
 @given(mixed_problems())
 def test_mixed_degree_minimization_matches_groebner_leave_one_out(problem):
+    gens, base = problem
+    assert minimize_generators(gens, base=base) == _groebner_reference(gens, base)
+
+
+def _monomials(nvars, top):
+    """Exponent tuples of total degree at most `top`."""
+    out = []
+    for deg in range(top + 1):
+        for combo in combinations_with_replacement(range(nvars), deg):
+            m = [0] * nvars
+            for i in combo:
+                m[i] += 1
+            out.append(tuple(m))
+    return out
+
+
+UP_TO_2 = {n: _monomials(n, 2) for n in (2, 3)}
+
+
+@st.composite
+def polys(draw, nvars, top):
+    """Up to three terms of degree at most `top`, the constant among them,
+    with coefficients in -3..3."""
+    mons = [m for m in UP_TO_2[nvars] if sum(m) <= top]
+    return Poly(nvars, draw(st.dictionaries(st.sampled_from(mons), st.integers(-3, 3), max_size=3)))
+
+
+@st.composite
+def free_rows(draw, nvars, width, count):
+    return [FreeElem(draw(polys(nvars, 2)) for _ in range(width)) for _ in range(count)]
+
+
+@st.composite
+def combined_problems(draw):
+    """Up to five rows of degree at most 2: one to three drawn freely, then
+    up to two combinations of those, so that some rows are redundant, in
+    shuffled order; half of the time with a base of one or two rows."""
+    nvars = draw(st.integers(2, 3))
+    width = draw(st.integers(1, 3))
+    free = draw(free_rows(nvars, width, draw(st.sampled_from((1, 2, 2, 3)))))
+    gens = list(free)
+    for _ in range(draw(st.sampled_from((0, 1, 2, 2)))):
+        entries = [Poly.zero(nvars)] * width
+        for row in free:
+            c = draw(polys(nvars, 2 - max(row.degree(), 0)))
+            entries = [a + c * b for a, b in zip(entries, row.entries)]
+        gens.append(FreeElem(entries))
+    gens = draw(st.permutations(gens))
+    base = draw(free_rows(nvars, width, draw(st.sampled_from((0, 0, 1, 2)))))
+    assume(not all(e.is_homogeneous() for e in gens + base))
+    return gens, base
+
+
+# the relations (d1, 0, -1) and (d1 + 1, -d1, 0) drop d1 with no constant
+# coordinate: only the ideal (d1, d1 + 1) holds 1
+UNIT_IDEAL = ([FreeElem.from_strs(NVARS, [t]) for t in ("d1", "d1 + 1", "d1^2")], [])
+
+
+@example(UNIT_IDEAL)
+@given(combined_problems())
+def test_combined_rows_minimization_matches_groebner_leave_one_out(problem):
     gens, base = problem
     assert minimize_generators(gens, base=base) == _groebner_reference(gens, base)
 
