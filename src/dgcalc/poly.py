@@ -207,14 +207,6 @@ class Poly:
         m = max(self.nums, key=mono_key)
         return m, Fraction(self.nums[m], self.den)
 
-    def leading_coefficient(self) -> Fraction:
-        return self.leading_term()[1]
-
-    def constant_term(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.nums.get((0,) * self.nvars, 0), self.den)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:

@@ -26,41 +26,22 @@ from .poly import Monomial, Poly
 # -- metrics -----------------------------------------------------------------
 
 
-class Metric:
+class Metric(NamedTuple):
     """A constant symmetric nondegenerate metric on R^n.
 
-    A value: equal and hashing alike over (name, tag, n, matrix), so it can
-    key a cache; metric[i, j] reads the 1-indexed entry."""
+    A tuple, so it equals and hashes alike over (name, tag, n, matrix) and
+    can key a cache; metric[i, j] reads the 1-indexed entry."""
 
-    __slots__ = ("name", "tag", "n", "matrix")
-
-    def __init__(self, name: str, tag: str, n: int,
-                 matrix: tuple[tuple[Fraction, ...], ...]):
-        self.name = name
-        self.tag = tag
-        self.n = n
-        self.matrix = matrix
-
-    def _key(self) -> tuple:
-        return (self.name, self.tag, self.n, self.matrix)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Metric):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"Metric(name={self.name!r}, tag={self.tag!r}, n={self.n!r}, "
-                f"matrix={self.matrix!r})")
+    name: str
+    tag: str
+    n: int
+    matrix: tuple[tuple[int | Fraction, ...], ...]
 
     @property
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         return _invert(self.matrix)
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij  # 1-indexed
         return self.matrix[i - 1][j - 1]
 
@@ -69,9 +50,9 @@ class Metric:
 
 
 @_memo
-def _invert(matrix: tuple[tuple[Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
+def _invert(matrix: tuple[tuple[int | Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
     n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
            for i, row in enumerate(matrix)]
     for c in range(n):
         piv = next((r for r in range(c, n) if aug[r][c]), None)
@@ -91,7 +72,7 @@ def euclidean(n: int) -> Metric:
     if n < 1:
         raise ValueError("need n >= 1")
     mat = tuple(
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
+        tuple(int(i == j) for j in range(n)) for i in range(n)
     )
     return Metric(name="euclidean", tag="e", n=n, matrix=mat)
 
@@ -101,7 +82,7 @@ def minkowski(n: int) -> Metric:
     if n < 2:
         raise ValueError("need n >= 2")
     mat = tuple(
-        tuple(Fraction((-1 if i == n - 1 else 1) * int(i == j)) for j in range(n))
+        tuple((-1 if i == n - 1 else 1) * int(i == j) for j in range(n))
         for i in range(n)
     )
     return Metric(name="minkowski", tag="m", n=n, matrix=mat)
@@ -121,18 +102,18 @@ def sym_bundle(n: int, name: str = "sym2") -> Bundle:
     return Bundle(
         name,
         (
-            (f"{i}{j}", Fraction(1 if i == j else 2))
+            (f"{i}{j}", 1 if i == j else 2)
             for i, j in sym_pairs(n)
         ),
     )
 
 
 def vector_bundle(n: int, name: str = "vector") -> Bundle:
-    return Bundle(name, ((str(i), Fraction(1)) for i in range(1, n + 1)))
+    return Bundle(name, ((str(i), 1) for i in range(1, n + 1)))
 
 
 def scalar_bundle(name: str = "scalar") -> Bundle:
-    return Bundle(name, (("1", Fraction(1)),))
+    return Bundle(name, (("1", 1),))
 
 
 def _sym_col(n: int) -> tuple[tuple[int, ...], ...]:
@@ -226,7 +207,7 @@ class RiemannBasis:
 
 def riemann_bundle(n: int, name: str) -> Bundle:
     rb = RiemannBasis(n)
-    return Bundle(name, ((lbl, Fraction(1)) for lbl in rb.labels()))
+    return Bundle(name, ((lbl, 1) for lbl in rb.labels()))
 
 
 # -- first order: Killing-type operators ----------------------------------------
@@ -264,6 +245,8 @@ def conformal_killing(metric: Metric) -> LinDiffOp:
     """Trace-free part of the Killing operator; the redundant (n,n)
     component is dropped, leaving n(n+1)/2 - 1 rows."""
     n = metric.n
+    if n < 2:
+        raise ValueError("need n >= 2")
     kill = killing(metric)
     trace = _trace_row(metric)
     col = _sym_col(n)
@@ -317,7 +300,7 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
         extra: dict[int, Poly] = {c: di * p for c, p in trace.items()}
         rows.append([extra.get(c, Poly.zero(n)) for c in range(n)])
     labels = list(ck.target.labels) + [f"t{i}" for i in range(1, n + 1)]
-    weights = list(ck.target.weights) + [Fraction(1)] * n
+    weights = list(ck.target.weights) + [1] * n
     tgt = Bundle(f"sym2tf+t({n})", zip(labels, weights))
     return LinDiffOp(
         f"weyl_killing_{metric.tag}{n}", n, vector_bundle(n), tgt, rows
@@ -702,7 +685,7 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
             f"expected {expected}"
         )
     labels = rb.labels()
-    tgt = Bundle(f"weyl({n})", ((labels[r], Fraction(1)) for r in picked))
+    tgt = Bundle(f"weyl({n})", ((labels[r], 1) for r in picked))
     rows, den = _weyl_component_rows(metric, picked)
     return LinDiffOp(
         f"weyl_{metric.tag}{n}",
@@ -748,11 +731,11 @@ def exterior_derivative(n: int, r: int) -> LinDiffOp:
     tgt_sets = list(combinations(range(1, n + 1), r + 1))
     src = Bundle(
         f"forms{r}({n})",
-        ((("".join(map(str, s)) or "0"), Fraction(1)) for s in src_sets),
+        ((("".join(map(str, s)) or "0"), 1) for s in src_sets),
     )
     tgt = Bundle(
         f"forms{r + 1}({n})",
-        (("".join(map(str, s)), Fraction(1)) for s in tgt_sets),
+        (("".join(map(str, s)), 1) for s in tgt_sets),
     )
     src_idx = {s: c for c, s in enumerate(src_sets)}
     rows = []
@@ -800,6 +783,8 @@ def dalembertian(metric: Metric, bundle: Bundle | None = None) -> LinDiffOp:
 
 def lame(lam, mu, n: int) -> LinDiffOp:
     """Elastostatics on displacement: (lam+mu) grad div + mu laplacian."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     lam, mu = Fraction(lam), Fraction(mu)
     if mu == 0:
         raise ValueError("mu must be nonzero")
@@ -828,9 +813,9 @@ def hooke2d(lam, mu) -> LinDiffOp:
     half = Fraction(1, 2)
     c = lam * half
     mat = [
-        [c + mu, Fraction(0), c],
-        [Fraction(0), mu, Fraction(0)],
-        [c, Fraction(0), c + mu],
+        [c + mu, 0, c],
+        [0, mu, 0],
+        [c, 0, c + mu],
     ]
     rows = [[Poly.const(2, x) for x in row] for row in mat]
     return LinDiffOp(
@@ -845,11 +830,11 @@ def hooke2d_inverse(lam, mu) -> LinDiffOp:
         raise ValueError("need mu != 0 and lam + mu != 0")
     c = Fraction(lam, 2 * (lam + mu))
     mat = [
-        [1 - c, Fraction(0), -c],
-        [Fraction(0), Fraction(1), Fraction(0)],
-        [-c, Fraction(0), 1 - c],
+        [1 - c, 0, -c],
+        [0, 1, 0],
+        [-c, 0, 1 - c],
     ]
-    rows = [[Poly.const(2, Fraction(x) / mu) for x in row] for row in mat]
+    rows = [[Poly.const(2, x / mu) for x in row] for row in mat]
     return LinDiffOp(
         "hooke2d_inv", 2, sym_bundle(2, "stress"), sym_bundle(2, "strain"), rows
     )
@@ -1033,55 +1018,32 @@ ZOO = {
 }
 
 
+# the ZOO keys whose constructor has another name
+_BUILDERS = {"riemann": "riemann_lin", "ricci": "ricci_lin", "scalar": "scalar_lin",
+             "einstein": "einstein_lin", "weyl": "weyl_lin"}
+
+
 def build(name: str, *, n: int | None = None, metric: str = "euclidean",
           lam=1, mu=1, r: int = 0) -> LinDiffOp:
-    """Construct a zoo operator by name; the CLI calls straight into this."""
+    """Construct a zoo operator by name; the CLI calls straight into this.
+
+    The constructor is looked up in the module namespace at each call, so a
+    rebound module attribute (a wrapper, a patch) is the one called.  The
+    metric goes in positionally, as the memoized constructors are keyed."""
     entry = ZOO.get(name)
     if entry is None:
         raise KeyError(f"unknown zoo operator {name!r}")
-    if entry.fixed_n is not None:
-        n = entry.fixed_n
-    if entry.needs_metric or entry.needs_n:
-        if n is None:
-            raise ValueError(f"{name} needs --n")
+    if (entry.needs_metric or entry.needs_n) and n is None:
+        raise ValueError(f"{name} needs --n")
+    args, kwargs = (), {}
     if entry.needs_metric:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
-        g = METRICS[metric](n)
-        fn = {
-            "killing": killing,
-            "conformal_killing": conformal_killing,
-            "cauchy": cauchy,
-            "weyl_killing": weyl_killing,
-            "riemann": riemann_lin,
-            "ricci": ricci_lin,
-            "scalar": scalar_lin,
-            "einstein": einstein_lin,
-            "c_map": c_map,
-            "c_map_inverse": c_map_inverse,
-            "weyl": weyl_lin,
-            "dalembertian": dalembertian,
-            "box_weyl": box_weyl,
-        }[name]
-        return fn(g)
-    if name == "grad":
-        return grad(n)
-    if name == "div":
-        return div(n)
-    if name == "curl":
-        return curl()
-    if name == "exterior_derivative":
-        return exterior_derivative(n, r)
-    if name == "lame":
-        return lame(lam, mu, n)
-    if name == "hooke2d":
-        return hooke2d(lam, mu)
-    if name == "hooke2d_inverse":
-        return hooke2d_inverse(lam, mu)
-    if name == "cosserat_spencer":
-        return cosserat_spencer()
-    if name == "cosserat_equilibrium":
-        return cosserat_equilibrium()
-    if name == "cosserat_parametrization":
-        return cosserat_parametrization()
-    raise KeyError(f"unhandled zoo operator {name!r}")
+        args = (METRICS[metric](n),)
+    if entry.needs_n:
+        kwargs["n"] = n
+    if entry.needs_lame:
+        kwargs.update(lam=lam, mu=mu)
+    if entry.needs_r:
+        kwargs["r"] = r
+    return globals()[_BUILDERS.get(name, name)](*args, **kwargs)

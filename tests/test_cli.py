@@ -42,6 +42,39 @@ def test_metric_choices_are_the_zoo_metrics(capsys):
     )
 
 
+ZOO_LISTING = """\
+box_weyl                  dalembertian after the linearized Weyl tensor  [--metric --n]
+c_map                     trace flip: Ricci to Einstein  [--metric --n]
+c_map_inverse             trace flip back: Einstein to Ricci  [--metric --n]
+cauchy                    symmetrized gradient  [--metric --n]
+conformal_killing         trace-free Killing operator  [--metric --n]
+cosserat_equilibrium      planar Cosserat balance equations  [n=2]
+cosserat_parametrization  potentials for Cosserat balance  [n=2]
+cosserat_spencer          planar Cosserat first Spencer operator  [n=2]
+curl                      curl in three variables  [n=3]
+dalembertian              metric second-order trace on scalars  [--metric --n]
+div                       divergence  [--n]
+einstein                  linearized Einstein tensor  [--metric --n]
+exterior_derivative       d on r-forms  [--n, --r]
+grad                      gradient  [--n]
+hooke2d                   plane stress-strain law  [--lam --mu, n=2]
+hooke2d_inverse           plane strain from stress  [--lam --mu, n=2]
+killing                   Lie derivative of the metric  [--metric --n]
+lame                      elastostatics operator  [--n, --lam --mu]
+ricci                     linearized Ricci tensor  [--metric --n]
+riemann                   linearized curvature tensor  [--metric --n]
+scalar                    linearized scalar curvature  [--metric --n]
+weyl                      linearized Weyl tensor (n >= 4)  [--metric --n]
+weyl_killing              conformal Killing plus trace gradient  [--metric --n]
+"""
+
+
+def test_zoo_listing_is_pinned(capsys):
+    code, out, err = run(capsys, "zoo")
+    assert (code, err) == (0, "")
+    assert out == ZOO_LISTING
+
+
 def test_zoo_listing_names_every_operator(capsys):
     code, out, err = run(capsys, "zoo")
     assert code == 0
@@ -330,6 +363,17 @@ def test_zoo_operator_of_no_variables_exits_1(capsys, name):
     assert code == 1
     assert out == ""
     assert err == "error: need n >= 1\n"
+
+
+@pytest.mark.parametrize("name, n, least", [
+    ("lame", 0, 1), ("conformal_killing", 1, 2), ("weyl_killing", 1, 2),
+    ("riemann", 1, 2),
+])
+def test_zoo_operator_below_its_least_n_exits_1(capsys, name, n, least):
+    code, out, err = run(capsys, "zoo", name, "--n", str(n))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: need n >= {least}\n"
 
 
 def test_unknown_zoo_name_exits_1(capsys):

@@ -163,8 +163,7 @@ def test_lazy_package_public_surface():
 
 def test_record_texts_are_pinned():
     assert repr(zoo.euclidean(2)) == (
-        "Metric(name='euclidean', tag='e', n=2, matrix=((Fraction(1, 1), "
-        "Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1))))"
+        "Metric(name='euclidean', tag='e', n=2, matrix=((1, 0), (0, 1)))"
     )
     assert repr(zoo.ZOO["curl"]) == (
         "ZooEntry(key='curl', needs_metric=False, needs_n=False, needs_lame=False, "
