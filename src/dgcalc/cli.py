@@ -237,14 +237,22 @@ def _cmd_zoo(args) -> int:
             extra = f"  [{', '.join(needs)}]" if needs else ""
             print(f"{key.ljust(width)}  {entry.summary}{extra}")
         return 0
-    op = zoo.build(
-        args.name,
-        n=args.n,
-        metric=args.metric,
-        lam=_rational("--lam", args.lam),
-        mu=_rational("--mu", args.mu),
-        r=args.r,
-    )
+    entry = zoo.ZOO.get(args.name)
+    if entry is None:
+        raise KeyError(f"unknown zoo operator {args.name!r}")
+    # an option the entry does not take is an error, not ignored
+    if args.n is not None and entry.fixed_n not in (None, args.n):
+        raise ValueError(f"{args.name} has n = {entry.fixed_n}, not --n {args.n}")
+    for flag, takes in (("metric", entry.needs_metric), ("lam", entry.needs_lame),
+                        ("mu", entry.needs_lame), ("r", entry.needs_r)):
+        if not takes and getattr(args, flag) is not None:
+            raise ValueError(f"{args.name} takes no --{flag}")
+    moduli = {
+        flag: _rational(f"--{flag}", "1" if text is None else text)
+        for flag, text in (("lam", args.lam), ("mu", args.mu)) if entry.needs_lame
+    }
+    op = zoo.build(args.name, n=args.n, metric=args.metric or "euclidean",
+                   r=args.r or 0, **moduli)
     _emit_operator(op, args.output)
     return 0
 
@@ -295,11 +303,11 @@ _COMMANDS = (
     ("zoo", _cmd_zoo, "list the operator zoo, or build one entry", (
         (("name",), dict(nargs="?", default=None)),
         (("--n",), dict(type=int, default=None)),
-        (("--metric",), dict(choices=_METRIC_CHOICES, default="euclidean")),
-        (("--lam",), dict(default="1",
+        (("--metric",), dict(choices=_METRIC_CHOICES, default=None)),
+        (("--lam",), dict(default=None,
                           help="first elastic modulus (rational, e.g. 3/2)")),
-        (("--mu",), dict(default="1", help="second elastic modulus (rational)")),
-        (("--r",), dict(type=int, default=0,
+        (("--mu",), dict(default=None, help="second elastic modulus (rational)")),
+        (("--r",), dict(type=int, default=None,
                         help="form degree for exterior_derivative")),
     )),
     ("report", _cmd_report, "recompute every recorded claim and compare", (

@@ -756,8 +756,9 @@ def _checks() -> list[_Check]:
               "count for four to six variables",
         expected={"bundle": (10, 35, 84), "formula": (10, 35, 84)},
         fn=lambda: {
+            # weyl_lin's target has one component per selected index
             "bundle": tuple(
-                zoo.weyl_lin(zoo.euclidean(n)).target.dim for n in (4, 5, 6)
+                len(zoo.weyl_component_selection(zoo.euclidean(n))) for n in (4, 5, 6)
             ),
             "formula": tuple(zoo.dims(n).f1hat for n in (4, 5, 6)),
         },

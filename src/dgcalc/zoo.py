@@ -13,14 +13,16 @@ i <= j in lexicographic order; curvature components are pairs of pairs
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
-from typing import NamedTuple
+from math import comb, gcd, lcm
+from typing import TYPE_CHECKING, NamedTuple
 
-from .engine import Term, _Echelon, _memo
-from .operators import Bundle, LinDiffOp, adjoint, compose, scale
+from .engine import _Echelon, _memo
+from .operators import Bundle, LinDiffOp, adjoint, compose
 from .poly import Monomial, Poly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # -- metrics -----------------------------------------------------------------
@@ -39,7 +41,10 @@ class Metric(NamedTuple):
 
     @property
     def inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _invert(self.matrix)
+        from fractions import Fraction
+
+        d, _, inv = _scaled(self)
+        return tuple(tuple(Fraction(c, d) for c in row) for row in inv)
 
     def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij  # 1-indexed
@@ -47,25 +52,6 @@ class Metric(NamedTuple):
 
     def inv(self, i: int, j: int) -> Fraction:
         return self.inverse[i - 1][j - 1]
-
-
-@_memo
-def _invert(matrix: tuple[tuple[int | Fraction, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    n = len(matrix)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            raise ValueError("metric is degenerate")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def euclidean(n: int) -> Metric:
@@ -125,12 +111,6 @@ def _sym_col(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, col))
 
 
-def _rows_to_matrix(rows: list[dict[int, Poly]], width: int, nvars: int
-                    ) -> list[list[Poly]]:
-    zero = Poly.zero(nvars)
-    return [[row.get(j, zero) for j in range(width)] for row in rows]
-
-
 # -- curvature component bookkeeping --------------------------------------------
 
 
@@ -177,32 +157,18 @@ class RiemannBasis:
             return {}
         s = 1
         if k > l:
-            k, l = l, k
-            s = -s
+            k, l, s = l, k, -s
         if i > j:
-            i, j = j, i
-            s = -s
-        p, q = (k, l), (i, j)
-        if p > q:
-            p, q = q, p
+            i, j, s = j, i, -s
+        p, q = sorted(((k, l), (i, j)))
         idx = self.index.get((p, q))
         if idx is not None:
             return {idx: s}
-        # dropped component: p=(a,d), q=(b,c) with a<b<c<d; use the cyclic
-        # identity R_{ad,bc} = R_{ac,bd} - R_{ab,cd}
+        # dropped component: p=(a,d), q=(b,c) with a<b<c<d; the cyclic
+        # identity R_{ad,bc} = R_{ac,bd} - R_{ab,cd} gives it over two kept
+        # ones
         (a, d), (b, c) = p, q
-        out: dict[int, int] = {}
-        for coeff, (k2, l2, i2, j2) in (
-            (s, (a, c, b, d)),
-            (-s, (a, b, c, d)),
-        ):
-            for idx2, c2 in self.resolve(k2, l2, i2, j2).items():
-                v = out.get(idx2, 0) + coeff * c2
-                if v:
-                    out[idx2] = v
-                else:
-                    out.pop(idx2, None)
-        return out
+        return {self.index[(a, c), (b, d)]: s, self.index[(a, b), (c, d)]: -s}
 
 
 def riemann_bundle(n: int, name: str) -> Bundle:
@@ -213,78 +179,70 @@ def riemann_bundle(n: int, name: str) -> Bundle:
 # -- first order: Killing-type operators ----------------------------------------
 
 
+def _killing_rows(w: tuple[tuple[int, ...], ...]) -> list[_IntRow]:
+    """The Killing rows for an integer matrix w (D times the metric), one
+    per symmetric pair (i, j)."""
+    n = len(w)
+    d1 = _d(n)
+    rows = []
+    for i, j in sym_pairs(n):
+        row: _IntRow = {}
+        for r in range(n):
+            _acc(row, r, d1[i], w[r][j - 1])
+            _acc(row, r, d1[j], w[i - 1][r])
+        rows.append(row)
+    return rows
+
+
 @_memo
 def killing(metric: Metric) -> LinDiffOp:
     """Lie derivative of the metric: Omega_ij = w_rj di xi^r + w_ir dj xi^r."""
     n = metric.n
-    rows: list[dict[int, Poly]] = []
-    for i, j in sym_pairs(n):
-        row: dict[int, Poly] = {}
-        for r in range(1, n + 1):
-            p = metric[r, j] * Poly.var(n, i) + metric[i, r] * Poly.var(n, j)
-            if not p.is_zero():
-                row[r - 1] = p
-        rows.append(row)
+    d, w, _ = _scaled(metric)
     return LinDiffOp(
         f"killing_{metric.tag}{n}",
         n,
         vector_bundle(n),
         sym_bundle(n),
-        _rows_to_matrix(rows, n, n),
+        _int_matrix(_killing_rows(w), d, n, n),
     )
-
-
-def _trace_row(metric: Metric) -> dict[int, Poly]:
-    # w^{uv} Omega_uv as an operator on the vector field: 2 d_u xi^u
-    n = metric.n
-    return {u: 2 * Poly.var(n, u + 1) for u in range(n)}
 
 
 @_memo
 def conformal_killing(metric: Metric) -> LinDiffOp:
-    """Trace-free part of the Killing operator; the redundant (n,n)
-    component is dropped, leaving n(n+1)/2 - 1 rows."""
+    """Trace-free part of the Killing operator, Omega_ij - (w_ij / n) 2 d_u
+    xi^u; the redundant (n,n) component is dropped, leaving n(n+1)/2 - 1
+    rows over the denominator n D."""
     n = metric.n
     if n < 2:
         raise ValueError("need n >= 2")
-    kill = killing(metric)
-    trace = _trace_row(metric)
-    col = _sym_col(n)
-    rows: list[dict[int, Poly]] = []
-    labels = []
-    weights = []
-    src_bundle = sym_bundle(n)
-    for i, j in sym_pairs(n)[:-1]:
-        k = col[i][j]
-        row = {c: p for c, p in enumerate(kill.matrix[k]) if not p.is_zero()}
-        wij = metric[i, j]
-        if wij:
-            for c, p in trace.items():
-                v = row.get(c, Poly.zero(n)) - Fraction(wij, n) * p
-                if v.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = v
+    d, w, _ = _scaled(metric)
+    d1 = _d(n)
+    rows = []
+    for (i, j), kill in zip(sym_pairs(n)[:-1], _killing_rows(w)):
+        row: _IntRow = {}
+        _acc_row(row, kill, n)
+        for u in range(1, n + 1):
+            _acc(row, u - 1, d1[u], -2 * w[i - 1][j - 1])
         rows.append(row)
-        labels.append(src_bundle.labels[k])
-        weights.append(src_bundle.weights[k])
-    tgt = Bundle(f"sym2tf({n})", zip(labels, weights))
+    tgt = Bundle(f"sym2tf({n})", sym_bundle(n).components[:-1])
     return LinDiffOp(
         f"conformal_killing_{metric.tag}{n}",
         n,
         vector_bundle(n),
         tgt,
-        _rows_to_matrix(rows, n, n),
+        _int_matrix(rows, n * d, n, n),
     )
 
 
 @_memo
 def cauchy(metric: Metric) -> LinDiffOp:
     """Symmetrized gradient (small strain): -1/2 times the Killing adjoint."""
-    return scale(
-        adjoint(killing(metric)), Fraction(-1, 2),
-        name=f"cauchy_{metric.tag}{metric.n}",
-    )
+    adj = adjoint(killing(metric))
+    rows = [[Poly._make(p.nvars, dict(p.nums), -1, 2 * p.den) for p in row]
+            for row in adj.matrix]
+    return LinDiffOp(f"cauchy_{metric.tag}{metric.n}", metric.n, adj.source,
+                     adj.target, rows)
 
 
 def weyl_killing(metric: Metric) -> LinDiffOp:
@@ -293,12 +251,11 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
     divergence rescaling."""
     n = metric.n
     ck = conformal_killing(metric)
-    trace = _trace_row(metric)
-    rows = [list(r) for r in ck.matrix]
-    for i in range(1, n + 1):
-        di = Poly.var(n, i)
-        extra: dict[int, Poly] = {c: di * p for c, p in trace.items()}
-        rows.append([extra.get(c, Poly.zero(n)) for c in range(n)])
+    # d_i of the trace 2 d_u xi^u
+    rows = [list(r) for r in ck.matrix] + [
+        [2 * Poly.var(n, i) * Poly.var(n, u) for u in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
     labels = list(ck.target.labels) + [f"t{i}" for i in range(1, n + 1)]
     weights = list(ck.target.weights) + [1] * n
     tgt = Bundle(f"sym2tf+t({n})", zip(labels, weights))
@@ -309,26 +266,46 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
 
 # -- linearized curvature ---------------------------------------------------------
 #
-# The second-order curvature operators are built as integer rows
-# {column: {monomial: int}} over one denominator per operator.  The metric
-# and its inverse enter as integer matrices over their common denominator
-# D (see _scaled), and each entry becomes a Poly once, in _int_matrix.
+# The metric operators are built as integer rows {column: {monomial: int}}
+# over one denominator per operator.  The metric and its inverse enter as
+# integer matrices over their common denominator D (see _scaled), and each
+# entry becomes a Poly once, in _int_matrix.
 
 _IntRow = dict[int, dict[Monomial, int]]
 
 
+@_memo
 def _scaled(metric: Metric) -> tuple[int, tuple[tuple[int, ...], ...],
                                      tuple[tuple[int, ...], ...]]:
     """(D, D*w, D*w^-1): D is the least common denominator of the entries
     of the metric w and of its inverse, so both scaled matrices are
-    integer."""
-    mats = (metric.matrix, metric.inverse)
-    d = lcm(*(c.denominator for mat in mats for row in mat for c in row))
-    w, inv = (
-        tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in mat)
-        for mat in mats
-    )
+    integer.  The inverse comes from fraction-free Gauss-Jordan
+    elimination on e*w, e the least common denominator of w's entries."""
+    n = metric.n
+    e = lcm(*(c.denominator for row in metric.matrix for c in row))
+    aug = [[c.numerator * (e // c.denominator) for c in row] + [int(i == j) for j in range(n)]
+           for i, row in enumerate(metric.matrix)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c]), None)
+        if piv is None:
+            raise ValueError("metric is degenerate")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        top = aug[c]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                row = [top[c] * x - aug[r][c] * y for x, y in zip(aug[r], top)]
+                g = gcd(*row)
+                aug[r] = [x // g for x in row]
+    # now w^-1[r][s] = e * aug[r][n + s] / aug[r][r]
+    d = lcm(e, *(row[r] // gcd(e * x, row[r]) for r, row in enumerate(aug) for x in row[n:]))
+    w = tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in metric.matrix)
+    inv = tuple(tuple(e * d * x // row[r] for x in row[n:]) for r, row in enumerate(aug))
     return d, w, inv
+
+
+def _d(n: int) -> list[Monomial]:
+    """_d(n)[a]: the exponent tuple of d_a, 1-indexed like _sym_col."""
+    return [()] + [tuple(int(a == b) for a in range(1, n + 1)) for b in range(1, n + 1)]
 
 
 def _dd(n: int) -> tuple[tuple[Monomial, ...], ...]:
@@ -361,8 +338,9 @@ def _acc(row: _IntRow, col: int, m: Monomial, c: int) -> None:
 def _acc_row(row: _IntRow, src: _IntRow, f: int) -> None:
     """row += f * src."""
     for col, nums in src.items():
+        e = row.setdefault(col, {})
         for m, c in nums.items():
-            _acc(row, col, m, f * c)
+            e[m] = e.get(m, 0) + f * c
 
 
 def _int_matrix(rows: list[_IntRow], den: int, width: int, nvars: int
@@ -547,7 +525,7 @@ def c_map(metric: Metric) -> LinDiffOp:
     sends the Ricci operator to the Einstein operator."""
     n = metric.n
     d, _, inv = _scaled(metric)
-    adjust, den = _trace_adjust(metric, Fraction(-1, 2))
+    adjust, den = _trace_adjust(metric, -1, 2)
     rows = _apply_shift(_index_shift(inv, n), _constant_rows(adjust, n))
     return LinDiffOp(
         f"cmap_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
@@ -562,7 +540,8 @@ def c_map_inverse(metric: Metric) -> LinDiffOp:
     if n == 2:
         raise ValueError("the trace adjustment is not invertible for n = 2")
     d, w, _ = _scaled(metric)
-    adjust, den = _trace_adjust(metric, Fraction(-1, n - 2))
+    # -1/(n-2), which is 1 for n = 1
+    adjust, den = _trace_adjust(metric, -1 if n > 2 else 1, abs(n - 2))
     rows = _apply_shift(adjust, _constant_rows(_index_shift(w, n), n))
     return LinDiffOp(
         f"cmapinv_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
@@ -570,13 +549,12 @@ def c_map_inverse(metric: Metric) -> LinDiffOp:
     )
 
 
-def _trace_adjust(metric: Metric, coeff: Fraction) -> tuple[list[dict[int, int]], int]:
-    """X_ij -> X_ij + coeff w_ij w^{uv} X_uv as sparse integer rows over
-    their denominator (the denominator of coeff times D^2)."""
+def _trace_adjust(metric: Metric, p: int, q: int) -> tuple[list[dict[int, int]], int]:
+    """X_ij -> X_ij + (p/q) w_ij w^{uv} X_uv, for q > 0, as sparse integer
+    rows over their denominator q D^2."""
     n = metric.n
     d, w, inv = _scaled(metric)
     col = _sym_col(n)
-    p, q = coeff.numerator, coeff.denominator
     nz = _nonzero(inv)
     rows: list[dict[int, int]] = []
     for i, j in sym_pairs(n):
@@ -633,40 +611,22 @@ def weyl_component_selection(metric: Metric) -> list[int]:
     """Indices of curvature-basis components that stay independent on the
     trace-free subspace, chosen greedily in basis order.
 
-    A component restricted to the kernel of the trace map depends on the
-    earlier picks exactly when its unit vector lies in the span of the
-    trace rows and the picked unit vectors."""
+    Component r depends on the earlier ones there exactly when some
+    combination of the trace rows has its last nonzero entry at r, that is
+    when r leads a row of the trace rows' echelon form."""
     n = metric.n
     rb = RiemannBasis(n)
-    f1 = rb.size
-    ech = _Echelon()
     # D * w^-1 in integers: each trace row is D times the one over w^-1, a
     # multiple, so the same span
-    _, _, inv = _scaled(metric)
-    rank = 0
-    for l in range(1, n + 1):
-        for j in range(l, n + 1):
-            acc: dict[Term, int] = {}
-            for k in range(1, n + 1):
-                for i in range(1, n + 1):
-                    c = inv[k - 1][i - 1]
-                    if not c:
-                        continue
-                    for idx2, c2 in rb.resolve(k, l, i, j).items():
-                        key = (idx2, ())
-                        v = acc.get(key, 0) + c * c2
-                        if v:
-                            acc[key] = v
-                        else:
-                            acc.pop(key, None)
-            rank += ech.insert(acc)
-    picked: list[int] = []
-    for r in range(f1):
-        if len(picked) == f1 - rank:
-            break
-        if ech.insert({(r, ()): 1}):
-            picked.append(r)
-    return picked
+    nz = _nonzero(_scaled(metric)[2])
+    ech = _Echelon()
+    for l, j in sym_pairs(n):
+        acc: dict[int, int] = {}
+        for k, i, c in nz:
+            for r, c2 in rb.resolve(k, l, i, j).items():
+                acc[r] = acc.get(r, 0) + c * c2
+        ech.insert({r: v for r, v in acc.items() if v})
+    return [r for r in range(rb.size) if r not in ech.rows]
 
 
 @_memo
@@ -738,15 +698,14 @@ def exterior_derivative(n: int, r: int) -> LinDiffOp:
         (("".join(map(str, s)), 1) for s in tgt_sets),
     )
     src_idx = {s: c for c, s in enumerate(src_sets)}
-    rows = []
-    for big in tgt_sets:
-        row: dict[int, Poly] = {}
-        for pos, k in enumerate(big):
-            rest = tuple(x for x in big if x != k)
-            row[src_idx[rest]] = Poly.var(n, k) * ((-1) ** pos)
-        rows.append(row)
+    d1 = _d(n)
+    rows = [
+        {src_idx[big[:pos] + big[pos + 1:]]: {d1[k]: (-1) ** pos}
+         for pos, k in enumerate(big)}
+        for big in tgt_sets
+    ]
     return LinDiffOp(
-        f"extd{n}_{r}", n, src, tgt, _rows_to_matrix(rows, len(src_sets), n)
+        f"extd{n}_{r}", n, src, tgt, _int_matrix(rows, 1, len(src_sets), n)
     )
 
 
@@ -763,12 +722,12 @@ def dalembertian(metric: Metric, bundle: Bundle | None = None) -> LinDiffOp:
     n = metric.n
     if bundle is None:
         bundle = scalar_bundle()
-    inv = metric.inverse
-    lap = Poly.zero(n)
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            if inv[r - 1][s - 1]:
-                lap = lap + inv[r - 1][s - 1] * Poly.var(n, r) * Poly.var(n, s)
+    d, _, inv = _scaled(metric)
+    dd = _dd(n)
+    row: _IntRow = {}
+    for r, s, c in _nonzero(inv):
+        _acc(row, 0, dd[r][s], c)
+    lap = _int_matrix([row], d, 1, n)[0][0]
     z = Poly.zero(n)
     rows = [
         [lap if i == j else z for j in range(bundle.dim)]
@@ -785,6 +744,8 @@ def lame(lam, mu, n: int) -> LinDiffOp:
     """Elastostatics on displacement: (lam+mu) grad div + mu laplacian."""
     if n < 1:
         raise ValueError("need n >= 1")
+    from fractions import Fraction
+
     lam, mu = Fraction(lam), Fraction(mu)
     if mu == 0:
         raise ValueError("mu must be nonzero")
@@ -807,6 +768,8 @@ def lame(lam, mu, n: int) -> LinDiffOp:
 
 def hooke2d(lam, mu) -> LinDiffOp:
     """Plane stress-strain law: sigma = (lam/2) tr(O) w + mu O, n = 2."""
+    from fractions import Fraction
+
     lam, mu = Fraction(lam), Fraction(mu)
     if mu == 0 or lam + mu == 0:
         raise ValueError("need mu != 0 and lam + mu != 0")
@@ -825,6 +788,8 @@ def hooke2d(lam, mu) -> LinDiffOp:
 
 def hooke2d_inverse(lam, mu) -> LinDiffOp:
     """Strain from stress: mu O = sigma - lam/(2(lam+mu)) tr(sigma) w."""
+    from fractions import Fraction
+
     lam, mu = Fraction(lam), Fraction(mu)
     if mu == 0 or lam + mu == 0:
         raise ValueError("need mu != 0 and lam + mu != 0")
@@ -867,7 +832,9 @@ def cosserat_spencer() -> LinDiffOp:
 def cosserat_equilibrium() -> LinDiffOp:
     """Force and couple balance on (stress, couple stress); minus the
     adjoint of the Spencer operator."""
-    return scale(adjoint(cosserat_spencer()), -1, name="cosserat_equilibrium")
+    adj = adjoint(cosserat_spencer())
+    return LinDiffOp("cosserat_equilibrium", 2, adj.source, adj.target,
+                     [[-p for p in row] for row in adj.matrix])
 
 
 def cosserat_parametrization() -> LinDiffOp:

@@ -102,6 +102,28 @@ def test_zoo_writes_into_a_directory(capsys, tmp_path):
         == zoo.einstein_lin(zoo.minkowski(4))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["curl", "--n", "5"], "curl has n = 3, not --n 5"),
+    (["grad", "--n", "2", "--r", "7"], "grad takes no --r"),
+    (["killing", "--n", "2", "--lam", "x"], "killing takes no --lam"),
+    (["div", "--n", "3", "--metric", "euclidean"], "div takes no --metric"),
+    (["hooke2d", "--mu", "2", "--r", "0"], "hooke2d takes no --r"),
+    (["cosserat_spencer", "--n", "2", "--mu", "1"], "cosserat_spencer takes no --mu"),
+], ids=["curl-n", "grad-r", "killing-lam", "div-metric", "hooke2d-r", "cosserat-mu"])
+def test_zoo_option_the_entry_does_not_take_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, "zoo", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_zoo_takes_an_entrys_fixed_n_and_default_moduli(capsys):
+    code, out, _ = run(capsys, "zoo", "curl", "--n", "3")
+    assert code == 0
+    assert operator_from_dict(json.loads(out)) == zoo.curl()
+    code, out, _ = run(capsys, "zoo", "lame", "--n", "2", "--mu", "2")
+    assert code == 0
+    assert operator_from_dict(json.loads(out)) == zoo.lame(1, 2, 2)
+
+
 def test_zoo_rational_moduli(capsys):
     code, out, _ = run(capsys, "zoo", "lame", "--n", "2",
                        "--lam", "5/2", "--mu", "1/3")

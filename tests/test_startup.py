@@ -4,6 +4,7 @@ Each check runs a new interpreter, because this test process has long since
 imported every layer.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +107,28 @@ def test_zoo_builds_without_duality_or_report():
     names = _loaded(RUN_CLI, "zoo", "killing", "--n", "3")
     assert "dgcalc.zoo" in names
     assert not names & {"dgcalc.duality", "dgcalc.report", "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "--n", "4"],
+    ["box_weyl", "--n", "4", "--metric", "minkowski"],
+    ["conformal_killing", "--n", "3"],
+    ["cauchy", "--n", "3"],
+    ["c_map", "--n", "4"],
+], ids=["weyl", "box_weyl", "conformal_killing", "cauchy", "c_map"])
+def test_integer_metric_zoo_builds_load_no_fractions(argv):
+    names = _loaded(RUN_CLI, "zoo", *argv)
+    assert "dgcalc.zoo" in names
+    assert not names & {"fractions", "decimal"}
+
+
+def test_rational_moduli_zoo_build_keeps_its_bytes():
+    proc = _python("-m", "dgcalc.cli", "zoo", "lame", "--n", "2", "--lam", "3/2")
+    assert proc.returncode == 0, proc.stderr
+    assert '"7/2*d1^2 + d2^2"' in proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "cb233cf210a5f9a7c591022e2dba8d51c432eec61d8f0d74493744f687256470"
+    )
 
 
 def test_clear_caches_imports_no_upper_layer():

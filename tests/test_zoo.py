@@ -2,9 +2,10 @@
 
 import hashlib
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dgcalc import zoo
 from dgcalc.engine import module_equal
@@ -135,6 +136,16 @@ def test_weyl_component_selection_is_pinned():
     assert zoo.weyl_component_selection(zoo.euclidean(5)) == (
         list(range(25)) + list(range(30, 40))
     )
+
+
+@pytest.mark.parametrize("g", [
+    zoo.euclidean(4), zoo.euclidean(5), zoo.euclidean(6), zoo.minkowski(4),
+    zoo.minkowski(5),
+], ids=lambda g: f"{g.tag}{g.n}")
+def test_weyl_selection_counts_the_weyl_target(g):
+    # the report's trace-free size check reads the selection, not the operator
+    picked = zoo.weyl_component_selection(g)
+    assert len(picked) == zoo.weyl_lin(g).target.dim == zoo.dims(g.n).f1hat
 
 
 def test_weyl_shapes_and_wave_composite():
@@ -315,6 +326,64 @@ def test_registry_covers_every_entry():
         assert not all(p.is_zero() for row in op.matrix for p in row)
 
 
+# -- the integer metric inverse ----------------------------------------------------------
+
+
+def _fraction_inverse(matrix):
+    """Gauss-Jordan over Fraction, the reference for the integer _scaled;
+    None for a degenerate matrix."""
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c]), None)
+        if piv is None:
+            return None
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    )
+    n = draw(st.integers(1, 4))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entry)
+    return tuple(map(tuple, m))
+
+
+def _check_scaled(metric):
+    inv = _fraction_inverse(metric.matrix)
+    if inv is None:
+        with pytest.raises(ValueError, match="metric is degenerate"):
+            zoo._scaled(metric)
+        return
+    mats = (metric.matrix, inv)
+    d = lcm(*(Fraction(c).denominator for mat in mats for row in mat for c in row))
+    assert zoo._scaled(metric) == (d,) + tuple(
+        tuple(tuple(int(c * d) for c in row) for row in mat) for mat in mats
+    )
+    assert metric.inverse == tuple(map(tuple, inv))
+
+
+@given(symmetric_matrices())
+@example(((0, 1), (1, 0)))
+@example(((1, 2), (2, 4)))
+@example(((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2))))
+def test_integer_inverse_matches_fraction_gauss_jordan(matrix):
+    _check_scaled(zoo.Metric("h", "h", len(matrix), matrix))
+
+
 # -- byte pin of every metric builder --------------------------------------------------
 
 
@@ -346,6 +415,11 @@ def _pin_metrics() -> list:
         + [zoo.minkowski(n) for n in range(2, 6)]
         + [custom]
     )
+
+
+def test_integer_inverse_of_the_pinned_metrics():
+    for g in _pin_metrics():
+        _check_scaled(g)
 
 
 def _bundle_text(b) -> str:
