@@ -279,6 +279,8 @@ def minimal_parametrization(d1: LinDiffOp, *, report: ParamReport | None = None
     dpar = report.parametrization
     rows1 = d1.rows()
     rk = d1.source.dim - fraction_rank(rows1)
+    if rk == 0:
+        raise ValueError(f"{d1.name} has full column rank; it needs no potentials")
     t = dpar.source.dim
     if rk == t:
         return dpar.with_name(f"minparam({d1.name})")

@@ -12,9 +12,9 @@ degrevlex on monomials, position-over-term with lower position winning ties
 There is one Buchberger run per row set, cached: it works on the rows
 augmented with unit tracking columns, under a block order that makes every
 genuine term beat every tracking term.  The genuine parts of its basis give
-the reduced Groebner basis, the elements whose genuine block dies give the
-syzygy generators, and the tracking columns of a remainder give the
-cofactors of a division.
+the reduced Groebner basis, built on first request and kept with the run;
+the elements whose genuine block dies give the syzygy generators, and the
+tracking columns of a remainder give the cofactors of a division.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -67,7 +67,6 @@ from .poly import (
     format_terms,
     mono_div,
     mono_divides,
-    mono_key,
 )
 
 BUDGET_ENV = "DGCALC_BUDGET_DEGREE"
@@ -113,8 +112,8 @@ def _memo(fn):
 
 
 def clear_caches() -> None:
-    """Empty every memo: the engine's Buchberger runs, reduced Groebner
-    bases, minimal generating sets and monomial sort keys, and the zoo
+    """Empty every memo: the engine's Buchberger runs, with the reduced
+    Groebner bases read off them, and minimal generating sets, and the zoo
     constructors and report fixtures when those modules are loaded, so the
     next call recomputes.  It imports nothing."""
     for memo in _MEMOS:
@@ -125,12 +124,6 @@ def clear_caches() -> None:
 
 
 Term = tuple[int, Monomial]  # (position, monomial)
-
-_mkey = _memo(mono_key)
-
-
-def _term_key_plain(t: Term) -> tuple:
-    return (_mkey(t[1]), -t[0])
 
 
 class FreeElem:
@@ -226,7 +219,9 @@ class FreeElem:
         if not terms:
             return self
         g = math.gcd(*terms.values())
-        if terms[max(terms, key=_term_key_plain)] < 0:
+        # ascending (-degree, reversed exponents) is descending degrevlex,
+        # and the lower position wins a tie
+        if terms[min(terms, key=lambda t: (-sum(t[1]), t[1][::-1], t[0]))] < 0:
             g = -g
         if g == 1 and self.den == 1:
             return self
@@ -666,10 +661,9 @@ class _Run:
     the lcm without its position field orders as (degree, degrevlex).
     """
 
-    def __init__(self, pack: _Packing, reach: int, budget: int, prune: bool = True):
+    def __init__(self, pack: _Packing, reach: int, budget: int):
         self.reach = reach
         self.budget = budget
-        self.prune = prune
         self.red = _Reducer(pack)
         self.monos: dict[int, Monomial] = {}  # the decoding table of the run
         self.pairs: list[tuple[int, int, int, int]] = []  # heap
@@ -712,7 +706,7 @@ class _Run:
         lcms = {i: pack.lcm(lt, lts[i]) for i in red.by_pos[p][:-1]}
         cand = lcms
         alive = self.alive.setdefault(pos, {})
-        if self.prune and lcms:
+        if lcms:
             # chain criterion among the new pairs: drop (i,t) when another
             # new pair's lcm strictly divides its lcm
             cand = {}
@@ -781,21 +775,29 @@ class _Run:
             self.process(self._spair(i, j, L))
 
 
+class _Tracked(NamedTuple):
+    """One Buchberger run on rows augmented with unit tracking columns: its
+    reducer, whose basis elements record how they are built from the rows,
+    the harvested relations, and `reduced`, which holds the rows' reduced
+    Groebner basis once `reduced_groebner` has built it."""
+
+    reducer: _Reducer
+    relations: tuple[FreeElem, ...]
+    reduced: list
+
+
 @_memo
-def _tracked(
-    elems: tuple[FreeElem, ...], budget: int, prune: bool
-) -> tuple[_Reducer, tuple[FreeElem, ...]]:
+def _tracked(elems: tuple[FreeElem, ...], budget: int) -> _Tracked:
     """The Buchberger run on the rows augmented with unit tracking columns,
-    cached per row set: its reducer, whose basis elements record how they
-    are built from the rows, and the harvested relations, each verified to
-    annihilate the rows.  The Groebner basis, the syzygies and division
-    with cofactors are all read off this one run."""
+    cached per row set, with its harvested relations, each verified to
+    annihilate the rows.  The reduced Groebner basis, the syzygies and
+    division with cofactors are all read off this one run."""
     k = len(elems)
     width, nvars = elems[0].width, elems[0].nvars
     rows, den = _int_rows(elems)
     rowdeg = max(e.degree() for e in elems)
     reach = max(budget, rowdeg)
-    run = _Run(_Packing(nvars, width + k, width, rowdeg + reach), reach, budget, prune)
+    run = _Run(_Packing(nvars, width + k, width, rowdeg + reach), reach, budget)
     one = (0,) * nvars
     for i, ints in enumerate(rows):
         # tracking column scaled identically, so relations hold for the
@@ -813,7 +815,7 @@ def _tracked(
         for rel in harvest:
             if not code.annihilates(rel):
                 raise RuntimeError("internal error: harvested relation fails to annihilate")
-    return run.red, tuple(FreeElem._make(k, nvars, rel) for rel in harvest)
+    return _Tracked(run.red, tuple(FreeElem._make(k, nvars, rel) for rel in harvest), [])
 
 
 # -- public Groebner interface ------------------------------------------------
@@ -894,19 +896,19 @@ def _as_elems(rows: Sequence) -> list[FreeElem]:
 
 
 def reduced_groebner(rows: Sequence) -> GroebnerBasis:
-    return _reduced_groebner(tuple(_as_elems(rows)), _budget())
-
-
-@_memo
-def _reduced_groebner(elems: tuple[FreeElem, ...], budget: int) -> GroebnerBasis:
-    # every tracking basis element has a genuine lead and its tracking terms
-    # are never reduced, so the genuine parts form a Groebner basis of the rows
-    run = _tracked(elems, budget, True)[0]
-    flag = run.pack.flag
-    red = _Reducer(run.pack)
-    for h in run.basis:
-        red.add({t: v for t, v in h.items() if t >= flag})
-    return GroebnerBasis(red.interreduced())
+    """The reduced Groebner basis of the rows' module, built on first
+    request and kept with the rows' Buchberger run."""
+    run = _tracked(tuple(_as_elems(rows)), _budget())
+    if not run.reduced:
+        # every tracking basis element has a genuine lead and its tracking
+        # terms are never reduced, so the genuine parts form a Groebner
+        # basis of the rows
+        pack = run.reducer.pack
+        red = _Reducer(pack)
+        for h in run.reducer.basis:
+            red.add({t: v for t, v in h.items() if t >= pack.flag})
+        run.reduced.append(GroebnerBasis(red.interreduced()))
+    return run.reduced[0]
 
 
 def normal_form(elem: FreeElem, gb: GroebnerBasis) -> FreeElem:
@@ -928,14 +930,14 @@ def module_equal(gens_a: Sequence, gens_b: Sequence) -> bool:
     return gba == gbb
 
 
-def syzygies(rows: Sequence, *, prune: bool = True) -> list[FreeElem]:
+def syzygies(rows: Sequence) -> list[FreeElem]:
     """Generators of the relation module {c : sum_i c_i * rows_i = 0}.
 
     Output width equals len(rows).  The list generates the full syzygy
     module; it is not minimized here.  Each returned relation is verified
     against the input, in integer term space, before being handed back.
     """
-    return list(_tracked(tuple(_as_elems(rows)), _budget(), prune)[1])
+    return list(_tracked(tuple(_as_elems(rows)), _budget()).relations)
 
 
 # -- minimal generating sets ---------------------------------------------------
@@ -1114,7 +1116,7 @@ def divide_with_cofactors(
         raise ValueError("element width does not match generator width")
     if elem.nvars != nvars:
         raise ValueError("element nvars does not match generator nvars")
-    red = _tracked(tuple(elems), _budget(), True)[0]
+    red = _tracked(tuple(elems), _budget()).reducer
     if elem.is_zero():
         return tuple(Poly.zero(nvars) for _ in range(k)), elem
     # h == num/den * elem.terms - sum_i q_i * gens_i, with -q_i in column
@@ -1150,7 +1152,7 @@ def _zpoly_div_exact(num: ZPoly, den: ZPoly) -> ZPoly:
 
     Each step cancels the leading term of what is left, so the terms are
     taken from a heap, largest first."""
-    dm = max(den, key=_mkey)
+    dm = min(den, key=lambda m: (-sum(m), m[::-1]))
     dc = den[dm]
     rest = [(m, c) for m, c in den.items() if m != dm]
     rem = dict(num)

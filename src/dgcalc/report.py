@@ -90,23 +90,10 @@ def _resolution(name: str, tag: str) -> Resolution:
 
 
 @_memo
-def _einstein_report():
-    return param_test(zoo.einstein_lin(zoo.minkowski(4)))
-
-
-@_memo
-def _div3_report():
-    return param_test(zoo.div(3))
-
-
-@_memo
-def _cauchy3_report():
-    return param_test(zoo.cauchy(zoo.euclidean(3)))
-
-
-@_memo
-def _cosserat_report():
-    return param_test(zoo.cosserat_equilibrium())
+def _param_report(op: LinDiffOp):
+    # through the module's name `param_test`, so a wrapper bound there
+    # sees the call
+    return param_test(op)
 
 
 def _order_profile(res: Resolution) -> tuple:
@@ -545,36 +532,35 @@ def _checks() -> list[_Check]:
         claim="the double-duality test rejects the trace-adjusted curvature "
               "operator in four minkowski variables",
         expected={"parametrizable": False, "ext1_zero": False},
-        fn=lambda: {
-            "parametrizable": _einstein_report().parametrizable,
-            "ext1_zero": _einstein_report().ext1_zero,
-        },
+        fn=lambda: (lambda rep: {
+            "parametrizable": rep.parametrizable,
+            "ext1_zero": rep.ext1_zero,
+        })(_param_report(zoo.einstein_lin(zoo.minkowski(4)))),
     ))
     checks.append(_Check(
         id="c04.einstein-candidate-potentials",
         claim="the candidate parametrization found along the way carries "
               "four potentials",
         expected=4,
-        fn=lambda: _einstein_report().potentials,
+        fn=lambda: _param_report(zoo.einstein_lin(zoo.minkowski(4))).potentials,
     ))
     checks.append(_Check(
         id="c04.einstein-new-conditions-are-curvature",
         claim="the recomputed conditions have twenty rows presenting the "
               "same module as the linearized curvature operator",
         expected={"rows": 20, "matches_curvature": True},
-        fn=lambda: {
-            "rows": len(_einstein_report().recomputed_cc.matrix),
+        fn=lambda: (lambda conds: {
+            "rows": len(conds.matrix),
             "matches_curvature": module_equal(
-                _einstein_report().recomputed_cc.rows(),
-                zoo.riemann_lin(zoo.minkowski(4)).rows(),
+                conds.rows(), zoo.riemann_lin(zoo.minkowski(4)).rows(),
             ),
-        },
+        })(_param_report(zoo.einstein_lin(zoo.minkowski(4))).recomputed_cc),
     ))
     checks.append(_Check(
         id="c04.einstein-torsion-count",
         claim="ten independent torsion rows obstruct the parametrization",
         expected=10,
-        fn=lambda: len(_einstein_report().torsion),
+        fn=lambda: len(_param_report(zoo.einstein_lin(zoo.minkowski(4))).torsion),
     ))
 
     checks.append(_Check(
@@ -582,18 +568,18 @@ def _checks() -> list[_Check]:
         claim="the divergence in three variables passes the double-duality "
               "test with both obstruction modules zero",
         expected={"parametrizable": True, "ext1_zero": True, "ext2_zero": True},
-        fn=lambda: {
-            "parametrizable": _div3_report().parametrizable,
-            "ext1_zero": _div3_report().ext1_zero,
-            "ext2_zero": _div3_report().ext2_zero,
-        },
+        fn=lambda: (lambda rep: {
+            "parametrizable": rep.parametrizable,
+            "ext1_zero": rep.ext1_zero,
+            "ext2_zero": rep.ext2_zero,
+        })(_param_report(zoo.div(3))),
     ))
     checks.append(_Check(
         id="c05.div3-parametrization-is-curl",
         claim="the computed parametrization has the same image as the curl",
         expected=True,
         fn=lambda: image_module_equal(
-            _div3_report().parametrization, zoo.curl()
+            _param_report(zoo.div(3)).parametrization, zoo.curl()
         ),
     ))
     checks.append(_Check(
@@ -624,7 +610,7 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda mp: {
             "potentials": mp.source.dim,
             "columns": _column_set(mp),
-        })(minimal_parametrization(zoo.div(3), report=_div3_report())),
+        })(minimal_parametrization(zoo.div(3), report=_param_report(zoo.div(3)))),
     ))
 
     checks.append(_Check(
@@ -668,13 +654,12 @@ def _checks() -> list[_Check]:
         claim="the stress divergence in three euclidean variables is "
               "parametrized by the adjoint of the linearized curvature",
         expected={"parametrizable": True, "matches_adjoint_curvature": True},
-        fn=lambda: {
-            "parametrizable": _cauchy3_report().parametrizable,
+        fn=lambda: (lambda rep: {
+            "parametrizable": rep.parametrizable,
             "matches_adjoint_curvature": image_module_equal(
-                _cauchy3_report().parametrization,
-                adjoint(zoo.riemann_lin(zoo.euclidean(3))),
+                rep.parametrization, adjoint(zoo.riemann_lin(zoo.euclidean(3))),
             ),
-        },
+        })(_param_report(zoo.cauchy(zoo.euclidean(3)))),
     ))
 
     checks.append(_Check(
@@ -699,13 +684,12 @@ def _checks() -> list[_Check]:
         claim="the balance system passes the double-duality test and the "
               "recorded potentials have the computed image",
         expected={"parametrizable": True, "display_matches": True},
-        fn=lambda: {
-            "parametrizable": _cosserat_report().parametrizable,
+        fn=lambda: (lambda rep: {
+            "parametrizable": rep.parametrizable,
             "display_matches": image_module_equal(
-                zoo.cosserat_parametrization(),
-                _cosserat_report().parametrization,
+                zoo.cosserat_parametrization(), rep.parametrization,
             ),
-        },
+        })(_param_report(zoo.cosserat_equilibrium())),
     ))
 
     checks.append(_Check(

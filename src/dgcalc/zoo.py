@@ -18,7 +18,7 @@ from math import comb, gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import _Echelon, _memo
-from .operators import Bundle, LinDiffOp, adjoint, compose
+from .operators import MAX_NVARS, Bundle, LinDiffOp, adjoint, compose
 from .poly import Monomial, Poly
 
 if TYPE_CHECKING:
@@ -1002,6 +1002,9 @@ def build(name: str, *, n: int | None = None, metric: str = "euclidean",
         raise KeyError(f"unknown zoo operator {name!r}")
     if (entry.needs_metric or entry.needs_n) and n is None:
         raise ValueError(f"{name} needs --n")
+    # no operator document holds more variables
+    if n is not None and n > MAX_NVARS:
+        raise ValueError(f"--n {n} exceeds the largest variable count {MAX_NVARS}")
     args, kwargs = (), {}
     if entry.needs_metric:
         if metric not in METRICS:

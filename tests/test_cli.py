@@ -398,6 +398,32 @@ def test_zoo_operator_below_its_least_n_exits_1(capsys, name, n, least):
     assert err == f"error: need n >= {least}\n"
 
 
+def test_zoo_n_above_the_document_limit_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, "zoo", "grad", "--n", str(MAX_NVARS + 1),
+                         "-o", str(tmp_path / "g.json"))
+    assert (code, out) == (1, "")
+    assert err == f"error: --n {MAX_NVARS + 1} exceeds the largest variable count {MAX_NVARS}\n"
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(capsys, "zoo", "grad", "--n", str(MAX_NVARS))
+    assert code == 0
+    assert operator_from_dict(json.loads(out)) == zoo.grad(MAX_NVARS)
+
+
+def test_minparam_of_full_column_rank_exits_1(capsys, tmp_path):
+    path = tmp_path / "id2.json"
+    path.write_text(json.dumps({
+        "name": "id2", "nvars": 2,
+        "source": {"name": "u", "components": [{"label": "1", "weight": "1"},
+                                               {"label": "2", "weight": "1"}]},
+        "target": {"name": "v", "components": [{"label": "1", "weight": "1"},
+                                               {"label": "2", "weight": "1"}]},
+        "matrix": [["1", "0"], ["0", "1"]],
+    }))
+    code, out, err = run(capsys, "minparam", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: id2 has full column rank; it needs no potentials\n"
+
+
 def test_unknown_zoo_name_exits_1(capsys):
     code, out, err = run(capsys, "zoo", "cmapinv")
     assert code == 1

@@ -241,13 +241,6 @@ def test_syzygies_empty_for_free_rows():
     assert syzygies([fe("d1", "0"), fe("0", "d2")]) == []
 
 
-def test_pruning_does_not_change_the_module():
-    rows = zoo.killing(zoo.minkowski(3)).rows()
-    pruned = syzygies(rows, prune=True)
-    full = syzygies(rows, prune=False)
-    assert module_equal(pruned, full)
-
-
 # -- minimization ---------------------------------------------------------------------
 
 
@@ -366,11 +359,10 @@ def test_clear_caches_empties_every_module_cache():
     reduced_groebner(rows)
     divide_with_cofactors(rows[0], rows)
     zoo.killing(zoo.euclidean(3))
-    report._div3_report()
-    used = (engine._tracked, engine._reduced_groebner, engine._minimal, engine._mkey,
-            zoo.killing, report._div3_report)
-    # 4 in the engine, 9 in the zoo, 4 in the report
-    assert len(engine._MEMOS) == 17
+    report._param_report(zoo.div(3))
+    used = (engine._tracked, engine._minimal, zoo.killing, report._param_report)
+    # 2 in the engine, 9 in the zoo, 1 in the report
+    assert len(engine._MEMOS) == 12
     assert all(memo in engine._MEMOS for memo in used)
     assert all(memo.cache_info().currsize for memo in used)
     clear_caches()

@@ -1,13 +1,16 @@
-"""Operator composition on random operators: the matrix product against
-entrywise Poly arithmetic, and associativity."""
+"""Operators drawn at random: composition against entrywise Poly
+arithmetic, associativity, and compatibility conditions that compose to
+zero and hold every relation of bounded degree."""
 
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dgcalc.operators import Bundle, LinDiffOp, compose
+from dgcalc.engine import reduced_groebner
+from dgcalc.operators import Bundle, LinDiffOp, cc, compose
 from dgcalc.poly import Poly
+from dgcalc.report import _truncated_kernel
 
 # unlike denominators, so the products in one entry need a common scale
 COEFFS = [Fraction(p, q) for p in (-3, -1, 1, 2) for q in (1, 2, 3, 5)]
@@ -50,3 +53,30 @@ def test_compose_is_the_sum_of_entry_products(ops):
 def test_compose_is_associative(ops):
     a, b, c = ops
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+@st.composite
+def small_operators(draw):
+    """One to three rows over two or three variables, with no more columns
+    than rows, so that rows often have relations; each entry has two to
+    four integer terms of degree at most 2, constants included."""
+    nvars = draw(st.integers(2, 3))
+    mons = [m for m in product(range(3), repeat=nvars) if sum(m) <= 2]
+    entry = st.dictionaries(st.sampled_from(mons), st.integers(-3, 3).filter(bool),
+                            min_size=2, max_size=4)
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, rows))
+    matrix = [[Poly(nvars, draw(entry)) for _ in range(cols)] for _ in range(rows)]
+    return LinDiffOp("d", nvars, Bundle.simple(f"b{cols}", cols),
+                     Bundle.simple(f"b{rows}", rows), matrix)
+
+
+@settings(max_examples=100)
+@given(small_operators())
+def test_compatibility_conditions_compose_to_zero_and_are_complete(d):
+    conds = cc(d)
+    assert compose(conds, d).is_zero()
+    # every relation among the rows with cofactors of degree at most 3,
+    # found by linear algebra apart from the engine, lies in their module
+    gb = reduced_groebner(conds.rows())
+    assert all(gb.contains(rel) for rel in _truncated_kernel(d.rows(), 3))

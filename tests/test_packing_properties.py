@@ -194,7 +194,7 @@ def test_a_run_that_widens_with_pairs_alive_agrees(monkeypatch, clear_engine_cac
 
     spairs.append(0)
     clear_engine_caches()
-    relations = _tracked(rows, _budget(), True)[1]
+    relations = _tracked(rows, _budget())[1]
     assert alive_at_widening == []
 
     spairs.append(0)
