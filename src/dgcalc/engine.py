@@ -41,8 +41,8 @@ relation degree plus one, so a product term's key is one addition and no
 field carries.  A run encodes its rows once for its whole harvest.
 
 Every cache of the package is a memo made by `_memo`, an unbounded
-`functools.lru_cache` registered in one list that `clear_caches()` empties;
-`zoo` and `report` register theirs when they are loaded.
+`functools.lru_cache` registered in one list that `clear_caches()` empties:
+two here, and two that `report` registers when it is loaded.
 
 Everything here is deterministic: pair selection, reducer choice and output
 ordering are all fixed by the term order and insertion order, and reduced
@@ -113,8 +113,8 @@ def _memo(fn):
 
 def clear_caches() -> None:
     """Empty every memo: the engine's Buchberger runs, with the reduced
-    Groebner bases read off them, and minimal generating sets, and the zoo
-    constructors and report fixtures when those modules are loaded, so the
+    Groebner bases read off them, and minimal generating sets, and the
+    report's operators and `param_test` results when it is loaded, so the
     next call recomputes.  It imports nothing."""
     for memo in _MEMOS:
         memo.cache_clear()

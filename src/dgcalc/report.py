@@ -85,8 +85,14 @@ def _metric(tag: str) -> zoo.Metric:
 
 
 def _resolution(name: str, tag: str) -> Resolution:
-    op = getattr(zoo, name)(_metric(tag))
-    return resolve_module(op.rows())
+    return resolve_module(_op(name, _metric(tag)).rows())
+
+
+@_memo
+def _op(name: str, *args) -> LinDiffOp:
+    """The zoo operator `name` built from `args`, once per process; looked up
+    on `zoo` at each miss, so a wrapper bound there sees the call."""
+    return getattr(zoo, name)(*args)
 
 
 @_memo
@@ -153,7 +159,7 @@ _COSSERAT_BALANCE = [
 
 
 def _weighted_display_matches() -> bool:
-    op = zoo.einstein_lin(zoo.euclidean(3))
+    op = _op("einstein_lin", zoo.euclidean(3))
     weights = op.target.weights
     ref = _parse_matrix(_WEIGHTED_FORM_E3, 3)
     half = Fraction(1, 2)
@@ -175,26 +181,26 @@ def _property_sample() -> list[LinDiffOp]:
         zoo.minkowski(4),
     )
     return [
-        zoo.killing(e2),
-        zoo.killing(e3),
-        zoo.killing(m4),
-        zoo.conformal_killing(e3),
-        zoo.cauchy(e3),
-        zoo.riemann_lin(e3),
-        zoo.ricci_lin(m4),
-        zoo.einstein_lin(e3),
-        zoo.einstein_lin(m4),
-        zoo.c_map(m3),
-        zoo.weyl_killing(e3),
-        zoo.grad(3),
-        zoo.div(3),
-        zoo.curl(),
-        zoo.exterior_derivative(4, 1),
-        zoo.lame(1, 1, 2),
-        zoo.hooke2d(1, 1),
-        zoo.cosserat_spencer(),
-        zoo.cosserat_equilibrium(),
-        zoo.cosserat_parametrization(),
+        _op("killing", e2),
+        _op("killing", e3),
+        _op("killing", m4),
+        _op("conformal_killing", e3),
+        _op("cauchy", e3),
+        _op("riemann_lin", e3),
+        _op("ricci_lin", m4),
+        _op("einstein_lin", e3),
+        _op("einstein_lin", m4),
+        _op("c_map", m3),
+        _op("weyl_killing", e3),
+        _op("grad", 3),
+        _op("div", 3),
+        _op("curl"),
+        _op("exterior_derivative", 4, 1),
+        _op("lame", 1, 1, 2),
+        _op("hooke2d", 1, 1),
+        _op("cosserat_spencer"),
+        _op("cosserat_equilibrium"),
+        _op("cosserat_parametrization"),
     ]
 
 
@@ -204,13 +210,13 @@ def _adjoint_involution() -> bool:
 
 def _adjoint_contravariance() -> bool:
     m4 = zoo.minkowski(4)
-    w = zoo.weyl_lin(m4)
+    w = _op("weyl_lin", m4)
     pairs = [
-        (zoo.c_map(m4), zoo.ricci_lin(m4)),
-        (zoo.dalembertian(m4, w.target), w),
-        (zoo.cauchy(zoo.euclidean(2)), zoo.hooke2d(2, 3)),
-        (zoo.div(3), zoo.curl()),
-        (zoo.cosserat_equilibrium(), zoo.cosserat_parametrization()),
+        (_op("c_map", m4), _op("ricci_lin", m4)),
+        (_op("dalembertian", m4, w.target), w),
+        (_op("cauchy", zoo.euclidean(2)), _op("hooke2d", 2, 3)),
+        (_op("div", 3), _op("curl")),
+        (_op("cosserat_equilibrium"), _op("cosserat_parametrization")),
     ]
     return all(
         adjoint(compose(a, b)) == compose(adjoint(b), adjoint(a))
@@ -221,16 +227,16 @@ def _adjoint_contravariance() -> bool:
 def _conditions_annihilate() -> bool:
     e3 = zoo.euclidean(3)
     ops = [
-        zoo.killing(zoo.euclidean(2)),
-        zoo.killing(e3),
-        zoo.killing(zoo.minkowski(4)),
-        zoo.conformal_killing(e3),
-        zoo.cauchy(e3),
-        zoo.grad(3),
-        zoo.curl(),
-        zoo.exterior_derivative(4, 1),
-        zoo.cosserat_spencer(),
-        zoo.cosserat_parametrization(),
+        _op("killing", zoo.euclidean(2)),
+        _op("killing", e3),
+        _op("killing", zoo.minkowski(4)),
+        _op("conformal_killing", e3),
+        _op("cauchy", e3),
+        _op("grad", 3),
+        _op("curl"),
+        _op("exterior_derivative", 4, 1),
+        _op("cosserat_spencer"),
+        _op("cosserat_parametrization"),
     ]
     return all(compose(cc(op), op).is_zero() for op in ops)
 
@@ -238,10 +244,10 @@ def _conditions_annihilate() -> bool:
 def _groebner_determinism() -> bool:
     rng = Random(20260816)
     samples = [
-        zoo.killing(zoo.minkowski(4)).rows(),
-        zoo.cauchy(zoo.euclidean(3)).rows(),
-        zoo.einstein_lin(zoo.euclidean(3)).rows(),
-        zoo.cosserat_equilibrium().rows(),
+        _op("killing", zoo.minkowski(4)).rows(),
+        _op("cauchy", zoo.euclidean(3)).rows(),
+        _op("einstein_lin", zoo.euclidean(3)).rows(),
+        _op("cosserat_equilibrium").rows(),
     ]
     for rows in samples:
         base = reduced_groebner(rows)
@@ -255,18 +261,18 @@ def _groebner_determinism() -> bool:
 
 def _euler_rank_agreement() -> bool:
     ops = [
-        zoo.killing(zoo.euclidean(2)),
-        zoo.killing(zoo.euclidean(3)),
-        zoo.killing(zoo.minkowski(4)),
-        zoo.conformal_killing(zoo.euclidean(3)),
-        zoo.cauchy(zoo.euclidean(3)),
-        zoo.grad(3),
-        zoo.div(3),
-        zoo.curl(),
-        zoo.lame(1, 1, 2),
-        zoo.hooke2d(1, 1),
-        zoo.cosserat_spencer(),
-        zoo.cosserat_equilibrium(),
+        _op("killing", zoo.euclidean(2)),
+        _op("killing", zoo.euclidean(3)),
+        _op("killing", zoo.minkowski(4)),
+        _op("conformal_killing", zoo.euclidean(3)),
+        _op("cauchy", zoo.euclidean(3)),
+        _op("grad", 3),
+        _op("div", 3),
+        _op("curl"),
+        _op("lame", 1, 1, 2),
+        _op("hooke2d", 1, 1),
+        _op("cosserat_spencer"),
+        _op("cosserat_equilibrium"),
     ]
     for op in ops:
         rows = op.rows()
@@ -280,11 +286,11 @@ def _euler_rank_agreement() -> bool:
 
 def _ext_torsion_rank() -> bool:
     ops = [
-        zoo.killing(zoo.euclidean(2)),
-        zoo.div(3),
-        zoo.cauchy(zoo.euclidean(3)),
-        zoo.einstein_lin(zoo.minkowski(4)),
-        zoo.cosserat_equilibrium(),
+        _op("killing", zoo.euclidean(2)),
+        _op("div", 3),
+        _op("cauchy", zoo.euclidean(3)),
+        _op("einstein_lin", zoo.minkowski(4)),
+        _op("cosserat_equilibrium"),
     ]
     return all(
         ext_module(op, i).rank == 0 for op in ops for i in (1, 2)
@@ -416,19 +422,19 @@ def _finite_degree_exactness() -> bool:
     Containment both ways pins the truncated kernels to the recorded steps;
     their coefficient-space dimensions therefore agree degree by degree."""
     ops = [
-        zoo.killing(zoo.euclidean(2)),
-        zoo.killing(zoo.euclidean(3)),
-        zoo.conformal_killing(zoo.euclidean(3)),
-        zoo.cauchy(zoo.euclidean(3)),
-        zoo.riemann_lin(zoo.euclidean(2)),
-        zoo.riemann_lin(zoo.euclidean(3)),
-        zoo.grad(3),
-        zoo.div(3),
-        zoo.curl(),
-        zoo.lame(1, 1, 2),
-        zoo.hooke2d(1, 1),
-        zoo.cosserat_spencer(),
-        zoo.cosserat_equilibrium(),
+        _op("killing", zoo.euclidean(2)),
+        _op("killing", zoo.euclidean(3)),
+        _op("conformal_killing", zoo.euclidean(3)),
+        _op("cauchy", zoo.euclidean(3)),
+        _op("riemann_lin", zoo.euclidean(2)),
+        _op("riemann_lin", zoo.euclidean(3)),
+        _op("grad", 3),
+        _op("div", 3),
+        _op("curl"),
+        _op("lame", 1, 1, 2),
+        _op("hooke2d", 1, 1),
+        _op("cosserat_spencer"),
+        _op("cosserat_equilibrium"),
     ]
     cap = 4
     for op in ops:
@@ -500,16 +506,16 @@ def _checks() -> list[_Check]:
         claim="the trace-adjusted curvature operator equals its adjoint, "
               "three euclidean variables",
         expected=True,
-        fn=lambda: adjoint(zoo.einstein_lin(zoo.euclidean(3)))
-        == zoo.einstein_lin(zoo.euclidean(3)),
+        fn=lambda: adjoint(_op("einstein_lin", zoo.euclidean(3)))
+        == _op("einstein_lin", zoo.euclidean(3)),
     ))
     checks.append(_Check(
         id="c03.einstein-self-adjoint-m4",
         claim="the trace-adjusted curvature operator equals its adjoint, "
               "four minkowski variables",
         expected=True,
-        fn=lambda: adjoint(zoo.einstein_lin(zoo.minkowski(4)))
-        == zoo.einstein_lin(zoo.minkowski(4)),
+        fn=lambda: adjoint(_op("einstein_lin", zoo.minkowski(4)))
+        == _op("einstein_lin", zoo.minkowski(4)),
     ))
     checks.append(_Check(
         id="c03.einstein-weighted-display-e3",
@@ -523,8 +529,8 @@ def _checks() -> list[_Check]:
         claim="the second-order trace operator differs from its adjoint as "
               "a matrix, four minkowski variables",
         expected=True,
-        fn=lambda: adjoint(zoo.ricci_lin(zoo.minkowski(4)))
-        != zoo.ricci_lin(zoo.minkowski(4)),
+        fn=lambda: adjoint(_op("ricci_lin", zoo.minkowski(4)))
+        != _op("ricci_lin", zoo.minkowski(4)),
     ))
 
     checks.append(_Check(
@@ -535,14 +541,14 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda rep: {
             "parametrizable": rep.parametrizable,
             "ext1_zero": rep.ext1_zero,
-        })(_param_report(zoo.einstein_lin(zoo.minkowski(4)))),
+        })(_param_report(_op("einstein_lin", zoo.minkowski(4)))),
     ))
     checks.append(_Check(
         id="c04.einstein-candidate-potentials",
         claim="the candidate parametrization found along the way carries "
               "four potentials",
         expected=4,
-        fn=lambda: _param_report(zoo.einstein_lin(zoo.minkowski(4))).potentials,
+        fn=lambda: _param_report(_op("einstein_lin", zoo.minkowski(4))).potentials,
     ))
     checks.append(_Check(
         id="c04.einstein-new-conditions-are-curvature",
@@ -552,15 +558,15 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda conds: {
             "rows": len(conds.matrix),
             "matches_curvature": module_equal(
-                conds.rows(), zoo.riemann_lin(zoo.minkowski(4)).rows(),
+                conds.rows(), _op("riemann_lin", zoo.minkowski(4)).rows(),
             ),
-        })(_param_report(zoo.einstein_lin(zoo.minkowski(4))).recomputed_cc),
+        })(_param_report(_op("einstein_lin", zoo.minkowski(4))).recomputed_cc),
     ))
     checks.append(_Check(
         id="c04.einstein-torsion-count",
         claim="ten independent torsion rows obstruct the parametrization",
         expected=10,
-        fn=lambda: len(_param_report(zoo.einstein_lin(zoo.minkowski(4))).torsion),
+        fn=lambda: len(_param_report(_op("einstein_lin", zoo.minkowski(4))).torsion),
     ))
 
     checks.append(_Check(
@@ -572,14 +578,14 @@ def _checks() -> list[_Check]:
             "parametrizable": rep.parametrizable,
             "ext1_zero": rep.ext1_zero,
             "ext2_zero": rep.ext2_zero,
-        })(_param_report(zoo.div(3))),
+        })(_param_report(_op("div", 3))),
     ))
     checks.append(_Check(
         id="c05.div3-parametrization-is-curl",
         claim="the computed parametrization has the same image as the curl",
         expected=True,
         fn=lambda: image_module_equal(
-            _param_report(zoo.div(3)).parametrization, zoo.curl()
+            _param_report(_op("div", 3)).parametrization, _op("curl")
         ),
     ))
     checks.append(_Check(
@@ -588,8 +594,8 @@ def _checks() -> list[_Check]:
               "when presented directly",
         expected={"ext1_is_zero": True, "ext2_is_zero": True},
         fn=lambda: {
-            "ext1_is_zero": ext_module(zoo.div(3), 1).is_zero,
-            "ext2_is_zero": ext_module(zoo.div(3), 2).is_zero,
+            "ext1_is_zero": ext_module(_op("div", 3), 1).is_zero,
+            "ext2_is_zero": ext_module(_op("div", 3), 2).is_zero,
         },
     ))
     checks.append(_Check(
@@ -610,7 +616,7 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda mp: {
             "potentials": mp.source.dim,
             "columns": _column_set(mp),
-        })(minimal_parametrization(zoo.div(3), report=_param_report(zoo.div(3)))),
+        })(minimal_parametrization(_op("div", 3), report=_param_report(_op("div", 3)))),
     ))
 
     checks.append(_Check(
@@ -626,14 +632,14 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda c: {
             "rows": len(c.matrix),
             "row": str(c.rows()[0].normalized()),
-        })(cc(zoo.killing(zoo.euclidean(2)))),
+        })(cc(_op("killing", zoo.euclidean(2)))),
     ))
     checks.append(_Check(
         id="c06.airy-adjoint-column",
         claim="the adjoint of that row is the classical stress-function "
               "column",
         expected=[["d2^2"], ["-d1*d2"], ["d1^2"]],
-        fn=lambda: adjoint(cc(zoo.killing(zoo.euclidean(2)))).entry_strs(),
+        fn=lambda: adjoint(cc(_op("killing", zoo.euclidean(2)))).entry_strs(),
     ))
     checks.append(_Check(
         id="c06.dam-operator-identity",
@@ -642,10 +648,10 @@ def _checks() -> list[_Check]:
               "laplacian at unit moduli",
         expected=[["3/4*d1^4 + 3/2*d1^2*d2^2 + 3/4*d2^4"]],
         fn=lambda: compose(
-            zoo.riemann_lin(zoo.euclidean(2)),
+            _op("riemann_lin", zoo.euclidean(2)),
             compose(
-                zoo.hooke2d_inverse(1, 1),
-                adjoint(zoo.riemann_lin(zoo.euclidean(2))),
+                _op("hooke2d_inverse", 1, 1),
+                adjoint(_op("riemann_lin", zoo.euclidean(2))),
             ),
         ).entry_strs(),
     ))
@@ -657,9 +663,9 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda rep: {
             "parametrizable": rep.parametrizable,
             "matches_adjoint_curvature": image_module_equal(
-                rep.parametrization, adjoint(zoo.riemann_lin(zoo.euclidean(3))),
+                rep.parametrization, adjoint(_op("riemann_lin", zoo.euclidean(3))),
             ),
-        })(_param_report(zoo.cauchy(zoo.euclidean(3)))),
+        })(_param_report(_op("cauchy", zoo.euclidean(3)))),
     ))
 
     checks.append(_Check(
@@ -668,7 +674,7 @@ def _checks() -> list[_Check]:
               "the recorded balance system, including the zeroth-order "
               "antisymmetric stress term",
         expected=_COSSERAT_BALANCE,
-        fn=lambda: zoo.cosserat_equilibrium().entry_strs(),
+        fn=lambda: _op("cosserat_equilibrium").entry_strs(),
     ))
     checks.append(_Check(
         id="c07.potential-display-composes-to-zero",
@@ -676,7 +682,7 @@ def _checks() -> list[_Check]:
               "balance system",
         expected=True,
         fn=lambda: compose(
-            zoo.cosserat_equilibrium(), zoo.cosserat_parametrization()
+            _op("cosserat_equilibrium"), _op("cosserat_parametrization")
         ).is_zero(),
     ))
     checks.append(_Check(
@@ -687,9 +693,9 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda rep: {
             "parametrizable": rep.parametrizable,
             "display_matches": image_module_equal(
-                zoo.cosserat_parametrization(), rep.parametrization,
+                _op("cosserat_parametrization"), rep.parametrization,
             ),
-        })(_param_report(zoo.cosserat_equilibrium())),
+        })(_param_report(_op("cosserat_equilibrium"))),
     ))
 
     checks.append(_Check(
@@ -708,8 +714,8 @@ def _checks() -> list[_Check]:
               "variables",
         expected=True,
         fn=lambda: compose(
-            zoo.c_map(zoo.minkowski(4)), zoo.ricci_lin(zoo.minkowski(4))
-        ) == zoo.einstein_lin(zoo.minkowski(4)),
+            _op("c_map", zoo.minkowski(4)), _op("ricci_lin", zoo.minkowski(4))
+        ) == _op("einstein_lin", zoo.minkowski(4)),
     ))
     checks.append(_Check(
         id="c09.adjoint-then-trace-flip",
@@ -717,9 +723,9 @@ def _checks() -> list[_Check]:
               "the trace flip reproduces the same operator",
         expected=True,
         fn=lambda: compose(
-            adjoint(zoo.ricci_lin(zoo.minkowski(4))),
-            zoo.c_map(zoo.minkowski(4)),
-        ) == zoo.einstein_lin(zoo.minkowski(4)),
+            adjoint(_op("ricci_lin", zoo.minkowski(4))),
+            _op("c_map", zoo.minkowski(4)),
+        ) == _op("einstein_lin", zoo.minkowski(4)),
     ))
 
     checks.append(_Check(
@@ -817,9 +823,9 @@ def _checks() -> list[_Check]:
 
 def _wave_factorization() -> dict:
     m4 = zoo.minkowski(4)
-    w = zoo.weyl_lin(m4)
-    ric = zoo.ricci_lin(m4)
-    lhs = compose(zoo.dalembertian(m4, w.target), w)
+    w = _op("weyl_lin", m4)
+    ric = _op("ricci_lin", m4)
+    lhs = compose(_op("dalembertian", m4, w.target), w)
     q = factor_through(lhs, ric)
     return {"order": q.order(), "identity": compose(q, ric) == lhs}
 

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .engine import _Echelon, _memo
+from .engine import _Echelon
 from .operators import MAX_NVARS, Bundle, LinDiffOp, adjoint, compose
 from .poly import Monomial, Poly
 
@@ -51,7 +51,10 @@ class Metric(NamedTuple):
         return self.matrix[i - 1][j - 1]
 
     def inv(self, i: int, j: int) -> Fraction:
-        return self.inverse[i - 1][j - 1]
+        from fractions import Fraction
+
+        d, _, inv = _scaled(self)
+        return Fraction(inv[i - 1][j - 1], d)
 
 
 def euclidean(n: int) -> Metric:
@@ -194,7 +197,6 @@ def _killing_rows(w: tuple[tuple[int, ...], ...]) -> list[_IntRow]:
     return rows
 
 
-@_memo
 def killing(metric: Metric) -> LinDiffOp:
     """Lie derivative of the metric: Omega_ij = w_rj di xi^r + w_ir dj xi^r."""
     n = metric.n
@@ -208,7 +210,6 @@ def killing(metric: Metric) -> LinDiffOp:
     )
 
 
-@_memo
 def conformal_killing(metric: Metric) -> LinDiffOp:
     """Trace-free part of the Killing operator, Omega_ij - (w_ij / n) 2 d_u
     xi^u; the redundant (n,n) component is dropped, leaving n(n+1)/2 - 1
@@ -235,7 +236,6 @@ def conformal_killing(metric: Metric) -> LinDiffOp:
     )
 
 
-@_memo
 def cauchy(metric: Metric) -> LinDiffOp:
     """Symmetrized gradient (small strain): -1/2 times the Killing adjoint."""
     adj = adjoint(killing(metric))
@@ -274,7 +274,6 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
 _IntRow = dict[int, dict[Monomial, int]]
 
 
-@_memo
 def _scaled(metric: Metric) -> tuple[int, tuple[tuple[int, ...], ...],
                                      tuple[tuple[int, ...], ...]]:
     """(D, D*w, D*w^-1): D is the least common denominator of the entries
@@ -376,7 +375,6 @@ def _riemann_rows(n: int) -> list[_IntRow]:
     return rows
 
 
-@_memo
 def riemann_lin(metric: Metric) -> LinDiffOp:
     """Linearized curvature of a metric perturbation Omega, one row per
     independent curvature component (the rows K of _riemann_rows).
@@ -428,7 +426,6 @@ def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], _IntRow], int
     return ric, 2 * d, scal, d * d
 
 
-@_memo
 def ricci_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
     ric, den, _, _ = _curvature_rows(metric)
@@ -490,7 +487,6 @@ def scalar_lin(metric: Metric) -> LinDiffOp:
     )
 
 
-@_memo
 def einstein_lin(metric: Metric) -> LinDiffOp:
     """Trace-reversed Ricci with both output indices raised by the metric:
     the raising is what makes the operator equal its formal adjoint for an
@@ -519,7 +515,6 @@ def einstein_lin(metric: Metric) -> LinDiffOp:
     )
 
 
-@_memo
 def c_map(metric: Metric) -> LinDiffOp:
     """Zeroth order: X -> X - (1/2) w tr X with the output indices raised;
     sends the Ricci operator to the Einstein operator."""
@@ -629,7 +624,6 @@ def weyl_component_selection(metric: Metric) -> list[int]:
     return [r for r in range(rb.size) if r not in ech.rows]
 
 
-@_memo
 def weyl_lin(metric: Metric) -> LinDiffOp:
     """Linearized Weyl tensor on an independent set of trace-free
     components; defined for n >= 4 (it vanishes identically below)."""
@@ -808,6 +802,10 @@ def hooke2d_inverse(lam, mu) -> LinDiffOp:
 # -- planar Cosserat media --------------------------------------------------------
 
 
+# the first jets of (u1, u2, r): the target of the Spencer operator and the potentials
+_COSSERAT_JETS = Bundle("jets", ((c, 1) for c in ("11", "12", "21", "22", "r1", "r2")))
+
+
 def cosserat_spencer() -> LinDiffOp:
     """First Spencer operator of the planar Cosserat group action, on
     (u1, u2, r): the six first-jet components."""
@@ -823,10 +821,7 @@ def cosserat_spencer() -> LinDiffOp:
         [z, z, d2],
     ]
     src = Bundle("displacement+rotation", (("u1", 1), ("u2", 1), ("r", 1)))
-    tgt = Bundle(
-        "jets", (("11", 1), ("12", 1), ("21", 1), ("22", 1), ("r1", 1), ("r2", 1))
-    )
-    return LinDiffOp("cosserat_spencer", 2, src, tgt, rows)
+    return LinDiffOp("cosserat_spencer", 2, src, _COSSERAT_JETS, rows)
 
 
 def cosserat_equilibrium() -> LinDiffOp:
@@ -851,8 +846,7 @@ def cosserat_parametrization() -> LinDiffOp:
         [z, -one, -d1],
     ]
     src = Bundle("potentials", (("p1", 1), ("p2", 1), ("p3", 1)))
-    tgt = cosserat_spencer().target
-    return LinDiffOp("cosserat_parametrization", 2, src, tgt, rows)
+    return LinDiffOp("cosserat_parametrization", 2, src, _COSSERAT_JETS, rows)
 
 
 class Cosserat2D(NamedTuple):
@@ -995,8 +989,7 @@ def build(name: str, *, n: int | None = None, metric: str = "euclidean",
     """Construct a zoo operator by name; the CLI calls straight into this.
 
     The constructor is looked up in the module namespace at each call, so a
-    rebound module attribute (a wrapper, a patch) is the one called.  The
-    metric goes in positionally, as the memoized constructors are keyed."""
+    rebound module attribute (a wrapper, a patch) is the one called."""
     entry = ZOO.get(name)
     if entry is None:
         raise KeyError(f"unknown zoo operator {name!r}")

@@ -16,6 +16,6 @@ settings.load_profile("dgcalc")
 @pytest.fixture
 def clear_engine_caches():
     """A function that empties every registered memo (the engine's, and the
-    zoo's and report's when loaded), so the next call recomputes instead of
+    report's when loaded), so the next call recomputes instead of
     returning a stored result."""
     return engine.clear_caches

@@ -358,15 +358,28 @@ def test_clear_caches_empties_every_module_cache():
     resolve_module(rows)
     reduced_groebner(rows)
     divide_with_cofactors(rows[0], rows)
-    zoo.killing(zoo.euclidean(3))
+    report._op("killing", zoo.euclidean(3))
     report._param_report(zoo.div(3))
-    used = (engine._tracked, engine._minimal, zoo.killing, report._param_report)
-    # 2 in the engine, 9 in the zoo, 1 in the report
-    assert len(engine._MEMOS) == 12
+    used = (engine._tracked, engine._minimal, report._op, report._param_report)
+    # 2 in the engine, 2 in the report
+    assert len(engine._MEMOS) == 4
     assert all(memo in engine._MEMOS for memo in used)
     assert all(memo.cache_info().currsize for memo in used)
     clear_caches()
     assert not any(memo.cache_info().currsize for memo in engine._MEMOS)
+
+
+def test_cold_report_builds_each_fixture_once(clear_engine_caches):
+    from dgcalc import report
+
+    clear_engine_caches()
+    assert all(r.passed for r in report.run_report())
+    assert [name for name, value in vars(zoo).items() if hasattr(value, "cache_info")] == []
+    # one miss per distinct (constructor, arguments) key, so each fixture is
+    # built once however many checks share it
+    info = report._op.cache_info()
+    assert info.misses == 30
+    assert info.hits
 
 
 def test_every_cache_is_a_registered_memo():

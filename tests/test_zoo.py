@@ -422,6 +422,13 @@ def test_integer_inverse_of_the_pinned_metrics():
         _check_scaled(g)
 
 
+@pytest.mark.parametrize("g", [zoo.minkowski(4), _pin_metrics()[-1]])
+def test_inverse_entries_read_the_inverse(g):
+    assert tuple(
+        tuple(g.inv(i, j) for j in range(1, g.n + 1)) for i in range(1, g.n + 1)
+    ) == g.inverse
+
+
 def _bundle_text(b) -> str:
     return " ".join(f"{lbl}:{w}" for lbl, w in b.components)
 
