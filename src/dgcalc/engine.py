@@ -846,23 +846,28 @@ class GroebnerBasis:
         )
         self._reducer = reducer
 
-    def normal_form(self, elem: FreeElem) -> FreeElem:
+    def _remainder(self, elem: FreeElem) -> tuple[dict[int, int], int, int]:
+        """(h, num, den): the packed remainder h of elem, with h == num/den *
+        elem.terms - (a module element), so h is empty exactly when elem
+        lies in the module."""
         if elem.width != self.width:
             raise ValueError("element width does not match basis width")
         if elem.nvars != self.nvars:
             raise ValueError("element nvars does not match basis nvars")
         if elem.is_zero():
-            return elem
+            return {}, 1, 1
         red = self._reducer
-        h, num, den = red.reduce_full(red.encode_input(elem.terms, elem.degree()))
-        # h == num/den * elem.terms - (a module element): the normal form is
-        # h * den / (num * elem.den)
+        return red.reduce_full(red.encode_input(elem.terms, elem.degree()))
+
+    def normal_form(self, elem: FreeElem) -> FreeElem:
+        h, num, den = self._remainder(elem)
+        # the normal form is h * den / (num * elem.den)
         return FreeElem._make(
-            self.width, self.nvars, red.pack.decode(h), den, num * elem.den
+            self.width, self.nvars, self._reducer.pack.decode(h), den, num * elem.den
         )
 
     def contains(self, elem: FreeElem) -> bool:
-        return self.normal_form(elem).is_zero()
+        return not self._remainder(elem)[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroebnerBasis):

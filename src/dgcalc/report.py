@@ -13,6 +13,7 @@ import math
 import time
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import mul
 from random import Random
 from typing import Callable, NamedTuple
 
@@ -37,7 +38,7 @@ from .operators import (
     image_module_equal,
     json_text,
 )
-from .poly import Poly, mono_mul, parse
+from .poly import Poly, parse
 
 
 class ReportRow(NamedTuple):
@@ -297,69 +298,62 @@ def _ext_torsion_rank() -> bool:
     )
 
 
-def _sparse_nullspace(cols: int, rows: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Nullspace basis of a sparse integer matrix given as rows {col:
-    value}, one vector per non-pivot column, as integer dicts.  The rows
-    are reduced in place.
+def _relations(vectors: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The integer relations among sparse integer vectors {key: value},
+    keys >= 0: one for each vector in the span of those before it, as
+    {index: coefficient}.  A relation is primitive, has a positive
+    coefficient on its own vector and mentions no other vector that lies in
+    the span of those before it, so the relations are the reduced kernel
+    basis of the matrix whose columns are the vectors, one per free column,
+    in column order.
 
-    Elimination is fraction-free: a row is reduced against a pivot row by
-    cross-multiplying with the two entries' cofactors, and every row kept is
-    divided by its content, so no rational number is ever formed."""
-    pivot_of_col: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
-        # reduce against the pivots found so far, smallest pivot column
-        # first; a pivot row has no column below its own, so the smallest
-        # pivot column left in the row only grows and a heap of the row's
-        # pivot columns yields them in order.  A column that has cancelled
+    The vectors enter in order into an echelon set of rows, each stored
+    under its largest key.  A row carries its combination of the vectors
+    under the negative keys ~index, so one elimination updates both, and a
+    row left with negative keys only is a relation.  Elimination is
+    fraction-free and every stored row is primitive, so no rational number
+    is ever formed."""
+    pivots: dict[int, dict[int, int]] = {}
+    out = []
+    for t, vec in enumerate(vectors):
+        row = dict(vec)
+        row[~t] = 1
+        # clear the largest key while a pivot row is stored under it; a
+        # pivot row has no key above its own, so the largest key only falls
+        # and a heap of the row's keys yields it.  A key that has cancelled
         # since it was pushed is skipped.
-        heap = [x for x in row if x in pivot_of_col]
+        heap = [-x for x in vec]
         heapify(heap)
+        lead = None
         while heap:
-            c = heappop(heap)
+            c = -heappop(heap)
             if c not in row:
                 continue
-            piv = pivot_of_col[c]
-            fresh = [x for x in piv if x not in row and x in pivot_of_col]
+            piv = pivots.get(c)
+            if piv is None:
+                lead = c
+                break
+            fresh = [x for x in piv if x >= 0 and x not in row]
             _eliminate(row, piv, c)
             for x in fresh:
-                heappush(heap, x)
-        if row:
-            _divide_content(row)
-            pivot_of_col[min(row)] = row
-    # Back-substitute so each pivot row is zero on the other pivot columns.
-    # A pivot row can only mention pivots discovered after it, so cleaning
-    # in reverse discovery order needs a single pass.
-    for c, row in reversed(pivot_of_col.items()):
-        others = [x for x in row if x != c and x in pivot_of_col]
-        for c2 in others:
-            _eliminate(row, pivot_of_col[c2], c2)
-        if others:
-            _divide_content(row)
-    # the pivot rows that mention each free column, in discovery order
-    rows_with: dict[int, list[tuple[int, dict[int, int]]]] = {}
-    for pc, prow in pivot_of_col.items():
-        for fc in prow:
-            if fc != pc:
-                rows_with.setdefault(fc, []).append((pc, prow))
-    # x[fc] = L, x[pc] = -prow[fc] * L / prow[pc], L the lcm of the pivots
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_of_col:
-            continue
-        prows = rows_with.get(fc, ())
-        scale = math.lcm(*(prow[pc] for pc, prow in prows))
-        vec = {fc: scale}
-        for pc, prow in prows:
-            vec[pc] = -prow[fc] * (scale // prow[pc])
-        basis.append(vec)
-    return basis
+                heappush(heap, -x)
+        g = math.gcd(*row.values())
+        if g != 1:
+            row = {x: v // g for x, v in row.items()}
+        if lead is None:
+            out.append({~x: v for x, v in row.items()})
+        else:
+            pivots[lead] = row
+    return out
 
 
 def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> None:
     """row := a * row - b * piv with a/b = piv[c]/row[c] in lowest terms,
-    which clears column c."""
+    which clears key c; a > 0, so a key that piv lacks keeps its sign."""
     g = math.gcd(row[c], piv[c])
     a, b = piv[c] // g, row[c] // g
+    if a < 0:
+        a, b = -a, -b
     if a != 1:
         for x in row:
             row[x] *= a
@@ -371,44 +365,34 @@ def _eliminate(row: dict[int, int], piv: dict[int, int], c: int) -> None:
             del row[x]
 
 
-def _divide_content(row: dict[int, int]) -> None:
-    g = math.gcd(*row.values())
-    if g != 1:
-        for x in row:
-            row[x] //= g
-
-
 def _truncated_kernel(rows: list[FreeElem], cap: int) -> list[FreeElem]:
     """All relations among `rows` whose cofactors have degree at most cap,
     found by plain linear algebra over the coefficient field.
 
-    The unknowns are the cofactor coefficients, one column per (row i,
-    monomial m), and there is one equation per output (position,
-    monomial).  Row i enters as its integer terms, which are rows[i] times
-    its denominator den_i, so a nullspace vector y of that integer matrix
-    is the relation x_t = den_i * y_t."""
-    k = len(rows)
-    nvars = rows[0].nvars
+    The unknowns are the cofactor coefficients, one per (row i, monomial m),
+    i first.  Unknown (i, m) stands for the vector of rows[i] * m, on the
+    Kronecker keys pos + width * sum(e_j * base^j) of its terms, with base
+    above every exponent such a product can have.  Row i enters as its
+    integer terms, which are rows[i] times its denominator den_i, so a
+    relation y among those vectors is the relation x_t = den_i * y_t."""
+    k, width, nvars = len(rows), rows[0].width, rows[0].nvars
     mons = [m for d in range(cap + 1) for m in _monomials_of_degree(nvars, d)]
     nm = len(mons)
-    products: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    eqs: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
-    for i, relem in enumerate(rows):
-        # position by position, as the element's entries list them: the
-        # order of the equations decides the pivots
-        for (j, pm), v in sorted(relem.terms.items(), key=lambda tv: tv[0][0]):
-            prods = products.get(pm)
-            if prods is None:
-                prods = products[pm] = [mono_mul(pm, m) for m in mons]
-            for t, mm in enumerate(prods, i * nm):
-                eq = eqs.get((j, mm))
-                if eq is None:
-                    eq = eqs[(j, mm)] = {}
-                eq[t] = v
+    base = max(r.degree() for r in rows) + cap + 1
+    powers = [width * base**j for j in range(nvars)]
+
+    def key(m: tuple[int, ...]) -> int:
+        return sum(map(mul, m, powers))
+
+    shifts = [key(m) for m in mons]
+    vectors = []
+    for relem in rows:
+        terms = {pos + key(pm): v for (pos, pm), v in relem.terms.items()}
+        vectors += ({x + s: v for x, v in terms.items()} for s in shifts)
     out = []
-    for vec in _sparse_nullspace(k * nm, list(eqs.values())):
+    for rel in _relations(vectors):
         terms = {}
-        for t, y in vec.items():
+        for t, y in rel.items():
             i, r = divmod(t, nm)
             terms[(i, mons[r])] = rows[i].den * y
         out.append(FreeElem._make(k, nvars, terms))

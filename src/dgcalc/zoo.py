@@ -272,10 +272,10 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
 # entry becomes a Poly once, in _int_matrix.
 
 _IntRow = dict[int, dict[Monomial, int]]
+_Scaled = tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
-def _scaled(metric: Metric) -> tuple[int, tuple[tuple[int, ...], ...],
-                                     tuple[tuple[int, ...], ...]]:
+def _scaled(metric: Metric) -> _Scaled:
     """(D, D*w, D*w^-1): D is the least common denominator of the entries
     of the metric w and of its inverse, so both scaled matrices are
     integer.  The inverse comes from fraction-free Gauss-Jordan
@@ -391,9 +391,11 @@ def riemann_lin(metric: Metric) -> LinDiffOp:
     )
 
 
-def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], _IntRow], int,
-                                             _IntRow, int]:
-    """(ric, 2D, scal, D^2): ric[(i, j)] for i <= j
+def _curvature_rows(
+    n: int, scaled: _Scaled
+) -> tuple[dict[tuple[int, int], _IntRow], int, _IntRow, int]:
+    """(ric, 2D, scal, D^2) for the metric in n variables that `_scaled`
+    gives as `scaled`: ric[(i, j)] for i <= j
     is the Ricci row over the denominator 2D,
 
         2 R_ij = w^{rs} dr ds O_ij + di dj O^tr - w^{rs}(dr di O_sj + dr dj O_si),
@@ -401,8 +403,7 @@ def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], _IntRow], int
     and scal is the scalar curvature row over D^2,
 
         R = w^{rs} dr ds O^tr - w^{ru} w^{sv} dr ds O_uv."""
-    n = metric.n
-    d, _, inv = _scaled(metric)
+    d, _, inv = scaled
     col = _sym_col(n)
     dd = _dd(n)
     nz = _nonzero(inv)
@@ -428,7 +429,7 @@ def _curvature_rows(metric: Metric) -> tuple[dict[tuple[int, int], _IntRow], int
 
 def ricci_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
-    ric, den, _, _ = _curvature_rows(metric)
+    ric, den, _, _ = _curvature_rows(n, _scaled(metric))
     return LinDiffOp(
         f"ricci_{metric.tag}{n}",
         n,
@@ -477,7 +478,7 @@ def _constant_rows(rows: list[dict[int, int]], n: int) -> list[_IntRow]:
 
 def scalar_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
-    _, _, scal, den = _curvature_rows(metric)
+    _, _, scal, den = _curvature_rows(n, _scaled(metric))
     return LinDiffOp(
         f"scalar_{metric.tag}{n}",
         n,
@@ -494,8 +495,8 @@ def einstein_lin(metric: Metric) -> LinDiffOp:
     signs.  Written out directly from the Ricci and scalar rows so the
     compose identities stay genuine checks elsewhere."""
     n = metric.n
-    d, w, inv = _scaled(metric)
-    ric, _, scal, _ = _curvature_rows(metric)
+    scaled = d, w, inv = _scaled(metric)
+    ric, _, scal, _ = _curvature_rows(n, scaled)
     # R_ij - (w_ij / 2) Scal over 2 D^3: ric is over 2D and scal over D^2
     lower: list[_IntRow] = []
     for i, j in sym_pairs(n):
@@ -519,8 +520,8 @@ def c_map(metric: Metric) -> LinDiffOp:
     """Zeroth order: X -> X - (1/2) w tr X with the output indices raised;
     sends the Ricci operator to the Einstein operator."""
     n = metric.n
-    d, _, inv = _scaled(metric)
-    adjust, den = _trace_adjust(metric, -1, 2)
+    scaled = d, _, inv = _scaled(metric)
+    adjust, den = _trace_adjust(n, scaled, -1, 2)
     rows = _apply_shift(_index_shift(inv, n), _constant_rows(adjust, n))
     return LinDiffOp(
         f"cmap_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
@@ -534,9 +535,9 @@ def c_map_inverse(metric: Metric) -> LinDiffOp:
     n = metric.n
     if n == 2:
         raise ValueError("the trace adjustment is not invertible for n = 2")
-    d, w, _ = _scaled(metric)
+    scaled = d, w, _ = _scaled(metric)
     # -1/(n-2), which is 1 for n = 1
-    adjust, den = _trace_adjust(metric, -1 if n > 2 else 1, abs(n - 2))
+    adjust, den = _trace_adjust(n, scaled, -1 if n > 2 else 1, abs(n - 2))
     rows = _apply_shift(adjust, _constant_rows(_index_shift(w, n), n))
     return LinDiffOp(
         f"cmapinv_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
@@ -544,11 +545,11 @@ def c_map_inverse(metric: Metric) -> LinDiffOp:
     )
 
 
-def _trace_adjust(metric: Metric, p: int, q: int) -> tuple[list[dict[int, int]], int]:
+def _trace_adjust(n: int, scaled: _Scaled, p: int, q: int) -> tuple[list[dict[int, int]], int]:
     """X_ij -> X_ij + (p/q) w_ij w^{uv} X_uv, for q > 0, as sparse integer
-    rows over their denominator q D^2."""
-    n = metric.n
-    d, w, inv = _scaled(metric)
+    rows over their denominator q D^2, for the metric `_scaled` gives as
+    `scaled`."""
+    d, w, inv = scaled
     col = _sym_col(n)
     nz = _nonzero(inv)
     rows: list[dict[int, int]] = []
@@ -565,17 +566,19 @@ def _trace_adjust(metric: Metric, p: int, q: int) -> tuple[list[dict[int, int]],
 # -- Weyl ------------------------------------------------------------------------
 
 
-def _weyl_component_rows(metric: Metric, picked: list[int]) -> tuple[list[_IntRow], int]:
+def _weyl_component_rows(
+    n: int, scaled: _Scaled, picked: list[int]
+) -> tuple[list[_IntRow], int]:
     """The picked curvature-basis components of the linearized Weyl tensor:
 
         C = G + 1/(n-2) (w ^ Ric) - Scal/(2(n-1)(n-2)) (w ^ w)
 
     with G_{kl,ij} = -K_{kl,ij} / 2 (contracting G with w^{ki} returns
     minus the Ricci rows) and (h^k)_{kl,ij} = h_ki k_lj + h_lj k_ki - h_kj k_li
-    - h_li k_kj.  The rows come over the denominator 2 (n-1)(n-2) D^4."""
-    n = metric.n
-    d, w, _ = _scaled(metric)
-    ric, _, scal, _ = _curvature_rows(metric)
+    - h_li k_kj.  The rows come over the denominator 2 (n-1)(n-2) D^4,
+    for the metric `_scaled` gives as `scaled`."""
+    d, w, _ = scaled
+    ric, _, scal, _ = _curvature_rows(n, scaled)
     # the multipliers that bring G (over 2), w ^ Ric (over (n-2) 2 D^2) and
     # Scal w ^ w (over (n-1)(n-2) D^4) to the common denominator
     fg = (n - 1) * (n - 2) * d**4
@@ -609,11 +612,16 @@ def weyl_component_selection(metric: Metric) -> list[int]:
     Component r depends on the earlier ones there exactly when some
     combination of the trace rows has its last nonzero entry at r, that is
     when r leads a row of the trace rows' echelon form."""
-    n = metric.n
+    return _weyl_selection(metric.n, _scaled(metric)[2])
+
+
+def _weyl_selection(n: int, inv: tuple[tuple[int, ...], ...]) -> list[int]:
+    """weyl_component_selection for the metric in n variables whose scaled
+    inverse D * w^-1 is `inv`."""
     rb = RiemannBasis(n)
     # D * w^-1 in integers: each trace row is D times the one over w^-1, a
     # multiple, so the same span
-    nz = _nonzero(_scaled(metric)[2])
+    nz = _nonzero(inv)
     ech = _Echelon()
     for l, j in sym_pairs(n):
         acc: dict[int, int] = {}
@@ -631,7 +639,8 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
     if n < 4:
         raise ValueError("the Weyl tensor vanishes identically for n < 4")
     rb = RiemannBasis(n)
-    picked = weyl_component_selection(metric)
+    scaled = _scaled(metric)
+    picked = _weyl_selection(n, scaled[2])
     expected = n * (n + 1) * (n + 2) * (n - 3) // 12
     if len(picked) != expected:
         raise RuntimeError(
@@ -640,7 +649,7 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
         )
     labels = rb.labels()
     tgt = Bundle(f"weyl({n})", ((labels[r], 1) for r in picked))
-    rows, den = _weyl_component_rows(metric, picked)
+    rows, den = _weyl_component_rows(n, scaled, picked)
     return LinDiffOp(
         f"weyl_{metric.tag}{n}",
         n,

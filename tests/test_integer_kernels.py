@@ -30,7 +30,7 @@ from dgcalc.engine import (
     syzygies,
 )
 from dgcalc.poly import Poly, parse
-from dgcalc.report import _sparse_nullspace, run_report
+from dgcalc.report import _relations, run_report
 
 COEFFS = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3)]
 
@@ -473,10 +473,11 @@ def sparse_matrices(draw):
 
 
 @given(sparse_matrices())
-# the first pivot row mentions the second row's pivot column, which only
-# back-substitution clears
+# the relations of columns 2 and 3 each combine both earlier columns
 @example((4, [{0: Fraction(1), 1: Fraction(1)},
               {1: Fraction(1), 2: Fraction(1), 3: Fraction(1)}]))
+# a zero row, and a column that no row mentions: a zero vector
+@example((3, [{}, {0: Fraction(2), 1: Fraction(-1)}]))
 def test_sparse_nullspace_is_a_full_integer_kernel_basis(problem):
     cols, rows = problem
     # each row cleared of its denominators: the same nullspace
@@ -484,11 +485,15 @@ def test_sparse_nullspace_is_a_full_integer_kernel_basis(problem):
     for row in rows:
         den = lcm(*(x.denominator for x in row.values()))
         ints.append({c: int(x * den) for c, x in row.items()})
-    basis = _sparse_nullspace(cols, ints)
+    # the oracle takes the matrix by columns
+    columns = [{r: row[c] for r, row in enumerate(ints) if c in row} for c in range(cols)]
+    basis = _relations(columns)
     rank = len(_rank_rises(rows)[1])
     assert len(basis) == cols - rank
     for v in basis:
         assert all(type(x) is int and x for x in v.values())
+        # primitive, and positive on the column it writes through the others
+        assert gcd(*v.values()) == 1 and v[max(v)] > 0
         for row in rows:
             assert sum(x * v.get(c, 0) for c, x in row.items()) == 0
     # the vectors are independent, so they span the whole kernel
@@ -496,8 +501,9 @@ def test_sparse_nullspace_is_a_full_integer_kernel_basis(problem):
 
 
 # sha256 of the oracle's kernels, one line per step that the finite-degree
-# check hands it, as the Fraction-based construction first computed them
-KERNEL_DIGEST = "87d20c2a8fc9d75192560448c815fa0912a4a96bf73dc75799f7aa74a9d8448c"
+# check hands it, each relation primitive; after normalized() they equal, in
+# order, the kernels the nullspace of the equation matrix first gave
+KERNEL_DIGEST = "e7ea2b35e61757a9bfe0a99dc4caad2486ab77646bebf3567857b5f060267ac0"
 
 
 def test_finite_degree_kernels_are_pinned(monkeypatch):
@@ -526,8 +532,8 @@ def test_cold_report_makes_a_fixed_number_of_eliminations(monkeypatch, clear_eng
     monkeypatch.setattr(report, "_eliminate", counted)
     clear_engine_caches()
     assert all(r.passed for r in run_report())
-    # every elimination is the finite-degree oracle's, forward and back
-    assert len(calls) == 3824
+    # every elimination is the finite-degree oracle's
+    assert len(calls) == 1064
 
 
 def test_oracle_runs_no_engine_elimination(monkeypatch):

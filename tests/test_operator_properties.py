@@ -1,6 +1,7 @@
 """Operators drawn at random: composition against entrywise Poly
-arithmetic, associativity, and compatibility conditions that compose to
-zero and hold every relation of bounded degree."""
+arithmetic, associativity, compatibility conditions that compose to
+zero and hold every relation of bounded degree, and documents that survive
+saving and loading byte for byte."""
 
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from dgcalc.engine import reduced_groebner
-from dgcalc.operators import Bundle, LinDiffOp, cc, compose
+from dgcalc.operators import Bundle, LinDiffOp, cc, compose, load_operator, save_operator
 from dgcalc.poly import Poly
 from dgcalc.report import _truncated_kernel
 
@@ -80,3 +81,40 @@ def test_compatibility_conditions_compose_to_zero_and_are_complete(d):
     # found by linear algebra apart from the engine, lies in their module
     gb = reduced_groebner(conds.rows())
     assert all(gb.contains(rel) for rel in _truncated_kernel(d.rows(), 3))
+
+
+@st.composite
+def documents(draw):
+    """An operator over one to three variables with drawn names, labels and
+    weights, rational entries of degree at most 3 that are often zero,
+    some with long numerators and denominators, and a provenance or none."""
+    nvars = draw(st.integers(1, 3))
+    mons = [m for m in product(range(4), repeat=nvars) if sum(m) <= 3]
+    coeff = st.sampled_from(COEFFS) | st.fractions(max_denominator=10**30)
+    entry = st.dictionaries(st.sampled_from(mons), coeff, max_size=4)
+    text = st.text(max_size=5)
+    weight = st.sampled_from([1, 2, Fraction(1, 2), Fraction(7, 3)])
+
+    def bundle(dim):
+        labels = draw(st.lists(text, min_size=dim, max_size=dim, unique=True))
+        return Bundle(draw(text), [(lbl, draw(weight)) for lbl in labels])
+
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    matrix = [[Poly(nvars, draw(entry)) for _ in range(cols)] for _ in range(rows)]
+    op = LinDiffOp(draw(text), nvars, bundle(cols), bundle(rows), matrix)
+    return op, draw(st.none() | text)
+
+
+@given(documents())
+def test_documents_survive_save_and_load_byte_for_byte(tmp_path_factory, doc):
+    op, provenance = doc
+    path = tmp_path_factory.getbasetemp() / "roundtrip.json"
+    save_operator(op, path, provenance)
+    saved = path.read_bytes()
+    back = load_operator(path)
+    assert back == op and back.name == op.name
+    for got, want in ((back.source, op.source), (back.target, op.target)):
+        assert (got.name, got.components) == (want.name, want.components)
+        assert [type(w) for w in got.weights] == [type(w) for w in want.weights]
+    save_operator(back, path, provenance)
+    assert path.read_bytes() == saved
