@@ -40,6 +40,14 @@ above every position and the base B the rows' degree plus the largest
 relation degree plus one, so a product term's key is one addition and no
 field carries.  A run encodes its rows once for its whole harvest.
 
+A harvested relation leaves the run carrying what the run knows of it:
+its degree and whether it is homogeneous, read off the degree fields of
+its largest and smallest packed terms, and a mark that it is normalized,
+since the run made it primitive with the coefficient of its largest
+packed term, its leading term, positive.  So the minimizer reads
+`degree()`, `is_homogeneous()` and `normalized()` of a relation without
+looking at its terms, and the run's `_RowCode` takes B from those degrees.
+
 Every cache of the package is a memo made by `_memo`, an unbounded
 `functools.lru_cache` registered in one list that `clear_caches()` empties:
 two here, and two that `report` registers when it is loaded.
@@ -55,9 +63,10 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from operator import add, mul
+from itertools import combinations_with_replacement, groupby
+from operator import add, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .poly import (
@@ -125,6 +134,11 @@ def clear_caches() -> None:
 
 Term = tuple[int, Monomial]  # (position, monomial)
 
+# bits of `FreeElem._marks`: what is known of an element without reading
+# its terms.  _NORMAL: `normalized()` is the element itself; _HOMOGENEOUS
+# and _MIXED: `is_homogeneous()` is known true, or known false.
+_NORMAL, _HOMOGENEOUS, _MIXED = 1, 2, 4
+
 
 class FreeElem:
     """An element of the free module D^(1 x width), D = Q[d1..dn].
@@ -141,7 +155,9 @@ class FreeElem:
     or else built on first use and cached.
     """
 
-    __slots__ = ("width", "nvars", "terms", "den", "_entries", "_deg", "_str", "_hash")
+    __slots__ = (
+        "width", "nvars", "terms", "den", "_entries", "_deg", "_str", "_hash", "_marks",
+    )
 
     def __init__(self, entries: Iterable[Poly]):
         entries = tuple(entries)
@@ -164,6 +180,7 @@ class FreeElem:
         self._deg: int | None = None
         self._str: str | None = None
         self._hash: int | None = None
+        self._marks = 0
 
     @classmethod
     def _make(
@@ -181,6 +198,7 @@ class FreeElem:
         e._deg = None
         e._str = None
         e._hash = None
+        e._marks = 0
         return e
 
     @staticmethod
@@ -209,14 +227,18 @@ class FreeElem:
 
     def is_homogeneous(self) -> bool:
         """All nonzero entries homogeneous of one common total degree."""
-        return len({sum(m) for _, m in self.terms}) <= 1
+        marks = self._marks
+        if not marks & (_HOMOGENEOUS | _MIXED):
+            one = len({sum(m) for _, m in self.terms}) <= 1
+            marks = self._marks = marks | (_HOMOGENEOUS if one else _MIXED)
+        return bool(marks & _HOMOGENEOUS)
 
     def normalized(self) -> "FreeElem":
         """Scale to primitive integer coefficients with positive leading
         coefficient in the module order.  Canonical up to nothing: equal
         elements up to a rational factor normalize identically."""
         terms = self.terms
-        if not terms:
+        if self._marks & _NORMAL or not terms:
             return self
         g = math.gcd(*terms.values())
         # ascending (-degree, reversed exponents) is descending degrevlex,
@@ -224,8 +246,13 @@ class FreeElem:
         if terms[min(terms, key=lambda t: (-sum(t[1]), t[1][::-1], t[0]))] < 0:
             g = -g
         if g == 1 and self.den == 1:
+            self._marks |= _NORMAL
             return self
-        return FreeElem._make(self.width, self.nvars, {t: v // g for t, v in terms.items()})
+        e = FreeElem._make(self.width, self.nvars, {t: v // g for t, v in terms.items()})
+        # a scalar multiple keeps the degree and the homogeneity
+        e._deg = self._deg
+        e._marks = _NORMAL | self._marks
+        return e
 
     def dot(self, rows: Sequence["FreeElem"]) -> "FreeElem":
         """Row-vector times matrix: sum_i entries[i] * rows[i]."""
@@ -284,14 +311,9 @@ class FreeElem:
 
     def __str__(self) -> str:
         """The entries' canonical text, in parentheses and separated by
-        commas."""
-        return self._text()
-
-    def _text(self, texts: dict | None = None) -> str:
-        """`str(self)`, made on first use with the monomial lookup `texts`
-        of `cell_texts`."""
+        commas; made on first use."""
         if self._str is None:
-            self._str = "(" + ", ".join(self.cell_texts(texts)) + ")"
+            self._str = "(" + ", ".join(self.cell_texts()) + ")"
         return self._str
 
     def __repr__(self) -> str:
@@ -325,8 +347,15 @@ class _RowCode:
     __slots__ = ("rows", "scale", "reldeg", "shifts")
 
     def __init__(self, rows: Sequence[dict[Term, int]], reldeg: int):
-        monos = {m for row in rows for _, m in row}
-        width = 1 + max((pos for row in rows for pos, _ in row), default=0)
+        # one pass finds the distinct monomials and the top position
+        monos: set[Monomial] = set()
+        seen = monos.add
+        width = 1
+        for row in rows:
+            for pos, m in row:
+                seen(m)
+                if pos >= width:
+                    width = pos + 1
         base = max(map(sum, monos), default=0) + reldeg + 1
         nvars = len(next(iter(monos))) if monos else 0
         self.scale = scale = [width * base**j for j in range(nvars)]
@@ -626,14 +655,14 @@ class _Reducer:
         yields the unique reduced element with that lead."""
         pack = self.pack
         guard, pmask = pack.guard, pack.pmask
-        leads = self.lts
+        leads, by_pos = self.lts, self.by_pos
         survivors = _Reducer(pack)
         for a, la in enumerate(leads):
-            # of two equal leads the earlier one survives
+            # only a lead at the same position can divide la; of two equal
+            # leads the earlier one survives
             if not any(
-                b != a and lb & pmask == la & pmask and not (lb - la) & guard
-                and (lb != la or b < a)
-                for b, lb in enumerate(leads)
+                b != a and not (leads[b] - la) & guard and (leads[b] != la or b < a)
+                for b in by_pos[la & pmask]
             ):
                 survivors.add(self.basis[a])
         survivors.fit(2 * survivors.top)
@@ -670,6 +699,8 @@ class _Run:
         # position -> {(i, j): packed lcm of the leads}
         self.alive: dict[int, dict[tuple[int, int], int]] = {}
         self.harvest: list[dict[Term, int]] = []
+        # the (top, bottom) total degree of each harvested relation
+        self.degrees: list[tuple[int, int]] = []
 
     def process(self, h: dict[int, int]) -> None:
         """Reduce h; a nonzero remainder joins the basis, or, once its
@@ -680,7 +711,12 @@ class _Run:
             return
         h = _content_normalize(h)
         pack = red.pack
-        if max(h) < pack.flag:
+        lead = max(h)
+        if lead < pack.flag:
+            # the degree field sits right below the flag, so the largest
+            # and smallest keys hold the top and bottom degree
+            shift, fmask = pack.degshift, pack.fmask
+            self.degrees.append(((lead >> shift) & fmask, (min(h) >> shift) & fmask))
             # decoded now: a later widening re-encodes only the basis
             self.harvest.append(pack.decode(h, self.monos, pack.split))
         else:
@@ -809,13 +845,20 @@ def _tracked(elems: tuple[FreeElem, ...], budget: int) -> _Tracked:
         run.process(h)
     run.run()
     harvest = run.harvest
+    relations = []
     if harvest:
         # one encoding serves every relation of the run
-        code = _RowCode(rows, max(sum(m) for rel in harvest for _, m in rel))
-        for rel in harvest:
+        code = _RowCode(rows, max(top for top, _ in run.degrees))
+        for rel, (top, bottom) in zip(harvest, run.degrees):
             if not code.annihilates(rel):
                 raise RuntimeError("internal error: harvested relation fails to annihilate")
-    return _Tracked(run.red, tuple(FreeElem._make(k, nvars, rel) for rel in harvest), [])
+            # `_content_normalize` left it primitive with its largest key,
+            # which is its leading term, positive: it is normalized
+            e = FreeElem._make(k, nvars, rel)
+            e._deg = top
+            e._marks = _NORMAL | (_HOMOGENEOUS if top == bottom else _MIXED)
+            relations.append(e)
+    return _Tracked(run.red, tuple(relations), [])
 
 
 # -- public Groebner interface ------------------------------------------------
@@ -961,8 +1004,8 @@ class _Echelon:
         self.rows: dict = {}
 
     def insert(self, v: dict) -> bool:
-        """Insert if independent; returns True when the vector was new."""
-        v = dict(v)
+        """Insert if independent; returns True when the vector was new.
+        Takes `v` over: it is reduced in place and may be stored."""
         while v:
             t = max(v)
             row = self.rows.get(t)
@@ -1001,7 +1044,11 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
 
     Input is normalized, deduplicated and sorted by (degree, text); each
     element contained in the module of the other kept generators plus the
-    rows of `base` is removed.  The survivors therefore generate the
+    rows of `base` is removed.  Relations from `syzygies` come normalized
+    and with their degree and homogeneity known, so those steps read no
+    terms of theirs, and the text order is read cell by cell, formatting a
+    cell only while two elements of one degree still agree on every cell
+    before it (`_ordered`).  The survivors therefore generate the
     quotient of the module of `gens` by the module of `base`; `base` rows
     are never returned.  When every generator and base row is homogeneous
     the containment test is plain linear algebra degree by degree, which
@@ -1033,10 +1080,7 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
 def _minimal(gens: tuple, base: tuple, budget: int) -> tuple[FreeElem, ...]:
     # keyed on the elements as given; `budget` only keys the memo:
     # `reduced_groebner` and `syzygies` read it again
-    uniq = list(dict.fromkeys(e.normalized() for e in gens if not e.is_zero()))
-    # one monomial-text lookup serves every sort key
-    texts: dict = {}
-    uniq.sort(key=lambda e: (e.degree(), e._text(texts)))
+    uniq = _ordered(list(dict.fromkeys(e.normalized() for e in gens if not e.is_zero())))
     base_rows = [b for b in base if not b.is_zero()]
     if all(e.is_homogeneous() for e in uniq + base_rows):
         return tuple(_minimize_homogeneous(uniq, base_rows))
@@ -1063,6 +1107,73 @@ def _minimal(gens: tuple, base: tuple, budget: int) -> tuple[FreeElem, ...]:
         else:
             i += 1
     return tuple(kept)
+
+
+def _ordered(elems: list[FreeElem]) -> list[FreeElem]:
+    """Distinct elements of one width, in the order of the key
+    (degree, str), read from the cells that decide it.
+
+    No cell text holds "," or ")", so the tuple (c_0 + ",", ..., c_last +
+    ")") orders as "(" + ", ".join(cells) + ")" does, and only the nonzero
+    cells need a look: a nonzero text starts with "-", a digit from 1 or
+    "d", so against "0" it comes first exactly when it is negative.  So of
+    two elements whose cells agree up to where one of them has its next
+    nonzero cell, at q, that one comes first when its cell is negative and
+    the other's next one lies after q, or when its cell is positive and the
+    other's next one lies before q or is none.  Within one degree, elements
+    are grouped by their nonzero cells one at a time: by position and sign,
+    and by the cell's text only while two elements still tie."""
+    by_deg: dict[int, list[FreeElem]] = {}
+    for e in elems:
+        by_deg.setdefault(e.degree(), []).append(e)
+    last = elems[0].width - 1 if elems else 0
+    # the head of an element with no nonzero cell left: after the negative
+    # heads (0, q), before the positive ones (1, -q)
+    end = (1, -last - 1)
+    texts: dict = {}  # one monomial-text lookup serves every cell
+    key = itemgetter(0)
+    out: list[FreeElem] = []
+    for d in sorted(by_deg):
+        # an element's terms sorted by (position, monomial), with the start
+        # of its first cell not yet compared
+        pending = [[[0, sorted(e.terms.items()), e] for e in by_deg[d]]]
+        while pending:
+            tied = pending.pop()
+            if len(tied) == 1:
+                out.append(tied[0][2])
+                continue
+            heads = []
+            for item in tied:
+                i, terms = item[0], item[1]
+                if i == len(terms):
+                    heads.append((end, len(heads), item))
+                    continue
+                q = terms[i][0][0]
+                j = bisect_left(terms, ((q + 1,),), i)
+                # the cell's first term as `format_terms` writes it
+                lead = terms[i] if j == i + 1 else min(
+                    terms[i:j], key=lambda t: (-sum(t[0][1]), t[0][1][::-1])
+                )
+                heads.append(((0, q) if lead[1] < 0 else (1, -q), len(heads), item))
+            heads.sort()
+            # runs of one head, pushed last first so the first pops first
+            for head, run in reversed([(h, list(r)) for h, r in groupby(heads, key)]):
+                if len(run) == 1 or head == end:
+                    # a lone element, or equal elements with no cell left
+                    pending.extend([item] for _, _, item in reversed(run))
+                    continue
+                q = abs(head[1])
+                sep = "," if q < last else ")"
+                keyed = []
+                for _, _, item in run:
+                    i, terms = item[0], item[1]
+                    item[0] = j = bisect_left(terms, ((q + 1,),), i)
+                    cell = [(t[1], v) for t, v in terms[i:j]]
+                    keyed.append((format_terms(cell, item[2].den, texts) + sep, len(keyed), item))
+                keyed.sort()
+                for _, tie in reversed([(t, list(r)) for t, r in groupby(keyed, key)]):
+                    pending.append([item for _, _, item in tie])
+    return out
 
 
 def _unit_coordinate(relations: list[FreeElem], i: int) -> bool:
@@ -1092,7 +1203,8 @@ def _minimize_homogeneous(elems: list[FreeElem], base: list[FreeElem]) -> list[F
     kept: list[FreeElem] = []
     for d in sorted(by_deg):
         ech = _Echelon()
-        # kept generators are all of strictly lower degree by construction
+        # kept generators are all of strictly lower degree by construction;
+        # each shifted vector is built fresh, so the echelon takes it over
         for g in kept + [b for b in base if b.degree() <= d]:
             terms = packed[g]
             for m in _monomials_of_degree(nvars, d - g.degree()):
@@ -1100,8 +1212,10 @@ def _minimize_homogeneous(elems: list[FreeElem], base: list[FreeElem]) -> list[F
                 ech.insert({t + shift: c for t, c in terms.items()})
         # within one degree the coefficients are scalars, so leave-one-out
         # in block order drops an element exactly when it lies in the seed
-        # plus the later elements of its block: one reverse pass decides it
-        alive = [e for e in reversed(by_deg[d]) if ech.insert(packed[e])]
+        # plus the later elements of its block: one reverse pass decides it.
+        # A kept element's packed terms seed the later degrees: it is
+        # inserted as a copy
+        alive = [e for e in reversed(by_deg[d]) if ech.insert(dict(packed[e]))]
         kept.extend(reversed(alive))
     return kept
 

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dgcalc import zoo
 from dgcalc.engine import (
@@ -474,6 +475,20 @@ PINNED_RESOLUTIONS = {
         (10, 20, 20, 6),
         "cf6e13b1204aedbb3b792703e53aa1693945167394eb3394d7eea26fb23ce764",
     ),
+    # wide steps: 140 relations in the widest
+    ("conformal_killing", 6): (
+        (20, 84, 140, 84, 20, 6),
+        "e379ff8a53902decdf05bc3a93db1644ebb2e48ac347f43180a421f3739ac915",
+    ),
+    # zeroth-order terms: every step mixes degrees
+    ("cosserat_spencer", 2): (
+        (6, 3),
+        "62fc4387550c7fa62a2777264de2d92ee39b2b4514699706941d6a08e1c5f8a9",
+    ),
+    ("cosserat_parametrization", 2): (
+        (6, 3),
+        "5bedc3f3549ad0cc58e6f9da867e81e46ccaee677f6d706d79fcef9ff3fb25ba",
+    ),
 }
 
 
@@ -485,6 +500,47 @@ def test_cold_resolution_bytes_are_pinned(name, n, clear_engine_caches):
     text = "\n\n".join("\n".join(map(str, step)) for step in res.steps)
     assert res.dims == dims
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _recomputed(rel):
+    """The same element built afresh, so nothing about it is known yet."""
+    return FreeElem._make(rel.width, rel.nvars, dict(rel.terms), 1, rel.den)
+
+
+def _assert_marks_hold(rows):
+    """Each relation carries its degree, its homogeneity and its normal
+    form from the run; recomputed from its terms, all three agree."""
+    for rel in syzygies(rows):
+        fresh = _recomputed(rel)
+        assert rel.degree() == fresh.degree() == max(sum(m) for _, m in rel.terms)
+        assert rel.is_homogeneous() == fresh.is_homogeneous()
+        assert fresh.is_homogeneous() == (len({sum(m) for _, m in rel.terms}) == 1)
+        # marked normalized, and normalized indeed
+        assert rel.normalized() is rel
+        assert fresh.normalized() == rel
+
+
+@pytest.mark.parametrize("name,n", sorted(PINNED_RESOLUTIONS))
+def test_zoo_relations_carry_what_the_run_knows(name, n):
+    for step in resolve_module(zoo.build(name, n=n).rows()).steps:
+        _assert_marks_hold(step)
+
+
+@st.composite
+def operator_rows(draw):
+    """Two to four rows of width one or two in two variables: entries of
+    degree 1-2, with or without zeroth-order terms."""
+    zeroth = draw(st.booleans())
+    monos = [m for m in monomials_upto(2, 2) if zeroth or sum(m) > 0]
+    width = draw(st.integers(1, 2))
+    terms = st.dictionaries(st.sampled_from(monos), st.integers(-3, 3), min_size=1, max_size=3)
+    return [FreeElem(Poly(2, draw(terms)) for _ in range(width))
+            for _ in range(draw(st.integers(width + 1, width + 2)))]
+
+
+@given(operator_rows())
+def test_drawn_relations_carry_what_the_run_knows(rows):
+    _assert_marks_hold(rows)
 
 
 # over the runs of one cold resolution: S-pairs reduced, relations harvested

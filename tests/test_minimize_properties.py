@@ -1,14 +1,15 @@
 """Minimization modulo a base module agrees with Groebner leave-one-out,
 on homogeneous rows (the graded path) and on rows that mix degrees (the
 relation path with no base, the Groebner path with one), and is memoized
-on the generators as given."""
+on the generators as given.  The order it works in, read cell by cell, is
+the (degree, text) order."""
 
 from itertools import combinations_with_replacement
 
 from hypothesis import assume, example, given, strategies as st
 
 from dgcalc import engine
-from dgcalc.engine import FreeElem, minimize_generators, reduced_groebner
+from dgcalc.engine import FreeElem, _ordered, minimize_generators, reduced_groebner
 from dgcalc.poly import Poly
 
 NVARS = 2
@@ -155,3 +156,37 @@ def test_equal_generators_hit_the_memo(clear_engine_caches):
     second = minimize_generators([FreeElem.from_strs(NVARS, t) for t in texts])
     assert engine._minimal.cache_info()[:2] == (1, 1)
     assert second == first and second is not first
+
+
+# cell texts that are prefixes of each other ("d1", "d1^2", "d1 + 1"; "2",
+# "2*d1"), zero beside negative and fractional cells, and cells of degree 0-2
+CELLS = ["0", "d1", "d1^2", "d1 + 1", "d1 - 1", "-d1", "d2", "d1*d2", "d1 + d2",
+         "-d2 + 1", "2", "2*d1", "-2", "-2*d1", "1/2", "-1/2", "1/2*d1", "-3/2*d2^2"]
+
+
+@st.composite
+def element_lists(draw):
+    """One to eight elements of one width 1-4 in two variables: each cell
+    copies the matching cell of a shared element half of the time, so
+    elements often agree on their leading cells."""
+    width = draw(st.integers(1, 4))
+    shared = draw(st.lists(st.sampled_from(CELLS), min_size=width, max_size=width))
+    elems = []
+    for _ in range(draw(st.integers(1, 8))):
+        cells = [c if draw(st.booleans()) else draw(st.sampled_from(CELLS)) for c in shared]
+        elems.append(FreeElem.from_strs(NVARS, cells))
+    return list(dict.fromkeys(elems))
+
+
+def _texts(*rows):
+    return [FreeElem.from_strs(NVARS, cells) for cells in rows]
+
+
+@example(_texts(["d1", "d2^2"], ["d1^2", "d2^2"]))
+@example(_texts(["d1", "d2"], ["d1 + 1", "d2"]))
+@example(_texts(["d1", "2"], ["d1", "2*d1"]))
+@example(_texts(["0", "d1"], ["-d1", "d1"], ["1/2", "d1"], ["-1/2", "d1"]))
+@example(_texts(["d1", "0", "-2*d1"], ["d1", "-d1", "0"], ["d1", "0", "2*d1"]))
+@given(element_lists())
+def test_cell_by_cell_order_is_the_degree_text_order(elems):
+    assert _ordered(list(elems)) == sorted(elems, key=lambda e: (e.degree(), str(e)))
