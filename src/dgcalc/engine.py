@@ -11,10 +11,14 @@ degrevlex on monomials, position-over-term with lower position winning ties
 
 There is one Buchberger run per row set, cached: it works on the rows
 augmented with unit tracking columns, under a block order that makes every
-genuine term beat every tracking term.  The genuine parts of its basis give
-the reduced Groebner basis, built on first request and kept with the run;
-the elements whose genuine block dies give the syzygy generators, and the
-tracking columns of a remainder give the cofactors of a division.
+genuine term beat every tracking term.  It serves three products, each
+built on its first read and kept with the run: the genuine parts of its
+basis give the reduced Groebner basis (`reduced_groebner`, which also
+serves membership and module equality); the elements whose genuine block
+dies, kept packed until then, give the syzygy generators (`syzygies`);
+and the run's basis as it stands divides with cofactors, from the
+tracking columns of a remainder.  A run whose relations nobody reads
+never decodes or checks them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -32,15 +36,16 @@ the fields widen and the basis is re-encoded, and encoding a term wider
 than its fields raises OverflowError rather than wrapping.  Only values
 that leave the engine are decoded.
 
-The inline checks (each harvested relation annihilates its rows, each
+The inline checks (each relation handed out annihilates its rows, each
 division identity holds) multiply every relation out exactly on the
 decoded (position, monomial) terms, apart from the packing: `_RowCode`
 gives each row term the Kronecker key pos + W * sum_j m_j * B^j, with W
 above every position and the base B the rows' degree plus the largest
 relation degree plus one, so a product term's key is one addition and no
-field carries.  A run encodes its rows once for its whole harvest.
+field carries.  The first `syzygies` call on a row set encodes its rows
+once for the run's whole harvest and checks each relation once.
 
-A harvested relation leaves the run carrying what the run knows of it:
+A harvested relation is built carrying what the run knows of it:
 its degree and whether it is homogeneous, read off the degree fields of
 its largest and smallest packed terms, and a mark that it is normalized,
 since the run made it primitive with the coefficient of its largest
@@ -509,13 +514,21 @@ class _Packing:
     def decode(
         self, h: dict[int, int], monos: dict[int, Monomial] | None = None, offset: int = 0
     ) -> dict[Term, int]:
-        """h as (position - offset, monomial) terms."""
+        """h as (position - offset, monomial) terms; `decode_term` in one
+        loop."""
         if monos is None:
             monos = {}
+        get = monos.get
+        cap, fmask, shifts = self.cap, self.fmask, self.shifts
+        emask, pmask = self.emask, self.pmask
+        last = self.ncols - 1 - offset
         out = {}
         for t, v in h.items():
-            pos, m = self.decode_term(t, monos)
-            out[(pos - offset, m)] = v
+            key = t & emask
+            m = get(key)
+            if m is None:
+                m = monos[key] = tuple(cap - ((t >> s) & fmask) for s in shifts)
+            out[(last - (t & pmask), m)] = v
         return out
 
 
@@ -555,8 +568,8 @@ class _Reducer:
         self.by_pos.setdefault(lt & self.pack.pmask, []).append(len(self.basis))
         self.basis.append(h)
         self.lts.append(lt)
-        dmask = self.pack.fmask << self.pack.degshift
-        self.top = max(self.top, max(t & dmask for t in h) >> self.pack.degshift)
+        pack = self.pack
+        self.top = max(self.top, max(map(pack.dmask.__and__, h)) >> pack.degshift)
 
     def fit(self, degree: int) -> None:
         """Widen the fields, re-encoding the basis, unless terms of this
@@ -584,7 +597,12 @@ class _Reducer:
     ) -> tuple[dict[int, int], int, int]:
         """Pseudo-reduce every reducible term except `keep`, in place.
         Returns (remainder, num, den) with remainder == num/den * input
-        -  combination of basis elements, and num, den > 0."""
+        -  combination of basis elements, and num, den > 0.
+
+        Each term a reduction step creates lies below the term it reduces,
+        and terms pop in decreasing order, so a term pushed once is either
+        still in the heap or popped for good: each is pushed at most once,
+        and a popped term is looked at once."""
         num = den = 1
         if not h:
             return h, num, den
@@ -592,13 +610,14 @@ class _Reducer:
         flag, guard, pmask = pack.flag, pack.guard, pack.pmask
         basis, lts, by_pos = self.basis, self.lts, self.by_pos
         # a max-heap of negated terms; tracking terms never enter it
-        heap = [-t for t in h if t >= flag]
+        pushed = {t for t in h if t >= flag}
+        heap = [-t for t in pushed]
         heapq.heapify(heap)
-        done: set[int] = set() if keep is None else {keep}
         steps = 0
         while heap:
             t = -heapq.heappop(heap)
-            if t in done or t not in h:
+            # a term cancelled since it was pushed is gone from h
+            if t == keep or t not in h:
                 continue
             # insertion order: deterministic
             for idx in by_pos.get(t & pmask, ()):
@@ -606,7 +625,6 @@ class _Reducer:
                 if not (lt - t) & guard:
                     break
             else:
-                done.add(t)
                 continue
             g = basis[idx]
             lc = g[lt]
@@ -627,7 +645,8 @@ class _Reducer:
                 v = get(k)
                 if v is None:
                     h[k] = -b * gc
-                    if k >= flag:
+                    if k >= flag and k not in pushed:
+                        pushed.add(k)
                         heapq.heappush(heap, -k)
                 else:
                     v -= b * gc
@@ -694,13 +713,13 @@ class _Run:
         self.reach = reach
         self.budget = budget
         self.red = _Reducer(pack)
-        self.monos: dict[int, Monomial] = {}  # the decoding table of the run
         self.pairs: list[tuple[int, int, int, int]] = []  # heap
         # position -> {(i, j): packed lcm of the leads}
         self.alive: dict[int, dict[tuple[int, int], int]] = {}
-        self.harvest: list[dict[Term, int]] = []
-        # the (top, bottom) total degree of each harvested relation
-        self.degrees: list[tuple[int, int]] = []
+        # each harvested relation packed, with the packing that encoded it
+        # (a later widening re-encodes only the basis) and its top and
+        # bottom total degree; decoded only when the relations are read
+        self.harvest: list[tuple[dict[int, int], _Packing, int, int]] = []
 
     def process(self, h: dict[int, int]) -> None:
         """Reduce h; a nonzero remainder joins the basis, or, once its
@@ -716,9 +735,9 @@ class _Run:
             # the degree field sits right below the flag, so the largest
             # and smallest keys hold the top and bottom degree
             shift, fmask = pack.degshift, pack.fmask
-            self.degrees.append(((lead >> shift) & fmask, (min(h) >> shift) & fmask))
-            # decoded now: a later widening re-encodes only the basis
-            self.harvest.append(pack.decode(h, self.monos, pack.split))
+            self.harvest.append(
+                (h, pack, (lead >> shift) & fmask, (min(h) >> shift) & fmask)
+            )
         else:
             self._add_basis(h)
 
@@ -765,7 +784,6 @@ class _Run:
         """Re-encode the alive pairs' lcms after the fields widened; the
         heap keeps only alive pairs, in the same order."""
         new, monos = self.red.pack, {}
-        self.monos = {}
         self.pairs = []
         for pos, alive in self.alive.items():
             p = new.ncols - 1 - pos
@@ -811,23 +829,32 @@ class _Run:
             self.process(self._spair(i, j, L))
 
 
-class _Tracked(NamedTuple):
-    """One Buchberger run on rows augmented with unit tracking columns: its
-    reducer, whose basis elements record how they are built from the rows,
-    the harvested relations, and `reduced`, which holds the rows' reduced
-    Groebner basis once `reduced_groebner` has built it."""
+class _Tracked:
+    """One Buchberger run on rows augmented with unit tracking columns, and
+    its three products, each built on its first read.
 
-    reducer: _Reducer
-    relations: tuple[FreeElem, ...]
-    reduced: list
+    `reducer` holds the run's basis, whose elements record how they are
+    built from the rows: division with cofactors reads it as it is.
+    `reduced` is None until `reduced_groebner` builds the rows' reduced
+    Groebner basis from it.  `harvest` holds the harvested relations
+    packed, as `_Run.harvest` does, until the first `syzygies` call
+    decodes and verifies them into `relations` and releases it."""
+
+    __slots__ = ("reducer", "harvest", "relations", "reduced")
+
+    def __init__(self, reducer: _Reducer, harvest: list):
+        self.reducer = reducer
+        self.harvest: list | None = harvest
+        self.relations: tuple[FreeElem, ...] | None = None
+        self.reduced: GroebnerBasis | None = None
 
 
 @_memo
 def _tracked(elems: tuple[FreeElem, ...], budget: int) -> _Tracked:
     """The Buchberger run on the rows augmented with unit tracking columns,
-    cached per row set, with its harvested relations, each verified to
-    annihilate the rows.  The reduced Groebner basis, the syzygies and
-    division with cofactors are all read off this one run."""
+    cached per row set.  The reduced Groebner basis, the syzygies and
+    division with cofactors are all read off this one run; none of its
+    relations is decoded here."""
     k = len(elems)
     width, nvars = elems[0].width, elems[0].nvars
     rows, den = _int_rows(elems)
@@ -844,21 +871,7 @@ def _tracked(elems: tuple[FreeElem, ...], budget: int) -> _Tracked:
         h[pack.term(width + i, one)] = den
         run.process(h)
     run.run()
-    harvest = run.harvest
-    relations = []
-    if harvest:
-        # one encoding serves every relation of the run
-        code = _RowCode(rows, max(top for top, _ in run.degrees))
-        for rel, (top, bottom) in zip(harvest, run.degrees):
-            if not code.annihilates(rel):
-                raise RuntimeError("internal error: harvested relation fails to annihilate")
-            # `_content_normalize` left it primitive with its largest key,
-            # which is its leading term, positive: it is normalized
-            e = FreeElem._make(k, nvars, rel)
-            e._deg = top
-            e._marks = _NORMAL | (_HOMOGENEOUS if top == bottom else _MIXED)
-            relations.append(e)
-    return _Tracked(run.red, tuple(relations), [])
+    return _Tracked(run.red, run.harvest)
 
 
 # -- public Groebner interface ------------------------------------------------
@@ -947,7 +960,7 @@ def reduced_groebner(rows: Sequence) -> GroebnerBasis:
     """The reduced Groebner basis of the rows' module, built on first
     request and kept with the rows' Buchberger run."""
     run = _tracked(tuple(_as_elems(rows)), _budget())
-    if not run.reduced:
+    if run.reduced is None:
         # every tracking basis element has a genuine lead and its tracking
         # terms are never reduced, so the genuine parts form a Groebner
         # basis of the rows
@@ -955,8 +968,8 @@ def reduced_groebner(rows: Sequence) -> GroebnerBasis:
         red = _Reducer(pack)
         for h in run.reducer.basis:
             red.add({t: v for t, v in h.items() if t >= pack.flag})
-        run.reduced.append(GroebnerBasis(red.interreduced()))
-    return run.reduced[0]
+        run.reduced = GroebnerBasis(red.interreduced())
+    return run.reduced
 
 
 def normal_form(elem: FreeElem, gb: GroebnerBasis) -> FreeElem:
@@ -982,10 +995,35 @@ def syzygies(rows: Sequence) -> list[FreeElem]:
     """Generators of the relation module {c : sum_i c_i * rows_i = 0}.
 
     Output width equals len(rows).  The list generates the full syzygy
-    module; it is not minimized here.  Each returned relation is verified
-    against the input, in integer term space, before being handed back.
+    module; it is not minimized here.  The relations are those the rows'
+    Buchberger run harvested, built on the first call for the row set:
+    each is decoded under the packing that encoded it and verified against
+    the input, in integer term space, once, before any is handed back.
     """
-    return list(_tracked(tuple(_as_elems(rows)), _budget()).relations)
+    elems = tuple(_as_elems(rows))
+    run = _tracked(elems, _budget())
+    if run.relations is None:
+        relations = []
+        if run.harvest:
+            k, nvars = len(elems), elems[0].nvars
+            # one encoding of the rows serves every relation of the run
+            code = _RowCode(_int_rows(elems)[0], max(top for _, _, top, _ in run.harvest))
+            monos: dict[int, Monomial] = {}
+            last = None
+            for h, pack, top, bottom in run.harvest:
+                if pack is not last:
+                    monos, last = {}, pack
+                rel = pack.decode(h, monos, pack.split)
+                if not code.annihilates(rel):
+                    raise RuntimeError("internal error: harvested relation fails to annihilate")
+                # `_content_normalize` left it primitive with its largest
+                # key, which is its leading term, positive: it is normalized
+                e = FreeElem._make(k, nvars, rel)
+                e._deg = top
+                e._marks = _NORMAL | (_HOMOGENEOUS if top == bottom else _MIXED)
+                relations.append(e)
+        run.relations, run.harvest = tuple(relations), None
+    return list(run.relations)
 
 
 # -- minimal generating sets ---------------------------------------------------

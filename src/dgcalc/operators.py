@@ -96,7 +96,14 @@ class Bundle:
 
     @staticmethod
     def simple(name: str, dim: int) -> "Bundle":
-        return Bundle(name, ((str(i + 1), 1) for i in range(dim)))
+        """Components labelled "1" to str(dim), each of weight 1."""
+        if dim < 1:
+            raise ValueError("bundle needs at least one component")
+        b = object.__new__(Bundle)
+        b.name = name
+        b.labels = tuple(map(str, range(1, dim + 1)))
+        b.weights = (1,) * dim
+        return b
 
     @property
     def dim(self) -> int:
@@ -120,7 +127,13 @@ class Bundle:
 
 class LinDiffOp:
     """Matrix of polynomials in d1..dn mapping source sections to target
-    sections.  Rows are indexed by target components, columns by source."""
+    sections.  Rows are indexed by target components, columns by source.
+
+    `LinDiffOp(...)` checks the matrix against the bundles and nvars.
+    `compose`, `adjoint`, `cc` and `with_name` build shapes that are right
+    by construction and go through the trusted `_make` instead; `cc` hands
+    it the relations the rows are, and `with_name` the rows and hash it
+    already has."""
 
     __slots__ = ("name", "nvars", "source", "target", "matrix", "_hash", "_rows")
 
@@ -153,6 +166,29 @@ class LinDiffOp:
         self._hash: int | None = None
         self._rows: tuple[FreeElem, ...] | None = None
 
+    @classmethod
+    def _make(
+        cls,
+        name: str,
+        nvars: int,
+        source: Bundle,
+        target: Bundle,
+        matrix: tuple[tuple[Poly, ...], ...],
+        rows: tuple[FreeElem, ...] | None = None,
+    ) -> "LinDiffOp":
+        """Trusted constructor.  The caller guarantees that `matrix` is a
+        tuple of target.dim tuples of source.dim Polys in nvars variables,
+        and that `rows`, when given, is `FreeElem(row)` for each row."""
+        op = object.__new__(cls)
+        op.name = name
+        op.nvars = nvars
+        op.source = source
+        op.target = target
+        op.matrix = matrix
+        op._hash = None
+        op._rows = rows
+        return op
+
     # -- structure -----------------------------------------------------------
 
     def rows(self) -> list[FreeElem]:
@@ -175,7 +211,11 @@ class LinDiffOp:
         return all(p.is_zero() for row in self.matrix for p in row)
 
     def with_name(self, name: str) -> "LinDiffOp":
-        return LinDiffOp(name, self.nvars, self.source, self.target, self.matrix)
+        op = LinDiffOp._make(
+            name, self.nvars, self.source, self.target, self.matrix, self._rows
+        )
+        op._hash = self._hash
+        return op
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinDiffOp):
@@ -225,14 +265,14 @@ def compose(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     # factors are nonzero
     arows = [[(k, p) for k, p in enumerate(row) if p.nums] for row in a.matrix]
     bcols = list(zip(*b.matrix))
-    rows = [
-        [
+    rows = tuple(
+        tuple(
             sum_of_products(n, [(x, bcol[k]) for k, x in arow if bcol[k].nums])
             for bcol in bcols
-        ]
+        )
         for arow in arows
-    ]
-    return LinDiffOp(f"compose({a.name},{b.name})", n, b.source, a.target, rows)
+    )
+    return LinDiffOp._make(f"compose({a.name},{b.name})", n, b.source, a.target, rows)
 
 
 def scale(a: LinDiffOp, c, name: str | None = None) -> LinDiffOp:
@@ -250,14 +290,14 @@ def adjoint(a: LinDiffOp) -> LinDiffOp:
     sw = [(w.numerator, w.denominator) for w in a.source.weights]
     tw = [(w.numerator, w.denominator) for w in a.target.weights]
     zero = Poly.zero(a.nvars)
-    rows = [
-        [
+    rows = tuple(
+        tuple(
             p.negate_vars(tn * sd, td * sn) if p.nums else zero
             for (tn, td), p in zip(tw, col)
-        ]
+        )
         for (sn, sd), col in zip(sw, zip(*a.matrix))
-    ]
-    return LinDiffOp(f"adjoint({a.name})", a.nvars, a.target, a.source, rows)
+    )
+    return LinDiffOp._make(f"adjoint({a.name})", a.nvars, a.target, a.source, rows)
 
 
 def is_self_adjoint(a: LinDiffOp) -> bool:
@@ -267,16 +307,18 @@ def is_self_adjoint(a: LinDiffOp) -> bool:
 def cc(a: LinDiffOp, *, name: str | None = None) -> LinDiffOp:
     """Compatibility conditions: a minimal generating set for the relations
     among the rows of `a`, packaged as an operator on a's target."""
-    gens = minimize_generators(syzygies(a.rows()))
-    k = len(gens)
-    if k == 0:
+    gens = tuple(minimize_generators(syzygies(a.rows())))
+    name = name or f"cc({a.name})"
+    if not gens:
         # no relations: the zero operator on a one-dimensional dummy target
-        zero_row = [[Poly.zero(a.nvars) for _ in range(a.target.dim)]]
+        zero_row = ((Poly.zero(a.nvars),) * a.target.dim,)
         tgt = Bundle.simple(f"cc[{a.target.name}]", 1)
-        return LinDiffOp(name or f"cc({a.name})", a.nvars, a.target, tgt, zero_row)
-    tgt = Bundle.simple(f"cc[{a.target.name}]", k)
-    rows = [list(g.entries) for g in gens]
-    return LinDiffOp(name or f"cc({a.name})", a.nvars, a.target, tgt, rows)
+        return LinDiffOp._make(name, a.nvars, a.target, tgt, zero_row)
+    tgt = Bundle.simple(f"cc[{a.target.name}]", len(gens))
+    # each relation is canonical, so FreeElem(g.entries) == g: they are the rows
+    return LinDiffOp._make(
+        name, a.nvars, a.target, tgt, tuple(g.entries for g in gens), gens
+    )
 
 
 def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:

@@ -32,7 +32,8 @@ class Metric(NamedTuple):
     """A constant symmetric nondegenerate metric on R^n.
 
     A tuple, so it equals and hashes alike over (name, tag, n, matrix) and
-    can key a cache; metric[i, j] reads the 1-indexed entry."""
+    can key a cache; metric[i, j] reads the 1-indexed entry, and `inverse`
+    the whole inverse matrix, from one fraction-free elimination per read."""
 
     name: str
     tag: str
@@ -49,12 +50,6 @@ class Metric(NamedTuple):
     def __getitem__(self, ij: tuple[int, int]) -> int | Fraction:
         i, j = ij  # 1-indexed
         return self.matrix[i - 1][j - 1]
-
-    def inv(self, i: int, j: int) -> Fraction:
-        from fractions import Fraction
-
-        d, _, inv = _scaled(self)
-        return Fraction(inv[i - 1][j - 1], d)
 
 
 def euclidean(n: int) -> Metric:

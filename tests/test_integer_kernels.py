@@ -166,20 +166,63 @@ def _count_checks(monkeypatch):
 
 
 def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
+    """Each relation handed out is checked once, by the first `syzygies`
+    call on its row set; the relations of runs that serve only bases,
+    membership and division are never decoded or checked."""
     encodings, checks = _count_checks(monkeypatch)
+    harvested = []
+    run = engine._Run.run
+
+    def counted_run(self):
+        run(self)
+        harvested.append(len(self.harvest))
+
+    monkeypatch.setattr(engine._Run, "run", counted_run)
     clear_engine_caches()
     assert all(r.passed for r in run_report())
     sites = Counter(f.f_code.co_name for f in checks)
-    assert sites == {"_tracked": 654, "divide_with_cofactors": 10, "ext_module": 30}
-    # each Buchberger run with a harvest encodes its rows once, and only
-    # such runs encode
-    runs = [f for f in encodings if f.f_code.co_name == "_tracked"]
-    assert len(runs) == len({id(f) for f in runs}) == 80
-    assert {id(f) for f in runs} == {id(f) for f in checks if f.f_code.co_name == "_tracked"}
-    assert sum(len(f.f_locals["harvest"]) for f in runs) == 654
+    assert sites == {"syzygies": 520, "divide_with_cofactors": 10, "ext_module": 30}
+    # each row set whose relations are read encodes its rows once, and
+    # only such row sets encode
+    runs = [f for f in encodings if f.f_code.co_name == "syzygies"]
+    assert len(runs) == len({id(f) for f in runs}) == 62
+    assert {id(f) for f in runs} == {id(f) for f in checks if f.f_code.co_name == "syzygies"}
+    assert sum(len(f.f_locals["relations"]) for f in runs) == 520
+    assert sum(harvested) == 654
     assert engine._tracked.cache_info().misses == 111
     # every memo serves traffic in a cold report
     assert all(memo.cache_info().hits for memo in engine._MEMOS)
+
+
+@pytest.mark.parametrize("rows", [
+    zoo.curl().rows(),
+    zoo.killing(zoo.minkowski(2)).rows(),
+    zoo.weyl_killing(zoo.euclidean(3)).rows(),
+], ids=["curl", "killing-m2", "weyl_killing-e3"])
+def test_relations_are_built_on_first_request(rows, monkeypatch, clear_engine_caches):
+    """Bases, membership, module equality and division read a run without
+    decoding or checking any of its relations; the first `syzygies` call
+    checks each relation of the run once, and a repeat call none."""
+    encodings, checks = _count_checks(monkeypatch)
+    clear_engine_caches()
+    gb = engine.reduced_groebner(rows)
+    assert gb.contains(rows[0]) and engine.module_equal(rows, rows[::-1])
+    elem = FreeElem(p * p + Poly.const(p.nvars, 3) for p in rows[0].entries)
+    engine.divide_with_cofactors(elem, rows)
+    # only the division identity is encoded and checked
+    assert [f.f_code.co_name for f in encodings] == ["divide_with_cofactors"]
+    assert [f.f_code.co_name for f in checks] == ["divide_with_cofactors"]
+    run = engine._tracked(tuple(rows), engine._budget())
+    assert run.relations is None and run.harvest
+    harvested = len(run.harvest)
+    relations = syzygies(rows)
+    assert len(relations) == harvested
+    assert [f.f_code.co_name for f in encodings[1:]] == ["syzygies"]
+    assert [f.f_code.co_name for f in checks[1:]] == ["syzygies"] * harvested
+    # built once: the packed harvest is released, and a repeat call checks none
+    assert run.harvest is None
+    assert syzygies(rows) == relations
+    assert len(encodings) == 2 and len(checks) == 1 + harvested
 
 
 def test_cold_resolution_check_count(monkeypatch, clear_engine_caches):

@@ -1,15 +1,26 @@
 """Operators drawn at random: composition against entrywise Poly
 arithmetic, associativity, compatibility conditions that compose to
-zero and hold every relation of bounded degree, and documents that survive
-saving and loading byte for byte."""
+zero and hold every relation of bounded degree, documents that survive
+saving and loading byte for byte, and derived operators, built without
+re-validation, equal to what the checking constructor builds."""
 
 from fractions import Fraction
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from dgcalc.engine import reduced_groebner
-from dgcalc.operators import Bundle, LinDiffOp, cc, compose, load_operator, save_operator
+from dgcalc.duality import param_test
+from dgcalc.engine import FreeElem, reduced_groebner
+from dgcalc.operators import (
+    Bundle,
+    LinDiffOp,
+    adjoint,
+    cc,
+    compose,
+    factor_through,
+    load_operator,
+    save_operator,
+)
 from dgcalc.poly import Poly
 from dgcalc.report import _truncated_kernel
 
@@ -118,3 +129,29 @@ def test_documents_survive_save_and_load_byte_for_byte(tmp_path_factory, doc):
         assert [type(w) for w in got.weights] == [type(w) for w in want.weights]
     save_operator(back, path, provenance)
     assert path.read_bytes() == saved
+
+
+
+def whole(op):
+    """`op`, once it is shown to be what the checking constructor builds
+    from its parts, with cached rows that are the rows of its matrix."""
+    again = LinDiffOp(op.name, op.nvars, op.source, op.target, op.matrix)
+    assert again == op and hash(again) == hash(op)
+    assert op.rows() == [FreeElem(r) for r in op.matrix]
+    return op
+
+
+@given(small_operators())
+def test_derived_operators_are_built_whole(d):
+    # each result is checked before anything else reads it
+    d.rows()  # cached rows, which `with_name` keeps
+    whole(d.with_name("renamed"))
+    ad = whole(adjoint(d))
+    square = whole(compose(ad, d))
+    whole(compose(d, square))
+    whole(factor_through(square, d))
+    whole(cc(d))
+    whole(cc(ad).with_name("renamed"))
+    rep = param_test(d, with_ext2=False)
+    for op in (rep.operator, rep.adjoint_cc, rep.parametrization, rep.recomputed_cc):
+        whole(op)

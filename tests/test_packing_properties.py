@@ -15,8 +15,9 @@ from dgcalc.engine import (
     _Run,
     _tracked,
     reduced_groebner,
+    syzygies,
 )
-from dgcalc.poly import Poly, mono_divides, mono_key, mono_lcm, mono_mul
+from dgcalc.poly import Poly, mono_divides, mono_key, mono_lcm, mono_mul, parse
 
 
 @st.composite
@@ -194,7 +195,7 @@ def test_a_run_that_widens_with_pairs_alive_agrees(monkeypatch, clear_engine_cac
 
     spairs.append(0)
     clear_engine_caches()
-    relations = _tracked(rows, _budget())[1]
+    relations = syzygies(rows)
     assert alive_at_widening == []
 
     spairs.append(0)
@@ -208,9 +209,37 @@ def test_a_run_that_widens_with_pairs_alive_agrees(monkeypatch, clear_engine_cac
     run.run()
     assert alive_at_widening[-1] == 2
     assert spairs[0] == spairs[1] == 5
-    assert [FreeElem._make(k, 2, rel) for rel in run.harvest] == list(relations)
+    # each harvested relation decoded under the packing that encoded it
+    decoded = [FreeElem._make(k, 2, pack.decode(h, {}, pack.split))
+               for h, pack, _, _ in run.harvest]
+    assert decoded == relations
     assert len(relations) == 3
     genuine = _Reducer(run.red.pack)
     for h in run.red.basis:
         genuine.add({t: v for t, v in h.items() if t >= run.red.pack.flag})
     assert GroebnerBasis(genuine.interreduced()) == reduced_groebner(rows)
+
+
+
+def test_a_relation_harvested_before_a_widening_decodes_under_its_own_packing(
+    clear_engine_caches,
+):
+    """The run of these rows harvests a relation, then widens its fields.
+    That relation keeps the packing that encoded it; decoded under it, every
+    relation annihilates the rows, and under the run's final packing the
+    early one would decode to other terms."""
+    rows = [FreeElem([parse(a, 3), parse(b, 3)]) for a, b in (
+        ("-d1", "2*d2*d3"),
+        ("2*d2*d3 - 2*d1 + 3*d2", "-2*d1*d2 - d2^2 + d1"),
+        ("d1*d2 + d3 + 3", "-d2*d3"),
+    )]
+    clear_engine_caches()
+    run = _tracked(tuple(rows), _budget())
+    final = run.reducer.pack
+    early = [(h, pack) for h, pack, _, _ in run.harvest if pack is not final]
+    assert len(early) == 1 and len(run.harvest) == 5
+    h, pack = early[0]
+    assert pack.cap < final.cap
+    assert final.decode(h, {}, final.split) != pack.decode(h, {}, pack.split)
+    relations = syzygies(rows)
+    assert len(relations) == 5 and all(r.dot(rows).is_zero() for r in relations)
