@@ -130,7 +130,7 @@ def _cmd_rank(args) -> int:
     op = load_operator(args.operator)
     payload = {
         "operator": op.name,
-        "rows": len(op.matrix),
+        "rows": op.target.dim,
         "columns": op.source.dim,
         "rank": fraction_rank(op.rows()),
     }

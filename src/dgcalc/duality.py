@@ -22,6 +22,7 @@ from .engine import (
     FreeElem,
     _RowCode,
     _int_rows,
+    _transpose_rows,
     fraction_rank,
     minimize_generators,
     module_equal,
@@ -173,15 +174,6 @@ class ExtReport(NamedTuple):
     relations: tuple[FreeElem, ...]
 
 
-def _transpose_rows(rows: list[FreeElem]) -> list[FreeElem]:
-    ints, den = _int_rows(rows)
-    cols: list[dict] = [{} for _ in range(rows[0].width)]
-    for i, r in enumerate(ints):
-        for (pos, m), v in r.items():
-            cols[pos][(i, m)] = v
-    return [FreeElem._make(len(rows), rows[0].nvars, c, 1, den) for c in cols]
-
-
 def _head(s: FreeElem, k: int) -> FreeElem:
     """The first k coordinates of s."""
     terms = {t: v for t, v in s.terms.items() if t[0] < k}
@@ -291,13 +283,20 @@ def minimal_parametrization(d1: LinDiffOp, *, report: ParamReport | None = None
     n = dpar.nvars
     for dropped in combinations(range(t), t - rk):
         keep = [j for j in range(t) if j not in dropped]
-        sub_matrix = [[row[j] for j in keep] for row in dpar.matrix]
         sub_bundle = Bundle(
             f"{dpar.source.name}|sub",
             [(dpar.source.labels[j], dpar.source.weights[j]) for j in keep],
         )
-        cand = LinDiffOp(
-            f"minparam({d1.name})", n, sub_bundle, dpar.target, sub_matrix
+        # the kept columns of each row, renumbered in order
+        at = {j: k for k, j in enumerate(keep)}
+        sub_rows = tuple(
+            FreeElem._make(rk, n, {
+                (at[j], m): v for (j, m), v in r.terms.items() if j in at
+            }, 1, r.den)
+            for r in dpar.rows()
+        )
+        cand = LinDiffOp._make(
+            f"minparam({d1.name})", n, sub_bundle, dpar.target, sub_rows
         )
         conds = minimize_generators(syzygies(cand.rows()))
         if conds and module_equal(conds, rows1):

@@ -266,18 +266,7 @@ class FreeElem:
         nvars = self.nvars
         if any(r.nvars != nvars for r in rows):
             raise ValueError("mixed nvars in dot")
-        # every row over one common denominator, so the sum stays in ints
-        den = math.lcm(*(r.den for r in rows))
-        acc: dict[Term, int] = {}
-        get = acc.get
-        for (i, m), c in self.terms.items():
-            row = rows[i]
-            c *= den // row.den
-            for (pos, mm), v in row.terms.items():
-                k = (pos, tuple(map(add, m, mm)))
-                acc[k] = get(k, 0) + c * v
-        acc = {k: v for k, v in acc.items() if v}
-        return FreeElem._make(rows[0].width, nvars, acc, 1, self.den * den)
+        return _dot(self, rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FreeElem):
@@ -323,6 +312,34 @@ class FreeElem:
 
     def __repr__(self) -> str:
         return f"FreeElem{self}"
+
+
+def _dot(elem: FreeElem, rows: Sequence[FreeElem]) -> FreeElem:
+    """`elem.dot(rows)` without its checks, for a caller whose shapes agree
+    by construction: `compose` builds each row of a product with it."""
+    # every row over one common denominator, so the sum stays in ints
+    den = math.lcm(*(r.den for r in rows))
+    acc: dict[Term, int] = {}
+    get = acc.get
+    for (i, m), c in elem.terms.items():
+        row = rows[i]
+        c *= den // row.den
+        for (pos, mm), v in row.terms.items():
+            k = (pos, tuple(map(add, m, mm)))
+            acc[k] = get(k, 0) + c * v
+    acc = {k: v for k, v in acc.items() if v}
+    return FreeElem._make(rows[0].width, elem.nvars, acc, 1, elem.den * den)
+
+
+def _transpose_rows(rows: Sequence[FreeElem]) -> list[FreeElem]:
+    """The columns of the matrix whose rows these are, one element of width
+    len(rows) per position."""
+    ints, den = _int_rows(rows)
+    cols: list[dict] = [{} for _ in range(rows[0].width)]
+    for i, r in enumerate(ints):
+        for (pos, m), v in r.items():
+            cols[pos][(i, m)] = v
+    return [FreeElem._make(len(rows), rows[0].nvars, c, 1, den) for c in cols]
 
 
 def _int_rows(elems: Sequence[FreeElem]) -> tuple[list[dict[Term, int]], int]:
@@ -1282,20 +1299,23 @@ def divide_with_cofactors(
     h, num, den = red.reduce_full(red.encode_input(elem.terms, elem.degree()))
     num *= elem.den
     rem_terms: dict[Term, int] = {}
-    quot_terms: list[dict[Monomial, int]] = [{} for _ in range(k)]
+    quot_terms: dict[Term, int] = {}
     for (pos, m), v in red.pack.decode(h).items():
         if pos < width:
             rem_terms[(pos, m)] = v
         else:
-            quot_terms[pos - width][m] = -v
+            quot_terms[(pos - width, m)] = -v
     remainder = FreeElem._make(width, nvars, rem_terms, den, num)
-    quot = tuple(Poly._make(nvars, q, den, num) for q in quot_terms)
-    # quot . gens + remainder - elem == 0, as one relation on the stacked rows
+    quot = FreeElem._make(k, nvars, quot_terms, den, num)
+    # quot . gens + remainder - elem == 0, as one relation on the stacked
+    # rows, scaled to integers by quot's denominator
     one = (0,) * nvars
-    identity = FreeElem(quot + (Poly._make(nvars, {one: 1}), Poly._make(nvars, {one: -1})))
-    if not _annihilates(identity.terms, _int_rows(elems + [remainder, elem])[0]):
+    identity = dict(quot.terms)
+    identity[(k, one)] = quot.den
+    identity[(k + 1, one)] = -quot.den
+    if not _annihilates(identity, _int_rows(elems + [remainder, elem])[0]):
         raise RuntimeError("internal error: division identity failed")
-    return quot, remainder
+    return quot.entries, remainder
 
 
 # -- rank ------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Linear constant-coefficient differential operators between bundles.
 
-An operator is a matrix over Q[d1..dn] acting on column vectors of unknown
-functions; row i gives the i-th component of the output.  Bundles carry a
+An operator acts on column vectors of unknown functions through a matrix
+over D = Q[d1..dn], and it is held as the rows of that matrix: row i, the
+`FreeElem` in D^(1 x m) that gives the i-th component of the output, is
+what the engine computes with, and every operation reads and writes rows.
+`matrix`, the same entries as Polys, is a read-only view built on first
+read; the text edge writes cells from the rows.  Bundles carry a
 positive rational weight per component, used as the symmetrization factor in
 the pairing that defines the formal adjoint (off-diagonal components of a
 symmetric tensor typically get weight 2).  An integer weight is held as an
@@ -9,18 +13,26 @@ int and any other as a Fraction, so documents with integer weights load
 without `fractions`.
 
 Names on operators and bundles are labels for files and reports only;
-equality compares structure (nvars, component labels and weights, matrix).
+equality compares structure (nvars, component labels and weights, rows).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .engine import FreeElem, minimize_generators, module_equal, syzygies
-from .poly import ParseError, Poly, format_terms, parse, sum_of_products
+from .engine import (
+    FreeElem,
+    _dot,
+    _transpose_rows,
+    minimize_generators,
+    module_equal,
+    syzygies,
+)
+from .poly import ParseError, Poly, parse
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -126,16 +138,20 @@ class Bundle:
 
 
 class LinDiffOp:
-    """Matrix of polynomials in d1..dn mapping source sections to target
-    sections.  Rows are indexed by target components, columns by source.
+    """An operator from source sections to target sections, held as its
+    rows: row i is the `FreeElem` of width source.dim that gives target
+    component i.  `matrix`, the entries as Polys with rows indexed by
+    target components and columns by source components, is a read-only
+    view built on first read.
 
-    `LinDiffOp(...)` checks the matrix against the bundles and nvars.
-    `compose`, `adjoint`, `cc` and `with_name` build shapes that are right
-    by construction and go through the trusted `_make` instead; `cc` hands
-    it the relations the rows are, and `with_name` the rows and hash it
-    already has."""
+    `LinDiffOp(name, nvars, source, target, matrix)` checks a matrix of
+    Polys against the bundles and nvars, builds the rows once and keeps the
+    cells as the view.  Everything that builds shapes that are right by
+    construction (`compose`, `adjoint`, `cc`, `scale`, `with_name`,
+    `factor_through`, the loader and the zoo's integer builders) hands its
+    rows to the trusted `_make` instead."""
 
-    __slots__ = ("name", "nvars", "source", "target", "matrix", "_hash", "_rows")
+    __slots__ = ("name", "nvars", "source", "target", "_rows", "_matrix", "_hash")
 
     def __init__(
         self,
@@ -146,15 +162,8 @@ class LinDiffOp:
         matrix: Sequence[Sequence[Poly]],
     ):
         mat = tuple(tuple(row) for row in matrix)
-        if len(mat) != target.dim:
-            raise ShapeMismatch(
-                f"{name}: {len(mat)} rows but target has {target.dim} components"
-            )
+        _check_shape(name, source, target, [len(row) for row in mat])
         for row in mat:
-            if len(row) != source.dim:
-                raise ShapeMismatch(
-                    f"{name}: row width {len(row)} but source has {source.dim} components"
-                )
             for p in row:
                 if p.nvars != nvars:
                     raise ShapeMismatch(f"{name}: entry nvars {p.nvars} != {nvars}")
@@ -162,9 +171,9 @@ class LinDiffOp:
         self.nvars = nvars
         self.source = source
         self.target = target
-        self.matrix = mat
+        self._rows: tuple[FreeElem, ...] = tuple(FreeElem(row) for row in mat)
+        self._matrix: tuple[tuple[Poly, ...], ...] | None = mat
         self._hash: int | None = None
-        self._rows: tuple[FreeElem, ...] | None = None
 
     @classmethod
     def _make(
@@ -173,47 +182,54 @@ class LinDiffOp:
         nvars: int,
         source: Bundle,
         target: Bundle,
-        matrix: tuple[tuple[Poly, ...], ...],
-        rows: tuple[FreeElem, ...] | None = None,
+        rows: tuple[FreeElem, ...],
     ) -> "LinDiffOp":
-        """Trusted constructor.  The caller guarantees that `matrix` is a
-        tuple of target.dim tuples of source.dim Polys in nvars variables,
-        and that `rows`, when given, is `FreeElem(row)` for each row."""
+        """Trusted constructor.  The caller guarantees that `rows` is a
+        tuple of target.dim FreeElems of width source.dim in nvars
+        variables."""
         op = object.__new__(cls)
         op.name = name
         op.nvars = nvars
         op.source = source
         op.target = target
-        op.matrix = matrix
-        op._hash = None
         op._rows = rows
+        op._matrix = None
+        op._hash = None
         return op
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def matrix(self) -> tuple[tuple[Poly, ...], ...]:
+        """The entries as Polys, one tuple per row: a view of the rows,
+        built on first read and cached, in which equal cells share one
+        Poly."""
+        if self._matrix is None:
+            share = {}.setdefault
+            self._matrix = tuple(
+                tuple(share(p, p) for p in r.entries) for r in self._rows
+            )
+        return self._matrix
+
     def rows(self) -> list[FreeElem]:
-        """The rows as module elements, built on first use and cached; each
-        call returns a fresh list."""
-        if self._rows is None:
-            self._rows = tuple(FreeElem(row) for row in self.matrix)
+        """The rows as module elements; each call returns a fresh list."""
         return list(self._rows)
 
     def columns(self) -> list[FreeElem]:
-        return [FreeElem(row[j] for row in self.matrix) for j in range(self.source.dim)]
+        return _transpose_rows(self._rows)
 
     def order(self) -> int:
-        return max((p.degree() for row in self.matrix for p in row), default=-1)
+        return max(r.degree() for r in self._rows)
 
     def row_degrees(self) -> tuple[int, ...]:
-        return tuple(max(p.degree() for p in row) for row in self.matrix)
+        return tuple(r.degree() for r in self._rows)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.matrix for p in row)
+        return not any(r.terms for r in self._rows)
 
     def with_name(self, name: str) -> "LinDiffOp":
-        op = LinDiffOp._make(
-            name, self.nvars, self.source, self.target, self.matrix, self._rows
-        )
+        op = LinDiffOp._make(name, self.nvars, self.source, self.target, self._rows)
+        op._matrix = self._matrix
         op._hash = self._hash
         return op
 
@@ -224,12 +240,12 @@ class LinDiffOp:
             self.nvars == other.nvars
             and self.source == other.source
             and self.target == other.target
-            and self.matrix == other.matrix
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.nvars, self.source, self.target, self.matrix))
+            self._hash = hash((self.nvars, self.source, self.target, self._rows))
         return self._hash
 
     def __repr__(self) -> str:
@@ -239,20 +255,34 @@ class LinDiffOp:
         )
 
     def entry_strs(self) -> list[list[str]]:
-        """Each entry's canonical text, as `serialize` gives it; the
-        monomials' keys and texts are made once for the whole matrix."""
+        """Each entry's canonical text, as `serialize` gives it, written
+        from the rows; the monomials' keys and texts are made once for the
+        whole operator."""
         texts: dict = {}
-        return [
-            [format_terms(p.nums.items(), p.den, texts) if p.nums else "0" for p in row]
-            for row in self.matrix
-        ]
+        return [r.cell_texts(texts) for r in self._rows]
+
+
+def _check_shape(name: str, source: Bundle, target: Bundle, widths: Sequence[int]) -> None:
+    """Raise ShapeMismatch unless there is one row per target component and
+    each row's width is source.dim."""
+    if len(widths) != target.dim:
+        raise ShapeMismatch(
+            f"{name}: {len(widths)} rows but target has {target.dim} components"
+        )
+    width = source.dim
+    for w in widths:
+        if w != width:
+            raise ShapeMismatch(
+                f"{name}: row width {w} but source has {width} components"
+            )
 
 
 # -- algebra -------------------------------------------------------------------
 
 
 def compose(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
-    """a after b.  Constant coefficients make this the matrix product."""
+    """a after b.  Constant coefficients make this the matrix product: row
+    i of the result is row i of `a` dotted with the rows of `b`."""
     if a.nvars != b.nvars:
         raise ShapeMismatch("compose: operators over different variable counts")
     if a.source.dim != b.target.dim:
@@ -260,44 +290,51 @@ def compose(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
             f"compose: {a.name} expects {a.source.dim} components, "
             f"{b.name} produces {b.target.dim}"
         )
-    n = a.nvars
-    # each output entry is one sum of products over the k where both
-    # factors are nonzero
-    arows = [[(k, p) for k, p in enumerate(row) if p.nums] for row in a.matrix]
-    bcols = list(zip(*b.matrix))
-    rows = tuple(
-        tuple(
-            sum_of_products(n, [(x, bcol[k]) for k, x in arow if bcol[k].nums])
-            for bcol in bcols
-        )
-        for arow in arows
-    )
-    return LinDiffOp._make(f"compose({a.name},{b.name})", n, b.source, a.target, rows)
+    brows = b._rows
+    rows = tuple(_dot(r, brows) for r in a._rows)
+    return LinDiffOp._make(f"compose({a.name},{b.name})", a.nvars, b.source, a.target, rows)
 
 
 def scale(a: LinDiffOp, c, name: str | None = None) -> LinDiffOp:
-    from fractions import Fraction
+    """a times the rational number c."""
+    if type(c) is not int:
+        from fractions import Fraction
 
-    c = Fraction(c)
-    rows = [[p * c for p in row] for row in a.matrix]
-    return LinDiffOp(name or f"scale({a.name},{c})", a.nvars, a.source, a.target, rows)
+        c = Fraction(c)
+    return _times(a, c.numerator, c.denominator, name or f"scale({a.name},{c})")
+
+
+def _times(a: LinDiffOp, num: int, den: int, name: str) -> LinDiffOp:
+    """a times num / den, for den > 0, named `name`."""
+    w, n = a.source.dim, a.nvars
+    if num:
+        rows = tuple(FreeElem._make(w, n, r.terms, num, den * r.den) for r in a._rows)
+    else:
+        rows = tuple(FreeElem._make(w, n, {}) for _ in a._rows)
+    return LinDiffOp._make(name, n, a.source, a.target, rows)
 
 
 def adjoint(a: LinDiffOp) -> LinDiffOp:
     """Formal adjoint for the weighted L2 pairing: transpose the matrix,
-    flip the sign of every d, and move the weights across.  Involutive."""
-    # the weight ratio t/s handed over as two positive ints
-    sw = [(w.numerator, w.denominator) for w in a.source.weights]
-    tw = [(w.numerator, w.denominator) for w in a.target.weights]
-    zero = Poly.zero(a.nvars)
-    rows = tuple(
-        tuple(
-            p.negate_vars(tn * sd, td * sn) if p.nums else zero
-            for (tn, td), p in zip(tw, col)
-        )
-        for (sn, sd), col in zip(sw, zip(*a.matrix))
+    flip the sign of every d, and move the weights across.  Involutive.
+
+    Row j of the result is column j of `a`: term (i, m) of a's row i times
+    (-1)^|m| t_i / s_j, for target weights t and source weights s.  Each
+    row i times t_i is brought to one common denominator in ints, and each
+    result row is made once."""
+    rows, tws = a._rows, a.target.weights
+    lcd = math.lcm(*(r.den * t.denominator for r, t in zip(rows, tws)))
+    cols: list[dict] = [{} for _ in range(a.source.dim)]
+    for i, (r, t) in enumerate(zip(rows, tws)):
+        g = t.numerator * (lcd // (r.den * t.denominator))
+        for (j, m), c in r.terms.items():
+            cols[j][(i, m)] = -c * g if sum(m) & 1 else c * g
+    width, n = a.target.dim, a.nvars
+    out = tuple(
+        FreeElem._make(width, n, col, s.denominator, lcd * s.numerator)
+        for col, s in zip(cols, a.source.weights)
     )
-    return LinDiffOp._make(f"adjoint({a.name})", a.nvars, a.target, a.source, rows)
+    return LinDiffOp._make(f"adjoint({a.name})", n, a.target, a.source, out)
 
 
 def is_self_adjoint(a: LinDiffOp) -> bool:
@@ -311,14 +348,12 @@ def cc(a: LinDiffOp, *, name: str | None = None) -> LinDiffOp:
     name = name or f"cc({a.name})"
     if not gens:
         # no relations: the zero operator on a one-dimensional dummy target
-        zero_row = ((Poly.zero(a.nvars),) * a.target.dim,)
         tgt = Bundle.simple(f"cc[{a.target.name}]", 1)
-        return LinDiffOp._make(name, a.nvars, a.target, tgt, zero_row)
+        zero = FreeElem._make(a.target.dim, a.nvars, {})
+        return LinDiffOp._make(name, a.nvars, a.target, tgt, (zero,))
     tgt = Bundle.simple(f"cc[{a.target.name}]", len(gens))
-    # each relation is canonical, so FreeElem(g.entries) == g: they are the rows
-    return LinDiffOp._make(
-        name, a.nvars, a.target, tgt, tuple(g.entries for g in gens), gens
-    )
+    # the relations are the rows
+    return LinDiffOp._make(name, a.nvars, a.target, tgt, gens)
 
 
 def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
@@ -333,19 +368,19 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
             f"factor: {a.name} has source dim {a.source.dim}, "
             f"{b.name} has {b.source.dim}"
         )
-    arows, brows = a.rows(), b.rows()
+    arows, brows = a._rows, b._rows
     qrows = []
     for i, row in enumerate(arows):
         q, rem = divide_with_cofactors(row, brows)
         if not rem.is_zero():
             raise NotFactorable(i, rem)
-        qrows.append(list(q))
+        qrows.append(FreeElem(q))
     # row by row through FreeElem.dot, a product computed apart from the
     # annihilation check inside divide_with_cofactors
-    if any(FreeElem(q).dot(brows) != row for q, row in zip(qrows, arows)):
+    if any(q.dot(brows) != row for q, row in zip(qrows, arows)):
         raise RuntimeError("internal error: factorization identity failed")
-    return LinDiffOp(
-        f"factor({a.name},{b.name})", a.nvars, b.target, a.target, qrows
+    return LinDiffOp._make(
+        f"factor({a.name},{b.name})", a.nvars, b.target, a.target, tuple(qrows)
     )
 
 
@@ -445,12 +480,12 @@ def operator_from_dict(d: dict) -> LinDiffOp:
     if not isinstance(mat, list) or not all(isinstance(r, list) for r in mat):
         raise OpFormatError("matrix must be a list of rows")
     name = _document_str(d.get("name", "operator"), "name")
-    # documents repeat few distinct texts, so each is parsed once and equal
-    # cells share one Poly; that is safe because no operation mutates a Poly
+    # documents repeat few distinct texts, so each is parsed once; its terms
+    # are written straight into the row, over the row's common denominator
     parsed: dict[str, Poly] = {}
-    rows = []
+    built = []
     for i, row in enumerate(mat):
-        prow = []
+        cells = []
         for j, cell in enumerate(row):
             if not isinstance(cell, str):
                 raise OpFormatError(f"matrix[{i}][{j}] is not a string")
@@ -460,12 +495,21 @@ def operator_from_dict(d: dict) -> LinDiffOp:
                     p = parsed[cell] = parse(cell, nvars)
                 except ParseError as exc:
                     raise OpFormatError(f"matrix[{i}][{j}]: {exc}") from exc
-            prow.append(p)
-        rows.append(prow)
+            cells.append(p)
+        den = math.lcm(*[p.den for p in cells])
+        if den == 1:
+            terms = {(j, m): c for j, p in enumerate(cells) for m, c in p.nums.items()}
+        else:
+            terms = {(j, m): c * (den // p.den)
+                     for j, p in enumerate(cells) for m, c in p.nums.items()}
+        built.append((len(cells), terms, den))
     try:
-        return LinDiffOp(name, nvars, source, target, rows)
+        _check_shape(name, source, target, [w for w, _, _ in built])
     except ShapeMismatch as exc:
         raise OpFormatError(str(exc)) from exc
+    width = source.dim
+    rows = tuple(FreeElem._make(width, nvars, t, 1, den) for _, t, den in built)
+    return LinDiffOp._make(name, nvars, source, target, rows)
 
 
 def operator_json(a: LinDiffOp, provenance: str | None = None) -> str:

@@ -395,9 +395,9 @@ def format_terms(items: Iterable[tuple[Monomial, int]], den: int,
     coefficient is brought to lowest terms here.  `texts` maps a monomial
     to its (sort key, text) and is filled on first sight, so a caller that
     formats many entries passes them one dict and pays for each monomial's
-    key and text once.  `serialize` is this on one Poly with a fresh dict,
-    `LinDiffOp.entry_strs` on a whole matrix and `FreeElem.cell_texts` on
-    the entries of an element."""
+    key and text once.  `serialize` is this on one Poly with a fresh dict
+    and `FreeElem.cell_texts` on the entries of an element, with one dict
+    for all the rows of an operator in `LinDiffOp.entry_strs`."""
     rows = []
     for m, v in items:
         kt = texts.get(m)

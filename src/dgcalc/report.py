@@ -540,7 +540,7 @@ def _checks() -> list[_Check]:
               "same module as the linearized curvature operator",
         expected={"rows": 20, "matches_curvature": True},
         fn=lambda: (lambda conds: {
-            "rows": len(conds.matrix),
+            "rows": conds.target.dim,
             "matches_curvature": module_equal(
                 conds.rows(), _op("riemann_lin", zoo.minkowski(4)).rows(),
             ),
@@ -614,7 +614,7 @@ def _checks() -> list[_Check]:
             ]).normalized()),
         },
         fn=lambda: (lambda c: {
-            "rows": len(c.matrix),
+            "rows": c.target.dim,
             "row": str(c.rows()[0].normalized()),
         })(cc(_op("killing", zoo.euclidean(2)))),
     ))

@@ -17,8 +17,8 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .engine import _Echelon
-from .operators import MAX_NVARS, Bundle, LinDiffOp, adjoint, compose
+from .engine import FreeElem, _Echelon
+from .operators import MAX_NVARS, Bundle, LinDiffOp, _check_shape, _times, adjoint, compose
 from .poly import Monomial, Poly
 
 if TYPE_CHECKING:
@@ -196,12 +196,9 @@ def killing(metric: Metric) -> LinDiffOp:
     """Lie derivative of the metric: Omega_ij = w_rj di xi^r + w_ir dj xi^r."""
     n = metric.n
     d, w, _ = _scaled(metric)
-    return LinDiffOp(
-        f"killing_{metric.tag}{n}",
-        n,
-        vector_bundle(n),
-        sym_bundle(n),
-        _int_matrix(_killing_rows(w), d, n, n),
+    return _int_op(
+        f"killing_{metric.tag}{n}", n, vector_bundle(n), sym_bundle(n),
+        _killing_rows(w), d, n,
     )
 
 
@@ -222,22 +219,14 @@ def conformal_killing(metric: Metric) -> LinDiffOp:
             _acc(row, u - 1, d1[u], -2 * w[i - 1][j - 1])
         rows.append(row)
     tgt = Bundle(f"sym2tf({n})", sym_bundle(n).components[:-1])
-    return LinDiffOp(
-        f"conformal_killing_{metric.tag}{n}",
-        n,
-        vector_bundle(n),
-        tgt,
-        _int_matrix(rows, n * d, n, n),
+    return _int_op(
+        f"conformal_killing_{metric.tag}{n}", n, vector_bundle(n), tgt, rows, n * d, n
     )
 
 
 def cauchy(metric: Metric) -> LinDiffOp:
     """Symmetrized gradient (small strain): -1/2 times the Killing adjoint."""
-    adj = adjoint(killing(metric))
-    rows = [[Poly._make(p.nvars, dict(p.nums), -1, 2 * p.den) for p in row]
-            for row in adj.matrix]
-    return LinDiffOp(f"cauchy_{metric.tag}{metric.n}", metric.n, adj.source,
-                     adj.target, rows)
+    return _times(adjoint(killing(metric)), -1, 2, f"cauchy_{metric.tag}{metric.n}")
 
 
 def weyl_killing(metric: Metric) -> LinDiffOp:
@@ -246,16 +235,17 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
     divergence rescaling."""
     n = metric.n
     ck = conformal_killing(metric)
+    dd = _dd(n)
     # d_i of the trace 2 d_u xi^u
-    rows = [list(r) for r in ck.matrix] + [
-        [2 * Poly.var(n, i) * Poly.var(n, u) for u in range(1, n + 1)]
+    rows = ck.rows() + [
+        FreeElem._make(n, n, {(u - 1, dd[i][u]): 2 for u in range(1, n + 1)})
         for i in range(1, n + 1)
     ]
     labels = list(ck.target.labels) + [f"t{i}" for i in range(1, n + 1)]
     weights = list(ck.target.weights) + [1] * n
     tgt = Bundle(f"sym2tf+t({n})", zip(labels, weights))
-    return LinDiffOp(
-        f"weyl_killing_{metric.tag}{n}", n, vector_bundle(n), tgt, rows
+    return LinDiffOp._make(
+        f"weyl_killing_{metric.tag}{n}", n, vector_bundle(n), tgt, tuple(rows)
     )
 
 
@@ -264,7 +254,7 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
 # The metric operators are built as integer rows {column: {monomial: int}}
 # over one denominator per operator.  The metric and its inverse enter as
 # integer matrices over their common denominator D (see _scaled), and each
-# entry becomes a Poly once, in _int_matrix.
+# row becomes the operator's FreeElem row once, in _int_op.
 
 _IntRow = dict[int, dict[Monomial, int]]
 _Scaled = tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
@@ -337,18 +327,20 @@ def _acc_row(row: _IntRow, src: _IntRow, f: int) -> None:
             e[m] = e.get(m, 0) + f * c
 
 
-def _int_matrix(rows: list[_IntRow], den: int, width: int, nvars: int
-                ) -> list[list[Poly]]:
-    """The matrix whose entry (r, col) is rows[r][col] / den; zero where a
-    row has no such column or its numerators cancel."""
-    zero = Poly.zero(nvars)
-    out = []
-    for row in rows:
-        line = [zero] * width
-        for col, nums in row.items():
-            line[col] = Poly._make(nvars, {m: c for m, c in nums.items() if c}, den=den)
-        out.append(line)
-    return out
+def _int_op(name: str, nvars: int, source: Bundle, target: Bundle,
+            rows: list[_IntRow], den: int, width: int) -> LinDiffOp:
+    """The operator whose entry (r, col) is rows[r][col] / den, zero where a
+    row has no such column or its numerators cancel, built straight as rows
+    of the given width; the shapes are checked as `LinDiffOp` checks
+    them."""
+    _check_shape(name, source, target, [width] * len(rows))
+    out = tuple(
+        FreeElem._make(width, nvars, {
+            (col, m): c for col in sorted(row) for m, c in row[col].items() if c
+        }, 1, den)
+        for row in rows
+    )
+    return LinDiffOp._make(name, nvars, source, target, out)
 
 
 def _riemann_rows(n: int) -> list[_IntRow]:
@@ -377,12 +369,9 @@ def riemann_lin(metric: Metric) -> LinDiffOp:
     The matrix itself does not involve the metric; the metric fixes n and
     the naming.  Second order, n^2(n^2-1)/12 rows."""
     n = metric.n
-    return LinDiffOp(
-        f"riemann_{metric.tag}{n}",
-        n,
-        sym_bundle(n),
-        riemann_bundle(n, f"riem({n})"),
-        _int_matrix(_riemann_rows(n), 1, n * (n + 1) // 2, n),
+    return _int_op(
+        f"riemann_{metric.tag}{n}", n, sym_bundle(n), riemann_bundle(n, f"riem({n})"),
+        _riemann_rows(n), 1, n * (n + 1) // 2,
     )
 
 
@@ -425,12 +414,9 @@ def _curvature_rows(
 def ricci_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
     ric, den, _, _ = _curvature_rows(n, _scaled(metric))
-    return LinDiffOp(
-        f"ricci_{metric.tag}{n}",
-        n,
-        sym_bundle(n),
-        sym_bundle(n, f"ric({n})"),
-        _int_matrix([ric[p] for p in sym_pairs(n)], den, n * (n + 1) // 2, n),
+    return _int_op(
+        f"ricci_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"ric({n})"),
+        [ric[p] for p in sym_pairs(n)], den, n * (n + 1) // 2,
     )
 
 
@@ -474,12 +460,9 @@ def _constant_rows(rows: list[dict[int, int]], n: int) -> list[_IntRow]:
 def scalar_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
     _, _, scal, den = _curvature_rows(n, _scaled(metric))
-    return LinDiffOp(
-        f"scalar_{metric.tag}{n}",
-        n,
-        sym_bundle(n),
-        scalar_bundle(f"scal({n})"),
-        _int_matrix([scal], den, n * (n + 1) // 2, n),
+    return _int_op(
+        f"scalar_{metric.tag}{n}", n, sym_bundle(n), scalar_bundle(f"scal({n})"),
+        [scal], den, n * (n + 1) // 2,
     )
 
 
@@ -502,12 +485,9 @@ def einstein_lin(metric: Metric) -> LinDiffOp:
         lower.append(row)
     # raising both indices multiplies the denominator by D^2
     rows = _apply_shift(_index_shift(inv, n), lower)
-    return LinDiffOp(
-        f"einstein_{metric.tag}{n}",
-        n,
-        sym_bundle(n),
-        sym_bundle(n, f"ein({n})"),
-        _int_matrix(rows, 2 * d**5, n * (n + 1) // 2, n),
+    return _int_op(
+        f"einstein_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"ein({n})"),
+        rows, 2 * d**5, n * (n + 1) // 2,
     )
 
 
@@ -518,9 +498,9 @@ def c_map(metric: Metric) -> LinDiffOp:
     scaled = d, _, inv = _scaled(metric)
     adjust, den = _trace_adjust(n, scaled, -1, 2)
     rows = _apply_shift(_index_shift(inv, n), _constant_rows(adjust, n))
-    return LinDiffOp(
+    return _int_op(
         f"cmap_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
-        _int_matrix(rows, den * d * d, n * (n + 1) // 2, n),
+        rows, den * d * d, n * (n + 1) // 2,
     )
 
 
@@ -534,9 +514,9 @@ def c_map_inverse(metric: Metric) -> LinDiffOp:
     # -1/(n-2), which is 1 for n = 1
     adjust, den = _trace_adjust(n, scaled, -1 if n > 2 else 1, abs(n - 2))
     rows = _apply_shift(adjust, _constant_rows(_index_shift(w, n), n))
-    return LinDiffOp(
+    return _int_op(
         f"cmapinv_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
-        _int_matrix(rows, den * d * d, n * (n + 1) // 2, n),
+        rows, den * d * d, n * (n + 1) // 2,
     )
 
 
@@ -645,13 +625,7 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
     labels = rb.labels()
     tgt = Bundle(f"weyl({n})", ((labels[r], 1) for r in picked))
     rows, den = _weyl_component_rows(n, scaled, picked)
-    return LinDiffOp(
-        f"weyl_{metric.tag}{n}",
-        n,
-        sym_bundle(n),
-        tgt,
-        _int_matrix(rows, den, n * (n + 1) // 2, n),
-    )
+    return _int_op(f"weyl_{metric.tag}{n}", n, sym_bundle(n), tgt, rows, den, n * (n + 1) // 2)
 
 
 # -- vector calculus ----------------------------------------------------------------
@@ -702,9 +676,7 @@ def exterior_derivative(n: int, r: int) -> LinDiffOp:
          for pos, k in enumerate(big)}
         for big in tgt_sets
     ]
-    return LinDiffOp(
-        f"extd{n}_{r}", n, src, tgt, _int_matrix(rows, 1, len(src_sets), n)
-    )
+    return _int_op(f"extd{n}_{r}", n, src, tgt, rows, 1, len(src_sets))
 
 
 def box_weyl(metric: Metric) -> LinDiffOp:
@@ -722,17 +694,12 @@ def dalembertian(metric: Metric, bundle: Bundle | None = None) -> LinDiffOp:
         bundle = scalar_bundle()
     d, _, inv = _scaled(metric)
     dd = _dd(n)
-    row: _IntRow = {}
+    lap: dict[Monomial, int] = {}
     for r, s, c in _nonzero(inv):
-        _acc(row, 0, dd[r][s], c)
-    lap = _int_matrix([row], d, 1, n)[0][0]
-    z = Poly.zero(n)
-    rows = [
-        [lap if i == j else z for j in range(bundle.dim)]
-        for i in range(bundle.dim)
-    ]
+        lap[dd[r][s]] = lap.get(dd[r][s], 0) + c
+    rows = [{i: lap} for i in range(bundle.dim)]
     out_bundle = Bundle(bundle.name, bundle.components)
-    return LinDiffOp(f"box_{metric.tag}{n}", n, bundle, out_bundle, rows)
+    return _int_op(f"box_{metric.tag}{n}", n, bundle, out_bundle, rows, d, bundle.dim)
 
 
 # -- elasticity -----------------------------------------------------------------------
@@ -831,9 +798,7 @@ def cosserat_spencer() -> LinDiffOp:
 def cosserat_equilibrium() -> LinDiffOp:
     """Force and couple balance on (stress, couple stress); minus the
     adjoint of the Spencer operator."""
-    adj = adjoint(cosserat_spencer())
-    return LinDiffOp("cosserat_equilibrium", 2, adj.source, adj.target,
-                     [[-p for p in row] for row in adj.matrix])
+    return _times(adjoint(cosserat_spencer()), -1, 1, "cosserat_equilibrium")
 
 
 def cosserat_parametrization() -> LinDiffOp:

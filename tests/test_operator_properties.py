@@ -1,8 +1,10 @@
-"""Operators drawn at random: composition against entrywise Poly
-arithmetic, associativity, compatibility conditions that compose to
-zero and hold every relation of bounded degree, documents that survive
-saving and loading byte for byte, and derived operators, built without
-re-validation, equal to what the checking constructor builds."""
+"""Operators drawn at random: composition and the adjoint against
+entrywise Poly arithmetic, associativity, compatibility conditions that
+compose to zero and hold every relation of bounded degree, documents that
+survive saving and loading byte for byte and load as the rows of their
+cells, and derived operators, built without re-validation, equal to what
+the checking constructor builds and written cell by cell as `serialize`
+writes their Polys."""
 
 from fractions import Fraction
 from itertools import product
@@ -21,7 +23,7 @@ from dgcalc.operators import (
     load_operator,
     save_operator,
 )
-from dgcalc.poly import Poly
+from dgcalc.poly import Poly, serialize
 from dgcalc.report import _truncated_kernel
 
 # unlike denominators, so the products in one entry need a common scale
@@ -132,6 +134,31 @@ def test_documents_survive_save_and_load_byte_for_byte(tmp_path_factory, doc):
 
 
 
+@given(documents())
+def test_adjoint_is_the_entrywise_weighted_sign_flip(doc):
+    # entry (j, i) of the adjoint is entry (i, j) with d -> -d, times the
+    # target weight t_i over the source weight s_j
+    op, _ = doc
+    ad = adjoint(op)
+    s, t = op.source.weights, op.target.weights
+    for i, row in enumerate(op.matrix):
+        for j, p in enumerate(row):
+            want = p.negate_vars(t[i].numerator * s[j].denominator,
+                                 t[i].denominator * s[j].numerator)
+            assert ad.matrix[j][i] == want
+    assert adjoint(ad) == op
+
+
+@given(documents())
+def test_documents_load_as_the_rows_of_their_cells(tmp_path_factory, doc):
+    op, provenance = doc
+    path = tmp_path_factory.getbasetemp() / "rows.json"
+    save_operator(op, path, provenance)
+    back = load_operator(path)
+    assert back.rows() == [FreeElem(r) for r in op.matrix]
+    assert back.matrix == op.matrix
+
+
 def whole(op):
     """`op`, once it is shown to be what the checking constructor builds
     from its parts, with cached rows that are the rows of its matrix."""
@@ -155,3 +182,25 @@ def test_derived_operators_are_built_whole(d):
     rep = param_test(d, with_ext2=False)
     for op in (rep.operator, rep.adjoint_cc, rep.parametrization, rep.recomputed_cc):
         whole(op)
+
+
+def written(op):
+    """`op`, once its cells, written from its rows, are shown to be the
+    text `serialize` gives each Poly of its matrix."""
+    assert op.entry_strs() == [[serialize(p) for p in row] for row in op.matrix]
+    return op
+
+
+@given(small_operators())
+def test_derived_operators_write_the_cells_of_their_matrix(d):
+    written(d)
+    written(d.with_name("renamed"))
+    ad = written(adjoint(d))
+    square = written(compose(ad, d))
+    written(compose(d, square))
+    written(factor_through(square, d))
+    written(cc(d))
+    written(cc(ad).with_name("renamed"))
+    rep = param_test(d, with_ext2=False)
+    for op in (rep.operator, rep.adjoint_cc, rep.parametrization, rep.recomputed_cc):
+        written(op)

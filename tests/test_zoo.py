@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from dgcalc import zoo
 from dgcalc.engine import module_equal
 from dgcalc.operators import adjoint, cc, compose, is_self_adjoint, scale
+from dgcalc.poly import serialize
 
 
 # -- metrics --------------------------------------------------------------------
@@ -474,3 +475,16 @@ def test_metric_zoo_bytes_are_pinned():
                 parts.append(f"ValueError: {exc}")
         digests[name] = hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
     assert digests == _ZOO_DIGESTS
+
+
+def test_metric_zoo_cells_are_written_from_the_rows():
+    # the builders behind _ZOO_DIGESTS make rows; their text is the text
+    # of the Polys the matrix view holds
+    for name, fn in _METRIC_BUILDERS.items():
+        for g in _pin_metrics():
+            try:
+                op = fn(g)
+            except ValueError:
+                continue
+            cells = [[serialize(p) for p in row] for row in op.matrix]
+            assert op.entry_strs() == cells, (name, g.tag, g.n)
