@@ -483,7 +483,7 @@ def operator_from_dict(d: dict) -> LinDiffOp:
     # documents repeat few distinct texts, so each is parsed once; its terms
     # are written straight into the row, over the row's common denominator
     parsed: dict[str, Poly] = {}
-    built = []
+    rows = []
     for i, row in enumerate(mat):
         cells = []
         for j, cell in enumerate(row):
@@ -497,19 +497,14 @@ def operator_from_dict(d: dict) -> LinDiffOp:
                     raise OpFormatError(f"matrix[{i}][{j}]: {exc}") from exc
             cells.append(p)
         den = math.lcm(*[p.den for p in cells])
-        if den == 1:
-            terms = {(j, m): c for j, p in enumerate(cells) for m, c in p.nums.items()}
-        else:
-            terms = {(j, m): c * (den // p.den)
-                     for j, p in enumerate(cells) for m, c in p.nums.items()}
-        built.append((len(cells), terms, den))
+        terms = {(j, m): c * (den // p.den)
+                 for j, p in enumerate(cells) for m, c in p.nums.items()}
+        rows.append(FreeElem._make(len(cells), nvars, terms, 1, den))
     try:
-        _check_shape(name, source, target, [w for w, _, _ in built])
+        _check_shape(name, source, target, [r.width for r in rows])
     except ShapeMismatch as exc:
         raise OpFormatError(str(exc)) from exc
-    width = source.dim
-    rows = tuple(FreeElem._make(width, nvars, t, 1, den) for _, t, den in built)
-    return LinDiffOp._make(name, nvars, source, target, rows)
+    return LinDiffOp._make(name, nvars, source, target, tuple(rows))
 
 
 def operator_json(a: LinDiffOp, provenance: str | None = None) -> str:
