@@ -210,13 +210,8 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
         ker = minimize_generators(syzygies(_transpose_rows(mats[i])))
     else:
         # next differential is zero: every vector is a cocycle
-        ker = [
-            FreeElem(
-                Poly.const(nvars, 1) if j == t else Poly.zero(nvars)
-                for j in range(width_i)
-            )
-            for t in range(width_i)
-        ]
+        one = (0,) * nvars
+        ker = [FreeElem._make(width_i, nvars, {(t, one): 1}) for t in range(width_i)]
     if im and len(mats) >= i + 1:
         # sanity: the dual complex composes to zero
         nxt, _ = _int_rows(_transpose_rows(mats[i]))

@@ -17,8 +17,10 @@ basis give the reduced Groebner basis (`reduced_groebner`, which also
 serves membership and module equality); the elements whose genuine block
 dies, kept packed until then, give the syzygy generators (`syzygies`);
 and the run's basis as it stands divides with cofactors, from the
-tracking columns of a remainder.  A run whose relations nobody reads
-never decodes or checks them.
+tracking columns of a remainder, handing the quotient back as a row.  The
+rows' encoding for the division check is built on the first division by
+them and kept with the run too.  A run whose relations nobody reads never
+decodes or checks them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -43,7 +45,12 @@ gives each row term the Kronecker key pos + W * sum_j m_j * B^j, with W
 above every position and the base B the rows' degree plus the largest
 relation degree plus one, so a product term's key is one addition and no
 field carries.  The first `syzygies` call on a row set encodes its rows
-once for the run's whole harvest and checks each relation once.
+once for the run's whole harvest and checks each relation once.  The first
+division by a row set encodes its rows, with room for that division's
+element, remainder and quotient degree; each later division keys only
+its own element and remainder into that encoding and checks its identity;
+only a division that does not fit it encodes the rows again, with room
+for its own degrees.
 
 A harvested relation is built carrying what the run knows of it:
 its degree and whether it is homogeneous, read off the degree fields of
@@ -359,14 +366,17 @@ class _RowCode:
     """Integer rows encoded once for exact checks of relations among them.
 
     A row term (pos, m) gets the Kronecker key pos + W * sum_j m_j * B^j,
-    where W exceeds every position and B = (row degree) + `reldeg` + 1.  A
-    relation term (i, m) of degree at most `reldeg` shifts row i's keys by
-    W * sum_j m_j * B^j, and no exponent of a product reaches B, so no field
-    carries into the next: distinct product terms keep distinct keys and
-    the sum is exact.  Built from the (position, monomial) terms alone, apart
-    from the packing that made the relations."""
+    where W = `width` exceeds every position and B = `rowdeg` + `reldeg` +
+    1, `rowdeg` being the rows' degree.  A relation term (i, m) of degree at
+    most `reldeg` shifts row i's keys by W * sum_j m_j * B^j, and no
+    exponent of a product reaches B, so no field carries into the next:
+    distinct product terms keep distinct keys and the sum is exact.  Built
+    from the (position, monomial) terms alone, apart from the packing that
+    made the relations.  A further row within the width and `rowdeg` can be
+    keyed alike (`keyed`), and `over` makes a code for other keyed rows
+    without encoding anything again."""
 
-    __slots__ = ("rows", "scale", "reldeg", "shifts")
+    __slots__ = ("rows", "width", "rowdeg", "reldeg", "scale", "keys", "shifts")
 
     def __init__(self, rows: Sequence[dict[Term, int]], reldeg: int):
         # one pass finds the distinct monomials and the top position
@@ -378,13 +388,42 @@ class _RowCode:
                 seen(m)
                 if pos >= width:
                     width = pos + 1
-        base = max(map(sum, monos), default=0) + reldeg + 1
+        self.width = width
+        self.rowdeg = rowdeg = max(map(sum, monos), default=0)
+        base = rowdeg + reldeg + 1
         nvars = len(next(iter(monos))) if monos else 0
         self.scale = scale = [width * base**j for j in range(nvars)]
         self.reldeg = reldeg
         self.shifts: dict[Monomial, int] = {}  # relation monomial -> key shift
-        key = {m: sum(map(mul, m, scale)) for m in monos}
+        # row monomial -> key
+        self.keys = key = {m: sum(map(mul, m, scale)) for m in monos}
         self.rows = [[(pos + key[m], v) for (pos, m), v in row.items()] for row in rows]
+
+    def keyed(self, row: dict[Term, int]) -> list[tuple[int, int]] | None:
+        """The row's terms keyed as the encoded rows are, or None when a
+        term lies at or past `width` or above `rowdeg`, where keys could
+        collide."""
+        keys, width = self.keys, self.width
+        out = []
+        for (pos, m), v in row.items():
+            k = keys.get(m)
+            if k is None:
+                if sum(m) > self.rowdeg:
+                    return None
+                k = keys[m] = sum(map(mul, m, self.scale))
+            if pos >= width:
+                return None
+            out.append((pos + k, v))
+        return out
+
+    def over(self, rows: list[list[tuple[int, int]]]) -> "_RowCode":
+        """A code for these rows, keyed by this one, sharing its key
+        caches."""
+        code = object.__new__(_RowCode)
+        code.rows = rows
+        code.width, code.rowdeg, code.reldeg = self.width, self.rowdeg, self.reldeg
+        code.scale, code.keys, code.shifts = self.scale, self.keys, self.shifts
+        return code
 
     def annihilates(self, coeffs: dict[Term, int]) -> bool:
         """True when sum over (i, m) of coeffs[(i, m)] * d^m * rows[i] is
@@ -848,22 +887,25 @@ class _Run:
 
 class _Tracked:
     """One Buchberger run on rows augmented with unit tracking columns, and
-    its three products, each built on its first read.
+    its products, each built on its first read.
 
     `reducer` holds the run's basis, whose elements record how they are
     built from the rows: division with cofactors reads it as it is.
     `reduced` is None until `reduced_groebner` builds the rows' reduced
     Groebner basis from it.  `harvest` holds the harvested relations
     packed, as `_Run.harvest` does, until the first `syzygies` call
-    decodes and verifies them into `relations` and releases it."""
+    decodes and verifies them into `relations` and releases it.
+    `division` is None until the first `divide_with_cofactors` call
+    encodes the rows for its identity check; later divisions reuse it."""
 
-    __slots__ = ("reducer", "harvest", "relations", "reduced")
+    __slots__ = ("reducer", "harvest", "relations", "reduced", "division")
 
     def __init__(self, reducer: _Reducer, harvest: list):
         self.reducer = reducer
         self.harvest: list | None = harvest
         self.relations: tuple[FreeElem, ...] | None = None
         self.reduced: GroebnerBasis | None = None
+        self.division: _RowCode | None = None
 
 
 @_memo
@@ -1278,11 +1320,11 @@ def _minimize_homogeneous(elems: list[FreeElem], base: list[FreeElem]) -> list[F
 # -- division with cofactors ----------------------------------------------------
 
 
-def divide_with_cofactors(
-    elem: FreeElem, gens: Sequence
-) -> tuple[tuple[Poly, ...], FreeElem]:
-    """Write elem = sum_i q_i * gens_i + remainder with the remainder in
-    normal form.  Exact: the identity is verified before returning."""
+def divide_with_cofactors(elem: FreeElem, gens: Sequence) -> tuple[FreeElem, FreeElem]:
+    """Write elem = quot.dot(gens) + remainder with the remainder in normal
+    form; returns (quot, remainder), quot a row of width len(gens).  Exact:
+    the identity is verified before returning, against an encoding of the
+    rows built on the first division by them and kept with their run."""
     elems = _as_elems(gens)
     k = len(elems)
     width, nvars = elems[0].width, elems[0].nvars
@@ -1290,9 +1332,10 @@ def divide_with_cofactors(
         raise ValueError("element width does not match generator width")
     if elem.nvars != nvars:
         raise ValueError("element nvars does not match generator nvars")
-    red = _tracked(tuple(elems), _budget()).reducer
+    run = _tracked(tuple(elems), _budget())
     if elem.is_zero():
-        return tuple(Poly.zero(nvars) for _ in range(k)), elem
+        return FreeElem._make(k, nvars, {}), elem
+    red = run.reducer
     # h == num/den * elem.terms - sum_i q_i * gens_i, with -q_i in column
     # width + i; multiplying by den / (num * elem.den) gives the remainder
     # and -q_i
@@ -1307,15 +1350,37 @@ def divide_with_cofactors(
             quot_terms[(pos - width, m)] = -v
     remainder = FreeElem._make(width, nvars, rem_terms, den, num)
     quot = FreeElem._make(k, nvars, quot_terms, den, num)
-    # quot . gens + remainder - elem == 0, as one relation on the stacked
-    # rows, scaled to integers by quot's denominator
+    # quot . gens + remainder - elem == 0, as one relation on the rows
+    # stacked with the remainder and elem: the rows are scaled by their
+    # common denominator g and the two by theirs, s, so the relation is
+    # the identity times s * g * quot.den
+    tail, s = _int_rows([remainder, elem])
+    reldeg = max(quot.degree(), 0)
+    code = run.division
+    keyed = [None]
+    if code is not None and reldeg <= code.reldeg:
+        keyed = [code.keyed(r) for r in tail]
+    if None in keyed:
+        # the first division by these rows, or one whose quotient, remainder
+        # or element does not fit the kept code: encode the rows again with
+        # this remainder and element, keeping the old relation degree, and
+        # keep the code of the rows alone
+        if code is not None:
+            reldeg = max(reldeg, code.reldeg)
+        check = _RowCode(_int_rows(elems)[0] + tail, reldeg)
+        run.division = check.over(check.rows[:k])
+    else:
+        # every division by these rows shares the kept code, so this one
+        # checks against a code of its own over the kept keys
+        check = code.over(code.rows + keyed)
+    identity = {t: v * s for t, v in quot.terms.items()} if s > 1 else dict(quot.terms)
     one = (0,) * nvars
-    identity = dict(quot.terms)
-    identity[(k, one)] = quot.den
-    identity[(k + 1, one)] = -quot.den
-    if not _annihilates(identity, _int_rows(elems + [remainder, elem])[0]):
+    c = quot.den * math.lcm(*(e.den for e in elems))
+    identity[(k, one)] = c
+    identity[(k + 1, one)] = -c
+    if not check.annihilates(identity):
         raise RuntimeError("internal error: division identity failed")
-    return quot.entries, remainder
+    return quot, remainder
 
 
 # -- rank ------------------------------------------------------------------------

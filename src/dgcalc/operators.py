@@ -369,12 +369,13 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
             f"{b.name} has {b.source.dim}"
         )
     arows, brows = a._rows, b._rows
+    # each quotient comes back as a row of width len(brows), the row of Q
     qrows = []
     for i, row in enumerate(arows):
         q, rem = divide_with_cofactors(row, brows)
         if not rem.is_zero():
             raise NotFactorable(i, rem)
-        qrows.append(FreeElem(q))
+        qrows.append(q)
     # row by row through FreeElem.dot, a product computed apart from the
     # annihilation check inside divide_with_cofactors
     if any(q.dot(brows) != row for q, row in zip(qrows, arows)):

@@ -1,7 +1,7 @@
 """The integer kernels behind the inline checks, the rank, the graded
 minimizer and the report's nullspace oracle: the annihilation check
 against FreeElem.dot, its Kronecker base and its call counts in a cold
-report, and the rank (its point certificate and its Bareiss fallback), the
+report and in one factorization, and the rank (its point certificate and its Bareiss fallback), the
 echelon kernel and the oracle against Fraction-based eliminations written
 here; and the oracle's kernels, elimination count and independence from
 the engine on the report's own steps."""
@@ -29,6 +29,7 @@ from dgcalc.engine import (
     fraction_rank,
     syzygies,
 )
+from dgcalc.operators import compose, factor_through
 from dgcalc.poly import Poly, parse
 from dgcalc.report import _relations, run_report
 
@@ -223,6 +224,24 @@ def test_relations_are_built_on_first_request(rows, monkeypatch, clear_engine_ca
     assert run.harvest is None
     assert syzygies(rows) == relations
     assert len(encodings) == 2 and len(checks) == 1 + harvested
+
+
+def test_division_encodes_its_rows_once_per_run(monkeypatch, clear_engine_caches):
+    """c08's division: each of the 10 rows of the wave operator is divided
+    by the rows of ricci_lin, whose run encodes them on the first division
+    and keeps the encoding for the other nine, while every division
+    identity is still checked."""
+    m4 = zoo.minkowski(4)
+    w = zoo.weyl_lin(m4)
+    lhs = compose(zoo.dalembertian(m4, w.target), w)
+    ric = zoo.ricci_lin(m4)
+    assert len(lhs.rows()) == 10
+    encodings, checks = _count_checks(monkeypatch)
+    clear_engine_caches()
+    q = factor_through(lhs, ric)
+    assert [f.f_code.co_name for f in encodings] == ["divide_with_cofactors"]
+    assert [f.f_code.co_name for f in checks] == ["divide_with_cofactors"] * 10
+    assert compose(q, ric) == lhs
 
 
 def test_cold_resolution_check_count(monkeypatch, clear_engine_caches):

@@ -1,6 +1,8 @@
 """Operators drawn at random: composition and the adjoint against
 entrywise Poly arithmetic, associativity, compatibility conditions that
-compose to zero and hold every relation of bounded degree, documents that
+compose to zero and hold every relation of bounded degree, factoring a
+composition through its right factor, the division identity as the
+division check's encoding of the rows widens, documents that
 survive saving and loading byte for byte and load as the rows of their
 cells, and derived operators, built without re-validation, equal to what
 the checking constructor builds and written cell by cell as `serialize`
@@ -11,8 +13,9 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
+from dgcalc import engine
 from dgcalc.duality import param_test
-from dgcalc.engine import FreeElem, reduced_groebner
+from dgcalc.engine import FreeElem, divide_with_cofactors, reduced_groebner
 from dgcalc.operators import (
     Bundle,
     LinDiffOp,
@@ -94,6 +97,66 @@ def test_compatibility_conditions_compose_to_zero_and_are_complete(d):
     # found by linear algebra apart from the engine, lies in their module
     gb = reduced_groebner(conds.rows())
     assert all(gb.contains(rel) for rel in _truncated_kernel(d.rows(), 3))
+
+
+@st.composite
+def left_factors(draw):
+    """An operator B as `small_operators` draws it, and a left factor Q of
+    one or two rows on B's target, with rational entries of degree at most
+    1, many of them zero."""
+    b = draw(small_operators())
+    mons = [m for m in product(range(2), repeat=b.nvars) if sum(m) <= 1]
+    entry = st.dictionaries(st.sampled_from(mons), st.sampled_from(COEFFS), max_size=2)
+    rows = draw(st.integers(1, 2))
+    matrix = [[Poly(b.nvars, draw(entry)) for _ in range(b.target.dim)] for _ in range(rows)]
+    return LinDiffOp("q", b.nvars, b.target, Bundle.simple(f"b{rows}", rows), matrix), b
+
+
+@given(left_factors())
+def test_factor_through_reproduces_a_left_factor(ops):
+    q, b = ops
+    a = compose(q, b)
+    f = factor_through(a, b)
+    assert (f.source, f.target) == (b.target, a.target)
+    assert compose(f, b) == a
+
+
+@st.composite
+def divisions(draw):
+    """Rows with rational entries of degree at most 2, and two elements to
+    divide by them in turn: a nonzero one of degree at most 1, then one of
+    degree 4, a combination of the rows with cofactors of degree at most 1
+    plus one term of degree 4.  The first division encodes the rows with
+    room for degree 2 at most, so the second must widen that encoding."""
+    nvars = draw(st.integers(2, 3))
+
+    def entry(cap, min_size=0):
+        mons = [m for m in product(range(cap + 1), repeat=nvars) if sum(m) <= cap]
+        terms = st.dictionaries(st.sampled_from(mons), st.sampled_from(COEFFS),
+                                min_size=min_size, max_size=3)
+        return Poly(nvars, draw(terms))
+
+    width, k = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    rows = [FreeElem(entry(2, 1) for _ in range(width)) for _ in range(k)]
+    low = FreeElem(entry(1, 1 if j == 0 else 0) for j in range(width))
+    cells = list(FreeElem(entry(1) for _ in range(k)).dot(rows).entries)
+    top = draw(st.sampled_from([m for m in product(range(5), repeat=nvars) if sum(m) == 4]))
+    pos = draw(st.integers(0, width - 1))
+    cells[pos] = cells[pos] + Poly(nvars, {top: draw(st.sampled_from(COEFFS))})
+    return rows, low, FreeElem(cells)
+
+
+@given(divisions())
+def test_division_identity_holds_as_the_kept_encoding_widens(case):
+    rows, low, high = case
+    engine.clear_caches()
+    gb = reduced_groebner(rows)
+    for elem in (low, high):
+        quot, rem = divide_with_cofactors(elem, rows)
+        assert (quot.width, quot.nvars) == (len(rows), elem.nvars)
+        image = quot.dot(rows)
+        assert FreeElem(p + r for p, r in zip(image.entries, rem.entries)) == elem
+        assert rem == gb.normal_form(elem)
 
 
 @st.composite
