@@ -44,8 +44,8 @@ decoded (position, monomial) terms, apart from the packing: `_RowCode`
 gives each row term the Kronecker key pos + W * sum_j m_j * B^j, with W
 above every position and the base B the rows' degree plus the largest
 relation degree plus one, so a product term's key is one addition and no
-field carries.  The first `syzygies` call on a row set encodes its rows
-once for the run's whole harvest and checks each relation once.  The first
+field carries.  The first request for a row set's relations encodes its
+rows once for the run's whole harvest and checks each relation once.  The first
 division by a row set encodes its rows, with room for that division's
 element, remainder and quotient degree; each later division keys only
 its own element and remainder into that encoding and checks its identity;
@@ -59,6 +59,17 @@ since the run made it primitive with the coefficient of its largest
 packed term, its leading term, positive.  So the minimizer reads
 `degree()`, `is_homogeneous()` and `normalized()` of a relation without
 looking at its terms, and the run's `_RowCode` takes B from those degrees.
+
+Each public entry point (`reduced_groebner`, `module_contains`,
+`module_equal`, `syzygies`, `minimize_generators`, `divide_with_cofactors`,
+`resolve_module`) is a boundary: it checks its rows with `_as_elems` and
+reads the degree budget from the environment once, then hands a tuple of
+rows and that budget to a private core (`_basis`, `_same_module`,
+`_relations`, `_minimal`, `_divide`, `_resolve`), and copies a tuple the core returns
+into a fresh list.  The cores trust their callers: they take rows of one
+width and nvars and hand back the memos' own tuples, so a chain of them,
+such as a resolution's steps or `operators.cc`, checks its input and reads
+the budget once, however many links it has.
 
 Every cache of the package is a memo made by `_memo`, an unbounded
 `functools.lru_cache` registered in one list that `clear_caches()` empties:
@@ -441,15 +452,6 @@ class _RowCode:
                 k += s
                 acc[k] = get(k, 0) + c * v
         return not any(acc.values())
-
-
-def _annihilates(coeffs: dict[Term, int], rows: Sequence[dict[Term, int]]) -> bool:
-    """True when sum over (i, m) of coeffs[(i, m)] * d^m * rows[i] is zero.
-
-    `coeffs` is a relation in integer term space, keyed (row, monomial);
-    the rows are encoded for this one relation (`_RowCode`)."""
-    reldeg = max((sum(m) for _, m in coeffs), default=0)
-    return _RowCode(rows, reldeg).annihilates(coeffs)
 
 
 # -- packed terms ----------------------------------------------------------------
@@ -891,12 +893,12 @@ class _Tracked:
 
     `reducer` holds the run's basis, whose elements record how they are
     built from the rows: division with cofactors reads it as it is.
-    `reduced` is None until `reduced_groebner` builds the rows' reduced
-    Groebner basis from it.  `harvest` holds the harvested relations
-    packed, as `_Run.harvest` does, until the first `syzygies` call
-    decodes and verifies them into `relations` and releases it.
-    `division` is None until the first `divide_with_cofactors` call
-    encodes the rows for its identity check; later divisions reuse it."""
+    `reduced` is None until `_basis` builds the rows' reduced Groebner
+    basis from it.  `harvest` holds the harvested relations packed, as
+    `_Run.harvest` does, until the first `_relations` call decodes and
+    verifies them into `relations` and releases it.  `division` is None
+    until the first `_divide` call encodes the rows for its identity
+    check; later divisions reuse it."""
 
     __slots__ = ("reducer", "harvest", "relations", "reduced", "division")
 
@@ -1000,10 +1002,10 @@ class GroebnerBasis:
         return iter(self.generators)
 
 
-def _as_elems(rows: Sequence) -> list[FreeElem]:
-    out = []
-    for r in rows:
-        out.append(r if isinstance(r, FreeElem) else FreeElem(r))
+def _as_elems(rows: Sequence) -> tuple[FreeElem, ...]:
+    """The rows as FreeElems of one width and nvars: the check every public
+    entry point runs once on its input before handing it to a core."""
+    out = tuple(r if isinstance(r, FreeElem) else FreeElem(r) for r in rows)
     if not out:
         raise ValueError("empty generator list: width is undetermined")
     w, nv = out[0].width, out[0].nvars
@@ -1015,10 +1017,10 @@ def _as_elems(rows: Sequence) -> list[FreeElem]:
     return out
 
 
-def reduced_groebner(rows: Sequence) -> GroebnerBasis:
-    """The reduced Groebner basis of the rows' module, built on first
-    request and kept with the rows' Buchberger run."""
-    run = _tracked(tuple(_as_elems(rows)), _budget())
+def _basis(rows: tuple[FreeElem, ...], budget: int) -> GroebnerBasis:
+    """The core of `reduced_groebner`: the rows are nonempty, of one width
+    and nvars."""
+    run = _tracked(rows, budget)
     if run.reduced is None:
         # every tracking basis element has a genuine lead and its tracking
         # terms are never reduced, so the genuine parts form a Groebner
@@ -1031,12 +1033,18 @@ def reduced_groebner(rows: Sequence) -> GroebnerBasis:
     return run.reduced
 
 
+def reduced_groebner(rows: Sequence) -> GroebnerBasis:
+    """The reduced Groebner basis of the rows' module, built on first
+    request and kept with the rows' Buchberger run."""
+    return _basis(_as_elems(rows), _budget())
+
+
 def normal_form(elem: FreeElem, gb: GroebnerBasis) -> FreeElem:
     return gb.normal_form(elem)
 
 
 def module_contains(gens: Sequence, elem: FreeElem) -> bool:
-    return reduced_groebner(gens).contains(elem)
+    return _basis(_as_elems(gens), _budget()).contains(elem)
 
 
 def module_equal(gens_a: Sequence, gens_b: Sequence) -> bool:
@@ -1044,29 +1052,27 @@ def module_equal(gens_a: Sequence, gens_b: Sequence) -> bool:
     b = _as_elems(gens_b)
     if a[0].width != b[0].width or a[0].nvars != b[0].nvars:
         return False
-    gba = reduced_groebner(a)
-    gbb = reduced_groebner(b)
+    return _same_module(a, b, _budget())
+
+
+def _same_module(a: tuple[FreeElem, ...], b: tuple[FreeElem, ...], budget: int) -> bool:
+    """The core of `module_equal`: both row tuples are nonempty and share
+    one width and nvars."""
     # reduced bases are unique, so one comparison settles it
-    return gba == gbb
+    return _basis(a, budget) == _basis(b, budget)
 
 
-def syzygies(rows: Sequence) -> list[FreeElem]:
-    """Generators of the relation module {c : sum_i c_i * rows_i = 0}.
-
-    Output width equals len(rows).  The list generates the full syzygy
-    module; it is not minimized here.  The relations are those the rows'
-    Buchberger run harvested, built on the first call for the row set:
-    each is decoded under the packing that encoded it and verified against
-    the input, in integer term space, once, before any is handed back.
-    """
-    elems = tuple(_as_elems(rows))
-    run = _tracked(elems, _budget())
+def _relations(rows: tuple[FreeElem, ...], budget: int) -> tuple[FreeElem, ...]:
+    """The relations the rows' Buchberger run harvested, decoded and checked
+    on the first request for the row set.  The core of `syzygies`: the rows
+    are nonempty, of one width and nvars."""
+    run = _tracked(rows, budget)
     if run.relations is None:
         relations = []
         if run.harvest:
-            k, nvars = len(elems), elems[0].nvars
+            k, nvars = len(rows), rows[0].nvars
             # one encoding of the rows serves every relation of the run
-            code = _RowCode(_int_rows(elems)[0], max(top for _, _, top, _ in run.harvest))
+            code = _RowCode(_int_rows(rows)[0], max(top for _, _, top, _ in run.harvest))
             monos: dict[int, Monomial] = {}
             last = None
             for h, pack, top, bottom in run.harvest:
@@ -1082,7 +1088,27 @@ def syzygies(rows: Sequence) -> list[FreeElem]:
                 e._marks = _NORMAL | (_HOMOGENEOUS if top == bottom else _MIXED)
                 relations.append(e)
         run.relations, run.harvest = tuple(relations), None
-    return list(run.relations)
+    return run.relations
+
+
+def syzygies(rows: Sequence) -> list[FreeElem]:
+    """Generators of the relation module {c : sum_i c_i * rows_i = 0}.
+
+    Output width equals len(rows).  The list generates the full syzygy
+    module; it is not minimized here.  The relations are those the rows'
+    Buchberger run harvested, built on the first call for the row set:
+    each is decoded under the packing that encoded it and verified against
+    the input, in integer term space, once, before any is handed back.
+    """
+    return list(_relations(_as_elems(rows), _budget()))
+
+
+def _minimal_relations(rows: tuple[FreeElem, ...], budget: int) -> tuple[FreeElem, ...]:
+    """`minimize_generators(syzygies(rows))` on trusted rows, as the memos
+    hold it: one step of a resolution, and the rows of `operators.cc`."""
+    relations = _relations(rows, budget)
+    # a harvested relation is never zero
+    return _minimal(relations, (), budget) if relations else ()
 
 
 # -- minimal generating sets ---------------------------------------------------
@@ -1164,19 +1190,21 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
     elems = _as_elems(gens)
     if all(e.is_zero() for e in elems):
         return []
-    base_elems = _as_elems(base) if base else []
+    base_elems = _as_elems(base) if base else ()
     first = next((b for b in base_elems if not b.is_zero()), None)
     if first is not None and first.width != elems[0].width:
         raise ValueError("base width does not match generator width")
     if first is not None and first.nvars != elems[0].nvars:
         raise ValueError("base nvars does not match generator nvars")
-    return list(_minimal(tuple(elems), tuple(base_elems), _budget()))
+    return list(_minimal(elems, base_elems, _budget()))
 
 
 @_memo
 def _minimal(gens: tuple, base: tuple, budget: int) -> tuple[FreeElem, ...]:
-    # keyed on the elements as given; `budget` only keys the memo:
-    # `reduced_groebner` and `syzygies` read it again
+    """The core of `minimize_generators`, keyed on the elements as given:
+    some of `gens` is nonzero, and the nonzero ones and the nonzero `base`
+    rows share one width and nvars.  Every run it asks for is under
+    `budget`."""
     uniq = _ordered(list(dict.fromkeys(e.normalized() for e in gens if not e.is_zero())))
     base_rows = [b for b in base if not b.is_zero()]
     if all(e.is_homogeneous() for e in uniq + base_rows):
@@ -1186,7 +1214,7 @@ def _minimal(gens: tuple, base: tuple, budget: int) -> tuple[FreeElem, ...]:
         i = 0
         while i < len(kept):
             others = kept[:i] + kept[i + 1 :] + base_rows
-            if others and reduced_groebner(others).contains(kept[i]):
+            if others and _basis(tuple(others), budget).contains(kept[i]):
                 kept.pop(i)
             else:
                 i += 1
@@ -1195,12 +1223,12 @@ def _minimal(gens: tuple, base: tuple, budget: int) -> tuple[FreeElem, ...]:
     # among the kept list has 1 at position i, that is when 1 lies in the
     # ideal of the i-th coordinates of any generating set of the relations:
     # one relation run decides every position until one is dropped
-    relations = syzygies(kept)
+    relations = _relations(tuple(kept), budget)
     i = 0
     while i < len(kept):
-        if _unit_coordinate(relations, i):
+        if _unit_coordinate(relations, i, budget):
             kept.pop(i)
-            relations = syzygies(kept)
+            relations = _relations(tuple(kept), budget)
         else:
             i += 1
     return tuple(kept)
@@ -1273,7 +1301,7 @@ def _ordered(elems: list[FreeElem]) -> list[FreeElem]:
     return out
 
 
-def _unit_coordinate(relations: list[FreeElem], i: int) -> bool:
+def _unit_coordinate(relations: Sequence[FreeElem], i: int, budget: int) -> bool:
     """Whether 1 lies in the ideal of the i-th coordinates of `relations`."""
     ideal = []
     for rel in relations:
@@ -1284,7 +1312,7 @@ def _unit_coordinate(relations: list[FreeElem], i: int) -> bool:
     # constant 1 exactly when the ideal is the whole ring
     if any(c.degree() == 0 for c in ideal):
         return True
-    return bool(ideal) and any(g.degree() == 0 for g in reduced_groebner(ideal))
+    return bool(ideal) and any(g.degree() == 0 for g in _basis(tuple(ideal), budget))
 
 
 def _minimize_homogeneous(elems: list[FreeElem], base: list[FreeElem]) -> list[FreeElem]:
@@ -1326,17 +1354,25 @@ def divide_with_cofactors(elem: FreeElem, gens: Sequence) -> tuple[FreeElem, Fre
     the identity is verified before returning, against an encoding of the
     rows built on the first division by them and kept with their run."""
     elems = _as_elems(gens)
-    k = len(elems)
-    width, nvars = elems[0].width, elems[0].nvars
-    if elem.width != width:
+    if elem.width != elems[0].width:
         raise ValueError("element width does not match generator width")
-    if elem.nvars != nvars:
+    if elem.nvars != elems[0].nvars:
         raise ValueError("element nvars does not match generator nvars")
-    run = _tracked(tuple(elems), _budget())
+    return _divide(elem, elems, _budget())
+
+
+def _divide(
+    elem: FreeElem, rows: tuple[FreeElem, ...], budget: int
+) -> tuple[FreeElem, FreeElem]:
+    """The core of `divide_with_cofactors`: the rows are nonempty and
+    share the element's width and nvars."""
+    run = _tracked(rows, budget)
+    k = len(rows)
+    width, nvars = elem.width, elem.nvars
     if elem.is_zero():
         return FreeElem._make(k, nvars, {}), elem
     red = run.reducer
-    # h == num/den * elem.terms - sum_i q_i * gens_i, with -q_i in column
+    # h == num/den * elem.terms - sum_i q_i * rows_i, with -q_i in column
     # width + i; multiplying by den / (num * elem.den) gives the remainder
     # and -q_i
     h, num, den = red.reduce_full(red.encode_input(elem.terms, elem.degree()))
@@ -1350,7 +1386,7 @@ def divide_with_cofactors(elem: FreeElem, gens: Sequence) -> tuple[FreeElem, Fre
             quot_terms[(pos - width, m)] = -v
     remainder = FreeElem._make(width, nvars, rem_terms, den, num)
     quot = FreeElem._make(k, nvars, quot_terms, den, num)
-    # quot . gens + remainder - elem == 0, as one relation on the rows
+    # quot . rows + remainder - elem == 0, as one relation on the rows
     # stacked with the remainder and elem: the rows are scaled by their
     # common denominator g and the two by theirs, s, so the relation is
     # the identity times s * g * quot.den
@@ -1367,7 +1403,7 @@ def divide_with_cofactors(elem: FreeElem, gens: Sequence) -> tuple[FreeElem, Fre
         # keep the code of the rows alone
         if code is not None:
             reldeg = max(reldeg, code.reldeg)
-        check = _RowCode(_int_rows(elems)[0] + tail, reldeg)
+        check = _RowCode(_int_rows(rows)[0] + tail, reldeg)
         run.division = check.over(check.rows[:k])
     else:
         # every division by these rows shares the kept code, so this one
@@ -1375,7 +1411,7 @@ def divide_with_cofactors(elem: FreeElem, gens: Sequence) -> tuple[FreeElem, Fre
         check = code.over(code.rows + keyed)
     identity = {t: v * s for t, v in quot.terms.items()} if s > 1 else dict(quot.terms)
     one = (0,) * nvars
-    c = quot.den * math.lcm(*(e.den for e in elems))
+    c = quot.den * math.lcm(*(e.den for e in rows))
     identity[(k, one)] = c
     identity[(k + 1, one)] = -c
     if not check.annihilates(identity):
@@ -1569,18 +1605,22 @@ def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolutio
     if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     elems = _as_elems(rows)
-    nvars = elems[0].nvars
     if max_steps is None:
-        max_steps = nvars + 1
-    steps: list[tuple[FreeElem, ...]] = [tuple(elems)]
+        max_steps = elems[0].nvars + 1
+    return _resolve(elems, max_steps, _budget())
+
+
+def _resolve(rows: tuple[FreeElem, ...], max_steps: int, budget: int) -> Resolution:
+    """The core of `resolve_module`: the rows are nonempty, of one width
+    and nvars, and max_steps is nonnegative.  Each step after the first is
+    the `_minimal` memo's own tuple of normalized relations, which
+    `_relations` checked: nothing checks them again."""
+    steps = [rows]
     complete = False
-    current = elems
-    while len(steps) < max_steps + 1:
-        syz = minimize_generators(syzygies(current))
-        if not syz:
+    while len(steps) <= max_steps:
+        step = _minimal_relations(steps[-1], budget)
+        if not step:
             complete = True
             break
-        # no re-check: each is a normalized relation that `_tracked` verified
-        steps.append(tuple(syz))
-        current = syz
-    return Resolution(nvars, elems[0].width, tuple(steps), complete)
+        steps.append(step)
+    return Resolution(rows[0].nvars, rows[0].width, tuple(steps), complete)

@@ -26,11 +26,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .engine import (
     FreeElem,
+    _budget,
     _dot,
+    _minimal_relations,
+    _same_module,
     _transpose_rows,
-    minimize_generators,
-    module_equal,
-    syzygies,
 )
 from .poly import ParseError, Poly, parse
 
@@ -344,7 +344,7 @@ def is_self_adjoint(a: LinDiffOp) -> bool:
 def cc(a: LinDiffOp, *, name: str | None = None) -> LinDiffOp:
     """Compatibility conditions: a minimal generating set for the relations
     among the rows of `a`, packaged as an operator on a's target."""
-    gens = tuple(minimize_generators(syzygies(a.rows())))
+    gens = _minimal_relations(a._rows, _budget())
     name = name or f"cc({a.name})"
     if not gens:
         # no relations: the zero operator on a one-dimensional dummy target
@@ -372,6 +372,8 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     # each quotient comes back as a row of width len(brows), the row of Q
     qrows = []
     for i, row in enumerate(arows):
+        # the public call, not its core: no other path of the package
+        # divides, and perfbench's tracer times the division layer here
         q, rem = divide_with_cofactors(row, brows)
         if not rem.is_zero():
             raise NotFactorable(i, rem)
@@ -404,7 +406,7 @@ def image_module_equal(a: LinDiffOp, b: LinDiffOp) -> bool:
     """Same image as maps into a common target: compare column modules."""
     if a.nvars != b.nvars or a.target.dim != b.target.dim:
         return False
-    return module_equal(a.columns(), b.columns())
+    return _same_module(tuple(a.columns()), tuple(b.columns()), _budget())
 
 
 # -- serialization ---------------------------------------------------------------

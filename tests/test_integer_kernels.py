@@ -21,7 +21,6 @@ from dgcalc.engine import (
     FreeElem,
     _Echelon,
     _RowCode,
-    _annihilates,
     _bareiss,
     _int_rows,
     _rank_point,
@@ -75,7 +74,8 @@ def relations(draw):
 @given(relations())
 def test_annihilation_helper_agrees_with_dot(problem):
     rel, rows = problem
-    assert _annihilates(rel.terms, _int_rows(rows)[0]) == rel.dot(rows).is_zero()
+    code = _RowCode(_int_rows(rows)[0], max(rel.degree(), 0))
+    assert code.annihilates(rel.terms) == rel.dot(rows).is_zero()
 
 
 @given(relations(), st.integers(0, 2))
@@ -95,11 +95,13 @@ def _rows(*texts):
 def test_annihilation_base_counts_row_and_relation_degree():
     # d1 * (d1) - (d2) = d1^2 - d2, which a base of 2, the row degree plus
     # one, would alias to zero: d1^2 and d2 would share a key
-    assert not _annihilates({(0, (1, 0)): 1, (1, (0, 0)): -1}, _rows("d1", "d2"))
+    code = _RowCode(_rows("d1", "d2"), 1)
+    assert not code.annihilates({(0, (1, 0)): 1, (1, (0, 0)): -1})
     # (d1^2) - (d1*d2): a base of 1, the relation degree plus one, would key
     # both by total degree alone
-    assert not _annihilates({(0, (0, 0)): 1, (1, (0, 0)): -1}, _rows("d1^2", "d1*d2"))
-    assert _annihilates({(0, (0, 1)): 1, (1, (1, 0)): -1}, _rows("d1", "d2"))
+    code = _RowCode(_rows("d1^2", "d1*d2"), 0)
+    assert not code.annihilates({(0, (0, 0)): 1, (1, (0, 0)): -1})
+    assert _RowCode(_rows("d1", "d2"), 1).annihilates({(0, (0, 1)): 1, (1, (1, 0)): -1})
 
 
 def test_an_encoding_refuses_a_relation_above_its_degree():
@@ -115,8 +117,8 @@ def test_annihilation_check_runs_apart_from_the_packing(monkeypatch):
 
     for name in ("_Packing", "_Reducer", "_Run"):
         monkeypatch.setattr(engine, name, refused)
-    assert _annihilates({(0, (0, 1)): 1, (1, (1, 0)): -1}, _rows("d1", "d2"))
-    assert not _annihilates({(0, (0, 1)): 1}, _rows("d1", "d2"))
+    assert _RowCode(_rows("d1", "d2"), 1).annihilates({(0, (0, 1)): 1, (1, (1, 0)): -1})
+    assert not _RowCode(_rows("d1", "d2"), 1).annihilates({(0, (0, 1)): 1})
 
 
 def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
@@ -130,35 +132,30 @@ def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
     base = _int_rows(rows)[0]
     for rel in relations:
         coeffs = dict(rel.terms)
-        assert _annihilates(coeffs, base)
+        code = _RowCode(base, rel.degree())
+        assert code.annihilates(coeffs)
         for key in coeffs:
             changed = dict(coeffs)
             changed[key] += 1
-            assert not _annihilates(changed, base)
+            assert not code.annihilates(changed)
         # a new term on a nonzero row breaks the relation as well
         changed = dict(coeffs)
         changed[(0, (5, 0, 0))] = changed.get((0, (5, 0, 0)), 0) + 1
-        assert not _annihilates(changed, base)
+        assert not _RowCode(base, max(rel.degree(), 5)).annihilates(changed)
 
 
 def _count_checks(monkeypatch):
     """Record the calling frame of each row encoding and each relation
-    check, looking through `_annihilates` to the site that called it."""
+    check."""
     encodings, checks = [], []
     encode, check = _RowCode.__init__, _RowCode.annihilates
 
-    def site():
-        frame = sys._getframe(2)
-        while frame.f_code.co_name == "_annihilates":
-            frame = frame.f_back
-        return frame
-
     def counted_encode(self, rows, reldeg):
-        encodings.append(site())
+        encodings.append(sys._getframe(1))
         encode(self, rows, reldeg)
 
     def counted_check(self, coeffs):
-        checks.append(site())
+        checks.append(sys._getframe(1))
         return check(self, coeffs)
 
     monkeypatch.setattr(_RowCode, "__init__", counted_encode)
@@ -167,9 +164,10 @@ def _count_checks(monkeypatch):
 
 
 def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
-    """Each relation handed out is checked once, by the first `syzygies`
-    call on its row set; the relations of runs that serve only bases,
-    membership and division are never decoded or checked."""
+    """Each relation handed out is checked once, by the first request for
+    the relations of its row set (`_relations`, the core of `syzygies`);
+    the relations of runs that serve only bases, membership and division
+    are never decoded or checked."""
     encodings, checks = _count_checks(monkeypatch)
     harvested = []
     run = engine._Run.run
@@ -182,12 +180,12 @@ def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
     clear_engine_caches()
     assert all(r.passed for r in run_report())
     sites = Counter(f.f_code.co_name for f in checks)
-    assert sites == {"syzygies": 520, "divide_with_cofactors": 10, "ext_module": 30}
+    assert sites == {"_relations": 520, "_divide": 10, "ext_module": 30}
     # each row set whose relations are read encodes its rows once, and
     # only such row sets encode
-    runs = [f for f in encodings if f.f_code.co_name == "syzygies"]
+    runs = [f for f in encodings if f.f_code.co_name == "_relations"]
     assert len(runs) == len({id(f) for f in runs}) == 62
-    assert {id(f) for f in runs} == {id(f) for f in checks if f.f_code.co_name == "syzygies"}
+    assert {id(f) for f in runs} == {id(f) for f in checks if f.f_code.co_name == "_relations"}
     assert sum(len(f.f_locals["relations"]) for f in runs) == 520
     assert sum(harvested) == 654
     assert engine._tracked.cache_info().misses == 111
@@ -211,15 +209,15 @@ def test_relations_are_built_on_first_request(rows, monkeypatch, clear_engine_ca
     elem = FreeElem(p * p + Poly.const(p.nvars, 3) for p in rows[0].entries)
     engine.divide_with_cofactors(elem, rows)
     # only the division identity is encoded and checked
-    assert [f.f_code.co_name for f in encodings] == ["divide_with_cofactors"]
-    assert [f.f_code.co_name for f in checks] == ["divide_with_cofactors"]
+    assert [f.f_code.co_name for f in encodings] == ["_divide"]
+    assert [f.f_code.co_name for f in checks] == ["_divide"]
     run = engine._tracked(tuple(rows), engine._budget())
     assert run.relations is None and run.harvest
     harvested = len(run.harvest)
     relations = syzygies(rows)
     assert len(relations) == harvested
-    assert [f.f_code.co_name for f in encodings[1:]] == ["syzygies"]
-    assert [f.f_code.co_name for f in checks[1:]] == ["syzygies"] * harvested
+    assert [f.f_code.co_name for f in encodings[1:]] == ["_relations"]
+    assert [f.f_code.co_name for f in checks[1:]] == ["_relations"] * harvested
     # built once: the packed harvest is released, and a repeat call checks none
     assert run.harvest is None
     assert syzygies(rows) == relations
@@ -239,8 +237,8 @@ def test_division_encodes_its_rows_once_per_run(monkeypatch, clear_engine_caches
     encodings, checks = _count_checks(monkeypatch)
     clear_engine_caches()
     q = factor_through(lhs, ric)
-    assert [f.f_code.co_name for f in encodings] == ["divide_with_cofactors"]
-    assert [f.f_code.co_name for f in checks] == ["divide_with_cofactors"] * 10
+    assert [f.f_code.co_name for f in encodings] == ["_divide"]
+    assert [f.f_code.co_name for f in checks] == ["_divide"] * 10
     assert compose(q, ric) == lhs
 
 

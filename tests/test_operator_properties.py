@@ -6,16 +6,32 @@ division check's encoding of the rows widens, documents that
 survive saving and loading byte for byte and load as the rows of their
 cells, and derived operators, built without re-validation, equal to what
 the checking constructor builds and written cell by cell as `serialize`
-writes their Polys."""
+writes their Polys; and resolutions and compatibility conditions equal to
+the chain of public engine calls they stand for, under any degree budget,
+complete with the generic rank as their Euler characteristic, and, on
+homogeneous operators, of a shape that no row permutation or scaling
+moves."""
 
+import os
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dgcalc import engine
+from dgcalc import engine, zoo
 from dgcalc.duality import param_test
-from dgcalc.engine import FreeElem, divide_with_cofactors, reduced_groebner
+from dgcalc.engine import (
+    BudgetExceeded,
+    FreeElem,
+    divide_with_cofactors,
+    fraction_rank,
+    minimize_generators,
+    reduced_groebner,
+    resolve_module,
+    syzygies,
+)
 from dgcalc.operators import (
     Bundle,
     LinDiffOp,
@@ -267,3 +283,148 @@ def test_derived_operators_write_the_cells_of_their_matrix(d):
     rep = param_test(d, with_ext2=False)
     for op in (rep.operator, rep.adjoint_cc, rep.parametrization, rep.recomputed_cc):
         written(op)
+
+
+def public_chain(rows, max_steps):
+    """The steps of a resolution, each link a public `syzygies` call and a
+    public `minimize_generators` call, as `resolve_module` documents it."""
+    steps = [tuple(rows)]
+    while len(steps) <= max_steps:
+        step = tuple(minimize_generators(syzygies(steps[-1])))
+        if not step:
+            break
+        steps.append(step)
+    return tuple(steps)
+
+
+def public_cc_rows(d):
+    """The rows of `cc(d)` from public engine calls on `d.rows()`."""
+    gens = minimize_generators(syzygies(d.rows()))
+    return gens or [FreeElem(Poly.zero(d.nvars) for _ in range(d.target.dim))]
+
+
+@given(small_operators())
+def test_resolutions_and_compatibility_conditions_are_the_public_chain(d):
+    res = resolve_module(d.rows())
+    conds = cc(d)
+    # the public calls compute afresh, on nothing the chain left behind
+    engine.clear_caches()
+    assert res.steps == public_chain(d.rows(), d.nvars + 1)
+    assert conds.rows() == public_cc_rows(d)
+
+
+@contextmanager
+def degree_budget(value):
+    """The degree budget set to `value` in the environment for the block."""
+    old = os.environ.get(engine.BUDGET_ENV)
+    os.environ[engine.BUDGET_ENV] = value
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ[engine.BUDGET_ENV]
+        else:
+            os.environ[engine.BUDGET_ENV] = old
+
+
+def outcome(fn):
+    """What fn returns, or BudgetExceeded when it raises that."""
+    try:
+        return fn()
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+@given(small_operators())
+def test_every_link_of_a_chain_runs_under_the_callers_budget(d):
+    # every result under the default budget is in the memos first, so a
+    # link that ran under any other budget would answer from them
+    resolve_module(d.rows())
+    cc(d)
+    with degree_budget("1"):
+        steps = outcome(lambda: resolve_module(d.rows()).steps)
+        rows = outcome(lambda: cc(d).rows())
+        engine.clear_caches()
+        assert steps == outcome(lambda: public_chain(d.rows(), d.nvars + 1))
+        assert rows == outcome(lambda: public_cc_rows(d))
+
+
+def test_a_low_budget_stops_chains_whose_memos_are_warm():
+    kill = zoo.killing(zoo.euclidean(3))
+    # minimized against a base one membership test at a time, since the
+    # rows are not homogeneous; each test needs an S-pair above degree 1
+    gens = [FreeElem.from_strs(2, [t]) for t in ("d1^2 + 1", "d1*d2")]
+    base = [FreeElem.from_strs(2, ["d2^2 + d1"])]
+    calls = [
+        lambda: resolve_module(kill.rows()),
+        lambda: cc(kill),
+        lambda: minimize_generators(gens, base=base),
+    ]
+    for call in calls:
+        call()
+    with degree_budget("1"):
+        for call in calls:
+            with pytest.raises(BudgetExceeded):
+                call()
+
+
+@given(small_operators())
+def test_resolutions_are_complete_with_the_generic_rank_as_euler_characteristic(d):
+    res = resolve_module(d.rows())
+    assert res.complete
+    assert res.euler_characteristic == d.source.dim - fraction_rank(d.rows())
+
+
+@st.composite
+def homogeneous_rows(draw):
+    """Rows as `small_operators` draws them, but with every entry
+    homogeneous of one degree, 1 or 2, and a last row that combines them
+    with homogeneous cofactors of degree `shift`, 0 or 1; with a
+    permutation of the rows and a nonzero rational factor for each."""
+    nvars = draw(st.integers(2, 3))
+    deg = draw(st.integers(1, 2))
+
+    def form(d):
+        mons = [m for m in product(range(d + 1), repeat=nvars) if sum(m) == d]
+        terms = st.dictionaries(st.sampled_from(mons), st.integers(-3, 3).filter(bool),
+                                max_size=3)
+        return Poly(nvars, draw(terms))
+
+    k = draw(st.integers(1, 3))
+    width = draw(st.integers(1, k))
+    rows = [FreeElem(form(deg) for _ in range(width)) for _ in range(k)]
+    shift = draw(st.integers(0, 1))
+    cofactors = [form(shift) for _ in range(k)]
+    rows.append(FreeElem(sum((r.entries[j] * c for r, c in zip(rows, cofactors)),
+                             Poly.zero(nvars)) for j in range(width)))
+    order = draw(st.permutations(range(k + 1)))
+    factors = draw(st.lists(st.sampled_from(COEFFS), min_size=k + 1, max_size=k + 1))
+    return rows, shift, order, factors
+
+
+# the rows' run harvests 2 relations and the permuted rows' run 3, one of
+# them redundant
+HARVESTS_DIFFER = (
+    [FreeElem.from_strs(3, t) for t in (
+        ("0", "3*d2^2"), ("0", "-3*d2^2 + 2*d1*d3 + 2*d2*d3"),
+        ("0", "9*d2^2*d3 - 6*d1*d3^2 - 6*d2*d3^2"),
+    )],
+    1, [2, 1, 0], [1, 1, 1],
+)
+
+
+@example(HARVESTS_DIFFER)
+@given(homogeneous_rows())
+def test_homogeneous_resolution_shape_survives_row_permutation_and_scaling(case):
+    rows, shift, order, factors = case
+    res = resolve_module(rows)
+    moved = [FreeElem(p * Poly.const(p.nvars, c) for p in rows[i].entries)
+             for i, c in zip(order, factors)]
+    again = resolve_module(moved)
+    # the graded Betti numbers
+    assert (again.dims, again.complete) == (res.dims, res.complete)
+    if not shift:
+        # all rows of one degree: each step's orders are its generators'
+        # degrees in the grading that makes the rows homogeneous, shifted
+        # by the rows' degree
+        assert again.orders == res.orders
