@@ -29,6 +29,7 @@ from .engine import (
     _relations,
     _resolve,
     _same_module,
+    _tracked,
     _transpose_rows,
     fraction_rank,
     minimize_generators,
@@ -103,7 +104,7 @@ def param_test(d1: LinDiffOp, *, with_ext2: bool = True,
     parametrizable = _same_module(d1._rows, d1p._rows, budget)
     torsion: tuple[TorsionGenerator, ...] = ()
     if not parametrizable:
-        torsion = tuple(_torsion_generators(d1, d1p, witness_degree))
+        torsion = tuple(_torsion_generators(d1, d1p, witness_degree, budget))
     ext2 = None
     if with_ext2:
         # one step further down the dual chain detects the next obstruction
@@ -123,8 +124,8 @@ def param_test(d1: LinDiffOp, *, with_ext2: bool = True,
     )
 
 
-def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp,
-                        witness_degree: int) -> list[TorsionGenerator]:
+def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp, witness_degree: int,
+                        budget: int) -> list[TorsionGenerator]:
     """Rows of the recomputed conditions that are genuinely new, minimized
     as generators of the quotient by the given rows, so the count does not
     depend on representative choices.
@@ -132,36 +133,57 @@ def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp,
     Unlike the rest of `param_test`, this goes through the engine's public
     entry points, not their cores: perfbench's tracer self-test looks for
     Groebner, membership, minimization and syzygy calls under a
-    `param_test` call, and these are the ones it finds."""
+    `param_test` call, and these are the ones it finds.  The syzygy call
+    comes only on the first search for a residue's witness: the witness is
+    then kept with the Buchberger run of the residue stacked on the rows,
+    and later searches read it there."""
     rows1 = d1.rows()
     gb1 = reduced_groebner(rows1)
     residues = [r for r in d1p.rows() if not gb1.contains(r)]
     alive = minimize_generators(residues, base=rows1)
     out = []
     for r in alive:
-        ann = _annihilator_witness(r, rows1, witness_degree)
+        ann = _annihilator_witness(r, d1._rows, witness_degree, budget)
         out.append(TorsionGenerator(row=r, order=r.degree(), annihilator=ann))
     return out
 
 
-def _annihilator_witness(residue: FreeElem, rows1: list[FreeElem],
-                         max_degree: int) -> Poly:
-    """A nonzero scalar p with p * residue in the row module: read off the
-    first coordinate of the relations among [residue; rows]."""
-    stacked = [residue] + rows1
+def _annihilator_witness(residue: FreeElem, rows1: tuple[FreeElem, ...],
+                         max_degree: int, budget: int) -> Poly:
+    """A nonzero scalar p with p * residue in the row module: a first
+    coordinate of least degree among the relations of [residue; rows].
+    It is found once per run of the stacked rows and kept in the run's
+    `witness` slot; the degree cap is compared on every read, so a kept
+    witness answers any cap.  The run's memo is keyed on the budget, so a
+    witness never crosses budgets."""
+    stacked = (residue,) + rows1
+    run = _tracked(stacked, budget)
+    if run.witness is None:
+        run.witness = _least_head(stacked)
+    low, ann = run.witness
+    if ann is None or low > max_degree:
+        raise TorsionWitnessError(
+            f"no annihilator of degree <= {max_degree} for {residue}"
+        )
+    return ann
+
+
+def _least_head(stacked: tuple[FreeElem, ...]) -> tuple[int, Poly | None]:
+    """(degree, head): the least degree of a nonzero first coordinate of
+    the relations among the stacked rows, and of the normalized heads of
+    that degree the one whose text comes first; (-1, None) when every
+    first coordinate is zero."""
     # each syzygy's first coordinate, by degree read off its terms; only
     # those of least degree are normalized and put into text to compare
     heads: list[tuple[int, FreeElem]] = []
     for s in syzygies(stacked):
         deg = max((sum(m) for pos, m in s.terms if pos == 0), default=-1)
-        if 0 <= deg <= max_degree:
+        if deg >= 0:
             heads.append((deg, s))
     if not heads:
-        raise TorsionWitnessError(
-            f"no annihilator of degree <= {max_degree} for {residue}"
-        )
+        return -1, None
     low = min(deg for deg, _ in heads)
-    return min(
+    return low, min(
         (_head(s, 1).normalized().entries[0] for deg, s in heads if deg == low),
         key=serialize,
     )

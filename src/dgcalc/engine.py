@@ -19,8 +19,9 @@ dies, kept packed until then, give the syzygy generators (`syzygies`);
 and the run's basis as it stands divides with cofactors, from the
 tracking columns of a remainder, handing the quotient back as a row.  The
 rows' encoding for the division check is built on the first division by
-them and kept with the run too.  A run whose relations nobody reads never
-decodes or checks them.
+them and kept with the run too, and so is `duality`'s torsion witness
+when the rows stack a residue on a system's rows.  A run whose relations
+nobody reads never decodes or checks them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -898,9 +899,12 @@ class _Tracked:
     `_Run.harvest` does, until the first `_relations` call decodes and
     verifies them into `relations` and releases it.  `division` is None
     until the first `_divide` call encodes the rows for its identity
-    check; later divisions reuse it."""
+    check; later divisions reuse it.  `witness` is None until
+    `duality`'s torsion search, on rows that stack a residue above a
+    system's rows, keeps there what it read off the relations: the least
+    degree of a nonzero first coordinate and the head it chose."""
 
-    __slots__ = ("reducer", "harvest", "relations", "reduced", "division")
+    __slots__ = ("reducer", "harvest", "relations", "reduced", "division", "witness")
 
     def __init__(self, reducer: _Reducer, harvest: list):
         self.reducer = reducer
@@ -908,6 +912,7 @@ class _Tracked:
         self.relations: tuple[FreeElem, ...] | None = None
         self.reduced: GroebnerBasis | None = None
         self.division: _RowCode | None = None
+        self.witness: tuple[int, Poly | None] | None = None
 
 
 @_memo

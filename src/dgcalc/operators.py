@@ -149,9 +149,15 @@ class LinDiffOp:
     cells as the view.  Everything that builds shapes that are right by
     construction (`compose`, `adjoint`, `cc`, `scale`, `with_name`,
     `factor_through`, the loader and the zoo's integer builders) hands its
-    rows to the trusted `_make` instead."""
+    rows to the trusted `_make` instead.
 
-    __slots__ = ("name", "nvars", "source", "target", "_rows", "_matrix", "_hash")
+    `_adjoint` holds the operator's formal adjoint once `adjoint` has built
+    it, so later calls return that same operator, and is False on that
+    kept adjoint, which keeps none.  The link runs forward only: the kept
+    adjoint does not point back, and a `with_name` copy starts without
+    one."""
+
+    __slots__ = ("name", "nvars", "source", "target", "_rows", "_matrix", "_hash", "_adjoint")
 
     def __init__(
         self,
@@ -174,6 +180,7 @@ class LinDiffOp:
         self._rows: tuple[FreeElem, ...] = tuple(FreeElem(row) for row in mat)
         self._matrix: tuple[tuple[Poly, ...], ...] | None = mat
         self._hash: int | None = None
+        self._adjoint: LinDiffOp | bool | None = None
 
     @classmethod
     def _make(
@@ -195,6 +202,7 @@ class LinDiffOp:
         op._rows = rows
         op._matrix = None
         op._hash = None
+        op._adjoint = None
         return op
 
     # -- structure -----------------------------------------------------------
@@ -316,12 +324,29 @@ def _times(a: LinDiffOp, num: int, den: int, name: str) -> LinDiffOp:
 
 def adjoint(a: LinDiffOp) -> LinDiffOp:
     """Formal adjoint for the weighted L2 pairing: transpose the matrix,
-    flip the sign of every d, and move the weights across.  Involutive.
+    flip the sign of every d, and move the weights across.  Involutive, as
+    an equality: the adjoint of the adjoint equals `a` but is a new
+    operator, named adjoint(adjoint(...)).
 
-    Row j of the result is column j of `a`: term (i, m) of a's row i times
-    (-1)^|m| t_i / s_j, for target weights t and source weights s.  Each
-    row i times t_i is brought to one common denominator in ints, and each
-    result row is made once."""
+    Built on the first call and kept with `a`, so every later call returns
+    the same operator; it depends on nothing but `a`, so no budget and no
+    cache can make it stale, and `clear_caches` leaves it alone.  A kept
+    adjoint keeps none of its own: that would be a second operator equal
+    to `a`, which the caller already holds, so it is built on each call."""
+    kept = a._adjoint
+    if kept is None:
+        kept = a._adjoint = _adjoint(a)
+        kept._adjoint = False
+    elif kept is False:
+        return _adjoint(a)
+    return kept
+
+
+def _adjoint(a: LinDiffOp) -> LinDiffOp:
+    """Row j of the adjoint is column j of `a`: term (i, m) of a's row i
+    times (-1)^|m| t_i / s_j, for target weights t and source weights s.
+    Each row i times t_i is brought to one common denominator in ints, and
+    each result row is made once."""
     rows, tws = a._rows, a.target.weights
     lcd = math.lcm(*(r.den * t.denominator for r, t in zip(rows, tws)))
     cols: list[dict] = [{} for _ in range(a.source.dim)]

@@ -11,8 +11,8 @@ from dgcalc.duality import (
     minimal_parametrization,
     param_test,
 )
-from dgcalc.engine import FreeElem, module_contains, module_equal
-from dgcalc.operators import cc, compose, image_module_equal
+from dgcalc.engine import BudgetExceeded, FreeElem, module_contains, module_equal
+from dgcalc.operators import LinDiffOp, cc, compose, image_module_equal, operator_json
 from dgcalc.poly import serialize
 
 
@@ -64,6 +64,47 @@ def test_torsion_annihilators_actually_annihilate():
 def test_torsion_witness_search_can_be_exhausted():
     with pytest.raises(TorsionWitnessError):
         param_test(zoo.killing(zoo.euclidean(2)), witness_degree=0)
+
+
+def _report_texts(rep):
+    """Every field of a ParamReport as text: each operator by its name and
+    document, each torsion generator with its order and witness."""
+    return [
+        (v.name, operator_json(v)) if isinstance(v, LinDiffOp)
+        else [str(t) for t in v] if isinstance(v, tuple)
+        else v
+        for v in rep
+    ]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zoo.einstein_lin(zoo.minkowski(4)),
+    lambda: zoo.killing(zoo.euclidean(4)),
+    lambda: zoo.weyl_killing(zoo.euclidean(3)),
+], ids=["einstein-m4", "killing-e4", "weyl_killing-e3"])
+def test_a_warm_param_test_reads_what_the_cold_one_kept(build, clear_engine_caches):
+    op = build()
+    clear_engine_caches()
+    cold = _report_texts(param_test(op))
+    # the memos, the kept adjoint and the kept witnesses all warm
+    assert _report_texts(param_test(op)) == cold
+    # the memos emptied, the adjoint still kept with the operator
+    clear_engine_caches()
+    assert _report_texts(param_test(op)) == cold
+
+
+def test_a_warm_param_test_still_raises(clear_engine_caches, monkeypatch):
+    op = zoo.einstein_lin(zoo.minkowski(4))
+    clear_engine_caches()
+    torsion = param_test(op).torsion
+    # the kept witnesses have degree 2: each read compares them with the cap
+    with pytest.raises(TorsionWitnessError):
+        param_test(op, witness_degree=1)
+    assert param_test(op, witness_degree=2).torsion == torsion
+    # and no kept result crosses into a lower degree budget
+    monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "1")
+    with pytest.raises(BudgetExceeded):
+        param_test(op)
 
 
 def test_trace_adjusted_curvature_is_not_parametrizable():

@@ -605,6 +605,37 @@ def test_cold_nonhomogeneous_resolution_work_is_pinned(n, monkeypatch, clear_eng
     assert tuple(work) == PINNED_NONHOMOGENEOUS_WORK[n]
 
 
+# S-pairs, `reduce_full` calls and Buchberger runs of a cold double-duality
+# test of the trace-adjusted curvature operator, whose 35 torsion generators
+# each need an annihilator found
+PINNED_PARAM_TEST_WORK = (408, 1218, 41)
+
+
+def test_cold_param_test_work_is_pinned(monkeypatch, clear_engine_caches):
+    from dgcalc import engine
+    from dgcalc.duality import param_test
+
+    work = [0, 0]
+    spair, reduce_full = engine._Run._spair, engine._Reducer.reduce_full
+
+    def counted_spair(self, *args):
+        work[0] += 1
+        return spair(self, *args)
+
+    def counted_reduce_full(self, *args, **kwargs):
+        work[1] += 1
+        return reduce_full(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine._Run, "_spair", counted_spair)
+    monkeypatch.setattr(engine._Reducer, "reduce_full", counted_reduce_full)
+    op = zoo.einstein_lin(zoo.euclidean(5))
+    clear_engine_caches()
+    rep = param_test(op)
+    assert len(rep.torsion) == 35
+    work.append(engine._tracked.cache_info().misses)
+    assert tuple(work) == PINNED_PARAM_TEST_WORK
+
+
 @pytest.mark.parametrize("rows", [
     zoo.killing(zoo.euclidean(3)).rows(),
     zoo.conformal_killing(zoo.euclidean(3)).rows(),

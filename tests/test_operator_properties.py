@@ -10,7 +10,8 @@ writes their Polys; and resolutions and compatibility conditions equal to
 the chain of public engine calls they stand for, under any degree budget,
 complete with the generic rank as their Euler characteristic, and, on
 homogeneous operators, of a shape that no row permutation or scaling
-moves."""
+moves; and the adjoint of a composition of operators between weighted
+bundles is the reversed composition of their adjoints."""
 
 import os
 from contextlib import contextmanager
@@ -86,6 +87,37 @@ def test_compose_is_the_sum_of_entry_products(ops):
 def test_compose_is_associative(ops):
     a, b, c = ops
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+@st.composite
+def weighted_pairs(draw):
+    """Operators a and b, with a after b defined, over one or two variables:
+    entries as `chains` draws them, and bundles of one to three components
+    with drawn weights, b's target the bundle that is a's source."""
+    nvars = draw(st.integers(1, 2))
+    mons = [m for m in product(range(3), repeat=nvars) if sum(m) <= 2]
+    entry = st.dictionaries(st.sampled_from(mons), st.sampled_from(COEFFS), max_size=3)
+    weight = st.sampled_from([1, 2, Fraction(1, 2), Fraction(7, 3)])
+
+    def bundle(name):
+        dim = draw(st.integers(1, 3))
+        return Bundle(name, [(str(k), draw(weight)) for k in range(dim)])
+
+    source, middle, target = bundle("s"), bundle("m"), bundle("t")
+
+    def op(name, src, tgt):
+        matrix = [[Poly(nvars, draw(entry)) for _ in range(src.dim)] for _ in range(tgt.dim)]
+        return LinDiffOp(name, nvars, src, tgt, matrix)
+
+    return op("a", middle, target), op("b", source, middle)
+
+
+@given(weighted_pairs())
+def test_the_adjoint_reverses_composition(ops):
+    # the weights of the bundle between a and b cancel in the reversed
+    # composition of adjoints
+    a, b = ops
+    assert adjoint(compose(a, b)) == compose(adjoint(b), adjoint(a))
 
 
 @st.composite

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgcalc import duality, operators, zoo
+from dgcalc import duality, engine, operators, zoo
 from dgcalc.engine import FreeElem, module_equal, syzygies
 from dgcalc.operators import (
     Bundle,
@@ -139,6 +139,36 @@ def test_adjoint_is_involutive_and_contravariant():
     r = cc(k)
     assert adjoint(adjoint(k)) == k
     assert adjoint(compose(r, k)) == compose(adjoint(k), adjoint(r))
+
+
+def test_an_operator_keeps_its_adjoint():
+    k = zoo.killing(zoo.euclidean(3))
+    ad = adjoint(k)
+    assert adjoint(k) is ad
+    # the adjoint depends on no budget and no memo, so emptying the memos
+    # leaves it kept
+    engine.clear_caches()
+    assert adjoint(k) is ad
+
+
+def test_the_kept_adjoint_does_not_link_back():
+    k = zoo.killing(zoo.euclidean(3))
+    twice = adjoint(adjoint(k))
+    assert twice is not k
+    assert twice == k
+    assert twice.name == "adjoint(adjoint(killing_e3))"
+    # nor does it keep its own adjoint, a second operator equal to k
+    assert adjoint(adjoint(k)) is not twice
+
+
+def test_a_renamed_copy_keeps_no_adjoint():
+    k = zoo.killing(zoo.euclidean(3))
+    ad = adjoint(k)
+    copy = k.with_name("renamed")
+    assert adjoint(copy) is not ad
+    assert adjoint(copy) == ad
+    assert adjoint(copy).name == "adjoint(renamed)"
+    assert adjoint(k).name == "adjoint(killing_e3)"
 
 
 def test_self_adjointness():
