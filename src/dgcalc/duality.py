@@ -313,10 +313,6 @@ def minimal_parametrization(d1: LinDiffOp, *, report: ParamReport | None = None
     budget = _budget()
     for dropped in combinations(range(t), t - rk):
         keep = [j for j in range(t) if j not in dropped]
-        sub_bundle = Bundle(
-            f"{dpar.source.name}|sub",
-            [(dpar.source.labels[j], dpar.source.weights[j]) for j in keep],
-        )
         # the kept columns of each row, renumbered in order
         at = {j: k for k, j in enumerate(keep)}
         sub_rows = tuple(
@@ -325,13 +321,16 @@ def minimal_parametrization(d1: LinDiffOp, *, report: ParamReport | None = None
             }, 1, r.den)
             for r in dpar.rows()
         )
-        cand = LinDiffOp._make(
-            f"minparam({d1.name})", n, sub_bundle, dpar.target, sub_rows
-        )
         conds = _minimal_relations(sub_rows, budget)
         # conds has d1's width
         if conds and _same_module(conds, d1._rows, budget):
-            return cand
+            sub_bundle = Bundle(
+                f"{dpar.source.name}|sub",
+                [(dpar.source.labels[j], dpar.source.weights[j]) for j in keep],
+            )
+            return LinDiffOp._make(
+                f"minparam({d1.name})", n, sub_bundle, dpar.target, sub_rows
+            )
     raise SearchExhaustedError(
         f"no {rk}-column subset of {dpar.name} keeps the compatibility conditions"
     )

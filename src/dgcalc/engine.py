@@ -17,11 +17,10 @@ basis give the reduced Groebner basis (`reduced_groebner`, which also
 serves membership and module equality); the elements whose genuine block
 dies, kept packed until then, give the syzygy generators (`syzygies`);
 and the run's basis as it stands divides with cofactors, from the
-tracking columns of a remainder, handing the quotient back as a row.  The
-rows' encoding for the division check is built on the first division by
-them and kept with the run too, and so is `duality`'s torsion witness
-when the rows stack a residue on a system's rows.  A run whose relations
-nobody reads never decodes or checks them.
+tracking columns of a remainder, handing the quotient back as a row.
+`duality`'s torsion witness is kept with the run too, when the rows stack
+a residue on a system's rows.  A run whose relations nobody reads never
+decodes or checks them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -41,17 +40,16 @@ that leave the engine are decoded.
 
 The inline checks (each relation handed out annihilates its rows, each
 division identity holds) multiply every relation out exactly on the
-decoded (position, monomial) terms, apart from the packing: `_RowCode`
-gives each row term the Kronecker key pos + W * sum_j m_j * B^j, with W
-above every position and the base B the rows' degree plus the largest
-relation degree plus one, so a product term's key is one addition and no
-field carries.  The first request for a row set's relations encodes its
-rows once for the run's whole harvest and checks each relation once.  The first
-division by a row set encodes its rows, with room for that division's
-element, remainder and quotient degree; each later division keys only
-its own element and remainder into that encoding and checks its identity;
-only a division that does not fit it encodes the rows again, with room
-for its own degrees.
+decoded (position, monomial) terms, apart from the packing.  For the
+relations, `_RowCode` gives each row term the Kronecker key
+pos + W * sum_j m_j * B^j, with W above every position and the base B the
+rows' degree plus the largest relation degree plus one, so a product
+term's key is one addition and no field carries: the first request for a
+row set's relations encodes its rows once for the run's whole harvest
+and checks each relation once.  A division multiplies its identity out
+once, with `FreeElem.dot`: the row (quot + e_k - e_{k+1}) * quot.den
+against the k rows stacked with the remainder and the element must give
+zero.
 
 A harvested relation is built carrying what the run knows of it:
 its degree and whether it is homogeneous, read off the degree fields of
@@ -378,17 +376,15 @@ class _RowCode:
     """Integer rows encoded once for exact checks of relations among them.
 
     A row term (pos, m) gets the Kronecker key pos + W * sum_j m_j * B^j,
-    where W = `width` exceeds every position and B = `rowdeg` + `reldeg` +
-    1, `rowdeg` being the rows' degree.  A relation term (i, m) of degree at
-    most `reldeg` shifts row i's keys by W * sum_j m_j * B^j, and no
-    exponent of a product reaches B, so no field carries into the next:
-    distinct product terms keep distinct keys and the sum is exact.  Built
-    from the (position, monomial) terms alone, apart from the packing that
-    made the relations.  A further row within the width and `rowdeg` can be
-    keyed alike (`keyed`), and `over` makes a code for other keyed rows
-    without encoding anything again."""
+    where W exceeds every position and B is the rows' degree plus `reldeg`
+    plus 1.  A relation term (i, m) of degree at most `reldeg` shifts row
+    i's keys by W * sum_j m_j * B^j, and no exponent of a product reaches
+    B, so no field carries into the next: distinct product terms keep
+    distinct keys and the sum is exact.  Built from the (position,
+    monomial) terms alone, apart from the packing that made the
+    relations."""
 
-    __slots__ = ("rows", "width", "rowdeg", "reldeg", "scale", "keys", "shifts")
+    __slots__ = ("rows", "reldeg", "scale", "shifts")
 
     def __init__(self, rows: Sequence[dict[Term, int]], reldeg: int):
         # one pass finds the distinct monomials and the top position
@@ -400,42 +396,13 @@ class _RowCode:
                 seen(m)
                 if pos >= width:
                     width = pos + 1
-        self.width = width
-        self.rowdeg = rowdeg = max(map(sum, monos), default=0)
-        base = rowdeg + reldeg + 1
+        base = max(map(sum, monos), default=0) + reldeg + 1
         nvars = len(next(iter(monos))) if monos else 0
         self.scale = scale = [width * base**j for j in range(nvars)]
         self.reldeg = reldeg
         self.shifts: dict[Monomial, int] = {}  # relation monomial -> key shift
-        # row monomial -> key
-        self.keys = key = {m: sum(map(mul, m, scale)) for m in monos}
+        key = {m: sum(map(mul, m, scale)) for m in monos}
         self.rows = [[(pos + key[m], v) for (pos, m), v in row.items()] for row in rows]
-
-    def keyed(self, row: dict[Term, int]) -> list[tuple[int, int]] | None:
-        """The row's terms keyed as the encoded rows are, or None when a
-        term lies at or past `width` or above `rowdeg`, where keys could
-        collide."""
-        keys, width = self.keys, self.width
-        out = []
-        for (pos, m), v in row.items():
-            k = keys.get(m)
-            if k is None:
-                if sum(m) > self.rowdeg:
-                    return None
-                k = keys[m] = sum(map(mul, m, self.scale))
-            if pos >= width:
-                return None
-            out.append((pos + k, v))
-        return out
-
-    def over(self, rows: list[list[tuple[int, int]]]) -> "_RowCode":
-        """A code for these rows, keyed by this one, sharing its key
-        caches."""
-        code = object.__new__(_RowCode)
-        code.rows = rows
-        code.width, code.rowdeg, code.reldeg = self.width, self.rowdeg, self.reldeg
-        code.scale, code.keys, code.shifts = self.scale, self.keys, self.shifts
-        return code
 
     def annihilates(self, coeffs: dict[Term, int]) -> bool:
         """True when sum over (i, m) of coeffs[(i, m)] * d^m * rows[i] is
@@ -897,21 +864,18 @@ class _Tracked:
     `reduced` is None until `_basis` builds the rows' reduced Groebner
     basis from it.  `harvest` holds the harvested relations packed, as
     `_Run.harvest` does, until the first `_relations` call decodes and
-    verifies them into `relations` and releases it.  `division` is None
-    until the first `_divide` call encodes the rows for its identity
-    check; later divisions reuse it.  `witness` is None until
-    `duality`'s torsion search, on rows that stack a residue above a
+    verifies them into `relations` and releases it.  `witness` is None
+    until `duality`'s torsion search, on rows that stack a residue above a
     system's rows, keeps there what it read off the relations: the least
     degree of a nonzero first coordinate and the head it chose."""
 
-    __slots__ = ("reducer", "harvest", "relations", "reduced", "division", "witness")
+    __slots__ = ("reducer", "harvest", "relations", "reduced", "witness")
 
     def __init__(self, reducer: _Reducer, harvest: list):
         self.reducer = reducer
         self.harvest: list | None = harvest
         self.relations: tuple[FreeElem, ...] | None = None
         self.reduced: GroebnerBasis | None = None
-        self.division: _RowCode | None = None
         self.witness: tuple[int, Poly | None] | None = None
 
 
@@ -1356,8 +1320,8 @@ def _minimize_homogeneous(elems: list[FreeElem], base: list[FreeElem]) -> list[F
 def divide_with_cofactors(elem: FreeElem, gens: Sequence) -> tuple[FreeElem, FreeElem]:
     """Write elem = quot.dot(gens) + remainder with the remainder in normal
     form; returns (quot, remainder), quot a row of width len(gens).  Exact:
-    the identity is verified before returning, against an encoding of the
-    rows built on the first division by them and kept with their run."""
+    the identity is multiplied out with `FreeElem.dot` and verified before
+    returning."""
     elems = _as_elems(gens)
     if elem.width != elems[0].width:
         raise ValueError("element width does not match generator width")
@@ -1391,35 +1355,13 @@ def _divide(
             quot_terms[(pos - width, m)] = -v
     remainder = FreeElem._make(width, nvars, rem_terms, den, num)
     quot = FreeElem._make(k, nvars, quot_terms, den, num)
-    # quot . rows + remainder - elem == 0, as one relation on the rows
-    # stacked with the remainder and elem: the rows are scaled by their
-    # common denominator g and the two by theirs, s, so the relation is
-    # the identity times s * g * quot.den
-    tail, s = _int_rows([remainder, elem])
-    reldeg = max(quot.degree(), 0)
-    code = run.division
-    keyed = [None]
-    if code is not None and reldeg <= code.reldeg:
-        keyed = [code.keyed(r) for r in tail]
-    if None in keyed:
-        # the first division by these rows, or one whose quotient, remainder
-        # or element does not fit the kept code: encode the rows again with
-        # this remainder and element, keeping the old relation degree, and
-        # keep the code of the rows alone
-        if code is not None:
-            reldeg = max(reldeg, code.reldeg)
-        check = _RowCode(_int_rows(rows)[0] + tail, reldeg)
-        run.division = check.over(check.rows[:k])
-    else:
-        # every division by these rows shares the kept code, so this one
-        # checks against a code of its own over the kept keys
-        check = code.over(code.rows + keyed)
-    identity = {t: v * s for t, v in quot.terms.items()} if s > 1 else dict(quot.terms)
+    # quot . rows + remainder - elem == 0, multiplied out once: the row
+    # (quot + e_k - e_{k+1}) * quot.den against the rows stacked with the
+    # remainder and elem
     one = (0,) * nvars
-    c = quot.den * math.lcm(*(e.den for e in rows))
-    identity[(k, one)] = c
-    identity[(k + 1, one)] = -c
-    if not check.annihilates(identity):
+    identity = {**quot.terms, (k, one): quot.den, (k + 1, one): -quot.den}
+    check = FreeElem._make(k + 2, nvars, identity)
+    if not check.dot(rows + (remainder, elem)).is_zero():
         raise RuntimeError("internal error: division identity failed")
     return quot, remainder
 

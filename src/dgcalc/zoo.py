@@ -18,7 +18,7 @@ from math import comb, gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .engine import FreeElem, _Echelon
-from .operators import MAX_NVARS, Bundle, LinDiffOp, _check_shape, _times, adjoint, compose
+from .operators import MAX_NVARS, Bundle, LinDiffOp, ShapeMismatch, _times, adjoint, compose
 from .poly import Monomial, Poly
 
 if TYPE_CHECKING:
@@ -198,7 +198,7 @@ def killing(metric: Metric) -> LinDiffOp:
     d, w, _ = _scaled(metric)
     return _int_op(
         f"killing_{metric.tag}{n}", n, vector_bundle(n), sym_bundle(n),
-        _killing_rows(w), d, n,
+        _killing_rows(w), d,
     )
 
 
@@ -220,7 +220,7 @@ def conformal_killing(metric: Metric) -> LinDiffOp:
         rows.append(row)
     tgt = Bundle(f"sym2tf({n})", sym_bundle(n).components[:-1])
     return _int_op(
-        f"conformal_killing_{metric.tag}{n}", n, vector_bundle(n), tgt, rows, n * d, n
+        f"conformal_killing_{metric.tag}{n}", n, vector_bundle(n), tgt, rows, n * d
     )
 
 
@@ -328,12 +328,16 @@ def _acc_row(row: _IntRow, src: _IntRow, f: int) -> None:
 
 
 def _int_op(name: str, nvars: int, source: Bundle, target: Bundle,
-            rows: list[_IntRow], den: int, width: int) -> LinDiffOp:
+            rows: list[_IntRow], den: int) -> LinDiffOp:
     """The operator whose entry (r, col) is rows[r][col] / den, zero where a
     row has no such column or its numerators cancel, built straight as rows
-    of the given width; the shapes are checked as `LinDiffOp` checks
-    them."""
-    _check_shape(name, source, target, [width] * len(rows))
+    of width source.dim; the row count is checked as `LinDiffOp` checks
+    it."""
+    if len(rows) != target.dim:
+        raise ShapeMismatch(
+            f"{name}: {len(rows)} rows but target has {target.dim} components"
+        )
+    width = source.dim
     out = tuple(
         FreeElem._make(width, nvars, {
             (col, m): c for col in sorted(row) for m, c in row[col].items() if c
@@ -371,7 +375,7 @@ def riemann_lin(metric: Metric) -> LinDiffOp:
     n = metric.n
     return _int_op(
         f"riemann_{metric.tag}{n}", n, sym_bundle(n), riemann_bundle(n, f"riem({n})"),
-        _riemann_rows(n), 1, n * (n + 1) // 2,
+        _riemann_rows(n), 1,
     )
 
 
@@ -416,7 +420,7 @@ def ricci_lin(metric: Metric) -> LinDiffOp:
     ric, den, _, _ = _curvature_rows(n, _scaled(metric))
     return _int_op(
         f"ricci_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"ric({n})"),
-        [ric[p] for p in sym_pairs(n)], den, n * (n + 1) // 2,
+        [ric[p] for p in sym_pairs(n)], den,
     )
 
 
@@ -462,7 +466,7 @@ def scalar_lin(metric: Metric) -> LinDiffOp:
     _, _, scal, den = _curvature_rows(n, _scaled(metric))
     return _int_op(
         f"scalar_{metric.tag}{n}", n, sym_bundle(n), scalar_bundle(f"scal({n})"),
-        [scal], den, n * (n + 1) // 2,
+        [scal], den,
     )
 
 
@@ -487,7 +491,7 @@ def einstein_lin(metric: Metric) -> LinDiffOp:
     rows = _apply_shift(_index_shift(inv, n), lower)
     return _int_op(
         f"einstein_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"ein({n})"),
-        rows, 2 * d**5, n * (n + 1) // 2,
+        rows, 2 * d**5,
     )
 
 
@@ -500,7 +504,7 @@ def c_map(metric: Metric) -> LinDiffOp:
     rows = _apply_shift(_index_shift(inv, n), _constant_rows(adjust, n))
     return _int_op(
         f"cmap_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
-        rows, den * d * d, n * (n + 1) // 2,
+        rows, den * d * d,
     )
 
 
@@ -516,7 +520,7 @@ def c_map_inverse(metric: Metric) -> LinDiffOp:
     rows = _apply_shift(adjust, _constant_rows(_index_shift(w, n), n))
     return _int_op(
         f"cmapinv_{metric.tag}{n}", n, sym_bundle(n), sym_bundle(n, f"adj({n})"),
-        rows, den * d * d, n * (n + 1) // 2,
+        rows, den * d * d,
     )
 
 
@@ -625,7 +629,7 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
     labels = rb.labels()
     tgt = Bundle(f"weyl({n})", ((labels[r], 1) for r in picked))
     rows, den = _weyl_component_rows(n, scaled, picked)
-    return _int_op(f"weyl_{metric.tag}{n}", n, sym_bundle(n), tgt, rows, den, n * (n + 1) // 2)
+    return _int_op(f"weyl_{metric.tag}{n}", n, sym_bundle(n), tgt, rows, den)
 
 
 # -- vector calculus ----------------------------------------------------------------
@@ -676,7 +680,7 @@ def exterior_derivative(n: int, r: int) -> LinDiffOp:
          for pos, k in enumerate(big)}
         for big in tgt_sets
     ]
-    return _int_op(f"extd{n}_{r}", n, src, tgt, rows, 1, len(src_sets))
+    return _int_op(f"extd{n}_{r}", n, src, tgt, rows, 1)
 
 
 def box_weyl(metric: Metric) -> LinDiffOp:
@@ -699,7 +703,7 @@ def dalembertian(metric: Metric, bundle: Bundle | None = None) -> LinDiffOp:
         lap[dd[r][s]] = lap.get(dd[r][s], 0) + c
     rows = [{i: lap} for i in range(bundle.dim)]
     out_bundle = Bundle(bundle.name, bundle.components)
-    return _int_op(f"box_{metric.tag}{n}", n, bundle, out_bundle, rows, d, bundle.dim)
+    return _int_op(f"box_{metric.tag}{n}", n, bundle, out_bundle, rows, d)
 
 
 # -- elasticity -----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The integer kernels behind the inline checks, the rank, the graded
 minimizer and the report's nullspace oracle: the annihilation check
 against FreeElem.dot, its Kronecker base and its call counts in a cold
-report and in one factorization, and the rank (its point certificate and its Bareiss fallback), the
+report; the division check, one FreeElem.dot per division, counted in a
+cold report and in one factorization and made to fire on a wrong
+quotient; the rank (its point certificate and its Bareiss fallback), the
 echelon kernel and the oracle against Fraction-based eliminations written
 here; and the oracle's kernels, elimination count and independence from
 the engine on the report's own steps."""
@@ -163,12 +165,27 @@ def _count_checks(monkeypatch):
     return encodings, checks
 
 
+def _count_dots(monkeypatch):
+    """Record the name of the calling function of each `FreeElem.dot`."""
+    callers = []
+    dot = FreeElem.dot
+
+    def counted_dot(self, rows):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return dot(self, rows)
+
+    monkeypatch.setattr(FreeElem, "dot", counted_dot)
+    return callers
+
+
 def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
     """Each relation handed out is checked once, by the first request for
     the relations of its row set (`_relations`, the core of `syzygies`);
     the relations of runs that serve only bases, membership and division
-    are never decoded or checked."""
+    are never decoded or checked.  Each of c08's 10 divisions multiplies
+    its identity out once, with `FreeElem.dot`, and encodes nothing."""
     encodings, checks = _count_checks(monkeypatch)
+    dots = _count_dots(monkeypatch)
     harvested = []
     run = engine._Run.run
 
@@ -180,7 +197,8 @@ def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
     clear_engine_caches()
     assert all(r.passed for r in run_report())
     sites = Counter(f.f_code.co_name for f in checks)
-    assert sites == {"_relations": 520, "_divide": 10, "ext_module": 30}
+    assert sites == {"_relations": 520, "ext_module": 30}
+    assert dots.count("_divide") == 10 and "factor_through" not in dots
     # each row set whose relations are read encodes its rows once, and
     # only such row sets encode
     runs = [f for f in encodings if f.f_code.co_name == "_relations"]
@@ -203,43 +221,72 @@ def test_relations_are_built_on_first_request(rows, monkeypatch, clear_engine_ca
     decoding or checking any of its relations; the first `syzygies` call
     checks each relation of the run once, and a repeat call none."""
     encodings, checks = _count_checks(monkeypatch)
+    dots = _count_dots(monkeypatch)
     clear_engine_caches()
     gb = engine.reduced_groebner(rows)
     assert gb.contains(rows[0]) and engine.module_equal(rows, rows[::-1])
     elem = FreeElem(p * p + Poly.const(p.nvars, 3) for p in rows[0].entries)
     engine.divide_with_cofactors(elem, rows)
-    # only the division identity is encoded and checked
-    assert [f.f_code.co_name for f in encodings] == ["_divide"]
-    assert [f.f_code.co_name for f in checks] == ["_divide"]
+    # the division identity is multiplied out once, and nothing is encoded
+    assert encodings == [] and checks == []
+    assert dots == ["_divide"]
     run = engine._tracked(tuple(rows), engine._budget())
     assert run.relations is None and run.harvest
     harvested = len(run.harvest)
     relations = syzygies(rows)
     assert len(relations) == harvested
-    assert [f.f_code.co_name for f in encodings[1:]] == ["_relations"]
-    assert [f.f_code.co_name for f in checks[1:]] == ["_relations"] * harvested
+    assert [f.f_code.co_name for f in encodings] == ["_relations"]
+    assert [f.f_code.co_name for f in checks] == ["_relations"] * harvested
     # built once: the packed harvest is released, and a repeat call checks none
     assert run.harvest is None
     assert syzygies(rows) == relations
-    assert len(encodings) == 2 and len(checks) == 1 + harvested
+    assert len(encodings) == 1 and len(checks) == harvested
 
 
-def test_division_encodes_its_rows_once_per_run(monkeypatch, clear_engine_caches):
-    """c08's division: each of the 10 rows of the wave operator is divided
-    by the rows of ricci_lin, whose run encodes them on the first division
-    and keeps the encoding for the other nine, while every division
-    identity is still checked."""
+def _c08():
+    """c08's factorization: the wave operator after the trace-free
+    curvature, and ricci_lin, which it factors through."""
     m4 = zoo.minkowski(4)
     w = zoo.weyl_lin(m4)
-    lhs = compose(zoo.dalembertian(m4, w.target), w)
-    ric = zoo.ricci_lin(m4)
+    return compose(zoo.dalembertian(m4, w.target), w), zoo.ricci_lin(m4)
+
+
+def test_division_checks_each_identity_once(monkeypatch, clear_engine_caches):
+    """c08's division: each of the 10 rows of the wave operator is divided
+    by the rows of ricci_lin, and each division multiplies its identity
+    out once, with `FreeElem.dot` inside `_divide`; no row encoding is
+    built or kept with the run, and `factor_through` takes no product of
+    its own."""
+    lhs, ric = _c08()
     assert len(lhs.rows()) == 10
     encodings, checks = _count_checks(monkeypatch)
+    dots = _count_dots(monkeypatch)
     clear_engine_caches()
     q = factor_through(lhs, ric)
-    assert [f.f_code.co_name for f in encodings] == ["_divide"]
-    assert [f.f_code.co_name for f in checks] == ["_divide"] * 10
+    assert encodings == [] and checks == []
+    assert dots == ["_divide"] * 10
     assert compose(q, ric) == lhs
+
+
+def test_a_wrong_quotient_fails_the_division_check(monkeypatch, clear_engine_caches):
+    """With the run built, a reducer that hands back twice the true scale
+    makes every quotient and remainder half what they should be: the
+    division check inside `_divide` raises, for a direct division and
+    for `factor_through`, which has no check of its own."""
+    lhs, ric = _c08()
+    clear_engine_caches()
+    factor_through(lhs, ric)
+    reduce_full = engine._Reducer.reduce_full
+
+    def doubled(self, h, keep=None):
+        h, num, den = reduce_full(self, h, keep)
+        return h, num * 2, den
+
+    monkeypatch.setattr(engine._Reducer, "reduce_full", doubled)
+    with pytest.raises(RuntimeError, match="^internal error: division identity failed$"):
+        engine.divide_with_cofactors(lhs.rows()[0], ric.rows())
+    with pytest.raises(RuntimeError, match="^internal error: division identity failed$"):
+        factor_through(lhs, ric)
 
 
 def test_cold_resolution_check_count(monkeypatch, clear_engine_caches):

@@ -1,8 +1,8 @@
 """Operators drawn at random: composition and the adjoint against
 entrywise Poly arithmetic, associativity, compatibility conditions that
 compose to zero and hold every relation of bounded degree, factoring a
-composition through its right factor, the division identity as the
-division check's encoding of the rows widens, documents that
+composition through its right factor, the division identity for
+elements of low and of high degree divided by the same rows, documents that
 survive saving and loading byte for byte and load as the rows of their
 cells, and derived operators, built without re-validation, equal to what
 the checking constructor builds and written cell by cell as `serialize`
@@ -174,8 +174,8 @@ def divisions(draw):
     """Rows with rational entries of degree at most 2, and two elements to
     divide by them in turn: a nonzero one of degree at most 1, then one of
     degree 4, a combination of the rows with cofactors of degree at most 1
-    plus one term of degree 4.  The first division encodes the rows with
-    room for degree 2 at most, so the second must widen that encoding."""
+    plus one term of degree 4.  The second division reads the run the
+    first one built, with a quotient and a remainder of higher degree."""
     nvars = draw(st.integers(2, 3))
 
     def entry(cap, min_size=0):
@@ -195,7 +195,11 @@ def divisions(draw):
 
 
 @given(divisions())
-def test_division_identity_holds_as_the_kept_encoding_widens(case):
+def test_division_identity_holds_at_low_and_high_degree(case):
+    """Each division by the same rows, whatever its degree, returns a
+    quotient and a remainder that make up the element, the remainder being
+    the normal form; `divide_with_cofactors` multiplies each identity out
+    once inside, and this test multiplies it out again apart from it."""
     rows, low, high = case
     engine.clear_caches()
     gb = reduced_groebner(rows)
