@@ -450,6 +450,15 @@ def _document_str(value, what: str) -> str:
     return value
 
 
+def _document_field(d, key: str, what: str):
+    """The field `key` of `what`, which must be a JSON object that has it."""
+    if not isinstance(d, dict):
+        raise OpFormatError(f"{what} is not a JSON object")
+    if key not in d:
+        raise OpFormatError(f"{what} has no {key}")
+    return d[key]
+
+
 def _document_weight(w) -> int | Fraction:
     # a JSON float is no exact weight, and true/false (an int subclass) no
     # weight at all
@@ -458,20 +467,29 @@ def _document_weight(w) -> int | Fraction:
             return int(w)
         from fractions import Fraction
 
-        return Fraction(w)
+        try:
+            return Fraction(w)
+        except (ValueError, ZeroDivisionError):
+            raise OpFormatError(f"weight {w!r} is not a rational number") from None
     if isinstance(w, int) and not isinstance(w, bool):
         return w
     raise OpFormatError(f"weight {w!r} is not a string or an integer")
 
 
-def bundle_from_dict(d: dict) -> Bundle:
+def bundle_from_dict(d: dict, what: str = "bundle") -> Bundle:
+    """The bundle that the document `d` writes; `what` names it in the
+    messages of the OpFormatError that a malformed document raises."""
     try:
-        comps = [
-            (_document_str(c["label"], "label"), _document_weight(c["weight"]))
-            for c in d["components"]
-        ]
-        return Bundle(_document_str(d.get("name", "bundle"), "bundle name"), comps)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        comps = _document_field(d, "components", what)
+        if not isinstance(comps, list):
+            raise OpFormatError(f"{what} components {comps!r} is not a list")
+        pairs = []
+        for i, c in enumerate(comps):
+            at = f"{what} component {i}"
+            pairs.append((_document_str(_document_field(c, "label", at), "label"),
+                          _document_weight(_document_field(c, "weight", at))))
+        return Bundle(_document_str(d.get("name", "bundle"), "bundle name"), pairs)
+    except ValueError as exc:
         raise OpFormatError(f"bad bundle: {exc}") from exc
 
 
@@ -500,8 +518,8 @@ def operator_from_dict(d: dict) -> LinDiffOp:
         raise OpFormatError(
             f"bad nvars: {nvars!r} (expected an integer from 1 to {MAX_NVARS})"
         )
-    source = bundle_from_dict(d["source"])
-    target = bundle_from_dict(d["target"])
+    source = bundle_from_dict(d["source"], "source")
+    target = bundle_from_dict(d["target"], "target")
     mat = d["matrix"]
     if not isinstance(mat, list) or not all(isinstance(r, list) for r in mat):
         raise OpFormatError("matrix must be a list of rows")

@@ -20,7 +20,7 @@ import math
 import re
 import sys
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -256,7 +256,16 @@ class Poly:
                 self.nvars, self.nums, other.numerator, self.den * other.denominator
             )
         self._check(other)
-        return sum_of_products(self.nvars, ((self, other),))
+        # integer numerators over the product of the denominators
+        acc: dict[Monomial, int] = {}
+        get = acc.get
+        right = other.nums.items()
+        for m1, c1 in self.nums.items():
+            for m2, c2 in right:
+                m = tuple(map(add, m1, m2))
+                acc[m] = get(m, 0) + c1 * c2
+        nums = {m: c for m, c in acc.items() if c}
+        return Poly._make(self.nvars, nums, 1, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -339,24 +348,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {serialize(self)!r})"
-
-
-def sum_of_products(nvars: int, pairs: Sequence[tuple[Poly, Poly]]) -> Poly:
-    """The sum of a * b over the pairs of factors.  Every product is
-    brought to the least common denominator of all the products, so the
-    inner loop multiplies and adds ints only."""
-    den = math.lcm(*(a.den * b.den for a, b in pairs))
-    acc: dict[Monomial, int] = {}
-    get = acc.get
-    for a, b in pairs:
-        f = den // (a.den * b.den)
-        left = a.nums.items() if f == 1 else [(m, c * f) for m, c in a.nums.items()]
-        right = b.nums.items()
-        for m1, c1 in left:
-            for m2, c2 in right:
-                m = tuple(map(add, m1, m2))
-                acc[m] = get(m, 0) + c1 * c2
-    return Poly._make(nvars, {m: c for m, c in acc.items() if c}, 1, den)
 
 
 def apply_as_derivative(op: Poly, section: Poly) -> Poly:

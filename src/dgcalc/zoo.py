@@ -17,9 +17,9 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .engine import FreeElem, _Echelon
+from .engine import FreeElem, Term, _Echelon
 from .operators import MAX_NVARS, Bundle, LinDiffOp, ShapeMismatch, _times, adjoint, compose
-from .poly import Monomial, Poly
+from .poly import Monomial, mono_mul
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -213,8 +213,7 @@ def conformal_killing(metric: Metric) -> LinDiffOp:
     d1 = _d(n)
     rows = []
     for (i, j), kill in zip(sym_pairs(n)[:-1], _killing_rows(w)):
-        row: _IntRow = {}
-        _acc_row(row, kill, n)
+        row = {t: n * c for t, c in kill.items()}
         for u in range(1, n + 1):
             _acc(row, u - 1, d1[u], -2 * w[i - 1][j - 1])
         rows.append(row)
@@ -251,12 +250,13 @@ def weyl_killing(metric: Metric) -> LinDiffOp:
 
 # -- linearized curvature ---------------------------------------------------------
 #
-# The metric operators are built as integer rows {column: {monomial: int}}
-# over one denominator per operator.  The metric and its inverse enter as
-# integer matrices over their common denominator D (see _scaled), and each
-# row becomes the operator's FreeElem row once, in _int_op.
+# Every zoo operator is built as integer rows in the engine's term form,
+# {(column, monomial): int}, over one denominator per operator.  The metric
+# and its inverse enter as integer matrices over their common denominator D
+# (see _scaled), rational moduli over their least common denominator, and
+# each row becomes the operator's FreeElem row once, in _int_op.
 
-_IntRow = dict[int, dict[Monomial, int]]
+_IntRow = dict[Term, int]
 _Scaled = tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
@@ -294,14 +294,8 @@ def _d(n: int) -> list[Monomial]:
 
 def _dd(n: int) -> tuple[tuple[Monomial, ...], ...]:
     """_dd(n)[a][b]: the exponent tuple of d_a d_b, 1-indexed like _sym_col."""
-    out = [[()] * (n + 1) for _ in range(n + 1)]
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            e = [0] * n
-            e[a - 1] += 1
-            e[b - 1] += 1
-            out[a][b] = tuple(e)
-    return tuple(map(tuple, out))
+    d1 = _d(n)
+    return tuple(tuple(mono_mul(a, b) for b in d1) for a in d1)
 
 
 def _nonzero(mat: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
@@ -312,36 +306,29 @@ def _nonzero(mat: tuple[tuple[int, ...], ...]) -> list[tuple[int, int, int]]:
 
 
 def _acc(row: _IntRow, col: int, m: Monomial, c: int) -> None:
-    e = row.get(col)
-    if e is None:
-        row[col] = {m: c}
-    else:
-        e[m] = e.get(m, 0) + c
+    t = (col, m)
+    row[t] = row.get(t, 0) + c
 
 
 def _acc_row(row: _IntRow, src: _IntRow, f: int) -> None:
     """row += f * src."""
-    for col, nums in src.items():
-        e = row.setdefault(col, {})
-        for m, c in nums.items():
-            e[m] = e.get(m, 0) + f * c
+    for t, c in src.items():
+        row[t] = row.get(t, 0) + f * c
 
 
 def _int_op(name: str, nvars: int, source: Bundle, target: Bundle,
             rows: list[_IntRow], den: int) -> LinDiffOp:
-    """The operator whose entry (r, col) is rows[r][col] / den, zero where a
-    row has no such column or its numerators cancel, built straight as rows
-    of width source.dim; the row count is checked as `LinDiffOp` checks
-    it."""
+    """The operator whose entry (r, col) is the sum of c / den * m over the
+    terms (col, m): c of rows[r].  Each row becomes a FreeElem row of width
+    source.dim as it is, once its zero numerators are dropped; nothing is
+    sorted.  The row count is checked as `LinDiffOp` checks it."""
     if len(rows) != target.dim:
         raise ShapeMismatch(
             f"{name}: {len(rows)} rows but target has {target.dim} components"
         )
     width = source.dim
     out = tuple(
-        FreeElem._make(width, nvars, {
-            (col, m): c for col in sorted(row) for m, c in row[col].items() if c
-        }, 1, den)
+        FreeElem._make(width, nvars, {t: c for t, c in row.items() if c}, 1, den)
         for row in rows
     )
     return LinDiffOp._make(name, nvars, source, target, out)
@@ -458,7 +445,7 @@ def _apply_shift(shift: list[dict[int, int]], rows: list[_IntRow]) -> list[_IntR
 
 def _constant_rows(rows: list[dict[int, int]], n: int) -> list[_IntRow]:
     one = (0,) * n
-    return [{c: {one: v} for c, v in row.items()} for row in rows]
+    return [{(c, one): v for c, v in row.items()} for row in rows]
 
 
 def scalar_lin(metric: Metric) -> LinDiffOp:
@@ -638,23 +625,21 @@ def weyl_lin(metric: Metric) -> LinDiffOp:
 def grad(n: int) -> LinDiffOp:
     if n < 1:
         raise ValueError("need n >= 1")
-    rows = [[Poly.var(n, i)] for i in range(1, n + 1)]
-    return LinDiffOp(f"grad{n}", n, scalar_bundle(), vector_bundle(n), rows)
+    rows = [{(0, m): 1} for m in _d(n)[1:]]
+    return _int_op(f"grad{n}", n, scalar_bundle(), vector_bundle(n), rows, 1)
 
 
 def div(n: int) -> LinDiffOp:
     if n < 1:
         raise ValueError("need n >= 1")
-    rows = [[Poly.var(n, i) for i in range(1, n + 1)]]
-    return LinDiffOp(f"div{n}", n, vector_bundle(n), scalar_bundle("scalar"), rows)
+    rows = [{(i, m): 1 for i, m in enumerate(_d(n)[1:])}]
+    return _int_op(f"div{n}", n, vector_bundle(n), scalar_bundle("scalar"), rows, 1)
 
 
 def curl() -> LinDiffOp:
-    n = 3
-    d1, d2, d3 = (Poly.var(3, i) for i in (1, 2, 3))
-    z = Poly.zero(3)
-    rows = [[z, -d3, d2], [d3, z, -d1], [-d2, d1, z]]
-    return LinDiffOp("curl3", 3, vector_bundle(3), vector_bundle(3, "vector'"), rows)
+    _, d1, d2, d3 = _d(3)
+    rows = [{(1, d3): -1, (2, d2): 1}, {(0, d3): 1, (2, d1): -1}, {(0, d2): -1, (1, d1): 1}]
+    return _int_op("curl3", 3, vector_bundle(3), vector_bundle(3, "vector'"), rows, 1)
 
 
 def exterior_derivative(n: int, r: int) -> LinDiffOp:
@@ -676,7 +661,7 @@ def exterior_derivative(n: int, r: int) -> LinDiffOp:
     src_idx = {s: c for c, s in enumerate(src_sets)}
     d1 = _d(n)
     rows = [
-        {src_idx[big[:pos] + big[pos + 1:]]: {d1[k]: (-1) ** pos}
+        {(src_idx[big[:pos] + big[pos + 1:]], d1[k]): (-1) ** pos
          for pos, k in enumerate(big)}
         for big in tgt_sets
     ]
@@ -701,7 +686,7 @@ def dalembertian(metric: Metric, bundle: Bundle | None = None) -> LinDiffOp:
     lap: dict[Monomial, int] = {}
     for r, s, c in _nonzero(inv):
         lap[dd[r][s]] = lap.get(dd[r][s], 0) + c
-    rows = [{i: lap} for i in range(bundle.dim)]
+    rows = [{(i, m): c for m, c in lap.items()} for i in range(bundle.dim)]
     out_bundle = Bundle(bundle.name, bundle.components)
     return _int_op(f"box_{metric.tag}{n}", n, bundle, out_bundle, rows, d)
 
@@ -718,21 +703,15 @@ def lame(lam, mu, n: int) -> LinDiffOp:
     lam, mu = Fraction(lam), Fraction(mu)
     if mu == 0:
         raise ValueError("mu must be nonzero")
-    lap = Poly.zero(n)
-    for i in range(1, n + 1):
-        lap = lap + Poly.var(n, i) * Poly.var(n, i)
+    (a, b), den = _over_lcm(lam + mu, mu)
+    dd = _dd(n)
     rows = []
     for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            p = (lam + mu) * Poly.var(n, i) * Poly.var(n, j)
-            if i == j:
-                p = p + mu * lap
-            row.append(p)
+        row: _IntRow = {(j - 1, dd[i][j]): a for j in range(1, n + 1)}
+        for u in range(1, n + 1):
+            _acc(row, i - 1, dd[u][u], b)
         rows.append(row)
-    return LinDiffOp(
-        f"lame{n}", n, vector_bundle(n), vector_bundle(n, "force"), rows
-    )
+    return _int_op(f"lame{n}", n, vector_bundle(n), vector_bundle(n, "force"), rows, den)
 
 
 def hooke2d(lam, mu) -> LinDiffOp:
@@ -742,17 +721,8 @@ def hooke2d(lam, mu) -> LinDiffOp:
     lam, mu = Fraction(lam), Fraction(mu)
     if mu == 0 or lam + mu == 0:
         raise ValueError("need mu != 0 and lam + mu != 0")
-    half = Fraction(1, 2)
-    c = lam * half
-    mat = [
-        [c + mu, 0, c],
-        [0, mu, 0],
-        [c, 0, c + mu],
-    ]
-    rows = [[Poly.const(2, x) for x in row] for row in mat]
-    return LinDiffOp(
-        "hooke2d", 2, sym_bundle(2, "strain"), sym_bundle(2, "stress"), rows
-    )
+    c = lam / 2
+    return _plane_law("hooke2d", "strain", "stress", c + mu, mu, c)
 
 
 def hooke2d_inverse(lam, mu) -> LinDiffOp:
@@ -762,16 +732,23 @@ def hooke2d_inverse(lam, mu) -> LinDiffOp:
     lam, mu = Fraction(lam), Fraction(mu)
     if mu == 0 or lam + mu == 0:
         raise ValueError("need mu != 0 and lam + mu != 0")
-    c = Fraction(lam, 2 * (lam + mu))
-    mat = [
-        [1 - c, 0, -c],
-        [0, 1, 0],
-        [-c, 0, 1 - c],
-    ]
-    rows = [[Poly.const(2, x / mu) for x in row] for row in mat]
-    return LinDiffOp(
-        "hooke2d_inv", 2, sym_bundle(2, "stress"), sym_bundle(2, "strain"), rows
-    )
+    c = lam / (2 * (lam + mu))
+    return _plane_law("hooke2d_inv", "stress", "strain", (1 - c) / mu, 1 / mu, -c / mu)
+
+
+def _over_lcm(*values: Fraction) -> tuple[list[int], int]:
+    """The values as integer numerators over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _plane_law(name: str, source: str, target: str,
+               diag: Fraction, shear: Fraction, cross: Fraction) -> LinDiffOp:
+    """The constant operator [[diag, 0, cross], [0, shear, 0], [cross, 0,
+    diag]] between symmetric 2-tensors in the plane."""
+    (p, m, q), den = _over_lcm(diag, shear, cross)
+    rows = _constant_rows([{0: p, 2: q}, {1: m}, {0: q, 2: p}], 2)
+    return _int_op(name, 2, sym_bundle(2, source), sym_bundle(2, target), rows, den)
 
 
 # -- planar Cosserat media --------------------------------------------------------
@@ -783,20 +760,13 @@ _COSSERAT_JETS = Bundle("jets", ((c, 1) for c in ("11", "12", "21", "22", "r1", 
 
 def cosserat_spencer() -> LinDiffOp:
     """First Spencer operator of the planar Cosserat group action, on
-    (u1, u2, r): the six first-jet components."""
-    d1, d2 = Poly.var(2, 1), Poly.var(2, 2)
-    z = Poly.zero(2)
-    one = Poly.const(2, 1)
-    rows = [
-        [d1, z, z],
-        [d2, z, -one],
-        [z, d1, one],
-        [z, d2, z],
-        [z, z, d1],
-        [z, z, d2],
-    ]
+    (u1, u2, r): the six first-jet components, the rows [d1, 0, 0],
+    [d2, 0, -1], [0, d1, 1], [0, d2, 0], [0, 0, d1] and [0, 0, d2]."""
+    one, d1, d2 = (0, 0), (1, 0), (0, 1)
+    rows = [{(0, d1): 1}, {(0, d2): 1, (2, one): -1}, {(1, d1): 1, (2, one): 1},
+            {(1, d2): 1}, {(2, d1): 1}, {(2, d2): 1}]
     src = Bundle("displacement+rotation", (("u1", 1), ("u2", 1), ("r", 1)))
-    return LinDiffOp("cosserat_spencer", 2, src, _COSSERAT_JETS, rows)
+    return _int_op("cosserat_spencer", 2, src, _COSSERAT_JETS, rows, 1)
 
 
 def cosserat_equilibrium() -> LinDiffOp:
@@ -806,20 +776,14 @@ def cosserat_equilibrium() -> LinDiffOp:
 
 
 def cosserat_parametrization() -> LinDiffOp:
-    """Airy-type potentials for the planar Cosserat equilibrium."""
-    d1, d2 = Poly.var(2, 1), Poly.var(2, 2)
-    z = Poly.zero(2)
-    one = Poly.const(2, 1)
-    rows = [
-        [d2, z, z],
-        [-d1, z, z],
-        [z, -d2, z],
-        [z, d1, z],
-        [one, z, d2],
-        [z, -one, -d1],
-    ]
+    """Airy-type potentials for the planar Cosserat equilibrium, the rows
+    [d2, 0, 0], [-d1, 0, 0], [0, -d2, 0], [0, d1, 0], [1, 0, d2] and
+    [0, -1, -d1]."""
+    one, d1, d2 = (0, 0), (1, 0), (0, 1)
+    rows = [{(0, d2): 1}, {(0, d1): -1}, {(1, d2): -1}, {(1, d1): 1},
+            {(0, one): 1, (2, d2): 1}, {(1, one): -1, (2, d1): -1}]
     src = Bundle("potentials", (("p1", 1), ("p2", 1), ("p3", 1)))
-    return LinDiffOp("cosserat_parametrization", 2, src, _COSSERAT_JETS, rows)
+    return _int_op("cosserat_parametrization", 2, src, _COSSERAT_JETS, rows, 1)
 
 
 class Cosserat2D(NamedTuple):

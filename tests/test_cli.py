@@ -237,15 +237,38 @@ def test_malformed_document_exits_2(capsys, tmp_path):
     assert err
 
 
+_DROP = object()
+
+# a field of grad3.json, the value it is set to (or _DROP to delete it) and
+# the loader's message, which names the field rather than a Python exception
+_BAD_FIELDS = [
+    (("source", "components", 0, "weight"), True,
+     "weight True is not a string or an integer"),
+    (("source",), None, "source is not a JSON object"),
+    (("source", "components"), "x", "source components 'x' is not a list"),
+    (("source", "components", 0), ["a", 1], "source component 0 is not a JSON object"),
+    (("target", "components", 1, "label"), _DROP, "target component 1 has no label"),
+    (("source", "components", 0, "weight"), "1/0",
+     "weight '1/0' is not a rational number"),
+]
+
+
 def test_document_field_of_the_wrong_json_type_exits_2(capsys, ops_dir, tmp_path):
-    doc = json.loads((ops_dir / "grad3.json").read_text())
-    doc["source"]["components"][0]["weight"] = True
-    path = tmp_path / "typed.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "adjoint", str(path))
-    assert code == 2
-    assert out == ""
-    assert err == "error: bad bundle: weight True is not a string or an integer\n"
+    for (*keys, last), value, message in _BAD_FIELDS:
+        doc = json.loads((ops_dir / "grad3.json").read_text())
+        at = doc
+        for key in keys:
+            at = at[key]
+        if value is _DROP:
+            del at[last]
+        else:
+            at[last] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "adjoint", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad bundle: {message}\n"
 
 
 def test_negative_resolve_depth_exits_1(capsys, ops_dir):

@@ -488,3 +488,78 @@ def test_metric_zoo_cells_are_written_from_the_rows():
                 continue
             cells = [[serialize(p) for p in row] for row in op.matrix]
             assert op.entry_strs() == cells, (name, g.tag, g.n)
+
+
+# -- byte pin of the other builders ----------------------------------------------------
+
+
+# moduli (lam, mu) for the elasticity builders: integers, fractions and
+# strings; (0, 1) and (-2, 1) make entries of the plane laws vanish and
+# (-1, 1) the grad div term of `lame`; the plane laws reject (-1, 1) and
+# (-3, 3), and every elasticity builder rejects (1, 0)
+_MODULI = [
+    (1, 1), (2, 3), (Fraction(5, 2), 1), (Fraction(1, 3), Fraction(-2, 7)),
+    (0, 1), (-1, 1), (-2, 1), (-3, 3), ("3/4", "-1/6"), (1, 0),
+]
+
+
+def _other_builds() -> dict[str, list[tuple]]:
+    """The argument tuples each non-metric builder is pinned over, rejected
+    ones included."""
+    return {
+        "grad": [(n,) for n in range(0, 6)],
+        "div": [(n,) for n in range(0, 6)],
+        "curl": [()],
+        "exterior_derivative": [(n, r) for n in range(1, 7) for r in range(-1, n + 1)]
+        + [(10, 0)],
+        "lame": [(lam, mu, n) for n in range(0, 5) for lam, mu in _MODULI],
+        "hooke2d": list(_MODULI),
+        "hooke2d_inverse": list(_MODULI),
+        "cosserat_spencer": [()],
+        "cosserat_equilibrium": [()],
+        "cosserat_parametrization": [()],
+    }
+
+
+# sha256 per builder of its operators (name and nvars, then the text that
+# _ZOO_DIGESTS hashes) over the argument tuples of _other_builds, in order,
+# blank-line separated; a rejected tuple contributes the ValueError's message
+_OTHER_ZOO_DIGESTS = {
+    "grad": "6dcd726a765a4f6bc0bcc2106d8162e900197193ed8b3f8995cb9157bd40dcaf",
+    "div": "cfe26042bc3c87600862d2176000ecf3ff8e5e3296c2f17d89e6083583a2f6c6",
+    "curl": "1071f68dbc407a7dc21d5d6a054030ead61e6243cc1833ca0c738a5ca94bbdcf",
+    "exterior_derivative": "8b4848f2cf760258034ea6e0778a43fd0fa8bdcae18fac8e851e877c9fb25e4c",
+    "lame": "d7cf9fa6604cb888eec1c06bff9fba1b3c8eda31371bc8bf59a4dc8a5ad73aa5",
+    "hooke2d": "4883e64ef9d62f5ac63b639c579c15358104ae324e8de7431c8f4a25c1816caa",
+    "hooke2d_inverse": "53773fecdcae899bd702e8ce86e9814211c2c3773c5584c6620ccdc2e33711b6",
+    "cosserat_spencer": "0d1bd2d132c846033e5bd978854946ca5553a2de1c5a42c0f5ae49bfa11fc360",
+    "cosserat_equilibrium": "bf108119ecbb507ce0b20e524e984d3d67d970b22011ee25fbb9eb76198c8823",
+    "cosserat_parametrization": "45c49e62b3915d31b81c49469d7612d9f6daf2b555531e648066a1bf9bd4ce5b",
+}
+
+
+def test_other_zoo_bytes_are_pinned():
+    digests = {}
+    for name, arglist in _other_builds().items():
+        parts = []
+        for args in arglist:
+            try:
+                op = getattr(zoo, name)(*args)
+            except ValueError as exc:
+                parts.append(f"ValueError: {exc}")
+                continue
+            parts.append(f"{op.name} {op.nvars}\n{_operator_text(op)}")
+        digests[name] = hashlib.sha256("\n\n".join(parts).encode()).hexdigest()
+    assert digests == _OTHER_ZOO_DIGESTS
+
+
+def test_zoo_builds_rows_without_the_poly_matrix():
+    # every zoo entry is built as rows; the Poly view waits for a reader
+    for name, entry in zoo.ZOO.items():
+        op = zoo.build(
+            name,
+            n=4 if entry.needs_metric or entry.needs_n else None,
+            metric="minkowski" if entry.needs_metric else "euclidean",
+            lam=Fraction(3, 2), mu=-2, r=1,
+        )
+        assert op._matrix is None, name
