@@ -241,14 +241,15 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
         width_i = len(mats[i - 1])
         im = _transpose_rows(mats[i - 1])
     if len(mats) >= i + 1:
-        ker = _minimal_relations(tuple(_transpose_rows(mats[i])), budget)
+        cols = _transpose_rows(mats[i])
+        ker = _minimal_relations(tuple(cols), budget)
     else:
         # next differential is zero: every vector is a cocycle
         one = (0,) * nvars
         ker = [FreeElem._make(width_i, nvars, {(t, one): 1}) for t in range(width_i)]
     if im and len(mats) >= i + 1:
         # sanity: the dual complex composes to zero
-        nxt, _ = _int_rows(_transpose_rows(mats[i]))
+        nxt, _ = _int_rows(cols)
         code = _RowCode(nxt, max(r.degree() for r in im))
         for r in im:
             if not code.annihilates(r.terms):

@@ -85,10 +85,9 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .poly import (
@@ -691,15 +690,17 @@ class _Reducer:
         return h, num // g0, den // g0
 
     def interreduced(self) -> "_Reducer":
-        """A reducer holding the reduced Groebner basis of the stored basis,
-        which must be a Groebner basis: each element primitive with a
-        positive lead, sorted by (leading position, leading monomial).
+        """A reducer holding the reduced Groebner basis of the genuine parts
+        of the stored basis, which must form a Groebner basis: each element
+        with a genuine lead, so that its tracking terms, which are dropped
+        here, were never reduced.  The result's elements are primitive with
+        a positive lead, sorted by (leading position, leading monomial).
 
         One pass suffices: the elements whose leads no other lead divides
         keep the lead module, and reducing each one's tail against them
         yields the unique reduced element with that lead."""
         pack = self.pack
-        guard, pmask = pack.guard, pack.pmask
+        flag, guard, pmask = pack.flag, pack.guard, pack.pmask
         leads, by_pos = self.lts, self.by_pos
         survivors = _Reducer(pack)
         for a, la in enumerate(leads):
@@ -709,7 +710,7 @@ class _Reducer:
                 b != a and not (leads[b] - la) & guard and (leads[b] != la or b < a)
                 for b in by_pos[la & pmask]
             ):
-                survivors.add(self.basis[a])
+                survivors.add({t: v for t, v in self.basis[a].items() if t >= flag})
         survivors.fit(2 * survivors.top)
         out = []
         for h, lt in zip(survivors.basis, survivors.lts):
@@ -991,14 +992,7 @@ def _basis(rows: tuple[FreeElem, ...], budget: int) -> GroebnerBasis:
     and nvars."""
     run = _tracked(rows, budget)
     if run.reduced is None:
-        # every tracking basis element has a genuine lead and its tracking
-        # terms are never reduced, so the genuine parts form a Groebner
-        # basis of the rows
-        pack = run.reducer.pack
-        red = _Reducer(pack)
-        for h in run.reducer.basis:
-            red.add({t: v for t, v in h.items() if t >= pack.flag})
-        run.reduced = GroebnerBasis(red.interreduced())
+        run.reduced = GroebnerBasis(run.reducer.interreduced())
     return run.reduced
 
 
@@ -1138,9 +1132,9 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
     element contained in the module of the other kept generators plus the
     rows of `base` is removed.  Relations from `syzygies` come normalized
     and with their degree and homogeneity known, so those steps read no
-    terms of theirs, and the text order is read cell by cell, formatting a
-    cell only while two elements of one degree still agree on every cell
-    before it (`_ordered`).  The survivors therefore generate the
+    terms of theirs, and the text order is read from each element's first
+    nonzero cell, formatting whole texts only for elements of one degree
+    that agree on it (`_ordered`).  The survivors therefore generate the
     quotient of the module of `gens` by the module of `base`; `base` rows
     are never returned.  When every generator and base row is homogeneous
     the containment test is plain linear algebra degree by degree, which
@@ -1205,68 +1199,34 @@ def _minimal(gens: tuple, base: tuple, budget: int) -> tuple[FreeElem, ...]:
 
 def _ordered(elems: list[FreeElem]) -> list[FreeElem]:
     """Distinct elements of one width, in the order of the key
-    (degree, str), read from the cells that decide it.
+    (degree, str).
 
-    No cell text holds "," or ")", so the tuple (c_0 + ",", ..., c_last +
-    ")") orders as "(" + ", ".join(cells) + ")" does, and only the nonzero
-    cells need a look: a nonzero text starts with "-", a digit from 1 or
-    "d", so against "0" it comes first exactly when it is negative.  So of
-    two elements whose cells agree up to where one of them has its next
-    nonzero cell, at q, that one comes first when its cell is negative and
-    the other's next one lies after q, or when its cell is positive and the
-    other's next one lies before q or is none.  Within one degree, elements
-    are grouped by their nonzero cells one at a time: by position and sign,
-    and by the cell's text only while two elements still tie."""
-    by_deg: dict[int, list[FreeElem]] = {}
-    for e in elems:
-        by_deg.setdefault(e.degree(), []).append(e)
-    last = elems[0].width - 1 if elems else 0
-    # the head of an element with no nonzero cell left: after the negative
-    # heads (0, q), before the positive ones (1, -q)
-    end = (1, -last - 1)
+    An element's head is its text without the "(" up to the end of its
+    first nonzero cell: "0, " for each cell before it, then that cell's
+    `format_terms` text and the separator after it, "," or ")" at the last
+    position.  A zero element's head is its whole text.  No cell text holds
+    "," or ")" and no nonzero one reads "0", so no head is a prefix of
+    another, and elements whose heads differ order as their heads do: each
+    costs one cell.  Only elements whose degree and head tie are compared
+    by their whole text."""
     texts: dict = {}  # one monomial-text lookup serves every cell
-    key = itemgetter(0)
+    last = elems[0].width - 1 if elems else 0
+    keys = []
+    for e in elems:
+        terms = e.terms
+        if terms:
+            q = min(terms)[0]
+            cell = [(m, v) for (pos, m), v in terms.items() if pos == q]
+            head = "0, " * q + format_terms(cell, e.den, texts) + ("," if q < last else ")")
+        else:
+            head = "0, " * last + "0)"
+        keys.append((e.degree(), head))
     out: list[FreeElem] = []
-    for d in sorted(by_deg):
-        # an element's terms sorted by (position, monomial), with the start
-        # of its first cell not yet compared
-        pending = [[[0, sorted(e.terms.items()), e] for e in by_deg[d]]]
-        while pending:
-            tied = pending.pop()
-            if len(tied) == 1:
-                out.append(tied[0][2])
-                continue
-            heads = []
-            for item in tied:
-                i, terms = item[0], item[1]
-                if i == len(terms):
-                    heads.append((end, len(heads), item))
-                    continue
-                q = terms[i][0][0]
-                j = bisect_left(terms, ((q + 1,),), i)
-                # the cell's first term as `format_terms` writes it
-                lead = terms[i] if j == i + 1 else min(
-                    terms[i:j], key=lambda t: (-sum(t[0][1]), t[0][1][::-1])
-                )
-                heads.append(((0, q) if lead[1] < 0 else (1, -q), len(heads), item))
-            heads.sort()
-            # runs of one head, pushed last first so the first pops first
-            for head, run in reversed([(h, list(r)) for h, r in groupby(heads, key)]):
-                if len(run) == 1 or head == end:
-                    # a lone element, or equal elements with no cell left
-                    pending.extend([item] for _, _, item in reversed(run))
-                    continue
-                q = abs(head[1])
-                sep = "," if q < last else ")"
-                keyed = []
-                for _, _, item in run:
-                    i, terms = item[0], item[1]
-                    item[0] = j = bisect_left(terms, ((q + 1,),), i)
-                    cell = [(t[1], v) for t, v in terms[i:j]]
-                    keyed.append((format_terms(cell, item[2].den, texts) + sep, len(keyed), item))
-                keyed.sort()
-                for _, tie in reversed([(t, list(r)) for t, r in groupby(keyed, key)]):
-                    pending.append([item for _, _, item in tie])
+    for _, run in groupby(sorted(range(len(elems)), key=keys.__getitem__), keys.__getitem__):
+        tied = [elems[i] for i in run]
+        if len(tied) > 1:
+            tied.sort(key=lambda e: ", ".join(e.cell_texts(texts)) + ")")
+        out.extend(tied)
     return out
 
 

@@ -621,11 +621,15 @@ def save_operator(a: LinDiffOp, path, provenance: str | None = None) -> None:
 
 def load_operator(path) -> LinDiffOp:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise OpFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise OpFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer too long to
+        # convert; RecursionError, arrays or objects nested too deep
         raise OpFormatError(f"{path}: invalid JSON: {exc}") from exc
     return operator_from_dict(doc)

@@ -271,6 +271,21 @@ def test_document_field_of_the_wrong_json_type_exits_2(capsys, ops_dir, tmp_path
         assert err == f"error: bad bundle: {message}\n"
 
 
+@pytest.mark.parametrize("data", [
+    b"[" * 10000 + b"]" * 10000,
+    b'{"nvars": ' + b"7" * 5000 + b"}",
+    b'{"nvars": 1, "name": "\xff"}',
+], ids=["nested-too-deep", "integer-too-long", "not-utf-8"])
+def test_unreadable_document_exits_2(capsys, tmp_path, data):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "cc", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_negative_resolve_depth_exits_1(capsys, ops_dir):
     code, out, err = run(capsys, "resolve", str(ops_dir / "curl3.json"),
                          "--steps", "-1")

@@ -1,7 +1,8 @@
 """Minimization modulo a base module agrees with Groebner leave-one-out,
 on homogeneous rows (the graded path) and on rows that mix degrees (the
 relation path with no base, the Groebner path with one), and is memoized
-on the generators as given.  The order it works in, read cell by cell, is
+on the generators as given.  The order it works in, read from each
+element's first nonzero cell and from the whole text only on a tie, is
 the (degree, text) order."""
 
 from itertools import combinations_with_replacement
@@ -187,6 +188,32 @@ def _texts(*rows):
 @example(_texts(["d1", "2"], ["d1", "2*d1"]))
 @example(_texts(["0", "d1"], ["-d1", "d1"], ["1/2", "d1"], ["-1/2", "d1"]))
 @example(_texts(["d1", "0", "-2*d1"], ["d1", "-d1", "0"], ["d1", "0", "2*d1"]))
+# a zero element among nonzero ones
+@example(_texts(["0", "0", "0"], ["0", "0", "1"], ["-1", "0", "0"], ["d1", "0", "0"]))
+# heads that tie, "d1,", decided by a later cell
+@example(_texts(["d1", "d2", "0"], ["d1", "-d2", "1"], ["d1", "0", "2"], ["d1", "d2", "-d1"]))
+# "d1^2 + d1" is a prefix of "d1^2 + d1*d2": "," sorts after "*" and ")"
+# before it, so the heads closed by "," and by ")" order the pairs apart
+@example(_texts(["d1^2 + d1", "0"], ["d1^2 + d1*d2", "0"],
+                ["0", "d1^2 + d1"], ["0", "d1^2 + d1*d2"]))
 @given(element_lists())
 def test_cell_by_cell_order_is_the_degree_text_order(elems):
     assert _ordered(list(elems)) == sorted(elems, key=lambda e: (e.degree(), str(e)))
+
+
+def test_elements_whose_heads_differ_are_formatted_one_cell_each(monkeypatch):
+    elems = _texts(["d1", "d2", "1"], ["-d1", "d2", "d1"], ["0", "d1 + 1", "d2"],
+                   ["0", "0", "d1*d2 - 1"], ["2*d1", "-d2", "d1 + d2"])
+    expected = sorted(elems, key=lambda e: (e.degree(), str(e)))
+    calls = {"format_terms": 0, "cell_texts": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "format_terms", counted("format_terms", engine.format_terms))
+    monkeypatch.setattr(FreeElem, "cell_texts", counted("cell_texts", FreeElem.cell_texts))
+    assert _ordered(list(elems)) == expected
+    assert calls == {"format_terms": len(elems), "cell_texts": 0}
