@@ -9,18 +9,19 @@ their Poly entries are a view built on demand.  The term order is fixed:
 degrevlex on monomials, position-over-term with lower position winning ties
 (so all comparisons look at the monomial first).
 
-There is one Buchberger run per row set, cached: it works on the rows
-augmented with unit tracking columns, under a block order that makes every
-genuine term beat every tracking term.  It serves three products, each
-built on its first read and kept with the run: the genuine parts of its
-basis give the reduced Groebner basis (`reduced_groebner`, which also
-serves membership and module equality); the elements whose genuine block
-dies, kept packed until then, give the syzygy generators (`syzygies`);
-and the run's basis as it stands divides with cofactors, from the
-tracking columns of a remainder, handing the quotient back as a row.
-`duality`'s torsion witness is kept with the run too, when the rows stack
-a residue on a system's rows.  A run whose relations nobody reads never
-decodes or checks them.
+There is one Buchberger run per row set, and the finished run is the row
+set's memo entry: it works on the rows augmented with unit tracking
+columns, under a block order that makes every genuine term beat every
+tracking term.  It serves three products, each built on its first read
+and kept on the run: the genuine parts of its basis give the reduced
+Groebner basis (`reduced_groebner`, which also serves membership and
+module equality); the elements whose genuine block dies, kept packed
+until then, give the syzygy generators (`syzygies`); and the run's basis
+as it stands divides with cofactors, from the tracking columns of a
+remainder, handing the quotient back as a row.  `duality`'s torsion
+witness is kept on the run too, when the rows stack a residue on a
+system's rows.  A run whose relations nobody reads never decodes or
+checks them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -86,7 +87,7 @@ import heapq
 import math
 import os
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, repeat
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -702,30 +703,25 @@ class _Reducer:
         pack = self.pack
         flag, guard, pmask = pack.flag, pack.guard, pack.pmask
         leads, by_pos = self.lts, self.by_pos
-        survivors = _Reducer(pack)
-        for a, la in enumerate(leads):
+        reduced = _Reducer(pack)
+        for a, la in sorted(enumerate(leads), key=lambda e: (-(e[1] & pmask), e[1])):
             # only a lead at the same position can divide la; of two equal
             # leads the earlier one survives
             if not any(
                 b != a and not (leads[b] - la) & guard and (leads[b] != la or b < a)
                 for b in by_pos[la & pmask]
             ):
-                survivors.add({t: v for t, v in self.basis[a].items() if t >= flag})
-        survivors.fit(2 * survivors.top)
-        out = []
-        for h, lt in zip(survivors.basis, survivors.lts):
-            # a tail term is below the lead, so only other survivors reduce it
-            r, _, _ = survivors.reduce_full(dict(h), keep=lt)
-            out.append((-(lt & pmask), lt, _content_normalize(r)))
-        out.sort(key=lambda x: x[:2])
-        reduced = _Reducer(survivors.pack)
-        for _, _, r in out:
-            reduced.add(r)
+                reduced.add({t: v for t, v in self.basis[a].items() if t >= flag})
+        reduced.fit(2 * reduced.top)
+        for i, (h, lt) in enumerate(zip(reduced.basis, reduced.lts)):
+            # only other survivors reduce a tail term, and whether they are
+            # reduced already does not change the reduced element of a lead
+            reduced.basis[i] = _content_normalize(reduced.reduce_full(h, keep=lt)[0])
         return reduced
 
 
 class _Run:
-    """The S-pair queue of one Buchberger computation over a `_Reducer`.
+    """One Buchberger computation over a `_Reducer`, then its rows' memo entry.
 
     `reach` bounds the degree of every genuine term the run reduces: the
     larger of the degree budget and the rows' degree.  Pair pruning uses
@@ -734,19 +730,29 @@ class _Run:
     leads is one guard-mask test.  The alive pairs are kept per position
     with their lcms, and the heap orders them by (lcm, position, i, j):
     the lcm without its position field orders as (degree, degrevlex).
+    `run` drops both once the queue is empty.
+
+    Division with cofactors reads the basis in `red` as it is.  The other
+    products are None until first read: `_basis` builds `reduced` from
+    `red`; `_relations` verifies `harvest` into `relations` and releases
+    it; `duality`'s torsion search keeps in `witness` the least degree of
+    a nonzero first coordinate of the relations and the head it chose.
     """
 
     def __init__(self, pack: _Packing, reach: int, budget: int):
         self.reach = reach
         self.budget = budget
         self.red = _Reducer(pack)
-        self.pairs: list[tuple[int, int, int, int]] = []  # heap
+        self.pairs: list[tuple[int, int, int, int]] | None = []  # heap
         # position -> {(i, j): packed lcm of the leads}
-        self.alive: dict[int, dict[tuple[int, int], int]] = {}
+        self.alive: dict[int, dict[tuple[int, int], int]] | None = {}
         # each harvested relation packed, with the packing that encoded it
         # (a later widening re-encodes only the basis) and its top and
         # bottom total degree; decoded only when the relations are read
-        self.harvest: list[tuple[dict[int, int], _Packing, int, int]] = []
+        self.harvest: list[tuple[dict[int, int], _Packing, int, int]] | None = []
+        self.relations: tuple[FreeElem, ...] | None = None
+        self.reduced: GroebnerBasis | None = None
+        self.witness: tuple[int, Poly | None] | None = None
 
     def process(self, h: dict[int, int]) -> None:
         """Reduce h; a nonzero remainder joins the basis, or, once its
@@ -854,34 +860,11 @@ class _Run:
                     f"raise {BUDGET_ENV} to go further"
                 )
             self.process(self._spair(i, j, L))
-
-
-class _Tracked:
-    """One Buchberger run on rows augmented with unit tracking columns, and
-    its products, each built on its first read.
-
-    `reducer` holds the run's basis, whose elements record how they are
-    built from the rows: division with cofactors reads it as it is.
-    `reduced` is None until `_basis` builds the rows' reduced Groebner
-    basis from it.  `harvest` holds the harvested relations packed, as
-    `_Run.harvest` does, until the first `_relations` call decodes and
-    verifies them into `relations` and releases it.  `witness` is None
-    until `duality`'s torsion search, on rows that stack a residue above a
-    system's rows, keeps there what it read off the relations: the least
-    degree of a nonzero first coordinate and the head it chose."""
-
-    __slots__ = ("reducer", "harvest", "relations", "reduced", "witness")
-
-    def __init__(self, reducer: _Reducer, harvest: list):
-        self.reducer = reducer
-        self.harvest: list | None = harvest
-        self.relations: tuple[FreeElem, ...] | None = None
-        self.reduced: GroebnerBasis | None = None
-        self.witness: tuple[int, Poly | None] | None = None
+        self.pairs = self.alive = None
 
 
 @_memo
-def _tracked(elems: tuple[FreeElem, ...], budget: int) -> _Tracked:
+def _tracked(elems: tuple[FreeElem, ...], budget: int) -> _Run:
     """The Buchberger run on the rows augmented with unit tracking columns,
     cached per row set.  The reduced Groebner basis, the syzygies and
     division with cofactors are all read off this one run; none of its
@@ -902,7 +885,7 @@ def _tracked(elems: tuple[FreeElem, ...], budget: int) -> _Tracked:
         h[pack.term(width + i, one)] = den
         run.process(h)
     run.run()
-    return _Tracked(run.red, run.harvest)
+    return run
 
 
 # -- public Groebner interface ------------------------------------------------
@@ -992,7 +975,7 @@ def _basis(rows: tuple[FreeElem, ...], budget: int) -> GroebnerBasis:
     and nvars."""
     run = _tracked(rows, budget)
     if run.reduced is None:
-        run.reduced = GroebnerBasis(run.reducer.interreduced())
+        run.reduced = GroebnerBasis(run.red.interreduced())
     return run.reduced
 
 
@@ -1300,7 +1283,7 @@ def _divide(
     width, nvars = elem.width, elem.nvars
     if elem.is_zero():
         return FreeElem._make(k, nvars, {}), elem
-    red = run.reducer
+    red = run.red
     # h == num/den * elem.terms - sum_i q_i * rows_i, with -q_i in column
     # width + i; multiplying by den / (num * elem.den) gives the remainder
     # and -q_i
@@ -1431,37 +1414,59 @@ def _rank_point(nvars: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+# the prime modulo which `fraction_rank` evaluates and eliminates at its
+# point: a Mersenne prime, so every residue is below 2^61
+_RANK_PRIME = (1 << 61) - 1
+
+
 def fraction_rank(rows: Sequence) -> int:
     """Rank over the fraction field Q(d1..dn).
 
-    The rank is first certified at one integer point (`_rank_point`):
-    each row's integer terms are evaluated there and `_Echelon` counts
-    the independent rows.  Only when that count stays below full rank
-    does Bareiss elimination on integer polynomials decide.  Each row is
-    cleared of its denominators, which rescales it and leaves the rank
-    alone; every Bareiss division is then exact in Z[d1..dn], and a
-    nonzero remainder raises ArithmeticError."""
+    The rank is first certified at one integer point (`_rank_point`),
+    modulo the prime `_RANK_PRIME`: each row's integer terms are evaluated
+    there modulo the prime, so a power of any exponent costs one modular
+    power, and an elimination modulo the prime counts the independent
+    rows.  Only when that count stays below full rank does Bareiss
+    elimination on integer polynomials decide.  Each row is cleared of its
+    denominators, which rescales it and leaves the rank alone; every
+    Bareiss division is then exact in Z[d1..dn], and a nonzero remainder
+    raises ArithmeticError."""
     if not rows:
         return 0
     elems = _as_elems(rows)
-    # A full-size minor that is nonzero at a point is a nonzero polynomial,
-    # so full rank at the point proves full rank over Q(d1..dn).  A lower
-    # rank at the point proves nothing: a minor may vanish there without
-    # vanishing identically, and Bareiss decides that case.
+    # A full-size minor that is nonzero modulo the prime at a point is a
+    # nonzero integer there, so a nonzero polynomial: full rank at the point
+    # proves full rank over Q(d1..dn).  A lower rank at the point proves
+    # nothing: a minor may vanish there, or be a multiple of the prime,
+    # without vanishing identically, and Bareiss decides that case.
     full = min(len(elems), elems[0].width)
     point = _rank_point(elems[0].nvars)
+    p = _RANK_PRIME
     values: dict[Monomial, int] = {}
-    ech = _Echelon()
+    pivots: dict[int, dict[int, int]] = {}  # lead position -> echelon row
     for e in elems:
         v: dict[int, int] = {}
         for (pos, mono), c in e.terms.items():
             x = values.get(mono)
             if x is None:
-                x = values[mono] = math.prod(map(pow, point, mono))
+                x = values[mono] = math.prod(map(pow, point, mono, repeat(p))) % p
             v[pos] = v.get(pos, 0) + c * x
-        # each independent row adds one stored echelon row
-        if ech.insert({pos: c for pos, c in v.items() if c}) and len(ech.rows) == full:
-            return full
+        v = {pos: r for pos, c in v.items() if (r := c % p)}
+        while v:
+            t = max(v)
+            row = pivots.get(t)
+            if row is None:
+                pivots[t] = v
+                # each independent row adds one pivot
+                if len(pivots) == full:
+                    return full
+                break
+            # a * v - b * row kills t; fraction-free, so no inverse is taken
+            a, b = row[t], v[t]
+            v = {pos: c * a for pos, c in v.items()}
+            for pos, rc in row.items():
+                v[pos] = v.get(pos, 0) - b * rc
+            v = {pos: r for pos, c in v.items() if (r := c % p)}
     m: list[list[ZPoly]] = []
     for e in elems:
         row: list[ZPoly] = [{} for _ in range(e.width)]

@@ -32,7 +32,7 @@ from .engine import (
     _same_module,
     _transpose_rows,
 )
-from .poly import ParseError, Poly, parse
+from .poly import ParseError, Poly, _digit_limit, parse
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -628,8 +628,12 @@ def load_operator(path) -> LinDiffOp:
         raise OpFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers JSONDecodeError and an integer too long to
-        # convert; RecursionError, arrays or objects nested too deep
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep
         raise OpFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        # the other ValueError: an integer too long to convert
+        raise OpFormatError(
+            f"{path}: invalid JSON: a number exceeds the limit of {_digit_limit()} digits"
+        ) from exc
     return operator_from_dict(doc)

@@ -549,8 +549,8 @@ class _Parser:
     def _read(self, product: str) -> tuple[int, int, Monomial] | None:
         """The term a `_TERM` match took, as (numerator, denominator,
         monomial), or None when a symbol is out of range, a denominator
-        zero or a number too long to convert, which the token path then
-        reports."""
+        zero or a number, or a power of one, too long to convert, which the
+        token path then reports."""
         nvars = self.nvars
         num = den = 1
         exps = [0] * nvars
@@ -574,7 +574,7 @@ class _Parser:
                 a = int(a)
                 if k:
                     k = int(k)
-                    a, b = a**k, b**k
+                    a, b = _power(a, k, 0), _power(b, k, 0)
                 num *= a
                 den *= b
         except ValueError:
@@ -635,7 +635,7 @@ class _Parser:
                 k = _digits(etok[1], etok[2])
             if kind == "num":
                 if k != 1:
-                    a, b = a**k, b**k
+                    a, b = _power(a, k, at), _power(b, k, at)
                 num *= a
                 den *= b
             elif kind == "var":
@@ -653,18 +653,43 @@ class _Parser:
             self._skip()
 
 
+def _digit_limit() -> int:
+    """The most digits a number in polynomial text may have: Python's limit
+    on converting an int from text (`sys.get_int_max_str_digits`), or its
+    default, 4,300, on an interpreter with no limit (3.10, or a limit of 0)."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return (get and get()) or 4300
+
+
+def _too_long(digits: int, at: int) -> ParseError:
+    return ParseError(
+        f"number of {digits} digits exceeds the limit of {_digit_limit()} digits", at
+    )
+
+
 def _digits(text: str, at: int) -> int:
     """The int a digit string spells; a ParseError at `at`, the position of
-    its token, when it is longer than Python converts
-    (`sys.get_int_max_str_digits`)."""
+    its token, when it is longer than Python converts."""
     try:
         return int(text)
     except ValueError:
-        raise ParseError(
-            f"number of {len(text)} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()} digits",
-            at,
-        ) from None
+        raise _too_long(len(text), at) from None
+
+
+def _power(a: int, k: int, at: int) -> int:
+    """a**k for the number a >= 0 whose token is at `at`; a ParseError there,
+    raised before the power is computed, when it would have more digits
+    than `_digit_limit` allows.  a**k has floor(k * log10(a)) + 1 digits;
+    the product is taken in integers, so no exponent overflows a float,
+    and only next to the limit, where rounding could decide, is the value
+    itself compared."""
+    if a < 2:
+        return a**k
+    limit = _digit_limit()
+    digits = (k * round(math.log10(a) * (1 << 52)) >> 52) + 1
+    if digits < limit or (digits <= limit + 1 and a**k < 10**limit):
+        return a**k
+    raise _too_long(digits, at)
 
 
 def parse(text: str, nvars: int) -> Poly:

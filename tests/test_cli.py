@@ -3,6 +3,10 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +288,63 @@ def test_unreadable_document_exits_2(capsys, tmp_path, data):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _square_doc(matrix: list[list[str]]) -> str:
+    """An operator document with this square matrix of cell texts, over
+    two variables."""
+    comps = [{"label": str(i + 1), "weight": "1"} for i in range(len(matrix))]
+    return json.dumps({
+        "name": "m", "nvars": 2,
+        "source": {"name": "u", "components": comps},
+        "target": {"name": "v", "components": comps},
+        "matrix": matrix,
+    })
+
+
+@pytest.mark.parametrize("data", [
+    b'{"nvars": ' + b"7" * 5000 + b"}",
+    _square_doc([["2^20000*d1"]]).encode(),
+], ids=["nvars-digits", "literal-power"])
+def test_number_over_the_digit_limit_is_an_input_error(capsys, tmp_path, data):
+    path = tmp_path / "digits.json"
+    path.write_bytes(data)
+    for command in ("cc", "adjoint"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert "set_int_max_str_digits" not in err
+
+
+def test_literal_powers_refused_only_above_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "power.json"
+    path.write_text(_square_doc([["2^20000*d1"]]))
+    code, _, err = run(capsys, "adjoint", str(path))
+    assert code == 2
+    assert err == ("error: matrix[0][0]: number of 6021 digits exceeds the limit of "
+                   "4300 digits (at position 0)\n")
+    # 4,215 digits
+    path.write_text(_square_doc([["2^14000*d1"]]))
+    for command in ("cc", "adjoint", "rank", "resolve"):
+        code, _, err = run(capsys, command, str(path))
+        assert (code, err) == (0, "")
+
+
+def test_rank_of_huge_exponents_answers_in_bounded_time(tmp_path):
+    """The point stage of `fraction_rank` evaluates modulo a prime, so a
+    power d1^N costs no N-bit integer; a fresh process answers well within
+    the timeout for N = 10^8."""
+    n = 10**8
+    path = tmp_path / "huge.json"
+    path.write_text(_square_doc([[f"d1^{n}", "d2"], [f"d2^{n} + d1", "d1*d2"]]))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "dgcalc.cli", "rank", str(path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["rank"] == 2
 
 
 def test_negative_resolve_depth_exits_1(capsys, ops_dir):

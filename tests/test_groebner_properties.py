@@ -44,6 +44,9 @@ def test_reduced_groebner_laws(module):
 
     leads = [_lead(g) for g in gens]
     assert all(c == 1 for _, _, c in leads)
+    # sorted by leading position, then leading monomial
+    keys = [(pos, mono_key(m)) for pos, m, _ in leads]
+    assert keys == sorted(keys)
     for a, g in enumerate(gens):
         for b, (pb, mb, _) in enumerate(leads):
             if a != b:

@@ -235,7 +235,7 @@ def test_a_relation_harvested_before_a_widening_decodes_under_its_own_packing(
     )]
     clear_engine_caches()
     run = _tracked(tuple(rows), _budget())
-    final = run.reducer.pack
+    final = run.red.pack
     early = [(h, pack) for h, pack, _, _ in run.harvest if pack is not final]
     assert len(early) == 1 and len(run.harvest) == 5
     h, pack = early[0]
