@@ -6,8 +6,10 @@ deterministic: rerunning a command on the same inputs produces identical
 bytes, with the engine caches cold or warm.
 
 Exit codes: 0 success, 2 unreadable input, 3 shape mismatch, 4 budget
-exceeded (Groebner degree, torsion witness degree or minimal
-parametrization search size), 5 factorization failed, 1 anything else.
+exceeded (Groebner degree, torsion witness degree, minimal
+parametrization search size, or a result number with more digits than
+Python writes), 5 factorization failed, 1 anything else.  Every document
+is built in full before any of it is written.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .engine import BudgetExceeded, fraction_rank, resolve_module
+from .engine import BudgetExceeded, FreeElem, cell_rows, fraction_rank, resolve_module
 from .operators import (
     NotFactorable,
     OpFormatError,
@@ -30,7 +32,7 @@ from .operators import (
     load_operator,
     operator_json,
 )
-from .poly import ParseError, serialize
+from .poly import NumberTooLong, ParseError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -111,17 +113,15 @@ def _cmd_resolve(args) -> int:
     if args.output is None:
         sys.stdout.write(doc)
         return 0
+    docs = {"summary.json": doc}
+    for k, step in enumerate(res.steps):
+        name = f"step{k:02d}.json"
+        rows = cell_rows(step, name + ": rows[{i}][{j}]")
+        docs[name] = json_text({"index": k, "rows": rows})
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "summary.json").write_text(doc)
-    for k, step in enumerate(res.steps):
-        # one monomial-text lookup per step
-        texts: dict = {}
-        step_doc = {
-            "index": k,
-            "rows": [e.cell_texts(texts) for e in step],
-        }
-        (outdir / f"step{k:02d}.json").write_text(json_text(step_doc))
+    for name, text in docs.items():
+        (outdir / name).write_text(text)
     print(f"wrote {outdir}/summary.json and {len(res.steps)} step files")
     return 0
 
@@ -143,6 +143,9 @@ def _cmd_paramtest(args) -> int:
 
     op = load_operator(args.operator)
     rep = param_test(op)
+    rows = cell_rows([t.row for t in rep.torsion], "torsion[{i}].row[{j}]")
+    anns = cell_rows([FreeElem([t.annihilator]) for t in rep.torsion],
+                     "torsion[{i}].annihilator")
     payload = {
         "operator": op.name,
         "parametrizable": rep.parametrizable,
@@ -150,15 +153,13 @@ def _cmd_paramtest(args) -> int:
         "ext2_zero": rep.ext2_zero,
         "potentials": rep.potentials,
         "torsion": [
-            {
-                "row": t.row.cell_texts(),
-                "order": t.order,
-                "annihilator": serialize(t.annihilator),
-            }
-            for t in rep.torsion
+            {"row": row, "order": t.order, "annihilator": ann}
+            for t, row, [ann] in zip(rep.torsion, rows, anns)
         ],
-        "parametrization": rep.parametrization.entry_strs(),
-        "recomputed_conditions": rep.recomputed_cc.entry_strs(),
+        "parametrization": cell_rows(rep.parametrization.rows(),
+                                     "parametrization[{i}][{j}]"),
+        "recomputed_conditions": cell_rows(rep.recomputed_cc.rows(),
+                                           "recomputed_conditions[{i}][{j}]"),
     }
     _emit_json(payload, args.output, f"{op.name}_paramtest")
     if args.output is not None:
@@ -193,8 +194,8 @@ def _cmd_ext(args) -> int:
         "index": rep.index,
         "is_zero": rep.is_zero,
         "rank": rep.rank,
-        "generators": [g.cell_texts() for g in rep.generators],
-        "relations": [r.cell_texts() for r in rep.relations],
+        "generators": cell_rows(rep.generators, "generators[{i}][{j}]"),
+        "relations": cell_rows(rep.relations, "relations[{i}][{j}]"),
     }
     _emit_json(payload, args.output, f"{op.name}_ext{rep.index}")
     return 0
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
     except NotFactorable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FACTOR
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, NumberTooLong) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ShapeMismatch as exc:

@@ -18,7 +18,9 @@ Groebner basis (`reduced_groebner`, which also serves membership and
 module equality); the elements whose genuine block dies, kept packed
 until then, give the syzygy generators (`syzygies`); and the run's basis
 as it stands divides with cofactors, from the tracking columns of a
-remainder, handing the quotient back as a row.  `duality`'s torsion
+remainder, handing the quotient back as a row.  The positions of its
+leads also give the generic rank, when `fraction_rank`'s point stage
+does not certify full rank.  `duality`'s torsion
 witness is kept on the run too, when the rows stack a residue on a
 system's rows.  A run whose relations nobody reads never decodes or
 checks them.
@@ -69,7 +71,8 @@ rows and that budget to a private core (`_basis`, `_same_module`,
 into a fresh list.  The cores trust their callers: they take rows of one
 width and nvars and hand back the memos' own tuples, so a chain of them,
 such as a resolution's steps or `operators.cc`, checks its input and reads
-the budget once, however many links it has.
+the budget once, however many links it has.  `fraction_rank` reads the
+budget only when its point stage leaves the rank to the run.
 
 Every cache of the package is a memo made by `_memo`, an unbounded
 `functools.lru_cache` registered in one list that `clear_caches()` empties:
@@ -93,11 +96,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .poly import (
     Monomial,
+    NumberTooLong,
     Poly,
     canonical,
     format_terms,
-    mono_div,
-    mono_divides,
 )
 
 BUDGET_ENV = "DGCALC_BUDGET_DEGREE"
@@ -316,8 +318,12 @@ class FreeElem:
             col.append((m, v))
         if texts is None:
             texts = {}
-        for pos, col in cols.items():
-            cells[pos] = format_terms(col, self.den, texts)
+        try:
+            for pos, col in cols.items():
+                cells[pos] = format_terms(col, self.den, texts)
+        except NumberTooLong as exc:
+            exc.column = pos
+            raise
         return cells
 
     def __str__(self) -> str:
@@ -329,6 +335,21 @@ class FreeElem:
 
     def __repr__(self) -> str:
         return f"FreeElem{self}"
+
+
+def cell_rows(elems: Iterable[FreeElem], cell: str) -> list[list[str]]:
+    """Each element's `cell_texts`, with one monomial lookup for them all.
+    A number too long to write raises NumberTooLong naming its cell:
+    `cell` formatted with the row i and the column j."""
+    texts: dict = {}
+    rows: list[list[str]] = []
+    try:
+        for e in elems:
+            rows.append(e.cell_texts(texts))
+    except NumberTooLong as exc:
+        where = cell.format(i=len(rows), j=exc.column)
+        raise NumberTooLong(f"{where}: {exc}") from None
+    return rows
 
 
 def _dot(elem: FreeElem, rows: Sequence[FreeElem]) -> FreeElem:
@@ -739,6 +760,11 @@ class _Run:
     a nonzero first coordinate of the relations and the head it chose.
     """
 
+    __slots__ = (
+        "reach", "budget", "red", "pairs", "alive", "harvest", "relations",
+        "reduced", "witness",
+    )
+
     def __init__(self, pack: _Packing, reach: int, budget: int):
         self.reach = reach
         self.budget = budget
@@ -866,9 +892,9 @@ class _Run:
 @_memo
 def _tracked(elems: tuple[FreeElem, ...], budget: int) -> _Run:
     """The Buchberger run on the rows augmented with unit tracking columns,
-    cached per row set.  The reduced Groebner basis, the syzygies and
-    division with cofactors are all read off this one run; none of its
-    relations is decoded here."""
+    cached per row set.  The reduced Groebner basis, the syzygies,
+    division with cofactors and the generic rank are all read off this one
+    run; none of its relations is decoded here."""
     k = len(elems)
     width, nvars = elems[0].width, elems[0].nvars
     rows, den = _int_rows(elems)
@@ -1312,101 +1338,11 @@ def _divide(
 # -- rank ------------------------------------------------------------------------
 
 
-ZPoly = dict[Monomial, int]  # a polynomial over Z, zero terms left out
-
-
-def _zpoly_div_exact(num: ZPoly, den: ZPoly) -> ZPoly:
-    """num / den in Z[d1..dn]; raises ArithmeticError unless den divides num.
-
-    Each step cancels the leading term of what is left, so the terms are
-    taken from a heap, largest first."""
-    dm = min(den, key=lambda m: (-sum(m), m[::-1]))
-    dc = den[dm]
-    rest = [(m, c) for m, c in den.items() if m != dm]
-    rem = dict(num)
-    heap = [(-sum(m), m[::-1], m) for m in rem]
-    heapq.heapify(heap)
-    q: ZPoly = {}
-    while heap:
-        m = heapq.heappop(heap)[2]
-        c = rem.pop(m, 0)
-        if not c:
-            continue
-        if c % dc or not mono_divides(dm, m):
-            raise ArithmeticError("inexact polynomial division")
-        qm = mono_div(m, dm)
-        qc = c // dc
-        q[qm] = qc
-        # every other term of den times qm lies below m
-        for mm, v in rest:
-            k = tuple(map(add, mm, qm))
-            s = rem.get(k, 0) - qc * v
-            if s:
-                if k not in rem:
-                    heapq.heappush(heap, (-sum(k), k[::-1], k))
-                rem[k] = s
-            else:
-                rem.pop(k, None)
-    return q
-
-
-def _bareiss_entry(piv: ZPoly, a: ZPoly, c: ZPoly, b: ZPoly, prev: ZPoly) -> ZPoly:
-    """(piv * a - c * b) / prev over Z[d1..dn], an exact division."""
-    num: ZPoly = {}
-    get = num.get
-    for x, y, sign in ((piv, a, 1), (c, b, -1)):
-        for m1, c1 in x.items():
-            c1 *= sign
-            for m2, c2 in y.items():
-                m = tuple(map(add, m1, m2))
-                num[m] = get(m, 0) + c1 * c2
-    num = {m: v for m, v in num.items() if v}
-    return _zpoly_div_exact(num, prev) if num else num
-
-
-def _bareiss(m: list[list[ZPoly]], nvars: int) -> tuple[int, ZPoly]:
-    """Bareiss fraction-free elimination in place on a matrix over
-    Z[d1..dn]; returns the rank and the last pivot.
-
-    Every entry after step k is a (k+1)-minor of the input, so each division
-    by the previous pivot is exact; for a square matrix of full rank the
-    last pivot is the determinant up to sign."""
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = {(0,) * nvars: 1}
-    for col in range(ncols):
-        piv_row = -1
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv_row = r
-                break
-        if piv_row < 0:
-            continue
-        m[rank], m[piv_row] = m[piv_row], m[rank]
-        prow = m[rank]
-        piv = prow[col]
-        # columns before col are zero in every row from rank down
-        for r in range(rank + 1, nrows):
-            mr = m[r]
-            if not any(mr[j] for j in range(col, ncols)):
-                continue
-            c = mr[col]
-            for j in range(col + 1, ncols):
-                mr[j] = _bareiss_entry(piv, mr[j], c, prow[j], prev)
-            mr[col] = {}
-        prev = piv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, prev
-
-
-def _rank_point(nvars: int) -> tuple[int, ...]:
-    """The integer point at which `fraction_rank` first evaluates: the
-    first nvars primes (2, 3, 5, ...), defined for every nvars."""
+def _primes(count: int) -> tuple[int, ...]:
+    """The first `count` primes (2, 3, 5, ...), by trial division."""
     primes: list[int] = []
     k = 2
-    while len(primes) < nvars:
+    while len(primes) < count:
         # every prime below k is in the list already
         if all(k % p for p in primes):
             primes.append(k)
@@ -1414,9 +1350,34 @@ def _rank_point(nvars: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
+# enough primes for every nvars that an operator takes (`operators.MAX_NVARS`)
+_POINT_PRIMES = _primes(64)
+
+
+def _rank_point(nvars: int) -> tuple[int, ...]:
+    """The integer point at which `fraction_rank` first evaluates: the
+    first nvars primes (2, 3, 5, ...), defined for every nvars."""
+    if nvars <= len(_POINT_PRIMES):
+        return _POINT_PRIMES[:nvars]
+    return _primes(nvars)
+
+
 # the prime modulo which `fraction_rank` evaluates and eliminates at its
 # point: a Mersenne prime, so every residue is below 2^61
 _RANK_PRIME = (1 << 61) - 1
+
+
+def _lead_rank(elems: tuple[FreeElem, ...], budget: int) -> int:
+    """The rank over Q(d1..dn) of the rows' module M, read off the rows'
+    Buchberger run: the number of positions that hold a lead.
+
+    The genuine parts of the run's basis form a Groebner basis of M (see
+    `_Reducer.interreduced`), so their leads generate in(M), and the term
+    order is degree-compatible, so F/M and F/in(M) have the same Hilbert
+    function and M and in(M) the same rank.  in(M) is a sum of monomial
+    ideals, one per position, and each nonzero one adds 1 to its rank.
+    `by_pos` holds exactly the positions of the leads."""
+    return len(_tracked(elems, budget).red.by_pos)
 
 
 def fraction_rank(rows: Sequence) -> int:
@@ -1426,11 +1387,10 @@ def fraction_rank(rows: Sequence) -> int:
     modulo the prime `_RANK_PRIME`: each row's integer terms are evaluated
     there modulo the prime, so a power of any exponent costs one modular
     power, and an elimination modulo the prime counts the independent
-    rows.  Only when that count stays below full rank does Bareiss
-    elimination on integer polynomials decide.  Each row is cleared of its
-    denominators, which rescales it and leaves the rank alone; every
-    Bareiss division is then exact in Z[d1..dn], and a nonzero remainder
-    raises ArithmeticError."""
+    rows.  Only when that count stays below full rank is the rank read
+    off the rows' Buchberger run (`_lead_rank`), the memoized run that
+    the syzygies and resolutions use; that run obeys the degree budget,
+    so it may raise BudgetExceeded, and only it reads DGCALC_BUDGET_DEGREE."""
     if not rows:
         return 0
     elems = _as_elems(rows)
@@ -1438,7 +1398,7 @@ def fraction_rank(rows: Sequence) -> int:
     # nonzero integer there, so a nonzero polynomial: full rank at the point
     # proves full rank over Q(d1..dn).  A lower rank at the point proves
     # nothing: a minor may vanish there, or be a multiple of the prime,
-    # without vanishing identically, and Bareiss decides that case.
+    # without vanishing identically, and the lead module decides that case.
     full = min(len(elems), elems[0].width)
     point = _rank_point(elems[0].nvars)
     p = _RANK_PRIME
@@ -1467,13 +1427,7 @@ def fraction_rank(rows: Sequence) -> int:
             for pos, rc in row.items():
                 v[pos] = v.get(pos, 0) - b * rc
             v = {pos: r for pos, c in v.items() if (r := c % p)}
-    m: list[list[ZPoly]] = []
-    for e in elems:
-        row: list[ZPoly] = [{} for _ in range(e.width)]
-        for (pos, mono), c in e.terms.items():
-            row[pos][mono] = c
-        m.append(row)
-    return _bareiss(m, elems[0].nvars)[0]
+    return _lead_rank(elems, _budget())
 
 
 # -- resolutions -------------------------------------------------------------------

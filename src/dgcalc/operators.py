@@ -31,6 +31,7 @@ from .engine import (
     _minimal_relations,
     _same_module,
     _transpose_rows,
+    cell_rows,
 )
 from .poly import ParseError, Poly, _digit_limit, parse
 
@@ -265,9 +266,9 @@ class LinDiffOp:
     def entry_strs(self) -> list[list[str]]:
         """Each entry's canonical text, as `serialize` gives it, written
         from the rows; the monomials' keys and texts are made once for the
-        whole operator."""
-        texts: dict = {}
-        return [r.cell_texts(texts) for r in self._rows]
+        whole operator, and a number too long to write is named as the
+        document's cell matrix[i][j]."""
+        return cell_rows(self._rows, "matrix[{i}][{j}]")
 
 
 def _check_shape(name: str, source: Bundle, target: Bundle, widths: Sequence[int]) -> None:

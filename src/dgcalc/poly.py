@@ -69,6 +69,14 @@ class ParseError(ValueError):
         self.position = position
 
 
+class NumberTooLong(ValueError):
+    """Raised when a number to be written has more digits than Python
+    converts to text.  `FreeElem.cell_texts` sets `column` to the entry
+    it was writing, so a writer that knows the row can name the cell."""
+
+    column: int | None = None
+
+
 def canonical(terms: dict, num: int = 1, den: int = 1) -> tuple[dict, int]:
     """The value terms * num / den in canonical form, as (terms', den'):
     den' > 0 and gcd(content(terms'), den') == 1, and zero is ({}, 1).
@@ -398,27 +406,40 @@ def format_terms(items: Iterable[tuple[Monomial, int]], den: int,
         rows.append(kt + (v,))
     rows.sort()
     chunks: list[str] = []
-    for _, ms, v in rows:
-        if den == 1:
-            num, den_m = v, 1
-        else:
-            g = math.gcd(v, den)
-            num, den_m = v // g, den // g
-        neg = num < 0
-        a = -num if neg else num
-        # Fraction prints p/q, or p when q is 1
-        coeff = str(a) if den_m == 1 else f"{a}/{den_m}"
-        if not ms:
-            body = coeff
-        elif a == 1 and den_m == 1:
-            body = ms
-        else:
-            body = f"{coeff}*{ms}"
-        if chunks:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-        else:
-            chunks.append(f"-{body}" if neg else body)
+    try:
+        for _, ms, v in rows:
+            if den == 1:
+                num, den_m = v, 1
+            else:
+                g = math.gcd(v, den)
+                num, den_m = v // g, den // g
+            neg = num < 0
+            a = -num if neg else num
+            # Fraction prints p/q, or p when q is 1
+            coeff = str(a) if den_m == 1 else f"{a}/{den_m}"
+            if not ms:
+                body = coeff
+            elif a == 1 and den_m == 1:
+                body = ms
+            else:
+                body = f"{coeff}*{ms}"
+            if chunks:
+                chunks.append(f"- {body}" if neg else f"+ {body}")
+            else:
+                chunks.append(f"-{body}" if neg else body)
+    except ValueError:
+        # only str() of a number over Python's limit raises here
+        raise NumberTooLong(_over_limit(_decimal_digits(max(a, den_m)))) from None
     return " ".join(chunks)
+
+
+def _decimal_digits(a: int) -> int:
+    """The number of decimal digits of a > 0, without writing it out."""
+    d = int(math.log10(a)) + 1
+    # the float logarithm can be one off next to a power of ten
+    if a < 10 ** (d - 1):
+        return d - 1
+    return d + 1 if a >= 10**d else d
 
 
 # One token after optional whitespace: a number, a symbol, an operator, the
@@ -661,10 +682,12 @@ def _digit_limit() -> int:
     return (get and get()) or 4300
 
 
+def _over_limit(digits: int) -> str:
+    return f"number of {digits} digits exceeds the limit of {_digit_limit()} digits"
+
+
 def _too_long(digits: int, at: int) -> ParseError:
-    return ParseError(
-        f"number of {digits} digits exceeds the limit of {_digit_limit()} digits", at
-    )
+    return ParseError(_over_limit(digits), at)
 
 
 def _digits(text: str, at: int) -> int:

@@ -331,6 +331,43 @@ def test_literal_powers_refused_only_above_the_digit_limit(capsys, tmp_path):
         assert (code, err) == (0, "")
 
 
+def test_result_number_over_the_digit_limit_exits_4(capsys, tmp_path):
+    """Inputs of 4,215 and 3,817 digits whose results multiply them: each
+    command refuses the result, naming the cell, and writes nothing."""
+    square = tmp_path / "square.json"
+    square.write_text(_square_doc([["2^14000*d1"]]))
+    code, out, err = run(capsys, "compose", str(square), str(square))
+    assert (code, out) == (4, "")
+    assert err == ("error: matrix[0][0]: number of 8429 digits exceeds the limit "
+                   "of 4300 digits\n")
+    # the relation 3^8000 * r1 + 2^14000 * r2 - 2^14000 * 3^8000 * r3
+    comps = [{"label": str(i + 1), "weight": "1"} for i in range(3)]
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps({
+        "name": "m", "nvars": 2,
+        "source": {"name": "u", "components": comps[:2]},
+        "target": {"name": "v", "components": comps},
+        "matrix": [["2^14000*d1", "0"], ["0", "3^8000*d2"], ["d1", "d2"]],
+    }))
+    limit = "number of 8032 digits exceeds the limit of 4300 digits\n"
+    code, out, err = run(capsys, "cc", str(path))
+    assert (code, out, err) == (4, "", "error: matrix[0][2]: " + limit)
+    out_dir = tmp_path / "res"
+    code, out, err = run(capsys, "resolve", str(path), "-o", str(out_dir))
+    assert (code, out, err) == (4, "", "error: step01.json: rows[0][2]: " + limit)
+    assert not out_dir.exists()
+
+
+def _cli_env() -> dict:
+    """The environment for a `python -m dgcalc.cli` subprocess: this
+    checkout's sources first on the path, and the default degree budget."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("DGCALC_BUDGET_DEGREE", None)
+    return env
+
+
 def test_rank_of_huge_exponents_answers_in_bounded_time(tmp_path):
     """The point stage of `fraction_rank` evaluates modulo a prime, so a
     power d1^N costs no N-bit integer; a fresh process answers well within
@@ -338,13 +375,47 @@ def test_rank_of_huge_exponents_answers_in_bounded_time(tmp_path):
     n = 10**8
     path = tmp_path / "huge.json"
     path.write_text(_square_doc([[f"d1^{n}", "d2"], [f"d2^{n} + d1", "d1*d2"]]))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-m", "dgcalc.cli", "rank", str(path)],
-                          env=env, capture_output=True, text=True, timeout=30)
+                          env=_cli_env(), capture_output=True, text=True, timeout=30)
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["rank"] == 2
+
+
+def test_deficient_rank_and_minparam_answer_in_bounded_time(tmp_path):
+    """A rank the point stage leaves open is read off the rows' Buchberger
+    run: `rank` of einstein e6 and `minparam` of weyl e5, both rank
+    deficient, took 0.19 s and 0.23 s in a fresh process on a 2-core VM.
+    The 10 s timeout leaves 40 times that for slow machines; elimination
+    over Z[d1..dn] ran over 120 s on the first and 19.9 s on the second."""
+    einstein, weyl = tmp_path / "einstein_e6.json", tmp_path / "weyl_e5.json"
+    save_operator(zoo.build("einstein", n=6), einstein)
+    save_operator(zoo.build("weyl", n=5), weyl)
+    for argv in (["rank", str(einstein)], ["minparam", str(weyl)]):
+        done = subprocess.run([sys.executable, "-m", "dgcalc.cli", *argv],
+                              env=_cli_env(), capture_output=True, text=True,
+                              timeout=10)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        doc = json.loads(done.stdout)
+        if argv[0] == "rank":
+            assert (doc["rows"], doc["columns"], doc["rank"]) == (21, 21, 15)
+        else:
+            assert operator_from_dict(doc).target.dim == 15
+
+
+def test_deficient_rank_obeys_the_degree_budget(capsys, tmp_path, monkeypatch):
+    """The rank of (d1^7, 0; d2^7, 0) is 1, and its run needs the S-pair of
+    degree 14 between the two rows."""
+    path = tmp_path / "d7.json"
+    path.write_text(_square_doc([["d1^7", "0"], ["d2^7", "0"]]))
+    monkeypatch.delenv("DGCALC_BUDGET_DEGREE", raising=False)
+    code, out, err = run(capsys, "rank", str(path))
+    assert (code, out) == (4, "")
+    assert err == ("error: S-pair of degree 14 exceeds budget 12; "
+                   "raise DGCALC_BUDGET_DEGREE to go further\n")
+    monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "14")
+    code, out, err = run(capsys, "rank", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rank"] == 1
 
 
 def test_negative_resolve_depth_exits_1(capsys, ops_dir):
@@ -435,6 +506,13 @@ def test_malformed_budget_is_rejected(capsys, ops_dir, monkeypatch):
         assert out == ""
         assert err.startswith("error: ") and "DGCALC_BUDGET_DEGREE" in err
         assert "Traceback" not in err
+        # curl3's rank (2 of 3) is read off its Buchberger run, which
+        # reads the budget; a full rank is certified before that
+        code, out, err = run(capsys, "rank", str(ops_dir / "curl3.json"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "DGCALC_BUDGET_DEGREE" in err
+        code, _, err = run(capsys, "rank", str(ops_dir / "grad3.json"))
+        assert (code, err) == (0, "")
 
 
 def test_deeply_nested_entry_exits_2(capsys, ops_dir, tmp_path):
