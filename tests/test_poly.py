@@ -164,6 +164,9 @@ def test_parse_errors_carry_position(bad, pos):
     ("d1 d2", "trailing input 'd2'", 3),
     ("x1", "unexpected character 'x'", 0),
     ("d1 $", "unexpected character '$'", 3),
+    ("d1 d2 $", "unexpected character '$'", 6),
+    ("1/0 + x1", "unexpected character 'x'", 6),
+    ("(d1 + 2/0) * #", "unexpected character '#'", 13),
     ("", "unexpected end of input", 0),
     ("  ", "unexpected end of input", 2),
     ("-", "unexpected end of input", 1),
