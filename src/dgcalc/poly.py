@@ -449,18 +449,6 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 
-# The longest prefix that splits into tokens; the character after it is the
-# first one no token takes.  Only a failed parse reads it, so it is left to
-# `re` to compile then.
-_LEXABLE = r"(?:\d+(?:/\d+)?|d\d+|[-+*^()]|\s+)*"
-
-# A whole term written without inner whitespace: an optional sign, then a
-# product of numbers and symbols, each with an optional ^k, then the '+' or
-# '-' after it, or a ')' or the end of the text, which it leaves unread.
-# Canonical text is a sequence of such terms.
-_FACTOR = r"(?:\d+(?:/\d+)?|d\d+)(?:\^\d+)?"
-_TERM = re.compile(rf"\s*(-?)({_FACTOR}(?:\*{_FACTOR})*)\s*(?:([-+])|(?=\)|\Z))")
-
 
 # Each parenthesis costs two parser frames, so this stays far below
 # Python's default recursion limit of 1000 wherever the parser is called.
@@ -472,47 +460,30 @@ class _Parser:
     written p/q with no spaces, and symbols d1..dn.  Parentheses nest at
     most _MAX_NESTING deep.
 
-    A term that `_TERM` takes whole is read from that one match.  Anything
-    else is read token by token from `pos`, and only that path raises, so
-    every error names the token where the grammar fails."""
+    The text is lexed once, up front, into (kind, text, position) tokens
+    ending with the `end` token (twice after trailing whitespace); the first
+    character no token takes raises there, so it is reported before any
+    grammar error.  `expr` and `term`
+    then read the list from index `i`, and every other error names the
+    token where the grammar fails."""
 
     def __init__(self, text: str, nvars: int):
-        self.text = text
-        self.nvars = nvars
-        self.depth = 0
-        self.pos = 0
-        self.tok: tuple[str, str, int, int] | None = None
-
-    def _peek(self) -> tuple[str, str, int, int]:
-        """The next token as (kind, text, position, end), read from `pos`
-        and kept until `pos` moves."""
-        tok = self.tok
-        if tok is None:
-            m = _TOKEN.match(self.text, self.pos)
+        toks = []
+        for m in _TOKEN.finditer(text):
             kind = m.lastgroup
             if kind == "bad":
-                raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
-            tok = self.tok = (kind, m.group(kind), m.start(kind), m.end())
-        return tok
-
-    def _next(self) -> tuple[str, str, int, int]:
-        tok = self._peek()
-        if tok[0] == "end":
-            raise ParseError("unexpected end of input", tok[2])
-        self._skip()
-        return tok
-
-    def _skip(self) -> None:
-        """Step past the token `_peek` returned."""
-        self.pos = self.tok[3]
-        self.tok = None
+                raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+            toks.append((kind, m[kind], m.start(kind)))
+        self.toks = toks
+        self.i = 0
+        self.nvars = nvars
+        self.depth = 0
 
     def parse(self) -> Poly:
         p = self.expr()
-        if self.pos < len(self.text):
-            tok = self._peek()
-            if tok[0] != "end":
-                raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+        kind, text, at = self.toks[self.i]
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", at)
         return p
 
     def expr(self) -> Poly:
@@ -520,35 +491,17 @@ class _Parser:
         denominator.  A coefficient that cancels to zero leaves the dict, so
         the terms keep the order that adding the terms one by one with
         `Poly.__add__` gives them."""
-        text = self.text
-        match = _TERM.match
         acc: dict[Monomial, int] = {}
         get = acc.get
-        den = 1
-        sign = 1
+        den = sign = 1
         while True:
-            m = match(text, self.pos)
-            term = None if m is None else self._read(m[2])
-            if term is not None:
-                self.pos = m.end()
-                self.tok = None
-                num, d, mono = term
-                if m[1]:
-                    num = -num
-                sep = m[3]
-                items = ((mono, num),)
+            num, d, exps, group = self.term()
+            if group is None:
+                items = ((tuple(exps), num),)
             else:
-                num, d, exps, group = self.term()
-                tok = self._peek()
-                sep = tok[1] if tok[0] == "op" and tok[1] in "+-" else None
-                if sep is not None:
-                    self._skip()
-                if group is None:
-                    items = ((tuple(exps), num),)
-                else:
-                    d *= group.den
-                    items = [(tuple(map(add, g, exps)), num * c)
-                             for g, c in group.nums.items()]
+                d *= group.den
+                items = [(tuple(map(add, g, exps)), num * c)
+                         for g, c in group.nums.items()]
             if num:
                 if den % d:
                     lcm = math.lcm(den, d)
@@ -563,66 +516,31 @@ class _Parser:
                         acc[g] = s
                     else:
                         del acc[g]
-            if sep is None:
+            sep = self.toks[self.i][1]
+            if sep != "+" and sep != "-":
                 return Poly._make(self.nvars, acc, 1, den)
+            self.i += 1
             sign = -1 if sep == "-" else 1
-
-    def _read(self, product: str) -> tuple[int, int, Monomial] | None:
-        """The term a `_TERM` match took, as (numerator, denominator,
-        monomial), or None when a symbol is out of range, a denominator
-        zero or a number, or a power of one, too long to convert, which the
-        token path then reports."""
-        nvars = self.nvars
-        num = den = 1
-        exps = [0] * nvars
-        try:
-            for factor in product.split("*"):
-                if factor[0] == "d":
-                    if "^" in factor:
-                        var, k = factor.split("^")
-                        idx, k = int(var[1:]), int(k)
-                    else:
-                        idx, k = int(factor[1:]), 1
-                    if not 0 < idx <= nvars:
-                        return None
-                    exps[idx - 1] += k
-                    continue
-                base, _, k = factor.partition("^")
-                a, _, b = base.partition("/")
-                b = int(b) if b else 1
-                if not b:
-                    return None
-                a = int(a)
-                if k:
-                    k = int(k)
-                    a, b = _power(a, k, 0), _power(b, k, 0)
-                num *= a
-                den *= b
-        except ValueError:
-            return None
-        if den != 1:
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-        return num, den, tuple(exps)
 
     def term(self) -> tuple[int, int, list[int], Poly | None]:
         """A product of factors as (numerator, denominator, exponents,
         group): each factor is unary signs, an atom and an optional ^k.
-        Numbers and symbols fold into the coefficient and the exponent
-        list; only parenthesized factors multiply as Polys, into `group`
-        (None when the term has none).  The term is numerator / denominator
-        * d^exponents * group."""
+        Numbers, symbols and one-term groups fold into the coefficient, with
+        `_power`'s digit check, and the exponents; only other groups
+        multiply as Polys, into `group` (None when the term has none)."""
+        toks = self.toks
+        i = self.i
         num, den = 1, 1
         exps = [0] * self.nvars
         group = None
         while True:
-            tok = self._peek()
-            while tok[0] == "op" and tok[1] in "+-":
-                self._skip()
-                if tok[1] == "-":
+            kind, text, at = toks[i]
+            while text == "+" or text == "-":
+                if text == "-":
                     num = -num
-                tok = self._peek()
-            kind, text, at, _ = self._next()
+                i += 1
+                kind, text, at = toks[i]
+            i += 1
             if kind == "num":
                 a, _, b = text.partition("/")
                 b = _digits(b, at) if b else 1
@@ -632,46 +550,63 @@ class _Parser:
             elif kind == "var":
                 idx = _digits(text[1:], at)
                 if not 1 <= idx <= self.nvars:
-                    raise ParseError(
-                        f"variable {text} out of range for nvars={self.nvars}", at
-                    )
+                    raise ParseError(f"variable {text} out of range for "
+                                     f"nvars={self.nvars}", at)
             elif text == "(":
                 if self.depth == _MAX_NESTING:
                     raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", at)
                 self.depth += 1
+                self.i = i
                 value = self.expr()
+                i = self.i
                 self.depth -= 1
-                closing = self._next()
-                if closing[0] != "op" or closing[1] != ")":
-                    raise ParseError("expected ')'", closing[2])
+                closing = toks[i]
+                if closing[1] != ")":
+                    raise _unexpected(closing, "expected ')'")
+                i += 1
             else:
-                raise ParseError(f"unexpected token {text!r}", at)
+                raise _unexpected(toks[i - 1], f"unexpected token {text!r}")
             k = 1
-            tok = self._peek()
-            if tok[0] == "op" and tok[1] == "^":
-                self._skip()
-                etok = self._next()
+            if toks[i][1] == "^":
+                etok = toks[i + 1]
                 if etok[0] != "num" or "/" in etok[1]:
-                    raise ParseError("exponent must be a nonnegative integer", etok[2])
+                    raise _unexpected(etok, "exponent must be a nonnegative integer")
                 k = _digits(etok[1], etok[2])
-            if kind == "num":
+                i += 2
+            if kind == "var":
+                exps[idx - 1] += k
+            elif kind == "num" or len(value.nums) == 1:
+                if kind != "num":
+                    # a one-term group's coefficient is powered as a number is
+                    ((mono, a),) = value.nums.items()
+                    b = value.den
+                    for j, e in enumerate(mono):
+                        exps[j] += e * k
+                    if a < 0 and k & 1:
+                        num = -num
+                    a = abs(a)
                 if k != 1:
                     a, b = _power(a, k, at), _power(b, k, at)
                 num *= a
                 den *= b
-            elif kind == "var":
-                exps[idx - 1] += k
             else:
                 if k != 1:
                     value = value**k
                 group = value if group is None else group * value
-            tok = self._peek()
-            if not (tok[0] == "op" and tok[1] == "*"):
+            if toks[i][1] != "*":
+                self.i = i
                 if den != 1:
                     g = math.gcd(num, den)
                     num, den = num // g, den // g
                 return num, den, exps, group
-            self._skip()
+            i += 1
+
+
+def _unexpected(tok: tuple[str, str, int], message: str) -> ParseError:
+    """The error at `tok`: the end of input when it is the `end` token,
+    else `message`."""
+    kind, _, at = tok
+    return ParseError("unexpected end of input" if kind == "end" else message, at)
 
 
 def _digit_limit() -> int:
@@ -686,17 +621,13 @@ def _over_limit(digits: int) -> str:
     return f"number of {digits} digits exceeds the limit of {_digit_limit()} digits"
 
 
-def _too_long(digits: int, at: int) -> ParseError:
-    return ParseError(_over_limit(digits), at)
-
-
 def _digits(text: str, at: int) -> int:
     """The int a digit string spells; a ParseError at `at`, the position of
     its token, when it is longer than Python converts."""
     try:
         return int(text)
     except ValueError:
-        raise _too_long(len(text), at) from None
+        raise ParseError(_over_limit(len(text)), at) from None
 
 
 def _power(a: int, k: int, at: int) -> int:
@@ -712,19 +643,12 @@ def _power(a: int, k: int, at: int) -> int:
     digits = (k * round(math.log10(a) * (1 << 52)) >> 52) + 1
     if digits < limit or (digits <= limit + 1 and a**k < 10**limit):
         return a**k
-    raise _too_long(digits, at)
+    raise ParseError(_over_limit(digits), at)
 
 
 def parse(text: str, nvars: int) -> Poly:
-    try:
-        return _Parser(text, nvars).parse()
-    except ParseError:
-        # a character no token takes is reported first, wherever the
-        # grammar fails
-        at = re.match(_LEXABLE, text).end()
-        if at < len(text):
-            raise ParseError(f"unexpected character {text[at]!r}", at) from None
-        raise
+    """The polynomial `text` spells in d1..d`nvars`, read by one `_Parser`."""
+    return _Parser(text, nvars).parse()
 
 
 def variables(nvars: int) -> Iterator[Poly]:

@@ -10,6 +10,11 @@ from dgcalc import engine
 settings.register_profile(
     "dgcalc", derandomize=True, database=None, deadline=None, max_examples=60
 )
+# The same draws a thousand at a time, for a deeper run of chosen property
+# files: pytest --hypothesis-profile=dgcalc-deep, which overrides the
+# profile loaded here.
+settings.register_profile("dgcalc-deep", parent=settings.get_profile("dgcalc"),
+                          max_examples=1000)
 settings.load_profile("dgcalc")
 
 

@@ -331,6 +331,26 @@ def test_literal_powers_refused_only_above_the_digit_limit(capsys, tmp_path):
         assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("grouped, plain", [
+    ("(3)^30000000*d1", "3^30000000*d1"),
+    ("(1/3)^30000*d1", "1/3^30000*d1"),
+])
+def test_one_term_group_power_over_the_digit_limit_exits_2(capsys, tmp_path,
+                                                           grouped, plain):
+    """A parenthesized term raised to a power gets its plain spelling's
+    digit check; earlier versions computed the power, and `rank` ran 28 s
+    on the first cell and exited 0."""
+    path = tmp_path / "power.json"
+    errors = []
+    for cell in (grouped, plain):
+        path.write_text(_square_doc([[cell]]))
+        code, out, err = run(capsys, "rank", str(path))
+        assert (code, out) == (2, "")
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: matrix[0][0]: number of ")
+
+
 def test_result_number_over_the_digit_limit_exits_4(capsys, tmp_path):
     """Inputs of 4,215 and 3,817 digits whose results multiply them: each
     command refuses the result, naming the cell, and writes nothing."""

@@ -248,13 +248,26 @@ def test_image_module_comparison():
 # -- serialization ----------------------------------------------------------------------
 
 
+def _every_zoo_build():
+    """Every `zoo.ZOO` entry at each n from 2 to 4 that it builds, or at its
+    fixed n, under each metric where it takes one."""
+    for name, entry in zoo.ZOO.items():
+        built = 0
+        for n in [None] if entry.fixed_n else [2, 3, 4]:
+            for metric in zoo.METRICS if entry.needs_metric else ["euclidean"]:
+                try:
+                    op = zoo.build(name, n=n, metric=metric)
+                except ValueError:
+                    # c_map_inverse needs n >= 3 and the Weyl entries n >= 4
+                    continue
+                built += 1
+                yield op
+        assert built, name
+
+
 def test_json_round_trip_is_byte_exact():
-    ops = [
-        zoo.killing(zoo.minkowski(4)),
-        zoo.curl(),
-        zoo.hooke2d(1, 1),
-    ]
-    for op in ops:
+    """The parser reads back every text shape the zoo writes."""
+    for op in _every_zoo_build():
         text = operator_json(op)
         back = operator_from_dict(json.loads(text))
         assert back == op

@@ -100,7 +100,8 @@ def expressions(draw, depth=0, space=None):
 def compact_sums(draw):
     """Sums of products written as canonical text is, with no space inside
     a term and at most one '-' before it, but with factors in any order and
-    symbols repeated: the terms one match reads."""
+    symbols repeated: the term shapes of canonical text and of hand-written
+    text close to it."""
     terms = []
     value: dict = {}
     for i in range(draw(st.integers(1, 4))):

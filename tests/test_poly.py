@@ -183,6 +183,37 @@ def test_parse_error_messages_and_positions(bad, message, pos):
     assert exc.value.position == pos
 
 
+@pytest.mark.parametrize("text, value", [
+    ("(2*d1)^3", "8*d1^3"),
+    ("(-1/2*d1*d2)^3", "-1/8*d1^3*d2^3"),
+    ("(-d1)^2*(3)", "3*d1^2"),
+    ("-(-2/3)^3*d2", "8/27*d2"),
+    ("(d1)^0*(4/6)^1", "2/3"),
+    ("d2*(2*d1)^2*(d1 + d2)", "4*d1^3*d2 + 4*d1^2*d2^2"),
+])
+def test_parse_one_term_group_powers(text, value):
+    assert serialize(parse(text, 3)) == value
+
+
+@pytest.mark.parametrize("grouped, plain", [
+    ("(3)^30000000*d1", "3^30000000*d1"),
+    ("(1/3)^30000*d1", "1/3^30000*d1"),
+    ("(2*d1)^20000", "2^20000*d1^20000"),
+])
+def test_one_term_group_power_gets_the_digit_check_of_its_plain_spelling(grouped, plain):
+    """A parenthesized term raised to a power is refused, at its '(', with
+    the message its unparenthesized spelling gets, before the power is
+    computed."""
+    errors = []
+    for text in (grouped, plain):
+        with pytest.raises(ParseError) as exc:
+            parse("d2 + " + text, 3)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("number of ")
+    assert errors[0].endswith(" digits (at position 5)")
+
+
 def test_parse_limits_parenthesis_nesting():
     assert parse("(" * 100 + "d1" + ")" * 100, 3) == parse("d1", 3)
     with pytest.raises(ParseError) as exc:
