@@ -22,7 +22,9 @@ remainder, handing the quotient back as a row.  The positions of its
 leads also give the generic rank, when `fraction_rank`'s point stage
 does not certify full rank.  `duality`'s torsion
 witness is kept on the run too, when the rows stack a residue on a
-system's rows.  A run whose relations nobody reads never decodes or
+system's rows, and so are its finished reports: a `param_test` report on
+the run of the operator's rows, an `ext_module` report on the run of the
+adjoint's rows.  A run whose relations nobody reads never decodes or
 checks them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
@@ -76,7 +78,7 @@ budget only when its point stage leaves the rank to the run.
 
 Every cache of the package is a memo made by `_memo`, an unbounded
 `functools.lru_cache` registered in one list that `clear_caches()` empties:
-two here, and two that `report` registers when it is loaded.
+two here, and one that `report` registers when it is loaded.
 
 Everything here is deterministic: pair selection, reducer choice and output
 ordering are all fixed by the term order and insertion order, and reduced
@@ -146,9 +148,10 @@ def _memo(fn):
 
 def clear_caches() -> None:
     """Empty every memo: the engine's Buchberger runs, with the reduced
-    Groebner bases read off them, and minimal generating sets, and the
-    report's operators and `param_test` results when it is loaded, so the
-    next call recomputes.  It imports nothing."""
+    Groebner bases, torsion witnesses and `param_test` and `ext_module`
+    reports kept on them, and minimal generating sets, and the report's
+    operators when it is loaded, so the next call recomputes.  It imports
+    nothing."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -757,12 +760,15 @@ class _Run:
     products are None until first read: `_basis` builds `reduced` from
     `red`; `_relations` verifies `harvest` into `relations` and releases
     it; `duality`'s torsion search keeps in `witness` the least degree of
-    a nonzero first coordinate of the relations and the head it chose.
+    a nonzero first coordinate of the relations and the head it chose;
+    and `duality` keeps in `reports` each report it finished from these
+    rows: a `param_test` report under a tuple of the names, bundles and
+    options it read, an `ext_module` report under its index.
     """
 
     __slots__ = (
         "reach", "budget", "red", "pairs", "alive", "harvest", "relations",
-        "reduced", "witness",
+        "reduced", "witness", "reports",
     )
 
     def __init__(self, pack: _Packing, reach: int, budget: int):
@@ -779,6 +785,7 @@ class _Run:
         self.relations: tuple[FreeElem, ...] | None = None
         self.reduced: GroebnerBasis | None = None
         self.witness: tuple[int, Poly | None] | None = None
+        self.reports: dict = {}
 
     def process(self, h: dict[int, int]) -> None:
         """Reduce h; a nonzero remainder joins the basis, or, once its

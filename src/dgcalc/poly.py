@@ -526,8 +526,9 @@ class _Parser:
         """A product of factors as (numerator, denominator, exponents,
         group): each factor is unary signs, an atom and an optional ^k.
         Numbers, symbols and one-term groups fold into the coefficient, with
-        `_power`'s digit check, and the exponents; only other groups
-        multiply as Polys, into `group` (None when the term has none)."""
+        `_power`'s digit check on each power and `_product`'s on the running
+        product, and the exponents; only other groups multiply as Polys,
+        into `group` (None when the term has none)."""
         toks = self.toks
         i = self.i
         num, den = 1, 1
@@ -587,8 +588,7 @@ class _Parser:
                     a = abs(a)
                 if k != 1:
                     a, b = _power(a, k, at), _power(b, k, at)
-                num *= a
-                den *= b
+                num, den = _product(num, a, at), _product(den, b, at)
             else:
                 if k != 1:
                     value = value**k
@@ -644,6 +644,17 @@ def _power(a: int, k: int, at: int) -> int:
     if digits < limit or (digits <= limit + 1 and a**k < 10**limit):
         return a**k
     raise ParseError(_over_limit(digits), at)
+
+
+def _product(x: int, y: int, at: int) -> int:
+    """x*y for a term's running numerator or denominator x and a factor's
+    y, whose token is at `at`; a ParseError there when the product has
+    more digits than `_digit_limit` allows.  A product under 2^2126, below
+    10^640, the least limit Python takes, is not compared."""
+    p = x * y
+    if p.bit_length() > 2126 and abs(p) >= 10**_digit_limit():
+        raise ParseError(_over_limit(_decimal_digits(abs(p))), at)
+    return p
 
 
 def parse(text: str, nvars: int) -> Poly:

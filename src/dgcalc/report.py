@@ -96,13 +96,6 @@ def _op(name: str, *args) -> LinDiffOp:
     return getattr(zoo, name)(*args)
 
 
-@_memo
-def _param_report(op: LinDiffOp):
-    # through the module's name `param_test`, so a wrapper bound there
-    # sees the call
-    return param_test(op)
-
-
 def _order_profile(res: Resolution) -> tuple:
     """Per step: the common order when the step is pure, otherwise the set
     of orders, so a mismatch shows what was actually computed."""
@@ -525,14 +518,14 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda rep: {
             "parametrizable": rep.parametrizable,
             "ext1_zero": rep.ext1_zero,
-        })(_param_report(_op("einstein_lin", zoo.minkowski(4)))),
+        })(param_test(_op("einstein_lin", zoo.minkowski(4)))),
     ))
     checks.append(_Check(
         id="c04.einstein-candidate-potentials",
         claim="the candidate parametrization found along the way carries "
               "four potentials",
         expected=4,
-        fn=lambda: _param_report(_op("einstein_lin", zoo.minkowski(4))).potentials,
+        fn=lambda: param_test(_op("einstein_lin", zoo.minkowski(4))).potentials,
     ))
     checks.append(_Check(
         id="c04.einstein-new-conditions-are-curvature",
@@ -544,13 +537,13 @@ def _checks() -> list[_Check]:
             "matches_curvature": module_equal(
                 conds.rows(), _op("riemann_lin", zoo.minkowski(4)).rows(),
             ),
-        })(_param_report(_op("einstein_lin", zoo.minkowski(4))).recomputed_cc),
+        })(param_test(_op("einstein_lin", zoo.minkowski(4))).recomputed_cc),
     ))
     checks.append(_Check(
         id="c04.einstein-torsion-count",
         claim="ten independent torsion rows obstruct the parametrization",
         expected=10,
-        fn=lambda: len(_param_report(_op("einstein_lin", zoo.minkowski(4))).torsion),
+        fn=lambda: len(param_test(_op("einstein_lin", zoo.minkowski(4))).torsion),
     ))
 
     checks.append(_Check(
@@ -562,14 +555,14 @@ def _checks() -> list[_Check]:
             "parametrizable": rep.parametrizable,
             "ext1_zero": rep.ext1_zero,
             "ext2_zero": rep.ext2_zero,
-        })(_param_report(_op("div", 3))),
+        })(param_test(_op("div", 3))),
     ))
     checks.append(_Check(
         id="c05.div3-parametrization-is-curl",
         claim="the computed parametrization has the same image as the curl",
         expected=True,
         fn=lambda: image_module_equal(
-            _param_report(_op("div", 3)).parametrization, _op("curl")
+            param_test(_op("div", 3)).parametrization, _op("curl")
         ),
     ))
     checks.append(_Check(
@@ -600,7 +593,7 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda mp: {
             "potentials": mp.source.dim,
             "columns": _column_set(mp),
-        })(minimal_parametrization(_op("div", 3), report=_param_report(_op("div", 3)))),
+        })(minimal_parametrization(_op("div", 3), report=param_test(_op("div", 3)))),
     ))
 
     checks.append(_Check(
@@ -649,7 +642,7 @@ def _checks() -> list[_Check]:
             "matches_adjoint_curvature": image_module_equal(
                 rep.parametrization, adjoint(_op("riemann_lin", zoo.euclidean(3))),
             ),
-        })(_param_report(_op("cauchy", zoo.euclidean(3)))),
+        })(param_test(_op("cauchy", zoo.euclidean(3)))),
     ))
 
     checks.append(_Check(
@@ -679,7 +672,7 @@ def _checks() -> list[_Check]:
             "display_matches": image_module_equal(
                 _op("cosserat_parametrization"), rep.parametrization,
             ),
-        })(_param_report(_op("cosserat_equilibrium"))),
+        })(param_test(_op("cosserat_equilibrium"))),
     ))
 
     checks.append(_Check(

@@ -351,6 +351,20 @@ def test_one_term_group_power_over_the_digit_limit_exits_2(capsys, tmp_path,
     assert errors[0].startswith("error: matrix[0][0]: number of ")
 
 
+@pytest.mark.parametrize("cell, at", [("9^4000*9^4000*d1", 7), ("9^8000*d1", 0)])
+def test_numbers_of_a_term_multiplying_past_the_digit_limit_exit_2(capsys, tmp_path,
+                                                                  cell, at):
+    """A product of numbers in one term gets the digit check of the number
+    it makes; earlier versions accepted the first cell, and `rank` exited 0
+    on it."""
+    path = tmp_path / "product.json"
+    path.write_text(_square_doc([[cell]]))
+    code, out, err = run(capsys, "rank", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: matrix[0][0]: number of 7634 digits exceeds the limit of "
+                   f"4300 digits (at position {at})\n")
+
+
 def test_result_number_over_the_digit_limit_exits_4(capsys, tmp_path):
     """Inputs of 4,215 and 3,817 digits whose results multiply them: each
     command refuses the result, naming the cell, and writes nothing."""

@@ -11,8 +11,22 @@ from dgcalc.duality import (
     minimal_parametrization,
     param_test,
 )
-from dgcalc.engine import BudgetExceeded, FreeElem, module_contains, module_equal
-from dgcalc.operators import LinDiffOp, cc, compose, image_module_equal, operator_json
+from dgcalc.engine import (
+    BudgetExceeded,
+    FreeElem,
+    module_contains,
+    module_equal,
+    reduced_groebner,
+)
+from dgcalc.operators import (
+    Bundle,
+    LinDiffOp,
+    adjoint,
+    cc,
+    compose,
+    image_module_equal,
+    operator_json,
+)
 from dgcalc.poly import serialize
 
 
@@ -105,6 +119,120 @@ def test_a_warm_param_test_still_raises(clear_engine_caches, monkeypatch):
     monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "1")
     with pytest.raises(BudgetExceeded):
         param_test(op)
+
+
+def _count_work(monkeypatch):
+    """[reduce_full calls, Buchberger runs], counted from here on."""
+    from dgcalc import engine
+
+    work = [0, 0]
+    reduce_full, run = engine._Reducer.reduce_full, engine._Run.run
+
+    def counted_reduce_full(self, *args, **kwargs):
+        work[0] += 1
+        return reduce_full(self, *args, **kwargs)
+
+    def counted_run(self):
+        work[1] += 1
+        return run(self)
+
+    monkeypatch.setattr(engine._Reducer, "reduce_full", counted_reduce_full)
+    monkeypatch.setattr(engine._Run, "run", counted_run)
+    return work
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zoo.einstein_lin(zoo.minkowski(4)),
+    lambda: zoo.killing(zoo.euclidean(4)),
+    lambda: zoo.weyl_killing(zoo.euclidean(3)),
+], ids=["einstein-m4", "killing-e4", "weyl_killing-e3"])
+def test_warm_double_duality_queries_do_no_reduction(build, monkeypatch,
+                                                     clear_engine_caches):
+    op = build()
+    clear_engine_caches()
+    queries = [lambda: param_test(op), lambda: ext_module(op, 1),
+               lambda: ext_module(op, 2)]
+    cold = [query() for query in queries]
+    work = _count_work(monkeypatch)
+    # each repeat reads the report its first call kept
+    assert all(query() is rep for query, rep in zip(queries, cold))
+    assert work == [0, 0]
+
+
+def test_a_test_over_its_budget_raises_what_its_first_run_raises(monkeypatch):
+    """The report lookup runs the operator's rows first, but a test over
+    its budget raises the error of the run a cold test starts first, that
+    of cc(adjoint(op)): the rows' own run stops at a lower S-pair here."""
+    op = zoo.weyl_killing(zoo.euclidean(3))
+    monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "0")
+    errors = []
+    for call in (lambda: param_test(op), lambda: cc(adjoint(op)),
+                 lambda: reduced_groebner(op.rows())):
+        with pytest.raises(BudgetExceeded) as exc:
+            call()
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] != errors[2]
+
+
+def test_ext0_starts_no_run_of_the_adjoint_rows(clear_engine_caches):
+    from dgcalc import engine
+
+    op = zoo.div(3)
+    clear_engine_caches()
+    rep = ext_module(op, 0)
+    # a run of the adjoint's rows would be a miss that Ext^1 then hits
+    misses = engine._tracked.cache_info().misses
+    engine._tracked(adjoint(op)._rows, engine._budget())
+    assert engine._tracked.cache_info().misses == misses + 1
+    assert ext_module(op, 0) == rep
+
+
+def _reweighted(op, weights):
+    """op with the same rows and the source bundle's weights replaced."""
+    source = Bundle(op.source.name, zip(op.source.labels, weights))
+    return LinDiffOp._make(op.name, op.nvars, source, op.target, op._rows)
+
+
+def test_each_kept_report_answers_only_its_own_reads(clear_engine_caches):
+    op = zoo.killing(zoo.euclidean(2))
+    clear_engine_caches()
+    kept = param_test(op)
+    # an equal operator gets the kept report as its own
+    twin = op.with_name(op.name)
+    assert param_test(twin).operator is twin
+    assert _report_texts(param_test(twin)) == _report_texts(kept)
+    variants = [
+        op.with_name("other"),
+        LinDiffOp._make(op.name, op.nvars, Bundle(
+            "u", op.source.components), Bundle("w", op.target.components), op._rows),
+        _reweighted(op, [2, 3]),
+    ]
+    for other in variants:
+        # op's report kept again, since each round ends with the memos empty
+        param_test(op)
+        rep = param_test(other)
+        assert rep.operator is other
+        clear_engine_caches()
+        assert _report_texts(rep) == _report_texts(param_test(other))
+        assert _report_texts(rep) != _report_texts(kept)
+    # the options are read too
+    no_ext2 = param_test(op, with_ext2=False)
+    assert no_ext2.ext2_zero is None and kept.ext2_zero is True
+    with pytest.raises(TorsionWitnessError):
+        param_test(op, witness_degree=0)
+    assert param_test(op) == kept
+
+
+def test_kept_ext_reports_follow_the_adjoint_rows(clear_engine_caches):
+    op = zoo.killing(zoo.euclidean(2))
+    clear_engine_caches()
+    rep = ext_module(op, 1)
+    heavier = _reweighted(op, [2, 3])
+    other = ext_module(heavier, 1)
+    clear_engine_caches()
+    assert other == ext_module(heavier, 1)
+    assert ext_module(op, 1) == rep
+    assert other != rep
 
 
 def test_trace_adjusted_curvature_is_not_parametrizable():

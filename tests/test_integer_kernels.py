@@ -199,7 +199,9 @@ def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
     clear_engine_caches()
     assert all(r.passed for r in run_report())
     sites = Counter(f.f_code.co_name for f in checks)
-    assert sites == {"_relations": 520, "ext_module": 30}
+    # the dual-complex checks of each distinct Ext query once: c11 asks
+    # Ext^1 and Ext^2 of div3 again after c05, and reads the reports kept
+    assert sites == {"_relations": 520, "_ext": 26}
     assert dots.count("_divide") == 10 and "factor_through" not in dots
     # each row set whose relations are read encodes its rows once, and
     # only such row sets encode

@@ -11,7 +11,8 @@ the chain of public engine calls they stand for, under any degree budget,
 complete with the generic rank as their Euler characteristic, and, on
 homogeneous operators, of a shape that no row permutation or scaling
 moves; and the adjoint of a composition of operators between weighted
-bundles is the reversed composition of their adjoints."""
+bundles is the reversed composition of their adjoints; and a repeated
+`param_test` or `ext_module` query gives the report a fresh call gives."""
 
 import os
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dgcalc import engine, zoo
-from dgcalc.duality import param_test
+from dgcalc.duality import ext_module, param_test
 from dgcalc.engine import (
     BudgetExceeded,
     FreeElem,
@@ -41,6 +42,7 @@ from dgcalc.operators import (
     compose,
     factor_through,
     load_operator,
+    operator_json,
     save_operator,
 )
 from dgcalc.poly import Poly, serialize
@@ -319,6 +321,42 @@ def test_derived_operators_write_the_cells_of_their_matrix(d):
     rep = param_test(d, with_ext2=False)
     for op in (rep.operator, rep.adjoint_cc, rep.parametrization, rep.recomputed_cc):
         written(op)
+
+
+def report_texts(rep):
+    """Every field of a `param_test` or `ext_module` report as text: each
+    operator by its name and document, each tuple item by its text."""
+    return [
+        (v.name, operator_json(v)) if isinstance(v, LinDiffOp)
+        else [str(t) for t in v] if isinstance(v, tuple)
+        else v
+        for v in rep
+    ]
+
+
+@given(small_operators())
+def test_a_warm_report_is_the_report_a_fresh_call_gives(d):
+    twin = d.with_name("twin")
+    queries = [
+        lambda: param_test(d),
+        lambda: param_test(twin),
+        lambda: param_test(d, with_ext2=False),
+        lambda: ext_module(d, 1),
+        lambda: ext_module(d, 2),
+    ]
+
+    def texts(query):
+        rep = outcome(query)
+        return rep if rep is BudgetExceeded else report_texts(rep)
+
+    for query in queries:
+        texts(query)
+    warm = [texts(query) for query in queries]
+    fresh = []
+    for query in queries:
+        engine.clear_caches()
+        fresh.append(texts(query))
+    assert warm == fresh
 
 
 def public_chain(rows, max_steps):

@@ -214,6 +214,26 @@ def test_one_term_group_power_gets_the_digit_check_of_its_plain_spelling(grouped
     assert errors[0].endswith(" digits (at position 5)")
 
 
+@pytest.mark.parametrize("text, at", [
+    ("9^4000*9^4000*d1", 12),
+    ("9^8000*d1", 5),
+    ("(1/9)^4000*d2*(1/9)^4000", 19),
+    ("9^4000*9^4000*" * 100 + "d1", 12),
+])
+def test_a_term_whose_numbers_multiply_past_the_digit_limit_is_refused(text, at):
+    """The running product of a term's numbers gets the digit check of one
+    number, at the factor that takes it over the limit; earlier versions
+    accepted 9^4000*9^4000*d1 and refused 9^8000*d1."""
+    with pytest.raises(ParseError) as exc:
+        parse("d2 + " + text, 3)
+    assert str(exc.value) == ("number of 7634 digits exceeds the limit of 4300 "
+                              f"digits (at position {at})")
+    # 4,301 digits is one too many, 4,300 is not
+    assert str(parse("d2 + 10^4000*10^299*d1", 3)) == "10" + "0" * 4298 + "*d1 + d2"
+    with pytest.raises(ParseError, match="number of 4301 digits"):
+        parse("d2 + 10^4000*d1*10^300", 3)
+
+
 def test_parse_limits_parenthesis_nesting():
     assert parse("(" * 100 + "d1" + ")" * 100, 3) == parse("d1", 3)
     with pytest.raises(ParseError) as exc:
