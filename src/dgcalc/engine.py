@@ -16,12 +16,13 @@ tracking term.  It serves three products, each built on its first read
 and kept on the run: the genuine parts of its basis give the reduced
 Groebner basis (`reduced_groebner`, which also serves membership and
 module equality); the elements whose genuine block dies, kept packed
-until then, give the syzygy generators (`syzygies`); and the run's basis
-as it stands divides with cofactors, from the tracking columns of a
-remainder, handing the quotient back as a row.  The positions of its
-leads also give the generic rank, when `fraction_rank`'s point stage
-does not certify full rank.  `duality`'s torsion
-witness is kept on the run too, when the rows stack a residue on a
+until then, give the syzygy generators (`syzygies`), whose minimized set,
+one step of a resolution or the rows of `operators.cc`, is kept on the
+run as well; and the run's basis as it stands divides with cofactors,
+from the tracking columns of a remainder, handing the quotient back as a
+row.  The positions of its leads also give the generic rank, when
+`fraction_rank`'s point stage does not certify full rank.  `duality`'s
+torsion witness is kept on the run too, when the rows stack a residue on a
 system's rows, and so are its finished reports: a `param_test` report on
 the run of the operator's rows, an `ext_module` report on the run of the
 adjoint's rows.  A run whose relations nobody reads never decodes or
@@ -69,16 +70,18 @@ Each public entry point (`reduced_groebner`, `module_contains`,
 `resolve_module`) is a boundary: it checks its rows with `_as_elems` and
 reads the degree budget from the environment once, then hands a tuple of
 rows and that budget to a private core (`_basis`, `_same_module`,
-`_relations`, `_minimal`, `_divide`, `_resolve`), and copies a tuple the core returns
-into a fresh list.  The cores trust their callers: they take rows of one
-width and nvars and hand back the memos' own tuples, so a chain of them,
-such as a resolution's steps or `operators.cc`, checks its input and reads
-the budget once, however many links it has.  `fraction_rank` reads the
-budget only when its point stage leaves the rank to the run.
+`_relations`, `_minimal`, `_divide`, `_resolve`), and copies a tuple the
+core returns into a fresh list.  The cores trust their callers: they take
+rows of one width and nvars and hand back the tuples kept on the runs, so
+a chain of them, such as a resolution's steps or `operators.cc`, checks
+its input and reads the budget once, however many links it has.
+`fraction_rank` reads the budget only when its point stage leaves the
+rank to the run.
 
 Every cache of the package is a memo made by `_memo`, an unbounded
 `functools.lru_cache` registered in one list that `clear_caches()` empties:
-two here, and one that `report` registers when it is loaded.
+one here, `_tracked`, whose entries are the Buchberger runs, and one that
+`report` registers when it is loaded.
 
 Everything here is deterministic: pair selection, reducer choice and output
 ordering are all fixed by the term order and insertion order, and reduced
@@ -140,7 +143,9 @@ _MEMOS: list = []
 
 def _memo(fn):
     """`fn` as an unbounded `functools.lru_cache`, registered in `_MEMOS`.
-    Callers pass the arguments positionally, so one input has one key."""
+    Callers pass the arguments positionally, so one input has one key.
+    What is derived from a row set is no memo of its own: it is kept on
+    the set's `_tracked` run."""
     cached = lru_cache(maxsize=None)(fn)
     _MEMOS.append(cached)
     return cached
@@ -148,8 +153,8 @@ def _memo(fn):
 
 def clear_caches() -> None:
     """Empty every memo: the engine's Buchberger runs, with the reduced
-    Groebner bases, torsion witnesses and `param_test` and `ext_module`
-    reports kept on them, and minimal generating sets, and the report's
+    Groebner bases, syzygies, minimized relations, torsion witnesses and
+    `param_test` and `ext_module` reports kept on them, and the report's
     operators when it is loaded, so the next call recomputes.  It imports
     nothing."""
     for memo in _MEMOS:
@@ -551,21 +556,12 @@ class _Packing:
         low = (b & m) | (a & ~m)
         return low + (((a - low) * self.degsum) & self.dmask)
 
-    def decode_term(self, t: int, monos: dict[int, Monomial]) -> Term:
-        """t as (position, monomial).  `monos`, the caller's table from
-        exponent fields to tuples, makes equal monomials share one tuple."""
-        key = t & self.emask
-        m = monos.get(key)
-        if m is None:
-            cap, fmask = self.cap, self.fmask
-            m = monos[key] = tuple(cap - ((t >> s) & fmask) for s in self.shifts)
-        return self.ncols - 1 - (t & self.pmask), m
-
     def decode(
         self, h: dict[int, int], monos: dict[int, Monomial] | None = None, offset: int = 0
     ) -> dict[Term, int]:
-        """h as (position - offset, monomial) terms; `decode_term` in one
-        loop."""
+        """h as (position - offset, monomial) terms.  `monos`, the caller's
+        table from exponent fields to tuples, makes equal monomials share
+        one tuple."""
         if monos is None:
             monos = {}
         get = monos.get
@@ -624,16 +620,13 @@ class _Reducer:
     def fit(self, degree: int) -> None:
         """Widen the fields, re-encoding the basis, unless terms of this
         degree already fit.  Positions keep their field, so `by_pos`
-        stays valid."""
+        stays valid, and each lead is still its element's largest term."""
         old = self.pack
         if degree <= old.cap:
             return
-        new = _Packing(old.nvars, old.ncols, old.split, degree)
-        decode, term, monos = old.decode_term, new.term, {}
-        self.basis = [
-            {term(*decode(t, monos)): v for t, v in h.items()} for h in self.basis
-        ]
-        self.lts = [term(*decode(t, monos)) for t in self.lts]
+        new, monos = _Packing(old.nvars, old.ncols, old.split, degree), {}
+        self.basis = [new.encode(old.decode(h, monos)) for h in self.basis]
+        self.lts = [max(h) for h in self.basis]
         self.pack = new
 
     def encode_input(self, terms: dict[Term, int], degree: int) -> dict[int, int]:
@@ -759,7 +752,8 @@ class _Run:
     Division with cofactors reads the basis in `red` as it is.  The other
     products are None until first read: `_basis` builds `reduced` from
     `red`; `_relations` verifies `harvest` into `relations` and releases
-    it; `duality`'s torsion search keeps in `witness` the least degree of
+    it; `_minimal_relations` keeps their minimized tuple in `minimal`;
+    `duality`'s torsion search keeps in `witness` the least degree of
     a nonzero first coordinate of the relations and the head it chose;
     and `duality` keeps in `reports` each report it finished from these
     rows: a `param_test` report under a tuple of the names, bundles and
@@ -768,7 +762,7 @@ class _Run:
 
     __slots__ = (
         "reach", "budget", "red", "pairs", "alive", "harvest", "relations",
-        "reduced", "witness", "reports",
+        "minimal", "reduced", "witness", "reports",
     )
 
     def __init__(self, pack: _Packing, reach: int, budget: int):
@@ -783,6 +777,7 @@ class _Run:
         # bottom total degree; decoded only when the relations are read
         self.harvest: list[tuple[dict[int, int], _Packing, int, int]] | None = []
         self.relations: tuple[FreeElem, ...] | None = None
+        self.minimal: tuple[FreeElem, ...] | None = None
         self.reduced: GroebnerBasis | None = None
         self.witness: tuple[int, Poly | None] | None = None
         self.reports: dict = {}
@@ -816,7 +811,7 @@ class _Run:
         old = red.pack
         red.fit(red.top + self.reach)
         if red.pack is not old:
-            self._refit(old)
+            self._refit()
         pack = red.pack
         guard, lts = pack.guard, red.lts
         lt = lts[t]
@@ -846,15 +841,16 @@ class _Run:
             alive[(i, t)] = L
             heapq.heappush(self.pairs, (L - p, pos, i, t))
 
-    def _refit(self, old: _Packing) -> None:
-        """Re-encode the alive pairs' lcms after the fields widened; the
-        heap keeps only alive pairs, in the same order."""
-        new, monos = self.red.pack, {}
+    def _refit(self) -> None:
+        """Recompute the alive pairs' lcms from the re-encoded leads after
+        the fields widened; the heap keeps only alive pairs, in the same
+        order."""
+        new, lts = self.red.pack, self.red.lts
         self.pairs = []
         for pos, alive in self.alive.items():
             p = new.ncols - 1 - pos
-            for (i, j), L in alive.items():
-                alive[(i, j)] = L = new.term(*old.decode_term(L, monos))
+            for i, j in alive:
+                alive[(i, j)] = L = new.lcm(lts[i], lts[j])
                 self.pairs.append((L - p, pos, i, j))
         heapq.heapify(self.pairs)
 
@@ -1083,11 +1079,15 @@ def syzygies(rows: Sequence) -> list[FreeElem]:
 
 
 def _minimal_relations(rows: tuple[FreeElem, ...], budget: int) -> tuple[FreeElem, ...]:
-    """`minimize_generators(syzygies(rows))` on trusted rows, as the memos
-    hold it: one step of a resolution, and the rows of `operators.cc`."""
-    relations = _relations(rows, budget)
-    # a harvested relation is never zero
-    return _minimal(relations, (), budget) if relations else ()
+    """`minimize_generators(syzygies(rows))` on trusted rows, built on the
+    first request and kept with the rows' Buchberger run: one step of a
+    resolution, and the rows of `operators.cc`."""
+    run = _tracked(rows, budget)
+    if run.minimal is None:
+        relations = _relations(rows, budget)
+        # a harvested relation is never zero
+        run.minimal = _minimal(relations, (), budget) if relations else ()
+    return run.minimal
 
 
 # -- minimal generating sets ---------------------------------------------------
@@ -1162,7 +1162,7 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
     `syzygies(kept)`: one relation run decides every element until one is
     dropped, and the shorter list gets a new run.  With a base, each
     element gets a Groebner membership test against the others and the
-    base.  Results are memoized on the generators and base rows as given.
+    base.
     """
     if not gens:
         return []
@@ -1178,12 +1178,10 @@ def minimize_generators(gens: Sequence, *, base: Sequence = ()) -> list[FreeElem
     return list(_minimal(elems, base_elems, _budget()))
 
 
-@_memo
 def _minimal(gens: tuple, base: tuple, budget: int) -> tuple[FreeElem, ...]:
-    """The core of `minimize_generators`, keyed on the elements as given:
-    some of `gens` is nonzero, and the nonzero ones and the nonzero `base`
-    rows share one width and nvars.  Every run it asks for is under
-    `budget`."""
+    """The core of `minimize_generators`: some of `gens` is nonzero, and
+    the nonzero ones and the nonzero `base` rows share one width and
+    nvars.  Every run it asks for is under `budget`."""
     uniq = _ordered(list(dict.fromkeys(e.normalized() for e in gens if not e.is_zero())))
     base_rows = [b for b in base if not b.is_zero()]
     if all(e.is_homogeneous() for e in uniq + base_rows):
@@ -1486,7 +1484,7 @@ def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolutio
 def _resolve(rows: tuple[FreeElem, ...], max_steps: int, budget: int) -> Resolution:
     """The core of `resolve_module`: the rows are nonempty, of one width
     and nvars, and max_steps is nonnegative.  Each step after the first is
-    the `_minimal` memo's own tuple of normalized relations, which
+    the tuple of minimized relations kept on the previous step's run, which
     `_relations` checked: nothing checks them again."""
     steps = [rows]
     complete = False

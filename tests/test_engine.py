@@ -360,9 +360,9 @@ def test_clear_caches_empties_every_module_cache():
     reduced_groebner(rows)
     divide_with_cofactors(rows[0], rows)
     report._op("killing", zoo.euclidean(3))
-    used = (engine._tracked, engine._minimal, report._op)
-    # 2 in the engine, 1 in the report
-    assert len(engine._MEMOS) == 3
+    used = (engine._tracked, report._op)
+    # 1 in the engine, 1 in the report
+    assert len(engine._MEMOS) == 2
     assert all(memo in engine._MEMOS for memo in used)
     assert all(memo.cache_info().currsize for memo in used)
     clear_caches()

@@ -1,9 +1,9 @@
 """The integer kernels behind the inline checks, the rank, the graded
 minimizer and the report's nullspace oracle: the annihilation check
 against FreeElem.dot, its Kronecker base and its call counts in a cold
-report; the division check, one FreeElem.dot per division, counted in a
-cold report and in one factorization and made to fire on a wrong
-quotient; the rank (its point certificate and its fallback to the lead
+report; the number of minimizations in a cold report; the division
+check, one FreeElem.dot per division, counted in a cold report and in
+one factorization and made to fire on a wrong quotient; the rank (its point certificate and its fallback to the lead
 positions of the rows' Buchberger run), the
 echelon kernel and the oracle against Fraction-based eliminations written
 here; and the oracle's kernels, elimination count and independence from
@@ -213,6 +213,26 @@ def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
     assert engine._tracked.cache_info().misses == 111
     # every memo serves traffic in a cold report
     assert all(memo.cache_info().hits for memo in engine._MEMOS)
+
+
+def test_cold_report_minimizes_a_fixed_number_of_times(monkeypatch, clear_engine_caches):
+    """Each row set's minimized relations are built once and kept on its
+    run; the minimizer itself keeps nothing, so a row set with relations
+    equal to another's minimizes them again."""
+    callers = []
+    minimal = engine._minimal
+
+    def counted(gens, base, budget):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return minimal(gens, base, budget)
+
+    # duality imports the core by name
+    monkeypatch.setattr(engine, "_minimal", counted)
+    monkeypatch.setattr(duality, "_minimal", counted)
+    clear_engine_caches()
+    assert all(r.passed for r in run_report())
+    assert Counter(callers) == {"_minimal_relations": 41, "_ext": 9, "minimize_generators": 1}
+    assert engine._tracked.cache_info().misses == 111
 
 
 @pytest.mark.parametrize("rows", [

@@ -1,16 +1,23 @@
 """Minimization modulo a base module agrees with Groebner leave-one-out,
 on homogeneous rows (the graded path) and on rows that mix degrees (the
-relation path with no base, the Groebner path with one), and is memoized
-on the generators as given.  The order it works in, read from each
-element's first nonzero cell and from the whole text only on a tie, is
-the (degree, text) order."""
+relation path with no base, the Groebner path with one), and a row set's
+minimized relations are kept on its Buchberger run.  The order it works
+in, read from each element's first nonzero cell and from the whole text
+only on a tie, is the (degree, text) order."""
 
 from itertools import combinations_with_replacement
 
 from hypothesis import assume, example, given, strategies as st
 
-from dgcalc import engine
-from dgcalc.engine import FreeElem, _ordered, minimize_generators, reduced_groebner
+from dgcalc import engine, zoo
+from dgcalc.engine import (
+    FreeElem,
+    _ordered,
+    minimize_generators,
+    reduced_groebner,
+    resolve_module,
+)
+from dgcalc.operators import cc
 from dgcalc.poly import Poly
 
 NVARS = 2
@@ -148,14 +155,23 @@ def test_combined_rows_minimization_matches_groebner_leave_one_out(problem):
     assert minimize_generators(gens, base=base) == _groebner_reference(gens, base)
 
 
-def test_equal_generators_hit_the_memo(clear_engine_caches):
-    texts = [("d1", "d2^2 - 1"), ("d1*d2", "d2^3 - d2"), ("1", "d1")]
+def test_minimized_relations_are_kept_on_the_run(clear_engine_caches):
+    """A warm `cc` and a warm resolution step hand back the tuple kept on
+    their rows' Buchberger run, and after `clear_caches()` a fresh, equal
+    one.  `minimize_generators` keeps nothing of its own."""
+    op = zoo.killing(zoo.euclidean(3))
     clear_engine_caches()
+    kept = cc(op)._rows
+    assert engine._tracked(op._rows, engine._budget()).minimal is kept
+    assert cc(op)._rows is kept
+    assert resolve_module(op.rows()).steps[1] is kept
+    clear_engine_caches()
+    fresh = resolve_module(op.rows()).steps[1]
+    assert fresh == kept and fresh is not kept
+    assert cc(op)._rows is fresh
+    texts = [("d1", "d2^2 - 1"), ("d1*d2", "d2^3 - d2"), ("1", "d1")]
     first = minimize_generators([FreeElem.from_strs(NVARS, t) for t in texts])
-    assert engine._minimal.cache_info()[:2] == (0, 1)
-    # equal elements, built afresh: a hit, and a fresh list
     second = minimize_generators([FreeElem.from_strs(NVARS, t) for t in texts])
-    assert engine._minimal.cache_info()[:2] == (1, 1)
     assert second == first and second is not first
 
 

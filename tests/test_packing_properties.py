@@ -68,7 +68,7 @@ def test_the_guard_mask_test_is_divisibility(case):
 def test_decoding_inverts_encoding(case):
     pack, terms, _ = case
     monos = {}
-    assert [pack.decode_term(pack.term(*t), monos) for t in terms] == terms
+    assert [pack.decode({pack.term(*t): 1}, monos) for t in terms] == [{t: 1} for t in terms]
     decoded = pack.decode({pack.term(*t): i + 1 for i, t in enumerate(terms)})
     assert decoded == {t: i + 1 for i, t in enumerate(terms)}
 
@@ -105,7 +105,7 @@ def test_the_packed_lcm_is_the_lcm(pack, data):
     pos = data.draw(st.integers(0, pack.ncols - 1))
     lcm = pack.lcm(pack.term(pos, a), pack.term(pos, b))
     assert lcm == pack.term(pos, mono_lcm(a, b))
-    assert pack.decode_term(lcm, {}) == (pos, mono_lcm(a, b))
+    assert pack.decode({lcm: 1}) == {(pos, mono_lcm(a, b)): 1}
 
 
 @given(layouts_of_any_width(), st.data())
@@ -175,8 +175,9 @@ def test_a_reducer_from_the_narrowest_fields_widens_and_agrees(rows, elem):
 
 def test_a_run_that_widens_with_pairs_alive_agrees(monkeypatch, clear_engine_caches):
     """A run started from the narrowest fields widens on the fourth row,
-    while two pairs wait in the queue: their lcms are re-encoded, and the
-    run makes the same S-pairs, harvest and reduced basis as the default."""
+    while two pairs wait in the queue: their lcms are recomputed from the
+    re-encoded leads, and the run makes the same S-pairs, harvest and
+    reduced basis as the default."""
     rows = (fe("d1^2", "d2"), fe("d1*d2", "d1"), fe("d2^2", "d1 + d2"),
             fe("d1^6 - d2^6", "d1^3*d2^2"), fe("d1^4*d2", "d2^5"))
     spairs, alive_at_widening = [], []
@@ -186,9 +187,9 @@ def test_a_run_that_widens_with_pairs_alive_agrees(monkeypatch, clear_engine_cac
         spairs[-1] += 1
         return spair(self, *args)
 
-    def watched_refit(self, old):
+    def watched_refit(self):
         alive_at_widening.append(sum(map(len, self.alive.values())))
-        refit(self, old)
+        refit(self)
 
     monkeypatch.setattr(_Run, "_spair", counted_spair)
     monkeypatch.setattr(_Run, "_refit", watched_refit)
