@@ -15,7 +15,6 @@ from .engine import (
     BudgetExceeded,
     Resolution,
     reduced_groebner,
-    normal_form,
     divide_with_cofactors,
     module_contains,
     module_equal,
@@ -23,7 +22,6 @@ from .engine import (
     minimize_generators,
     fraction_rank,
     resolve_module,
-    euler_characteristic,
     clear_caches,
 )
 from .operators import (
@@ -94,7 +92,6 @@ __all__ = [
     "BudgetExceeded",
     "Resolution",
     "reduced_groebner",
-    "normal_form",
     "divide_with_cofactors",
     "module_contains",
     "module_equal",
@@ -102,7 +99,6 @@ __all__ = [
     "minimize_generators",
     "fraction_rank",
     "resolve_module",
-    "euler_characteristic",
     "clear_caches",
     "Bundle",
     "LinDiffOp",

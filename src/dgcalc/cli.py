@@ -6,10 +6,10 @@ deterministic: rerunning a command on the same inputs produces identical
 bytes, with the engine caches cold or warm.
 
 Exit codes: 0 success, 2 unreadable input, 3 shape mismatch, 4 budget
-exceeded (Groebner degree, torsion witness degree, minimal
-parametrization search size, or a result number with more digits than
-Python writes), 5 factorization failed, 1 anything else.  Every document
-is built in full before any of it is written.
+exceeded (Groebner degree, minimal parametrization search size, or a
+result number with more digits than Python writes) or a torsion residue
+whose relations show no annihilator, 5 factorization failed, 1 anything
+else.  Every document is built in full before any of it is written.
 """
 
 from __future__ import annotations

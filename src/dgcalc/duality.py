@@ -41,8 +41,9 @@ from .poly import Poly, serialize
 
 
 class TorsionWitnessError(BudgetExceeded):
-    """No scalar annihilator was found within the degree budget.  A torsion
-    residue must have one; failing to exhibit it is an error, never a pass."""
+    """The relations of a torsion residue stacked on the system's rows show
+    no nonzero scalar annihilator.  A torsion residue must have one;
+    failing to exhibit it is an error, never a pass."""
 
 
 class SearchBudgetError(BudgetExceeded):
@@ -80,27 +81,27 @@ class ParamReport(NamedTuple):
     parametrizable: bool
     torsion: tuple[TorsionGenerator, ...]
     ext1_zero: bool
-    ext2_zero: bool | None
+    ext2_zero: bool
 
     @property
     def potentials(self) -> int:
         return self.parametrization.source.dim
 
 
-def param_test(d1: LinDiffOp, *, with_ext2: bool = True,
-               witness_degree: int = 6) -> ParamReport:
+def param_test(d1: LinDiffOp) -> ParamReport:
     """Double-duality parametrizability test.
 
     Returns the candidate parametrization D with its compatibility
-    conditions recomputed, the verdict (row modules equal), and a minimal
-    set of torsion generators when the verdict is negative.
+    conditions recomputed, the verdict (row modules equal), a minimal set
+    of torsion generators when the verdict is negative, and whether the
+    next obstruction, Ext^2, vanishes.
 
     The finished report is kept with the Buchberger run of d1's rows,
-    which every test starts, under what else it reads: d1's name, its
-    bundles with their names, labels and weights, and the options.  A
-    later call with the same reads that report back, as the report of the
-    caller's operator.  An error is not kept, so a repeat raises it again;
-    the run's memo is keyed on the budget, so no report crosses budgets.
+    which every test starts, under what else it reads: d1's name and its
+    bundles with their names, labels and weights.  A later call with the
+    same reads that report back, as the report of the caller's operator.
+    An error is not kept, so a repeat raises it again; the run's memo is
+    keyed on the budget, so no report crosses budgets.
     """
     budget = _budget()
     try:
@@ -109,16 +110,14 @@ def param_test(d1: LinDiffOp, *, with_ext2: bool = True,
         # the test then raises too, but from the first of its runs to
         # exceed the budget, which a cold test starts before this one
         kept = {}
-    key = (d1.name, d1.source.name, d1.target.name, d1.source, d1.target,
-           with_ext2, witness_degree)
+    key = (d1.name, d1.source.name, d1.target.name, d1.source, d1.target)
     rep = kept.get(key)
     if rep is None:
-        rep = kept[key] = _double_duality(d1, with_ext2, witness_degree, budget)
+        rep = kept[key] = _double_duality(d1, budget)
     return rep if rep.operator is d1 else rep._replace(operator=d1)
 
 
-def _double_duality(d1: LinDiffOp, with_ext2: bool, witness_degree: int,
-                    budget: int) -> ParamReport:
+def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
     """The report `param_test` keeps, computed."""
     ad1 = adjoint(d1)
     add = cc(ad1)
@@ -128,14 +127,12 @@ def _double_duality(d1: LinDiffOp, with_ext2: bool, witness_degree: int,
     parametrizable = _same_module(d1._rows, d1p._rows, budget)
     torsion: tuple[TorsionGenerator, ...] = ()
     if not parametrizable:
-        torsion = tuple(_torsion_generators(d1, d1p, witness_degree, budget))
-    ext2 = None
-    if with_ext2:
-        # one step further down the dual chain detects the next obstruction
-        addm1 = cc(add)
-        dm1 = adjoint(addm1)
-        dp = cc(dm1)
-        ext2 = _same_module(dpar._rows, dp._rows, budget)
+        torsion = tuple(_torsion_generators(d1, d1p, budget))
+    # one step further down the dual chain detects the next obstruction
+    addm1 = cc(add)
+    dm1 = adjoint(addm1)
+    dp = cc(dm1)
+    ext2 = _same_module(dpar._rows, dp._rows, budget)
     return ParamReport(
         operator=d1,
         adjoint_cc=add,
@@ -148,7 +145,7 @@ def _double_duality(d1: LinDiffOp, with_ext2: bool, witness_degree: int,
     )
 
 
-def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp, witness_degree: int,
+def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp,
                         budget: int) -> list[TorsionGenerator]:
     """Rows of the recomputed conditions that are genuinely new, minimized
     as generators of the quotient by the given rows, so the count does not
@@ -167,36 +164,37 @@ def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp, witness_degree: int,
     alive = minimize_generators(residues, base=rows1)
     out = []
     for r in alive:
-        ann = _annihilator_witness(r, d1._rows, witness_degree, budget)
+        ann = _annihilator_witness(r, d1._rows, budget)
         out.append(TorsionGenerator(row=r, order=r.degree(), annihilator=ann))
     return out
 
 
+# the key of a torsion witness among the reports kept on a run: no
+# `param_test` key (a tuple) or `ext_module` key (an int) equals it
+_WITNESS = "witness"
+
+
 def _annihilator_witness(residue: FreeElem, rows1: tuple[FreeElem, ...],
-                         max_degree: int, budget: int) -> Poly:
+                         budget: int) -> Poly:
     """A nonzero scalar p with p * residue in the row module: a first
     coordinate of least degree among the relations of [residue; rows].
     It is found once per run of the stacked rows and kept in the run's
-    `witness` slot; the degree cap is compared on every read, so a kept
-    witness answers any cap.  The run's memo is keyed on the budget, so a
-    witness never crosses budgets."""
+    `reports` under `_WITNESS`.  The run's memo is keyed on the budget, so
+    a witness never crosses budgets."""
     stacked = (residue,) + rows1
-    run = _tracked(stacked, budget)
-    if run.witness is None:
-        run.witness = _least_head(stacked)
-    low, ann = run.witness
-    if ann is None or low > max_degree:
-        raise TorsionWitnessError(
-            f"no annihilator of degree <= {max_degree} for {residue}"
-        )
+    kept = _tracked(stacked, budget).reports
+    if _WITNESS not in kept:
+        kept[_WITNESS] = _least_head(stacked)
+    ann = kept[_WITNESS]
+    if ann is None:
+        raise TorsionWitnessError(f"no nonzero annihilator of {residue} in its relations")
     return ann
 
 
-def _least_head(stacked: tuple[FreeElem, ...]) -> tuple[int, Poly | None]:
-    """(degree, head): the least degree of a nonzero first coordinate of
-    the relations among the stacked rows, and of the normalized heads of
-    that degree the one whose text comes first; (-1, None) when every
-    first coordinate is zero."""
+def _least_head(stacked: tuple[FreeElem, ...]) -> Poly | None:
+    """Of the normalized nonzero first coordinates of least degree among
+    the relations of the stacked rows, the one whose text comes first;
+    None when every first coordinate is zero."""
     # each syzygy's first coordinate, by degree read off its terms; only
     # those of least degree are normalized and put into text to compare
     heads: list[tuple[int, FreeElem]] = []
@@ -205,9 +203,9 @@ def _least_head(stacked: tuple[FreeElem, ...]) -> tuple[int, Poly | None]:
         if deg >= 0:
             heads.append((deg, s))
     if not heads:
-        return -1, None
+        return None
     low = min(deg for deg, _ in heads)
-    return low, min(
+    return min(
         (_head(s, 1).normalized().entries[0] for deg, s in heads if deg == low),
         key=serialize,
     )
@@ -324,17 +322,16 @@ def _ext(ad: LinDiffOp, i: int, budget: int) -> ExtReport:
 SEARCH_CAP = 10_000
 
 
-def minimal_parametrization(d1: LinDiffOp, *, report: ParamReport | None = None
-                            ) -> LinDiffOp:
+def minimal_parametrization(d1: LinDiffOp) -> LinDiffOp:
     """Cut the candidate parametrization down to rank-many potentials.
 
     Enumerates column subsets of the full parametrization, ordered by the
     tuple of dropped indices, and returns the first whose compatibility
     conditions still present the same row module as d1.  Only meaningful
-    when the parametrizability test passes.
+    when the parametrizability test passes.  The parametrization is that
+    of `param_test(d1)`, so a warm call reads the report kept there.
     """
-    if report is None:
-        report = param_test(d1, with_ext2=False)
+    report = param_test(d1)
     if not report.parametrizable:
         raise ValueError(f"{d1.name} is not parametrizable; no potential cut exists")
     dpar = report.parametrization

@@ -21,12 +21,12 @@ one step of a resolution or the rows of `operators.cc`, is kept on the
 run as well; and the run's basis as it stands divides with cofactors,
 from the tracking columns of a remainder, handing the quotient back as a
 row.  The positions of its leads also give the generic rank, when
-`fraction_rank`'s point stage does not certify full rank.  `duality`'s
-torsion witness is kept on the run too, when the rows stack a residue on a
-system's rows, and so are its finished reports: a `param_test` report on
-the run of the operator's rows, an `ext_module` report on the run of the
-adjoint's rows.  A run whose relations nobody reads never decodes or
-checks them.
+`fraction_rank`'s point stage does not certify full rank.  `duality`
+keeps what it finishes from a row set on the set's run: a `param_test`
+report on the run of the operator's rows, an `ext_module` report on the
+run of the adjoint's rows, and a torsion witness on the run of a residue
+stacked on a system's rows.  A run whose relations nobody reads never
+decodes or checks them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -753,16 +753,15 @@ class _Run:
     products are None until first read: `_basis` builds `reduced` from
     `red`; `_relations` verifies `harvest` into `relations` and releases
     it; `_minimal_relations` keeps their minimized tuple in `minimal`;
-    `duality`'s torsion search keeps in `witness` the least degree of
-    a nonzero first coordinate of the relations and the head it chose;
-    and `duality` keeps in `reports` each report it finished from these
-    rows: a `param_test` report under a tuple of the names, bundles and
-    options it read, an `ext_module` report under its index.
+    and `duality` keeps in `reports` what it finished from these rows: a
+    `param_test` report under a tuple of the names and bundles it read,
+    an `ext_module` report under its index, and a torsion witness under a
+    key of its own.
     """
 
     __slots__ = (
         "reach", "budget", "red", "pairs", "alive", "harvest", "relations",
-        "minimal", "reduced", "witness", "reports",
+        "minimal", "reduced", "reports",
     )
 
     def __init__(self, pack: _Packing, reach: int, budget: int):
@@ -779,7 +778,6 @@ class _Run:
         self.relations: tuple[FreeElem, ...] | None = None
         self.minimal: tuple[FreeElem, ...] | None = None
         self.reduced: GroebnerBasis | None = None
-        self.witness: tuple[int, Poly | None] | None = None
         self.reports: dict = {}
 
     def process(self, h: dict[int, int]) -> None:
@@ -1012,10 +1010,6 @@ def reduced_groebner(rows: Sequence) -> GroebnerBasis:
     """The reduced Groebner basis of the rows' module, built on first
     request and kept with the rows' Buchberger run."""
     return _basis(_as_elems(rows), _budget())
-
-
-def normal_form(elem: FreeElem, gb: GroebnerBasis) -> FreeElem:
-    return gb.normal_form(elem)
 
 
 def module_contains(gens: Sequence, elem: FreeElem) -> bool:
@@ -1464,10 +1458,6 @@ class Resolution(NamedTuple):
             chi += sign * d
             sign = -sign
         return chi
-
-
-def euler_characteristic(res: Resolution) -> int:
-    return res.euler_characteristic
 
 
 def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolution:

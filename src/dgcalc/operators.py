@@ -304,13 +304,13 @@ def compose(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     return LinDiffOp._make(f"compose({a.name},{b.name})", a.nvars, b.source, a.target, rows)
 
 
-def scale(a: LinDiffOp, c, name: str | None = None) -> LinDiffOp:
+def scale(a: LinDiffOp, c) -> LinDiffOp:
     """a times the rational number c."""
     if type(c) is not int:
         from fractions import Fraction
 
         c = Fraction(c)
-    return _times(a, c.numerator, c.denominator, name or f"scale({a.name},{c})")
+    return _times(a, c.numerator, c.denominator, f"scale({a.name},{c})")
 
 
 def _times(a: LinDiffOp, num: int, den: int, name: str) -> LinDiffOp:
@@ -367,11 +367,11 @@ def is_self_adjoint(a: LinDiffOp) -> bool:
     return adjoint(a) == a
 
 
-def cc(a: LinDiffOp, *, name: str | None = None) -> LinDiffOp:
+def cc(a: LinDiffOp) -> LinDiffOp:
     """Compatibility conditions: a minimal generating set for the relations
     among the rows of `a`, packaged as an operator on a's target."""
     gens = _minimal_relations(a._rows, _budget())
-    name = name or f"cc({a.name})"
+    name = f"cc({a.name})"
     if not gens:
         # no relations: the zero operator on a one-dimensional dummy target
         tgt = Bundle.simple(f"cc[{a.target.name}]", 1)

@@ -38,20 +38,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b, i.e. b/a has no negative exponents."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    # caller guarantees b | a
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_str(m: Monomial) -> str:
     parts = []
     for i, e in enumerate(m):

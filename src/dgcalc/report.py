@@ -593,7 +593,7 @@ def _checks() -> list[_Check]:
         fn=lambda: (lambda mp: {
             "potentials": mp.source.dim,
             "columns": _column_set(mp),
-        })(minimal_parametrization(_op("div", 3), report=param_test(_op("div", 3)))),
+        })(minimal_parametrization(_op("div", 3))),
     ))
 
     checks.append(_Check(

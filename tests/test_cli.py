@@ -500,17 +500,17 @@ def test_boolean_or_huge_nvars_exits_2(capsys, ops_dir, tmp_path, nvars):
     assert err.startswith("error: bad nvars")
 
 
-def test_torsion_witness_budget_exits_4(capsys, tmp_path):
-    # D/(d1^7) is all torsion, and its least annihilator has degree 7 > 6
+def test_a_torsion_witness_above_degree_6_is_reported(capsys, tmp_path):
+    # D/(d1^7) is all torsion, and its least annihilator has degree 7
     doc = {"nvars": 1, "source": {"components": [{"label": "u", "weight": 1}]},
            "target": {"components": [{"label": "f", "weight": 1}]},
            "matrix": [["d1^7"]]}
     path = tmp_path / "d1_7.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "paramtest", str(path))
-    assert code == 4
-    assert out == ""
-    assert err == "error: no annihilator of degree <= 6 for (1)\n"
+    assert (code, err) == (0, "")
+    assert json.loads(out)["torsion"] == [
+        {"row": ["1"], "order": 0, "annihilator": "d1^7"}]
 
 
 def test_minparam_search_cap_exits_4(capsys, ops_dir, monkeypatch):

@@ -27,7 +27,7 @@ from dgcalc.operators import (
     image_module_equal,
     operator_json,
 )
-from dgcalc.poly import serialize
+from dgcalc.poly import parse, serialize
 
 
 def test_divergence_is_parametrized_by_the_curl():
@@ -66,7 +66,7 @@ def test_plane_rigid_motions_leave_torsion():
 def test_torsion_annihilators_actually_annihilate():
     for op in (zoo.killing(zoo.euclidean(2)),
                zoo.einstein_lin(zoo.minkowski(4))):
-        rep = param_test(op, with_ext2=False)
+        rep = param_test(op)
         rows = op.rows()
         assert rep.torsion
         for t in rep.torsion:
@@ -75,9 +75,27 @@ def test_torsion_annihilators_actually_annihilate():
             assert module_contains(rows, killed)
 
 
-def test_torsion_witness_search_can_be_exhausted():
-    with pytest.raises(TorsionWitnessError):
-        param_test(zoo.killing(zoo.euclidean(2)), witness_degree=0)
+def test_a_torsion_witness_of_any_degree_is_returned():
+    # D/(d1^7) is all torsion, and its least annihilator has degree 7
+    op = LinDiffOp("d1^7", 1, Bundle.simple("u", 1), Bundle.simple("f", 1),
+                   [[parse("d1^7", 1)]])
+    rep = param_test(op)
+    assert not rep.parametrizable
+    witnessed = [(str(t.row), t.order, serialize(t.annihilator)) for t in rep.torsion]
+    assert witnessed == [("(1)", 0, "d1^7")]
+
+
+def test_a_residue_without_an_annihilator_raises(monkeypatch, clear_engine_caches):
+    from dgcalc import duality
+
+    clear_engine_caches()
+    monkeypatch.setattr(duality, "_least_head", lambda stacked: None)
+    try:
+        with pytest.raises(TorsionWitnessError, match="no nonzero annihilator of "):
+            param_test(zoo.killing(zoo.euclidean(2)))
+    finally:
+        # the runs of the stacked rows keep the missing witnesses
+        clear_engine_caches()
 
 
 def _report_texts(rep):
@@ -110,12 +128,8 @@ def test_a_warm_param_test_reads_what_the_cold_one_kept(build, clear_engine_cach
 def test_a_warm_param_test_still_raises(clear_engine_caches, monkeypatch):
     op = zoo.einstein_lin(zoo.minkowski(4))
     clear_engine_caches()
-    torsion = param_test(op).torsion
-    # the kept witnesses have degree 2: each read compares them with the cap
-    with pytest.raises(TorsionWitnessError):
-        param_test(op, witness_degree=1)
-    assert param_test(op, witness_degree=2).torsion == torsion
-    # and no kept result crosses into a lower degree budget
+    param_test(op)
+    # no kept result crosses into a lower degree budget
     monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "1")
     with pytest.raises(BudgetExceeded):
         param_test(op)
@@ -157,6 +171,33 @@ def test_warm_double_duality_queries_do_no_reduction(build, monkeypatch,
     # each repeat reads the report its first call kept
     assert all(query() is rep for query, rep in zip(queries, cold))
     assert work == [0, 0]
+
+
+@pytest.mark.parametrize("build, search", [
+    (lambda: zoo.div(3), [4, 1]),
+    (lambda: zoo.cauchy(zoo.euclidean(3)), [9, 1]),
+], ids=["div3", "cauchy-e3"])
+def test_minimal_parametrization_reads_the_kept_report(build, search, monkeypatch,
+                                                       clear_engine_caches):
+    from dgcalc import duality
+
+    op = build()
+    clear_engine_caches()
+    param_test(op)
+    tests = []
+    double_duality = duality._double_duality
+    monkeypatch.setattr(duality, "_double_duality",
+                        lambda *args: tests.append(args) or double_duality(*args))
+    work = _count_work(monkeypatch)
+    mp = minimal_parametrization(op)
+    # no second test: only the column search works, on its first subset
+    assert (tests, work) == ([], search)
+    work[:] = [0, 0]
+    assert minimal_parametrization(op) == mp
+    assert work == [0, 0]
+    clear_engine_caches()
+    assert minimal_parametrization(op) == mp
+    assert len(tests) == 1
 
 
 def test_a_test_over_its_budget_raises_what_its_first_run_raises(monkeypatch):
@@ -215,12 +256,6 @@ def test_each_kept_report_answers_only_its_own_reads(clear_engine_caches):
         clear_engine_caches()
         assert _report_texts(rep) == _report_texts(param_test(other))
         assert _report_texts(rep) != _report_texts(kept)
-    # the options are read too
-    no_ext2 = param_test(op, with_ext2=False)
-    assert no_ext2.ext2_zero is None and kept.ext2_zero is True
-    with pytest.raises(TorsionWitnessError):
-        param_test(op, witness_degree=0)
-    assert param_test(op) == kept
 
 
 def test_kept_ext_reports_follow_the_adjoint_rows(clear_engine_caches):
@@ -237,7 +272,7 @@ def test_kept_ext_reports_follow_the_adjoint_rows(clear_engine_caches):
 
 def test_trace_adjusted_curvature_is_not_parametrizable():
     op = zoo.einstein_lin(zoo.minkowski(4))
-    rep = param_test(op, with_ext2=False)
+    rep = param_test(op)
     assert not rep.parametrizable
     assert not rep.ext1_zero
     assert rep.potentials == 4
@@ -250,7 +285,7 @@ def test_trace_adjusted_curvature_is_not_parametrizable():
     assert anns == {"d1^2 + d2^2 + d3^2 - d4^2"}
     assert all(t.order == 2 for t in rep.torsion)
     with pytest.raises(ValueError):
-        minimal_parametrization(op, report=rep)
+        minimal_parametrization(op)
 
 
 def test_stress_equilibrium_is_parametrizable_in_three_variables():
@@ -261,7 +296,7 @@ def test_stress_equilibrium_is_parametrizable_in_three_variables():
     assert rep.ext2_zero
     assert rep.potentials == 6
     assert compose(op, rep.parametrization).is_zero()
-    mp = minimal_parametrization(op, report=rep)
+    mp = minimal_parametrization(op)
     assert mp.source.dim == 3
     assert mp.order() == 2
     assert compose(op, mp).is_zero()
@@ -270,7 +305,7 @@ def test_stress_equilibrium_is_parametrizable_in_three_variables():
 
 def test_couple_stress_balance_is_parametrizable():
     eq = zoo.cosserat_equilibrium()
-    rep = param_test(eq, with_ext2=False)
+    rep = param_test(eq)
     assert rep.parametrizable
     assert rep.ext1_zero
     assert rep.potentials == 3
@@ -295,13 +330,14 @@ def test_first_obstruction_of_plane_rigid_motions_is_nonzero():
 
 
 def test_report_and_direct_ext_agree():
-    for op, expect in [
-        (zoo.div(3), True),
-        (zoo.killing(zoo.euclidean(2)), False),
-        (zoo.einstein_lin(zoo.minkowski(4)), False),
+    for op, ext1, ext2 in [
+        (zoo.div(3), True, True),
+        (zoo.killing(zoo.euclidean(2)), False, True),
+        (zoo.einstein_lin(zoo.minkowski(4)), False, False),
     ]:
-        assert param_test(op, with_ext2=False).ext1_zero is expect
-        assert ext_module(op, 1).is_zero is expect
+        rep = param_test(op)
+        assert rep.ext1_zero is ext1 is ext_module(op, 1).is_zero
+        assert rep.ext2_zero is ext2 is ext_module(op, 2).is_zero
 
 
 def _digest(elems):

@@ -3,9 +3,22 @@
 from hypothesis import assume, given, strategies as st
 
 from dgcalc.engine import FreeElem, reduced_groebner
-from dgcalc.poly import Poly, mono_div, mono_divides, mono_key, mono_lcm
+from dgcalc.poly import Poly, mono_key
 
 NVARS = 2
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
 # every monomial in two variables of degree <= 2, the constant included
 MONOMIALS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 

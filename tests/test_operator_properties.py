@@ -296,7 +296,7 @@ def test_derived_operators_are_built_whole(d):
     whole(factor_through(square, d))
     whole(cc(d))
     whole(cc(ad).with_name("renamed"))
-    rep = param_test(d, with_ext2=False)
+    rep = param_test(d)
     for op in (rep.operator, rep.adjoint_cc, rep.parametrization, rep.recomputed_cc):
         whole(op)
 
@@ -318,7 +318,7 @@ def test_derived_operators_write_the_cells_of_their_matrix(d):
     written(factor_through(square, d))
     written(cc(d))
     written(cc(ad).with_name("renamed"))
-    rep = param_test(d, with_ext2=False)
+    rep = param_test(d)
     for op in (rep.operator, rep.adjoint_cc, rep.parametrization, rep.recomputed_cc):
         written(op)
 
@@ -340,7 +340,6 @@ def test_a_warm_report_is_the_report_a_fresh_call_gives(d):
     queries = [
         lambda: param_test(d),
         lambda: param_test(twin),
-        lambda: param_test(d, with_ext2=False),
         lambda: ext_module(d, 1),
         lambda: ext_module(d, 2),
     ]

@@ -17,7 +17,15 @@ from dgcalc.engine import (
     reduced_groebner,
     syzygies,
 )
-from dgcalc.poly import Poly, mono_divides, mono_key, mono_lcm, mono_mul, parse
+from dgcalc.poly import Poly, mono_key, mono_mul, parse
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
 
 
 @st.composite

@@ -11,10 +11,7 @@ from dgcalc.poly import (
     ParseError,
     Poly,
     apply_as_derivative,
-    mono_divides,
-    mono_div,
     mono_key,
-    mono_lcm,
     mono_mul,
     parse,
     serialize,
@@ -47,13 +44,6 @@ def test_zero_polynomial_degree_is_minus_one():
 ])
 def test_monomial_multiplication(a, b, expected):
     assert mono_mul(a, b) == expected
-
-
-def test_monomial_division_helpers():
-    assert mono_divides((1, 0), (2, 1))
-    assert not mono_divides((0, 2), (1, 1))
-    assert mono_div((2, 1), (1, 0)) == (1, 1)
-    assert mono_lcm((2, 0), (1, 3)) == (2, 3)
 
 
 def test_degrevlex_ordering_on_classics():

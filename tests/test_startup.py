@@ -192,7 +192,7 @@ def test_record_texts_are_pinned():
         "ZooEntry(key='curl', needs_metric=False, needs_n=False, needs_lame=False, "
         "needs_r=False, fixed_n=3, summary='curl in three variables')"
     )
-    rep = duality.param_test(zoo.einstein_lin(zoo.minkowski(4)), with_ext2=False)
+    rep = duality.param_test(zoo.einstein_lin(zoo.minkowski(4)))
     assert str(rep.torsion[0]) == (
         "(0, d2*d3, -d2^2, 0, -d1*d3, d1*d2, 0, 0, 0, 0)  "
         "[order 2, annihilated by d1^2 + d2^2 + d3^2 - d4^2]"
