@@ -55,8 +55,6 @@ _LAZY_NAMES = dict.fromkeys(
         "TorsionGenerator",
         "TorsionWitnessError",
         "ExtReport",
-        "SearchBudgetError",
-        "SearchExhaustedError",
         "param_test",
         "ext_module",
         "minimal_parametrization",
@@ -121,8 +119,6 @@ __all__ = [
     "TorsionGenerator",
     "TorsionWitnessError",
     "ExtReport",
-    "SearchBudgetError",
-    "SearchExhaustedError",
     "param_test",
     "ext_module",
     "minimal_parametrization",

@@ -6,10 +6,9 @@ deterministic: rerunning a command on the same inputs produces identical
 bytes, with the engine caches cold or warm.
 
 Exit codes: 0 success, 2 unreadable input, 3 shape mismatch, 4 budget
-exceeded (Groebner degree, minimal parametrization search size, or a
-result number with more digits than Python writes) or a torsion residue
-whose relations show no annihilator, 5 factorization failed, 1 anything
-else.  Every document is built in full before any of it is written.
+exceeded (Groebner degree, or a result number with more digits than
+Python writes), 5 factorization failed, 1 anything else, internal faults
+among them.  Every document is built in full before any of it is written.
 """
 
 from __future__ import annotations
@@ -172,15 +171,10 @@ def _cmd_paramtest(args) -> int:
 
 
 def _cmd_minparam(args) -> int:
-    from .duality import SearchExhaustedError, minimal_parametrization
+    from .duality import minimal_parametrization
 
     op = load_operator(args.operator)
-    try:
-        par = minimal_parametrization(op)
-    except SearchExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _emit_operator(par, args.output)
+    _emit_operator(minimal_parametrization(op), args.output)
     return 0
 
 
@@ -366,8 +360,9 @@ def main(argv=None) -> int:
     except (OpFormatError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (KeyError, ValueError, OSError, ZeroDivisionError) as exc:
-        # str() of a KeyError is the repr of its message
+    except (KeyError, ValueError, OSError, ZeroDivisionError, RuntimeError) as exc:
+        # str() of a KeyError is the repr of its message; a RuntimeError is
+        # an internal fault, such as a failed inline check
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 1

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from dgcalc import cli, duality, zoo
-from dgcalc.operators import MAX_NVARS, compose, operator_from_dict, save_operator
+from dgcalc.engine import module_equal
+from dgcalc.operators import MAX_NVARS, cc, compose, operator_from_dict, save_operator
 from dgcalc.poly import Poly
 from dgcalc.report import run_report
 
@@ -513,23 +514,79 @@ def test_a_torsion_witness_above_degree_6_is_reported(capsys, tmp_path):
         {"row": ["1"], "order": 0, "annihilator": "d1^7"}]
 
 
-def test_minparam_search_cap_exits_4(capsys, ops_dir, monkeypatch):
-    # div3 needs 2 of its 3 potentials: 3 subsets to search
-    monkeypatch.setattr(duality, "SEARCH_CAP", 2)
-    code, out, err = run(capsys, "minparam", str(ops_dir / "div3.json"))
-    assert code == 4
-    assert out == ""
-    assert err == "error: searching 3 column subsets exceeds the cap 2\n"
+def test_a_residue_without_an_annihilator_exits_1(capsys, ops_dir, monkeypatch,
+                                                   clear_engine_caches):
+    # an internal fault, not a budget: one error line and exit 1
+    clear_engine_caches()
+    monkeypatch.setattr(duality, "_least_head", lambda stacked: None)
+    try:
+        code, out, err = run(capsys, "paramtest", str(ops_dir / "killing_e2.json"))
+    finally:
+        # the runs of the stacked rows keep the missing witnesses
+        clear_engine_caches()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no nonzero annihilator of ")
+    assert err.count("\n") == 1
 
 
-def test_minparam_exhausted_search_exits_1(capsys, ops_dir, monkeypatch):
-    # an empty search space: no subset can keep the conditions
-    monkeypatch.setattr(duality, "combinations", lambda *args: iter(()))
-    code, out, err = run(capsys, "minparam", str(ops_dir / "div3.json"))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: no 2-column subset of ")
-    assert err.endswith(" keeps the compatibility conditions\n")
+def test_minparam_whose_check_fails_exits_1(capsys, ops_dir, monkeypatch):
+    # the test passes first, so only the check of the greedy basis fails
+    path = str(ops_dir / "div3.json")
+    assert run(capsys, "paramtest", path)[0] == 0
+    monkeypatch.setattr(duality, "_same_module", lambda *args: False)
+    code, out, err = run(capsys, "minparam", path)
+    assert (code, out) == (1, "")
+    assert err == ("error: internal error: the greedy 2-column basis of "
+                   "param(div3) changes the compatibility conditions\n")
+
+
+def test_minparam_cuts_cauchy_e4_to_six_stress_functions(capsys, tmp_path):
+    # C(20, 6) column subsets: earlier versions refused to search them
+    op = zoo.build("cauchy", n=4)
+    path = tmp_path / "cauchy_e4.json"
+    save_operator(op, path)
+    code, out, err = run(capsys, "minparam", str(path))
+    assert (code, err) == (0, "")
+    mp = operator_from_dict(json.loads(out))
+    assert mp.source.dim == 6
+    assert module_equal(cc(mp).rows(), op.rows())
+
+
+def _sweep_builds():
+    """Every `zoo.ZOO` entry at each n from 2 to 5 that it builds, on the
+    euclidean metric, or at its fixed n."""
+    for name, entry in zoo.ZOO.items():
+        for n in [None] if entry.fixed_n else [2, 3, 4, 5]:
+            try:
+                yield zoo.build(name, n=n)
+            except ValueError:
+                # c_map_inverse needs n >= 3 and the Weyl entries n >= 4
+                continue
+
+
+def test_minparam_answers_every_zoo_entry(capsys, tmp_path, clear_engine_caches):
+    """Each call answers, or exits 1 on an operator that is not
+    parametrizable or needs no potentials; box_weyl e5 takes most of the
+    second or so this runs."""
+    answered = 0
+    for op in _sweep_builds():
+        path = tmp_path / "op.json"
+        save_operator(op, path)
+        clear_engine_caches()
+        code, out, err = run(capsys, "minparam", str(path))
+        if code == 1:
+            assert out == "", op.name
+            assert err in (
+                f"error: {op.name} is not parametrizable; no potential cut exists\n",
+                f"error: {op.name} has full column rank; it needs no potentials\n",
+            )
+            continue
+        assert (code, err) == (0, ""), op.name
+        mp = operator_from_dict(json.loads(out))
+        assert module_equal(cc(mp).rows(), op.rows()), op.name
+        answered += 1
+    assert answered
+    clear_engine_caches()
 
 
 def test_malformed_budget_is_rejected(capsys, ops_dir, monkeypatch):

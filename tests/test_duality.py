@@ -1,6 +1,8 @@
 """Double-duality parametrizability test, torsion witnesses, Ext modules."""
 
 import hashlib
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,6 +16,7 @@ from dgcalc.duality import (
 from dgcalc.engine import (
     BudgetExceeded,
     FreeElem,
+    fraction_rank,
     module_contains,
     module_equal,
     reduced_groebner,
@@ -190,7 +193,7 @@ def test_minimal_parametrization_reads_the_kept_report(build, search, monkeypatc
                         lambda *args: tests.append(args) or double_duality(*args))
     work = _count_work(monkeypatch)
     mp = minimal_parametrization(op)
-    # no second test: only the column search works, on its first subset
+    # no second test: only the check of the greedy basis works
     assert (tests, work) == ([], search)
     work[:] = [0, 0]
     assert minimal_parametrization(op) == mp
@@ -198,6 +201,106 @@ def test_minimal_parametrization_reads_the_kept_report(build, search, monkeypatc
     clear_engine_caches()
     assert minimal_parametrization(op) == mp
     assert len(tests) == 1
+
+
+def _columns(op, keep, name):
+    """op restricted to the source components in keep, in order."""
+    at = {j: k for k, j in enumerate(keep)}
+    rows = tuple(
+        FreeElem._make(len(keep), op.nvars, {
+            (at[j], m): v for (j, m), v in r.terms.items() if j in at
+        }, 1, r.den)
+        for r in op.rows()
+    )
+    source = Bundle(f"{op.source.name}|sub",
+                    [op.source.components[j] for j in keep])
+    return LinDiffOp._make(name, op.nvars, source, op.target, rows)
+
+
+def _keeps_conditions(op, sub):
+    return module_equal(cc(sub).rows(), op.rows())
+
+
+def _enumerated_parametrization(op):
+    """The minimal parametrization as earlier versions searched for it: the
+    first column subset, in the order of the tuple of dropped indices,
+    whose compatibility conditions present op's rows.  None where that
+    search would take more than 10 000 subsets."""
+    dpar = param_test(op).parametrization
+    rk = op.source.dim - fraction_rank(op.rows())
+    t = dpar.source.dim
+    if rk == t:
+        return dpar.with_name(f"minparam({op.name})")
+    if comb(t, rk) > 10_000:
+        return None
+    for dropped in combinations(range(t), t - rk):
+        sub = _columns(dpar, [j for j in range(t) if j not in dropped],
+                       f"minparam({op.name})")
+        if _keeps_conditions(op, sub):
+            return sub
+    raise AssertionError(f"no {rk}-column subset keeps the conditions of {op.name}")
+
+
+def _zoo_up_to_4():
+    """Every `zoo.ZOO` entry at each n from 2 to 4 that it builds, or at its
+    fixed n, under each metric where it takes one."""
+    for name, entry in zoo.ZOO.items():
+        for n in [None] if entry.fixed_n else [2, 3, 4]:
+            for metric in zoo.METRICS if entry.needs_metric else ["euclidean"]:
+                try:
+                    yield zoo.build(name, n=n, metric=metric)
+                except ValueError:
+                    # c_map_inverse needs n >= 3 and the Weyl entries n >= 4
+                    continue
+
+
+def test_the_greedy_basis_is_the_first_subset_the_old_search_found():
+    compared = 0
+    for op in _zoo_up_to_4():
+        try:
+            mp = minimal_parametrization(op)
+        except ValueError:
+            # not parametrizable, or no potentials needed
+            continue
+        assert _keeps_conditions(op, mp), op.name
+        old = _enumerated_parametrization(op)
+        if old is not None:
+            assert operator_json(mp) == operator_json(old), op.name
+            compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("build, full_rank", [
+    (lambda: zoo.div(4), 16),
+    (lambda: zoo.cauchy(zoo.euclidean(3)), 17),
+], ids=["div4", "cauchy-e3"])
+def test_a_column_subset_keeps_the_conditions_iff_it_has_full_rank(build, full_rank):
+    """The system module is torsion free, so every column subset of generic
+    rank rk presents it, and no smaller rank can."""
+    op = build()
+    dpar = param_test(op).parametrization
+    rk = op.source.dim - fraction_rank(op.rows())
+    full = 0
+    for keep in combinations(range(dpar.source.dim), rk):
+        sub = _columns(dpar, list(keep), "sub")
+        has_full_rank = fraction_rank(sub.rows()) == rk
+        assert _keeps_conditions(op, sub) is has_full_rank, keep
+        full += has_full_rank
+    assert full == full_rank
+
+
+@pytest.mark.parametrize("name, n, potentials", [
+    ("cauchy", 5, 10), ("cauchy", 6, 15), ("cauchy", 7, 21),
+    ("scalar", 4, 9), ("scalar", 5, 14), ("scalar", 6, 20),
+    ("div", 7, 6),
+])
+def test_minimal_parametrizations_past_the_old_search_cap(name, n, potentials):
+    """Earlier versions refused these: each has more than 10 000 column
+    subsets of its rank."""
+    op = zoo.build(name, n=n)
+    mp = minimal_parametrization(op)
+    assert mp.source.dim == potentials
+    assert module_equal(cc(mp).rows(), op.rows())
 
 
 def test_a_test_over_its_budget_raises_what_its_first_run_raises(monkeypatch):
