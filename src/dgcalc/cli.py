@@ -8,15 +8,25 @@ bytes, with the engine caches cold or warm.
 Exit codes: 0 success, 2 unreadable input, 3 shape mismatch, 4 budget
 exceeded (Groebner degree, or a result number with more digits than
 Python writes), 5 factorization failed, 1 anything else, internal faults
-among them.  Every document is built in full before any of it is written.
+among them, and a closed stdout.  Every document is built in full before
+any of it is written.
+
+`main` is the in-process entry: it takes the arguments and returns the
+exit code.  `run` is the process entry, behind both `python -m dgcalc.cli`
+and the `dgcalc` console script: it ends the process right after `main`,
+its atexit handlers and its flush, skipping the interpreter's teardown,
+unless a profiler, tracer or debugger is attached.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import errno
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .engine import BudgetExceeded, FreeElem, cell_rows, fraction_rank, resolve_module
 from .operators import (
@@ -56,14 +66,22 @@ def _target_path(out: str, stem: str) -> Path:
     return p
 
 
+def _write(text: str) -> None:
+    # Python sets sys.stdout to None when it starts with file descriptor 1
+    # closed, and print() to None would drop the text without a word
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    sys.stdout.write(text)
+
+
 def _emit_text(doc: str, out: str | None, stem: str) -> None:
     if out is None:
-        sys.stdout.write(doc)
+        _write(doc)
         return
     path = _target_path(out, stem)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(doc)
-    print(f"wrote {path}")
+    _write(f"wrote {path}\n")
 
 
 def _emit_operator(op, out: str | None) -> None:
@@ -110,7 +128,7 @@ def _cmd_resolve(args) -> int:
     }
     doc = json_text(summary)
     if args.output is None:
-        sys.stdout.write(doc)
+        _write(doc)
         return 0
     docs = {"summary.json": doc}
     for k, step in enumerate(res.steps):
@@ -121,7 +139,7 @@ def _cmd_resolve(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in docs.items():
         (outdir / name).write_text(text)
-    print(f"wrote {outdir}/summary.json and {len(res.steps)} step files")
+    _write(f"wrote {outdir}/summary.json and {len(res.steps)} step files\n")
     return 0
 
 
@@ -163,9 +181,9 @@ def _cmd_paramtest(args) -> int:
     _emit_json(payload, args.output, f"{op.name}_paramtest")
     if args.output is not None:
         verdict = "parametrizable" if rep.parametrizable else "NOT parametrizable"
-        print(
+        _write(
             f"{op.name}: {verdict}; {len(rep.torsion)} torsion generators; "
-            f"{rep.potentials} potentials"
+            f"{rep.potentials} potentials\n"
         )
     return 0
 
@@ -230,7 +248,7 @@ def _cmd_zoo(args) -> int:
             if entry.fixed_n is not None:
                 needs.append(f"n={entry.fixed_n}")
             extra = f"  [{', '.join(needs)}]" if needs else ""
-            print(f"{key.ljust(width)}  {entry.summary}{extra}")
+            _write(f"{key.ljust(width)}  {entry.summary}{extra}\n")
         return 0
     entry = zoo.ZOO.get(args.name)
     if entry is None:
@@ -260,10 +278,7 @@ def _cmd_report(args) -> int:
         path = Path(args.output)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(rows_to_json(rows))
-    if args.json:
-        sys.stdout.write(rows_to_json(rows))
-    else:
-        sys.stdout.write(format_rows(rows))
+    _write(rows_to_json(rows) if args.json else format_rows(rows))
     if not rows:
         print("no checks matched --only filter", file=sys.stderr)
         return 1
@@ -368,5 +383,46 @@ def main(argv=None) -> int:
         return 1
 
 
+def _watched() -> bool:
+    """Whether a profiler, tracer or debugger is attached, or -i asks for
+    the interactive prompt afterwards.  Each needs the interpreter's own
+    exit: cProfile -o writes its file once the script's SystemExit reaches
+    it (from 3.12 it registers a sys.monitoring tool, not a profile
+    function), and pdb, which drops its trace function on `continue` when
+    no breakpoint is set, still offers its restart there."""
+    if (sys.getprofile() is not None or sys.gettrace() is not None
+            or sys.flags.inspect or "bdb" in sys.modules):
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(
+        monitoring.get_tool(tool) is not None for tool in range(6))
+
+
+def run() -> NoReturn:
+    """Run `main` on sys.argv and end the process with its exit code.
+
+    The interpreter's teardown, which frees every object, costs a short
+    command about as much as its work, so the process ends in os._exit
+    once the atexit handlers have run and stdout and stderr are flushed;
+    it takes the interpreter's own exit only when `_watched`.  A flush
+    that fails is reported as `main` reports a write that fails: one error
+    line and exit 1.  Left to the interpreter's exit, a second flush can
+    find the text dropped and succeed, and a command whose output was lost
+    would exit 0."""
+    code = main()
+    if _watched():
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            code = code or 1
+            if stream is sys.stdout and sys.stderr is not None:
+                print(f"error: {exc}", file=sys.stderr)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

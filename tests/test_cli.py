@@ -2,8 +2,10 @@
 
 import gc
 import hashlib
+import io
 import json
 import os
+import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 from dgcalc import cli, duality, zoo
 from dgcalc.engine import module_equal
-from dgcalc.operators import MAX_NVARS, cc, compose, operator_from_dict, save_operator
+from dgcalc.operators import (MAX_NVARS, cc, compose, operator_from_dict, operator_json,
+                              save_operator)
 from dgcalc.poly import Poly
 from dgcalc.report import run_report
 
@@ -395,11 +398,13 @@ def test_result_number_over_the_digit_limit_exits_4(capsys, tmp_path):
 
 def _cli_env() -> dict:
     """The environment for a `python -m dgcalc.cli` subprocess: this
-    checkout's sources first on the path, and the default degree budget."""
+    checkout's sources first on the path, the default degree budget, and
+    stdout buffered, as Python buffers a pipe unless told not to."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("DGCALC_BUDGET_DEGREE", None)
+    env.pop("PYTHONUNBUFFERED", None)
     return env
 
 
@@ -804,3 +809,197 @@ def test_no_poly_builds_its_fraction_view(capsys, tmp_path, clear_engine_caches)
     assert run(capsys, "compose", doc, doc)[0] == 0
     assert [p for p in _viewed_polys() if id(p) not in seen] == []
     assert all(r.passed for r in rows)
+
+
+# -- the process entry -------------------------------------------------------------------
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# one command per documented exit code, and an argparse usage error; the
+# -o paths are relative, so both runs print the same "wrote" line
+_EXIT_CASES = [
+    (0, ["adjoint", "{ops}/div3.json"]),
+    (0, ["cc", "{ops}/div3.json", "-o", "out/"]),
+    (1, ["zoo", "nosuch", "-o", "out/x.json"]),
+    (2, ["adjoint", "{bad}"]),
+    (3, ["compose", "{ops}/killing_e2.json", "{ops}/div3.json", "-o", "out/c.json"]),
+    (4, ["compose", "{square}", "{square}", "-o", "out/sq.json"]),
+    (5, ["factor", "{ops}/div3.json", "{ops}/curl3.json"]),
+    (2, ["adjoint"]),
+]
+
+
+@pytest.mark.parametrize("expected, argv", _EXIT_CASES,
+                         ids=["0", "0-output", "1", "2", "3", "4", "5", "usage"])
+def test_process_entry_matches_main(capsys, ops_dir, tmp_path, monkeypatch,
+                                    expected, argv):
+    """`python -m dgcalc.cli` gives the exit code, stdout bytes, stderr text
+    and written files that `cli.main` gives in-process."""
+    (tmp_path / "bad.json").write_text('{"nvars": 0}')
+    (tmp_path / "square.json").write_text(_square_doc([["2^14000*d1"]]))
+    argv = [a.format(ops=ops_dir, bad=tmp_path / "bad.json",
+                     square=tmp_path / "square.json") for a in argv]
+    here, there = tmp_path / "in_process", tmp_path / "process"
+    here.mkdir()
+    there.mkdir()
+    monkeypatch.chdir(here)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    done = subprocess.run([sys.executable, "-m", "dgcalc.cli", *argv], cwd=there,
+                          env=_cli_env(), capture_output=True, timeout=60)
+    assert code == expected
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (
+        code, captured.out.encode(), captured.err)
+    assert _tree(there) == _tree(here)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["curl"], ["riemann", "--n", "4"], ["weyl", "--n", "5"]],
+                         ids=["697B", "4868B", "38kB"])
+def test_a_reader_that_closed_its_pipe_exits_1(argv, unbuffered):
+    """Whether the write, the flush in `cli.run` or neither meets the
+    closed pipe depends on the size of the output and on buffering; each
+    way ends in one error line and exit 1."""
+    env = _cli_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "dgcalc.cli", "zoo", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes file descriptor 1 in the child")
+@pytest.mark.parametrize("argv", [["zoo", "curl"], ["zoo"], ["zoo", "curl", "-o", "c.json"]],
+                         ids=["document", "listing", "output"])
+def test_closed_stdout_exits_1(tmp_path, argv):
+    done = subprocess.run([sys.executable, "-m", "dgcalc.cli", *argv], cwd=tmp_path,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          preexec_fn=lambda: os.close(1), env=_cli_env(),
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "error: [Errno 9] stdout is closed\n")
+    # -o writes its file first; only the line naming it is lost
+    assert [p.name for p in tmp_path.iterdir()] == (["c.json"] if "-o" in argv else [])
+
+
+class _Exited(Exception):
+    pass
+
+
+@pytest.fixture
+def fast_exit(monkeypatch):
+    """`cli.run` with os._exit recording its code and raising `_Exited`,
+    and the atexit handlers of this test process counted, not run.  pytest
+    imports pdb, which `cli._watched` takes for a debugger, so bdb is
+    hidden from sys.modules for the test."""
+    monkeypatch.delitem(sys.modules, "bdb", raising=False)
+    if cli._watched():
+        pytest.skip("a tracer or profiler watches the tests")
+    calls = {"os._exit": [], "atexit": 0}
+
+    def os_exit(code):
+        calls["os._exit"].append(code)
+        raise _Exited
+
+    def run_exitfuncs():
+        calls["atexit"] += 1
+
+    monkeypatch.setattr(os, "_exit", os_exit)
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", run_exitfuncs)
+    return calls
+
+
+@pytest.mark.parametrize("argv, code", [(["zoo", "curl"], 0), (["zoo", "nosuch"], 1)])
+def test_run_ends_in_os_exit_with_mains_code(capsys, monkeypatch, fast_exit, argv, code):
+    monkeypatch.setattr(sys, "argv", ["dgcalc", *argv])
+    with pytest.raises(_Exited):
+        cli.run()
+    assert fast_exit == {"os._exit": [code], "atexit": 1}
+    out = capsys.readouterr().out
+    assert out == (operator_json(zoo.curl()) if code == 0 else "")
+
+
+class _UnflushableStdout(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_run_reports_a_flush_that_raises(capsys, monkeypatch, fast_exit):
+    monkeypatch.setattr(sys, "argv", ["dgcalc", "zoo", "curl"])
+    monkeypatch.setattr(sys, "stdout", _UnflushableStdout())
+    with pytest.raises(_Exited):
+        cli.run()
+    assert fast_exit == {"os._exit": [1], "atexit": 1}
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("get, put", [(sys.getprofile, sys.setprofile),
+                                      (sys.gettrace, sys.settrace)],
+                         ids=["profile", "trace"])
+def test_run_takes_sys_exit_under_a_profiler_or_tracer(capsys, monkeypatch, fast_exit,
+                                                        get, put):
+    monkeypatch.setattr(sys, "argv", ["dgcalc", "zoo", "curl"])
+    before = get()
+    put(lambda *args: None)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+    finally:
+        put(before)
+    assert exc.value.code == 0
+    # the interpreter's own exit runs the atexit handlers
+    assert fast_exit == {"os._exit": [], "atexit": 0}
+    assert capsys.readouterr().out == operator_json(zoo.curl())
+
+
+def test_run_calls_an_atexit_handler_exactly_once():
+    """In a child: the handler runs inside `run`, before os._exit, and not
+    again when the child, its os._exit a no-op, goes on to exit normally."""
+    code = "\n".join([
+        "import atexit, os, sys",
+        "from dgcalc import cli",
+        "atexit.register(print, 'handler', flush=True)",
+        "os._exit = lambda code: print('os._exit', code, flush=True)",
+        "sys.argv = ['dgcalc', 'zoo', 'nosuch']",
+        "cli.run()",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "handler\nos._exit 1\n")
+    assert done.stderr == "error: unknown zoo operator 'nosuch'\n"
+
+
+def test_profiled_process_writes_its_profile(tmp_path):
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-o", "prof.out",
+                           "-m", "dgcalc.cli", "zoo", "curl"], cwd=tmp_path,
+                          env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == operator_json(zoo.curl())
+    assert pstats.Stats(str(tmp_path / "prof.out")).total_calls > 0
+
+
+@pytest.mark.parametrize("args, stdin, shown", [
+    # pdb has dropped its trace function after `c` with no breakpoint set
+    (["-m", "pdb"], "c\nq\n", "The program exited via sys.exit(). Exit status: 0"),
+    (["-i"], "", ">>> "),
+], ids=["pdb", "inspect"])
+def test_a_debugged_process_keeps_the_interpreters_exit(args, stdin, shown):
+    done = subprocess.run([sys.executable, *args, "-m", "dgcalc.cli", "zoo", "curl"],
+                          input=stdin, env=_cli_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert operator_json(zoo.curl()) in done.stdout
+    assert shown in done.stdout + done.stderr

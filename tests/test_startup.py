@@ -28,23 +28,47 @@ def _python(*args: str) -> subprocess.CompletedProcess:
                           text=True, timeout=120)
 
 
-# what `python -m dgcalc.cli ARGV` runs, inside the child that lists sys.modules
+LIST_MODULES = "\nsys.stderr.write('\\n' + ' '.join(sorted(sys.modules)))\n"
+
+# what `python -m dgcalc.cli ARGV` runs, inside the child that lists
+# sys.modules: `cli.run` ends the process in os._exit, so the wrapped
+# os._exit lists them there, after a line naming its code; argparse's own
+# exits (--help) raise SystemExit, and the list follows the script
 RUN_CLI = """
-import runpy, sys
+import os, runpy
+
+def _exit(code, _os_exit=os._exit):
+    sys.stderr.write(f"\\nfast exit {code}\\n" + " ".join(sorted(sys.modules)))
+    sys.stderr.flush()
+    _os_exit(code)
+
+os._exit = _exit
 try:
     runpy.run_module("dgcalc.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code in (0, None), exc.code
 """
-LIST_MODULES = "\nsys.stderr.write('\\n' + ' '.join(sorted(sys.modules)))\n"
 
 
-def _loaded(code: str, *argv: str) -> set[str]:
-    """The modules in sys.modules after a fresh `python -c CODE ARGV`."""
+def _child(code: str, *argv: str) -> tuple[set[str], str]:
+    """The modules in sys.modules at the end of a fresh `python -c CODE
+    ARGV`, and the child's stderr."""
     proc = _python("-c", "import sys\n" + code + LIST_MODULES, *argv)
     assert proc.returncode == 0, proc.stderr
     names = set(proc.stderr.rsplit("\n", 1)[-1].split())
     assert "dgcalc.operators" in names
+    return names, proc.stderr
+
+
+def _loaded(code: str, *argv: str) -> set[str]:
+    return _child(code, *argv)[0]
+
+
+def _cli_loaded(*argv: str) -> set[str]:
+    """The modules `python -m dgcalc.cli ARGV` has loaded when `cli.run`
+    ends it, which it must do by the fast exit with code 0."""
+    names, err = _child(RUN_CLI, *argv)
+    assert err.count("fast exit") == 1 and "\nfast exit 0\n" in err, err
     return names
 
 
@@ -84,7 +108,13 @@ def rational_doc(tmp_path_factory):
     ["zoo", "--help"],
 ], ids=["help", "adjoint", "compose", "cc", "rank", "resolve", "factor", "zoo-help"])
 def test_core_commands_load_no_upper_layer(argv, rational_doc):
-    names = _loaded(RUN_CLI, *(a.format(doc=rational_doc) for a in argv))
+    argv = [a.format(doc=rational_doc) for a in argv]
+    if "--help" in argv:
+        # argparse's own exit keeps the interpreter's exit path
+        names, err = _child(RUN_CLI, *argv)
+        assert "fast exit" not in err
+    else:
+        names = _cli_loaded(*argv)
     assert not names & (UPPER | {"dataclasses", "inspect"})
     # no Fraction is made on the way, so neither module is imported
     assert not names & {"fractions", "decimal"}
@@ -98,13 +128,13 @@ def test_core_commands_load_no_upper_layer(argv, rational_doc):
     ["report", "--only", "c10"],
 ], ids=["zoo-list", "paramtest", "minparam", "ext", "report-c10"])
 def test_upper_commands_load_no_dataclasses(argv, curl_doc):
-    names = _loaded(RUN_CLI, *(a.format(doc=curl_doc) for a in argv))
+    names = _cli_loaded(*(a.format(doc=curl_doc) for a in argv))
     assert names & UPPER
     assert not names & {"dataclasses", "inspect"}
 
 
 def test_zoo_builds_without_duality_or_report():
-    names = _loaded(RUN_CLI, "zoo", "killing", "--n", "3")
+    names = _cli_loaded("zoo", "killing", "--n", "3")
     assert "dgcalc.zoo" in names
     assert not names & {"dgcalc.duality", "dgcalc.report", "dataclasses", "inspect"}
 
@@ -117,7 +147,7 @@ def test_zoo_builds_without_duality_or_report():
     ["c_map", "--n", "4"],
 ], ids=["weyl", "box_weyl", "conformal_killing", "cauchy", "c_map"])
 def test_integer_metric_zoo_builds_load_no_fractions(argv):
-    names = _loaded(RUN_CLI, "zoo", *argv)
+    names = _cli_loaded("zoo", *argv)
     assert "dgcalc.zoo" in names
     assert not names & {"fractions", "decimal"}
 
