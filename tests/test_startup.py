@@ -60,10 +60,6 @@ def _child(code: str, *argv: str) -> tuple[set[str], str]:
     return names, proc.stderr
 
 
-def _loaded(code: str, *argv: str) -> set[str]:
-    return _child(code, *argv)[0]
-
-
 def _cli_loaded(*argv: str) -> set[str]:
     """The modules `python -m dgcalc.cli ARGV` has loaded when `cli.run`
     ends it, which it must do by the fast exit with code 0."""
@@ -162,7 +158,7 @@ def test_rational_moduli_zoo_build_keeps_its_bytes():
 
 
 def test_clear_caches_imports_no_upper_layer():
-    names = _loaded("import dgcalc\ndgcalc.clear_caches()")
+    names, _ = _child("import dgcalc\ndgcalc.clear_caches()")
     assert not names & UPPER
 
 
