@@ -5,7 +5,10 @@ compatibility conditions, take the adjoint of those to get a candidate
 parametrization D, then compare the compatibility conditions of D with D1.
 Equality of row modules says the system is exactly the image of D (the
 system module is torsion free); the failing rows generate the torsion
-submodule and each one carries a scalar annihilator as a witness.
+submodule and each one carries a scalar annihilator as a witness.  The
+comparison decides Ext^1 of the adjoint's module; the next obstruction,
+Ext^2, is `ext_module`'s verdict, read from the report kept on the run of
+the adjoint's rows, so Ext^2 is computed in one place, `_ext`.
 
 Everything reduces to Groebner computations from the engine and is exact
 and deterministic.
@@ -61,7 +64,11 @@ class TorsionGenerator(NamedTuple):
 
 
 class ParamReport(NamedTuple):
-    """Outcome of the double-duality test for one operator."""
+    """Outcome of the double-duality test for one operator.
+
+    ext1_zero is the verdict `parametrizable`; ext2_zero is `is_zero` of
+    the Ext^2 report that `ext_module` keeps on the run of the adjoint's
+    rows."""
 
     operator: LinDiffOp
     adjoint_cc: LinDiffOp
@@ -83,7 +90,9 @@ def param_test(d1: LinDiffOp) -> ParamReport:
     Returns the candidate parametrization D with its compatibility
     conditions recomputed, the verdict (row modules equal), a minimal set
     of torsion generators when the verdict is negative, and whether the
-    next obstruction, Ext^2, vanishes.
+    next obstruction, Ext^2, vanishes.  That last is `ext_module(d1, 2)`'s
+    verdict, read from (or left for it in) the report kept on the run of
+    the adjoint's rows, so a later `ext_module(d1, 2)` is warm.
 
     The finished report is kept with the Buchberger run of d1's rows,
     which every test starts, under what else it reads: d1's name and its
@@ -107,7 +116,25 @@ def param_test(d1: LinDiffOp) -> ParamReport:
 
 
 def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
-    """The report `param_test` keeps, computed."""
+    """The report `param_test` keeps, computed.
+
+    Ext^2 is read from `_ext`'s dual complex.  One more step down the
+    adjoint/cc chain, comparing the rows of `adjoint(add)` with those of
+    cc(adjoint(cc(add))), gives the same verdict on every input.
+    Let mats be the resolution of the adjoint's rows that `_ext` reads:
+    mats[1] = add's rows and mats[2] = cc(add)'s rows, since `cc` and the
+    resolution both take `_minimal_relations`.  With sigma the ring
+    automorphism d -> -d, `adjoint(add)` has the rows of
+    sigma(transpose(mats[1])), each scaled by 1/weight, and
+    cc(adjoint(cc(add))) generates sigma of the module of
+    `_minimal_relations(transpose(mats[2]))`.  Those are sigma of the
+    coboundaries and the cocycles at position 2, and the coboundaries lie
+    in the cocycles; nonzero row scalings and sigma keep modules equal, so
+    the two modules are equal exactly when every cocycle is a coboundary,
+    `_ext`'s is_zero.  Where the resolution stops early, both sides see
+    the same zero map: the adjoint's rows have no relations (both say
+    Ext^2 vanishes), or mats[1] has none (every vector is a cocycle).
+    """
     ad1 = adjoint(d1)
     add = cc(ad1)
     dpar = adjoint(add).with_name(f"param({d1.name})")
@@ -117,11 +144,6 @@ def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
     torsion: tuple[TorsionGenerator, ...] = ()
     if not parametrizable:
         torsion = tuple(_torsion_generators(d1, d1p, budget))
-    # one step further down the dual chain detects the next obstruction
-    addm1 = cc(add)
-    dm1 = adjoint(addm1)
-    dp = cc(dm1)
-    ext2 = _same_module(dpar._rows, dp._rows, budget)
     return ParamReport(
         operator=d1,
         adjoint_cc=add,
@@ -130,7 +152,7 @@ def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
         parametrizable=parametrizable,
         torsion=torsion,
         ext1_zero=parametrizable,
-        ext2_zero=ext2,
+        ext2_zero=_kept_ext(ad1, 2, budget).is_zero,
     )
 
 
@@ -238,7 +260,8 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
 
     For i >= 1 the report is kept with the Buchberger run of the
     adjoint's rows, which the resolution starts from, under i: it reads
-    nothing else.  Ext^0 needs no run of those rows and keeps nothing.
+    nothing else.  `param_test` reads and leaves Ext^2 there too.  Ext^0
+    needs no run of those rows and keeps nothing.
     """
     if i < 0:
         raise ValueError("Ext index must be nonnegative")
@@ -246,6 +269,14 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
     ad = adjoint(a)
     if i == 0:
         return _ext(ad, 0, budget)
+    return _kept_ext(ad, i, budget)
+
+
+def _kept_ext(ad: LinDiffOp, i: int, budget: int) -> ExtReport:
+    """The Ext^i report, i >= 1, kept on the run of the adjoint `ad`'s
+    rows, computed on the first read.  `ext_module` and `param_test` both
+    read it here, so Ext^2 of one adjoint is computed once, by whichever
+    asks first."""
     kept = _tracked(ad._rows, budget).reports
     rep = kept.get(i)
     if rep is None:

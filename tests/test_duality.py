@@ -1,5 +1,6 @@
 """Double-duality parametrizability test, torsion witnesses, Ext modules."""
 
+from fractions import Fraction
 import hashlib
 from itertools import combinations
 from math import comb
@@ -174,6 +175,33 @@ def test_warm_double_duality_queries_do_no_reduction(build, monkeypatch,
     # each repeat reads the report its first call kept
     assert all(query() is rep for query, rep in zip(queries, cold))
     assert work == [0, 0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: zoo.einstein_lin(zoo.minkowski(4)),
+    lambda: zoo.killing(zoo.euclidean(4)),
+], ids=["einstein-m4", "killing-e4"])
+def test_param_test_leaves_its_ext2_report_for_ext_module(build, monkeypatch,
+                                                         clear_engine_caches):
+    from dgcalc import duality, engine
+
+    op = build()
+    clear_engine_caches()
+    read = []
+    kept_ext = duality._kept_ext
+    monkeypatch.setattr(duality, "_kept_ext",
+                        lambda *args: read.append(kept_ext(*args)) or read[-1])
+    rep = param_test(op)
+    assert [r.index for r in read] == [2]
+    assert rep.ext2_zero is read[0].is_zero
+    work = _count_work(monkeypatch)
+    spairs = []
+    spair = engine._Run._spair
+    monkeypatch.setattr(engine._Run, "_spair",
+                        lambda self, *args: spairs.append(1) or spair(self, *args))
+    # the Ext^2 query reads the report the test computed
+    assert ext_module(op, 2) is read[0]
+    assert (len(spairs), *work) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("build, search", [
@@ -433,14 +461,24 @@ def test_first_obstruction_of_plane_rigid_motions_is_nonzero():
 
 
 def test_report_and_direct_ext_agree():
+    """Ext^1 is decided twice, by the module comparison of the test and by
+    `_ext`; Ext^2 once, by `_ext`.  The reference for Ext^2 is the chain
+    one step further down the adjoint/cc sequence: the parametrization's
+    rows against cc(adjoint(cc(adjoint_cc))), the image of `_ext`'s dual
+    complex under d -> -d up to row scalings."""
     for op, ext1, ext2 in [
         (zoo.div(3), True, True),
         (zoo.killing(zoo.euclidean(2)), False, True),
         (zoo.einstein_lin(zoo.minkowski(4)), False, False),
+        (zoo.weyl_killing(zoo.euclidean(3)), False, True),
+        (zoo.cosserat_equilibrium(), True, False),
+        (zoo.lame(Fraction(5, 2), Fraction(1, 3), 2), False, True),
     ]:
         rep = param_test(op)
+        add = cc(adjoint(op))
+        chain = module_equal(adjoint(add).rows(), cc(adjoint(cc(add))).rows())
         assert rep.ext1_zero is ext1 is ext_module(op, 1).is_zero
-        assert rep.ext2_zero is ext2 is ext_module(op, 2).is_zero
+        assert rep.ext2_zero is ext2 is chain is ext_module(op, 2).is_zero
 
 
 def _digest(elems):

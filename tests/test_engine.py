@@ -606,7 +606,7 @@ def test_cold_nonhomogeneous_resolution_work_is_pinned(n, monkeypatch, clear_eng
 # S-pairs, `reduce_full` calls and Buchberger runs of a cold double-duality
 # test of the trace-adjusted curvature operator, whose 35 torsion generators
 # each need an annihilator found
-PINNED_PARAM_TEST_WORK = (408, 1218, 41)
+PINNED_PARAM_TEST_WORK = (498, 1329, 41)
 
 
 def test_cold_param_test_work_is_pinned(monkeypatch, clear_engine_caches):

@@ -201,16 +201,16 @@ def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
     sites = Counter(f.f_code.co_name for f in checks)
     # the dual-complex checks of each distinct Ext query once: c11 asks
     # Ext^1 and Ext^2 of div3 again after c05, and reads the reports kept
-    assert sites == {"_relations": 520, "_ext": 26}
+    assert sites == {"_relations": 503, "_ext": 26}
     assert dots.count("_divide") == 10 and "factor_through" not in dots
     # each row set whose relations are read encodes its rows once, and
     # only such row sets encode
     runs = [f for f in encodings if f.f_code.co_name == "_relations"]
-    assert len(runs) == len({id(f) for f in runs}) == 62
+    assert len(runs) == len({id(f) for f in runs}) == 58
     assert {id(f) for f in runs} == {id(f) for f in checks if f.f_code.co_name == "_relations"}
-    assert sum(len(f.f_locals["relations"]) for f in runs) == 520
-    assert sum(harvested) == 654
-    assert engine._tracked.cache_info().misses == 111
+    assert sum(len(f.f_locals["relations"]) for f in runs) == 503
+    assert sum(harvested) == 633
+    assert engine._tracked.cache_info().misses == 103
     # every memo serves traffic in a cold report
     assert all(memo.cache_info().hits for memo in engine._MEMOS)
 
@@ -231,8 +231,8 @@ def test_cold_report_minimizes_a_fixed_number_of_times(monkeypatch, clear_engine
     monkeypatch.setattr(duality, "_minimal", counted)
     clear_engine_caches()
     assert all(r.passed for r in run_report())
-    assert Counter(callers) == {"_minimal_relations": 41, "_ext": 9, "minimize_generators": 1}
-    assert engine._tracked.cache_info().misses == 111
+    assert Counter(callers) == {"_minimal_relations": 37, "_ext": 9, "minimize_generators": 1}
+    assert engine._tracked.cache_info().misses == 103
 
 
 @pytest.mark.parametrize("rows", [
