@@ -233,12 +233,6 @@ class FreeElem:
         e._marks = 0
         return e
 
-    @staticmethod
-    def from_strs(nvars: int, texts: Sequence[str]) -> "FreeElem":
-        from .poly import parse
-
-        return FreeElem(parse(t, nvars) for t in texts)
-
     @property
     def entries(self) -> tuple[Poly, ...]:
         if self._entries is None:

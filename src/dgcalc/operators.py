@@ -494,17 +494,14 @@ def bundle_from_dict(d: dict, what: str = "bundle") -> Bundle:
         raise OpFormatError(f"bad bundle: {exc}") from exc
 
 
-def operator_to_dict(a: LinDiffOp, provenance: str | None = None) -> dict:
-    d = {
+def operator_to_dict(a: LinDiffOp) -> dict:
+    return {
         "name": a.name,
         "nvars": a.nvars,
         "source": bundle_to_dict(a.source),
         "target": bundle_to_dict(a.target),
         "matrix": a.entry_strs(),
     }
-    if provenance:
-        d["provenance"] = provenance
-    return d
 
 
 def operator_from_dict(d: dict) -> LinDiffOp:
@@ -552,8 +549,8 @@ def operator_from_dict(d: dict) -> LinDiffOp:
     return LinDiffOp._make(name, nvars, source, target, tuple(rows))
 
 
-def operator_json(a: LinDiffOp, provenance: str | None = None) -> str:
-    return json_text(operator_to_dict(a, provenance))
+def operator_json(a: LinDiffOp) -> str:
+    return json_text(operator_to_dict(a))
 
 
 def json_text(doc) -> str:
@@ -616,8 +613,8 @@ def _json_into(value, nl: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def save_operator(a: LinDiffOp, path, provenance: str | None = None) -> None:
-    Path(path).write_text(operator_json(a, provenance))
+def save_operator(a: LinDiffOp, path) -> None:
+    Path(path).write_text(operator_json(a))
 
 
 def load_operator(path) -> LinDiffOp:

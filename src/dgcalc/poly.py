@@ -2,7 +2,9 @@
 
 These polynomials play the role of constant-coefficient differential
 operators: di stands for the i-th partial derivative.  Monomials are
-exponent tuples.  A polynomial is stored exactly as integer numerators
+exponent tuples, and a polynomial is built from its terms,
+`Poly(nvars, {monomial: coefficient})`, or read from text by `parse`;
+`Poly(n)` is zero.  A polynomial is stored exactly as integer numerators
 over one positive denominator, in the canonical form that `canonical`
 gives; the engine's module elements keep the same form, so a value has one
 representation throughout.  `Fraction`s appear only at the edges: the
@@ -20,7 +22,7 @@ import math
 import re
 import sys
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -162,24 +164,8 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
-
-    @staticmethod
     def const(nvars: int, c) -> "Poly":
         return Poly(nvars, {(0,) * nvars: c})
-
-    @staticmethod
-    def var(nvars: int, i: int) -> "Poly":
-        """The symbol d_i, 1-indexed."""
-        if not 1 <= i <= nvars:
-            raise ValueError(f"variable index {i} out of range 1..{nvars}")
-        m = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return Poly._make(nvars, {m: 1})
-
-    @staticmethod
-    def term(nvars: int, m: Monomial, c) -> "Poly":
-        return Poly(nvars, {tuple(m): c})
 
     # -- basic queries -----------------------------------------------------
 
@@ -192,14 +178,6 @@ class Poly:
 
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.nums}) <= 1
-
-    def leading_term(self) -> tuple[Monomial, Fraction]:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading term")
-        from fractions import Fraction
-
-        m = max(self.nums, key=mono_key)
-        return m, Fraction(self.nums[m], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -305,22 +283,6 @@ class Poly:
         nums = {m: (-c if sum(m) & 1 else c) for m, c in self.nums.items()}
         return Poly._make(self.nvars, nums, num, self.den * den)
 
-    def partial(self, i: int) -> "Poly":
-        """Formal partial derivative with respect to d_i (1-indexed).
-
-        Used when polynomials stand for sections in coordinates rather than
-        operators; the symbol action below relies on it.
-        """
-        if not 1 <= i <= self.nvars:
-            raise ValueError(f"variable index {i} out of range 1..{self.nvars}")
-        j = i - 1
-        # m -> m - e_j is one-to-one, so no two terms land on one monomial
-        nums: dict[Monomial, int] = {}
-        for m, c in self.nums.items():
-            if m[j]:
-                nums[m[:j] + (m[j] - 1,) + m[j + 1 :]] = c * m[j]
-        return Poly._make(self.nvars, nums, 1, self.den)
-
     def evaluate(self, point: Iterable) -> Fraction:
         from fractions import Fraction
 
@@ -342,26 +304,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {serialize(self)!r})"
-
-
-def apply_as_derivative(op: Poly, section: Poly) -> Poly:
-    """Act with op, read as a constant-coefficient differential operator,
-    on a polynomial section in the same coordinates."""
-    if op.nvars != section.nvars:
-        raise ValueError("operator and section have different nvars")
-    out = Poly.zero(op.nvars)
-    for m, c in op.nums.items():
-        g = section
-        for i, e in enumerate(m):
-            for _ in range(e):
-                g = g.partial(i + 1)
-                if g.is_zero():
-                    break
-        if not g.is_zero():
-            out = out + c * g
-    from fractions import Fraction
-
-    return out * Fraction(1, op.den)
 
 
 # -- canonical text form -----------------------------------------------------
@@ -646,8 +588,3 @@ def _product(x: int, y: int, at: int) -> int:
 def parse(text: str, nvars: int) -> Poly:
     """The polynomial `text` spells in d1..d`nvars`, read by one `_Parser`."""
     return _Parser(text, nvars).parse()
-
-
-def variables(nvars: int) -> Iterator[Poly]:
-    for i in range(1, nvars + 1):
-        yield Poly.var(nvars, i)

@@ -868,7 +868,6 @@ def diagram1_table() -> dict:
 
 
 class ZooEntry(NamedTuple):
-    key: str
     needs_metric: bool = False
     needs_n: bool = False
     needs_lame: bool = False
@@ -878,40 +877,40 @@ class ZooEntry(NamedTuple):
 
 
 ZOO = {
-    "killing": ZooEntry("killing", needs_metric=True, summary="Lie derivative of the metric"),
-    "conformal_killing": ZooEntry("conformal_killing", needs_metric=True,
+    "killing": ZooEntry(needs_metric=True, summary="Lie derivative of the metric"),
+    "conformal_killing": ZooEntry(needs_metric=True,
                                   summary="trace-free Killing operator"),
-    "cauchy": ZooEntry("cauchy", needs_metric=True, summary="symmetrized gradient"),
-    "weyl_killing": ZooEntry("weyl_killing", needs_metric=True,
+    "cauchy": ZooEntry(needs_metric=True, summary="symmetrized gradient"),
+    "weyl_killing": ZooEntry(needs_metric=True,
                              summary="conformal Killing plus trace gradient"),
-    "riemann": ZooEntry("riemann", needs_metric=True, summary="linearized curvature tensor"),
-    "ricci": ZooEntry("ricci", needs_metric=True, summary="linearized Ricci tensor"),
-    "scalar": ZooEntry("scalar", needs_metric=True, summary="linearized scalar curvature"),
-    "einstein": ZooEntry("einstein", needs_metric=True, summary="linearized Einstein tensor"),
-    "c_map": ZooEntry("c_map", needs_metric=True, summary="trace flip: Ricci to Einstein"),
-    "c_map_inverse": ZooEntry("c_map_inverse", needs_metric=True,
+    "riemann": ZooEntry(needs_metric=True, summary="linearized curvature tensor"),
+    "ricci": ZooEntry(needs_metric=True, summary="linearized Ricci tensor"),
+    "scalar": ZooEntry(needs_metric=True, summary="linearized scalar curvature"),
+    "einstein": ZooEntry(needs_metric=True, summary="linearized Einstein tensor"),
+    "c_map": ZooEntry(needs_metric=True, summary="trace flip: Ricci to Einstein"),
+    "c_map_inverse": ZooEntry(needs_metric=True,
                               summary="trace flip back: Einstein to Ricci"),
-    "weyl": ZooEntry("weyl", needs_metric=True, summary="linearized Weyl tensor (n >= 4)"),
-    "dalembertian": ZooEntry("dalembertian", needs_metric=True,
+    "weyl": ZooEntry(needs_metric=True, summary="linearized Weyl tensor (n >= 4)"),
+    "dalembertian": ZooEntry(needs_metric=True,
                              summary="metric second-order trace on scalars"),
-    "box_weyl": ZooEntry("box_weyl", needs_metric=True,
+    "box_weyl": ZooEntry(needs_metric=True,
                          summary="dalembertian after the linearized Weyl tensor"),
-    "grad": ZooEntry("grad", needs_n=True, summary="gradient"),
-    "div": ZooEntry("div", needs_n=True, summary="divergence"),
-    "curl": ZooEntry("curl", fixed_n=3, summary="curl in three variables"),
-    "exterior_derivative": ZooEntry("exterior_derivative", needs_n=True, needs_r=True,
+    "grad": ZooEntry(needs_n=True, summary="gradient"),
+    "div": ZooEntry(needs_n=True, summary="divergence"),
+    "curl": ZooEntry(fixed_n=3, summary="curl in three variables"),
+    "exterior_derivative": ZooEntry(needs_n=True, needs_r=True,
                                     summary="d on r-forms"),
-    "lame": ZooEntry("lame", needs_n=True, needs_lame=True,
+    "lame": ZooEntry(needs_n=True, needs_lame=True,
                      summary="elastostatics operator"),
-    "hooke2d": ZooEntry("hooke2d", needs_lame=True, fixed_n=2,
+    "hooke2d": ZooEntry(needs_lame=True, fixed_n=2,
                         summary="plane stress-strain law"),
-    "hooke2d_inverse": ZooEntry("hooke2d_inverse", needs_lame=True, fixed_n=2,
+    "hooke2d_inverse": ZooEntry(needs_lame=True, fixed_n=2,
                                 summary="plane strain from stress"),
-    "cosserat_spencer": ZooEntry("cosserat_spencer", fixed_n=2,
+    "cosserat_spencer": ZooEntry(fixed_n=2,
                                  summary="planar Cosserat first Spencer operator"),
-    "cosserat_equilibrium": ZooEntry("cosserat_equilibrium", fixed_n=2,
+    "cosserat_equilibrium": ZooEntry(fixed_n=2,
                                      summary="planar Cosserat balance equations"),
-    "cosserat_parametrization": ZooEntry("cosserat_parametrization", fixed_n=2,
+    "cosserat_parametrization": ZooEntry(fixed_n=2,
                                          summary="potentials for Cosserat balance"),
 }
 

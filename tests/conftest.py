@@ -1,9 +1,11 @@
-"""Shared test set-up: a fixed hypothesis profile and an engine cache reset."""
+"""Shared test set-up: a fixed hypothesis profile, an engine cache reset
+and a module element read from cell texts."""
 
 import pytest
 from hypothesis import settings
 
 from dgcalc import engine
+from dgcalc.poly import parse
 
 # Derandomized with no example database, so every run draws the same
 # examples; few examples, so the property tests stay within seconds.
@@ -24,3 +26,8 @@ def clear_engine_caches():
     report's when loaded), so the next call recomputes instead of
     returning a stored result."""
     return engine.clear_caches
+
+
+def free_elem(nvars, texts):
+    """The module element whose entries `texts` spell in d1..d`nvars`."""
+    return engine.FreeElem(parse(t, nvars) for t in texts)

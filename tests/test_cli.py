@@ -560,16 +560,18 @@ def test_minparam_cuts_cauchy_e4_to_six_stress_functions(capsys, tmp_path):
     assert module_equal(cc(mp).rows(), op.rows())
 
 
-def _sweep_builds():
-    """Every `zoo.ZOO` entry at each n from 2 to 5 that it builds, on the
-    euclidean metric, or at its fixed n."""
+def _sweep_builds(ns=(2, 3, 4, 5), metrics=("euclidean",)):
+    """Every `zoo.ZOO` entry at each n of `ns` that it builds, on each of
+    `metrics` where the entry takes a metric, or at its fixed n."""
     for name, entry in zoo.ZOO.items():
-        for n in [None] if entry.fixed_n else [2, 3, 4, 5]:
-            try:
-                yield zoo.build(name, n=n)
-            except ValueError:
-                # c_map_inverse needs n >= 3 and the Weyl entries n >= 4
-                continue
+        for n in [None] if entry.fixed_n else ns:
+            for metric in metrics if entry.needs_metric else ["euclidean"]:
+                try:
+                    yield zoo.build(name, n=n, metric=metric)
+                except ValueError:
+                    # below the entry's least n: c_map_inverse needs n >= 3,
+                    # the Weyl entries n >= 4
+                    continue
 
 
 def test_minparam_answers_every_zoo_entry(capsys, tmp_path, clear_engine_caches):
@@ -594,6 +596,30 @@ def test_minparam_answers_every_zoo_entry(capsys, tmp_path, clear_engine_caches)
         assert module_equal(cc(mp).rows(), op.rows()), op.name
         answered += 1
     assert answered
+    clear_engine_caches()
+
+
+def test_paramtest_and_ext_answer_every_zoo_entry(capsys, tmp_path, clear_engine_caches):
+    """`paramtest`, `ext 1` and `ext 2` on every entry at each n up to 4
+    and each metric, from cold caches: a documented exit code, no
+    traceback, and nothing on stdout on an error."""
+    path = tmp_path / "op.json"
+    calls = 0
+    for op in _sweep_builds((1, 2, 3, 4), tuple(zoo.METRICS)):
+        save_operator(op, path)
+        for argv in (["paramtest", str(path)], ["ext", str(path), "1"],
+                     ["ext", str(path), "2"]):
+            clear_engine_caches()
+            code, out, err = run(capsys, *argv)
+            assert code in (0, 1, 2, 3, 4, 5), (op.name, argv)
+            assert "Traceback" not in err, (op.name, argv)
+            if code:
+                assert out == "" and err.startswith("error: "), (op.name, argv)
+            else:
+                assert err == "", (op.name, argv)
+                assert json.loads(out)["operator"] == op.name
+            calls += 1
+    assert calls
     clear_engine_caches()
 
 

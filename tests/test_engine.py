@@ -109,7 +109,7 @@ def brute_force_relations(rows, cap):
     basis = dense_nullspace(dense)
     found = []
     for vec in basis:
-        comps = [Poly.zero(nvars) for _ in range(k)]
+        comps = [Poly(nvars) for _ in range(k)]
         for cidx, v in enumerate(vec):
             if v:
                 i, m = entries[cidx]
@@ -170,7 +170,7 @@ def test_divide_with_cofactors_identity_and_remainder():
     elem = fe("d1^3 + 5")
     quot, rem = divide_with_cofactors(elem, gens)
     recon = FreeElem([sum(
-        (q * g.entries[0] for q, g in zip(quot.entries, gens)), Poly.zero(2)
+        (q * g.entries[0] for q, g in zip(quot.entries, gens)), Poly(2)
     ) + rem.entries[0]])
     assert recon == elem
     assert rem == reduced_groebner(gens).normal_form(elem)
@@ -310,7 +310,7 @@ def test_fraction_rank_of_random_products_is_inner_dimension(seed=20260816):
     b = [[rnd_poly() for _ in range(4)] for _ in range(2)]
     prod = [
         [
-            sum((a[i][k] * b[k][j] for k in range(2)), Poly.zero(3))
+            sum((a[i][k] * b[k][j] for k in range(2)), Poly(3))
             for j in range(4)
         ]
         for i in range(3)

@@ -143,7 +143,7 @@ def test_dot_matches_poly_arithmetic(case):
     ref, e, ref_rows, rows, nvars = case
     coeffs = _polys(ref, nvars)
     expected = [sum((c * _polys(r, nvars)[j] for c, r in zip(coeffs, ref_rows)),
-                    Poly.zero(nvars))
+                    Poly(nvars))
                 for j in range(len(ref_rows[0]))]
     out = e.dot(rows)
     _canonical(out, nvars, len(expected))
@@ -156,7 +156,7 @@ def test_the_cached_degree_is_the_degree_of_the_terms(case):
     equal to a fresh computation from its terms, before and after the
     degree is cached; zero has degree -1."""
     _, e, _, rows, nvars = case
-    zeros = [FreeElem([Poly.zero(nvars)] * 2), FreeElem._make(2, nvars, {}),
+    zeros = [FreeElem([Poly(nvars)] * 2), FreeElem._make(2, nvars, {}),
              e.dot([FreeElem._make(1, nvars, {})] * e.width)]
     made = [e, e.normalized(), e.dot(rows), *_transpose_rows(rows), *zeros]
     for x in made:

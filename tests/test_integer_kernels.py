@@ -33,8 +33,9 @@ from dgcalc.engine import (
     syzygies,
 )
 from dgcalc.operators import compose, factor_through
-from dgcalc.poly import Poly, parse
+from dgcalc.poly import Poly, mono_key, parse
 from dgcalc.report import _relations, run_report
+from conftest import free_elem
 
 COEFFS = [Fraction(p, q) for p in (-3, -2, -1, 1, 2, 3) for q in (1, 2, 3)]
 
@@ -65,7 +66,7 @@ def relations(draw):
     cap = draw(st.sampled_from((1, 3)))
     rows = [FreeElem(_poly(draw, nvars, 2) for _ in range(width)) for _ in range(k)]
     mult = [_poly(draw, nvars, cap) for _ in range(k)]
-    last = [sum((p * r.entries[j] for p, r in zip(mult, rows)), Poly.zero(nvars))
+    last = [sum((p * r.entries[j] for p, r in zip(mult, rows)), Poly(nvars))
             for j in range(width)]
     rows.append(FreeElem(last))
     scale = draw(st.sampled_from(COEFFS))
@@ -93,7 +94,7 @@ def test_one_encoding_checks_any_relation_up_to_its_degree(problem, slack):
 
 def _rows(*texts):
     """Integer rows of width 1 in d1, d2."""
-    return _int_rows([FreeElem.from_strs(2, [t]) for t in texts])[0]
+    return _int_rows([free_elem(2, [t]) for t in texts])[0]
 
 
 def test_annihilation_base_counts_row_and_relation_degree():
@@ -126,7 +127,7 @@ def test_annihilation_check_runs_apart_from_the_packing(monkeypatch):
 
 
 def test_annihilation_helper_rejects_a_relation_changed_by_one_term():
-    rows = [FreeElem.from_strs(3, t) for t in (
+    rows = [free_elem(3, t) for t in (
         ("d1", "1/2*d2^2"),
         ("d2 - 3", "d1*d3"),
         ("d1*d2", "2/3*d3 - d1"),
@@ -325,12 +326,13 @@ def test_cold_resolution_check_count(monkeypatch, clear_engine_caches):
 
 def _reference_div(num: Poly, den: Poly) -> Poly:
     """Exact division over Q by repeatedly cancelling leading terms."""
-    quot = Poly.zero(num.nvars)
+    quot = Poly(num.nvars)
+    dm = max(den.nums, key=mono_key)
     while not num.is_zero():
-        m, c = num.leading_term()
-        dm, dc = den.leading_term()
-        step = Poly.term(num.nvars, tuple(a - b for a, b in zip(m, dm)), c / dc)
-        assert min(step.leading_term()[0]) >= 0
+        m = max(num.nums, key=mono_key)
+        e = tuple(a - b for a, b in zip(m, dm))
+        assert min(e) >= 0
+        step = Poly(num.nvars, {e: Fraction(num.nums[m] * den.den, num.den * den.nums[dm])})
         quot = quot + step
         num = num - step * den
     return quot
@@ -368,7 +370,7 @@ def matrices(draw):
         a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
         p, q = _poly(draw, nvars, 1), _poly(draw, nvars, 1)
         rows.append(FreeElem(p * x + q * y for x, y in zip(a.entries, b.entries)))
-    rows += [FreeElem(Poly.zero(nvars) for _ in range(width))] * draw(st.integers(0, 2))
+    rows += [FreeElem(Poly(nvars) for _ in range(width))] * draw(st.integers(0, 2))
     return draw(st.permutations(rows))
 
 
@@ -378,7 +380,7 @@ def test_fraction_rank_matches_a_fraction_reference(rows):
 
 
 def test_fraction_rank_clears_each_row_of_its_denominators():
-    rows = [FreeElem.from_strs(2, t) for t in (
+    rows = [free_elem(2, t) for t in (
         ("1/2*d1", "1/3*d2"), ("3*d1", "2*d2"), ("1/5*d1^2", "0"))]
     assert fraction_rank(rows[:2]) == 1
     assert fraction_rank(rows) == 2
@@ -399,9 +401,9 @@ def test_rank_point_is_distinct_primes_for_any_nvars():
 def test_fraction_rank_falls_back_when_the_point_drops_rank():
     x1, x2 = _rank_point(2)
     # d1 - x1 vanishes at the point but is not zero
-    assert fraction_rank([FreeElem.from_strs(1, [f"d1 - {x1}"])]) == 1
+    assert fraction_rank([free_elem(1, [f"d1 - {x1}"])]) == 1
     # determinant x2*d1 - x1*d2: zero at the point, not identically
-    rows = [FreeElem.from_strs(2, ("d1", "d2")), FreeElem.from_strs(2, (str(x1), str(x2)))]
+    rows = [free_elem(2, ("d1", "d2")), free_elem(2, (str(x1), str(x2)))]
     assert fraction_rank(rows) == 2
 
 
@@ -412,7 +414,7 @@ def matrices_vanishing_on_one_row(draw):
     rows = list(draw(matrices()))
     i = draw(st.integers(0, len(rows) - 1))
     nvars = rows[i].nvars
-    factor = Poly.var(nvars, 1) - Poly.const(nvars, _rank_point(nvars)[0])
+    factor = Poly(nvars, {(1,) + (0,) * (nvars - 1): 1, (0,) * nvars: -_rank_point(nvars)[0]})
     rows[i] = FreeElem(p * factor for p in rows[i].entries)
     return rows
 

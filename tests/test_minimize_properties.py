@@ -7,6 +7,7 @@ only on a tie, is the (degree, text) order."""
 
 from itertools import combinations_with_replacement
 
+import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from dgcalc import engine, zoo
@@ -16,9 +17,11 @@ from dgcalc.engine import (
     minimize_generators,
     reduced_groebner,
     resolve_module,
+    syzygies,
 )
 from dgcalc.operators import cc
 from dgcalc.poly import Poly
+from conftest import free_elem
 
 NVARS = 2
 # monomials in two variables, grouped by total degree
@@ -132,7 +135,7 @@ def combined_problems(draw):
     free = draw(free_rows(nvars, width, draw(st.sampled_from((1, 2, 2, 3)))))
     gens = list(free)
     for _ in range(draw(st.sampled_from((0, 1, 2, 2)))):
-        entries = [Poly.zero(nvars)] * width
+        entries = [Poly(nvars)] * width
         for row in free:
             c = draw(polys(nvars, 2 - max(row.degree(), 0)))
             entries = [a + c * b for a, b in zip(entries, row.entries)]
@@ -145,7 +148,7 @@ def combined_problems(draw):
 
 # the relations (d1, 0, -1) and (d1 + 1, -d1, 0) drop d1 with no constant
 # coordinate: only the ideal (d1, d1 + 1) holds 1
-UNIT_IDEAL = ([FreeElem.from_strs(NVARS, [t]) for t in ("d1", "d1 + 1", "d1^2")], [])
+UNIT_IDEAL = ([free_elem(NVARS, [t]) for t in ("d1", "d1 + 1", "d1^2")], [])
 
 
 @example(UNIT_IDEAL)
@@ -153,6 +156,21 @@ UNIT_IDEAL = ([FreeElem.from_strs(NVARS, [t]) for t in ("d1", "d1 + 1", "d1^2")]
 def test_combined_rows_minimization_matches_groebner_leave_one_out(problem):
     gens, base = problem
     assert minimize_generators(gens, base=base) == _groebner_reference(gens, base)
+
+
+@pytest.mark.parametrize("name, n, raw, kept", [
+    ("killing", 4, 26, 20),
+    ("weyl_killing", 4, 29, 26),
+    ("conformal_killing", 5, 69, 35),
+], ids=["killing-e4", "weyl_killing-e4", "conformal_killing-e5"])
+def test_harvested_relations_minimize_as_groebner_leave_one_out(name, n, raw, kept):
+    """Harvests that are far from minimal: the raw relations of a zoo
+    operator's rows, many of them redundant."""
+    relations = syzygies(zoo.build(name, n=n).rows())
+    assert len(relations) == raw
+    minimal = minimize_generators(relations)
+    assert minimal == _groebner_reference(relations, [])
+    assert len(minimal) == kept
 
 
 def test_minimized_relations_are_kept_on_the_run(clear_engine_caches):
@@ -170,8 +188,8 @@ def test_minimized_relations_are_kept_on_the_run(clear_engine_caches):
     assert fresh == kept and fresh is not kept
     assert cc(op)._rows is fresh
     texts = [("d1", "d2^2 - 1"), ("d1*d2", "d2^3 - d2"), ("1", "d1")]
-    first = minimize_generators([FreeElem.from_strs(NVARS, t) for t in texts])
-    second = minimize_generators([FreeElem.from_strs(NVARS, t) for t in texts])
+    first = minimize_generators([free_elem(NVARS, t) for t in texts])
+    second = minimize_generators([free_elem(NVARS, t) for t in texts])
     assert second == first and second is not first
 
 
@@ -191,12 +209,12 @@ def element_lists(draw):
     elems = []
     for _ in range(draw(st.integers(1, 8))):
         cells = [c if draw(st.booleans()) else draw(st.sampled_from(CELLS)) for c in shared]
-        elems.append(FreeElem.from_strs(NVARS, cells))
+        elems.append(free_elem(NVARS, cells))
     return list(dict.fromkeys(elems))
 
 
 def _texts(*rows):
-    return [FreeElem.from_strs(NVARS, cells) for cells in rows]
+    return [free_elem(NVARS, cells) for cells in rows]
 
 
 @example(_texts(["d1", "d2^2"], ["d1^2", "d2^2"]))

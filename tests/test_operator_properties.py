@@ -47,6 +47,7 @@ from dgcalc.operators import (
 )
 from dgcalc.poly import Poly, serialize
 from dgcalc.report import _truncated_kernel
+from conftest import free_elem
 
 # unlike denominators, so the products in one entry need a common scale
 COEFFS = [Fraction(p, q) for p in (-3, -1, 1, 2) for q in (1, 2, 3, 5)]
@@ -78,7 +79,7 @@ def test_compose_is_the_sum_of_entry_products(ops):
     assert (got.target, got.source) == (a.target, b.source)
     for i, row in enumerate(got.matrix):
         for j, p in enumerate(row):
-            expected = Poly.zero(a.nvars)
+            expected = Poly(a.nvars)
             for k in range(a.source.dim):
                 expected = expected + a.matrix[i][k] * b.matrix[k][j]
             assert p == expected
@@ -217,7 +218,7 @@ def test_division_identity_holds_at_low_and_high_degree(case):
 def documents(draw):
     """An operator over one to three variables with drawn names, labels and
     weights, rational entries of degree at most 3 that are often zero,
-    some with long numerators and denominators, and a provenance or none."""
+    some with long numerators and denominators."""
     nvars = draw(st.integers(1, 3))
     mons = [m for m in product(range(4), repeat=nvars) if sum(m) <= 3]
     coeff = st.sampled_from(COEFFS) | st.fractions(max_denominator=10**30)
@@ -231,31 +232,28 @@ def documents(draw):
 
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     matrix = [[Poly(nvars, draw(entry)) for _ in range(cols)] for _ in range(rows)]
-    op = LinDiffOp(draw(text), nvars, bundle(cols), bundle(rows), matrix)
-    return op, draw(st.none() | text)
+    return LinDiffOp(draw(text), nvars, bundle(cols), bundle(rows), matrix)
 
 
 @given(documents())
-def test_documents_survive_save_and_load_byte_for_byte(tmp_path_factory, doc):
-    op, provenance = doc
+def test_documents_survive_save_and_load_byte_for_byte(tmp_path_factory, op):
     path = tmp_path_factory.getbasetemp() / "roundtrip.json"
-    save_operator(op, path, provenance)
+    save_operator(op, path)
     saved = path.read_bytes()
     back = load_operator(path)
     assert back == op and back.name == op.name
     for got, want in ((back.source, op.source), (back.target, op.target)):
         assert (got.name, got.components) == (want.name, want.components)
         assert [type(w) for w in got.weights] == [type(w) for w in want.weights]
-    save_operator(back, path, provenance)
+    save_operator(back, path)
     assert path.read_bytes() == saved
 
 
 
 @given(documents())
-def test_adjoint_is_the_entrywise_weighted_sign_flip(doc):
+def test_adjoint_is_the_entrywise_weighted_sign_flip(op):
     # entry (j, i) of the adjoint is entry (i, j) with d -> -d, times the
     # target weight t_i over the source weight s_j
-    op, _ = doc
     ad = adjoint(op)
     s, t = op.source.weights, op.target.weights
     for i, row in enumerate(op.matrix):
@@ -267,10 +265,9 @@ def test_adjoint_is_the_entrywise_weighted_sign_flip(doc):
 
 
 @given(documents())
-def test_documents_load_as_the_rows_of_their_cells(tmp_path_factory, doc):
-    op, provenance = doc
+def test_documents_load_as_the_rows_of_their_cells(tmp_path_factory, op):
     path = tmp_path_factory.getbasetemp() / "rows.json"
-    save_operator(op, path, provenance)
+    save_operator(op, path)
     back = load_operator(path)
     assert back.rows() == [FreeElem(r) for r in op.matrix]
     assert back.matrix == op.matrix
@@ -373,7 +370,7 @@ def public_chain(rows, max_steps):
 def public_cc_rows(d):
     """The rows of `cc(d)` from public engine calls on `d.rows()`."""
     gens = minimize_generators(syzygies(d.rows()))
-    return gens or [FreeElem(Poly.zero(d.nvars) for _ in range(d.target.dim))]
+    return gens or [FreeElem(Poly(d.nvars) for _ in range(d.target.dim))]
 
 
 @given(small_operators())
@@ -426,8 +423,8 @@ def test_a_low_budget_stops_chains_whose_memos_are_warm():
     kill = zoo.killing(zoo.euclidean(3))
     # minimized against a base one membership test at a time, since the
     # rows are not homogeneous; each test needs an S-pair above degree 1
-    gens = [FreeElem.from_strs(2, [t]) for t in ("d1^2 + 1", "d1*d2")]
-    base = [FreeElem.from_strs(2, ["d2^2 + d1"])]
+    gens = [free_elem(2, [t]) for t in ("d1^2 + 1", "d1*d2")]
+    base = [free_elem(2, ["d2^2 + d1"])]
     calls = [
         lambda: resolve_module(kill.rows()),
         lambda: cc(kill),
@@ -469,7 +466,7 @@ def homogeneous_rows(draw):
     shift = draw(st.integers(0, 1))
     cofactors = [form(shift) for _ in range(k)]
     rows.append(FreeElem(sum((r.entries[j] * c for r, c in zip(rows, cofactors)),
-                             Poly.zero(nvars)) for j in range(width)))
+                             Poly(nvars)) for j in range(width)))
     order = draw(st.permutations(range(k + 1)))
     factors = draw(st.lists(st.sampled_from(COEFFS), min_size=k + 1, max_size=k + 1))
     return rows, shift, order, factors
@@ -478,7 +475,7 @@ def homogeneous_rows(draw):
 # the rows' run harvests 2 relations and the permuted rows' run 3, one of
 # them redundant
 HARVESTS_DIFFER = (
-    [FreeElem.from_strs(3, t) for t in (
+    [free_elem(3, t) for t in (
         ("0", "3*d2^2"), ("0", "-3*d2^2 + 2*d1*d3 + 2*d2*d3"),
         ("0", "9*d2^2*d3 - 6*d1*d3^2 - 6*d2*d3^2"),
     )],

@@ -18,6 +18,7 @@ from dgcalc.engine import (
     syzygies,
 )
 from dgcalc.poly import Poly, mono_key, mono_mul, parse
+from conftest import free_elem
 
 
 def mono_divides(a, b):
@@ -154,7 +155,7 @@ def test_a_term_above_the_field_width_is_refused():
 
 
 def fe(*texts):
-    return FreeElem.from_strs(2, texts)
+    return free_elem(2, texts)
 
 
 @pytest.mark.parametrize("rows, elem", [

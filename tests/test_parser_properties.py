@@ -157,7 +157,7 @@ def test_terms_keep_the_order_of_folding_them_with_add(case):
     folded = reduce(
         lambda acc, t: acc + parse(t[1], N) if t[0] > 0 else acc - parse(t[1], N),
         terms,
-        Poly.zero(N),
+        Poly(N),
     )
     p = parse(text, N)
     assert p == folded

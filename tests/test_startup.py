@@ -215,7 +215,7 @@ def test_record_texts_are_pinned():
         "Metric(name='euclidean', tag='e', n=2, matrix=((1, 0), (0, 1)))"
     )
     assert repr(zoo.ZOO["curl"]) == (
-        "ZooEntry(key='curl', needs_metric=False, needs_n=False, needs_lame=False, "
+        "ZooEntry(needs_metric=False, needs_n=False, needs_lame=False, "
         "needs_r=False, fixed_n=3, summary='curl in three variables')"
     )
     rep = duality.param_test(zoo.einstein_lin(zoo.minkowski(4)))

@@ -315,7 +315,6 @@ def test_registry_error_cases():
 def test_registry_covers_every_entry():
     assert len(zoo.ZOO) == 23
     for name, entry in zoo.ZOO.items():
-        assert entry.key == name
         assert entry.summary
         op = zoo.build(
             name,
