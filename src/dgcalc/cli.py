@@ -5,11 +5,11 @@ stdout or, with -o, write it to a file and print the path.  Output is
 deterministic: rerunning a command on the same inputs produces identical
 bytes, with the engine caches cold or warm.
 
-Exit codes: 0 success, 2 unreadable input, 3 shape mismatch, 4 budget
-exceeded (Groebner degree, or a result number with more digits than
-Python writes), 5 factorization failed, 1 anything else, internal faults
-among them, and a closed stdout.  Every document is built in full before
-any of it is written.
+Exit codes: 0 success, 2 unreadable input or a usage error, 3 shape
+mismatch, 4 budget exceeded (Groebner degree, or a result number with more
+digits than Python writes), 5 factorization failed, 1 anything else,
+internal faults among them, and a closed stdout.  Every document is built
+in full before any of it is written.
 
 `main` is the in-process entry: it takes the arguments and returns the
 exit code.  `run` is the process entry, behind both `python -m dgcalc.cli`
@@ -20,12 +20,12 @@ unless a profiler, tracer or debugger is attached.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import errno
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .engine import BudgetExceeded, FreeElem, cell_rows, fraction_rank, resolve_module
@@ -44,6 +44,7 @@ from .operators import (
 from .poly import NumberTooLong, ParseError
 
 if TYPE_CHECKING:
+    import argparse
     from fractions import Fraction
 
 # zoo, duality and report are imported by the handlers that run them, so
@@ -288,9 +289,11 @@ def _cmd_report(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 _OPERATOR = (("operator",), {})
+_OUTPUT = (("-o", "--output"), dict(
+    default=None, help="write to this file (or into this directory) instead of stdout"))
 
 # One row per subcommand: its name, handler, help and arguments, each as
-# (flags, keyword arguments); every subcommand also takes -o/--output.
+# (flags, keyword arguments); every subcommand also takes _OUTPUT.
 _COMMANDS = (
     ("cc", _cmd_cc, "compatibility conditions of an operator", (_OPERATOR,)),
     ("adjoint", _cmd_adjoint, "formal adjoint", (_OPERATOR,)),
@@ -323,16 +326,79 @@ _COMMANDS = (
     ("report", _cmd_report, "recompute every recorded claim and compare", (
         (("--only",), dict(default=None,
                            help="run only checks whose id contains this substring")),
-        (("--json",), dict(action="store_true",
+        (("--json",), dict(action="store_true", default=False,
                            help="print the stable JSON document instead of text")),
     )),
 )
 
 
+def _plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed `argv`, read without
+    argparse; None for any other argv.
+
+    Well-formed is: a subcommand name, then as many of its positionals as
+    it requires up to as many as it has, none starting with "-", then each
+    of its options at most once, spelled exactly as in `_COMMANDS`, each
+    with one value not starting with "-" (a store_true option takes none).
+    Every value goes through its `type` and `choices`."""
+    row = next((c for c in _COMMANDS if argv and c[0] == argv[0]), None)
+    if row is None:
+        return None
+    name, func, _, arguments = row
+    args = SimpleNamespace(command=name, func=func)
+    positionals, options = [], {}
+    for flags, kwargs in (*arguments, _OUTPUT):
+        # argparse's dest: the long flag, or the positional's name
+        dest = flags[-1].lstrip("-")
+        setattr(args, dest, kwargs.get("default"))
+        if flags[0].startswith("-"):
+            options.update(dict.fromkeys(flags, (dest, kwargs)))
+        else:
+            positionals.append((dest, kwargs))
+    rest = argv[1:]
+    given = 0
+    while (given < min(len(rest), len(positionals))
+           and not rest[given].startswith("-")):
+        given += 1
+    if given < sum("nargs" not in kwargs for _, kwargs in positionals):
+        return None
+    pairs = list(zip(positionals, rest[:given]))
+    seen = set()
+    tokens = iter(rest[given:])
+    for flag in tokens:
+        dest, kwargs = options.get(flag, (None, None))
+        if dest is None or dest in seen:
+            return None
+        seen.add(dest)
+        if kwargs.get("action") == "store_true":
+            setattr(args, dest, True)
+            continue
+        # a missing value falls back as one starting with "-" does
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        pairs.append(((dest, kwargs), text))
+    for (dest, kwargs), text in pairs:
+        try:
+            value = kwargs.get("type", str)(text)
+        except ValueError:
+            # argparse's usage error, exit 2
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        setattr(args, dest, value)
+    return args
+
+
 def _parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for `argv`.  When argv[0] names a subcommand, only that
-    subcommand's parser is built, and the usage line still lists them all;
-    any other argv, such as --help or an unknown command, builds every one."""
+    """The parser for `argv`, which reads every argv that `_plain` does not:
+    --help, usage errors, and the spellings `_plain` leaves to it (--x=v,
+    abbreviations, --, options before positionals, repeats).  When argv[0]
+    names a subcommand, only that subcommand's parser is built, and the
+    usage line still lists them all; any other argv, such as --help or an
+    unknown command, builds every one."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="dgcalc",
         description="exact calculus for linear constant-coefficient "
@@ -347,20 +413,21 @@ def _parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, func, help_text, arguments in commands:
         p = sub.add_parser(name, help=help_text)
-        for flags, kwargs in arguments:
+        for flags, kwargs in (*arguments, _OUTPUT):
             p.add_argument(*flags, **kwargs)
-        p.add_argument(
-            "-o", "--output", default=None,
-            help="write to this file (or into this directory) instead of stdout",
-        )
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command `argv` (default sys.argv[1:]) and return its exit
+    code.  `_plain` reads a well-formed argv; argparse reads any other,
+    raising SystemExit 0 after --help and 2 after a usage error."""
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser(argv).parse_args(argv)
+    args = _plain(argv)
+    if args is None:
+        args = _parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except NotFactorable as exc:

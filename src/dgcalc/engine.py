@@ -1343,8 +1343,15 @@ def _primes(count: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-# enough primes for every nvars that an operator takes (`operators.MAX_NVARS`)
-_POINT_PRIMES = _primes(64)
+# _primes(64), enough for every nvars that an operator takes
+# (`operators.MAX_NVARS`), written out so that no process computes them at
+# import; a test keeps the two equal
+_POINT_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+    59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131,
+    137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
+    227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311,
+)
 
 
 def _rank_point(nvars: int) -> tuple[int, ...]:

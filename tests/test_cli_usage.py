@@ -2,7 +2,10 @@
 
 `cli_usage.json` holds stdout, stderr and the exit code of each case, as
 argparse wrote them on Python 3.11 at an 80-column terminal before the
-parser built one subcommand at a time.  The second test compares the
+parser built one subcommand at a time.  `cli.main` reads one case, the
+`zoo lame` build, without argparse, through `cli._plain`, which reads only
+well-formed command lines (test_cli_reader_properties.py checks it against
+argparse); argparse reads every other case.  The second test compares the
 one-subcommand parser with the full tree on every case that names a
 subcommand, on any Python.
 """

@@ -396,6 +396,8 @@ def test_rank_point_is_distinct_primes_for_any_nvars():
         assert len(set(point)) == nvars
         assert all(all(p % q for q in range(2, p)) for p in point)
     assert _rank_point(65)[:64] == _rank_point(64)
+    # the 64 kept primes are a literal, not computed at import
+    assert engine._POINT_PRIMES == engine._primes(64)
 
 
 def test_fraction_rank_falls_back_when_the_point_drops_rank():

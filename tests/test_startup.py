@@ -19,6 +19,8 @@ from dgcalc.operators import save_operator
 
 SRC = str(Path(dgcalc.__file__).resolve().parents[1])
 UPPER = {"dgcalc.duality", "dgcalc.zoo", "dgcalc.report"}
+# what argparse loads; a well-formed command line is read without it
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -96,21 +98,26 @@ def rational_doc(tmp_path_factory):
 @pytest.mark.parametrize("argv", [
     ["--help"],
     ["adjoint", "{doc}"],
+    ["adjoint", "{doc}", "-o", "{out}/adj.json"],
     ["compose", "{doc}", "{doc}"],
     ["cc", "{doc}"],
+    ["cc", "{doc}", "-o", "{out}/cc.json"],
     ["rank", "{doc}"],
     ["resolve", "{doc}"],
     ["factor", "{doc}", "{doc}"],
     ["zoo", "--help"],
-], ids=["help", "adjoint", "compose", "cc", "rank", "resolve", "factor", "zoo-help"])
-def test_core_commands_load_no_upper_layer(argv, rational_doc):
-    argv = [a.format(doc=rational_doc) for a in argv]
+], ids=["help", "adjoint", "adjoint-o", "compose", "cc", "cc-o", "rank", "resolve",
+        "factor", "zoo-help"])
+def test_core_commands_load_no_upper_layer(argv, rational_doc, tmp_path):
+    argv = [a.format(doc=rational_doc, out=tmp_path) for a in argv]
     if "--help" in argv:
         # argparse's own exit keeps the interpreter's exit path
         names, err = _child(RUN_CLI, *argv)
         assert "fast exit" not in err
+        assert "argparse" in names
     else:
         names = _cli_loaded(*argv)
+        assert not names & ARGPARSE
     assert not names & (UPPER | {"dataclasses", "inspect"})
     # no Fraction is made on the way, so neither module is imported
     assert not names & {"fractions", "decimal"}
@@ -126,13 +133,16 @@ def test_core_commands_load_no_upper_layer(argv, rational_doc):
 def test_upper_commands_load_no_dataclasses(argv, curl_doc):
     names = _cli_loaded(*(a.format(doc=curl_doc) for a in argv))
     assert names & UPPER
-    assert not names & {"dataclasses", "inspect"}
+    assert not names & ({"dataclasses", "inspect"} | ARGPARSE)
 
 
-def test_zoo_builds_without_duality_or_report():
-    names = _cli_loaded("zoo", "killing", "--n", "3")
-    assert "dgcalc.zoo" in names
-    assert not names & {"dgcalc.duality", "dgcalc.report", "dataclasses", "inspect"}
+def test_zoo_builds_without_duality_or_report(tmp_path):
+    for argv in (["killing", "--n", "3"],
+                 ["riemann", "--n", "3", "--metric", "minkowski", "-o", f"{tmp_path}/"]):
+        names = _cli_loaded("zoo", *argv)
+        assert "dgcalc.zoo" in names
+        assert not names & {"dgcalc.duality", "dgcalc.report", "dataclasses", "inspect"}
+        assert not names & ARGPARSE, argv
 
 
 @pytest.mark.parametrize("argv", [
