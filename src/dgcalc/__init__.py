@@ -64,16 +64,20 @@ _LAZY_NAMES = dict.fromkeys(
 
 
 def __getattr__(name: str):
+    module = _LAZY_NAMES.get(name)
+    if module is not None:
+        # read from the defining module on every lookup and never stored
+        # here, so a name rebound there, by a monkeypatch or by
+        # instrumentation, is what callers get; once that module is loaded,
+        # its import has bound it here, and no import machinery runs
+        loaded = globals().get(module)
+        if loaded is None:
+            loaded = _import_module(f"{__name__}.{module}")
+        return getattr(loaded, name)
     if name in _LAZY_MODULES:
         # the import binds the submodule here, so this runs once per module
         return _import_module(f"{__name__}.{name}")
-    module = _LAZY_NAMES.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # read from the defining module on every lookup and never stored here,
-    # so a name rebound there, by a monkeypatch or by instrumentation, is
-    # what callers get
-    return getattr(_import_module(f"{__name__}.{module}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

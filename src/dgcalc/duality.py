@@ -180,8 +180,8 @@ def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp,
     return out
 
 
-# the key of a torsion witness among the reports kept on a run: no
-# `param_test` key (a tuple) or `ext_module` key (an int) equals it
+# the key of a torsion witness among the reports kept on a run, the only
+# str key (`engine._Run` lists the shape of each)
 _WITNESS = "witness"
 
 

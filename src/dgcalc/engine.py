@@ -21,12 +21,14 @@ one step of a resolution or the rows of `operators.cc`, is kept on the
 run as well; and the run's basis as it stands divides with cofactors,
 from the tracking columns of a remainder, handing the quotient back as a
 row.  The positions of its leads also give the generic rank, when
-`fraction_rank`'s point stage does not certify full rank.  `duality`
-keeps what it finishes from a row set on the set's run: a `param_test`
-report on the run of the operator's rows, an `ext_module` report on the
-run of the adjoint's rows, and a torsion witness on the run of a residue
-stacked on a system's rows.  A run whose relations nobody reads never
-decodes or checks them.
+`fraction_rank`'s point stage does not certify full rank.  What the
+upper calls finish from a row set is kept on the set's run too, in its
+`reports`: a resolution of the rows (`resolve_module`), the operator
+`operators.cc` builds from an operator's rows, a `param_test` report on
+the run of the operator's rows, an `ext_module` report on the run of the
+adjoint's rows, and a torsion witness on the run of a residue stacked on
+a system's rows.  So a repeated query is one memo lookup and one dict
+read.  A run whose relations nobody reads never decodes or checks them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -153,10 +155,12 @@ def _memo(fn):
 
 def clear_caches() -> None:
     """Empty every memo: the engine's Buchberger runs, with the reduced
-    Groebner bases, syzygies, minimized relations, torsion witnesses and
-    `param_test` and `ext_module` reports kept on them, and the report's
-    operators when it is loaded, so the next call recomputes.  It imports
-    nothing."""
+    Groebner bases, syzygies, minimized relations, resolutions, `cc`
+    operators, torsion witnesses and `param_test` and `ext_module`
+    reports kept on them, and the report's operators when it is loaded,
+    so the next call recomputes.  What an element or an operator keeps on
+    itself, its values at `fraction_rank`'s point or its adjoint, depends
+    on no budget and no cache and stays.  It imports nothing."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -184,11 +188,14 @@ class FreeElem:
     `FreeElem(entries)` builds an element from Polys, bringing their
     numerators to the least common denominator in ints.  `entries`, the
     tuple of width Polys, is a view: the Polys handed to that constructor,
-    or else built on first use and cached.
+    or else built on first use and cached.  `_point`, the element's values
+    at `fraction_rank`'s point modulo its prime, is kept the same way, and
+    never mutated.
     """
 
     __slots__ = (
         "width", "nvars", "terms", "den", "_entries", "_deg", "_str", "_hash", "_marks",
+        "_point",
     )
 
     def __init__(self, entries: Iterable[Poly]):
@@ -213,6 +220,7 @@ class FreeElem:
         self._str: str | None = None
         self._hash: int | None = None
         self._marks = 0
+        self._point: dict[int, int] | None = None
 
     @classmethod
     def _make(
@@ -231,6 +239,7 @@ class FreeElem:
         e._str = None
         e._hash = None
         e._marks = 0
+        e._point = None
         return e
 
     @property
@@ -746,11 +755,20 @@ class _Run:
     Division with cofactors reads the basis in `red` as it is.  The other
     products are None until first read: `_basis` builds `reduced` from
     `red`; `_relations` verifies `harvest` into `relations` and releases
-    it; `_minimal_relations` keeps their minimized tuple in `minimal`;
-    and `duality` keeps in `reports` what it finished from these rows: a
-    `param_test` report under a tuple of the names and bundles it read,
-    an `ext_module` report under its index, and a torsion witness under a
-    key of its own.
+    it; and `_minimal_relations` keeps their minimized tuple in `minimal`.
+
+    `reports` keeps what the upper calls finished from these rows, each
+    under a key made of everything that call read besides the rows, in a
+    shape that no other kind of key has, so no two kinds collide:
+      ("resolve", max_steps)   a `Resolution`, max_steps >= 1 (`_resolve`)
+      ("cc", name, target name, target)
+                               the operator `operators.cc` built
+      (name, source name, target name, source, target)
+                               a `duality.param_test` report
+      i, an int >= 1           a `duality.ext_module` report of Ext^i
+      "witness"                a torsion witness (`duality._WITNESS`)
+    An error is never kept, and the run's memo is keyed on the budget, so
+    nothing kept crosses budgets.
     """
 
     __slots__ = (
@@ -1387,10 +1405,12 @@ def fraction_rank(rows: Sequence) -> int:
     modulo the prime `_RANK_PRIME`: each row's integer terms are evaluated
     there modulo the prime, so a power of any exponent costs one modular
     power, and an elimination modulo the prime counts the independent
-    rows.  Only when that count stays below full rank is the rank read
-    off the rows' Buchberger run (`_lead_rank`), the memoized run that
-    the syzygies and resolutions use; that run obeys the degree budget,
-    so it may raise BudgetExceeded, and only it reads DGCALC_BUDGET_DEGREE."""
+    rows.  A row is evaluated once: its values are kept on it
+    (`FreeElem._point`), so a repeated call only eliminates.  Only when
+    that count stays below full rank is the rank read off the rows'
+    Buchberger run (`_lead_rank`), the memoized run that the syzygies and
+    resolutions use; that run obeys the degree budget, so it may raise
+    BudgetExceeded, and only it reads DGCALC_BUDGET_DEGREE."""
     if not rows:
         return 0
     elems = _as_elems(rows)
@@ -1405,13 +1425,17 @@ def fraction_rank(rows: Sequence) -> int:
     values: dict[Monomial, int] = {}
     pivots: dict[int, dict[int, int]] = {}  # lead position -> echelon row
     for e in elems:
-        v: dict[int, int] = {}
-        for (pos, mono), c in e.terms.items():
-            x = values.get(mono)
-            if x is None:
-                x = values[mono] = math.prod(map(pow, point, mono, repeat(p))) % p
-            v[pos] = v.get(pos, 0) + c * x
-        v = {pos: r for pos, c in v.items() if (r := c % p)}
+        v = e._point
+        if v is None:
+            v = {}
+            for (pos, mono), c in e.terms.items():
+                x = values.get(mono)
+                if x is None:
+                    x = values[mono] = math.prod(map(pow, point, mono, repeat(p))) % p
+                v[pos] = v.get(pos, 0) + c * x
+            v = e._point = {pos: r for pos, c in v.items() if (r := c % p)}
+        # v, the kept values, may become a pivot; every elimination step
+        # below builds a new dict, so none is mutated
         while v:
             t = max(v)
             row = pivots.get(t)
@@ -1463,7 +1487,11 @@ class Resolution(NamedTuple):
 
 def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolution:
     """Iterate minimized syzygies until they vanish.  The generic rank of
-    the presented module equals the Euler characteristic once complete."""
+    the presented module equals the Euler characteristic once complete.
+
+    A resolution of at least one step is kept with the rows' Buchberger
+    run, under its step count, so a repeat returns that same Resolution;
+    with max_steps=0 no run is started and nothing is kept."""
     if max_steps is not None and max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
     elems = _as_elems(rows)
@@ -1476,13 +1504,21 @@ def _resolve(rows: tuple[FreeElem, ...], max_steps: int, budget: int) -> Resolut
     """The core of `resolve_module`: the rows are nonempty, of one width
     and nvars, and max_steps is nonnegative.  Each step after the first is
     the tuple of minimized relations kept on the previous step's run, which
-    `_relations` checked: nothing checks them again."""
-    steps = [rows]
-    complete = False
-    while len(steps) <= max_steps:
-        step = _minimal_relations(steps[-1], budget)
-        if not step:
-            complete = True
-            break
-        steps.append(step)
-    return Resolution(rows[0].nvars, rows[0].width, tuple(steps), complete)
+    `_relations` checked: nothing checks them again.  The finished
+    resolution is kept in the `reports` of the rows' run; an error is not
+    kept."""
+    # with no step to take, no run of the rows is started and nothing kept
+    kept = _tracked(rows, budget).reports if max_steps else {}
+    key = ("resolve", max_steps)
+    res = kept.get(key)
+    if res is None:
+        steps = [rows]
+        complete = False
+        while len(steps) <= max_steps:
+            step = _minimal_relations(steps[-1], budget)
+            if not step:
+                complete = True
+                break
+            steps.append(step)
+        res = kept[key] = Resolution(rows[0].nvars, rows[0].width, tuple(steps), complete)
+    return res

@@ -30,6 +30,7 @@ from .engine import (
     _dot,
     _minimal_relations,
     _same_module,
+    _tracked,
     _transpose_rows,
     cell_rows,
 )
@@ -369,17 +370,26 @@ def is_self_adjoint(a: LinDiffOp) -> bool:
 
 def cc(a: LinDiffOp) -> LinDiffOp:
     """Compatibility conditions: a minimal generating set for the relations
-    among the rows of `a`, packaged as an operator on a's target."""
-    gens = _minimal_relations(a._rows, _budget())
-    name = f"cc({a.name})"
-    if not gens:
-        # no relations: the zero operator on a one-dimensional dummy target
-        tgt = Bundle.simple(f"cc[{a.target.name}]", 1)
-        zero = FreeElem._make(a.target.dim, a.nvars, {})
-        return LinDiffOp._make(name, a.nvars, a.target, tgt, (zero,))
-    tgt = Bundle.simple(f"cc[{a.target.name}]", len(gens))
-    # the relations are the rows
-    return LinDiffOp._make(name, a.nvars, a.target, tgt, gens)
+    among the rows of `a`, packaged as an operator on a's target.
+
+    The operator is built on the first call and kept with the Buchberger
+    run of a's rows, which it reads its rows from, under what else it
+    reads: a's name and its target with its name, labels and weights.  A
+    later call with the same reads returns that same operator; an error
+    is not kept, and the run's memo is keyed on the budget."""
+    budget = _budget()
+    kept = _tracked(a._rows, budget).reports
+    key = ("cc", a.name, a.target.name, a.target)
+    op = kept.get(key)
+    if op is None:
+        # the relations are the rows; with none, the zero row on a
+        # one-dimensional dummy target
+        rows = _minimal_relations(a._rows, budget) or (
+            FreeElem._make(a.target.dim, a.nvars, {}),
+        )
+        tgt = Bundle.simple(f"cc[{a.target.name}]", len(rows))
+        op = kept[key] = LinDiffOp._make(f"cc({a.name})", a.nvars, a.target, tgt, rows)
+    return op
 
 
 def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:

@@ -392,6 +392,36 @@ def test_each_kept_report_answers_only_its_own_reads(clear_engine_caches):
         assert _report_texts(rep) != _report_texts(kept)
 
 
+def test_a_kept_cc_answers_only_its_own_reads(clear_engine_caches):
+    op = zoo.killing(zoo.euclidean(2))
+    clear_engine_caches()
+    kept = cc(op)
+    # an equal operator gets the kept operator, and so does one that
+    # differs only in its source bundle, which cc does not read
+    assert cc(op.with_name(op.name)) is kept
+    assert cc(LinDiffOp._make(op.name, op.nvars, Bundle("u", op.source.components),
+                              op.target, op._rows)) is kept
+    target = op.target
+    variants = [
+        op.with_name("other"),
+        LinDiffOp._make(op.name, op.nvars, op.source,
+                        Bundle("w", target.components), op._rows),
+        LinDiffOp._make(op.name, op.nvars, op.source,
+                        Bundle(target.name, zip(target.labels, [2, 3, 5])), op._rows),
+    ]
+    for other in variants:
+        # op's operator kept again, since each round ends with the memos empty
+        cc(op)
+        got = cc(other)
+        assert got is not kept
+        assert (got.name, got.source.name, got.source.components) == (
+            f"cc({other.name})", other.target.name, other.target.components)
+        assert got.target.name == f"cc[{other.target.name}]"
+        clear_engine_caches()
+        assert operator_json(got) == operator_json(cc(other))
+        assert operator_json(got) != operator_json(kept)
+
+
 def test_kept_ext_reports_follow_the_adjoint_rows(clear_engine_caches):
     op = zoo.killing(zoo.euclidean(2))
     clear_engine_caches()

@@ -21,6 +21,7 @@ from dgcalc.engine import (
     resolve_module,
     syzygies,
 )
+from dgcalc.operators import cc
 from dgcalc.poly import Poly, parse
 
 
@@ -368,6 +369,100 @@ def test_clear_caches_empties_every_module_cache():
     assert not any(memo.cache_info().currsize for memo in engine._MEMOS)
 
 
+def _warm_work(monkeypatch):
+    """[Buchberger runs, `_minimal_relations` calls], counted from here on,
+    in every module that calls `_minimal_relations`."""
+    from dgcalc import duality, engine, operators
+
+    work = [0, 0]
+    run, minimal = engine._Run.run, engine._minimal_relations
+
+    def counted_run(self):
+        work[0] += 1
+        return run(self)
+
+    def counted_minimal(*args):
+        work[1] += 1
+        return minimal(*args)
+
+    monkeypatch.setattr(engine._Run, "run", counted_run)
+    for module in (engine, operators, duality):
+        monkeypatch.setattr(module, "_minimal_relations", counted_minimal)
+    return work
+
+
+@pytest.mark.parametrize("query", [
+    lambda op: resolve_module(op.rows()),
+    lambda op: resolve_module(op.rows(), max_steps=1),
+    lambda op: cc(op),
+    lambda op: cc(zoo.div(op.nvars)),
+], ids=["resolve", "resolve-1-step", "cc", "cc-no-relations"])
+def test_a_repeated_query_returns_what_the_first_one_kept(query, monkeypatch,
+                                                         clear_engine_caches):
+    from dgcalc import engine
+
+    op = zoo.killing(zoo.euclidean(4))
+    clear_engine_caches()
+    first = query(op)
+    misses = engine._tracked.cache_info().misses
+    work = _warm_work(monkeypatch)
+    assert query(op) is first
+    assert engine._tracked.cache_info().misses == misses
+    assert work == [0, 0]
+    # the memo emptied, with its counts, what its runs kept goes with them:
+    # the next call is a miss that builds the answer again
+    clear_engine_caches()
+    again = query(op)
+    assert again is not first and again == first
+    assert engine._tracked.cache_info().misses
+    assert work[0] and work[1]
+
+
+def test_a_resolution_of_no_step_starts_no_run(clear_engine_caches):
+    from dgcalc import engine
+
+    rows = zoo.killing(zoo.euclidean(3)).rows()
+    clear_engine_caches()
+    for _ in range(2):
+        res = resolve_module(rows, max_steps=0)
+        assert res.steps == (tuple(rows),) and not res.complete
+    assert engine._tracked.cache_info().currsize == 0
+
+
+def _copies(rows):
+    """Elements equal to rows that carry nothing a call kept on them."""
+    return [FreeElem._make(r.width, r.nvars, dict(r.terms), 1, r.den) for r in rows]
+
+
+@pytest.mark.parametrize("rows, rank", [
+    (zoo.killing(zoo.euclidean(4)).rows(), 4),
+    # below full rank at the point, so read off the rows' run
+    (zoo.curl().rows(), 2),
+    ([fe("d1", "d2"), fe("d1^2", "d1*d2"), fe("0", "0")], 1),
+], ids=["killing-e4", "curl", "rank-one"])
+def test_a_repeated_rank_evaluates_no_monomial(rows, rank, monkeypatch):
+    from dgcalc import engine
+
+    rows = _copies(rows)
+    # each monomial's value at the point is a product of modular powers
+    powers = []
+    monkeypatch.setattr(engine, "pow", lambda *args: powers.append(args) or pow(*args),
+                        raising=False)
+    assert fraction_rank(rows) == rank
+    assert powers
+    powers.clear()
+    assert fraction_rank(rows) == rank
+    assert powers == []
+    # the kept values, pivots of eliminations in other orders, stay as
+    # first evaluated
+    assert fraction_rank(rows[::-1]) == fraction_rank(rows[1:] + rows[:1]) == rank
+    fresh = _copies(rows)
+    for copy, row in zip(fresh, rows):
+        fraction_rank([copy])
+        fraction_rank([row])
+    assert [r._point for r in rows] == [r._point for r in fresh]
+
+
 def test_cold_report_builds_each_fixture_once(clear_engine_caches):
     from dgcalc import report
 
@@ -405,7 +500,7 @@ def test_one_buchberger_run_serves_syzygies_division_and_basis(
     monkeypatch, clear_engine_caches
 ):
     from dgcalc import engine
-    from dgcalc.operators import cc, compose, factor_through
+    from dgcalc.operators import compose, factor_through
 
     runs = []
     run = engine._Run.run

@@ -217,6 +217,36 @@ def test_lazy_package_public_surface():
     assert proc.stdout == "ok\n"
 
 
+def test_a_lazy_name_is_what_its_module_holds_now(monkeypatch):
+    def fake(d1):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(duality, "param_test", fake)
+    assert dgcalc.param_test is fake
+    monkeypatch.undo()
+    assert dgcalc.param_test is duality.param_test
+    assert "param_test" not in vars(dgcalc)
+
+
+FIRST_LAZY_READ = """
+import sys
+
+import dgcalc
+
+assert "dgcalc.duality" not in sys.modules
+ext_module = dgcalc.ext_module
+assert ext_module is sys.modules["dgcalc.duality"].ext_module
+assert dgcalc.duality is sys.modules["dgcalc.duality"]
+print("ok")
+"""
+
+
+def test_a_first_lazy_name_read_loads_its_module():
+    proc = _python("-c", FIRST_LAZY_READ)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
 # -- the records of the upper layers -------------------------------------------------
 
 
