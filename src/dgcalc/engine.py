@@ -24,11 +24,13 @@ row.  The positions of its leads also give the generic rank, when
 `fraction_rank`'s point stage does not certify full rank.  What the
 upper calls finish from a row set is kept on the set's run too, in its
 `reports`: a resolution of the rows (`resolve_module`), the operator
-`operators.cc` builds from an operator's rows, a `param_test` report on
-the run of the operator's rows, an `ext_module` report on the run of the
-adjoint's rows, and a torsion witness on the run of a residue stacked on
-a system's rows.  So a repeated query is one memo lookup and one dict
-read.  A run whose relations nobody reads never decodes or checks them.
+`operators.cc` builds from an operator's rows, the quotient
+`operators.factor_through` finds on the run of the divisor's rows, a
+`param_test` report on the run of the operator's rows, an `ext_module`
+report on the run of the adjoint's rows, and a torsion witness on the
+run of a residue stacked on a system's rows.  So a repeated query is one
+memo lookup and one dict read.  A run whose relations nobody reads never
+decodes or checks them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -156,11 +158,12 @@ def _memo(fn):
 def clear_caches() -> None:
     """Empty every memo: the engine's Buchberger runs, with the reduced
     Groebner bases, syzygies, minimized relations, resolutions, `cc`
-    operators, torsion witnesses and `param_test` and `ext_module`
-    reports kept on them, and the report's operators when it is loaded,
-    so the next call recomputes.  What an element or an operator keeps on
-    itself, its values at `fraction_rank`'s point or its adjoint, depends
-    on no budget and no cache and stays.  It imports nothing."""
+    operators, `factor_through` quotients, torsion witnesses and
+    `param_test` and `ext_module` reports kept on them, and the report's
+    operators when it is loaded, so the next call recomputes.  What an
+    element or an operator keeps on itself, its values at
+    `fraction_rank`'s point or its adjoint, depends on no budget and no
+    cache and stays.  It imports nothing."""
     for memo in _MEMOS:
         memo.cache_clear()
 
@@ -365,14 +368,23 @@ def cell_rows(elems: Iterable[FreeElem], cell: str) -> list[list[str]]:
 
 def _dot(elem: FreeElem, rows: Sequence[FreeElem]) -> FreeElem:
     """`elem.dot(rows)` without its checks, for a caller whose shapes agree
-    by construction: `compose` builds each row of a product with it."""
+    by construction: `compose` builds each row of a product with it.  A
+    constant coefficient shifts no monomial, so its row's own
+    (position, monomial) keys are added, scaled, with no monomial sum:
+    the remainder and element columns of `_divide`'s identity check, and
+    every constant entry of a left factor in `compose`."""
     # every row over one common denominator, so the sum stays in ints
     den = math.lcm(*(r.den for r in rows))
+    one = (0,) * elem.nvars
     acc: dict[Term, int] = {}
     get = acc.get
     for (i, m), c in elem.terms.items():
         row = rows[i]
         c *= den // row.den
+        if m == one:
+            for k, v in row.terms.items():
+                acc[k] = get(k, 0) + c * v
+            continue
         for (pos, mm), v in row.terms.items():
             k = (pos, tuple(map(add, m, mm)))
             acc[k] = get(k, 0) + c * v
@@ -763,6 +775,10 @@ class _Run:
       ("resolve", max_steps)   a `Resolution`, max_steps >= 1 (`_resolve`)
       ("cc", name, target name, target)
                                the operator `operators.cc` built
+      ("factor", a's rows, a's name, b's name, a's target name, a's
+       target, b's target name, b's target)
+                               the quotient `operators.factor_through`
+                               built, kept on the run of b's rows
       (name, source name, target name, source, target)
                                a `duality.param_test` report
       i, an int >= 1           a `duality.ext_module` report of Ext^i

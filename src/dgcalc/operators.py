@@ -394,7 +394,14 @@ def cc(a: LinDiffOp) -> LinDiffOp:
 
 def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     """Find Q with a == compose(Q, b), i.e. divide each row of `a` by the
-    rows of `b`.  Raises NotFactorable when a row leaves the row module."""
+    rows of `b`.  Raises NotFactorable when a row leaves the row module.
+
+    Q is built on the first call and kept with the Buchberger run of b's
+    rows, which every division reads, under what else it reads: a's rows
+    and name, b's name, and both targets with their names, labels and
+    weights.  A later call with the same reads returns that same operator
+    without dividing; the shape checks still come first, an error is not
+    kept, and the run's memo is keyed on the budget."""
     from .engine import divide_with_cofactors
 
     if a.nvars != b.nvars:
@@ -405,6 +412,13 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
             f"{b.name} has {b.source.dim}"
         )
     brows = b._rows
+    kept = _tracked(brows, _budget()).reports
+    # a Bundle compares without its name, so the names are read apart
+    key = ("factor", a._rows, a.name, b.name, a.target.name, a.target,
+           b.target.name, b.target)
+    op = kept.get(key)
+    if op is not None:
+        return op
     # each quotient comes back as a row of width len(brows), the row of Q;
     # with the remainder zero, the division's own identity check is
     # q.dot(brows) == row, so no product is taken here
@@ -416,9 +430,10 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
         if not rem.is_zero():
             raise NotFactorable(i, rem)
         qrows.append(q)
-    return LinDiffOp._make(
+    op = kept[key] = LinDiffOp._make(
         f"factor({a.name},{b.name})", a.nvars, b.target, a.target, tuple(qrows)
     )
+    return op
 
 
 def order_profile(a: LinDiffOp) -> tuple[int, ...]:

@@ -17,6 +17,7 @@ from dgcalc.poly import Poly, mono_key, serialize
 
 COEFFS = [Fraction(p, q) for p in (-4, -3, -2, -1, 1, 2, 3, 4) for q in (1, 2, 3, 4, 6)]
 SCALES = [Fraction(p, q) for p in (-6, -1, 1, 2, 4) for q in (1, 3, 4)]
+DENS = (1, 2, 3, 5, 7)
 
 
 def _monomials(nvars, cap=2):
@@ -148,6 +149,54 @@ def test_dot_matches_poly_arithmetic(case):
     out = e.dot(rows)
     _canonical(out, nvars, len(expected))
     assert list(out.entries) == expected
+
+
+@st.composite
+def mixed_products(draw):
+    """Coefficients whose entries each hold a constant term, most with
+    higher terms too, against rows over different denominators.  Half of
+    the draws are relations: the last row is s times the first and the
+    coefficients of those two are s * p and -p, and a third row, if any,
+    is zero, so the product is zero."""
+    nvars, width = draw(shapes())
+    k = draw(st.integers(2, 3))
+    one = (0,) * nvars
+    higher = [m for m in _monomials(nvars) if any(m)]
+
+    def coefficient():
+        col = draw(st.dictionaries(st.sampled_from(higher), st.sampled_from(COEFFS),
+                                   max_size=2))
+        col[one] = draw(st.sampled_from(COEFFS))
+        return col
+
+    ref = [coefficient() for _ in range(k)]
+    ref_rows = [_scaled(_ref(draw, nvars, width), Fraction(1, draw(st.sampled_from(DENS))))
+                for _ in range(k)]
+    relation = draw(st.booleans())
+    if relation:
+        s = draw(st.sampled_from(SCALES))
+        ref_rows[-1] = _scaled(ref_rows[0], s)
+        ref[0] = _scaled([ref[-1]], -s)[0]
+        if k == 3:
+            ref_rows[1] = [{} for _ in range(width)]
+    rows = [draw(built(nvars, r)) for r in ref_rows]
+    return ref, draw(built(nvars, ref)), ref_rows, rows, nvars, relation
+
+
+@given(mixed_products())
+def test_dot_with_constant_coefficients_matches_poly_arithmetic(case):
+    """A constant coefficient adds its row's own terms, brought to the
+    rows' common denominator; its product is the Poly sum of products."""
+    ref, e, ref_rows, rows, nvars, relation = case
+    coeffs = _polys(ref, nvars)
+    expected = [sum((c * _polys(r, nvars)[j] for c, r in zip(coeffs, ref_rows)),
+                    Poly(nvars))
+                for j in range(len(ref_rows[0]))]
+    out = e.dot(rows)
+    _canonical(out, nvars, len(expected))
+    assert list(out.entries) == expected
+    if relation:
+        assert out.is_zero()
 
 
 @given(products())

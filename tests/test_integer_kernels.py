@@ -297,10 +297,12 @@ def test_a_wrong_quotient_fails_the_division_check(monkeypatch, clear_engine_cac
     """With the run built, a reducer that hands back twice the true scale
     makes every quotient and remainder half what they should be: the
     division check inside `_divide` raises, for a direct division and
-    for `factor_through`, which has no check of its own."""
+    for `factor_through`, which has no check of its own.  The run is
+    built by a basis, not a factorization, which would keep its quotient
+    and answer the second call without dividing."""
     lhs, ric = _c08()
     clear_engine_caches()
-    factor_through(lhs, ric)
+    engine.reduced_groebner(ric.rows())
     reduce_full = engine._Reducer.reduce_full
 
     def doubled(self, h, keep=None):

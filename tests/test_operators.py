@@ -227,6 +227,65 @@ def test_factor_shape_errors():
         factor_through(mk("a", 2, 2, [["d1", "d2"]]), mk("b", 2, 1, [["d1"]]))
 
 
+def test_a_kept_factorization_answers_only_its_own_reads(monkeypatch, clear_engine_caches):
+    """A repeat divides nothing and returns the kept quotient; a change to
+    any read (a's rows, either name, either target's name or weights)
+    divides afresh, and an error is raised again on repeat."""
+    divisions = []
+    divide = engine.divide_with_cofactors
+
+    def counted(elem, gens):
+        divisions.append(elem)
+        return divide(elem, gens)
+
+    # factor_through imports the public call when it runs
+    monkeypatch.setattr(engine, "divide_with_cofactors", counted)
+    b = zoo.grad(3)
+    q = mk("q", 3, 3, [["d1", "d2", "d3"], ["1", "0", "d1*d3"]])
+    a = compose(q, b)
+    clear_engine_caches()
+    kept = factor_through(a, b)
+    assert len(divisions) == 2
+    # equal reads in new operators: 0 divisions
+    assert factor_through(a, b) is kept
+    assert factor_through(compose(q, b), b.with_name(b.name)) is kept
+    assert len(divisions) == 2
+    target = a.target
+    variants = [
+        (compose(mk("q", 3, 3, [["d2", "1", "0"], ["0", "d3", "2"]]), b).with_name(a.name), b),
+        (a.with_name("other"), b),
+        (LinDiffOp._make(a.name, a.nvars, a.source, Bundle("t", target.components), a._rows), b),
+        (LinDiffOp._make(a.name, a.nvars, a.source,
+                         Bundle(target.name, zip(target.labels, [2, 3])), a._rows), b),
+        (a, b.with_name("other")),
+        (a, LinDiffOp._make(b.name, b.nvars, b.source,
+                            Bundle("w", b.target.components), b._rows)),
+        (a, LinDiffOp._make(b.name, b.nvars, b.source,
+                            Bundle(b.target.name, zip(b.target.labels, [2, 3, 5])),
+                            b._rows)),
+    ]
+    for x, y in variants:
+        # a's quotient kept again, since each round ends with the memos empty
+        mine = factor_through(a, b)
+        del divisions[:]
+        got = factor_through(x, y)
+        assert len(divisions) == 2 and got is not mine
+        assert (got.name, got.source.name, got.source.components,
+                got.target.name, got.target.components) == (
+            f"factor({x.name},{y.name})", y.target.name, y.target.components,
+            x.target.name, x.target.components)
+        clear_engine_caches()
+        assert operator_json(got) == operator_json(factor_through(x, y))
+        assert operator_json(got) != operator_json(mine)
+    bad = mk("a", 3, 1, [["d1"], ["1"]])
+    div = mk("b", 3, 1, [["d1"], ["d2"]])
+    for _ in range(2):
+        del divisions[:]
+        with pytest.raises(NotFactorable):
+            factor_through(bad, div)
+        assert len(divisions) == 2
+
+
 # -- inspection ------------------------------------------------------------------------
 
 

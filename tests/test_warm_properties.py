@@ -1,6 +1,7 @@
 """Warm answers are cold answers.  For drawn operators, every query a
-session repeats (`cc`, `resolve_module`, `fraction_rank`, `param_test` and
-`ext_module` at 1 and 2) is asked twice, on the operator and on three
+session repeats (`cc`, `resolve_module`, `fraction_rank`, `param_test`,
+`ext_module` at 1 and 2, and `factor_through` of the operator's adjoint
+after it, through it) is asked twice, on the operator and on three
 that share its rows, each with one read changed: the name, the target
 bundle's name, or its weights.  So the answers kept on one run sit side
 by side, and each must be the one a fresh call gives after
@@ -11,7 +12,15 @@ from hypothesis import given
 from dgcalc import engine
 from dgcalc.duality import ext_module, param_test
 from dgcalc.engine import FreeElem, fraction_rank, resolve_module
-from dgcalc.operators import Bundle, LinDiffOp, cc, operator_json
+from dgcalc.operators import (
+    Bundle,
+    LinDiffOp,
+    adjoint,
+    cc,
+    compose,
+    factor_through,
+    operator_json,
+)
 from test_operator_properties import outcome, report_texts, small_operators
 
 
@@ -32,6 +41,7 @@ QUERIES = [
     lambda d, rows: report_texts(param_test(d)),
     lambda d, rows: report_texts(ext_module(d, 1)),
     lambda d, rows: report_texts(ext_module(d, 2)),
+    lambda d, rows: operator_json(factor_through(compose(adjoint(d), d), d)),
 ]
 
 
