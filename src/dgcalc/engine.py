@@ -126,10 +126,27 @@ class BudgetExceeded(RuntimeError):
     """
 
 
+# `os.environ` keeps the variables in a plain dict, `_data`, under keys
+# and values it encodes itself (bytes on POSIX); `_budget` reads that dict
+_ENVIRON = os.environ._data
+_BUDGET_KEY = os.environ.encodekey(BUDGET_ENV)
+
+
 def _budget() -> int:
-    raw = os.environ.get(BUDGET_ENV, "")
+    """The degree budget: DGCALC_BUDGET_DEGREE as it is set now, or
+    DEFAULT_BUDGET when it is unset or empty.
+
+    It is read on every call, so a variable set or removed while the
+    process runs (`os.environ`, `monkeypatch.setenv`) counts from the next
+    query on, warm ones included.  A warm query reads it too, so the read
+    is one `dict.get` on the dict behind `os.environ` under the key encoded
+    once here: `os.environ.get` would go through `Mapping.get`, encode the
+    key and catch a KeyError when the variable is unset, which costs a warm
+    query as much as the memo lookup it makes.  Only a set value is decoded."""
+    raw = _ENVIRON.get(_BUDGET_KEY)
     if not raw:
         return DEFAULT_BUDGET
+    raw = os.environ.decodevalue(raw)
     try:
         value = int(raw)
     except ValueError:
@@ -1011,9 +1028,28 @@ class GroebnerBasis:
 
 
 def _as_elems(rows: Sequence) -> tuple[FreeElem, ...]:
-    """The rows as FreeElems of one width and nvars: the check every public
-    entry point runs once on its input before handing it to a core."""
-    out = tuple(r if isinstance(r, FreeElem) else FreeElem(r) for r in rows)
+    """The rows as a tuple of FreeElems of one width and nvars: the check
+    every public entry point runs once on its input before handing it to
+    a core.
+
+    A warm query hands in rows that already are FreeElems, a subclass's
+    included, of the first row's width and nvars: they pass in one loop
+    and come back as a tuple of those same objects, with nothing converted.
+    Any other input is converted row by row, each row that is not a
+    FreeElem by `FreeElem(row)`, before a shape is compared, so a row that
+    cannot be converted raises its own error ahead of an empty list or
+    rows of mixed width or nvars."""
+    out = tuple(rows)
+    if out:
+        first = out[0]
+        if isinstance(first, FreeElem):
+            w, nv = first.width, first.nvars
+            for e in out:
+                if not isinstance(e, FreeElem) or e.width != w or e.nvars != nv:
+                    break
+            else:
+                return out
+    out = tuple(r if isinstance(r, FreeElem) else FreeElem(r) for r in out)
     if not out:
         raise ValueError("empty generator list: width is undetermined")
     w, nv = out[0].width, out[0].nvars

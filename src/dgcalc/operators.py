@@ -24,6 +24,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from . import engine
 from .engine import (
     FreeElem,
     _budget,
@@ -89,9 +90,15 @@ class Bundle:
     Two bundles are equal when their component labels and weights agree;
     the name is carried along but never compared, so an operator and its
     double adjoint come out identical.
+
+    The hash, hash((labels, weights)), is computed once, when the bundle
+    is built, and kept in the `__hash__` slot as the bound `__index__` of
+    that int, a built-in method that returns it: a warm `cc`, `param_test`
+    or `factor_through` hashes the bundles in its key with no Python call.
+    So labels and weights are never assigned after a bundle is built.
     """
 
-    __slots__ = ("name", "labels", "weights")
+    __slots__ = ("name", "labels", "weights", "__hash__")
 
     def __init__(self, name: str, components: Iterable[tuple[str, int | Fraction]]):
         comps = [(str(lbl), w) for lbl, w in components]
@@ -107,6 +114,7 @@ class Bundle:
         self.name = name
         self.labels = tuple(labels)
         self.weights = tuple(weights)
+        self.__hash__ = hash((self.labels, self.weights)).__index__
 
     @staticmethod
     def simple(name: str, dim: int) -> "Bundle":
@@ -117,6 +125,7 @@ class Bundle:
         b.name = name
         b.labels = tuple(map(str, range(1, dim + 1)))
         b.weights = (1,) * dim
+        b.__hash__ = hash((b.labels, b.weights)).__index__
         return b
 
     @property
@@ -131,9 +140,6 @@ class Bundle:
         if not isinstance(other, Bundle):
             return NotImplemented
         return self.labels == other.labels and self.weights == other.weights
-
-    def __hash__(self) -> int:
-        return hash((self.labels, self.weights))
 
     def __repr__(self) -> str:
         return f"Bundle({self.name!r}, dim={self.dim})"
@@ -402,8 +408,6 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     weights.  A later call with the same reads returns that same operator
     without dividing; the shape checks still come first, an error is not
     kept, and the run's memo is keyed on the budget."""
-    from .engine import divide_with_cofactors
-
     if a.nvars != b.nvars:
         raise ShapeMismatch("factor: operators over different variable counts")
     if a.source.dim != b.source.dim:
@@ -425,8 +429,9 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     qrows = []
     for i, row in enumerate(a._rows):
         # the public call, not its core: no other path of the package
-        # divides, and perfbench's tracer times the division layer here
-        q, rem = divide_with_cofactors(row, brows)
+        # divides, and perfbench's tracer times the division layer here;
+        # read from `engine` when it runs, so a rebinding there counts
+        q, rem = engine.divide_with_cofactors(row, brows)
         if not rem.is_zero():
             raise NotFactorable(i, rem)
         qrows.append(q)

@@ -10,8 +10,10 @@ from hypothesis import given, strategies as st
 
 from dgcalc import zoo
 from dgcalc.engine import (
+    BUDGET_ENV,
     BudgetExceeded,
     FreeElem,
+    GroebnerBasis,
     divide_with_cofactors,
     fraction_rank,
     minimize_generators,
@@ -192,10 +194,150 @@ def test_mixed_nvars_is_rejected_at_every_entry_point():
     assert not module_equal([two], [three])
 
 
+class _Row(FreeElem):
+    """A FreeElem subclass: the row check takes its instances as rows."""
+
+    __slots__ = ()
+
+
+# the public calls that check their rows with `engine._as_elems`; each
+# takes a list of rows of width 2 over 2 variables
+ROW_CHECKED = {
+    "reduced_groebner": reduced_groebner,
+    "syzygies": syzygies,
+    "minimize_generators": minimize_generators,
+    "resolve_module": resolve_module,
+    "fraction_rank": fraction_rank,
+    "divide_with_cofactors": lambda rows: divide_with_cofactors(fe("d1^2", "d1*d2"), rows),
+}
+
+
+def _answer(value):
+    """A public call's answer as text, whatever its kind."""
+    if isinstance(value, tuple) and hasattr(value, "steps"):
+        return value.complete, [[str(e) for e in step] for step in value.steps]
+    if isinstance(value, (tuple, list, GroebnerBasis)):
+        return [_answer(v) for v in value]
+    return str(value)
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CHECKED))
+def test_the_row_check_of_every_public_call(name, clear_engine_caches):
+    call = ROW_CHECKED[name]
+    width = [fe("d1", "d2"), fe("d1")]
+    nvars = [fe("d1", "d2"), fe("d1", "d3", n=3)]
+    # the first mismatch decides, and width is compared before nvars
+    both = [fe("d1", "d2"), fe("d3", n=3), fe("d1", "d2", n=3)]
+    for rows, text in [(width, "generators of mixed width"),
+                       (nvars, "generators of mixed nvars"),
+                       (both, "generators of mixed width")]:
+        with pytest.raises(ValueError) as exc:
+            call(rows)
+        assert str(exc.value) == text
+    # every row is converted before a shape is compared
+    unconvertible = [fe("d1", "d2"), fe("d1"), [parse("d1", 2), parse("d3", 3)]]
+    with pytest.raises(ValueError) as exc:
+        call(unconvertible)
+    assert str(exc.value) == "mixed nvars inside one element"
+    with pytest.raises(ValueError) as exc:
+        call([fe("d1", "d2"), ()])
+    assert str(exc.value) == "free module elements need positive width"
+    if name in ("minimize_generators", "fraction_rank"):
+        # no rows: nothing to minimize, rank 0
+        assert call([]) in ([], 0)
+    else:
+        with pytest.raises(ValueError) as exc:
+            call([])
+        assert str(exc.value) == "empty generator list: width is undetermined"
+    # rows given as Poly sequences are converted with FreeElem(row), and
+    # rows of a FreeElem subclass are taken as they are
+    texts = [("d1^2", "d1*d2 - 1"), ("d1*d2", "d2^2"), ("d2", "0")]
+    elems = [fe(*t) for t in texts]
+    polys = [[parse(c, 2) for c in texts[0]], tuple(parse(c, 2) for c in texts[1]),
+             elems[2]]
+    subclass = [_Row(parse(c, 2) for c in t) for t in texts]
+    clear_engine_caches()
+    expected = _answer(call(elems))
+    for rows in (polys, subclass):
+        clear_engine_caches()
+        assert _answer(call(rows)) == expected
+
+
+def test_rows_that_pass_the_check_are_kept_as_given(clear_engine_caches):
+    rows = [_Row(parse(c, 2) for c in t) for t in [("d1", "d2"), ("d2^2", "0")]]
+    clear_engine_caches()
+    first = resolve_module(rows).steps[0]
+    assert all(e is r for e, r in zip(first, rows)) and len(first) == 2
+    converted = resolve_module([list(r.entries) for r in rows]).steps[0]
+    assert converted is first
+    clear_engine_caches()
+    converted = resolve_module([list(r.entries) for r in rows]).steps[0]
+    assert converted == first and type(converted[0]) is FreeElem
+
+
 def test_budget_stops_runaway_pairs(monkeypatch):
     monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "1")
     with pytest.raises(BudgetExceeded):
         reduced_groebner(zoo.killing(zoo.euclidean(2)).rows())
+
+
+def _warm_queries():
+    """Each warm query kind of a session on killing e4, as (call, args),
+    with the text of its answer."""
+    from dgcalc.duality import ext_module, param_test
+    from dgcalc.operators import adjoint, compose, factor_through, operator_json
+    from test_operator_properties import report_texts
+
+    op = zoo.killing(zoo.euclidean(4))
+    rows = op.rows()
+    return {
+        "resolve": (resolve_module, (rows,), _answer),
+        "cc": (cc, (op,), operator_json),
+        "param_test": (param_test, (op,), report_texts),
+        "ext1": (ext_module, (op, 1), report_texts),
+        "ext2": (ext_module, (op, 2), report_texts),
+        "rank": (fraction_rank, (rows,), str),
+        "factor": (factor_through, (compose(adjoint(op), op), op), operator_json),
+    }
+
+
+def _outcome(query):
+    """The text of a query's answer, or BudgetExceeded when it raises that."""
+    call, args, text = query
+    try:
+        return text(call(*args))
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+@pytest.mark.parametrize("kind", ["resolve", "cc", "param_test", "ext2"])
+def test_a_warm_query_reads_the_budget_on_every_call(kind, monkeypatch,
+                                                     clear_engine_caches):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    clear_engine_caches()
+    call, args, text = query = _warm_queries()[kind]
+    kept = call(*args)
+    assert call(*args) is kept
+    warm = {}
+    for value in ("1", "14"):
+        monkeypatch.setenv(BUDGET_ENV, value)
+        warm[value] = _outcome(query)
+        monkeypatch.delenv(BUDGET_ENV)
+        assert call(*args) is kept
+    for value in ("x", "-1"):
+        monkeypatch.setenv(BUDGET_ENV, value)
+        with pytest.raises(ValueError) as exc:
+            call(*args)
+        assert str(exc.value) == f"{BUDGET_ENV}={value!r} is not a nonnegative integer"
+    # a fresh process under each budget: every memo empty, new operators
+    for value in ("1", "14"):
+        monkeypatch.setenv(BUDGET_ENV, value)
+        clear_engine_caches()
+        assert _outcome(_warm_queries()[kind]) == warm[value]
+    # the adjoint of killing e4 has 4 free rows, so Ext^2 needs no S-pair
+    # even under budget 0; the other kinds need pairs above degree 1
+    assert (warm["1"] is BudgetExceeded) == (kind != "ext2")
+    assert warm["14"] == text(kept)
 
 
 # -- syzygies ------------------------------------------------------------------------
@@ -666,6 +808,57 @@ def test_cold_resolution_work_is_pinned(n, monkeypatch, clear_engine_caches):
     clear_engine_caches()
     res = resolve_module(zoo.conformal_killing(zoo.euclidean(n)).rows())
     assert (*work, sum(map(len, res.steps[1:]))) == PINNED_WORK[n]
+
+
+# the frames of dgcalc's code that one warm query of each kind enters on
+# killing e4, the query's own call included: the lookup and the boundary
+# around it, with one `FreeElem.__hash__` per row of each row set in a
+# key, and nothing outside the package (no `os.environ` read through
+# `os.py` or `_collections_abc.py`, no `Bundle.__hash__`, no import)
+PINNED_WARM_FRAMES = {
+    "resolve": 14,
+    "cc": 12,
+    "param_test": 12,
+    "ext1": 8,
+    "ext2": 8,
+    "rank": 3,
+    "factor": 18,
+}
+
+
+def test_a_warm_query_enters_only_its_lookup(monkeypatch, clear_engine_caches):
+    import os
+    import sys
+
+    import dgcalc
+
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    clear_engine_caches()
+    queries = _warm_queries()
+    for call, args, _ in queries.values():
+        call(*args)
+        call(*args)
+    package = os.path.dirname(dgcalc.__file__)
+    entered = {}
+    for kind, (call, args, _) in queries.items():
+        codes = []
+
+        def hook(frame, event, arg):
+            if event == "call":
+                codes.append(frame.f_code)
+
+        old = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            call(*args)
+        finally:
+            sys.setprofile(old)
+        # setprofile(old) itself is a C call, not a frame
+        places = [(os.path.basename(c.co_filename), c.co_name) for c in codes]
+        assert all(os.path.dirname(c.co_filename) == package for c in codes), (kind, places)
+        assert ("operators.py", "__hash__") not in places
+        entered[kind] = len(codes)
+    assert entered == PINNED_WARM_FRAMES
 
 
 # S-pairs and `reduce_full` calls of a cold resolution of the Weyl gauge

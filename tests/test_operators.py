@@ -62,6 +62,75 @@ def test_bundle_equality_ignores_name():
     assert Bundle.simple("s", 3).weights == (1, 1, 1)
 
 
+def test_a_bundle_hash_is_the_hash_of_its_labels_and_weights():
+    doc = {"name": "d", "components": [{"label": "u", "weight": 1},
+                                       {"label": "v", "weight": "1/2"}]}
+    for b in [Bundle("b", [("u", 1), ("v", Fraction(1, 2))]), Bundle.simple("s", 3),
+              operators.bundle_from_dict(doc)]:
+        assert hash(b) == hash((b.labels, b.weights))
+    assert hash(operators.bundle_from_dict(doc)) == hash(
+        Bundle("other", [("u", 1), ("v", Fraction(1, 2))]))
+
+
+def test_equal_bundles_read_one_kept_report(clear_engine_caches):
+    """A kept `cc` or `param_test` report is found again through an equal
+    bundle built apart; a bundle of another name hashes equal but reads
+    its own report, since the names are keyed apart."""
+    op = zoo.curl()
+    clear_engine_caches()
+    twin = LinDiffOp._make(op.name, op.nvars, Bundle(op.source.name, op.source.components),
+                           Bundle(op.target.name, op.target.components), op._rows)
+    renamed = LinDiffOp._make(op.name, op.nvars, op.source,
+                              Bundle("renamed", op.target.components), op._rows)
+    assert twin.target is not op.target and hash(renamed.target) == hash(op.target)
+    assert cc(twin) is cc(op)
+    # each computed report builds its own parametrization operator
+    kept = duality.param_test(op)
+    assert duality.param_test(twin) == kept._replace(operator=twin)
+    assert duality.param_test(twin).parametrization is kept.parametrization
+    assert cc(renamed) is not cc(op) and cc(renamed).source.name == "renamed"
+    assert duality.param_test(renamed).parametrization is not kept.parametrization
+
+
+def test_no_bundle_is_changed_after_it_is_built():
+    """A bundle keeps its hash from construction on, so nothing in the
+    package assigns its labels, weights or hash anywhere else."""
+    import ast
+    from pathlib import Path
+
+    src = Path(operators.__file__).parent
+    kept = {"labels", "weights", "__hash__"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                scopes[child] = node
+        for node in ast.walk(tree):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("setattr", "delattr") and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant)):
+                if node.args[1].value in kept:
+                    found.append((path.name, node.lineno, None))
+                continue
+            for target in targets:
+                if isinstance(target, ast.Attribute) and target.attr in kept:
+                    scope = node
+                    while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                        scope = scopes[scope]
+                    owner = scopes.get(scope)
+                    found.append((path.name, getattr(owner, "name", None),
+                                  getattr(scope, "name", None)))
+    assert sorted(found) == [("operators.py", "Bundle", "__init__")] * 3 + [
+        ("operators.py", "Bundle", "simple")] * 3
+
+
 # -- construction and structure ----------------------------------------------------
 
 
@@ -238,7 +307,7 @@ def test_a_kept_factorization_answers_only_its_own_reads(monkeypatch, clear_engi
         divisions.append(elem)
         return divide(elem, gens)
 
-    # factor_through imports the public call when it runs
+    # factor_through reads the public call from `engine` when it runs
     monkeypatch.setattr(engine, "divide_with_cofactors", counted)
     b = zoo.grad(3)
     q = mk("q", 3, 3, [["d1", "d2", "d3"], ["1", "0", "d1*d3"]])
