@@ -141,6 +141,11 @@ class Bundle:
             return NotImplemented
         return self.labels == other.labels and self.weights == other.weights
 
+    def __reduce__(self):
+        # rebuilt by the constructor, so a copy made in another process
+        # hashes its labels under that process's string hash seed
+        return Bundle, (self.name, self.components)
+
     def __repr__(self) -> str:
         return f"Bundle({self.name!r}, dim={self.dim})"
 

@@ -72,6 +72,16 @@ def test_a_bundle_hash_is_the_hash_of_its_labels_and_weights():
         Bundle("other", [("u", 1), ("v", Fraction(1, 2))]))
 
 
+def test_a_copied_bundle_is_rebuilt_with_a_fresh_hash():
+    import copy
+    import pickle
+
+    b = Bundle("b", [("u", 1), ("v", Fraction(1, 2))])
+    assert b.__reduce__() == (Bundle, ("b", (("u", 1), ("v", Fraction(1, 2)))))
+    for twin in (pickle.loads(pickle.dumps(b)), copy.copy(b), copy.deepcopy(b)):
+        assert twin == b and twin.name == "b" and hash(twin) == hash(b)
+
+
 def test_equal_bundles_read_one_kept_report(clear_engine_caches):
     """A kept `cc` or `param_test` report is found again through an equal
     bundle built apart; a bundle of another name hashes equal but reads
