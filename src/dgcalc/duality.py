@@ -21,10 +21,8 @@ from typing import NamedTuple
 from .engine import (
     BudgetExceeded,
     FreeElem,
-    _RowCode,
     _basis,
     _budget,
-    _int_rows,
     _minimal,
     _minimal_relations,
     _relations,
@@ -103,15 +101,17 @@ def param_test(d1: LinDiffOp) -> ParamReport:
     """
     budget = _budget()
     try:
-        kept = _tracked(d1._rows, budget).reports
+        run = _tracked(d1._rows, budget)
     except BudgetExceeded:
-        # the test then raises too, but from the first of its runs to
-        # exceed the budget, which a cold test starts before this one
-        kept = {}
-    key = (d1.name, d1.source.name, d1.target.name, d1.source, d1.target)
-    rep = kept.get(key)
-    if rep is None:
-        rep = kept[key] = _double_duality(d1, budget)
+        # the test raises too, but from the first of its runs to exceed the
+        # budget, which a cold test starts before this one; it reaches this
+        # run in its module comparison at the latest
+        _double_duality(d1, budget)
+        raise
+    rep = run.keep(
+        ("param_test", d1.name, d1.source.name, d1.target.name, d1.source, d1.target),
+        _double_duality, d1, budget,
+    )
     return rep if rep.operator is d1 else rep._replace(operator=d1)
 
 
@@ -144,6 +144,7 @@ def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
     torsion: tuple[TorsionGenerator, ...] = ()
     if not parametrizable:
         torsion = tuple(_torsion_generators(d1, d1p, budget))
+    ext2 = _tracked(ad1._rows, budget).keep(("ext", 2), _ext, ad1, 2, budget)
     return ParamReport(
         operator=d1,
         adjoint_cc=add,
@@ -152,7 +153,7 @@ def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
         parametrizable=parametrizable,
         torsion=torsion,
         ext1_zero=parametrizable,
-        ext2_zero=_kept_ext(ad1, 2, budget).is_zero,
+        ext2_zero=ext2.is_zero,
     )
 
 
@@ -180,25 +181,20 @@ def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp,
     return out
 
 
-# the key of a torsion witness among the reports kept on a run, the only
-# str key (`engine._Run` lists the shape of each)
-_WITNESS = "witness"
-
-
 def _annihilator_witness(residue: FreeElem, rows1: tuple[FreeElem, ...],
                          budget: int) -> Poly:
     """A nonzero scalar p with p * residue in the row module: a first
     coordinate of least degree among the relations of [residue; rows].
-    It is found once per run of the stacked rows and kept in the run's
-    `reports` under `_WITNESS`.  The run's memo is keyed on the budget, so
-    a witness never crosses budgets."""
+    It is found once per run of the stacked rows and kept on that run; a
+    missing one raises, and so is not kept."""
     stacked = (residue,) + rows1
-    kept = _tracked(stacked, budget).reports
-    if _WITNESS not in kept:
-        kept[_WITNESS] = _least_head(stacked)
-    ann = kept[_WITNESS]
+    return _tracked(stacked, budget).keep(("witness",), _witness, stacked)
+
+
+def _witness(stacked: tuple[FreeElem, ...]) -> Poly:
+    ann = _least_head(stacked)
     if ann is None:
-        raise TorsionWitnessError(f"no nonzero annihilator of {residue} in its relations")
+        raise TorsionWitnessError(f"no nonzero annihilator of {stacked[0]} in its relations")
     return ann
 
 
@@ -259,8 +255,8 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
     mats[i] and the coboundaries are the columns of mats[i-1].
 
     For i >= 1 the report is kept with the Buchberger run of the
-    adjoint's rows, which the resolution starts from, under i: it reads
-    nothing else.  `param_test` reads and leaves Ext^2 there too.  Ext^0
+    adjoint's rows, which the resolution starts from, under ("ext", i):
+    it reads nothing else.  `param_test` reads and leaves Ext^2 there too.  Ext^0
     needs no run of those rows and keeps nothing.
     """
     if i < 0:
@@ -269,23 +265,18 @@ def ext_module(a: LinDiffOp, i: int) -> ExtReport:
     ad = adjoint(a)
     if i == 0:
         return _ext(ad, 0, budget)
-    return _kept_ext(ad, i, budget)
-
-
-def _kept_ext(ad: LinDiffOp, i: int, budget: int) -> ExtReport:
-    """The Ext^i report, i >= 1, kept on the run of the adjoint `ad`'s
-    rows, computed on the first read.  `ext_module` and `param_test` both
-    read it here, so Ext^2 of one adjoint is computed once, by whichever
-    asks first."""
-    kept = _tracked(ad._rows, budget).reports
-    rep = kept.get(i)
-    if rep is None:
-        rep = kept[i] = _ext(ad, i, budget)
-    return rep
+    return _tracked(ad._rows, budget).keep(("ext", i), _ext, ad, i, budget)
 
 
 def _ext(ad: LinDiffOp, i: int, budget: int) -> ExtReport:
-    """The report `ext_module` keeps, computed from the adjoint `ad`."""
+    """The report `ext_module` keeps, computed from the adjoint `ad`.
+
+    Nothing here checks that the dual complex is a complex.  Each row of
+    mats[i] is a relation among the rows of mats[i-1], checked against them
+    by `_relations` when that step was built, and the transposed identity,
+    that the columns of mats[i-1] are relations among the columns of
+    mats[i], is that same product, so multiplying it out again would check
+    nothing new."""
     mats = _resolve(ad._rows, i, budget).steps
     if i >= 1 and len(mats) < i:
         # the resolution stopped below position i: nothing there
@@ -304,13 +295,6 @@ def _ext(ad: LinDiffOp, i: int, budget: int) -> ExtReport:
         # next differential is zero: every vector is a cocycle
         one = (0,) * nvars
         ker = [FreeElem._make(width_i, nvars, {(t, one): 1}) for t in range(width_i)]
-    if im and len(mats) >= i + 1:
-        # sanity: the dual complex composes to zero
-        nxt, _ = _int_rows(cols)
-        code = _RowCode(nxt, max(r.degree() for r in im))
-        for r in im:
-            if not code.annihilates(r.terms):
-                raise RuntimeError("internal error: dual complex not a complex")
     if im:
         gb_im = _basis(tuple(im), budget)
         is_zero = all(gb_im.contains(k) for k in ker)

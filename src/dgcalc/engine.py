@@ -12,25 +12,22 @@ degrevlex on monomials, position-over-term with lower position winning ties
 There is one Buchberger run per row set, and the finished run is the row
 set's memo entry: it works on the rows augmented with unit tracking
 columns, under a block order that makes every genuine term beat every
-tracking term.  It serves three products, each built on its first read
-and kept on the run: the genuine parts of its basis give the reduced
-Groebner basis (`reduced_groebner`, which also serves membership and
-module equality); the elements whose genuine block dies, kept packed
-until then, give the syzygy generators (`syzygies`), whose minimized set,
-one step of a resolution or the rows of `operators.cc`, is kept on the
-run as well; and the run's basis as it stands divides with cofactors,
-from the tracking columns of a remainder, handing the quotient back as a
-row.  The positions of its leads also give the generic rank, when
-`fraction_rank`'s point stage does not certify full rank.  What the
-upper calls finish from a row set is kept on the set's run too, in its
-`reports`: a resolution of the rows (`resolve_module`), the operator
-`operators.cc` builds from an operator's rows, the quotient
-`operators.factor_through` finds on the run of the divisor's rows, a
-`param_test` report on the run of the operator's rows, an `ext_module`
-report on the run of the adjoint's rows, and a torsion witness on the
-run of a residue stacked on a system's rows.  So a repeated query is one
-memo lookup and one dict read.  A run whose relations nobody reads never
-decodes or checks them.
+tracking term.  The genuine parts of its basis give the reduced Groebner
+basis (`reduced_groebner`, which also serves membership and module
+equality); the elements whose genuine block dies, kept packed until then,
+give the syzygy generators (`syzygies`), whose minimized set is one step
+of a resolution or the rows of `operators.cc`; and the run's basis as it
+stands divides with cofactors, from the tracking columns of a remainder,
+handing the quotient back as a row.  The positions of its leads also give
+the generic rank, when `fraction_rank`'s point stage does not certify
+full rank.
+
+Everything else read off a run, and every answer that a call above the
+engine finishes from a row set, is built on its first read and kept on
+the set's run, in one dict under one key rule (`_Run.keep`).  So a
+repeated query is one memo lookup and one dict read, an error is never
+kept, and a run whose relations nobody reads never decodes or checks
+them.
 
 Inside the run, the Groebner reducer and the graded minimizer, a term is
 one int (`_Packing`).  From high bits to low it holds the block flag, the
@@ -173,11 +170,9 @@ def _memo(fn):
 
 
 def clear_caches() -> None:
-    """Empty every memo: the engine's Buchberger runs, with the reduced
-    Groebner bases, syzygies, minimized relations, resolutions, `cc`
-    operators, `factor_through` quotients, torsion witnesses and
-    `param_test` and `ext_module` reports kept on them, and the report's
-    operators when it is loaded, so the next call recomputes.  What an
+    """Empty every memo: the engine's Buchberger runs, with everything kept
+    on them (`_Run.keep`), and the report's operators when it is loaded,
+    so the next call recomputes.  What an
     element or an operator keeps on itself, its values at
     `fraction_rank`'s point or its adjoint, depends on no budget and no
     cache and stays.  It imports nothing."""
@@ -781,33 +776,12 @@ class _Run:
     the lcm without its position field orders as (degree, degrevlex).
     `run` drops both once the queue is empty.
 
-    Division with cofactors reads the basis in `red` as it is.  The other
-    products are None until first read: `_basis` builds `reduced` from
-    `red`; `_relations` verifies `harvest` into `relations` and releases
-    it; and `_minimal_relations` keeps their minimized tuple in `minimal`.
-
-    `reports` keeps what the upper calls finished from these rows, each
-    under a key made of everything that call read besides the rows, in a
-    shape that no other kind of key has, so no two kinds collide:
-      ("resolve", max_steps)   a `Resolution`, max_steps >= 1 (`_resolve`)
-      ("cc", name, target name, target)
-                               the operator `operators.cc` built
-      ("factor", a's rows, a's name, b's name, a's target name, a's
-       target, b's target name, b's target)
-                               the quotient `operators.factor_through`
-                               built, kept on the run of b's rows
-      (name, source name, target name, source, target)
-                               a `duality.param_test` report
-      i, an int >= 1           a `duality.ext_module` report of Ext^i
-      "witness"                a torsion witness (`duality._WITNESS`)
-    An error is never kept, and the run's memo is keyed on the budget, so
-    nothing kept crosses budgets.
+    Division with cofactors reads the basis in `red` as it is.  Everything
+    else read off the run, or finished from its rows by a call above the
+    engine, is kept in one dict, `kept`, by `keep` (see its key rule).
     """
 
-    __slots__ = (
-        "reach", "budget", "red", "pairs", "alive", "harvest", "relations",
-        "minimal", "reduced", "reports",
-    )
+    __slots__ = ("reach", "budget", "red", "pairs", "alive", "harvest", "kept")
 
     def __init__(self, pack: _Packing, reach: int, budget: int):
         self.reach = reach
@@ -820,10 +794,26 @@ class _Run:
         # (a later widening re-encodes only the basis) and its top and
         # bottom total degree; decoded only when the relations are read
         self.harvest: list[tuple[dict[int, int], _Packing, int, int]] | None = []
-        self.relations: tuple[FreeElem, ...] | None = None
-        self.minimal: tuple[FreeElem, ...] | None = None
-        self.reduced: GroebnerBasis | None = None
-        self.reports: dict = {}
+        self.kept: dict[tuple, object] = {}
+
+    def keep(self, key: tuple, build, *args):
+        """The value kept under `key`, or else `build(*args)`, kept under
+        `key` and returned.  A build that raises keeps nothing, so an error
+        is never kept.
+
+        The key rule: `key` is a tuple whose first item is a str naming the
+        one function that keeps under it ("basis", "relations", "minimal",
+        "resolve", "cc", "factor", "param_test", "ext", "witness"), followed
+        by everything that function reads besides the run's rows and the
+        budget.  So keys of two kinds never collide, no module needs
+        another's key shapes, and a key stays the same when a function is
+        rebound.  The run's memo is keyed on the budget, so nothing kept
+        crosses budgets.  A build never returns None, which `keep` reads as
+        a miss."""
+        value = self.kept.get(key)
+        if value is None:
+            value = self.kept[key] = build(*args)
+        return value
 
     def process(self, h: dict[int, int]) -> None:
         """Reduce h; a nonzero remainder joins the basis, or, once its
@@ -1065,9 +1055,11 @@ def _basis(rows: tuple[FreeElem, ...], budget: int) -> GroebnerBasis:
     """The core of `reduced_groebner`: the rows are nonempty, of one width
     and nvars."""
     run = _tracked(rows, budget)
-    if run.reduced is None:
-        run.reduced = GroebnerBasis(run.red.interreduced())
-    return run.reduced
+    return run.keep(("basis",), _reduced_basis, run.red)
+
+
+def _reduced_basis(red: _Reducer) -> GroebnerBasis:
+    return GroebnerBasis(red.interreduced())
 
 
 def reduced_groebner(rows: Sequence) -> GroebnerBasis:
@@ -1100,28 +1092,33 @@ def _relations(rows: tuple[FreeElem, ...], budget: int) -> tuple[FreeElem, ...]:
     on the first request for the row set.  The core of `syzygies`: the rows
     are nonempty, of one width and nvars."""
     run = _tracked(rows, budget)
-    if run.relations is None:
-        relations = []
-        if run.harvest:
-            k, nvars = len(rows), rows[0].nvars
-            # one encoding of the rows serves every relation of the run
-            code = _RowCode(_int_rows(rows)[0], max(top for _, _, top, _ in run.harvest))
-            monos: dict[int, Monomial] = {}
-            last = None
-            for h, pack, top, bottom in run.harvest:
-                if pack is not last:
-                    monos, last = {}, pack
-                rel = pack.decode(h, monos, pack.split)
-                if not code.annihilates(rel):
-                    raise RuntimeError("internal error: harvested relation fails to annihilate")
-                # `_content_normalize` left it primitive with its largest
-                # key, which is its leading term, positive: it is normalized
-                e = FreeElem._make(k, nvars, rel)
-                e._deg = top
-                e._marks = _NORMAL | (_HOMOGENEOUS if top == bottom else _MIXED)
-                relations.append(e)
-        run.relations, run.harvest = tuple(relations), None
-    return run.relations
+    return run.keep(("relations",), _decode_relations, run, rows)
+
+
+def _decode_relations(run: _Run, rows: tuple[FreeElem, ...]) -> tuple[FreeElem, ...]:
+    """The run's harvest decoded, each relation checked against the rows;
+    the packed harvest is released."""
+    relations = []
+    if run.harvest:
+        k, nvars = len(rows), rows[0].nvars
+        # one encoding of the rows serves every relation of the run
+        code = _RowCode(_int_rows(rows)[0], max(top for _, _, top, _ in run.harvest))
+        monos: dict[int, Monomial] = {}
+        last = None
+        for h, pack, top, bottom in run.harvest:
+            if pack is not last:
+                monos, last = {}, pack
+            rel = pack.decode(h, monos, pack.split)
+            if not code.annihilates(rel):
+                raise RuntimeError("internal error: harvested relation fails to annihilate")
+            # `_content_normalize` left it primitive with its largest
+            # key, which is its leading term, positive: it is normalized
+            e = FreeElem._make(k, nvars, rel)
+            e._deg = top
+            e._marks = _NORMAL | (_HOMOGENEOUS if top == bottom else _MIXED)
+            relations.append(e)
+    run.harvest = None
+    return tuple(relations)
 
 
 def syzygies(rows: Sequence) -> list[FreeElem]:
@@ -1140,12 +1137,13 @@ def _minimal_relations(rows: tuple[FreeElem, ...], budget: int) -> tuple[FreeEle
     """`minimize_generators(syzygies(rows))` on trusted rows, built on the
     first request and kept with the rows' Buchberger run: one step of a
     resolution, and the rows of `operators.cc`."""
-    run = _tracked(rows, budget)
-    if run.minimal is None:
-        relations = _relations(rows, budget)
-        # a harvested relation is never zero
-        run.minimal = _minimal(relations, (), budget) if relations else ()
-    return run.minimal
+    return _tracked(rows, budget).keep(("minimal",), _minimize_relations, rows, budget)
+
+
+def _minimize_relations(rows: tuple[FreeElem, ...], budget: int) -> tuple[FreeElem, ...]:
+    relations = _relations(rows, budget)
+    # a harvested relation is never zero
+    return _minimal(relations, (), budget) if relations else ()
 
 
 # -- minimal generating sets ---------------------------------------------------
@@ -1554,23 +1552,26 @@ def resolve_module(rows: Sequence, *, max_steps: int | None = None) -> Resolutio
 
 def _resolve(rows: tuple[FreeElem, ...], max_steps: int, budget: int) -> Resolution:
     """The core of `resolve_module`: the rows are nonempty, of one width
-    and nvars, and max_steps is nonnegative.  Each step after the first is
-    the tuple of minimized relations kept on the previous step's run, which
-    `_relations` checked: nothing checks them again.  The finished
-    resolution is kept in the `reports` of the rows' run; an error is not
-    kept."""
-    # with no step to take, no run of the rows is started and nothing kept
-    kept = _tracked(rows, budget).reports if max_steps else {}
-    key = ("resolve", max_steps)
-    res = kept.get(key)
-    if res is None:
-        steps = [rows]
-        complete = False
-        while len(steps) <= max_steps:
-            step = _minimal_relations(steps[-1], budget)
-            if not step:
-                complete = True
-                break
-            steps.append(step)
-        res = kept[key] = Resolution(rows[0].nvars, rows[0].width, tuple(steps), complete)
-    return res
+    and nvars, and max_steps is nonnegative.  A resolution of at least one
+    step is kept on the rows' run; with no step to take, no run of the
+    rows is started and nothing is kept."""
+    if not max_steps:
+        return _resolution(rows, 0, budget)
+    return _tracked(rows, budget).keep(
+        ("resolve", max_steps), _resolution, rows, max_steps, budget
+    )
+
+
+def _resolution(rows: tuple[FreeElem, ...], max_steps: int, budget: int) -> Resolution:
+    """Each step after the first is the tuple of minimized relations kept
+    on the previous step's run, which `_relations` checked: nothing checks
+    them again."""
+    steps = [rows]
+    complete = False
+    while len(steps) <= max_steps:
+        step = _minimal_relations(steps[-1], budget)
+        if not step:
+            complete = True
+            break
+        steps.append(step)
+    return Resolution(rows[0].nvars, rows[0].width, tuple(steps), complete)

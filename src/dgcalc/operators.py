@@ -389,18 +389,19 @@ def cc(a: LinDiffOp) -> LinDiffOp:
     later call with the same reads returns that same operator; an error
     is not kept, and the run's memo is keyed on the budget."""
     budget = _budget()
-    kept = _tracked(a._rows, budget).reports
-    key = ("cc", a.name, a.target.name, a.target)
-    op = kept.get(key)
-    if op is None:
-        # the relations are the rows; with none, the zero row on a
-        # one-dimensional dummy target
-        rows = _minimal_relations(a._rows, budget) or (
-            FreeElem._make(a.target.dim, a.nvars, {}),
-        )
-        tgt = Bundle.simple(f"cc[{a.target.name}]", len(rows))
-        op = kept[key] = LinDiffOp._make(f"cc({a.name})", a.nvars, a.target, tgt, rows)
-    return op
+    return _tracked(a._rows, budget).keep(
+        ("cc", a.name, a.target.name, a.target), _cc, a, budget
+    )
+
+
+def _cc(a: LinDiffOp, budget: int) -> LinDiffOp:
+    # the relations are the rows; with none, the zero row on a
+    # one-dimensional dummy target
+    rows = _minimal_relations(a._rows, budget) or (
+        FreeElem._make(a.target.dim, a.nvars, {}),
+    )
+    tgt = Bundle.simple(f"cc[{a.target.name}]", len(rows))
+    return LinDiffOp._make(f"cc({a.name})", a.nvars, a.target, tgt, rows)
 
 
 def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
@@ -420,17 +421,19 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
             f"factor: {a.name} has source dim {a.source.dim}, "
             f"{b.name} has {b.source.dim}"
         )
-    brows = b._rows
-    kept = _tracked(brows, _budget()).reports
     # a Bundle compares without its name, so the names are read apart
-    key = ("factor", a._rows, a.name, b.name, a.target.name, a.target,
-           b.target.name, b.target)
-    op = kept.get(key)
-    if op is not None:
-        return op
+    return _tracked(b._rows, _budget()).keep(
+        ("factor", a._rows, a.name, b.name, a.target.name, a.target,
+         b.target.name, b.target),
+        _factor, a, b,
+    )
+
+
+def _factor(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
     # each quotient comes back as a row of width len(brows), the row of Q;
     # with the remainder zero, the division's own identity check is
     # q.dot(brows) == row, so no product is taken here
+    brows = b._rows
     qrows = []
     for i, row in enumerate(a._rows):
         # the public call, not its core: no other path of the package
@@ -440,10 +443,9 @@ def factor_through(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
         if not rem.is_zero():
             raise NotFactorable(i, rem)
         qrows.append(q)
-    op = kept[key] = LinDiffOp._make(
+    return LinDiffOp._make(
         f"factor({a.name},{b.name})", a.nvars, b.target, a.target, tuple(qrows)
     )
-    return op
 
 
 def order_profile(a: LinDiffOp) -> tuple[int, ...]:

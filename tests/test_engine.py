@@ -811,18 +811,19 @@ def test_cold_resolution_work_is_pinned(n, monkeypatch, clear_engine_caches):
 
 
 # the frames of dgcalc's code that one warm query of each kind enters on
-# killing e4, the query's own call included: the lookup and the boundary
-# around it, with one `FreeElem.__hash__` per row of each row set in a
+# killing e4, the query's own call included: the lookup, one `_Run.keep`
+# where the answer is kept on a run, and the boundary around it, with one
+# `FreeElem.__hash__` per row of each row set in a
 # key, and nothing outside the package (no `os.environ` read through
 # `os.py` or `_collections_abc.py`, no `Bundle.__hash__`, no import)
 PINNED_WARM_FRAMES = {
-    "resolve": 14,
-    "cc": 12,
-    "param_test": 12,
+    "resolve": 15,
+    "cc": 13,
+    "param_test": 13,
     "ext1": 8,
     "ext2": 8,
     "rank": 3,
-    "factor": 18,
+    "factor": 19,
 }
 
 
@@ -859,6 +860,38 @@ def test_a_warm_query_enters_only_its_lookup(monkeypatch, clear_engine_caches):
         assert ("operators.py", "__hash__") not in places
         entered[kind] = len(codes)
     assert entered == PINNED_WARM_FRAMES
+
+
+# the names of the functions that keep a value on a run, each the first
+# item of every key it keeps under (`engine._Run.keep`)
+KEPT_KINDS = {"basis", "relations", "minimal", "resolve", "cc", "factor", "param_test",
+              "ext", "witness"}
+
+
+def test_every_kept_key_is_tagged_with_its_kind(monkeypatch, clear_engine_caches):
+    from dgcalc import engine
+    from dgcalc.report import run_report
+
+    runs = []
+    run = engine._Run.run
+
+    def recorded_run(self):
+        run(self)
+        runs.append(self)
+
+    monkeypatch.setattr(engine._Run, "run", recorded_run)
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    clear_engine_caches()
+    assert all(r.passed for r in run_report())
+    for call, args, _ in _warm_queries().values():
+        call(*args)
+        call(*args)
+    keys = [key for r in runs for key in r.kept]
+    assert all(type(key) is tuple and key[0] in KEPT_KINDS for key in keys), [
+        key for key in keys if type(key) is not tuple or key[0] not in KEPT_KINDS
+    ]
+    # a cold report and the warm queries keep every kind
+    assert {key[0] for key in keys} == KEPT_KINDS
 
 
 # S-pairs and `reduce_full` calls of a cold resolution of the Weyl gauge

@@ -183,7 +183,8 @@ def _count_dots(monkeypatch):
 
 def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
     """Each relation handed out is checked once, by the first request for
-    the relations of its row set (`_relations`, the core of `syzygies`);
+    the relations of its row set (`_decode_relations`, which `_relations`,
+    the core of `syzygies`, keeps on the run);
     the relations of runs that serve only bases, membership and division
     are never decoded or checked.  Each of c08's 10 divisions multiplies
     its identity out once, with `FreeElem.dot`, and encodes nothing."""
@@ -200,15 +201,17 @@ def test_cold_report_checks_every_relation(monkeypatch, clear_engine_caches):
     clear_engine_caches()
     assert all(r.passed for r in run_report())
     sites = Counter(f.f_code.co_name for f in checks)
-    # the dual-complex checks of each distinct Ext query once: c11 asks
-    # Ext^1 and Ext^2 of div3 again after c05, and reads the reports kept
-    assert sites == {"_relations": 503, "_ext": 26}
+    # `_ext` checks nothing: each row of a resolution step was checked as
+    # a relation of the step before it
+    assert sites == {"_decode_relations": 503}
     assert dots.count("_divide") == 10 and "factor_through" not in dots
     # each row set whose relations are read encodes its rows once, and
     # only such row sets encode
-    runs = [f for f in encodings if f.f_code.co_name == "_relations"]
+    runs = [f for f in encodings if f.f_code.co_name == "_decode_relations"]
     assert len(runs) == len({id(f) for f in runs}) == 58
-    assert {id(f) for f in runs} == {id(f) for f in checks if f.f_code.co_name == "_relations"}
+    assert {id(f) for f in runs} == {
+        id(f) for f in checks if f.f_code.co_name == "_decode_relations"
+    }
     assert sum(len(f.f_locals["relations"]) for f in runs) == 503
     assert sum(harvested) == 633
     assert engine._tracked.cache_info().misses == 103
@@ -232,7 +235,7 @@ def test_cold_report_minimizes_a_fixed_number_of_times(monkeypatch, clear_engine
     monkeypatch.setattr(duality, "_minimal", counted)
     clear_engine_caches()
     assert all(r.passed for r in run_report())
-    assert Counter(callers) == {"_minimal_relations": 37, "_ext": 9, "minimize_generators": 1}
+    assert Counter(callers) == {"_minimize_relations": 37, "_ext": 9, "minimize_generators": 1}
     assert engine._tracked.cache_info().misses == 103
 
 
@@ -256,12 +259,12 @@ def test_relations_are_built_on_first_request(rows, monkeypatch, clear_engine_ca
     assert encodings == [] and checks == []
     assert dots == ["_divide"]
     run = engine._tracked(tuple(rows), engine._budget())
-    assert run.relations is None and run.harvest
+    assert ("relations",) not in run.kept and run.harvest
     harvested = len(run.harvest)
     relations = syzygies(rows)
     assert len(relations) == harvested
-    assert [f.f_code.co_name for f in encodings] == ["_relations"]
-    assert [f.f_code.co_name for f in checks] == ["_relations"] * harvested
+    assert [f.f_code.co_name for f in encodings] == ["_decode_relations"]
+    assert [f.f_code.co_name for f in checks] == ["_decode_relations"] * harvested
     # built once: the packed harvest is released, and a repeat call checks none
     assert run.harvest is None
     assert syzygies(rows) == relations

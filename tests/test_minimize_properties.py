@@ -180,7 +180,7 @@ def test_minimized_relations_are_kept_on_the_run(clear_engine_caches):
     op = zoo.killing(zoo.euclidean(3))
     clear_engine_caches()
     kept = cc(op)._rows
-    assert engine._tracked(op._rows, engine._budget()).minimal is kept
+    assert engine._tracked(op._rows, engine._budget()).kept[("minimal",)] is kept
     assert cc(op)._rows is kept
     assert resolve_module(op.rows()).steps[1] is kept
     clear_engine_caches()

@@ -1,7 +1,9 @@
 """Warm answers are cold answers.  For drawn operators, every query a
 session repeats (`cc`, `resolve_module`, `fraction_rank`, `param_test`,
-`ext_module` at 1 and 2, and `factor_through` of the operator's adjoint
-after it, through it) is asked twice, on the operator and on three
+`minimal_parametrization`, `ext_module` at 1 and 2, and `factor_through`
+of the operator's adjoint after it, through it), and the two that keep
+nothing (`resolve_module` with max_steps=0 and `ext_module` at 0), is
+asked twice, on the operator and on three
 that share its rows, each with one read changed: the name, the target
 bundle's name, or its weights.  So the answers kept on one run sit side
 by side, and each must be the one a fresh call gives after
@@ -10,7 +12,7 @@ by side, and each must be the one a fresh call gives after
 from hypothesis import given
 
 from dgcalc import engine
-from dgcalc.duality import ext_module, param_test
+from dgcalc.duality import ext_module, minimal_parametrization, param_test
 from dgcalc.engine import FreeElem, fraction_rank, resolve_module
 from dgcalc.operators import (
     Bundle,
@@ -33,12 +35,24 @@ def resolution_text(res):
     return res.complete, [[str(e) for e in step] for step in res.steps]
 
 
+def minparam_text(d):
+    """The minimal parametrization's document, or the text of the
+    ValueError that says there is none."""
+    try:
+        return operator_json(minimal_parametrization(d))
+    except ValueError as exc:
+        return str(exc)
+
+
 QUERIES = [
     lambda d, rows: operator_json(cc(d)),
     lambda d, rows: resolution_text(resolve_module(rows)),
     lambda d, rows: resolution_text(resolve_module(rows, max_steps=1)),
+    lambda d, rows: resolution_text(resolve_module(rows, max_steps=0)),
     lambda d, rows: fraction_rank(rows),
     lambda d, rows: report_texts(param_test(d)),
+    lambda d, rows: minparam_text(d),
+    lambda d, rows: report_texts(ext_module(d, 0)),
     lambda d, rows: report_texts(ext_module(d, 1)),
     lambda d, rows: report_texts(ext_module(d, 2)),
     lambda d, rows: operator_json(factor_through(compose(adjoint(d), d), d)),
