@@ -8,7 +8,8 @@ system module is torsion free); the failing rows generate the torsion
 submodule and each one carries a scalar annihilator as a witness.  The
 comparison decides Ext^1 of the adjoint's module; the next obstruction,
 Ext^2, is `ext_module`'s verdict, read from the report kept on the run of
-the adjoint's rows, so Ext^2 is computed in one place, `_ext`.
+the adjoint's rows, so Ext^2 is computed in one place, `_ext`.  The
+test's own report is kept on that run too, the first one it starts.
 
 Everything reduces to Groebner computations from the engine and is exact
 and deterministic.
@@ -19,7 +20,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .engine import (
-    BudgetExceeded,
     FreeElem,
     _basis,
     _budget,
@@ -92,31 +92,25 @@ def param_test(d1: LinDiffOp) -> ParamReport:
     verdict, read from (or left for it in) the report kept on the run of
     the adjoint's rows, so a later `ext_module(d1, 2)` is warm.
 
-    The finished report is kept with the Buchberger run of d1's rows,
-    which every test starts, under what else it reads: d1's name and its
-    bundles with their names, labels and weights.  A later call with the
-    same reads that report back, as the report of the caller's operator.
-    An error is not kept, so a repeat raises it again; the run's memo is
-    keyed on the budget, so no report crosses budgets.
+    The finished report is kept on that same run, the first one a cold
+    test starts (in `cc` of the adjoint), under what else it reads: d1's
+    name and its bundles with their names, labels and weights.  The
+    adjoint's rows and d1's weights give back d1's rows.  A later call
+    with the same reads that report back, as the report of the caller's
+    operator.  An error is not kept, so a repeat raises it again; the
+    run's memo is keyed on the budget, so no report crosses budgets.
     """
     budget = _budget()
-    try:
-        run = _tracked(d1._rows, budget)
-    except BudgetExceeded:
-        # the test raises too, but from the first of its runs to exceed the
-        # budget, which a cold test starts before this one; it reaches this
-        # run in its module comparison at the latest
-        _double_duality(d1, budget)
-        raise
-    rep = run.keep(
+    ad1 = adjoint(d1)
+    rep = _tracked(ad1._rows, budget).keep(
         ("param_test", d1.name, d1.source.name, d1.target.name, d1.source, d1.target),
-        _double_duality, d1, budget,
+        _double_duality, d1, ad1, budget,
     )
     return rep if rep.operator is d1 else rep._replace(operator=d1)
 
 
-def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
-    """The report `param_test` keeps, computed.
+def _double_duality(d1: LinDiffOp, ad1: LinDiffOp, budget: int) -> ParamReport:
+    """The report `param_test` keeps, computed from d1 and its adjoint ad1.
 
     Ext^2 is read from `_ext`'s dual complex.  One more step down the
     adjoint/cc chain, comparing the rows of `adjoint(add)` with those of
@@ -135,7 +129,6 @@ def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
     the same zero map: the adjoint's rows have no relations (both say
     Ext^2 vanishes), or mats[1] has none (every vector is a cocycle).
     """
-    ad1 = adjoint(d1)
     add = cc(ad1)
     dpar = adjoint(add).with_name(f"param({d1.name})")
     d1p = cc(dpar).with_name(f"cc(param({d1.name}))")
@@ -143,7 +136,7 @@ def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
     parametrizable = _same_module(d1._rows, d1p._rows, budget)
     torsion: tuple[TorsionGenerator, ...] = ()
     if not parametrizable:
-        torsion = tuple(_torsion_generators(d1, d1p, budget))
+        torsion = tuple(_torsion_generators(d1, d1p))
     ext2 = _tracked(ad1._rows, budget).keep(("ext", 2), _ext, ad1, 2, budget)
     return ParamReport(
         operator=d1,
@@ -157,8 +150,7 @@ def _double_duality(d1: LinDiffOp, budget: int) -> ParamReport:
     )
 
 
-def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp,
-                        budget: int) -> list[TorsionGenerator]:
+def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp) -> list[TorsionGenerator]:
     """Rows of the recomputed conditions that are genuinely new, minimized
     as generators of the quotient by the given rows, so the count does not
     depend on representative choices.
@@ -166,35 +158,26 @@ def _torsion_generators(d1: LinDiffOp, d1p: LinDiffOp,
     Unlike the rest of `param_test`, this goes through the engine's public
     entry points, not their cores: perfbench's tracer self-test looks for
     Groebner, membership, minimization and syzygy calls under a
-    `param_test` call, and these are the ones it finds.  The syzygy call
-    comes only on the first search for a residue's witness: the witness is
-    then kept with the Buchberger run of the residue stacked on the rows,
-    and later searches read it there."""
+    `param_test` call, and these are the ones it finds.  Each cold search
+    for a residue's witness calls `syzygies` on the residue stacked on the
+    rows; the witness itself is kept only inside the kept report."""
     rows1 = d1.rows()
     gb1 = reduced_groebner(rows1)
     residues = [r for r in d1p.rows() if not gb1.contains(r)]
     alive = minimize_generators(residues, base=rows1)
     out = []
     for r in alive:
-        ann = _annihilator_witness(r, d1._rows, budget)
+        ann = _annihilator_witness(r, d1._rows)
         out.append(TorsionGenerator(row=r, order=r.degree(), annihilator=ann))
     return out
 
 
-def _annihilator_witness(residue: FreeElem, rows1: tuple[FreeElem, ...],
-                         budget: int) -> Poly:
+def _annihilator_witness(residue: FreeElem, rows1: tuple[FreeElem, ...]) -> Poly:
     """A nonzero scalar p with p * residue in the row module: a first
-    coordinate of least degree among the relations of [residue; rows].
-    It is found once per run of the stacked rows and kept on that run; a
-    missing one raises, and so is not kept."""
-    stacked = (residue,) + rows1
-    return _tracked(stacked, budget).keep(("witness",), _witness, stacked)
-
-
-def _witness(stacked: tuple[FreeElem, ...]) -> Poly:
-    ann = _least_head(stacked)
+    coordinate of least degree among the relations of [residue; rows]."""
+    ann = _least_head((residue,) + rows1)
     if ann is None:
-        raise TorsionWitnessError(f"no nonzero annihilator of {stacked[0]} in its relations")
+        raise TorsionWitnessError(f"no nonzero annihilator of {residue} in its relations")
     return ann
 
 

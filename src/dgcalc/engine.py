@@ -209,8 +209,7 @@ class FreeElem:
     """
 
     __slots__ = (
-        "width", "nvars", "terms", "den", "_entries", "_deg", "_str", "_hash", "_marks",
-        "_point",
+        "width", "nvars", "terms", "den", "_entries", "_deg", "_hash", "_marks", "_point",
     )
 
     def __init__(self, entries: Iterable[Poly]):
@@ -232,7 +231,6 @@ class FreeElem:
         self.den = den
         self._entries: tuple[Poly, ...] | None = entries
         self._deg: int | None = None
-        self._str: str | None = None
         self._hash: int | None = None
         self._marks = 0
         self._point: dict[int, int] | None = None
@@ -251,7 +249,6 @@ class FreeElem:
         e.terms, e.den = canonical(terms, num, den)
         e._entries = None
         e._deg = None
-        e._str = None
         e._hash = None
         e._marks = 0
         e._point = None
@@ -354,10 +351,8 @@ class FreeElem:
 
     def __str__(self) -> str:
         """The entries' canonical text, in parentheses and separated by
-        commas; made on first use."""
-        if self._str is None:
-            self._str = "(" + ", ".join(self.cell_texts()) + ")"
-        return self._str
+        commas."""
+        return "(" + ", ".join(self.cell_texts()) + ")"
 
     def __repr__(self) -> str:
         return f"FreeElem{self}"
@@ -803,7 +798,7 @@ class _Run:
 
         The key rule: `key` is a tuple whose first item is a str naming the
         one function that keeps under it ("basis", "relations", "minimal",
-        "resolve", "cc", "factor", "param_test", "ext", "witness"), followed
+        "resolve", "cc", "factor", "param_test", "ext"), followed
         by everything that function reads besides the run's rows and the
         budget.  So keys of two kinds never collide, no module needs
         another's key shapes, and a key stays the same when a function is

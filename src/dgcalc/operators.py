@@ -170,7 +170,7 @@ class LinDiffOp:
     adjoint does not point back, and a `with_name` copy starts without
     one."""
 
-    __slots__ = ("name", "nvars", "source", "target", "_rows", "_matrix", "_hash", "_adjoint")
+    __slots__ = ("name", "nvars", "source", "target", "_rows", "_matrix", "_adjoint")
 
     def __init__(
         self,
@@ -192,7 +192,6 @@ class LinDiffOp:
         self.target = target
         self._rows: tuple[FreeElem, ...] = tuple(FreeElem(row) for row in mat)
         self._matrix: tuple[tuple[Poly, ...], ...] | None = mat
-        self._hash: int | None = None
         self._adjoint: LinDiffOp | bool | None = None
 
     @classmethod
@@ -214,7 +213,6 @@ class LinDiffOp:
         op.target = target
         op._rows = rows
         op._matrix = None
-        op._hash = None
         op._adjoint = None
         return op
 
@@ -251,7 +249,6 @@ class LinDiffOp:
     def with_name(self, name: str) -> "LinDiffOp":
         op = LinDiffOp._make(name, self.nvars, self.source, self.target, self._rows)
         op._matrix = self._matrix
-        op._hash = self._hash
         return op
 
     def __eq__(self, other) -> bool:
@@ -265,9 +262,7 @@ class LinDiffOp:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.nvars, self.source, self.target, self._rows))
-        return self._hash
+        return hash((self.nvars, self.source, self.target, self._rows))
 
     def __repr__(self) -> str:
         return (

@@ -113,7 +113,7 @@ class Poly:
     read and cached; nothing in the package reads it.
     """
 
-    __slots__ = ("nvars", "nums", "den", "_terms", "_hash")
+    __slots__ = ("nvars", "nums", "den", "_terms")
 
     def __init__(self, nvars: int, terms: dict[Monomial, Fraction] | None = None):
         if nvars < 1:
@@ -135,7 +135,6 @@ class Poly:
         self.nvars = nvars
         self.nums, self.den = _cleared(values)
         self._terms: dict[Monomial, Fraction] | None = None
-        self._hash: int | None = None
 
     @classmethod
     def _make(cls, nvars: int, nums: dict[Monomial, int], num: int = 1, den: int = 1
@@ -147,7 +146,6 @@ class Poly:
         p.nvars = nvars
         p.nums, p.den = canonical(nums, num, den)
         p._terms = None
-        p._hash = None
         return p
 
     @property
@@ -266,9 +264,7 @@ class Poly:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.nvars, self.den, frozenset(self.nums.items())))
-        return self._hash
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
         return bool(self.nums)

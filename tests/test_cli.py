@@ -530,7 +530,8 @@ def test_a_residue_without_an_annihilator_exits_1(capsys, ops_dir, monkeypatch,
     try:
         code, out, err = run(capsys, "paramtest", str(ops_dir / "killing_e2.json"))
     finally:
-        # the runs of the stacked rows keep the missing witnesses
+        # an error is never kept; the runs the test did finish are
+        # dropped all the same
         clear_engine_caches()
     assert (code, out) == (1, "")
     assert err.startswith("error: no nonzero annihilator of ")

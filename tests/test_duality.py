@@ -123,7 +123,7 @@ def test_a_warm_param_test_reads_what_the_cold_one_kept(build, clear_engine_cach
     op = build()
     clear_engine_caches()
     cold = _report_texts(param_test(op))
-    # the memos, the kept adjoint and the kept witnesses all warm
+    # the memos and the kept adjoint warm
     assert _report_texts(param_test(op)) == cold
     # the memos emptied, the adjoint still kept with the operator
     clear_engine_caches()
@@ -336,9 +336,10 @@ def test_minimal_parametrizations_past_the_old_search_cap(name, n, potentials):
 
 
 def test_a_test_over_its_budget_raises_what_its_first_run_raises(monkeypatch):
-    """The report lookup runs the operator's rows first, but a test over
-    its budget raises the error of the run a cold test starts first, that
-    of cc(adjoint(op)): the rows' own run stops at a lower S-pair here."""
+    """The report is kept on the run of the adjoint's rows, the first run
+    a cold test starts, in cc(adjoint(op)), so a test over its budget
+    raises that run's error: the operator's own rows' run stops at a lower
+    S-pair here."""
     op = zoo.weyl_killing(zoo.euclidean(3))
     monkeypatch.setenv("DGCALC_BUDGET_DEGREE", "0")
     errors = []

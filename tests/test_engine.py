@@ -819,7 +819,7 @@ def test_cold_resolution_work_is_pinned(n, monkeypatch, clear_engine_caches):
 PINNED_WARM_FRAMES = {
     "resolve": 15,
     "cc": 13,
-    "param_test": 13,
+    "param_test": 8,
     "ext1": 8,
     "ext2": 8,
     "rank": 3,
@@ -865,7 +865,7 @@ def test_a_warm_query_enters_only_its_lookup(monkeypatch, clear_engine_caches):
 # the names of the functions that keep a value on a run, each the first
 # item of every key it keeps under (`engine._Run.keep`)
 KEPT_KINDS = {"basis", "relations", "minimal", "resolve", "cc", "factor", "param_test",
-              "ext", "witness"}
+              "ext"}
 
 
 def test_every_kept_key_is_tagged_with_its_kind(monkeypatch, clear_engine_caches):
@@ -873,13 +873,20 @@ def test_every_kept_key_is_tagged_with_its_kind(monkeypatch, clear_engine_caches
     from dgcalc.report import run_report
 
     runs = []
-    run = engine._Run.run
+    read_back = set()
+    run, keep = engine._Run.run, engine._Run.keep
 
     def recorded_run(self):
         run(self)
         runs.append(self)
 
+    def recorded_keep(self, key, build, *args):
+        if key in self.kept:
+            read_back.add(key[0])
+        return keep(self, key, build, *args)
+
     monkeypatch.setattr(engine._Run, "run", recorded_run)
+    monkeypatch.setattr(engine._Run, "keep", recorded_keep)
     monkeypatch.delenv(BUDGET_ENV, raising=False)
     clear_engine_caches()
     assert all(r.passed for r in run_report())
@@ -890,8 +897,10 @@ def test_every_kept_key_is_tagged_with_its_kind(monkeypatch, clear_engine_caches
     assert all(type(key) is tuple and key[0] in KEPT_KINDS for key in keys), [
         key for key in keys if type(key) is not tuple or key[0] not in KEPT_KINDS
     ]
-    # a cold report and the warm queries keep every kind
+    # a cold report and the warm queries keep every kind, and read each
+    # back at least once: a value no later call reads is not kept
     assert {key[0] for key in keys} == KEPT_KINDS
+    assert read_back == KEPT_KINDS
 
 
 # S-pairs and `reduce_full` calls of a cold resolution of the Weyl gauge

@@ -124,11 +124,12 @@ def test_the_adjoint_reverses_composition(ops):
 
 
 @st.composite
-def small_operators(draw):
-    """One to three rows over two or three variables, with no more columns
-    than rows, so that rows often have relations; each entry has two to
-    four integer terms of degree at most 2, constants included."""
-    nvars = draw(st.integers(2, 3))
+def small_operators(draw, nvars=st.integers(2, 3)):
+    """One to three rows over two or three variables (or as many as `nvars`
+    draws), with no more columns than rows, so that rows often have
+    relations; each entry has two to four integer terms of degree at most
+    2, constants included."""
+    nvars = draw(nvars)
     mons = [m for m in product(range(3), repeat=nvars) if sum(m) <= 2]
     entry = st.dictionaries(st.sampled_from(mons), st.integers(-3, 3).filter(bool),
                             min_size=2, max_size=4)
